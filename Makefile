@@ -1,6 +1,6 @@
 # Convenience wrappers over dune; `make smoke` is the CI fast path.
 
-.PHONY: all build test smoke perf-smoke chaos-smoke drift-smoke yield-smoke sketch-smoke recover-smoke lint analyze tsan-smoke bench bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 bench-e20 doc clean
+.PHONY: all build test smoke perf-smoke chaos-smoke drift-smoke yield-smoke sketch-smoke recover-smoke lint analyze tsan-smoke bench doc clean
 
 all: build
 
@@ -45,90 +45,25 @@ tsan-smoke:
 bench:
 	dune exec bench/main.exe
 
-# E14 serving-throughput experiment; emits BENCH_e14.json in the repo root.
-bench-e14:
-	dune exec bench/main.exe -- e14
+# One experiment, e.g. `make bench-e16`; E14-E20 write BENCH_eNN.json in
+# the repo root. `bench/main.exe` lists the experiments.
+bench-%:
+	dune exec bench/main.exe -- $*
 
-# E15 domain-pool scaling experiment; emits BENCH_e15.json in the repo root.
-bench-e15:
-	dune exec bench/main.exe -- e15
-
-# E16 chaos soak: a real server behind the fault-injecting proxy, with
-# SIGHUP hot reload mid-soak; emits BENCH_e16.json in the repo root.
-bench-e16:
-	dune exec bench/main.exe -- e16
-
-# E17 self-healing soak: mid-stream process shift against a monitored
-# server -- drift detection, incremental refit, automatic background
-# re-selection; emits BENCH_e17.json in the repo root.
-bench-e17:
-	dune exec bench/main.exe -- e17
-
-# E18 decision workloads: importance-sampled yield estimation vs the
-# brute-force Monte-Carlo reference, per-die tunable-buffer
-# configuration, and both served live through the chaos proxy; emits
-# BENCH_e18.json in the repo root.
-bench-e18:
-	dune exec bench/main.exe -- e18
-
-# E19 sketched selection: quality vs the exact engine on feasible
-# pools, then wall-clock scaling on streamed sparse pools up to a
-# 1,000,000-path synthetic -- selected end-to-end without ever
-# allocating a dense pool-sized matrix; emits BENCH_e19.json in the
-# repo root.
-bench-e19:
-	dune exec bench/main.exe -- e19
-
-# E20 kill/recovery soak: repeated random SIGKILLs of a durability-armed
-# server under live observe/predict traffic; each restart recovers from
-# the last checkpoint plus the WAL suffix. Zero acked-but-lost
-# observations, recovered state equal (1e-12) to an uninterrupted
-# reference, recovery within one reselect cooldown; emits BENCH_e20.json
-# in the repo root.
-bench-e20:
-	dune exec bench/main.exe -- e20
-
-# Scaled-down E15 as a CI gate (< 30s): fails if any parallel kernel is
-# not bit-identical to serial, or (on hosts with >= 2 cores) if the
-# 4-domain matmul speedup falls below 2x. Single-core hosts check
-# equivalence only.
+# Short CI gates, each one experiment's `--smoke` row in bench/main.ml
+# (exit 0 or 1 on its verdict); README's gate table says what each checks.
 perf-smoke:
-	dune exec bench/main.exe -- --smoke
-
-# Short-duration E16 as a CI gate: fails if any serving invariant
-# breaks under wire-level faults (wrong answer, server death, failed
-# hot reload, unbounded clean-lane latency).
+	dune exec bench/main.exe -- e15 --smoke
 chaos-smoke:
-	dune exec bench/main.exe -- --chaos-smoke
-
-# Short-duration E17 as a CI gate: fails if the drift detector misses
-# the injected process shift, the automatic re-selection does not
-# recover accuracy within the 1.2x gate, any answer goes wrong, or the
-# server dies.
+	dune exec bench/main.exe -- e16 --smoke
 drift-smoke:
-	dune exec bench/main.exe -- --drift-smoke
-
-# Quick E18 as a CI gate: fails if importance sampling disagrees with
-# brute-force MC beyond 3 combined standard errors, beats it by less
-# than 50x in samples at equal confidence, or any served yield/tune
-# answer is not bit-identical to the local recompute.
+	dune exec bench/main.exe -- e17 --smoke
 yield-smoke:
-	dune exec bench/main.exe -- --yield-smoke
-
-# Quick E19 as a CI gate: a 50k-path sketched selection must finish
-# inside the wall-clock budget (an accidental densification blows past
-# it by orders of magnitude), and on a small circuit pool the sketched
-# engine's worst-case prediction error must stay within 1.25x of the
-# exact engine at the same selection size.
+	dune exec bench/main.exe -- e18 --smoke
 sketch-smoke:
-	dune exec bench/main.exe -- --sketch-smoke
-
-# Quick E20 as a CI gate: a short kill/recovery soak -- every armed
-# SIGKILL must land mid-traffic, no acked observation may be lost, the
-# recovered monitor/refit/drift state must match an uninterrupted
-# reference, and every restart must answer within the recovery bound.
+	dune exec bench/main.exe -- e19 --smoke
 recover-smoke:
-	dune exec bench/main.exe -- --recover-smoke
+	dune exec bench/main.exe -- e20 --smoke
 
 doc:
 	dune build @doc

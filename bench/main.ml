@@ -9,7 +9,8 @@
      dune exec bench/main.exe                     # everything, quick profile
      dune exec bench/main.exe -- table1           # one experiment
      dune exec bench/main.exe -- table2 --full    # paper-scale sizes
-     dune exec bench/main.exe -- micro            # kernel timings only *)
+     dune exec bench/main.exe -- micro            # kernel timings only
+     dune exec bench/main.exe -- e16 --smoke      # one experiment's CI gate *)
 
 (* The dispatch table at the bottom is the single source of truth for
    the subcommand list: the usage string, the dispatch, and "all" are
@@ -195,80 +196,97 @@ let run_micro () =
 let banner title =
   Printf.printf "\n%s\n%s\n%s\n\n" (String.make 78 '=') title (String.make 78 '=')
 
-(* name, banner title, runner — everything else derives from this list *)
-let experiments : (string * string * (Experiments.Profile.t -> unit)) list =
+(* name, banner title, runner, and the short CI gate that
+   [<name> --smoke] runs instead: no JSON file, exit 0 or 1 on the
+   gate's verdict. Everything else derives from this list. *)
+let experiments :
+    (string
+    * string
+    * (Experiments.Profile.t -> unit)
+    * (Experiments.Profile.t -> bool) option)
+    list =
   [
     ( "table1",
       "E1 / Table 1 -- approximate path selection",
-      fun p -> ignore (Experiments.Table1.run p) );
+      (fun p -> ignore (Experiments.Table1.run p)),
+      None );
     ( "table2",
       "E2 / Table 2 -- hybrid path/segment selection",
-      fun p -> ignore (Experiments.Table2.run p) );
+      (fun p -> ignore (Experiments.Table2.run p)),
+      None );
     ( "figure2",
       "E3 / Figure 2 -- singular value decay",
-      fun p -> ignore (Experiments.Figure2.run p) );
+      (fun p -> ignore (Experiments.Figure2.run p)),
+      None );
     ( "guardband",
       "E4 / Section 6.3 -- guard-band analysis",
-      fun p -> ignore (Experiments.Guardband_exp.run p) );
-    ("ablation", "E5+E6+E7 -- ablations", fun p -> Experiments.Ablation.run p);
+      (fun p -> ignore (Experiments.Guardband_exp.run p)),
+      None );
+    ("ablation", "E5+E6+E7 -- ablations", (fun p -> Experiments.Ablation.run p), None);
     ( "robustness",
       "E8+E9+E11 -- production robustness",
-      fun p -> Experiments.Robustness.run p );
+      (fun p -> Experiments.Robustness.run p),
+      None );
     ( "baselines",
       "E12 -- baselines from the related work",
-      fun p -> ignore (Experiments.Baselines_exp.run p) );
+      (fun p -> ignore (Experiments.Baselines_exp.run p)),
+      None );
     ( "faults",
       "E13 -- fault-tolerant prediction under dirty silicon data",
-      fun p -> ignore (Experiments.Faults_exp.run p) );
+      (fun p -> ignore (Experiments.Faults_exp.run p)),
+      None );
     ( "e14",
       "E14 -- serving throughput: cold pipeline vs warm batched server",
-      fun p -> ignore (Experiments.Serve_exp.run ~out:"BENCH_e14.json" p) );
+      (fun p -> ignore (Experiments.Serve_exp.run ~out:"BENCH_e14.json" p)),
+      None );
+    (* gate: every parallel kernel bit-identical to serial; on >= 2-core
+       hosts also the 4-domain matmul speedup floor *)
     ( "e15",
       "E15 -- domain-pool scaling: kernels and end-to-end pipeline",
-      fun p -> ignore (Experiments.Scaling.run ~out:"BENCH_e15.json" p) );
+      (fun p -> ignore (Experiments.Scaling.run ~out:"BENCH_e15.json" p)),
+      Some (fun p -> (Experiments.Scaling.run ~smoke:true p).Experiments.Scaling.ok) );
+    (* gate: the serving invariants under wire-level faults *)
     ( "e16",
       "E16 -- chaos soak: serving invariants under wire-level faults",
-      fun p -> ignore (Experiments.Chaos_exp.run ~out:"BENCH_e16.json" p) );
+      (fun p -> ignore (Experiments.Chaos_exp.run ~out:"BENCH_e16.json" p)),
+      Some (fun p -> (Experiments.Chaos_exp.run p).Experiments.Chaos_exp.ok) );
+    (* gate: drift detected, re-selection recovers accuracy, no wrong
+       answer *)
     ( "e17",
       "E17 -- self-healing soak: drift detection and auto re-selection",
-      fun p -> ignore (Experiments.Drift_exp.run ~out:"BENCH_e17.json" p) );
+      (fun p -> ignore (Experiments.Drift_exp.run ~out:"BENCH_e17.json" p)),
+      Some (fun p -> (Experiments.Drift_exp.run p).Experiments.Drift_exp.ok) );
+    (* gate: IS agrees with brute-force MC at >= 50x fewer samples, and
+       every served answer is bit-exact *)
     ( "e18",
       "E18 -- decision workloads: importance-sampled yield + per-die tuning",
-      fun p -> ignore (Experiments.Decision_exp.run ~out:"BENCH_e18.json" p) );
+      (fun p -> ignore (Experiments.Decision_exp.run ~out:"BENCH_e18.json" p)),
+      Some (fun p -> (Experiments.Decision_exp.run p).Experiments.Decision_exp.ok) );
+    (* gate: a 50k-path sketched selection inside the wall budget, and
+       worst-case error within 1.25x of the exact engine *)
     ( "e19",
       "E19 -- sketched million-path selection: quality vs exact, wall-clock scaling",
-      fun p -> ignore (Experiments.Sketch_exp.run ~out:"BENCH_e19.json" p) );
+      (fun p -> ignore (Experiments.Sketch_exp.run ~out:"BENCH_e19.json" p)),
+      Some (fun p -> (Experiments.Sketch_exp.run ~smoke:true p).Experiments.Sketch_exp.ok) );
+    (* gate: random SIGKILLs under live traffic, zero acked-but-lost
+       observations, recovered state equal to an uninterrupted run *)
     ( "e20",
       "E20 -- kill/recovery soak: WAL + checkpoint durability under SIGKILL",
-      fun p -> ignore (Experiments.Recover_exp.run ~out:"BENCH_e20.json" p) );
-    ("micro", "micro-benchmarks", fun _ -> run_micro ());
+      (fun p -> ignore (Experiments.Recover_exp.run ~out:"BENCH_e20.json" p)),
+      Some (fun p -> (Experiments.Recover_exp.run p).Experiments.Recover_exp.ok) );
+    ("micro", "micro-benchmarks", (fun _ -> run_micro ()), None);
   ]
 
 let usage () =
-  Printf.printf
-    "usage: main.exe [%s|all] [--full] [--smoke] [--chaos-smoke] \
-     [--drift-smoke] [--yield-smoke] [--sketch-smoke] [--recover-smoke] \
-     [--domains N]\n"
-    (String.concat "|" (List.map (fun (name, _, _) -> name) experiments));
+  Printf.printf "usage: main.exe [%s|all] [--full] [--smoke] [--domains N]\n"
+    (String.concat "|" (List.map (fun (name, _, _, _) -> name) experiments));
   exit 1
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let full = List.mem "--full" args in
   let smoke = List.mem "--smoke" args in
-  let chaos_smoke = List.mem "--chaos-smoke" args in
-  let drift_smoke = List.mem "--drift-smoke" args in
-  let yield_smoke = List.mem "--yield-smoke" args in
-  let sketch_smoke = List.mem "--sketch-smoke" args in
-  let recover_smoke = List.mem "--recover-smoke" args in
-  let args =
-    List.filter
-      (fun a ->
-        a <> "--full" && a <> "--smoke" && a <> "--chaos-smoke"
-        && a <> "--drift-smoke" && a <> "--yield-smoke" && a <> "--sketch-smoke"
-        && a <> "--recover-smoke")
-      args
-  in
+  let args = List.filter (fun a -> a <> "--full" && a <> "--smoke") args in
   let args =
     let rec strip_domains = function
       | "--domains" :: n :: rest ->
@@ -282,60 +300,21 @@ let () =
     strip_domains args
   in
   let profile = if full then Experiments.Profile.full else Experiments.Profile.quick in
-  (* [e15 --smoke] is the perf-smoke CI gate: scaled-down sweep, no JSON
-     file, nonzero exit when equivalence (or, on multicore hosts, the
-     speedup floor) fails. *)
-  if smoke then begin
-    let r = Experiments.Scaling.run ~smoke:true profile in
-    exit (if r.Experiments.Scaling.ok then 0 else 1)
-  end;
-  (* [--chaos-smoke] is the CI gate for the serving invariants: a
-     short E16 soak, nonzero exit if any invariant breaks *)
-  if chaos_smoke then begin
-    let r = Experiments.Chaos_exp.run profile in
-    exit (if r.Experiments.Chaos_exp.ok then 0 else 1)
-  end;
-  (* [--drift-smoke] is the CI gate for the self-healing loop: a short
-     E17 soak — drift must be detected, the background re-selection
-     must recover accuracy, and no request may go wrong *)
-  if drift_smoke then begin
-    let r = Experiments.Drift_exp.run profile in
-    exit (if r.Experiments.Drift_exp.ok then 0 else 1)
-  end;
-  (* [--yield-smoke] is the CI gate for the decision ops: the quick
-     E18 — IS must agree with brute-force MC within 3 combined SE at
-     >= 50x fewer samples, and every served answer must be bit-exact *)
-  if yield_smoke then begin
-    let r = Experiments.Decision_exp.run profile in
-    exit (if r.Experiments.Decision_exp.ok then 0 else 1)
-  end;
-  (* [--sketch-smoke] is the CI gate for the sketched engine: a 50k-path
-     sketched selection must finish inside the wall budget, and on a
-     small circuit pool its worst-case error must stay within 1.25x of
-     the exact engine *)
-  if sketch_smoke then begin
-    let r = Experiments.Sketch_exp.run ~smoke:true profile in
-    exit (if r.Experiments.Sketch_exp.ok then 0 else 1)
-  end;
-  (* [--recover-smoke] is the CI gate for the durability layer: a short
-     E20 kill/recovery soak — repeated random SIGKILLs under live
-     traffic, zero acked-but-lost observations, recovered state equal
-     to an uninterrupted reference, bounded recovery time *)
-  if recover_smoke then begin
-    let r = Experiments.Recover_exp.run profile in
-    exit (if r.Experiments.Recover_exp.ok then 0 else 1)
-  end;
   let what = match args with [] -> "all" | [ w ] -> w | _ -> usage () in
+  let entry = List.find_opt (fun (name, _, _, _) -> name = what) experiments in
+  if smoke then begin
+    match entry with
+    | Some (_, _, _, Some gate) -> exit (if gate profile then 0 else 1)
+    | _ -> usage ()
+  end;
   Printf.printf "profile: %s\n" profile.Experiments.Profile.name;
   let t0 = Unix.gettimeofday () in
-  let run_one (_, title, fn) =
+  let run_one (_, title, fn, _) =
     banner title;
     fn profile
   in
-  (match what with
-   | "all" -> List.iter run_one experiments
-   | w ->
-     (match List.find_opt (fun (name, _, _) -> name = w) experiments with
-      | Some entry -> run_one entry
-      | None -> usage ()));
+  (match (what, entry) with
+   | "all", _ -> List.iter run_one experiments
+   | _, Some e -> run_one e
+   | _, None -> usage ());
   Printf.printf "\ntotal wall time: %.1fs\n" (Unix.gettimeofday () -. t0)

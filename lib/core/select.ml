@@ -199,41 +199,6 @@ let approximate_nested ?(config = Config.default) ?(engine = Auto)
   in
   finish ~config ~svd ~kappa ~t_cons ~evaluations:!evaluations result
 
-let approximate_randomized ?(config = Config.default) ?(oversample = 8) ?(seed = 2024)
-    ~a ~mu ~eps ~t_cons ~sketch_rank () =
-  Config.validate config;
-  if eps <= 0.0 then invalid_arg "Select.approximate_randomized: eps must be positive";
-  if t_cons <= 0.0 then
-    invalid_arg "Select.approximate_randomized: t_cons must be positive";
-  let kappa = config.Config.kappa in
-  let svd = Linalg.Rsvd.to_svd (Linalg.Rsvd.factor ~oversample ~rank:sketch_rank ~seed a) in
-  let rank = max 1 (Array.length svd.Linalg.Svd.s) in
-  let evaluations = ref 0 in
-  let eval r =
-    incr evaluations;
-    let sel = build_at ~svd ~a ~mu ~r in
-    let e = Predictor.epsilon_r (snd sel) ~kappa ~t_cons in
-    (sel, e)
-  in
-  (* bisection, as in the exact path *)
-  let rec go lo hi best =
-    if hi - lo <= 1 then best
-    else begin
-      let mid = (lo + hi) / 2 in
-      let sel, e = eval mid in
-      if e <= eps then go lo mid sel else go mid hi best
-    end
-  in
-  let top, e_top = eval rank in
-  let result =
-    if e_top > eps then top
-    else begin
-      let one, e_one = eval 1 in
-      if e_one <= eps then one else go 1 rank top
-    end
-  in
-  finish ~config ~svd ~kappa ~t_cons ~evaluations:!evaluations result
-
 let select_with_size ?(config = Config.default) ?(engine = Auto)
     ?(sketch = default_sketch) ~a ~mu ~r () =
   Config.validate config;

@@ -114,26 +114,6 @@ val approximate_nested :
     Slightly larger selections than per-r re-pivoting in exchange for
     one factorization total (ablation E10). *)
 
-val approximate_randomized :
-  ?config:Config.t ->
-  ?oversample:int ->
-  ?seed:int ->
-  a:Linalg.Mat.t ->
-  mu:Linalg.Vec.t ->
-  eps:float ->
-  t_cons:float ->
-  sketch_rank:int ->
-  unit ->
-  t
-(** Algorithm 1 with the SVD replaced by a randomized truncated
-    factorization of rank [sketch_rank] ({!Linalg.Rsvd}) — the
-    production fast path for very large pools (ablation E8). The
-    analytic error of every candidate predictor is still exact (built
-    from the true [a]); only the subset-selection basis is
-    approximate. [rank] in the result is the sketch rank. Superseded
-    by [approximate ~engine:Sketched] (which adds adaptive rank and
-    the CholQR2 operator path); kept for the E8 ablation surface. *)
-
 type stream_t = {
   stream_indices : int array;  (** representative rows, sorted *)
   stream_svd : Linalg.Svd.t;   (** truncated sketch factorization *)

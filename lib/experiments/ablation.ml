@@ -63,15 +63,7 @@ let run_schedule ?(oc = stdout) profile =
 
 let run_eta ?(oc = stdout) profile =
   Printf.fprintf oc "\nAblation E6: effective-rank threshold eta (s1423)\n";
-  let preset =
-    match Circuit.Benchmarks.find "s1423" with
-    | Some p -> p
-    | None -> Core.Errors.raise_error (Core.Errors.Invalid_input "Ablation: s1423 preset missing")
-  in
-  let _, setup =
-    Table1.setup_for profile preset ~t_cons_scale:1.0
-      ~max_paths:profile.Profile.max_paths
-  in
+  let setup = Table1.setup profile "s1423" in
   let a = Timing.Paths.a_mat setup.Core.Pipeline.pool in
   let svd = Linalg.Svd.factor a in
   let sel = Core.Pipeline.approximate_selection setup ~eps in
@@ -99,15 +91,7 @@ type cluster_row = {
 let run_cluster ?(oc = stdout) profile =
   Printf.fprintf oc "\nAblation E7: Section-4.4 clustering speedup (s38417, eps = %.0f%%)\n"
     (100.0 *. eps);
-  let preset =
-    match Circuit.Benchmarks.find "s38417" with
-    | Some p -> p
-    | None -> Core.Errors.raise_error (Core.Errors.Invalid_input "Ablation: s38417 preset missing")
-  in
-  let _, setup =
-    Table1.setup_for profile preset ~t_cons_scale:1.0
-      ~max_paths:profile.Profile.max_paths
-  in
+  let setup = Table1.setup profile "s38417" in
   let a = Timing.Paths.a_mat setup.Core.Pipeline.pool in
   let mu = Timing.Paths.mu_paths setup.Core.Pipeline.pool in
   let t_cons = setup.Core.Pipeline.t_cons in

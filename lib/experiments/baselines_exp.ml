@@ -63,11 +63,7 @@ let run ?(oc = stdout) profile =
   Printf.fprintf oc
     "E12: Algorithm 1 vs related-work baselines (s1238, eps = %.0f%%, equal budgets)\n"
     (100.0 *. eps);
-  let preset =
-    match Circuit.Benchmarks.find "s1238" with
-    | Some p -> p
-    | None -> Core.Errors.raise_error (Core.Errors.Invalid_input "Baselines_exp: s1238 preset missing")
-  in
+  let preset = Table1.preset "s1238" in
   let rows = run_bench profile preset in
   Printf.fprintf oc "%-24s %4s | %7s %7s\n" "method" "r" "e1%" "e2%";
   Printf.fprintf oc "%s\n" (String.make 48 '-');

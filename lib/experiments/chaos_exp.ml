@@ -45,68 +45,14 @@ let soak_spec =
     eintr_burst = 2;
   }
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Unix.gettimeofday () -. t0)
-
-let rows_of m i0 k =
-  let _, c = Linalg.Mat.dims m in
-  Linalg.Mat.init k c (fun i j -> Linalg.Mat.get m (i0 + i) j)
-
-let bits_equal m1 m2 =
-  Linalg.Mat.dims m1 = Linalg.Mat.dims m2
-  &&
-  let r, c = Linalg.Mat.dims m1 in
-  try
-    for i = 0 to r - 1 do
-      for j = 0 to c - 1 do
-        if
-          Int64.bits_of_float (Linalg.Mat.get m1 i j)
-          <> Int64.bits_of_float (Linalg.Mat.get m2 i j)
-        then raise Exit
-      done
-    done;
-    true
-  with Exit -> false
+let rows_of m i0 k = Linalg.Mat.select_rows m (Array.init k (( + ) i0))
 
 let p99 = function
   | [] -> 0.0
   | xs -> Stats.Descriptive.quantile (Array.of_list xs) 0.99
 
-let int_stat resp key =
-  match Serve.Wire.member key resp with Some (Serve.Wire.Int n) -> n | _ -> 0
-
-let json_of_result r =
-  let open Core.Report in
-  Obj
-    ([ ("experiment", String "E16") ]
-    @ Host.fields ()
-    @ [
-      ("bench", String r.bench);
-      ("faults", String r.faults);
-      ("requests_faulted", Int r.requests_faulted);
-      ("ok_faulted", Int r.ok_faulted);
-      ("gave_up", Int r.gave_up);
-      ("wrong_answers", Int r.wrong_answers);
-      ("clean_requests", Int r.clean_requests);
-      ("clean_failures", Int r.clean_failures);
-      ("p99_clean_ms", Float r.p99_clean_ms);
-      ("p99_soak_ms", Float r.p99_soak_ms);
-      ("throughput_dies_per_s", Float r.throughput_dies_per_s);
-      ("reloads", Int r.reloads);
-      ("reload_fingerprint_ok", Bool r.reload_fingerprint_ok);
-      ("final_batch_ok", Bool r.final_batch_ok);
-      ("server_exit_ok", Bool r.server_exit_ok);
-      ("shed", Int r.shed);
-      ("timeouts", Int r.timeouts);
-      ("proxy_connections", Int r.proxy_connections);
-      ("proxy_corrupted", Int r.proxy_corrupted);
-      ("proxy_stalled", Int r.proxy_stalled);
-      ("ok", Bool r.ok);
-    ])
-
 let run ?(oc = stdout) ?out profile =
+  Soak.single_domain ();
   let quick = profile.Profile.name <> "full" in
   let n_dies = if quick then 64 else 256 in
   let lane_iters = if quick then 10 else 60 in
@@ -118,76 +64,47 @@ let run ?(oc = stdout) ?out profile =
     "E16: chaos soak (%s; %d fault lanes x %d requests through a faulty proxy, \
      %d clean requests, SIGHUP reload mid-soak)\n"
     bench_name fault_lanes lane_iters clean_iters;
-  let preset =
-    match Circuit.Benchmarks.find bench_name with
-    | Some p -> p
-    | None ->
-      Core.Errors.raise_error (Core.Errors.Invalid_input "Chaos_exp: s1423 preset missing")
-  in
-  let _, setup =
-    Table1.setup_for profile preset ~t_cons_scale:1.0
-      ~max_paths:profile.Profile.max_paths
-  in
+  let setup = Table1.setup profile bench_name in
   let sel = Core.Pipeline.approximate_selection setup ~eps in
   let pool = setup.Core.Pipeline.pool in
-  let t_cons = setup.Core.Pipeline.t_cons in
-  let a = Timing.Paths.a_mat pool in
-  let mu = Timing.Paths.mu_paths pool in
-  let make_artifact fingerprint =
-    Store.of_selection ~fingerprint
-      ~n_segments:(Timing.Paths.num_segments pool)
-      ~t_cons ~eps ~a ~mu sel
-  in
+  let make_artifact fingerprint = Soak.artifact ~fingerprint ~eps setup sel in
   let artifact = make_artifact "bench:e16 s1423" in
   let p = sel.Core.Select.predictor in
   let rep = Core.Predictor.rep_indices p in
   let mc = Timing.Monte_carlo.sample (Rng.create 16) pool ~n:n_dies in
   let clean = Linalg.Mat.select_cols (Timing.Monte_carlo.path_delays mc) rep in
-  (* the artifact file the server SIGHUP-reloads from *)
-  let store_path = Filename.temp_file "pathsel-e16" ".psa" in
-  (match Store.save store_path artifact with
-   | Ok () -> ()
-   | Error e -> Core.Errors.raise_error e);
-  let sock = Filename.temp_file "pathsel-e16" ".sock" in
-  Sys.remove sock;
-  let server_addr = Serve.Unix_sock sock in
   let config =
     { Serve.default_config with
       Serve.workers = 3; queue = 16; deadline = 2.0; idle_timeout = 30.0 }
   in
-  flush oc;
-  flush stdout;
+  let expected i0 k = Core.Predictor.predict_all p ~measured:(rows_of clean i0 k) in
+  Soak.with_session artifact @@ fun soak ->
+  let server_addr = Soak.addr soak in
+  let store_path = Soak.artifact_path soak in
   (* the server child must fork before any proxy/lane threads exist *)
-  let pid = Unix.fork () in
-  if pid = 0 then begin
-    (match Serve.run ~config ~reload_from:store_path artifact server_addr with
-     | () -> Unix._exit 0
-     | exception (Core.Errors.Error _ | Unix.Unix_error _ | Sys_error _) ->
-       Unix._exit 1)
-  end;
+  let pid = Soak.spawn ~config ~reload_from:store_path soak in
   let proxy =
     Chaos.start ~seed:1616 ~eintr_pid:pid soak_spec
-      ~listen:(Serve.Unix_sock (sock ^ ".chaos"))
+      ~listen:(Serve.Unix_sock (Filename.concat (Soak.dir soak) "chaos.sock"))
       ~upstream:server_addr
   in
   let proxy_addr = Chaos.bound_addr proxy in
-  let expected i0 k = Core.Predictor.predict_all p ~measured:(rows_of clean i0 k) in
   let finish () =
     (* ---- baseline: clean latency + throughput, no faults in the path *)
-    let conn = Serve.Client.connect server_addr in
+    let conn = Soak.connect soak in
     let base = { sent = 0; ok = 0; gave_up = 0; wrong = 0; lat_ms = [] } in
     let reps = if quick then 20 else 60 in
     let want = expected 0 batch in
     let sub = rows_of clean 0 batch in
     let (), dt =
-      time (fun () ->
+      Soak.time (fun () ->
           for _ = 1 to reps do
             base.sent <- base.sent + 1;
-            let r, lat = time (fun () -> Serve.Client.predict conn sub) in
+            let r, lat = Soak.time (fun () -> Serve.Client.predict conn sub) in
             (match r with
              | Ok (m, _) ->
                base.ok <- base.ok + 1;
-               if not (bits_equal m want) then base.wrong <- base.wrong + 1
+               if not (Linalg.Mat.bits_equal m want) then base.wrong <- base.wrong + 1
              | Error _ -> base.gave_up <- base.gave_up + 1);
             base.lat_ms <- (lat *. 1000.0) :: base.lat_ms
           done)
@@ -215,7 +132,7 @@ let run ?(oc = stdout) ?out profile =
           match Serve.Client.predict_with_retry ~retry ~rng proxy_addr sub with
           | Ok (m, _) ->
             lane.ok <- lane.ok + 1;
-            if not (bits_equal m want) then lane.wrong <- lane.wrong + 1
+            if not (Linalg.Mat.bits_equal m want) then lane.wrong <- lane.wrong + 1
           | Error _ -> lane.gave_up <- lane.gave_up + 1
         done
       in
@@ -231,11 +148,11 @@ let run ?(oc = stdout) ?out profile =
         let c = Serve.Client.connect server_addr in
         for _ = 1 to clean_iters do
           lane.sent <- lane.sent + 1;
-          let r, lat = time (fun () -> Serve.Client.predict ~deadline:5.0 c sub) in
+          let r, lat = Soak.time (fun () -> Serve.Client.predict ~deadline:5.0 c sub) in
           (match r with
            | Ok (m, _) ->
              lane.ok <- lane.ok + 1;
-             if not (bits_equal m want) then lane.wrong <- lane.wrong + 1
+             if not (Linalg.Mat.bits_equal m want) then lane.wrong <- lane.wrong + 1
            | Error _ -> lane.gave_up <- lane.gave_up + 1);
           lane.lat_ms <- (lat *. 1000.0) :: lane.lat_ms;
           Atomic.incr clean_done;
@@ -270,7 +187,7 @@ let run ?(oc = stdout) ?out profile =
              | _ -> "")
           | None -> ""
         in
-        (int_stat resp "reloads", fp = "bench:e16 s1423 v2")
+        (Soak.int_stat resp "reloads", fp = "bench:e16 s1423 v2")
       | Error _ -> (0, false)
     in
     Printf.fprintf oc "mid-soak SIGHUP: %d reload(s), fingerprint swapped: %b\n%!"
@@ -284,17 +201,17 @@ let run ?(oc = stdout) ?out profile =
         Serve.Client.predict_with_retry ~retry:final_retry
           ~rng:(Rng.create 99) proxy_addr sub
       with
-      | Ok (m, _) -> bits_equal m want
+      | Ok (m, _) -> Linalg.Mat.bits_equal m want
       | Error _ -> false
     in
     (* ---- drain: final counters, shutdown, reap the child *)
     let shed, timeouts =
       match Serve.Client.stats conn with
-      | Ok resp -> (int_stat resp "shed", int_stat resp "timeouts")
+      | Ok resp -> (Soak.int_stat resp "shed", Soak.int_stat resp "timeouts")
       | Error _ -> (0, 0)
     in
-    Serve.Client.shutdown conn;
     Serve.Client.close conn;
+    Soak.drain soak;
     (lanes, cl, p99_clean_ms, throughput, reloads, reload_fingerprint_ok,
      final_batch_ok, shed, timeouts)
   in
@@ -302,9 +219,7 @@ let run ?(oc = stdout) ?out profile =
         final_batch_ok, shed, timeouts ) =
     Fun.protect ~finally:(fun () -> Chaos.stop proxy) finish
   in
-  let _, status = Unix.waitpid [] pid in
-  let server_exit_ok = status = Unix.WEXITED 0 in
-  (try Sys.remove store_path with Sys_error _ -> ());
+  let server_exit_ok = Soak.reap soak pid = Soak.Clean in
   let sum f = List.fold_left (fun acc (l, _) -> acc + f l) 0 lanes in
   let requests_faulted = sum (fun l -> l.sent) in
   let ok_faulted = sum (fun l -> l.ok) in
@@ -358,9 +273,29 @@ let run ?(oc = stdout) ?out profile =
       ok;
     }
   in
-  (match out with
-   | Some path ->
-     Core.Report.write_file path (json_of_result result);
-     Printf.fprintf oc "wrote %s\n" path
-   | None -> ());
+  Soak.write ~oc ?out "E16"
+    (let open Core.Report in
+     [
+       ("bench", String result.bench);
+       ("faults", String result.faults);
+       ("requests_faulted", Int result.requests_faulted);
+       ("ok_faulted", Int result.ok_faulted);
+       ("gave_up", Int result.gave_up);
+       ("wrong_answers", Int result.wrong_answers);
+       ("clean_requests", Int result.clean_requests);
+       ("clean_failures", Int result.clean_failures);
+       ("p99_clean_ms", Float result.p99_clean_ms);
+       ("p99_soak_ms", Float result.p99_soak_ms);
+       ("throughput_dies_per_s", Float result.throughput_dies_per_s);
+       ("reloads", Int result.reloads);
+       ("reload_fingerprint_ok", Bool result.reload_fingerprint_ok);
+       ("final_batch_ok", Bool result.final_batch_ok);
+       ("server_exit_ok", Bool result.server_exit_ok);
+       ("shed", Int result.shed);
+       ("timeouts", Int result.timeouts);
+       ("proxy_connections", Int result.proxy_connections);
+       ("proxy_corrupted", Int result.proxy_corrupted);
+       ("proxy_stalled", Int result.proxy_stalled);
+       ("ok", Bool result.ok);
+     ]);
   result

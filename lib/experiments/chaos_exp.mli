@@ -47,5 +47,3 @@ val run : ?oc:out_channel -> ?out:string -> Profile.t -> result
 (** Prints progress to [oc] (default [stdout]); writes
     [BENCH_e16.json]-style JSON to [out] when given. The [quick]
     profile is a short smoke-sized soak; [full] is the real one. *)
-
-val json_of_result : result -> Core.Report.json

@@ -37,70 +37,11 @@ let pfail_target = 1e-4
 let reduction_gate = 50.0
 let agreement_gate = 3.0
 
-let bits_equal_f a b = Int64.bits_of_float a = Int64.bits_of_float b
-
-let float_member resp key =
-  match Serve.Wire.member key resp with
-  | Some (Serve.Wire.Float x) -> x
-  | Some (Serve.Wire.Int n) -> float_of_int n
-  | _ -> Float.nan
-
-let int_member resp key =
-  match Serve.Wire.member key resp with Some (Serve.Wire.Int n) -> n | _ -> min_int
-
-let json_of_result r =
-  let open Core.Report in
-  Obj
-    ([ ("experiment", String "E18") ]
-    @ Host.fields ()
-    @ [
-        ("gates", Int r.gates);
-        ("n_paths", Int r.n_paths);
-        ("n_vars", Int r.n_vars);
-        ("pfail_target", Float pfail_target);
-        ("t_cons", Float r.t_cons);
-        ( "yield",
-          Obj
-            [
-              ("is_samples", Int r.is_samples);
-              ("is_p_fail", Float r.is_p_fail);
-              ("is_std_err", Float r.is_std_err);
-              ("is_sn_p_fail", Float r.is_sn_p_fail);
-              ("is_ess", Float r.is_ess);
-              ("is_hits", Int r.is_hits);
-              ("shift_norm", Float r.shift_norm);
-              ("mc_samples", Int r.mc_samples);
-              ("mc_p_fail", Float r.mc_p_fail);
-              ("mc_std_err", Float r.mc_std_err);
-              ("mc_hits", Int r.mc_hits);
-              ("agreement_z", Float r.agreement_z);
-              ("agreement_gate", Float agreement_gate);
-              ("sample_reduction", Float r.sample_reduction);
-              ("reduction_gate", Float reduction_gate);
-            ] );
-        ( "tune",
-          Obj
-            [
-              ("t_clk", Float r.t_clk);
-              ("dies", Int r.tune_dies);
-              ("feasible", Int r.tune_feasible);
-              ("infeasible", Int r.tune_infeasible);
-              ("mean_cost", Float r.tune_mean_cost);
-              ("max_cost", Float r.tune_max_cost);
-              ("all_exact", Bool r.tune_all_exact);
-            ] );
-        ( "serving",
-          Obj
-            [
-              ("yield_requests", Int r.yield_requests);
-              ("tune_requests", Int r.tune_requests);
-              ("wrong_answers", Int r.wrong_answers);
-              ("request_failures", Int r.request_failures);
-              ("infeasible_code_ok", Bool r.infeasible_code_ok);
-              ("server_exit_ok", Bool r.server_exit_ok);
-            ] );
-        ("ok", Bool r.ok);
-      ])
+(* served floats travel through %.17g JSON, which round-trips doubles
+   exactly: anything short of identical bits is a wire or dispatch bug *)
+let floats_identical got want =
+  let row xs = Linalg.Mat.of_arrays [| Array.of_list xs |] in
+  Linalg.Mat.bits_equal (row got) (row want)
 
 (* the tunable-buffer menu every die shares: each path is driven by
    exactly one of four buffers (round-robin), each buffer offering
@@ -128,6 +69,7 @@ let percentile sorted q =
   sorted.(Int.min (n - 1) (int_of_float (q *. float_of_int n)))
 
 let run ?(oc = stdout) ?out profile =
+  Soak.single_domain ();
   let quick = profile.Profile.name <> "full" in
   let is_samples = if quick then 16_384 else 65_536 in
   let mc_samples = if quick then 400_000 else 2_000_000 in
@@ -235,22 +177,12 @@ let run ?(oc = stdout) ?out profile =
   let predictor = sel.Core.Select.predictor in
   let rep = Core.Predictor.rep_indices predictor in
   let rem = Core.Predictor.rem_indices predictor in
-  let sock = Filename.temp_file "pathsel-e18" ".sock" in
-  Sys.remove sock;
-  let server_addr = Serve.Unix_sock sock in
   let config =
     { Serve.default_config with Serve.workers = 2; deadline = 30.0;
       idle_timeout = 60.0 }
   in
-  flush oc;
-  flush stdout;
-  let pid = Unix.fork () in
-  if pid = 0 then begin
-    match Serve.run ~config artifact server_addr with
-    | () -> Unix._exit 0
-    | exception (Core.Errors.Error _ | Unix.Unix_error _ | Sys_error _) ->
-      Unix._exit 1
-  end;
+  Soak.with_session artifact @@ fun soak ->
+  let pid = Soak.spawn ~config soak in
   let spec =
     {
       Chaos.none with
@@ -263,8 +195,8 @@ let run ?(oc = stdout) ?out profile =
   in
   let proxy =
     Chaos.start ~seed:1818 ~eintr_pid:pid spec
-      ~listen:(Serve.Unix_sock (sock ^ ".chaos"))
-      ~upstream:server_addr
+      ~listen:(Serve.Unix_sock (Filename.concat (Soak.dir soak) "chaos.sock"))
+      ~upstream:(Soak.addr soak)
   in
   let proxy_addr = Chaos.bound_addr proxy in
   let retry =
@@ -292,18 +224,19 @@ let run ?(oc = stdout) ?out profile =
           | `Is -> Yield.importance ~a ~mu ~t_cons ~rng ~samples ()
           | `Mc -> Yield.brute_force ~a ~mu ~t_cons ~rng ~samples ()
         in
-        let f key v = bits_equal_f (float_member resp key) v in
+        let got =
+          List.map (Soak.float_member resp)
+            [ "t_cons"; "p_fail"; "sn_p_fail"; "std_err"; "sn_std_err"; "ess";
+              "shift_norm" ]
+        in
         let good =
-          f "t_cons" est.Yield.t_cons
-          && f "p_fail" est.Yield.p_fail
-          && f "sn_p_fail" est.Yield.sn_p_fail
-          && f "std_err" est.Yield.std_err
-          && f "sn_std_err" est.Yield.sn_std_err
-          && f "ess" est.Yield.ess
-          && f "shift_norm" est.Yield.shift_norm
-          && int_member resp "samples" = est.Yield.samples
-          && int_member resp "hits" = est.Yield.hits
-          && int_member resp "dominant" = est.Yield.dominant
+          floats_identical got
+            [ est.Yield.t_cons; est.Yield.p_fail; est.Yield.sn_p_fail;
+              est.Yield.std_err; est.Yield.sn_std_err; est.Yield.ess;
+              est.Yield.shift_norm ]
+          && Soak.int_member resp "samples" = est.Yield.samples
+          && Soak.int_member resp "hits" = est.Yield.hits
+          && Soak.int_member resp "dominant" = est.Yield.dominant
         in
         if not good then incr wrong
       end
@@ -356,9 +289,9 @@ let run ?(oc = stdout) ?out profile =
                      | _ -> false
                    in
                    levels_ok
-                   && bits_equal_f (float_member row "cost") asg.Tune.cost
-                   && bits_equal_f (float_member row "slack_ps")
-                        asg.Tune.slack_ps
+                   && floats_identical
+                        [ Soak.float_member row "cost"; Soak.float_member row "slack_ps" ]
+                        [ asg.Tune.cost; asg.Tune.slack_ps ]
                    && Serve.Wire.member "exact" row
                       = Some (Serve.Wire.Bool asg.Tune.exact))
                rows want
@@ -404,18 +337,11 @@ let run ?(oc = stdout) ?out profile =
      | Some resp ->
        infeasible_code_ok :=
          Serve.Wire.member "ok" resp = Some (Serve.Wire.Bool false)
-         && int_member resp "code" = 65);
-    let conn = Serve.Client.connect server_addr in
-    Serve.Client.shutdown conn;
-    Serve.Client.close conn
+         && Soak.int_member resp "code" = 65);
+    Soak.drain soak
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Chaos.stop proxy;
-      try Sys.remove sock with Sys_error _ -> ())
-    finish;
-  let _, status = Unix.waitpid [] pid in
-  let server_exit_ok = status = Unix.WEXITED 0 in
+  Fun.protect ~finally:(fun () -> Chaos.stop proxy) finish;
+  let server_exit_ok = Soak.reap soak pid = Soak.Clean in
   Printf.fprintf oc
     "serving: %d yield + %d tune requests through the chaos proxy: %d wrong, \
      %d failed; infeasible -> code 65: %b; server exit clean: %b\n%!"
@@ -466,9 +392,54 @@ let run ?(oc = stdout) ?out profile =
       ok;
     }
   in
-  (match out with
-   | Some path ->
-     Core.Report.write_file path (json_of_result result);
-     Printf.fprintf oc "wrote %s\n" path
-   | None -> ());
+  Soak.write ~oc ?out "E18"
+    (let open Core.Report in
+     [
+       ("gates", Int result.gates);
+       ("n_paths", Int result.n_paths);
+       ("n_vars", Int result.n_vars);
+       ("pfail_target", Float pfail_target);
+       ("t_cons", Float result.t_cons);
+       ( "yield",
+         Obj
+           [
+             ("is_samples", Int result.is_samples);
+             ("is_p_fail", Float result.is_p_fail);
+             ("is_std_err", Float result.is_std_err);
+             ("is_sn_p_fail", Float result.is_sn_p_fail);
+             ("is_ess", Float result.is_ess);
+             ("is_hits", Int result.is_hits);
+             ("shift_norm", Float result.shift_norm);
+             ("mc_samples", Int result.mc_samples);
+             ("mc_p_fail", Float result.mc_p_fail);
+             ("mc_std_err", Float result.mc_std_err);
+             ("mc_hits", Int result.mc_hits);
+             ("agreement_z", Float result.agreement_z);
+             ("agreement_gate", Float agreement_gate);
+             ("sample_reduction", Float result.sample_reduction);
+             ("reduction_gate", Float reduction_gate);
+           ] );
+       ( "tune",
+         Obj
+           [
+             ("t_clk", Float result.t_clk);
+             ("dies", Int result.tune_dies);
+             ("feasible", Int result.tune_feasible);
+             ("infeasible", Int result.tune_infeasible);
+             ("mean_cost", Float result.tune_mean_cost);
+             ("max_cost", Float result.tune_max_cost);
+             ("all_exact", Bool result.tune_all_exact);
+           ] );
+       ( "serving",
+         Obj
+           [
+             ("yield_requests", Int result.yield_requests);
+             ("tune_requests", Int result.tune_requests);
+             ("wrong_answers", Int result.wrong_answers);
+             ("request_failures", Int result.request_failures);
+             ("infeasible_code_ok", Bool result.infeasible_code_ok);
+             ("server_exit_ok", Bool result.server_exit_ok);
+           ] );
+       ("ok", Bool result.ok);
+     ]);
   result

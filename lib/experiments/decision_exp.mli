@@ -69,5 +69,3 @@ val run : ?oc:out_channel -> ?out:string -> Profile.t -> result
 (** Prints progress to [oc] (default [stdout]); writes
     [BENCH_e18.json]-style JSON to [out] when given. The [quick]
     profile uses 4e5 MC reference samples; [full] uses 2e6. *)
-
-val json_of_result : result -> Core.Report.json

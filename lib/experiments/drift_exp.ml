@@ -25,25 +25,7 @@ let eps = 0.05
    baseline error *)
 let recovery_gate = 1.2
 
-let rows_of m i0 k =
-  let _, c = Linalg.Mat.dims m in
-  Linalg.Mat.init k c (fun i j -> Linalg.Mat.get m (i0 + i) j)
-
-let bits_equal m1 m2 =
-  Linalg.Mat.dims m1 = Linalg.Mat.dims m2
-  &&
-  let r, c = Linalg.Mat.dims m1 in
-  try
-    for i = 0 to r - 1 do
-      for j = 0 to c - 1 do
-        if
-          Int64.bits_of_float (Linalg.Mat.get m1 i j)
-          <> Int64.bits_of_float (Linalg.Mat.get m2 i j)
-        then raise Exit
-      done
-    done;
-    true
-  with Exit -> false
+let rows_of m i0 k = Linalg.Mat.select_rows m (Array.init k (( + ) i0))
 
 let mean_abs_err pred truth =
   let n, m = Linalg.Mat.dims pred in
@@ -55,53 +37,8 @@ let mean_abs_err pred truth =
   done;
   !acc /. float_of_int (n * m)
 
-let int_member resp key =
-  match Serve.Wire.member key resp with Some (Serve.Wire.Int n) -> n | _ -> 0
-
-let float_member resp key =
-  match Serve.Wire.member key resp with
-  | Some (Serve.Wire.Float x) -> x
-  | Some (Serve.Wire.Int n) -> float_of_int n
-  | _ -> Float.nan
-
-let string_member resp key =
-  match Serve.Wire.member key resp with Some (Serve.Wire.String s) -> s | _ -> ""
-
-let json_of_result r =
-  let open Core.Report in
-  let timing_note =
-    if Host.cores () = 1 then
-      "1-core host (cf. BENCH_e15): reselect_ms is a serial upper bound; \
-       detection_dies and the error gates are core-independent"
-    else "multi-core host"
-  in
-  Obj
-    ([ ("experiment", String "E17") ]
-    @ Host.fields ()
-    @ [
-      ("bench", String r.bench);
-      ("timing_note", String timing_note);
-      ("n_paths", Int r.n_paths);
-      ("shift", String r.shift);
-      ("pre_drift_dies", Int r.pre_drift_dies);
-      ("baseline_err_ps", Float r.baseline_err_ps);
-      ("detection_dies", Int r.detection_dies);
-      ("detection_bound", Int r.detection_bound);
-      ("recovered", Bool r.recovered);
-      ("recovery_err_ps", Float r.recovery_err_ps);
-      ("recovery_ratio", Float r.recovery_ratio);
-      ("recovery_gate", Float recovery_gate);
-      ("reselects", Int r.reselects);
-      ("reselect_failures", Int r.reselect_failures);
-      ("reselect_ms", Float r.reselect_ms);
-      ("generation", Int r.generation);
-      ("wrong_answers", Int r.wrong_answers);
-      ("request_failures", Int r.request_failures);
-      ("server_exit_ok", Bool r.server_exit_ok);
-      ("ok", Bool r.ok);
-    ])
-
 let run ?(oc = stdout) ?out profile =
+  Soak.single_domain ();
   let quick = profile.Profile.name <> "full" in
   let batch = 16 in
   let pre_batches = if quick then 10 else 16 in
@@ -114,37 +51,12 @@ let run ?(oc = stdout) ?out profile =
     "E17: self-healing soak (%s; %d healthy dies, process shift, up to %d \
      shifted dies, auto re-selection armed)\n%!"
     bench_name pre_drift_dies (post_batches * batch);
-  let preset =
-    match Circuit.Benchmarks.find bench_name with
-    | Some p -> p
-    | None ->
-      Core.Errors.raise_error
-        (Core.Errors.Invalid_input "Drift_exp: s1423 preset missing")
-  in
-  let _, setup =
-    Table1.setup_for profile preset ~t_cons_scale:1.0
-      ~max_paths:profile.Profile.max_paths
-  in
+  let setup = Table1.setup profile bench_name in
   let sel = Core.Pipeline.approximate_selection setup ~eps in
   let pool = setup.Core.Pipeline.pool in
   let t_cons = setup.Core.Pipeline.t_cons in
-  let a = Timing.Paths.a_mat pool in
-  let mu = Timing.Paths.mu_paths pool in
-  let artifact =
-    Store.of_selection ~fingerprint:"bench:e17 s1423"
-      ~n_segments:(Timing.Paths.num_segments pool)
-      ~t_cons ~eps ~a ~mu sel
-  in
+  let artifact = Soak.artifact ~fingerprint:"bench:e17 s1423" ~eps setup sel in
   let n_paths = artifact.Store.n_paths in
-  (* the artifact file doubles as the reload path the background
-     re-selection writes through *)
-  let store_path = Filename.temp_file "pathsel-e17" ".psa" in
-  (match Store.save store_path artifact with
-   | Ok () -> ()
-   | Error e -> Core.Errors.raise_error e);
-  let sock = Filename.temp_file "pathsel-e17" ".sock" in
-  Sys.remove sock;
-  let server_addr = Serve.Unix_sock sock in
   let monitor_cfg =
     {
       Serve.Monitor.default_config with
@@ -193,16 +105,12 @@ let run ?(oc = stdout) ?out profile =
     Printf.sprintf "per-path scale ~ N(1.06, 0.02) + per-die drift N(0, %.1f ps)"
       drift_sigma_ps
   in
-  flush oc;
-  flush stdout;
-  let pid = Unix.fork () in
-  if pid = 0 then begin
-    match Serve.run ~config ~reload_from:store_path artifact server_addr with
-    | () -> Unix._exit 0
-    | exception (Core.Errors.Error _ | Unix.Unix_error _ | Sys_error _) ->
-      Unix._exit 1
-  end;
-  let conn = Serve.Client.connect server_addr in
+  Soak.with_session artifact @@ fun soak ->
+  (* the artifact file doubles as the reload path the background
+     re-selection writes through *)
+  let store_path = Soak.artifact_path soak in
+  let pid = Soak.spawn ~config ~reload_from:store_path soak in
+  let conn = Soak.connect soak in
   let failures = ref 0 in
   let wrong = ref 0 in
   (* the client tracks the serving split through the artifact file: a
@@ -220,7 +128,7 @@ let run ?(oc = stdout) ?out profile =
     | Error _ -> ()
   in
   let note_gen resp =
-    let g = int_member resp "gen" in
+    let g = Soak.int_stat resp "gen" in
     if g > !cur_gen then begin
       cur_gen := g;
       refresh_split ()
@@ -255,7 +163,7 @@ let run ?(oc = stdout) ?out profile =
   let predict_scored ~predictor ~measured ~truth =
     match Serve.Client.predict conn measured with
     | Ok (m, _resp) ->
-      if not (bits_equal m (Core.Predictor.predict_all predictor ~measured))
+      if not (Linalg.Mat.bits_equal m (Core.Predictor.predict_all predictor ~measured))
       then incr wrong;
       mean_abs_err m truth
     | Error _ ->
@@ -276,7 +184,7 @@ let run ?(oc = stdout) ?out profile =
         | Some mon ->
           Printf.fprintf oc
             "healthy stream: %d dies observed, state %s (calibrating %s)\n%!"
-            (int_member mon "observed") (string_member mon "state")
+            (Soak.int_stat mon "observed") (Soak.string_member mon "state")
             (match Serve.Wire.member "calibrating" mon with
              | Some (Serve.Wire.Bool b) -> string_of_bool b
              | _ -> "?")
@@ -300,13 +208,13 @@ let run ?(oc = stdout) ?out profile =
       | Some resp ->
         (match Serve.Wire.member "monitor" resp with
          | Some mon ->
-           let st = string_member mon "state" in
-           let resel = int_member mon "reselects" in
+           let st = Soak.string_member mon "state" in
+           let resel = Soak.int_stat mon "reselects" in
            if !detection < 0 && (st <> "healthy" || resel > 0) then begin
              detection := (k + 1) * batch;
              Printf.fprintf oc
                "shift detected within %d dies (state %s, cusum %.1f)\n%!"
-               !detection st (float_member mon "cusum")
+               !detection st (Soak.float_member mon "cusum")
            end
          | None -> ())
       | None -> ()
@@ -319,14 +227,14 @@ let run ?(oc = stdout) ?out profile =
       | Some resp ->
         let gen =
           match Serve.Wire.member "artifact" resp with
-          | Some art -> int_member art "generation"
+          | Some art -> Soak.int_stat art "generation"
           | None -> 0
         in
         (match Serve.Wire.member "monitor" resp with
          | Some mon ->
-           ( int_member mon "reselects",
-             int_member mon "reselect_failures",
-             float_member mon "last_reselect_ms",
+           ( Soak.int_stat mon "reselects",
+             Soak.int_stat mon "reselect_failures",
+             Soak.float_member mon "last_reselect_ms",
              gen )
          | None -> (0, 0, Float.nan, gen))
       | None -> (0, 0, Float.nan, 0)
@@ -364,20 +272,16 @@ let run ?(oc = stdout) ?out profile =
       "recovery: %d reselect(s) (%d failed), generation %d, %.0f ms wall; \
        %.3f ps on shifted holdout\n%!"
       reselects reselect_failures generation reselect_ms recovery_err_ps;
-    Serve.Client.shutdown conn;
     Serve.Client.close conn;
+    Soak.drain soak;
     ( baseline_err_ps, !detection, reselects, reselect_failures, reselect_ms,
       generation, recovered, recovery_err_ps )
   in
   let ( baseline_err_ps, detection_dies, reselects, reselect_failures,
         reselect_ms, generation, recovered, recovery_err_ps ) =
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove sock with Sys_error _ -> ())
-      finish
+    finish ()
   in
-  let _, status = Unix.waitpid [] pid in
-  let server_exit_ok = status = Unix.WEXITED 0 in
-  (try Sys.remove store_path with Sys_error _ -> ());
+  let server_exit_ok = Soak.reap soak pid = Soak.Clean in
   let recovery_ratio = recovery_err_ps /. baseline_err_ps in
   let ok =
     detection_dies > 0
@@ -416,9 +320,34 @@ let run ?(oc = stdout) ?out profile =
       ok;
     }
   in
-  (match out with
-   | Some path ->
-     Core.Report.write_file path (json_of_result result);
-     Printf.fprintf oc "wrote %s\n" path
-   | None -> ());
+  let timing_note =
+    if Host.cores () = 1 then
+      "1-core host (cf. BENCH_e15): reselect_ms is a serial upper bound; \
+       detection_dies and the error gates are core-independent"
+    else "multi-core host"
+  in
+  Soak.write ~oc ?out "E17"
+    (let open Core.Report in
+     [
+       ("bench", String result.bench);
+       ("timing_note", String timing_note);
+       ("n_paths", Int result.n_paths);
+       ("shift", String result.shift);
+       ("pre_drift_dies", Int result.pre_drift_dies);
+       ("baseline_err_ps", Float result.baseline_err_ps);
+       ("detection_dies", Int result.detection_dies);
+       ("detection_bound", Int result.detection_bound);
+       ("recovered", Bool result.recovered);
+       ("recovery_err_ps", Float result.recovery_err_ps);
+       ("recovery_ratio", Float result.recovery_ratio);
+       ("recovery_gate", Float recovery_gate);
+       ("reselects", Int result.reselects);
+       ("reselect_failures", Int result.reselect_failures);
+       ("reselect_ms", Float result.reselect_ms);
+       ("generation", Int result.generation);
+       ("wrong_answers", Int result.wrong_answers);
+       ("request_failures", Int result.request_failures);
+       ("server_exit_ok", Bool result.server_exit_ok);
+       ("ok", Bool result.ok);
+     ]);
   result

@@ -50,5 +50,3 @@ val run : ?oc:out_channel -> ?out:string -> Profile.t -> result
 (** Prints progress to [oc] (default [stdout]); writes
     [BENCH_e17.json]-style JSON to [out] when given. The [quick]
     profile is the smoke-sized soak; [full] streams more dies. *)
-
-val json_of_result : result -> Core.Report.json

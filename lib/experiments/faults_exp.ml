@@ -51,15 +51,7 @@ let run ?(oc = stdout) profile =
   Printf.fprintf oc
     "E13: fault-tolerant prediction under dirty silicon data (s1423, eps = %.0f%%)\n"
     (100.0 *. eps);
-  let preset =
-    match Circuit.Benchmarks.find "s1423" with
-    | Some p -> p
-    | None -> Core.Errors.raise_error (Core.Errors.Invalid_input "Faults_exp: s1423 preset missing")
-  in
-  let _, setup =
-    Table1.setup_for profile preset ~t_cons_scale:1.0
-      ~max_paths:profile.Profile.max_paths
-  in
+  let setup = Table1.setup profile "s1423" in
   let pool = setup.Core.Pipeline.pool in
   let t_cons = setup.Core.Pipeline.t_cons in
   let a = Timing.Paths.a_mat pool in

@@ -24,11 +24,7 @@ let series_for profile preset ~random_boost =
     Linalg.Svd.rank svd )
 
 let compute ?(k = 30) profile =
-  let preset =
-    match Circuit.Benchmarks.find "s1423" with
-    | Some p -> p
-    | None -> Core.Errors.raise_error (Core.Errors.Invalid_input "Figure2: s1423 preset missing")
-  in
+  let preset = Table1.preset "s1423" in
   List.map
     (fun (random_boost, label) ->
       let spectrum, effective_rank, rank =

@@ -11,4 +11,4 @@ val cores : unit -> int
 
 val fields : unit -> (string * Core.Report.json) list
 (** [("cores_available", Int n); ("single_core_caveat", Bool (n = 1))]
-    — splice into every experiment's top-level JSON object. *)
+    — {!Soak.write} splices them into every BENCH object. *)

@@ -27,68 +27,6 @@ let eps = 0.05
    crash can add) plus startup margin. *)
 let recovery_bound_s = 10.0
 
-let bits_equal m1 m2 =
-  Linalg.Mat.dims m1 = Linalg.Mat.dims m2
-  &&
-  let r, c = Linalg.Mat.dims m1 in
-  try
-    for i = 0 to r - 1 do
-      for j = 0 to c - 1 do
-        if
-          Int64.bits_of_float (Linalg.Mat.get m1 i j)
-          <> Int64.bits_of_float (Linalg.Mat.get m2 i j)
-        then raise Exit
-      done
-    done;
-    true
-  with Exit -> false
-
-let int_member resp key =
-  match Serve.Wire.member key resp with Some (Serve.Wire.Int n) -> n | _ -> 0
-
-let float_member resp key =
-  match Serve.Wire.member key resp with
-  | Some (Serve.Wire.Float x) -> x
-  | Some (Serve.Wire.Int n) -> float_of_int n
-  | _ -> Float.nan
-
-let string_member resp key =
-  match Serve.Wire.member key resp with Some (Serve.Wire.String s) -> s | _ -> ""
-
-let json_of_result r =
-  let open Core.Report in
-  let timing_note =
-    if Host.cores () = 1 then
-      "1-core host: recovery_s includes serial replay; the durability \
-       invariants (lost_acked, wrong_answers, state_match) are \
-       core-independent"
-    else "multi-core host"
-  in
-  Obj
-    ([ ("experiment", String "E20") ]
-    @ Host.fields ()
-    @ [
-      ("bench", String r.bench);
-      ("timing_note", String timing_note);
-      ("n_paths", Int r.n_paths);
-      ("cycles", Int r.cycles);
-      ("kills", Int r.kills);
-      ("batches_sent", Int r.batches_sent);
-      ("acked_dies", Int r.acked_dies);
-      ("journaled", Int r.journaled);
-      ("observed_final", Int r.observed_final);
-      ("lost_acked", Int r.lost_acked);
-      ("wrong_answers", Int r.wrong_answers);
-      ("clean_failures", Int r.clean_failures);
-      ("max_recovery_s", Float r.max_recovery_s);
-      ("recovery_bound_s", Float r.recovery_bound_s);
-      ("state_match", Bool r.state_match);
-      ("generations", List (List.map (fun g -> Int g) r.generations));
-      ("gen_monotonic", Bool r.gen_monotonic);
-      ("server_clean_exit", Bool r.server_clean_exit);
-      ("ok", Bool r.ok);
-    ])
-
 (* Mirror of the server's observe handler over one batch: same MAD
    screen, same predictor apply, same residual arithmetic — bit-exact,
    so the parent can rebuild the journal's record contents from the
@@ -129,15 +67,8 @@ let batch_obs ~predictor ~robust ~rep ~rem ~measured ~truth =
   done;
   List.rev !out
 
-let rm_rf dir =
-  if Sys.file_exists dir && Sys.is_directory dir then begin
-    Array.iter
-      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (Sys.readdir dir);
-    try Unix.rmdir dir with Unix.Unix_error _ | Sys_error _ -> ()
-  end
-
 let run ?(oc = stdout) ?out profile =
+  Soak.single_domain ();
   let quick = profile.Profile.name <> "full" in
   let cycles = if quick then 6 else 20 in
   let batch = 8 in
@@ -153,37 +84,14 @@ let run ?(oc = stdout) ?out profile =
      process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let preset =
-    match Circuit.Benchmarks.find bench_name with
-    | Some p -> p
-    | None ->
-      Core.Errors.raise_error
-        (Core.Errors.Invalid_input "Recover_exp: s1423 preset missing")
-  in
-  let _, setup =
-    Table1.setup_for profile preset ~t_cons_scale:1.0
-      ~max_paths:profile.Profile.max_paths
-  in
+  let setup = Table1.setup profile bench_name in
   let sel = Core.Pipeline.approximate_selection setup ~eps in
   let pool = setup.Core.Pipeline.pool in
-  let t_cons = setup.Core.Pipeline.t_cons in
-  let a = Timing.Paths.a_mat pool in
-  let mu = Timing.Paths.mu_paths pool in
-  let artifact =
-    Store.of_selection ~fingerprint:"bench:e20 s1423"
-      ~n_segments:(Timing.Paths.num_segments pool)
-      ~t_cons ~eps ~a ~mu sel
-  in
+  let artifact = Soak.artifact ~fingerprint:"bench:e20 s1423" ~eps setup sel in
   let n_paths = artifact.Store.n_paths in
-  let store_path = Filename.temp_file "pathsel-e20" ".psa" in
-  (match Store.save store_path artifact with
-   | Ok () -> ()
-   | Error e -> Core.Errors.raise_error e);
-  let wal_dir = Filename.temp_file "pathsel-e20" ".wal" in
-  Sys.remove wal_dir;
-  let sock = Filename.temp_file "pathsel-e20" ".sock" in
-  Sys.remove sock;
-  let server_addr = Serve.Unix_sock sock in
+  Soak.with_session artifact @@ fun soak ->
+  let store_path = Soak.artifact_path soak in
+  let wal_dir = Filename.concat (Soak.dir soak) "wal" in
   (* the soak streams healthy dies only: push the drift thresholds out
      of reach so no background re-selection can swap the model under
      the bit-exactness gates (the detector still runs — its cusum and
@@ -261,17 +169,7 @@ let run ?(oc = stdout) ?out profile =
   let generations = ref [] in
   let max_recovery = ref 0.0 in
   let die_idx = ref 0 in
-  let fork_server () =
-    flush oc;
-    flush stdout;
-    let pid = Unix.fork () in
-    if pid = 0 then begin
-      match Serve.run ~config ~reload_from:store_path artifact server_addr with
-      | () -> Unix._exit 0
-      | exception _ -> Unix._exit 1
-    end;
-    pid
-  in
+  let fork_server () = Soak.spawn ~config ~reload_from:store_path soak in
   let send_batch conn ~expect_ack =
     let measured, truth = batch_at !die_idx in
     let expected = batch_obs ~predictor ~robust ~rep ~rem ~measured ~truth in
@@ -279,7 +177,7 @@ let run ?(oc = stdout) ?out profile =
     incr batches_sent;
     match Serve.Client.observe conn ~measured ~truth with
     | Ok resp ->
-      let queued = int_member resp "queued" in
+      let queued = Soak.int_stat resp "queued" in
       let journaled = Serve.Wire.member "journaled" resp in
       if journaled <> Some (Serve.Wire.Bool true) then incr wrong;
       if queued <> List.length expected then incr wrong;
@@ -301,7 +199,7 @@ let run ?(oc = stdout) ?out profile =
   let resolve_tail resp =
     match Serve.Wire.member "durability" resp with
     | Some dur ->
-      let k = int_member dur "journaled" - !known_n in
+      let k = Soak.int_stat dur "journaled" - !known_n in
       let tail = !pending_tail in
       if k < 0 || k > List.length tail then incr wrong
       else if k > 0 then begin
@@ -314,14 +212,14 @@ let run ?(oc = stdout) ?out profile =
   let check_predict conn ~expect_ack =
     match Serve.Client.predict conn hold_measured with
     | Ok (m, _) ->
-      if not (bits_equal m hold_expected) then incr wrong;
+      if not (Linalg.Mat.bits_equal m hold_expected) then incr wrong;
       true
     | Error _ ->
       if expect_ack then incr clean_failures;
       false
   in
   let connect_and_measure t0 =
-    match Serve.Client.connect ~retries:100 server_addr with
+    match Soak.connect soak with
     | conn ->
       if Serve.Client.ping conn then begin
         let dt = Unix.gettimeofday () -. t0 in
@@ -342,11 +240,11 @@ let run ?(oc = stdout) ?out profile =
      | None ->
        incr clean_failures;
        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-       ignore (Unix.waitpid [] pid)
+       ignore (Soak.reap soak pid)
      | Some conn ->
        (match Serve.Client.stats conn with
         | Ok resp ->
-          generations := int_member resp "gen" :: !generations;
+          generations := Soak.int_stat resp "gen" :: !generations;
           resolve_tail resp
         | Error _ -> incr clean_failures);
        (* armed only once the server answers: every kill lands under
@@ -365,14 +263,10 @@ let run ?(oc = stdout) ?out profile =
            alive := check_predict conn ~expect_ack:false
        done;
        Serve.Client.close conn;
-       let _, status = Unix.waitpid [] pid in
+       let status = Soak.reap soak pid in
        if Chaos.Killer.cancel killer then incr kills;
-       (match status with
-        | Unix.WSIGNALED s when s = Sys.sigkill -> ()
-        | Unix.WEXITED 0 ->
-          (* the kill raced process exit; rare, not a failure *)
-          ()
-        | _ -> incr clean_failures);
+       (* [Clean]: the kill raced process exit; rare, not a failure *)
+       if status = Soak.Failed then incr clean_failures;
        Printf.fprintf oc
          "cycle %2d: killed after %.2fs, %d batches in flight so far\n%!"
          cycle (Chaos.Killer.delay killer) !batches_sent)
@@ -384,7 +278,7 @@ let run ?(oc = stdout) ?out profile =
   let final conn =
     (match Serve.Client.stats conn with
      | Ok resp ->
-       generations := int_member resp "gen" :: !generations;
+       generations := Soak.int_stat resp "gen" :: !generations;
        resolve_tail resp
      | Error _ -> incr clean_failures);
     for _ = 1 to final_batches do
@@ -402,8 +296,8 @@ let run ?(oc = stdout) ?out profile =
             (Serve.Wire.member "monitor" resp, Serve.Wire.member "durability" resp)
           with
           | Some mon, Some dur ->
-            int_member mon "observed" + int_member mon "skipped"
-            >= int_member dur "journaled"
+            Soak.int_stat mon "observed" + Soak.int_stat mon "skipped"
+            >= Soak.int_stat dur "journaled"
           | _ -> true
         in
         if mon_done || Unix.gettimeofday () > deadline then Some resp
@@ -416,8 +310,8 @@ let run ?(oc = stdout) ?out profile =
         None
     in
     let last_stats = settle () in
-    Serve.Client.shutdown conn;
     Serve.Client.close conn;
+    Soak.drain soak;
     last_stats
   in
   let last_stats =
@@ -428,8 +322,7 @@ let run ?(oc = stdout) ?out profile =
       (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
       None
   in
-  let _, status = Unix.waitpid [] pid in
-  let server_clean_exit = status = Unix.WEXITED 0 in
+  let server_clean_exit = Soak.reap soak pid = Soak.Clean in
   (* ---- uninterrupted reference: one monitor fed the first [journaled]
      records of the sent stream, in order, with no crash anywhere *)
   let journaled, observed_final, skipped_final, mon_state, mon_cusum, mon_var =
@@ -437,12 +330,12 @@ let run ?(oc = stdout) ?out profile =
     | Some resp ->
       let dur = Serve.Wire.member "durability" resp in
       let mon = Serve.Wire.member "monitor" resp in
-      ( (match dur with Some d -> int_member d "journaled" | None -> 0),
-        (match mon with Some m -> int_member m "observed" | None -> 0),
-        (match mon with Some m -> int_member m "skipped" | None -> 0),
-        (match mon with Some m -> string_member m "state" | None -> ""),
-        (match mon with Some m -> float_member m "cusum" | None -> Float.nan),
-        (match mon with Some m -> float_member m "var_ratio" | None -> Float.nan)
+      ( (match dur with Some d -> Soak.int_stat d "journaled" | None -> 0),
+        (match mon with Some m -> Soak.int_stat m "observed" | None -> 0),
+        (match mon with Some m -> Soak.int_stat m "skipped" | None -> 0),
+        (match mon with Some m -> Soak.string_member m "state" | None -> ""),
+        (match mon with Some m -> Soak.float_member m "cusum" | None -> Float.nan),
+        (match mon with Some m -> Soak.float_member m "var_ratio" | None -> Float.nan)
       )
     | None -> (0, 0, 0, "", Float.nan, Float.nan)
   in
@@ -477,9 +370,6 @@ let run ?(oc = stdout) ?out profile =
     in
     mono generations
   in
-  (try Sys.remove sock with Sys_error _ -> ());
-  (try Sys.remove store_path with Sys_error _ -> ());
-  rm_rf wal_dir;
   let ok =
     !kills >= Int.max 1 (cycles - 1)
     && lost_acked = 0
@@ -524,9 +414,34 @@ let run ?(oc = stdout) ?out profile =
       ok;
     }
   in
-  (match out with
-   | Some path ->
-     Core.Report.write_file path (json_of_result result);
-     Printf.fprintf oc "wrote %s\n" path
-   | None -> ());
+  let timing_note =
+    if Host.cores () = 1 then
+      "1-core host: recovery_s includes serial replay; the durability \
+       invariants (lost_acked, wrong_answers, state_match) are \
+       core-independent"
+    else "multi-core host"
+  in
+  Soak.write ~oc ?out "E20"
+    (let open Core.Report in
+     [
+       ("bench", String result.bench);
+       ("timing_note", String timing_note);
+       ("n_paths", Int result.n_paths);
+       ("cycles", Int result.cycles);
+       ("kills", Int result.kills);
+       ("batches_sent", Int result.batches_sent);
+       ("acked_dies", Int result.acked_dies);
+       ("journaled", Int result.journaled);
+       ("observed_final", Int result.observed_final);
+       ("lost_acked", Int result.lost_acked);
+       ("wrong_answers", Int result.wrong_answers);
+       ("clean_failures", Int result.clean_failures);
+       ("max_recovery_s", Float result.max_recovery_s);
+       ("recovery_bound_s", Float result.recovery_bound_s);
+       ("state_match", Bool result.state_match);
+       ("generations", List (List.map (fun g -> Int g) result.generations));
+       ("gen_monotonic", Bool result.gen_monotonic);
+       ("server_clean_exit", Bool result.server_clean_exit);
+       ("ok", Bool result.ok);
+     ]);
   result

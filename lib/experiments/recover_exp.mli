@@ -52,8 +52,6 @@ val recovery_bound_s : float
     load + WAL replay + listen, plus at most one reselect cooldown —
     replay itself never reselects. *)
 
-val json_of_result : result -> Core.Report.json
-
 val run : ?oc:out_channel -> ?out:string -> Profile.t -> result
 (** Run the soak (quick: 6 kill cycles; full: 20) and print a summary
     to [oc]; with [out], also write the JSON report there

@@ -20,15 +20,7 @@ let eps = 0.05
 let run_rsvd ?(oc = stdout) profile =
   Printf.fprintf oc "E8: exact SVD vs randomized SVD in Algorithm 1 (s38417, eps = %.0f%%)\n"
     (100.0 *. eps);
-  let preset =
-    match Circuit.Benchmarks.find "s38417" with
-    | Some p -> p
-    | None -> Core.Errors.raise_error (Core.Errors.Invalid_input "Robustness: s38417 preset missing")
-  in
-  let _, setup =
-    Table1.setup_for profile preset ~t_cons_scale:1.0
-      ~max_paths:profile.Profile.max_paths
-  in
+  let setup = Table1.setup profile "s38417" in
   let a = Timing.Paths.a_mat setup.Core.Pipeline.pool in
   let mu = Timing.Paths.mu_paths setup.Core.Pipeline.pool in
   let t_cons = setup.Core.Pipeline.t_cons in
@@ -60,7 +52,9 @@ let run_rsvd ?(oc = stdout) profile =
     timed
       (Printf.sprintf "randomized (k = %d)" sketch_rank)
       (fun () ->
-        Core.Select.approximate_randomized ~a ~mu ~eps ~t_cons ~sketch_rank ())
+        Core.Select.approximate ~engine:Core.Select.Sketched
+          ~sketch:{ Core.Select.default_sketch with sketch_rank = Some sketch_rank }
+          ~a ~mu ~eps ~t_cons ())
   in
   Printf.fprintf oc
     "(both meet eps; the randomized path avoids the full %dx%d factorization)\n"
@@ -72,15 +66,7 @@ let run_noise ?(oc = stdout) profile =
   Printf.fprintf oc
     "\nE9: robustness to silicon measurement error (s1423, eps = %.0f%%)\n"
     (100.0 *. eps);
-  let preset =
-    match Circuit.Benchmarks.find "s1423" with
-    | Some p -> p
-    | None -> Core.Errors.raise_error (Core.Errors.Invalid_input "Robustness: s1423 preset missing")
-  in
-  let _, setup =
-    Table1.setup_for profile preset ~t_cons_scale:1.0
-      ~max_paths:profile.Profile.max_paths
-  in
+  let setup = Table1.setup profile "s1423" in
   let pool = setup.Core.Pipeline.pool in
   let t_cons = setup.Core.Pipeline.t_cons in
   let sel = Core.Pipeline.approximate_selection setup ~eps in
@@ -157,11 +143,7 @@ type ssta_row = {
 let run_ssta ?(oc = stdout) profile =
   Printf.fprintf oc
     "\nE11: block-based SSTA (Clark max) vs full Monte Carlo yield (s1238)\n";
-  let preset =
-    match Circuit.Benchmarks.find "s1238" with
-    | Some p -> p
-    | None -> Core.Errors.raise_error (Core.Errors.Invalid_input "Robustness: s1238 preset missing")
-  in
+  let preset = Table1.preset "s1238" in
   let scale = profile.Profile.scale_of preset in
   let netlist = Circuit.Benchmarks.netlist ~scale preset in
   let model =

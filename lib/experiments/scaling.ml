@@ -22,11 +22,6 @@ type result = {
 
 let eps = 0.05
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Unix.gettimeofday () -. t0)
-
 (* one warmup, then best of [reps]: the minimum is the least noisy
    estimator for a single-process kernel benchmark *)
 let best_of reps f =
@@ -34,27 +29,11 @@ let best_of reps f =
   let best = ref infinity in
   let last = ref None in
   for _ = 1 to reps do
-    let v, dt = time f in
+    let v, dt = Soak.time f in
     last := Some v;
     if dt < !best then best := dt
   done;
   (Option.get !last, !best)
-
-let bits_equal m1 m2 =
-  Linalg.Mat.dims m1 = Linalg.Mat.dims m2
-  &&
-  let r, c = Linalg.Mat.dims m1 in
-  try
-    for i = 0 to r - 1 do
-      for j = 0 to c - 1 do
-        if
-          Int64.bits_of_float (Linalg.Mat.get m1 i j)
-          <> Int64.bits_of_float (Linalg.Mat.get m2 i j)
-        then raise Exit
-      done
-    done;
-    true
-  with Exit -> false
 
 let speedup_at times d =
   match (List.assoc_opt 1 times, List.assoc_opt d times) with
@@ -104,7 +83,7 @@ let run ?(oc = stdout) ?out ?(smoke = false) profile =
           let v, dt = best_of reps f in
           (match !reference with
            | None -> reference := Some v
-           | Some r -> if not (bits_equal r v) then identical := false);
+           | Some r -> if not (Linalg.Mat.bits_equal r v) then identical := false);
           (d, dt *. 1000.0))
         counts
     in
@@ -152,7 +131,7 @@ let run ?(oc = stdout) ?out ?(smoke = false) profile =
       (fun d ->
         Par.Pool.set_size d;
         let y, dt =
-          time (fun () ->
+          Soak.time (fun () ->
               Timing.Monte_carlo.circuit_yield dm ~t_cons ~rng:(Rng.create 99)
                 ~samples:mc_samples)
         in
@@ -178,7 +157,7 @@ let run ?(oc = stdout) ?out ?(smoke = false) profile =
         Timing.Monte_carlo.path_delays mc
       in
       let reference = delays_at 1 in
-      List.for_all (fun d -> bits_equal reference (delays_at d)) (List.tl counts)
+      List.for_all (fun d -> Linalg.Mat.bits_equal reference (delays_at d)) (List.tl counts)
   in
   (* end to end: netlist -> SSTA/yield -> extraction -> SVD -> Algorithm 1
      -> Monte Carlo evaluation, the whole [pathsel select] hot path *)
@@ -251,54 +230,46 @@ let run ?(oc = stdout) ?out ?(smoke = false) profile =
       equivalence_ok; speedup_gate_active; ok;
     }
   in
-  (match out with
-   | None -> ()
-   | Some path ->
-     let open Core.Report in
-     let times_json times scale =
-       List (List.map (fun (d, t) ->
-           Obj [ ("domains", Int d); ("time", Float (t *. scale)) ]) times)
-     in
-     write_file path
-       (Obj
-          ([ ("experiment", String "E15") ]
-          @ Host.fields ()
-          @ [
-            ("profile", String profile.Profile.name);
-            ("cores_available", Int result.cores);
-            ("domain_counts", List (List.map (fun d -> Int d) result.counts));
-            ( "kernels",
-              List
-                (List.map
-                   (fun k ->
-                     Obj
-                       [
-                         ("kernel", String k.kname);
-                         ("dims", String k.dims);
-                         ("times_ms", times_json k.times_ms 1.0);
-                         ("speedup_at_4_domains", Float (speedup_at k.times_ms 4));
-                         ("bit_identical", Bool k.identical);
-                       ])
-                   result.kernels) );
-            ( "monte_carlo",
-              Obj
-                [
-                  ("yield_identical_across_domains", Bool result.mc_yield_identical);
-                  ("die_delays_bit_identical", Bool result.mc_delays_identical);
-                ] );
-            ( "pipeline",
-              Obj
-                [
-                  ("gates", Int pipe_gates);
-                  ("times_s", times_json result.pipeline_times_s 1.0);
-                  ("speedup_at_4_domains", Float result.pipeline_speedup);
-                  ("outputs_identical", Bool result.pipeline_identical);
-                ] );
-            ("matmul_speedup_at_4_domains", Float result.matmul_speedup);
-            ("equivalence_ok", Bool result.equivalence_ok);
-            ("speedup_gate_active", Bool result.speedup_gate_active);
-            ("ok", Bool result.ok);
-          ]));
-     Printf.fprintf oc "wrote %s\n" path;
-     flush oc);
+  let open Core.Report in
+  let times_json times scale =
+    List (List.map (fun (d, t) ->
+        Obj [ ("domains", Int d); ("time", Float (t *. scale)) ]) times)
+  in
+  Soak.write ~oc ?out "E15"
+    [
+      ("profile", String profile.Profile.name);
+      ("cores_available", Int result.cores);
+      ("domain_counts", List (List.map (fun d -> Int d) result.counts));
+      ( "kernels",
+        List
+          (List.map
+             (fun k ->
+               Obj
+                 [
+                   ("kernel", String k.kname);
+                   ("dims", String k.dims);
+                   ("times_ms", times_json k.times_ms 1.0);
+                   ("speedup_at_4_domains", Float (speedup_at k.times_ms 4));
+                   ("bit_identical", Bool k.identical);
+                 ])
+             result.kernels) );
+      ( "monte_carlo",
+        Obj
+          [
+            ("yield_identical_across_domains", Bool result.mc_yield_identical);
+            ("die_delays_bit_identical", Bool result.mc_delays_identical);
+          ] );
+      ( "pipeline",
+        Obj
+          [
+            ("gates", Int pipe_gates);
+            ("times_s", times_json result.pipeline_times_s 1.0);
+            ("speedup_at_4_domains", Float result.pipeline_speedup);
+            ("outputs_identical", Bool result.pipeline_identical);
+          ] );
+      ("matmul_speedup_at_4_domains", Float result.matmul_speedup);
+      ("equivalence_ok", Bool result.equivalence_ok);
+      ("speedup_gate_active", Bool result.speedup_gate_active);
+      ("ok", Bool result.ok);
+    ];
   result

@@ -23,90 +23,22 @@ let batches = [ 1; 16; 64; 256 ]
 
 let n_dies = 256
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Unix.gettimeofday () -. t0)
-
-let top_rows m k =
-  let _, c = Linalg.Mat.dims m in
-  Linalg.Mat.init k c (fun i j -> Linalg.Mat.get m i j)
-
-(* bit-for-bit equality: the served predictions travel through %.17g
-   JSON, which round-trips doubles exactly, so anything short of
-   identical bits is a wire or dispatch bug *)
-let bits_equal m1 m2 =
-  Linalg.Mat.dims m1 = Linalg.Mat.dims m2
-  &&
-  let r, c = Linalg.Mat.dims m1 in
-  try
-    for i = 0 to r - 1 do
-      for j = 0 to c - 1 do
-        if
-          Int64.bits_of_float (Linalg.Mat.get m1 i j)
-          <> Int64.bits_of_float (Linalg.Mat.get m2 i j)
-        then raise Exit
-      done
-    done;
-    true
-  with Exit -> false
-
-let json_of_result r =
-  let open Core.Report in
-  Obj
-    ([ ("experiment", String "E14") ]
-    @ Host.fields ()
-    @ [
-      ("bench", String r.bench);
-      ("n_paths", Int r.n_paths);
-      ("n_rep", Int r.n_rep);
-      ("cold_per_die_s", Float r.cold_per_die_s);
-      ("cold_256_s", Float r.cold_256_s);
-      ("warm_256_socket_s", Float r.warm_256_socket_s);
-      ("speedup_256", Float r.speedup_256);
-      ("bit_identical", Bool r.bit_identical);
-      ( "rows",
-        List
-          (List.map
-             (fun b ->
-               Obj
-                 [
-                   ("batch", Int b.batch);
-                   ("inproc_dies_per_s", Float b.inproc_dies_per_s);
-                   ("socket_dies_per_s", Float b.socket_dies_per_s);
-                   ("socket_round_trip_ms", Float b.socket_round_trip_ms);
-                 ])
-             r.rows) );
-    ])
+let top_rows m k = Linalg.Mat.select_rows m (Array.init k Fun.id)
 
 let run ?(oc = stdout) ?out profile =
+  Soak.single_domain ();
   let bench_name = "s1423" in
   Printf.fprintf oc
     "E14: serving throughput (%s, %d MC dies; cold pipeline vs warm server)\n"
     bench_name n_dies;
-  let preset =
-    match Circuit.Benchmarks.find bench_name with
-    | Some p -> p
-    | None -> Core.Errors.raise_error (Core.Errors.Invalid_input "Serve_exp: s1423 preset missing")
-  in
   let build () =
-    let _, setup =
-      Table1.setup_for profile preset ~t_cons_scale:1.0
-        ~max_paths:profile.Profile.max_paths
-    in
+    let setup = Table1.setup profile bench_name in
     let sel = Core.Pipeline.approximate_selection setup ~eps in
     (setup, sel)
   in
   let setup, sel = build () in
   let pool = setup.Core.Pipeline.pool in
-  let t_cons = setup.Core.Pipeline.t_cons in
-  let a = Timing.Paths.a_mat pool in
-  let mu = Timing.Paths.mu_paths pool in
-  let artifact =
-    Store.of_selection ~fingerprint:"bench:e14 s1423"
-      ~n_segments:(Timing.Paths.num_segments pool)
-      ~t_cons ~eps ~a ~mu sel
-  in
+  let artifact = Soak.artifact ~fingerprint:"bench:e14 s1423" ~eps setup sel in
   let p = sel.Core.Select.predictor in
   let rep = Core.Predictor.rep_indices p in
   let n_rep = Array.length rep in
@@ -118,11 +50,11 @@ let run ?(oc = stdout) ?out profile =
      extraction, SVD, bisection selection, then the one-die predict *)
   let n_cold = if profile.Profile.name = "full" then 6 else 3 in
   let cold_once () =
-    let (_, sel'), dt1 = time build in
+    let (_, sel'), dt1 = Soak.time build in
     let p' = sel'.Core.Select.predictor in
     let rep' = Core.Predictor.rep_indices p' in
     let one = Linalg.Mat.select_cols (top_rows d 1) rep' in
-    let _, dt2 = time (fun () -> ignore (Core.Predictor.predict_all p' ~measured:one)) in
+    let _, dt2 = Soak.time (fun () -> ignore (Core.Predictor.predict_all p' ~measured:one)) in
     dt1 +. dt2
   in
   let cold_per_die_s =
@@ -146,7 +78,7 @@ let run ?(oc = stdout) ?out profile =
     in
     let reps = max 1 (n_dies / b) in
     let _, dt =
-      time (fun () ->
+      Soak.time (fun () ->
           for _ = 1 to reps do
             ignore (Serve.handle server line)
           done)
@@ -155,31 +87,15 @@ let run ?(oc = stdout) ?out profile =
   in
   let inproc_rates = List.map (fun b -> (b, inproc b)) batches in
   (* warm, socket: fork the real server, measure full round trips *)
-  flush oc;
-  flush stdout;
-  let sock = Filename.temp_file "pathsel-e14" ".sock" in
-  Sys.remove sock;
-  let addr = Serve.Unix_sock sock in
-  let pid = Unix.fork () in
-  if pid = 0 then begin
-    (match Serve.run ~install_signals:false artifact addr with
-     | () -> ()
-     | exception (Core.Errors.Error _ | Unix.Unix_error _ | Sys_error _) -> ());
-    Unix._exit 0
-  end;
-  let finish =
-    let conn = Serve.Client.connect addr in
-    Fun.protect
-      ~finally:(fun () ->
-        Serve.Client.shutdown conn;
-        Serve.Client.close conn;
-        ignore (Unix.waitpid [] pid))
-      (fun () ->
+  let socket_rates, warm_256_socket_s, bit_identical =
+    Soak.with_session artifact (fun soak ->
+        let pid = Soak.spawn soak in
+        let conn = Soak.connect soak in
         let socket_row b =
           let sub = top_rows clean b in
           let reps = max 1 (n_dies / b) in
           let _, dt =
-            time (fun () ->
+            Soak.time (fun () ->
                 for _ = 1 to reps do
                   match Serve.Client.predict conn sub with
                   | Ok _ -> ()
@@ -188,24 +104,26 @@ let run ?(oc = stdout) ?out profile =
                       (Core.Errors.Bad_data ("Serve_exp: server error: " ^ msg))
                 done)
           in
-          ( float_of_int (b * reps) /. dt,
-            dt /. float_of_int reps *. 1000.0 )
+          (float_of_int (b * reps) /. dt, dt /. float_of_int reps *. 1000.0)
         in
         let socket_rates = List.map (fun b -> (b, socket_row b)) batches in
         (* the acceptance measurement: one full 256-die batch *)
         let served, warm_256_socket_s =
-          time (fun () ->
+          Soak.time (fun () ->
               match Serve.Client.predict conn clean with
               | Ok (m, _) -> m
               | Error msg ->
                 Core.Errors.raise_error
                   (Core.Errors.Bad_data ("Serve_exp: server error: " ^ msg)))
         in
+        Serve.Client.close conn;
+        Soak.drain soak;
+        if Soak.reap soak pid <> Soak.Clean then
+          Core.Errors.raise_error
+            (Core.Errors.Bad_data "Serve_exp: server did not exit cleanly");
         let expected = Core.Predictor.predict_all p ~measured:clean in
-        let bit_identical = bits_equal served expected in
-        (socket_rates, warm_256_socket_s, bit_identical))
+        (socket_rates, warm_256_socket_s, Linalg.Mat.bits_equal served expected))
   in
-  let socket_rates, warm_256_socket_s, bit_identical = finish in
   let rows =
     List.map
       (fun b ->
@@ -241,9 +159,28 @@ let run ?(oc = stdout) ?out profile =
       rows;
     }
   in
-  (match out with
-   | Some path ->
-     Core.Report.write_file path (json_of_result result);
-     Printf.fprintf oc "wrote %s\n" path
-   | None -> ());
+  Soak.write ~oc ?out "E14"
+    (let open Core.Report in
+     [
+       ("bench", String result.bench);
+       ("n_paths", Int result.n_paths);
+       ("n_rep", Int result.n_rep);
+       ("cold_per_die_s", Float result.cold_per_die_s);
+       ("cold_256_s", Float result.cold_256_s);
+       ("warm_256_socket_s", Float result.warm_256_socket_s);
+       ("speedup_256", Float result.speedup_256);
+       ("bit_identical", Bool result.bit_identical);
+       ( "rows",
+         List
+           (List.map
+              (fun b ->
+                Obj
+                  [
+                    ("batch", Int b.batch);
+                    ("inproc_dies_per_s", Float b.inproc_dies_per_s);
+                    ("socket_dies_per_s", Float b.socket_dies_per_s);
+                    ("socket_round_trip_ms", Float b.socket_round_trip_ms);
+                  ])
+              result.rows) );
+     ]);
   result

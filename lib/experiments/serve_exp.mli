@@ -38,6 +38,6 @@ type result = {
 
 val run : ?oc:out_channel -> ?out:string -> Profile.t -> result
 (** Prints the table to [oc] (default [stdout]); writes
-    [BENCH_e14.json]-style JSON to [out] when given. *)
-
-val json_of_result : result -> Core.Report.json
+    [BENCH_e14.json]-style JSON to [out] when given. Raises
+    [Core.Errors.Error] when the served run fails, including a server
+    child that does not exit cleanly. *)

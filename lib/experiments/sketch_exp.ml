@@ -49,11 +49,6 @@ let ratio_gate = 1.25
    which would blow past it by orders of magnitude *)
 let smoke_budget_s = 30.0
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Unix.gettimeofday () -. t0)
-
 let overlap_fraction a b =
   if Array.length a = 0 then 1.0
   else begin
@@ -80,18 +75,18 @@ let quality_on ~qname ~gates ~max_paths ~cseed ~mc_samples =
   let pool = setup.Core.Pipeline.pool in
   let sketch = { Core.Select.default_sketch with sketch_seed = cseed } in
   let sel_exact, t_target =
-    time (fun () ->
+    Soak.time (fun () ->
         Core.Pipeline.approximate_selection ~engine:Core.Select.Exact setup ~eps)
   in
   ignore t_target;
   let r = max 1 (Array.length sel_exact.Core.Select.indices) in
   let ex, t_exact_s =
-    time (fun () ->
+    Soak.time (fun () ->
         Core.Select.select_with_size ~engine:Core.Select.Exact
           ~a:(Timing.Paths.a_mat pool) ~mu:(Timing.Paths.mu_paths pool) ~r ())
   in
   let sk, t_sketch_s =
-    time (fun () ->
+    Soak.time (fun () ->
         Core.Select.select_with_size ~engine:Core.Select.Sketched ~sketch
           ~a:(Timing.Paths.a_mat pool) ~mu:(Timing.Paths.mu_paths pool) ~r ())
   in
@@ -130,21 +125,21 @@ let scale_on ~paths ~seed =
   let segments = max 200 (paths / 20) in
   let vars = 2000 in
   let pool, build_s =
-    time (fun () ->
+    Soak.time (fun () ->
         Timing.Pool_stream.synthetic ~seed ~paths ~segments ~vars ~segs_per_path:8
           ~vars_per_seg:3 ())
   in
   let ops = Timing.Pool_stream.op pool in
   let eta = Core.Config.default.Core.Config.eta in
   let (f, tail), sketch_s =
-    time (fun () ->
+    Soak.time (fun () ->
         Linalg.Rsvd.factor_adaptive ~tail_energy:(eta *. eta) ~seed ops)
   in
   let svd = Linalg.Rsvd.to_svd f in
   let r =
     max 1 (Core.Effective_rank.of_singular_values ~eta svd.Linalg.Svd.s)
   in
-  let indices, qr_s = time (fun () -> Core.Subset_select.rows_from_svd svd ~r) in
+  let indices, qr_s = Soak.time (fun () -> Core.Subset_select.rows_from_svd svd ~r) in
   {
     s_paths = paths;
     s_segments = segments;
@@ -224,65 +219,57 @@ let run ?(oc = stdout) ?out ?(smoke = false) profile =
     (if within_budget then "pass" else "FAIL");
   flush oc;
   let result = { quality; scaling; worst_ratio_max; budget_s; within_budget; ok } in
-  (match out with
-   | None -> ()
-   | Some path ->
-     let open Core.Report in
-     write_file path
-       (Obj
-          ([ ("experiment", String "E19") ]
-          @ Host.fields ()
-          @ [
-            ("profile", String profile.Profile.name);
-            ("eps", Float eps);
-            ("ratio_gate", Float ratio_gate);
-            ( "quality",
-              List
-                (List.map
-                   (fun q ->
-                     Obj
-                       [
-                         ("pool", String q.qname);
-                         ("paths", Int q.q_paths);
-                         ("vars", Int q.q_vars);
-                         ("rank_exact", Int q.rank_exact);
-                         ("sketch_rank", Int q.q_sketch_rank);
-                         ("r_matched", Int q.r_matched);
-                         ("worst_case_eps_exact", Float q.eps_exact);
-                         ("worst_case_eps_sketched", Float q.eps_sketch);
-                         ("worst_case_ratio", Float q.worst_ratio);
-                         ("rms_exact", Float q.rms_exact);
-                         ("rms_sketched", Float q.rms_sketch);
-                         ("rms_ratio", Float q.rms_ratio);
-                         ("selected_set_overlap", Float q.overlap);
-                         ("exact_svd_s", Float q.t_exact_s);
-                         ("sketched_s", Float q.t_sketch_s);
-                       ])
-                   result.quality) );
-            ( "scaling",
-              List
-                (List.map
-                   (fun s ->
-                     Obj
-                       [
-                         ("paths", Int s.s_paths);
-                         ("segments", Int s.s_segments);
-                         ("vars", Int s.s_vars);
-                         ("nnz", Int s.s_nnz);
-                         ("stream_build_s", Float s.build_s);
-                         ("sketch_s", Float s.sketch_s);
-                         ("pivoted_qr_s", Float s.qr_s);
-                         ("total_s", Float s.total_s);
-                         ("sketch_rank", Int s.s_sketch_rank);
-                         ("tail_energy_fraction", Float s.s_tail);
-                         ("selected", Int s.s_selected);
-                       ])
-                   result.scaling) );
-            ("worst_case_ratio_max", Float result.worst_ratio_max);
-            ("budget_s", Float result.budget_s);
-            ("within_budget", Bool result.within_budget);
-            ("ok", Bool result.ok);
-          ]));
-     Printf.fprintf oc "wrote %s\n" path;
-     flush oc);
+  Soak.write ~oc ?out "E19"
+    (let open Core.Report in
+     [
+       ("profile", String profile.Profile.name);
+       ("eps", Float eps);
+       ("ratio_gate", Float ratio_gate);
+       ( "quality",
+         List
+           (List.map
+              (fun q ->
+                Obj
+                  [
+                    ("pool", String q.qname);
+                    ("paths", Int q.q_paths);
+                    ("vars", Int q.q_vars);
+                    ("rank_exact", Int q.rank_exact);
+                    ("sketch_rank", Int q.q_sketch_rank);
+                    ("r_matched", Int q.r_matched);
+                    ("worst_case_eps_exact", Float q.eps_exact);
+                    ("worst_case_eps_sketched", Float q.eps_sketch);
+                    ("worst_case_ratio", Float q.worst_ratio);
+                    ("rms_exact", Float q.rms_exact);
+                    ("rms_sketched", Float q.rms_sketch);
+                    ("rms_ratio", Float q.rms_ratio);
+                    ("selected_set_overlap", Float q.overlap);
+                    ("exact_svd_s", Float q.t_exact_s);
+                    ("sketched_s", Float q.t_sketch_s);
+                  ])
+              result.quality) );
+       ( "scaling",
+         List
+           (List.map
+              (fun s ->
+                Obj
+                  [
+                    ("paths", Int s.s_paths);
+                    ("segments", Int s.s_segments);
+                    ("vars", Int s.s_vars);
+                    ("nnz", Int s.s_nnz);
+                    ("stream_build_s", Float s.build_s);
+                    ("sketch_s", Float s.sketch_s);
+                    ("pivoted_qr_s", Float s.qr_s);
+                    ("total_s", Float s.total_s);
+                    ("sketch_rank", Int s.s_sketch_rank);
+                    ("tail_energy_fraction", Float s.s_tail);
+                    ("selected", Int s.s_selected);
+                  ])
+              result.scaling) );
+       ("worst_case_ratio_max", Float result.worst_ratio_max);
+       ("budget_s", Float result.budget_s);
+       ("within_budget", Bool result.within_budget);
+       ("ok", Bool result.ok);
+     ]);
   result

@@ -24,6 +24,16 @@ let setup_for profile preset ~t_cons_scale ~max_paths =
   in
   (netlist, setup)
 
+let preset name =
+  match Circuit.Benchmarks.find name with
+  | Some p -> p
+  | None -> Core.Errors.raise_error (Core.Errors.Invalid_input (name ^ " preset missing"))
+
+let setup profile name =
+  snd
+    (setup_for profile (preset name) ~t_cons_scale:1.0
+       ~max_paths:profile.Profile.max_paths)
+
 let run_bench profile preset =
   let t0 = Unix.gettimeofday () in
   let netlist, setup =

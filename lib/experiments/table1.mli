@@ -35,5 +35,12 @@ val setup_for :
 (** Shared benchmark setup (netlist generation + pipeline preparation);
     also used by Table 2 and the other experiments. *)
 
+val preset : string -> Circuit.Benchmarks.preset
+(** The built-in preset of that name; [Invalid_input] without one. *)
+
+val setup : Profile.t -> string -> Core.Pipeline.setup
+(** {!setup_for} the named preset at [t_cons_scale = 1.0] under the
+    profile's path cap: the single-circuit setup most experiments use. *)
+
 val eps : float
 (** The paper's Table-1 tolerance: 0.05. *)

@@ -465,6 +465,16 @@ let equal ?(tol = 1e-12) a b =
     !ok
   end
 
+let bits_equal a b =
+  a.rows = b.rows && a.cols = b.cols
+  &&
+  let rec go k =
+    k = Array.length a.data
+    || Int64.equal (Int64.bits_of_float a.data.(k)) (Int64.bits_of_float b.data.(k))
+       && go (k + 1)
+  in
+  go 0
+
 let is_symmetric ?(tol = 1e-12) m =
   m.rows = m.cols
   && begin

@@ -132,6 +132,12 @@ val norm_inf : t -> float
 
 val equal : ?tol:float -> t -> t -> bool
 
+val bits_equal : t -> t -> bool
+(** Same shape and the same IEEE bits in every entry: [-0.0] differs
+    from [0.0], and a NaN equals only a NaN with the same payload. The
+    check for answers that travel through [%.17g] JSON, which round-trips
+    doubles exactly. *)
+
 val is_symmetric : ?tol:float -> t -> bool
 
 val swap_rows : t -> int -> int -> unit

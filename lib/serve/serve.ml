@@ -1115,6 +1115,14 @@ let handle_tune t hot req =
                    ]
              end)))
 
+let compute_ops =
+  [
+    ("predict", handle_predict);
+    ("observe", handle_observe);
+    ("yield", handle_yield);
+    ("tune", handle_tune);
+  ]
+
 let handle t line =
   let t0 = Unix.gettimeofday () in
   (* one snapshot per request: a SIGHUP reload swapping [t.hot] mid-soak
@@ -1132,29 +1140,16 @@ let handle t line =
        | Some (Wire.String "shutdown") ->
          Atomic.set t.stop_flag true;
          ok_fields ~gen:hot.gen "shutdown" [ ("draining", Wire.Bool true) ]
-       | Some (Wire.String "predict") ->
-         (* isolate compute errors: a pathological batch answers
-            ok:false instead of tearing the connection down *)
-         (match Core.Errors.catch (fun () -> handle_predict t hot req) with
-          | Ok resp -> resp
-          | Error e ->
-            error_response ~code:(Core.Errors.exit_code e) (Core.Errors.to_string e))
-       | Some (Wire.String "observe") ->
-         (match Core.Errors.catch (fun () -> handle_observe t hot req) with
-          | Ok resp -> resp
-          | Error e ->
-            error_response ~code:(Core.Errors.exit_code e) (Core.Errors.to_string e))
-       | Some (Wire.String "yield") ->
-         (match Core.Errors.catch (fun () -> handle_yield t hot req) with
-          | Ok resp -> resp
-          | Error e ->
-            error_response ~code:(Core.Errors.exit_code e) (Core.Errors.to_string e))
-       | Some (Wire.String "tune") ->
-         (match Core.Errors.catch (fun () -> handle_tune t hot req) with
-          | Ok resp -> resp
-          | Error e ->
-            error_response ~code:(Core.Errors.exit_code e) (Core.Errors.to_string e))
-       | Some (Wire.String op) -> error_response (Printf.sprintf "unknown op %S" op)
+       | Some (Wire.String op) ->
+         (match List.assoc_opt op compute_ops with
+          | Some h ->
+            (* isolate compute errors: a pathological batch answers
+               ok:false instead of tearing the connection down *)
+            (match Core.Errors.catch (fun () -> h t hot req) with
+             | Ok resp -> resp
+             | Error e ->
+               error_response ~code:(Core.Errors.exit_code e) (Core.Errors.to_string e))
+          | None -> error_response (Printf.sprintf "unknown op %S" op))
        | Some _ -> error_response "\"op\" must be a string"
        | None -> error_response "request must be an object with an \"op\" field")
   in

@@ -30,22 +30,6 @@ let artifact =
      in
      (store, clean))
 
-let bits_equal m1 m2 =
-  Linalg.Mat.dims m1 = Linalg.Mat.dims m2
-  &&
-  let r, c = Linalg.Mat.dims m1 in
-  try
-    for i = 0 to r - 1 do
-      for j = 0 to c - 1 do
-        if
-          Int64.bits_of_float (Linalg.Mat.get m1 i j)
-          <> Int64.bits_of_float (Linalg.Mat.get m2 i j)
-        then raise Exit
-      done
-    done;
-    true
-  with Exit -> false
-
 (* real server on a thread, proxy in front, both torn down afterwards *)
 let with_stack ?seed ?eintr_pid spec f =
   let store, clean = Lazy.force artifact in
@@ -116,7 +100,7 @@ let test_transparent_proxy () =
       (match Serve.Client.predict c clean with
        | Ok (m, _) ->
          Alcotest.(check bool) "bit-identical through proxy" true
-           (bits_equal m expected)
+           (Linalg.Mat.bits_equal m expected)
        | Error m -> Alcotest.failf "predict through idle proxy failed: %s" m);
       let st = Chaos.stats proxy in
       Alcotest.(check bool) "connections counted" true (st.Chaos.connections >= 1);
@@ -134,7 +118,7 @@ let test_corrupt_never_wrong () =
         let c = Serve.Client.connect addr in
         (match Serve.Client.predict ~deadline:5.0 c clean with
          | Ok (m, _) ->
-           if not (bits_equal m expected) then
+           if not (Linalg.Mat.bits_equal m expected) then
              Alcotest.fail "corrupted wire produced a WRONG answer"
          | Error _ -> ());
         Serve.Client.close c
@@ -151,7 +135,7 @@ let test_partial_write_reassembles () =
       (match Serve.Client.predict ~deadline:10.0 c clean with
        | Ok (m, _) ->
          Alcotest.(check bool) "bit-identical through fragments" true
-           (bits_equal m expected)
+           (Linalg.Mat.bits_equal m expected)
        | Error m -> Alcotest.failf "fragmented predict failed: %s" m);
       Alcotest.(check bool) "fragmenting fired" true
         ((Chaos.stats proxy).Chaos.partial_writes >= 1))
@@ -193,7 +177,7 @@ let test_retry_wins_through_faults () =
       with
       | Ok (m, _) ->
         Alcotest.(check bool) "bit-identical after retries" true
-          (bits_equal m expected)
+          (Linalg.Mat.bits_equal m expected)
       | Error m -> Alcotest.failf "retries exhausted: %s" m)
 
 (* EINTR storms: the proxy signals this very process while the server
@@ -210,7 +194,7 @@ let test_eintr_storm () =
       (match Serve.Client.predict ~deadline:10.0 c clean with
        | Ok (m, _) ->
          Alcotest.(check bool) "bit-identical under EINTR storm" true
-           (bits_equal m expected)
+           (Linalg.Mat.bits_equal m expected)
        | Error m -> Alcotest.failf "predict under EINTR storm failed: %s" m);
       Alcotest.(check bool) "signals fired" true
         ((Chaos.stats proxy).Chaos.eintr_signals >= 1))

@@ -125,6 +125,93 @@ let test_profiles_resolvable () =
   Alcotest.(check bool) "full" true (Experiments.Profile.of_string "full" <> None);
   Alcotest.(check bool) "garbage" true (Experiments.Profile.of_string "nope" = None)
 
+(* ---- the served-soak lifecycle, on the committed demo circuit ---- *)
+
+module Soak = Experiments.Soak
+
+let demo_artifact =
+  lazy
+    (Option.map
+       (fun dir ->
+         let netlist = Circuit.Bench_io.parse_file (Filename.concat dir "demo90.bench") in
+         let model = Timing.Variation.make_model ~levels:3 () in
+         (* built on one lane, so a standalone run can still fork *)
+         let saved = Par.Pool.size () in
+         Par.Pool.set_size 1;
+         let setup = Core.Pipeline.prepare ~netlist ~model ~yield_samples:120 () in
+         let sel = Core.Pipeline.approximate_selection setup ~eps:0.05 in
+         Par.Pool.set_size saved;
+         let pool = setup.Core.Pipeline.pool in
+         Store.of_selection ~fingerprint:"test:soak demo90"
+           ~n_segments:(Timing.Paths.num_segments pool)
+           ~t_cons:setup.Core.Pipeline.t_cons ~eps:0.05
+           ~a:(Timing.Paths.a_mat pool) ~mu:(Timing.Paths.mu_paths pool) sel)
+       (Lazy.force Test_golden.data_dir))
+
+(* OCaml < 5.2 forbids fork once other domains exist, as in the full
+   multi-suite run; the standalone soak run (what @smoke invokes)
+   exercises these *)
+let with_soak f =
+  match Lazy.force demo_artifact with
+  | None -> ()
+  | Some artifact -> (
+    try Soak.with_session artifact f
+    with Failure msg when String.starts_with ~prefix:"Unix.fork" msg -> Alcotest.skip ())
+
+let sock_path s = match Soak.addr s with Serve.Unix_sock p -> p | _ -> assert false
+
+let check_exit what want got = Alcotest.(check bool) what true (got = want)
+
+let test_soak_raise_kills_child () =
+  let pid = ref 0 and files = ref [] in
+  (match
+     with_soak (fun s ->
+         pid := Soak.spawn s;
+         Serve.Client.close (Soak.connect s);
+         files := [ Soak.artifact_path s; sock_path s ];
+         List.iter
+           (fun f -> Alcotest.(check bool) (f ^ " exists") true (Sys.file_exists f))
+           !files;
+         raise Exit)
+   with
+   | () -> if !pid <> 0 then Alcotest.fail "the body's exception was swallowed"
+   | exception Exit -> ());
+  (match Unix.kill !pid 0 with
+   | () -> Alcotest.failf "server child %d still alive" !pid
+   | exception Unix.Unix_error (Unix.ESRCH, _, _) -> ());
+  List.iter
+    (fun f -> Alcotest.(check bool) (f ^ " removed") false (Sys.file_exists f))
+    !files
+
+let test_soak_clean_drain () =
+  with_soak (fun s ->
+      let pid = Soak.spawn s in
+      Soak.drain s;
+      check_exit "clean" Soak.Clean (Soak.reap s pid))
+
+let test_soak_sigkill () =
+  with_soak (fun s ->
+      let pid = Soak.spawn s in
+      Serve.Client.close (Soak.connect s);
+      Unix.kill pid Sys.sigkill;
+      check_exit "killed" Soak.Killed (Soak.reap s pid))
+
+let test_soak_failed_server () =
+  with_soak (fun s ->
+      (* the socket's directory is gone: Serve.run cannot listen *)
+      Sys.remove (Soak.artifact_path s);
+      Unix.rmdir (Soak.dir s);
+      let pid = Soak.spawn s in
+      check_exit "failed" Soak.Failed (Soak.reap s pid))
+
+let soak_tests =
+  [
+    ("body raising kills and reaps the server", test_soak_raise_kills_child);
+    ("clean drain exits clean", test_soak_clean_drain);
+    ("SIGKILL classifies as killed", test_soak_sigkill);
+    ("failing Serve.run classifies as failed", test_soak_failed_server);
+  ]
+
 let unit_tests =
   [
     ("experiments: table1 runner", test_table1_runner);
@@ -140,4 +227,5 @@ let suites =
   [
     ( "experiments",
       List.map (fun (name, f) -> Alcotest.test_case name `Slow f) unit_tests );
+    ("soak", List.map (fun (name, f) -> Alcotest.test_case name `Quick f) soak_tests);
   ]

@@ -426,6 +426,21 @@ let prop_pinv_least_squares =
       done;
       !ok)
 
+(* bit equality is stricter than [=] on floats: signed zeros differ,
+   and a NaN equals itself when its payload matches *)
+let test_mat_bits_equal () =
+  let m xs = Linalg.Mat.of_arrays [| xs |] in
+  let nan_bits = Int64.float_of_bits 0x7ff8_0000_0000_0002L in
+  Alcotest.(check bool) "-0.0 <> 0.0" false (Linalg.Mat.bits_equal (m [| -0.0 |]) (m [| 0.0 |]));
+  Alcotest.(check bool) "same NaN bits" true
+    (Linalg.Mat.bits_equal (m [| 1.0; nan_bits |]) (m [| 1.0; nan_bits |]));
+  Alcotest.(check bool) "other NaN payload" false
+    (Linalg.Mat.bits_equal (m [| nan_bits |])
+       (m [| Int64.float_of_bits 0x7ff8_0000_0000_0003L |]));
+  Alcotest.(check bool) "shape mismatch" false
+    (Linalg.Mat.bits_equal (m [| 1.0; 2.0 |])
+       (Linalg.Mat.of_arrays [| [| 1.0 |]; [| 2.0 |] |]))
+
 let unit_tests =
   [
     ("vec: dot", test_vec_dot);
@@ -443,6 +458,7 @@ let unit_tests =
     ("mat: hcat/vcat", test_mat_cat);
     ("mat: transpose involution", test_mat_transpose_involution);
     ("mat: row norms", test_mat_row_norms);
+    ("mat: bits_equal", test_mat_bits_equal);
     ("lu: solve 2x2", test_lu_solve);
     ("lu: determinant", test_lu_det);
     ("lu: inverse", test_lu_inverse);

@@ -75,13 +75,18 @@ let fixture =
      let model = Timing.Variation.make_model ~levels:3 () in
      Core.Pipeline.prepare ~netlist:nl ~model ~yield_samples:200 ~seed:21 ())
 
+(* Algorithm 1 on a fixed-rank randomized sketch of A *)
+let sketched ~a ~mu ~t_cons k =
+  Core.Select.approximate ~engine:Core.Select.Sketched
+    ~sketch:{ Core.Select.default_sketch with sketch_rank = Some k }
+    ~a ~mu ~eps:0.05 ~t_cons ()
+
 let test_randomized_select_meets_tolerance () =
   let setup = Lazy.force fixture in
   let a = Timing.Paths.a_mat setup.Core.Pipeline.pool in
   let mu = Timing.Paths.mu_paths setup.Core.Pipeline.pool in
   let sel =
-    Core.Select.approximate_randomized ~a ~mu ~eps:0.05
-      ~t_cons:setup.Core.Pipeline.t_cons ~sketch_rank:40 ()
+    sketched ~a ~mu ~t_cons:setup.Core.Pipeline.t_cons 40
   in
   Alcotest.(check bool) "eps_r <= eps" true (sel.Core.Select.eps_r <= 0.05)
 
@@ -92,7 +97,7 @@ let test_randomized_select_close_to_exact () =
   let t_cons = setup.Core.Pipeline.t_cons in
   let exact = Core.Select.approximate ~a ~mu ~eps:0.05 ~t_cons () in
   let rand =
-    Core.Select.approximate_randomized ~a ~mu ~eps:0.05 ~t_cons ~sketch_rank:40 ()
+    sketched ~a ~mu ~t_cons 40
   in
   let ne = Array.length exact.Core.Select.indices in
   let nr = Array.length rand.Core.Select.indices in
@@ -104,8 +109,8 @@ let test_randomized_select_deterministic () =
   let a = Timing.Paths.a_mat setup.Core.Pipeline.pool in
   let mu = Timing.Paths.mu_paths setup.Core.Pipeline.pool in
   let t_cons = setup.Core.Pipeline.t_cons in
-  let s1 = Core.Select.approximate_randomized ~a ~mu ~eps:0.05 ~t_cons ~sketch_rank:30 () in
-  let s2 = Core.Select.approximate_randomized ~a ~mu ~eps:0.05 ~t_cons ~sketch_rank:30 () in
+  let s1 = sketched ~a ~mu ~t_cons 30 in
+  let s2 = sketched ~a ~mu ~t_cons 30 in
   Alcotest.(check (array int)) "same selection" s1.Core.Select.indices
     s2.Core.Select.indices
 

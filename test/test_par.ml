@@ -17,22 +17,6 @@ let with_low_threshold f =
   Linalg.Mat.set_par_threshold 64;
   Fun.protect ~finally:(fun () -> Linalg.Mat.set_par_threshold saved) f
 
-let bits_equal m1 m2 =
-  Linalg.Mat.dims m1 = Linalg.Mat.dims m2
-  &&
-  let r, c = Linalg.Mat.dims m1 in
-  try
-    for i = 0 to r - 1 do
-      for j = 0 to c - 1 do
-        if
-          Int64.bits_of_float (Linalg.Mat.get m1 i j)
-          <> Int64.bits_of_float (Linalg.Mat.get m2 i j)
-        then raise Exit
-      done
-    done;
-    true
-  with Exit -> false
-
 let rand_mat seed r c =
   let rng = Rng.create seed in
   Linalg.Mat.init r c (fun _ _ -> Rng.gaussian rng)
@@ -98,7 +82,7 @@ let at_sizes f =
   with_low_threshold @@ fun () ->
   let reference = with_pool_size 1 f in
   List.for_all
-    (fun d -> bits_equal reference (with_pool_size d f))
+    (fun d -> Linalg.Mat.bits_equal reference (with_pool_size d f))
     [ 2; 4 ]
 
 let dims_gen = QCheck.(triple (int_range 1 40) (int_range 1 40) (int_range 1 40))
@@ -138,7 +122,7 @@ let prop_sub_scaled_matches_composed =
     QCheck.(triple int (pair (int_range 1 20) (int_range 1 20)) (float_range (-4.0) 4.0))
     (fun (seed, (m, n), s) ->
       let a = rand_mat seed m n and b = rand_mat (seed + 1) m n in
-      bits_equal (Linalg.Mat.sub_scaled a s b)
+      Linalg.Mat.bits_equal (Linalg.Mat.sub_scaled a s b)
         (Linalg.Mat.sub a (Linalg.Mat.scale s b)))
 
 let prop_axpy_matches_composed =
@@ -148,7 +132,7 @@ let prop_axpy_matches_composed =
       let x = rand_mat seed m n and y = rand_mat (seed + 1) m n in
       let fused = Linalg.Mat.copy y in
       Linalg.Mat.axpy ~alpha x fused;
-      bits_equal fused (Linalg.Mat.add y (Linalg.Mat.scale alpha x)))
+      Linalg.Mat.bits_equal fused (Linalg.Mat.add y (Linalg.Mat.scale alpha x)))
 
 let prop_sub_into_matches =
   QCheck.Test.make ~count:30 ~name:"sub_into == sub (incl. aliased target)"
@@ -160,7 +144,7 @@ let prop_sub_into_matches =
       Linalg.Mat.sub_into ~into:fresh a b;
       let aliased = Linalg.Mat.copy a in
       Linalg.Mat.sub_into ~into:aliased aliased b;
-      bits_equal expected fresh && bits_equal expected aliased)
+      Linalg.Mat.bits_equal expected fresh && Linalg.Mat.bits_equal expected aliased)
 
 (* ---------------- Monte Carlo invariance across pool sizes ---------- *)
 
@@ -210,7 +194,7 @@ let test_path_delays_invariant () =
         Alcotest.(check bool)
           (Printf.sprintf "die delays bit-identical at %d domains" d)
           true
-          (bits_equal reference (delays_at d)))
+          (Linalg.Mat.bits_equal reference (delays_at d)))
       [ 2; 4 ]
 
 let q = QCheck_alcotest.to_alcotest

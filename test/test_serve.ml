@@ -30,22 +30,6 @@ let artifact =
      in
      (store, clean))
 
-let bits_equal m1 m2 =
-  Linalg.Mat.dims m1 = Linalg.Mat.dims m2
-  &&
-  let r, c = Linalg.Mat.dims m1 in
-  try
-    for i = 0 to r - 1 do
-      for j = 0 to c - 1 do
-        if
-          Int64.bits_of_float (Linalg.Mat.get m1 i j)
-          <> Int64.bits_of_float (Linalg.Mat.get m2 i j)
-        then raise Exit
-      done
-    done;
-    true
-  with Exit -> false
-
 (* run the real accept loop on a background thread; the client drives
    it over the socket and shuts it down at the end *)
 let with_server ?config ?reload_from f =
@@ -217,7 +201,7 @@ let test_clean_batch_bit_identical () =
           Core.Predictor.predict_all (Store.predictor store) ~measured:clean
         in
         Alcotest.(check bool) "bit-identical to Predictor.predict_all" true
-          (bits_equal served expected);
+          (Linalg.Mat.bits_equal served expected);
         (match Serve.Wire.member "robust" resp with
          | Some (Serve.Wire.Bool false) -> ()
          | _ -> Alcotest.fail "clean batch should take the plain path"))
@@ -236,7 +220,7 @@ let test_faulty_batch_matches_robust () =
           Core.Robust.predict_all (Store.robust store) ~measured:faulty
         in
         Alcotest.(check bool) "bit-identical to Robust.predict_all" true
-          (bits_equal served expected.Core.Robust.predicted);
+          (Linalg.Mat.bits_equal served expected.Core.Robust.predicted);
         (match Serve.Wire.member "robust" resp with
          | Some (Serve.Wire.Bool true) -> ()
          | _ -> Alcotest.fail "NaN entry should route through Robust");
@@ -452,7 +436,7 @@ let test_sighup_reload () =
         match Serve.Client.predict c clean with
         | Ok (m, _) ->
           Alcotest.(check bool) (label ^ ": bits stable") true
-            (bits_equal m expected)
+            (Linalg.Mat.bits_equal m expected)
         | Error m -> Alcotest.failf "%s: predict failed: %s" label m
       in
       predict_ok "before reload";
