@@ -12,6 +12,8 @@
      dune exec bench/main.exe -- micro            # kernel timings only
      dune exec bench/main.exe -- e16 --smoke      # one experiment's CI gate *)
 
+let () = Experiments.Soak.child_main ()
+
 (* The dispatch table at the bottom is the single source of truth for
    the subcommand list: the usage string, the dispatch, and "all" are
    all generated from it, so they cannot drift apart. *)

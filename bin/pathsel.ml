@@ -590,7 +590,7 @@ let serve_cmd =
   let self_check =
     Arg.(value & flag
          & info [ "self-check" ]
-             ~doc:"Fork the server, ping it over the socket, shut it down, and exit; \
+             ~doc:"Start the server, ping it over the socket, shut it down, and exit; \
                    a CI-able one-shot liveness probe.")
   in
   let monitor =
@@ -685,29 +685,29 @@ let serve_cmd =
     in
     let addr = address ~socket ~port in
     if self_check then begin
-      match Unix.fork () with
-      | 0 ->
-        (* child: serve until the parent's shutdown request *)
-        (* lint: allow no-catchall — the child's only job is to turn any
-           server failure into a nonzero exit the parent can observe *)
-        (try
-           Serve.run ~install_signals:false ~config artifact addr;
-           Stdlib.exit 0
-         with _ -> Stdlib.exit 1)
-      | pid ->
-        let c = Serve.Client.connect addr in
-        let pong = Serve.Client.ping c in
-        let stats_ok = Result.is_ok (Serve.Client.stats c) in
-        Serve.Client.shutdown c;
-        Serve.Client.close c;
-        let _, status = Unix.waitpid [] pid in
-        (match (pong, stats_ok, status) with
-         | true, true, Unix.WEXITED 0 ->
-           Printf.printf "self-check: ping + stats + drain ok on %s\n"
-             (Serve.address_to_string addr)
-         | _ ->
-           prerr_endline "self-check: FAILED";
-           Stdlib.exit 70)
+      (* serve on a thread of this process; a raise there is the failure *)
+      let served = Atomic.make true in
+      let server =
+        Thread.create
+          (fun () ->
+            match Serve.run ~install_signals:false ~config artifact addr with
+            | () -> ()
+            | exception _ -> Atomic.set served false)
+          ()
+      in
+      let c = Serve.Client.connect addr in
+      let pong = Serve.Client.ping c in
+      let stats_ok = Result.is_ok (Serve.Client.stats c) in
+      Serve.Client.shutdown c;
+      Serve.Client.close c;
+      Thread.join server;
+      if pong && stats_ok && Atomic.get served then
+        Printf.printf "self-check: ping + stats + drain ok on %s\n"
+          (Serve.address_to_string addr)
+      else begin
+        prerr_endline "self-check: FAILED";
+        Stdlib.exit 70
+      end
     end
     else begin
       (* SIGHUP re-loads the artifact file the server started from *)
@@ -853,17 +853,7 @@ let client_cmd =
        | Error msg ->
          Core.Errors.raise_error (Core.Errors.Bad_data ("server: " ^ msg)))
     | `Predict ->
-      let text =
-        match data with
-        | None ->
-          Core.Errors.raise_error
-            (Core.Errors.Invalid_input "predict needs --data FILE (or --data -)")
-        | Some "-" -> In_channel.input_all stdin
-        | Some path ->
-          (try In_channel.with_open_text path In_channel.input_all
-           with Sys_error msg -> Core.Errors.raise_error (Core.Errors.Io { file = path; msg }))
-      in
-      let measured = parse_batch text in
+      let measured = parse_batch (read_text "--data" data) in
       let retry =
         { Serve.Client.default_retry with
           Serve.Client.attempts = Int.max 1 retries;

@@ -104,83 +104,28 @@ let finish ~config ~svd ~kappa ~t_cons ~evaluations (indices, predictor) =
     evaluations;
   }
 
-let exact ?(config = Config.default) ?(engine = Auto) ?(sketch = default_sketch) ~a ~mu () =
+(* Fixed-size selection: no tolerance search, so [t_cons] only keeps the
+   bookkeeping's epsilon_r well-defined; use the largest path mean. *)
+let fixed_size ~config ~engine ~sketch ~a ~mu size =
   Config.validate config;
   let svd = factor_for ~config ~engine ~sketch a in
-  let rank = max 1 (Linalg.Svd.rank ?tol:config.Config.rank_tol svd) in
-  let sel = build_at ~svd ~a ~mu ~r:rank in
-  (* t_cons is irrelevant for the exact selection's bookkeeping; use the
-     largest path mean to keep epsilon_r well-defined *)
+  let sel = build_at ~svd ~a ~mu ~r:(size svd) in
   let t_cons = Float.max 1e-9 (Array.fold_left Float.max 0.0 mu) in
   finish ~config ~svd ~kappa:config.Config.kappa ~t_cons ~evaluations:1 sel
 
-let approximate ?(config = Config.default) ?(schedule = Bisection) ?(engine = Auto)
-    ?(sketch = default_sketch) ~a ~mu ~eps ~t_cons () =
-  Config.validate config;
-  if eps <= 0.0 then invalid_arg "Select.approximate: eps must be positive";
-  if t_cons <= 0.0 then invalid_arg "Select.approximate: t_cons must be positive";
-  let kappa = config.Config.kappa in
-  let svd = factor_for ~config ~engine ~sketch a in
-  let rank = max 1 (Linalg.Svd.rank ?tol:config.Config.rank_tol svd) in
-  let evaluations = ref 0 in
-  let eval r =
-    incr evaluations;
-    let sel = build_at ~svd ~a ~mu ~r in
-    let e = Predictor.epsilon_r (snd sel) ~kappa ~t_cons in
-    (sel, e)
-  in
-  let result =
-    match schedule with
-    | Linear ->
-      (* Paper's loop: start at rank (error 0) and decrement while the
-         tolerance holds; keep the last feasible selection. *)
-      let rec go r best =
-        if r < 1 then best
-        else begin
-          let sel, e = eval r in
-          if e <= eps then go (r - 1) (Some sel) else best
-        end
-      in
-      (match go rank None with
-       | Some sel -> sel
-       | None -> fst (eval rank))
-    | Bisection ->
-      (* invariant: feasible at hi, infeasible below lo (or lo = 0) *)
-      let rec go lo hi best =
-        (* smallest feasible r lies in (lo, hi]; best is feasible at hi *)
-        if hi - lo <= 1 then best
-        else begin
-          let mid = (lo + hi) / 2 in
-          let sel, e = eval mid in
-          if e <= eps then go lo mid sel else go mid hi best
-        end
-      in
-      let top, e_top = eval rank in
-      if e_top > eps then top
-      else begin
-        let one, e_one = eval 1 in
-        if e_one <= eps then one else go 1 rank top
-      end
-  in
-  finish ~config ~svd ~kappa ~t_cons ~evaluations:!evaluations result
+let exact ?(config = Config.default) ?(engine = Auto) ?(sketch = default_sketch) ~a ~mu () =
+  fixed_size ~config ~engine ~sketch ~a ~mu (fun svd ->
+      max 1 (Linalg.Svd.rank ?tol:config.Config.rank_tol svd))
 
-let approximate_nested ?(config = Config.default) ?(engine = Auto)
-    ?(sketch = default_sketch) ~a ~mu ~eps ~t_cons () =
-  Config.validate config;
-  if eps <= 0.0 then invalid_arg "Select.approximate_nested: eps must be positive";
-  if t_cons <= 0.0 then invalid_arg "Select.approximate_nested: t_cons must be positive";
-  let kappa = config.Config.kappa in
-  let svd = factor_for ~config ~engine ~sketch a in
-  let rank = max 1 (Linalg.Svd.rank ?tol:config.Config.rank_tol svd) in
-  let order = Subset_select.nested_rows svd in
-  let evaluations = ref 0 in
-  let eval r =
-    incr evaluations;
-    let indices = Array.sub order 0 (min r (Array.length order)) in
-    Array.sort compare indices;
-    let predictor = Predictor.build ~a ~mu ~rep:indices in
-    ((indices, predictor), Predictor.epsilon_r predictor ~kappa ~t_cons)
-  in
+let select_with_size ?(config = Config.default) ?(engine = Auto)
+    ?(sketch = default_sketch) ~a ~mu ~r () =
+  fixed_size ~config ~engine ~sketch ~a ~mu (fun _ -> r)
+
+(* The smallest size in [1, rank] whose [eval] error is within [eps],
+   assuming feasibility is monotone in the size: probe [rank] (returned
+   as is when infeasible), then 1, then bisect between them. *)
+let bisect ~eps ~rank eval =
+  (* the smallest feasible size lies in (lo, hi]; [best] is feasible at hi *)
   let rec go lo hi best =
     if hi - lo <= 1 then best
     else begin
@@ -190,22 +135,67 @@ let approximate_nested ?(config = Config.default) ?(engine = Auto)
     end
   in
   let top, e_top = eval rank in
-  let result =
-    if e_top > eps then top
-    else begin
-      let one, e_one = eval 1 in
-      if e_one <= eps then one else go 1 rank top
-    end
-  in
-  finish ~config ~svd ~kappa ~t_cons ~evaluations:!evaluations result
+  if e_top > eps then top
+  else begin
+    let one, e_one = eval 1 in
+    if e_one <= eps then one else go 1 rank top
+  end
 
-let select_with_size ?(config = Config.default) ?(engine = Auto)
-    ?(sketch = default_sketch) ~a ~mu ~r () =
+(* The tolerance search shared by [approximate] and [approximate_nested]:
+   validate, factor, and count the [eval r] calls of [search], which
+   picks the selection from the factorization's numerical rank. *)
+let search_within ~name ~config ~engine ~sketch ~a ~eps ~t_cons search =
   Config.validate config;
+  if eps <= 0.0 then invalid_arg (name ^ ": eps must be positive");
+  if t_cons <= 0.0 then invalid_arg (name ^ ": t_cons must be positive");
   let svd = factor_for ~config ~engine ~sketch a in
-  let sel = build_at ~svd ~a ~mu ~r in
-  let t_cons = Float.max 1e-9 (Array.fold_left Float.max 0.0 mu) in
-  finish ~config ~svd ~kappa:config.Config.kappa ~t_cons ~evaluations:1 sel
+  let rank = max 1 (Linalg.Svd.rank ?tol:config.Config.rank_tol svd) in
+  let evaluations = ref 0 in
+  let counted eval r =
+    incr evaluations;
+    eval r
+  in
+  let result = search ~svd ~rank counted in
+  finish ~config ~svd ~kappa:config.Config.kappa ~t_cons ~evaluations:!evaluations result
+
+let approximate ?(config = Config.default) ?(schedule = Bisection) ?(engine = Auto)
+    ?(sketch = default_sketch) ~a ~mu ~eps ~t_cons () =
+  let kappa = config.Config.kappa in
+  search_within ~name:"Select.approximate" ~config ~engine ~sketch ~a ~eps ~t_cons
+  @@ fun ~svd ~rank counted ->
+  let eval =
+    counted (fun r ->
+        let sel = build_at ~svd ~a ~mu ~r in
+        (sel, Predictor.epsilon_r (snd sel) ~kappa ~t_cons))
+  in
+  match schedule with
+  | Linear ->
+    (* Paper's loop: start at rank (error 0) and decrement while the
+       tolerance holds; keep the last feasible selection. *)
+    let rec go r best =
+      if r < 1 then best
+      else begin
+        let sel, e = eval r in
+        if e <= eps then go (r - 1) (Some sel) else best
+      end
+    in
+    (match go rank None with
+     | Some sel -> sel
+     | None -> fst (eval rank))
+  | Bisection -> bisect ~eps ~rank eval
+
+let approximate_nested ?(config = Config.default) ?(engine = Auto)
+    ?(sketch = default_sketch) ~a ~mu ~eps ~t_cons () =
+  let kappa = config.Config.kappa in
+  search_within ~name:"Select.approximate_nested" ~config ~engine ~sketch ~a ~eps ~t_cons
+  @@ fun ~svd ~rank counted ->
+  let order = Subset_select.nested_rows svd in
+  bisect ~eps ~rank
+    (counted (fun r ->
+         let indices = Array.sub order 0 (min r (Array.length order)) in
+         Array.sort compare indices;
+         let predictor = Predictor.build ~a ~mu ~rep:indices in
+         ((indices, predictor), Predictor.epsilon_r predictor ~kappa ~t_cons)))
 
 type stream_t = {
   stream_indices : int array;

@@ -52,7 +52,6 @@ let p99 = function
   | xs -> Stats.Descriptive.quantile (Array.of_list xs) 0.99
 
 let run ?(oc = stdout) ?out profile =
-  Soak.single_domain ();
   let quick = profile.Profile.name <> "full" in
   let n_dies = if quick then 64 else 256 in
   let lane_iters = if quick then 10 else 60 in
@@ -81,8 +80,10 @@ let run ?(oc = stdout) ?out profile =
   Soak.with_session artifact @@ fun soak ->
   let server_addr = Soak.addr soak in
   let store_path = Soak.artifact_path soak in
-  (* the server child must fork before any proxy/lane threads exist *)
   let pid = Soak.spawn ~config ~reload_from:store_path soak in
+  (* a server that accepts a connection has installed its signal
+     handlers: only then may the proxy aim its SIGUSR1 storm at it *)
+  let conn = Soak.connect soak in
   let proxy =
     Chaos.start ~seed:1616 ~eintr_pid:pid soak_spec
       ~listen:(Serve.Unix_sock (Filename.concat (Soak.dir soak) "chaos.sock"))
@@ -91,7 +92,6 @@ let run ?(oc = stdout) ?out profile =
   let proxy_addr = Chaos.bound_addr proxy in
   let finish () =
     (* ---- baseline: clean latency + throughput, no faults in the path *)
-    let conn = Soak.connect soak in
     let base = { sent = 0; ok = 0; gave_up = 0; wrong = 0; lat_ms = [] } in
     let reps = if quick then 20 else 60 in
     let want = expected 0 batch in
@@ -109,6 +109,7 @@ let run ?(oc = stdout) ?out profile =
             base.lat_ms <- (lat *. 1000.0) :: base.lat_ms
           done)
     in
+    Serve.Client.close conn;
     let throughput = float_of_int (batch * reps) /. dt in
     let p99_clean_ms = p99 base.lat_ms in
     Printf.fprintf oc
@@ -177,7 +178,7 @@ let run ?(oc = stdout) ?out profile =
     Unix.kill pid Sys.sighup;
     Thread.delay 1.0;
     let reloads, reload_fingerprint_ok =
-      match Serve.Client.stats conn with
+      match Soak.stats soak with
       | Ok resp ->
         let fp =
           match Serve.Wire.member "artifact" resp with
@@ -206,11 +207,10 @@ let run ?(oc = stdout) ?out profile =
     in
     (* ---- drain: final counters, shutdown, reap the child *)
     let shed, timeouts =
-      match Serve.Client.stats conn with
+      match Soak.stats soak with
       | Ok resp -> (Soak.int_stat resp "shed", Soak.int_stat resp "timeouts")
       | Error _ -> (0, 0)
     in
-    Serve.Client.close conn;
     Soak.drain soak;
     (lanes, cl, p99_clean_ms, throughput, reloads, reload_fingerprint_ok,
      final_batch_ok, shed, timeouts)

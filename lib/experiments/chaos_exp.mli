@@ -1,6 +1,6 @@
 (** E16 — chaos soak: the serving invariants under wire-level faults.
 
-    Forks a real [Serve.run] server (bounded queue, 2 s deadlines,
+    Spawns a real [Serve.run] server (bounded queue, 2 s deadlines,
     SIGHUP reload armed), puts the {!Chaos} fault-injecting proxy in
     front of it with {e every} injector firing — delays, partial
     writes, mid-frame truncation, byte corruption, disconnects,

@@ -69,7 +69,6 @@ let percentile sorted q =
   sorted.(Int.min (n - 1) (int_of_float (q *. float_of_int n)))
 
 let run ?(oc = stdout) ?out profile =
-  Soak.single_domain ();
   let quick = profile.Profile.name <> "full" in
   let is_samples = if quick then 16_384 else 65_536 in
   let mc_samples = if quick then 400_000 else 2_000_000 in

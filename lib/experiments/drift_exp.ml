@@ -38,7 +38,6 @@ let mean_abs_err pred truth =
   !acc /. float_of_int (n * m)
 
 let run ?(oc = stdout) ?out profile =
-  Soak.single_domain ();
   let quick = profile.Profile.name <> "full" in
   let batch = 16 in
   let pre_batches = if quick then 10 else 16 in

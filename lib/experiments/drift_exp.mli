@@ -1,7 +1,7 @@
 (** E17 — self-healing soak: drift detection and automatic background
     re-selection under a mid-stream process shift.
 
-    Forks a real [Serve.run] server with the monitor armed and
+    Spawns a real [Serve.run] server with the monitor armed and
     [reload_from] pointing at its own artifact file, streams fully
     measured dies at it through the [observe] op, then injects a
     process shift mid-stream: every post-shift die carries a frozen

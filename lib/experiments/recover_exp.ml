@@ -68,7 +68,6 @@ let batch_obs ~predictor ~robust ~rep ~rem ~measured ~truth =
   List.rev !out
 
 let run ?(oc = stdout) ?out profile =
-  Soak.single_domain ();
   let quick = profile.Profile.name <> "full" in
   let cycles = if quick then 6 else 20 in
   let batch = 8 in
@@ -169,7 +168,7 @@ let run ?(oc = stdout) ?out profile =
   let generations = ref [] in
   let max_recovery = ref 0.0 in
   let die_idx = ref 0 in
-  let fork_server () = Soak.spawn ~config ~reload_from:store_path soak in
+  let spawn_server () = Soak.spawn ~config ~reload_from:store_path soak in
   let send_batch conn ~expect_ack =
     let measured, truth = batch_at !die_idx in
     let expected = batch_obs ~predictor ~robust ~rep ~rem ~measured ~truth in
@@ -235,7 +234,7 @@ let run ?(oc = stdout) ?out profile =
   (* ---- kill cycles: traffic until the armed SIGKILL lands *)
   for cycle = 1 to cycles do
     let t0 = Unix.gettimeofday () in
-    let pid = fork_server () in
+    let pid = spawn_server () in
     (match connect_and_measure t0 with
      | None ->
        incr clean_failures;
@@ -274,7 +273,7 @@ let run ?(oc = stdout) ?out profile =
   (* ---- final cycle: recover once more, stream without a killer, read
      the recovered state, drain cleanly *)
   let t0 = Unix.gettimeofday () in
-  let pid = fork_server () in
+  let pid = spawn_server () in
   let final conn =
     (match Serve.Client.stats conn with
      | Ok resp ->

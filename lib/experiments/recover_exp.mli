@@ -1,6 +1,6 @@
 (** E20 — kill/recovery soak: durability under repeated SIGKILL.
 
-    Forks a durability-armed {!Serve} server (observe WAL + periodic
+    Spawns a durability-armed {!Serve} server (observe WAL + periodic
     checkpoints), drives live observe/predict traffic through
     {!Serve.Client}, and lets a {!Chaos.Killer} SIGKILL the process at a
     uniformly random point each cycle — mid-append, mid-fsync,

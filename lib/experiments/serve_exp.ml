@@ -26,7 +26,6 @@ let n_dies = 256
 let top_rows m k = Linalg.Mat.select_rows m (Array.init k Fun.id)
 
 let run ?(oc = stdout) ?out profile =
-  Soak.single_domain ();
   let bench_name = "s1423" in
   Printf.fprintf oc
     "E14: serving throughput (%s, %d MC dies; cold pipeline vs warm server)\n"
@@ -86,7 +85,7 @@ let run ?(oc = stdout) ?out profile =
     float_of_int (b * reps) /. dt
   in
   let inproc_rates = List.map (fun b -> (b, inproc b)) batches in
-  (* warm, socket: fork the real server, measure full round trips *)
+  (* warm, socket: spawn the real server, measure full round trips *)
   let socket_rates, warm_256_socket_s, bit_identical =
     Soak.with_session artifact (fun soak ->
         let pid = Soak.spawn soak in

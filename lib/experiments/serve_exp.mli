@@ -10,7 +10,7 @@
     - {b warm in-process}: the server's request handler on a loaded
       artifact, no socket;
     - {b warm socket}: full newline-delimited-JSON round trips through
-      a forked [Serve.run] child over a Unix-domain socket.
+      a spawned [Serve.run] child over a Unix-domain socket.
 
     Sweeps batch size (1 / 16 / 64 / 256), reports dies/second, checks
     the served predictions are bit-identical to the in-process

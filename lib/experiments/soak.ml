@@ -1,8 +1,44 @@
-let single_domain () = Par.Pool.set_size 1
+(* argv of an exec'd child: [exe; child_arg; closure file] *)
+let child_arg = "--soak-child"
+
+let child f =
+  let size = Par.Pool.size () in
+  let file = Filename.temp_file "pathsel-child" ".bin" in
+  Out_channel.with_open_bin file (fun oc ->
+      Marshal.to_channel oc
+        (fun () ->
+          Par.Pool.set_size size;
+          f ())
+        [ Marshal.Closures ]);
+  match
+    Unix.create_process Sys.executable_name
+      [| Sys.executable_name; child_arg; file |]
+      Unix.stdin Unix.stdout Unix.stderr
+  with
+  | pid -> pid
+  | exception e ->
+    Sys.remove file;
+    raise e
+
+let child_main () =
+  match Sys.argv with
+  | [| _; arg; file |] when arg = child_arg ->
+    let (f : unit -> unit) = In_channel.with_open_bin file Marshal.from_channel in
+    Sys.remove file;
+    let status =
+      match f () with
+      | () -> 0
+      | exception e ->
+        prerr_endline ("child process: " ^ Printexc.to_string e);
+        1
+    in
+    (* this is the child's entry point: its exit status is the result *)
+    (* lint: allow-next no-exit *)
+    exit status
+  | _ -> ()
 
 type t = {
   dir : string;
-  artifact : Store.t;
   mutable live : int list;  (* spawned, not yet reaped *)
 }
 
@@ -42,7 +78,7 @@ let with_session artifact f =
   let dir = Filename.temp_file "pathsel-soak" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  let t = { dir; artifact; live = [] } in
+  let t = { dir; live = [] } in
   let cleanup () =
     List.iter
       (fun pid ->
@@ -58,15 +94,15 @@ let with_session artifact f =
       f t)
 
 let spawn ?config ?reload_from t =
-  flush_all ();
-  match Unix.fork () with
-  | 0 ->
-    (match Serve.run ?config ?reload_from t.artifact (addr t) with
-     | () -> Unix._exit 0
-     | exception _ -> Unix._exit 1)
-  | pid ->
-    t.live <- pid :: t.live;
-    pid
+  let path = artifact_path t and addr = addr t in
+  let pid =
+    child (fun () ->
+        match Store.load path with
+        | Ok artifact -> Serve.run ?config ?reload_from artifact addr
+        | Error e -> Core.Errors.raise_error e)
+  in
+  t.live <- pid :: t.live;
+  pid
 
 let connect t = Serve.Client.connect ~retries:100 (addr t)
 
@@ -76,6 +112,13 @@ let drain t =
     Serve.Client.shutdown conn;
     Serve.Client.close conn
   | exception (Unix.Unix_error _ | Serve.Io.Timeout) -> () (* already gone *)
+
+let stats t =
+  match connect t with
+  | conn ->
+    Fun.protect ~finally:(fun () -> Serve.Client.close conn) (fun () ->
+        Serve.Client.stats conn)
+  | exception (Unix.Unix_error _ | Serve.Io.Timeout) -> Error "server unreachable"
 
 let write ?(oc = stdout) ?out experiment fields =
   match out with

@@ -1,20 +1,29 @@
 (** The served-soak lifecycle shared by the serving experiments (E14,
-    E16, E17, E18, E20), the BENCH writer every [BENCH_*.json] goes
-    through, and the small timing and wire helpers they share.
+    E16, E17, E18, E20), the child-process primitive behind it, the BENCH
+    writer every [BENCH_*.json] goes through, and the small timing and
+    wire helpers they share.
 
     A session owns a private temp directory holding a saved copy of the
-    artifact and the server's Unix socket. Server children are forked
+    artifact and the server's Unix socket. Server children are spawned
     from it with {!spawn}, reached with {!connect}, stopped with
     {!drain} and collected with {!reap}. However the body ends, every
     child not yet reaped is SIGKILLed and reaped and the directory is
     removed; an exception from the body is then re-raised. *)
 
-val single_domain : unit -> unit
-(** Pin {!Par.Pool} to one lane. OCaml 5.1 refuses [Unix.fork] once any
-    domain has been spawned, so a soak calls this first, before its
-    setup (selection, Monte Carlo) could start pool workers. Every
-    kernel is bit-identical at any pool size, so only setup speed
-    changes. It cannot help a process that already spawned domains. *)
+val child : (unit -> unit) -> int
+(** [child f] runs [f] in a new process and returns its pid. [f] is
+    marshalled with its environment ([Marshal.Closures]) to a temp file,
+    and [Sys.executable_name] is exec'd on it; the child process runs
+    {!child_main} first, so parent and child are the same binary and the
+    closure's code pointers are valid in both. The child sets its
+    {!Par.Pool} size to the caller's, runs [f], and exits 0 when [f]
+    returns or 1 (after printing the exception) when it raises. Unlike
+    a fork, this works after worker domains or threads exist. *)
+
+val child_main : unit -> unit
+(** The first statement of every executable that calls {!child}: when
+    the command line names a child's closure file, run the closure and
+    exit; otherwise return. *)
 
 val artifact :
   fingerprint:string -> eps:float -> Core.Pipeline.setup -> Core.Select.t -> Store.t
@@ -35,14 +44,13 @@ val artifact_path : t -> string
 val addr : t -> Serve.address
 
 type exit = Clean | Failed | Killed
-(** [Clean]: [Serve.run] returned. [Failed]: it raised, or the child
-    ended any other way. [Killed]: SIGKILL. *)
+(** [Clean]: [Serve.run] returned. [Failed]: loading the artifact or
+    [Serve.run] raised, or the child ended any other way. [Killed]: SIGKILL. *)
 
 val spawn : ?config:Serve.config -> ?reload_from:string -> t -> int
-(** Flush every output channel, then fork a child serving the session's
-    artifact on {!addr}. The child always [_exit]s — 0 when
-    [Serve.run] returns, 1 when it raises — so it never unwinds into the
-    caller's stack. Fork before starting any thread. Returns the pid. *)
+(** A {!child} that loads the session's saved artifact and serves it on
+    {!addr}. Returns the pid at once, without waiting for the server to
+    listen; {!connect} retries until it does. *)
 
 val connect : t -> Serve.Client.conn
 (** Connect to {!addr}, retrying for up to 10 s of server startup. *)
@@ -53,6 +61,10 @@ val drain : t -> unit
     server's idle timeout, and a shutdown lost on it would leave
     {!reap} waiting forever. A server that no longer accepts
     connections is left for {!reap} to classify. *)
+
+val stats : t -> (Serve.Wire.json, string) result
+(** The [stats] op on a fresh connection, for the same reason as
+    {!drain}; [Error] when the server no longer accepts connections. *)
 
 val reap : t -> int -> exit
 (** Wait for a child {!spawn}ed from this session and classify how it

@@ -14,7 +14,6 @@ type worker = {
 type pool = {
   workers : worker array;  (* size - 1 helpers; the caller is the last lane *)
   handles : unit Domain.t array;
-  owner : int;             (* pid that spawned the domains; see fork note *)
 }
 
 let max_domains = 128
@@ -67,27 +66,23 @@ let shutdown () =
   | None -> ()
   | Some p ->
     current := None;
-    (* after a fork the child sees the parent's record but owns none of
-       its domains; joining them would hang, so just drop the record *)
-    if p.owner = Unix.getpid () then begin
-      (* the analyzer flags this as monitor-reachable: the self-healing
-         reselect path deliberately runs the whole numeric re-selection
-         (and thus pool teardown after a fork) on the monitor thread —
-         a slow reselect stalls only monitoring, never a request. The
-         lock below is the pool's private worker handshake, held only
-         to flip [quit] and signal. *)
-      Array.iter
-        (fun w ->
-          (* lint: allow-next monitor-blocking *)
-          Mutex.lock w.m;
-          w.quit <- true;
-          Condition.signal w.cv;
-          Mutex.unlock w.m)
-        p.workers;
-      (* joining quitting workers is bounded by the handshake above *)
-      (* lint: allow-next monitor-blocking *)
-      Array.iter Domain.join p.handles
-    end
+    (* the analyzer flags this as monitor-reachable: the self-healing
+       reselect path deliberately runs the whole numeric re-selection
+       (and thus a pool resize) on the monitor thread — a slow reselect
+       stalls only monitoring, never a request. The lock below is the
+       pool's private worker handshake, held only to flip [quit] and
+       signal. *)
+    Array.iter
+      (fun w ->
+        (* lint: allow-next monitor-blocking *)
+        Mutex.lock w.m;
+        w.quit <- true;
+        Condition.signal w.cv;
+        Mutex.unlock w.m)
+      p.workers;
+    (* joining quitting workers is bounded by the handshake above *)
+    (* lint: allow-next monitor-blocking *)
+    Array.iter Domain.join p.handles
 
 let spawn n =
   let workers =
@@ -96,7 +91,7 @@ let spawn n =
   in
   match Array.map (fun w -> Domain.spawn (fun () -> worker_loop w)) workers with
   | handles ->
-    let p = { workers; handles; owner = Unix.getpid () } in
+    let p = { workers; handles } in
     current := Some p;
     if not !at_exit_registered then begin
       at_exit_registered := true;
@@ -113,13 +108,12 @@ let set_size n =
   let n = min n max_domains in
   requested := Some n;
   match !current with
-  | Some p when Array.length p.workers <> n - 1 || p.owner <> Unix.getpid () ->
-    shutdown ()
+  | Some p when Array.length p.workers <> n - 1 -> shutdown ()
   | Some _ | None -> ()
 
 let get_pool n =
   match !current with
-  | Some p when Array.length p.workers = n - 1 && p.owner = Unix.getpid () -> Some p
+  | Some p when Array.length p.workers = n - 1 -> Some p
   | Some _ ->
     shutdown ();
     spawn n

@@ -20,8 +20,7 @@
 
     Regions never nest: a [parallel_for] issued from inside a running
     region (or concurrently from another thread) runs serially in the
-    caller. After a [fork] the pool self-heals: worker domains are not
-    inherited by the child, so the child lazily respawns its own. *)
+    caller. *)
 
 val size : unit -> int
 (** Effective pool size (>= 1). Does not force pool creation. *)

@@ -1621,18 +1621,6 @@ module Client = struct
       List.filter_map (function Wire.String s -> Some s | _ -> None) l
     | _ -> []
 
-  let describe_observe resp =
-    let journaled = Wire.member "journaled" resp = Some (Wire.Bool true) in
-    die_statuses resp
-    |> List.mapi (fun i s ->
-           Printf.sprintf "die %d: %s" i
-             (match s with
-              | "used" -> if journaled then "journaled and used" else "used"
-              | _ ->
-                if journaled then "screened out (not journaled)"
-                else "screened out"))
-    |> String.concat "\n"
-
   (* ---------------- decision ops ---------------- *)
 
   let yield_request ?samples ?seed ?(meth = `Is) ?t_cons () =
@@ -1653,15 +1641,6 @@ module Client = struct
       (match Wire.member "error" resp with
        | Some (Wire.String msg) -> msg
        | _ -> "server refused the " ^ what)
-
-  let estimate_yield ?deadline ?samples ?seed ?meth ?t_cons c =
-    match
-      request ?deadline c (yield_request ?samples ?seed ?meth ?t_cons ())
-    with
-    | Error msg -> Error msg
-    | Ok resp ->
-      if Wire.member "ok" resp = Some (Wire.Bool true) then Ok resp
-      else refused "yield estimate" resp
 
   let tune_request ?t_clk ~buffers ~measured () =
     Wire.Obj

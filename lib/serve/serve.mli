@@ -315,11 +315,6 @@ module Client : sig
   val die_statuses : Wire.json -> string list
   (** The [die_status] field of an observe ack (empty when absent). *)
 
-  val describe_observe : Wire.json -> string
-  (** Render an observe ack per die, one line each: ["journaled and
-      used"], ["used"], ["screened out (not journaled)"], or
-      ["screened out"]. *)
-
   val yield_request :
     ?samples:int ->
     ?seed:int ->
@@ -330,16 +325,6 @@ module Client : sig
   (** Build a [yield] request; omitted fields take the server defaults
       (4096 samples, seed 1, importance sampling, the artifact's
       stored constraint). *)
-
-  val estimate_yield :
-    ?deadline:float ->
-    ?samples:int ->
-    ?seed:int ->
-    ?meth:[ `Is | `Mc ] ->
-    ?t_cons:float ->
-    conn ->
-    (Wire.json, string) result
-  (** One [yield] round trip; [Ok] is the full response object. *)
 
   val tune_request :
     ?t_clk:float ->

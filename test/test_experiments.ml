@@ -135,12 +135,8 @@ let demo_artifact =
        (fun dir ->
          let netlist = Circuit.Bench_io.parse_file (Filename.concat dir "demo90.bench") in
          let model = Timing.Variation.make_model ~levels:3 () in
-         (* built on one lane, so a standalone run can still fork *)
-         let saved = Par.Pool.size () in
-         Par.Pool.set_size 1;
          let setup = Core.Pipeline.prepare ~netlist ~model ~yield_samples:120 () in
          let sel = Core.Pipeline.approximate_selection setup ~eps:0.05 in
-         Par.Pool.set_size saved;
          let pool = setup.Core.Pipeline.pool in
          Store.of_selection ~fingerprint:"test:soak demo90"
            ~n_segments:(Timing.Paths.num_segments pool)
@@ -148,15 +144,10 @@ let demo_artifact =
            ~a:(Timing.Paths.a_mat pool) ~mu:(Timing.Paths.mu_paths pool) sel)
        (Lazy.force Test_golden.data_dir))
 
-(* OCaml < 5.2 forbids fork once other domains exist, as in the full
-   multi-suite run; the standalone soak run (what @smoke invokes)
-   exercises these *)
 let with_soak f =
   match Lazy.force demo_artifact with
   | None -> ()
-  | Some artifact -> (
-    try Soak.with_session artifact f
-    with Failure msg when String.starts_with ~prefix:"Unix.fork" msg -> Alcotest.skip ())
+  | Some artifact -> Soak.with_session artifact f
 
 let sock_path s = match Soak.addr s with Serve.Unix_sock p -> p | _ -> assert false
 
@@ -204,12 +195,32 @@ let test_soak_failed_server () =
       let pid = Soak.spawn s in
       check_exit "failed" Soak.Failed (Soak.reap s pid))
 
+(* the reason children are exec'd, not forked: OCaml 5 refuses to fork
+   once a domain exists *)
+let test_soak_after_domains () =
+  let saved = Par.Pool.size () in
+  Fun.protect ~finally:(fun () -> Par.Pool.set_size saved) @@ fun () ->
+  Par.Pool.set_size 2;
+  Par.Pool.parallel_for 0 64 ignore;
+  with_soak (fun s ->
+      let pid = Soak.spawn s in
+      Soak.drain s;
+      check_exit "clean" Soak.Clean (Soak.reap s pid))
+
+let test_child_exit_status () =
+  let status f = snd (Unix.waitpid [] (Soak.child f)) in
+  Alcotest.(check bool) "returns: exit 0" true (status ignore = Unix.WEXITED 0);
+  Alcotest.(check bool) "raises: exit 1" true
+    (status (fun () -> raise Exit) = Unix.WEXITED 1)
+
 let soak_tests =
   [
     ("body raising kills and reaps the server", test_soak_raise_kills_child);
     ("clean drain exits clean", test_soak_clean_drain);
     ("SIGKILL classifies as killed", test_soak_sigkill);
     ("failing Serve.run classifies as failed", test_soak_failed_server);
+    ("spawn works after pool domains exist", test_soak_after_domains);
+    ("child exits 0 on return, 1 on raise", test_child_exit_status);
   ]
 
 let unit_tests =

@@ -148,31 +148,6 @@ let test_mat_row_norms () =
   check_float "row norm 1" 0.0 n.(1)
 
 (* ------------------------------------------------------------------ *)
-(* LU *)
-
-let test_lu_solve () =
-  let a = mat [| [| 4.; 3. |]; [| 6.; 3. |] |] in
-  let x = Linalg.Lu.solve_system a [| 10.; 12. |] in
-  check_close "x0" 1.0 x.(0);
-  check_close "x1" 2.0 x.(1)
-
-let test_lu_det () =
-  let a = mat [| [| 1.; 2. |]; [| 3.; 4. |] |] in
-  check_close "det" (-2.0) (Linalg.Lu.det (Linalg.Lu.factor a));
-  let p = mat [| [| 0.; 1. |]; [| 1.; 0. |] |] in
-  check_close "det permutation" (-1.0) (Linalg.Lu.det (Linalg.Lu.factor p))
-
-let test_lu_inverse () =
-  let a = random_mat 8 8 in
-  let inv = Linalg.Lu.inverse a in
-  check_mat_close ~tol:1e-8 "a * a^-1" (Linalg.Mat.identity 8) (Linalg.Mat.mul a inv)
-
-let test_lu_singular () =
-  let a = mat [| [| 1.; 2. |]; [| 2.; 4. |] |] in
-  Alcotest.check_raises "singular" Linalg.Lu.Singular (fun () ->
-      ignore (Linalg.Lu.solve_system a [| 1.; 1. |]))
-
-(* ------------------------------------------------------------------ *)
 (* Cholesky *)
 
 let test_cholesky_roundtrip () =
@@ -392,19 +367,6 @@ let prop_qr_reconstruct =
       let ap = Linalg.Mat.select_cols a (Linalg.Qr.perm f) in
       Linalg.Mat.equal ~tol:1e-6 ap (Linalg.Mat.mul (Linalg.Qr.q f) (Linalg.Qr.r f)))
 
-let prop_lu_solve =
-  QCheck.Test.make ~count:60 ~name:"lu solves well-conditioned systems"
-    QCheck.(pair (int_range 1 8) (array_of_size (Gen.return 64) (float_range (-1.0) 1.0)))
-    (fun (n, data) ->
-      let a =
-        Linalg.Mat.init n n (fun i j ->
-            data.(((i * n) + j) mod 64) +. if i = j then float_of_int n else 0.0)
-      in
-      let x_true = Array.init n (fun i -> float_of_int (i - 1)) in
-      let b = Linalg.Mat.apply a x_true in
-      let x = Linalg.Lu.solve_system a b in
-      Linalg.Vec.equal ~tol:1e-6 x_true x)
-
 let prop_rank_bounded =
   QCheck.Test.make ~count:60 ~name:"rank <= min(m,n)" (qcheck_mat ()) (fun a ->
       let m, n = Linalg.Mat.dims a in
@@ -459,10 +421,6 @@ let unit_tests =
     ("mat: transpose involution", test_mat_transpose_involution);
     ("mat: row norms", test_mat_row_norms);
     ("mat: bits_equal", test_mat_bits_equal);
-    ("lu: solve 2x2", test_lu_solve);
-    ("lu: determinant", test_lu_det);
-    ("lu: inverse", test_lu_inverse);
-    ("lu: singular raises", test_lu_singular);
     ("cholesky: roundtrip + solve", test_cholesky_roundtrip);
     ("cholesky: rejects indefinite", test_cholesky_not_pd);
     ("qr: reconstruct", test_qr_reconstruct);
@@ -494,7 +452,6 @@ let property_tests =
       prop_svd_reconstruct;
       prop_svd_spectral_norm_bound;
       prop_qr_reconstruct;
-      prop_lu_solve;
       prop_rank_bounded;
       prop_pinv_least_squares;
     ]

@@ -1,4 +1,5 @@
 let () =
+  Experiments.Soak.child_main ();
   Alcotest.run "repro"
     (Test_linalg.suites @ Test_stats.suites @ Test_circuit.suites
      @ Test_timing.suites @ Test_convexopt.suites @ Test_core.suites

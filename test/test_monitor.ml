@@ -370,19 +370,9 @@ let test_checkpoint_kill_mid_write () =
   (match Durable.save_checkpoint path ~gen:1 s1 with
    | Ok () -> ()
    | Error e -> Alcotest.failf "seed checkpoint: %s" (Core.Errors.to_string e));
-  let fork_or_skip () =
-    try Unix.fork () with Failure _ -> Sys.remove path; Alcotest.skip ()
-  in
   for i = 0 to 19 do
-    (match fork_or_skip () with
-     | 0 ->
-       ignore (Durable.save_checkpoint path ~gen:2 s2);
-       Unix._exit 0
-     | pid ->
-       let delay = float_of_int (i mod 7) *. 0.0004 in
-       if delay > 0.0 then Unix.sleepf delay;
-       (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-       ignore (Unix.waitpid [] pid));
+    Kill_child.run ~delay:(float_of_int (i mod 7) *. 0.0004) (fun () ->
+        ignore (Durable.save_checkpoint path ~gen:2 s2));
     match Durable.load_checkpoint path with
     | Error e ->
       Alcotest.failf "iteration %d: torn checkpoint: %s" i

@@ -139,25 +139,11 @@ let test_kill_mid_write () =
   (match Store.save path v1 with
    | Ok () -> ()
    | Error e -> Alcotest.failf "seed save failed: %s" (Core.Errors.to_string e));
-  (* OCaml < 5.2 forbids fork once other domains exist, and in the
-     full multi-suite run the par suites have already spawned the
-     pool. The standalone store run (what @smoke invokes) still
-     exercises the kill loop. *)
-  let fork_or_skip () =
-    try Unix.fork () with Failure _ -> Sys.remove path; Alcotest.skip ()
-  in
   for i = 0 to 19 do
-    (match fork_or_skip () with
-     | 0 ->
-       ignore (Store.save path v2);
-       Unix._exit 0
-     | pid ->
-       (* stagger the kill so it lands before, during, and after the
-          child's write across iterations *)
-       let delay = float_of_int (i mod 7) *. 0.0004 in
-       if delay > 0.0 then Unix.sleepf delay;
-       (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-       ignore (Unix.waitpid [] pid));
+    (* stagger the kill so it lands before, during, and after the
+       child's write across iterations *)
+    Kill_child.run ~delay:(float_of_int (i mod 7) *. 0.0004) (fun () ->
+        ignore (Store.save path v2));
     match Store.load path with
     | Error e ->
       Alcotest.failf "iteration %d: torn artifact: %s" i

@@ -283,39 +283,28 @@ let test_kill_mid_append () =
   let t = open_wal ~config dir in
   ignore (get_ok "append" (Wal.append t [ payload 1; payload 2 ]));
   Wal.close t;
-  (* OCaml < 5.2 forbids fork after a domain has spawned; earlier
-     suites in this binary use the pool, so skip rather than fail *)
-  let fork_or_skip () =
-    try Unix.fork () with Failure _ -> Alcotest.skip ()
-  in
   for i = 0 to 19 do
-    match fork_or_skip () with
-    | 0 ->
-      (match Wal.open_ ~config dir with
-       | Error _ -> Unix._exit 1
-       | Ok t ->
-         let rec spin () =
-           let first = Wal.next_seq t in
-           ignore (Wal.append t (List.init 3 (fun j -> payload (first + j))));
-           spin ()
-         in
-         spin ())
-    | pid ->
-      let delay = float_of_int (i mod 7) *. 0.0004 in
-      if delay > 0.0 then Unix.sleepf delay;
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      ignore (Unix.waitpid [] pid);
-      (* recovery invariant: an intact, contiguous, content-correct
-         prefix — fold itself rejects gaps and bad CRCs *)
-      let records, high = replay dir in
-      Alcotest.(check int)
-        (Printf.sprintf "iter %d: contiguous prefix" i)
-        high (List.length records);
-      List.iteri
-        (fun j (seq, p) ->
-          Alcotest.(check int) "seq" (j + 1) seq;
-          Alcotest.(check string) "payload" (payload seq) p)
-        records
+    Kill_child.run ~delay:(float_of_int (i mod 7) *. 0.0004) (fun () ->
+        match Wal.open_ ~config dir with
+        | Error e -> Core.Errors.raise_error e
+        | Ok t ->
+          let rec spin () =
+            let first = Wal.next_seq t in
+            ignore (Wal.append t (List.init 3 (fun j -> payload (first + j))));
+            spin ()
+          in
+          spin ());
+    (* recovery invariant: an intact, contiguous, content-correct
+       prefix — fold itself rejects gaps and bad CRCs *)
+    let records, high = replay dir in
+    Alcotest.(check int)
+      (Printf.sprintf "iter %d: contiguous prefix" i)
+      high (List.length records);
+    List.iteri
+      (fun j (seq, p) ->
+        Alcotest.(check int) "seq" (j + 1) seq;
+        Alcotest.(check string) "payload" (payload seq) p)
+      records
   done;
   (* the survivor is append-clean *)
   let t = open_wal ~config dir in
