@@ -97,10 +97,10 @@ let sparse_tests () =
       (Staged.stage (fun () -> ignore (Linalg.Sparse.tmul_mat sp tall)));
     Test.make ~name:"sketch:range-finder-rank8"
       (Staged.stage (fun () ->
-           ignore (Linalg.Rsvd.factor_op ~rank:8 ~seed:9 ops)));
+           ignore (Linalg.Rsvd.factor_op ~stop:(Rank 8) ~seed:9 ops)));
     Test.make ~name:"sketch:range-finder-rank32"
       (Staged.stage (fun () ->
-           ignore (Linalg.Rsvd.factor_op ~rank:32 ~seed:9 ops)));
+           ignore (Linalg.Rsvd.factor_op ~stop:(Rank 32) ~seed:9 ops)));
   ]
 
 let micro_tests () =

@@ -213,43 +213,30 @@ let sketch_flag =
 let sketch_rank_arg =
   Arg.(value & opt (some int) None
        & info [ "sketch-rank" ] ~docv:"K"
-           ~doc:"Fix the sketch rank. Default: grow adaptively until the \
-                 tail-energy estimate clears the effective-rank threshold.")
+           ~doc:"Fix the sketch rank. Default: grow the range finder in \
+                 16-column blocks until the exact tail energy clears the \
+                 squared effective-rank threshold.")
 
-let oversample_arg =
-  Arg.(value & opt int 8
-       & info [ "oversample" ] ~docv:"P"
-           ~doc:"Extra sketch columns beyond the target rank.")
-
-let power_iters_arg =
-  Arg.(value & opt int 2
-       & info [ "power-iters" ] ~docv:"Q"
-           ~doc:"Subspace power iterations of the range finder.")
-
-let sketch_config ~seed ~sketch_rank ~oversample ~power_iters =
+let sketch_config ~seed ~sketch_rank =
   (match sketch_rank with
    | Some k when k < 1 ->
      Core.Errors.raise_error (Core.Errors.Invalid_input "--sketch-rank must be >= 1")
    | _ -> ());
-  if oversample < 0 then
-    Core.Errors.raise_error (Core.Errors.Invalid_input "--oversample must be >= 0");
-  if power_iters < 0 then
-    Core.Errors.raise_error (Core.Errors.Invalid_input "--power-iters must be >= 0");
-  { Core.Select.sketch_rank; oversample; power_iters; sketch_seed = seed }
+  { Core.Select.sketch_rank; sketch_seed = seed }
 
 let select_cmd =
   let exact =
     Arg.(value & flag & info [ "exact" ] ~doc:"Exact selection (r = rank A).")
   in
   let run () circuit scale seed levels random_boost tscale max_paths eps exact
-      sketch sketch_rank oversample power_iters liberty report lenient faults =
+      sketch sketch_rank liberty report lenient faults =
    handle @@ fun () ->
     let setup =
       prepare ~lenient ~circuit ~scale ~seed ~levels ~random_boost ~tscale
         ~max_paths ~liberty ()
     in
     let engine = if sketch then Core.Select.Sketched else Core.Select.Auto in
-    let sketch = sketch_config ~seed ~sketch_rank ~oversample ~power_iters in
+    let sketch = sketch_config ~seed ~sketch_rank in
     let sel =
       if exact then Core.Pipeline.exact_selection ~engine ~sketch setup
       else Core.Pipeline.approximate_selection ~engine ~sketch setup ~eps
@@ -332,7 +319,7 @@ let select_cmd =
     (Cmd.info "select" ~doc:"Representative path selection (Algorithm 1).")
     Term.(const run $ runtime_arg $ circuit_arg $ scale_arg $ seed_arg $ levels_arg
           $ random_boost_arg $ tscale_arg $ max_paths_arg $ eps_arg 0.05 $ exact
-          $ sketch_flag $ sketch_rank_arg $ oversample_arg $ power_iters_arg
+          $ sketch_flag $ sketch_rank_arg
           $ liberty_arg $ report_arg $ lenient_arg $ faults_arg)
 
 (* ---------------- hybrid ---------------- *)

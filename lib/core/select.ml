@@ -12,28 +12,26 @@ type t = {
 
 type engine = Auto | Exact | Sketched
 
-type sketch = {
-  sketch_rank : int option;
-  oversample : int;
-  power_iters : int;
-  sketch_seed : int;
-}
+type sketch = { sketch_rank : int option; sketch_seed : int }
 
 let default_seed = 0x5e1ec7
 
-let default_sketch =
-  { sketch_rank = None; oversample = 8; power_iters = 2; sketch_seed = default_seed }
+let default_sketch = { sketch_rank = None; sketch_seed = default_seed }
 
 let sketch_threshold = 4096
 
-(* A nonpositive fixed rank would otherwise clamp to a silent rank-1
-   sketch — degraded selections with no diagnostic. *)
-let check_sketch { sketch_rank; oversample; power_iters; sketch_seed = _ } =
-  (match sketch_rank with
-   | Some r when r < 1 -> invalid_arg "Select: sketch_rank must be >= 1"
-   | _ -> ());
-  if oversample < 0 then invalid_arg "Select: oversample must be >= 0";
-  if power_iters < 0 then invalid_arg "Select: power_iters must be >= 0"
+(* The range finder's stop for a sketch record, validated before any
+   engine runs: a nonpositive fixed rank would otherwise clamp to a
+   silent rank-1 sketch — degraded selections with no diagnostic.
+   Without a fixed rank the range finder grows until the Frobenius
+   tail-energy fraction clears [eta^2]: [eta] is the paper's
+   effective-rank threshold, squared because the tail is measured in
+   energy (sigma^2), not the linear sigma sum. *)
+let sketch_stop ~config sketch =
+  match sketch.sketch_rank with
+  | Some r when r < 1 -> invalid_arg "Select: sketch_rank must be >= 1"
+  | Some r -> Linalg.Rsvd.Rank r
+  | None -> Linalg.Rsvd.Tail_energy (config.Config.eta *. config.Config.eta)
 
 (* Golub–Reinsch can fail to converge on pathological inputs; rather than
    abort the whole selection, retry with a full-rank randomized SVD, and
@@ -57,35 +55,18 @@ let factor_with_fallback ?(seed = default_seed) a =
    small pools on the exact Golub–Reinsch factorization (bit-compatible
    with the pre-engine behaviour) and switches to the randomized sketch
    at [sketch_threshold] rows, where the dense SVD's cubic cost starts
-   to dominate. The adaptive sketch grows until the Frobenius
-   tail-energy fraction clears [eta^2] — [eta] being the same knob as
-   the paper's effective-rank threshold, squared because the probe
-   estimate measures energy (sigma^2), not the linear sigma sum. *)
+   to dominate. *)
 let factor_for ~config ~engine ~sketch a =
-  check_sketch sketch;
-  let m, n = Linalg.Mat.dims a in
+  let stop = sketch_stop ~config sketch in
   let use_sketch =
     match engine with
     | Exact -> false
     | Sketched -> true
-    | Auto -> m >= sketch_threshold
+    | Auto -> fst (Linalg.Mat.dims a) >= sketch_threshold
   in
-  if not use_sketch then factor_with_fallback ~seed:sketch.sketch_seed a
-  else begin
-    let { sketch_rank; oversample; power_iters; sketch_seed = seed } = sketch in
-    let op = Linalg.Rsvd.op_of_mat a in
-    let f =
-      match sketch_rank with
-      | Some r ->
-        Linalg.Rsvd.factor_op ~oversample ~power_iters ~rank:(max 1 (min r (min m n))) ~seed op
-      | None ->
-        let eta = config.Config.eta in
-        fst
-          (Linalg.Rsvd.factor_adaptive ~oversample ~power_iters
-             ~tail_energy:(eta *. eta) ~seed op)
-    in
-    Linalg.Rsvd.to_svd f
-  end
+  if use_sketch then
+    Linalg.Rsvd.(to_svd (fst (factor_op ~stop ~seed:sketch.sketch_seed (op_of_mat a))))
+  else factor_with_fallback ~seed:sketch.sketch_seed a
 
 let build_at ~svd ~a ~mu ~r =
   let indices = Subset_select.rows_from_svd svd ~r in
@@ -215,22 +196,8 @@ type stream_t = {
 let sketch_representatives ?(config = Config.default) ?(sketch = default_sketch) ?r
     ~ops:(op : Linalg.Rsvd.op) () =
   Config.validate config;
-  check_sketch sketch;
-  let { sketch_rank; oversample; power_iters; sketch_seed = seed } = sketch in
-  let f, tail =
-    match sketch_rank with
-    | Some k ->
-      let f =
-        Linalg.Rsvd.factor_op ~oversample ~power_iters
-          ~rank:(max 1 (min k (min op.Linalg.Rsvd.rows op.Linalg.Rsvd.cols)))
-          ~seed op
-      in
-      (f, Float.nan)
-    | None ->
-      let eta = config.Config.eta in
-      Linalg.Rsvd.factor_adaptive ~oversample ~power_iters ~tail_energy:(eta *. eta)
-        ~seed op
-  in
+  let stop = sketch_stop ~config sketch in
+  let f, tail = Linalg.Rsvd.factor_op ~stop ~seed:sketch.sketch_seed op in
   let svd = Linalg.Rsvd.to_svd f in
   let k_used = Array.length svd.Linalg.Svd.s in
   if k_used = 0 then

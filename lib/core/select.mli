@@ -28,20 +28,18 @@ type engine =
 
 type sketch = {
   sketch_rank : int option;
-  (** [None] (default) grows the rank adaptively until the estimated
-      Frobenius tail-energy fraction clears [eta^2] (the config's
-      effective-rank threshold, squared because the probe estimate is
-      in energy, not linear sigma); [Some k] fixes it *)
-  oversample : int;   (** extra sketch columns beyond the rank; 8 *)
-  power_iters : int;  (** subspace power iterations; 2 *)
+  (** [None] (default) grows the range finder block by block until the
+      exact Frobenius tail-energy fraction clears [eta^2] (the config's
+      effective-rank threshold, squared because the tail is measured in
+      energy, not linear sigma); [Some k] fixes it *)
   sketch_seed : int;
   (** the sketch is deterministic in this seed: same seed, same
       selection, bit-identical at any pool size *)
 }
-(** Every sketched entry point validates the record up front:
-    [Invalid_argument] on [sketch_rank < 1], [oversample < 0] or
-    [power_iters < 0] (a nonpositive fixed rank would otherwise run a
-    silent rank-1 sketch with degraded selections). *)
+(** Every entry point that takes a sketch validates the record up
+    front: [Invalid_argument] on [sketch_rank < 1] (a nonpositive fixed
+    rank would otherwise run a silent rank-1 sketch with degraded
+    selections). *)
 
 val default_sketch : sketch
 
@@ -119,8 +117,8 @@ type stream_t = {
   stream_svd : Linalg.Svd.t;   (** truncated sketch factorization *)
   sketch_rank_used : int;
   tail_fraction : float;
-  (** achieved Frobenius tail-energy fraction of the adaptive sketch;
-      [nan] when the rank was fixed by hand *)
+  (** exact Frobenius tail-energy fraction of A outside the sketched
+      factorization, for a fixed rank too *)
 }
 
 val sketch_representatives :

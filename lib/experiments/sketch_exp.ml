@@ -74,11 +74,7 @@ let quality_on ~qname ~gates ~max_paths ~cseed ~mc_samples =
   let setup = Core.Pipeline.prepare ~max_paths ~netlist:nl ~model () in
   let pool = setup.Core.Pipeline.pool in
   let sketch = { Core.Select.default_sketch with sketch_seed = cseed } in
-  let sel_exact, t_target =
-    Soak.time (fun () ->
-        Core.Pipeline.approximate_selection ~engine:Core.Select.Exact setup ~eps)
-  in
-  ignore t_target;
+  let sel_exact = Core.Pipeline.approximate_selection ~engine:Core.Select.Exact setup ~eps in
   let r = max 1 (Array.length sel_exact.Core.Select.indices) in
   let ex, t_exact_s =
     Soak.time (fun () ->
@@ -133,7 +129,7 @@ let scale_on ~paths ~seed =
   let eta = Core.Config.default.Core.Config.eta in
   let (f, tail), sketch_s =
     Soak.time (fun () ->
-        Linalg.Rsvd.factor_adaptive ~tail_energy:(eta *. eta) ~seed ops)
+        Linalg.Rsvd.factor_op ~stop:(Tail_energy (eta *. eta)) ~seed ops)
   in
   let svd = Linalg.Rsvd.to_svd f in
   let r =
@@ -209,14 +205,18 @@ let run ?(oc = stdout) ?out ?(smoke = false) profile =
     List.for_all (fun s -> s.s_paths > 50_000 || s.total_s <= budget_s) scaling
   in
   let quality_ok = worst_ratio_max <= ratio_gate in
-  let ok = quality_ok && within_budget in
+  let eta = Core.Config.default.Core.Config.eta in
+  let tail_target = eta *. eta in
+  let tails_ok = List.for_all (fun s -> s.s_tail <= tail_target) scaling in
+  let ok = quality_ok && within_budget && tails_ok in
+  let verdict b = if b then "pass" else "FAIL" in
   Printf.fprintf oc
-    "\nquality gate: %s | wall budget (<=50k-path pools, %.0fs): %s\n"
+    "\nquality gate: %s | wall budget (<=50k-path pools, %.0fs): %s | tails <= eta^2 \
+     (%.2e): %s\n"
     (if quality_ok then
        Printf.sprintf "pass (worst ratio %.2fx <= %.2fx)" worst_ratio_max ratio_gate
      else Printf.sprintf "FAIL (worst ratio %.2fx > %.2fx)" worst_ratio_max ratio_gate)
-    budget_s
-    (if within_budget then "pass" else "FAIL");
+    budget_s (verdict within_budget) tail_target (verdict tails_ok);
   flush oc;
   let result = { quality; scaling; worst_ratio_max; budget_s; within_budget; ok } in
   Soak.write ~oc ?out "E19"

@@ -12,12 +12,14 @@
     - {b scaling}: synthetic sparse pools built with
       {!Timing.Pool_stream.synthetic} at 10k / 100k / 1M paths; the
       sketch consumes the pool only through the CSR mat-mul operator.
-      Timings split stream-build / adaptive sketch / pivoted QR so the
-      report shows where the time goes.
+      Timings split stream-build / range finder / pivoted QR so the
+      report shows where the time goes, and the tail column is the
+      exact Frobenius tail-energy fraction the range finder reached.
 
     [ok] gates on the worst-case error ratio staying within 1.25x of
     exact across the quality pools AND the pools at or below 50k paths
-    finishing inside the wall budget. [smoke] shrinks the run to one
+    finishing inside the wall budget AND every scaling pool's exact
+    tail-energy fraction being at most [eta^2]. [smoke] shrinks the run to one
     quality pool and one 50k-path scaling pool — the [make sketch-smoke]
     CI gate. The JSON report carries the {!Host} core-count caveat,
     since single-core CI hosts make absolute wall-clock figures
@@ -28,7 +30,7 @@ type quality_row = {
   q_paths : int;
   q_vars : int;
   rank_exact : int;           (** rank(A) from the exact SVD *)
-  q_sketch_rank : int;        (** adaptive sketch rank used *)
+  q_sketch_rank : int;        (** rank of the sketched factorization *)
   r_matched : int;            (** selection size both engines use *)
   eps_exact : float;          (** Eqn-(7) worst-case error, exact basis *)
   eps_sketch : float;         (** same, sketched basis *)
@@ -47,11 +49,11 @@ type scale_row = {
   s_vars : int;
   s_nnz : int;                (** nonzeros across G and Sigma *)
   build_s : float;            (** streamed CSR construction *)
-  sketch_s : float;           (** adaptive randomized range finder *)
+  sketch_s : float;           (** range finder to the tail-energy stop *)
   qr_s : float;               (** pivoted QR subset selection *)
   total_s : float;
   s_sketch_rank : int;
-  s_tail : float;             (** achieved tail-energy fraction *)
+  s_tail : float;             (** exact achieved tail-energy fraction *)
   s_selected : int;
 }
 

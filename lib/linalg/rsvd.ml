@@ -3,17 +3,21 @@ type t = { u : Mat.t; s : Vec.t; v : Mat.t }
 type op = {
   rows : int;
   cols : int;
+  frob2 : float;
   mul : Mat.t -> Mat.t;
   tmul : Mat.t -> Mat.t;
 }
 
+let sum_squares = Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0
+
 let op_of_mat a =
   let rows, cols = Mat.dims a in
-  { rows; cols; mul = (fun x -> Mat.mul a x); tmul = (fun y -> Mat.mul_tn a y) }
+  { rows; cols; frob2 = sum_squares a.Mat.data; mul = Mat.mul a; tmul = Mat.mul_tn a }
 
 let op_of_sparse a =
   let rows, cols = Sparse.dims a in
-  { rows; cols; mul = Sparse.mul_mat a; tmul = Sparse.tmul_mat a }
+  let frob2 = sum_squares a.Sparse.values in
+  { rows; cols; frob2; mul = Sparse.mul_mat a; tmul = Sparse.tmul_mat a }
 
 (* Gram-Schmidt orthonormalization of the columns (twice, for numerical
    safety); returns a matrix with orthonormal columns spanning the same
@@ -21,30 +25,22 @@ let op_of_sparse a =
    fallback when the fast Cholesky route below hits rank deficiency. *)
 let orthonormalize m =
   let rows, cols = Mat.dims m in
-  let q = Mat.copy m in
+  (* the unit columns kept so far, most recent first *)
   let kept = ref [] in
   for j = 0 to cols - 1 do
-    let col = Mat.col q j in
-    let col = ref col in
+    let col = ref (Mat.col m j) in
     for _pass = 1 to 2 do
       List.iter
-        (fun jk ->
-          let qk = Mat.col q jk in
+        (fun qk ->
           let proj = Vec.dot qk !col in
           col := Array.mapi (fun i v -> v -. (proj *. qk.(i))) !col)
         (List.rev !kept)
     done;
     let nrm = Vec.norm2 !col in
-    if nrm > 1e-12 then begin
-      let unit = Vec.scale (1.0 /. nrm) !col in
-      for i = 0 to rows - 1 do
-        Mat.set q i j unit.(i)
-      done;
-      kept := j :: !kept
-    end
+    if nrm > 1e-12 then kept := Vec.scale (1.0 /. nrm) !col :: !kept
   done;
-  let cols_kept = Array.of_list (List.rev !kept) in
-  Mat.select_cols q cols_kept
+  let kept = Array.of_list (List.rev !kept) in
+  Mat.init rows (Array.length kept) (fun i j -> kept.(j).(i))
 
 (* One CholQR pass: Q = Y L^{-T} with G = Y^T Y = L L^T. The Gram
    product is row-band parallel ([Mat.mul_tn]) and the triangular solve
@@ -65,15 +61,17 @@ let cholqr_pass y =
   done;
   if cols > 0 && !dmin <= 1e-10 *. !dmax then raise Cholesky.Not_positive_definite;
   let out = Mat.create rows cols in
+  let ld = l.Mat.data in
   let band lo hi =
     for i = lo to hi - 1 do
       let base = i * cols in
       for j = 0 to cols - 1 do
+        let lj = j * cols in
         let acc = ref y.Mat.data.(base + j) in
         for k = 0 to j - 1 do
-          acc := !acc -. (Mat.get l j k *. out.Mat.data.(base + k))
+          acc := !acc -. (ld.(lj + k) *. out.Mat.data.(base + k))
         done;
-        out.Mat.data.(base + j) <- !acc /. Mat.get l j j
+        out.Mat.data.(base + j) <- !acc /. ld.(lj + j)
       done
     done
   in
@@ -117,70 +115,83 @@ let gaussian_mat ~seed rows cols =
   in
   Mat.init rows cols (fun _ _ -> gaussian ())
 
-let empty ~rows ~cols = { u = Mat.create rows 0; s = [||]; v = Mat.create cols 0 }
+let oversample = 8
 
-let factor_op ?(oversample = 8) ?(power_iters = 2) ~rank ~seed (op : op) =
-  if op.rows <= 0 || op.cols <= 0 then invalid_arg "Rsvd.factor_op: empty operator";
-  let k = max 1 (min rank (min op.rows op.cols)) in
-  let sketch_cols = min (min op.rows op.cols) (k + oversample) in
-  let omega = gaussian_mat ~seed op.cols sketch_cols in
-  (* range finder with power iterations: Y = (A A^T)^q A Omega, touching
-     A only through the operator's mul/tmul callbacks (sparse pools are
-     never densified) *)
-  let y = ref (op.mul omega) in
+let power_iters = 2
+
+(* Columns per block under a tail-energy stop; see the interface for
+   why 16. *)
+let block = 16
+
+type stop = Rank of int | Tail_energy of float
+
+let width m = snd (Mat.dims m)
+
+(* [y] with the span of the orthonormal [q] projected out. *)
+let project q y = if width q = 0 then y else Mat.sub y (Mat.mul q (Mat.mul_tn q y))
+
+(* One pass of the range finder: a Gaussian block, power-iterated with
+   span [q] projected out of every product with A, so that it only
+   chases the range [q] misses. [bt] is A^T q, so (I - q q^T) A x is
+   A x - q (bt^T x) at one tall product. The closing orthonormalization
+   projects twice ("twice is enough"): a block lying mostly inside span
+   [q] still comes out orthogonal to it. *)
+let range_block (op : op) ~q ~bt ~seed cols =
+  let mul_out x =
+    let y = op.mul x in
+    if width q = 0 then y else Mat.sub y (Mat.mul q (Mat.mul_tn bt x))
+  in
+  let y = ref (mul_out (gaussian_mat ~seed op.cols cols)) in
   for _ = 1 to power_iters do
-    let q = orthonormalize_fast !y in
-    let z = op.tmul q in
-    let qz = orthonormalize_fast z in
-    y := op.mul qz
+    y := mul_out (orthonormalize_fast (op.tmul (orthonormalize_fast !y)))
   done;
-  let q = orthonormalize_fast !y in (* rows x c *)
-  let c = snd (Mat.dims q) in
-  if c = 0 then empty ~rows:op.rows ~cols:op.cols
-  else begin
-    (* small problem through the adjoint: B^T = A^T Q is cols x c (tall
-       only in the parameter count, never the pool size), and the exact
-       SVD B^T = W S Z^T gives A ~= (Q Z) S W^T. *)
-    let bt = op.tmul q in
-    let small = Svd.factor bt in
-    let keep = min k (Array.length small.Svd.s) in
-    let z_small = Mat.sub_left_cols small.Svd.v keep in
-    let u = Mat.mul q z_small in
-    { u; s = Array.sub small.Svd.s 0 keep; v = Mat.sub_left_cols small.Svd.u keep }
-  end
+  if width q = 0 then orthonormalize_fast !y
+  else orthonormalize_fast (project q (orthonormalize_fast (project q !y)))
 
-let factor ?(oversample = 8) ?(power_iters = 2) ~rank ~seed a =
-  factor_op ~oversample ~power_iters ~rank ~seed (op_of_mat a)
-
-let default_tail_probes = 4
-
-let tail_fraction ~u ~aw ~total2 =
-  let proj = Mat.mul u (Mat.mul_tn u aw) in
-  let resid = Mat.sub aw proj in
-  let r = Mat.frobenius resid in
-  r *. r /. total2
-
-let factor_adaptive ?(oversample = 8) ?(power_iters = 2) ?(init_rank = 8)
-    ?max_rank ~tail_energy ~seed (op : op) =
-  if tail_energy <= 0.0 then invalid_arg "Rsvd.factor_adaptive: tail_energy must be positive";
+let factor_op ~stop ~seed (op : op) =
+  if op.rows <= 0 || op.cols <= 0 then invalid_arg "Rsvd.factor_op: empty operator";
   let dim = min op.rows op.cols in
-  let cap = max 1 (min dim (Option.value ~default:dim max_rank)) in
-  (* Posterior tail estimate with fresh Gaussian probes (decorrelated
-     from the sketch stream): E ||(I - U U^T) A w||^2 over unit-variance
-     probes equals the squared Frobenius tail of A beyond range U, so
-     the ratio against ||A w||^2 estimates the tail-energy fraction. *)
-  let omega_p = gaussian_mat ~seed:(seed lxor 0x7a11bead) op.cols default_tail_probes in
-  let aw = op.mul omega_p in
-  let total = Mat.frobenius aw in
-  let total2 = total *. total in
-  if total2 <= 0.0 then (factor_op ~oversample ~power_iters ~rank:(min cap (max 1 init_rank)) ~seed op, 0.0)
+  (* [keep] columns of the final SVD survive; blocks stop once the
+     residual energy is at most [target] *)
+  let keep, first, target =
+    match stop with
+    | Rank k ->
+      let k = max 1 (min k dim) in
+      (k, min dim (k + oversample), infinity)
+    | Tail_energy e ->
+      if not (e > 0.0) then invalid_arg "Rsvd.factor_op: tail_energy must be positive";
+      (dim, min dim block, e *. op.frob2)
+  in
+  (* Q (rows x width) and B^T = A^T Q (cols x width: tall only in the
+     parameter count, never the pool size) grow one block at a time;
+     [resid] is the exact energy ||A||_F^2 - ||B||_F^2 outside span Q,
+     so the stop needs no estimate. An empty block means the range is
+     exhausted. *)
+  let rec grow i q bt resid =
+    let cols = if i = 0 then first else min block (dim - width q) in
+    let qi = range_block op ~q ~bt ~seed:(seed + i) cols in
+    let bti = op.tmul qi in
+    let e = Mat.frobenius bti in
+    let q = Mat.hcat q qi and bt = Mat.hcat bt bti and resid = resid -. (e *. e) in
+    if resid > target && width qi > 0 && width q < dim then grow (i + 1) q bt resid else (q, bt)
+  in
+  let empty tail = ({ u = Mat.create op.rows 0; s = [||]; v = Mat.create op.cols 0 }, tail) in
+  if op.frob2 <= 0.0 then empty 0.0
   else begin
-    let rec go k =
-      let f = factor_op ~oversample ~power_iters ~rank:k ~seed op in
-      let tail = tail_fraction ~u:f.u ~aw ~total2 in
-      if tail <= tail_energy || k >= cap then (f, tail) else go (min cap (2 * k))
-    in
-    go (min cap (max 1 init_rank))
+    let q, bt = grow 0 (Mat.create op.rows 0) (Mat.create op.cols 0) op.frob2 in
+    if width q = 0 then empty 1.0
+    else begin
+      (* the exact SVD B^T = W S Z^T of the small problem gives
+         A ~= (Q Z) S W^T *)
+      let small = Svd.factor bt in
+      let keep = min keep (Array.length small.Svd.s) in
+      let s = Array.sub small.Svd.s 0 keep in
+      let u = Mat.mul q (Mat.sub_left_cols small.Svd.v keep) in
+      let tail = Float.max 0.0 (op.frob2 -. sum_squares s) /. op.frob2 in
+      ({ u; s; v = Mat.sub_left_cols small.Svd.u keep }, tail)
+    end
   end
+
+let factor ~rank ~seed a = fst (factor_op ~stop:(Rank rank) ~seed (op_of_mat a))
 
 let to_svd { u; s; v } = { Svd.u; s; v }

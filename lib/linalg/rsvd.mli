@@ -1,16 +1,16 @@
 (** Randomized truncated SVD (Halko–Martinsson–Tropp) — the primary
     selection engine for large path pools.
 
-    A Gaussian range sketch with power iterations captures the leading
-    [k]-dimensional subspace; the deterministic SVD of the projected
-    [k + oversample]-column problem yields leading singular values and
-    vectors far faster than the full Golub–Reinsch factorization when
-    [k << min m n]. The paper's Algorithm 1 only needs the leading
-    [U_r], and its Section 4.2 effective-rank observation (fast
-    singular-value decay) is precisely the regime where the sketch is
-    accurate — so {!Core.Select} runs on this by default above a
-    row-count threshold (ablation E8 and experiment E19 measure the
-    quality gap).
+    A blocked Gaussian range finder with power iterations builds an
+    orthonormal basis [Q] of A's leading range; the deterministic SVD of
+    the small projected problem [A^T Q] yields the leading singular
+    values and vectors far faster than the full Golub–Reinsch
+    factorization when the rank is far below [min m n]. The paper's
+    Algorithm 1 only needs the leading [U_r], and its Section 4.2
+    effective-rank observation (fast singular-value decay) is precisely
+    the regime where the sketch is accurate and the range finder stops
+    early — so {!Core.Select} runs on this by default above a row-count
+    threshold (ablation E8 and experiment E19 measure the quality gap).
 
     The factorization consumes its input only through {!op} mat-mul
     callbacks, so a million-path pool held as a sparse incidence
@@ -27,6 +27,9 @@ type t = {
 type op = {
   rows : int;
   cols : int;
+  frob2 : float;
+  (** [||A||_F^2], derived from A by whoever builds the operator; the
+      tail-energy stop measures against it *)
   mul : Mat.t -> Mat.t;   (** [mul x] is [A * x], [x] is [cols x k] *)
   tmul : Mat.t -> Mat.t;  (** [tmul y] is [A^T * y], [y] is [rows x k] *)
 }
@@ -38,44 +41,44 @@ val op_of_mat : Mat.t -> op
 
 val op_of_sparse : Sparse.t -> op
 
-val factor :
-  ?oversample:int -> ?power_iters:int -> rank:int -> seed:int -> Mat.t -> t
-(** [factor ~rank ~seed a] approximates the leading [rank] singular
-    triplets. Defaults: [oversample = 8], [power_iters = 2]. [rank] is
-    clamped to [min m n]. Deterministic in [seed]: the same seed yields
-    a bit-identical factorization (and hence selection) at any pool
-    size. Equivalent to [factor_op ... (op_of_mat a)]. *)
+type stop =
+  | Rank of int
+  (** one block of [k + 8] columns, truncated to the leading [k]
+      triplets ([k] clamped to [[1, min rows cols]]) *)
+  | Tail_energy of float
+  (** append 16-column blocks until the energy outside the captured
+      range is at most this fraction of [||A||_F^2], or the width
+      reaches [min rows cols]; every column is kept *)
 
-val factor_op :
-  ?oversample:int -> ?power_iters:int -> rank:int -> seed:int -> op -> t
-(** Operator-form {!factor}: the blocked Gaussian range finder touches
-    [A] only through [op.mul]/[op.tmul]. The orthonormalization is
-    CholQR2 (two Cholesky-QR passes — two tall Gram products instead of
-    column-at-a-time Gram-Schmidt) with a rank-revealing Gram-Schmidt
-    fallback on numerically rank-deficient sketches; the small
-    projected problem is an exact {!Svd.factor} of [A^T Q]
-    ([cols x sketch] — never pool-sized). Raises [Invalid_argument] on
-    an empty operator. *)
+val factor_op : stop:stop -> seed:int -> op -> t * float
+(** The range finder. Each pass draws a Gaussian block, power-iterates
+    it twice with the span of the basis [Q] built so far projected out,
+    orthonormalizes it and appends it to [Q] and [A^T Q] to [B^T]. The
+    orthonormalization is CholQR2 (two Cholesky-QR passes — two tall
+    Gram products instead of column-at-a-time Gram-Schmidt) with a
+    rank-revealing Gram-Schmidt fallback on numerically rank-deficient
+    blocks. One exact {!Svd.factor} of [B^T] ([cols x width] — never
+    pool-sized) closes the loop.
 
-val factor_adaptive :
-  ?oversample:int ->
-  ?power_iters:int ->
-  ?init_rank:int ->
-  ?max_rank:int ->
-  tail_energy:float ->
-  seed:int ->
-  op ->
-  t * float
-(** [factor_adaptive ~tail_energy ~seed op] grows the sketch rank
-    geometrically (from [init_rank], default 8, doubling up to
-    [max_rank], default [min rows cols]) until the estimated fraction
-    of squared Frobenius energy outside the captured range drops to
-    [tail_energy]. The estimate uses a handful of fresh Gaussian
-    probes [w]: E ||(I - U U^T) A w||^2 / ||A w||^2 is an unbiased
-    tail-energy ratio, so no exact factorization is ever needed.
-    Returns the factorization and the achieved tail fraction.
-    Deterministic in [seed]. Raises [Invalid_argument] when
-    [tail_energy <= 0]. *)
+    The tail-energy stop is exact, not estimated: because [Q] is
+    orthonormal, [||A - Q Q^T A||_F^2 = ||A||_F^2 - ||B||_F^2], and each
+    block subtracts its own [||A^T Q_i||_F^2] from the residual. Blocks
+    are 16 columns: the first block is then the old rank-8 sketch (8 +
+    8 oversampling), the stop overshoots the needed width by at most
+    15 columns, and a block is wide enough that each pass over a
+    million-row pool does useful work per operator call.
+
+    Returns the factorization and the exact achieved tail
+    [(||A||_F^2 - sum of kept s^2) / ||A||_F^2] for either stop; a zero
+    operator returns an empty factorization with tail 0. Deterministic
+    in [seed]: the same seed yields a bit-identical factorization (and
+    hence selection) at any pool size. Raises [Invalid_argument] on an
+    empty operator or a nonpositive tail energy. *)
+
+val factor : rank:int -> seed:int -> Mat.t -> t
+(** [factor ~rank ~seed a] is [fst (factor_op ~stop:(Rank rank) ~seed
+    (op_of_mat a))]: the leading [rank] singular triplets of a dense
+    matrix. *)
 
 val to_svd : t -> Svd.t
 (** Repackage as a (truncated) {!Svd.t} so downstream code (subset

@@ -21,11 +21,39 @@ let mu t = t.mu_paths
 
 let mu_segments t = t.mu_segments
 
+(* [f j v] for every product term [v = G(i,s) * Sigma(s,j)] of row [i]
+   of the implicit A, in CSR order; a column [j] may recur. *)
+let row_terms t i f =
+  let gm = t.g and sm = t.sigma in
+  for kg = gm.Linalg.Sparse.row_ptr.(i) to gm.Linalg.Sparse.row_ptr.(i + 1) - 1 do
+    let s = gm.Linalg.Sparse.col_idx.(kg) in
+    let gv = gm.Linalg.Sparse.values.(kg) in
+    for ks = sm.Linalg.Sparse.row_ptr.(s) to sm.Linalg.Sparse.row_ptr.(s + 1) - 1 do
+      f sm.Linalg.Sparse.col_idx.(ks) (gv *. sm.Linalg.Sparse.values.(ks))
+    done
+  done
+
+(* ||G Sigma||_F^2 one row at a time: the row's terms are scattered into
+   a single accumulator of length [vars], then each touched column is
+   squared and cleared (a recurring column reads 0 the second time), so
+   A is never formed. *)
+let frob2 t =
+  let acc = Array.make (num_vars t) 0.0 in
+  let total = ref 0.0 in
+  for i = 0 to num_paths t - 1 do
+    row_terms t i (fun j v -> acc.(j) <- acc.(j) +. v);
+    row_terms t i (fun j _ ->
+        total := !total +. (acc.(j) *. acc.(j));
+        acc.(j) <- 0.0)
+  done;
+  !total
+
 let op t =
   let rows = num_paths t and cols = num_vars t in
   {
     Linalg.Rsvd.rows;
     cols;
+    frob2 = frob2 t;
     mul = (fun x -> Linalg.Sparse.mul_mat t.g (Linalg.Sparse.mul_mat t.sigma x));
     tmul = (fun y -> Linalg.Sparse.tmul_mat t.sigma (Linalg.Sparse.tmul_mat t.g y));
   }
@@ -133,20 +161,12 @@ let synthetic ?(seed = 1) ?(decay = 24.0) ~paths ~segments ~vars ~segs_per_path
 
 let rows_dense t idx =
   let m = num_vars t in
-  let gm = t.g and sm = t.sigma in
   let out = Linalg.Mat.create (Array.length idx) m in
   Array.iteri
     (fun r i ->
       if i < 0 || i >= num_paths t then invalid_arg "Pool_stream.rows_dense: row out of range";
       let base = r * m in
-      for kg = gm.Linalg.Sparse.row_ptr.(i) to gm.Linalg.Sparse.row_ptr.(i + 1) - 1 do
-        let s = gm.Linalg.Sparse.col_idx.(kg) in
-        let gv = gm.Linalg.Sparse.values.(kg) in
-        for ks = sm.Linalg.Sparse.row_ptr.(s) to sm.Linalg.Sparse.row_ptr.(s + 1) - 1 do
-          let j = sm.Linalg.Sparse.col_idx.(ks) in
-          out.Linalg.Mat.data.(base + j) <-
-            out.Linalg.Mat.data.(base + j) +. (gv *. sm.Linalg.Sparse.values.(ks))
-        done
-      done)
+      row_terms t i (fun j v ->
+          out.Linalg.Mat.data.(base + j) <- out.Linalg.Mat.data.(base + j) +. v))
     idx;
   out

@@ -57,7 +57,8 @@ val synthetic :
 val op : t -> Linalg.Rsvd.op
 (** The pool as a linear operator: [mul x = G (Sigma x)] and
     [tmul y = Sigma^T (G^T y)], both CSR kernels — [A] itself is never
-    formed. *)
+    formed. [frob2] is summed one row of [G] at a time through a single
+    length-[vars] accumulator. *)
 
 val num_paths : t -> int
 

@@ -126,36 +126,24 @@ let with_forced_parallel sizes f =
       f ())
     sizes
 
+(* [f] at pool sizes 1, 2 and 4: every result [eq] to the first *)
+let check_pool_size_invariant name eq f =
+  match with_forced_parallel [ 1; 2; 4 ] f with
+  | first :: rest -> List.iter (fun r -> Alcotest.(check bool) name true (eq first r)) rest
+  | [] -> assert false
+
 let test_kernels_pool_size_invariant () =
   let d = random_sparse_dense 17 23 0.3 in
   let s = Linalg.Sparse.of_dense d in
   let x = Linalg.Mat.init 23 6 (fun i j -> sin (float_of_int ((i * 6) + j))) in
   let y = Linalg.Mat.init 17 6 (fun i j -> cos (float_of_int ((i * 6) + j))) in
   let v = Array.init 23 (fun i -> float_of_int (i mod 5) -. 2.0) in
-  (match with_forced_parallel [ 1; 2; 4 ] (fun () -> Linalg.Sparse.mul_mat s x) with
-   | r1 :: rest ->
-     List.iter
-       (fun r ->
-         Alcotest.(check bool) "mul_mat bit-identical" true
-           (Linalg.Mat.equal ~tol:0.0 r1 r))
-       rest
-   | [] -> assert false);
-  (match with_forced_parallel [ 1; 2; 4 ] (fun () -> Linalg.Sparse.tmul_mat s y) with
-   | r1 :: rest ->
-     List.iter
-       (fun r ->
-         Alcotest.(check bool) "tmul_mat bit-identical" true
-           (Linalg.Mat.equal ~tol:0.0 r1 r))
-       rest
-   | [] -> assert false);
-  match with_forced_parallel [ 1; 2; 4 ] (fun () -> Linalg.Sparse.mul_vec s v) with
-  | r1 :: rest ->
-    List.iter
-      (fun r ->
-        Alcotest.(check bool) "mul_vec bit-identical" true
-          (Linalg.Vec.equal ~tol:0.0 r1 r))
-      rest
-  | [] -> assert false
+  check_pool_size_invariant "mul_mat bit-identical" (Linalg.Mat.equal ~tol:0.0) (fun () ->
+      Linalg.Sparse.mul_mat s x);
+  check_pool_size_invariant "tmul_mat bit-identical" (Linalg.Mat.equal ~tol:0.0) (fun () ->
+      Linalg.Sparse.tmul_mat s y);
+  check_pool_size_invariant "mul_vec bit-identical" (Linalg.Vec.equal ~tol:0.0) (fun () ->
+      Linalg.Sparse.mul_vec s v)
 
 (* random CSR row structure with empty rows and duplicate columns; the
    dense reference accumulates duplicates in the same sorted-column
@@ -317,8 +305,8 @@ let test_factor_op_matches_dense () =
   in
   let s = Linalg.Sparse.of_dense d in
   let dense = Linalg.Rsvd.factor ~rank:6 ~seed:21 d in
-  let viaop =
-    Linalg.Rsvd.factor_op ~rank:6 ~seed:21 (Linalg.Rsvd.op_of_sparse s)
+  let viaop, _ =
+    Linalg.Rsvd.factor_op ~stop:(Rank 6) ~seed:21 (Linalg.Rsvd.op_of_sparse s)
   in
   Alcotest.(check int) "same rank kept" (Array.length dense.Linalg.Rsvd.s)
     (Array.length viaop.Linalg.Rsvd.s);
@@ -340,23 +328,50 @@ let test_factor_op_matches_dense () =
     if rel > 0.02 then Alcotest.failf "s%d off by %.2f%%" i (100.0 *. rel)
   done
 
-let test_factor_adaptive_clears_tail () =
-  (* decay slow enough that the default init rank of 8 leaves > 1% of
-     the energy in the tail, forcing at least one doubling *)
-  let d =
-    Linalg.Mat.init 80 30 (fun i j ->
-        exp (-0.15 *. float_of_int j)
-        *. cos (float_of_int i *. (0.23 +. (0.11 *. float_of_int j))))
-  in
-  let ops = Linalg.Rsvd.op_of_mat d in
-  let f, tail = Linalg.Rsvd.factor_adaptive ~tail_energy:0.01 ~seed:4 ops in
+(* decay slow enough that one 16-column block leaves well over 1% of
+   the energy in the tail, so the tail-energy stop needs several *)
+let slow_decay () =
+  Linalg.Mat.init 120 60 (fun i j ->
+      exp (-0.05 *. float_of_int j)
+      *. cos (float_of_int i *. (0.23 +. (0.11 *. float_of_int j))))
+
+let test_tail_energy_stop () =
+  let ops = Linalg.Rsvd.op_of_mat (slow_decay ()) in
+  let run e = Linalg.Rsvd.factor_op ~stop:(Tail_energy e) ~seed:4 ops in
+  let f, tail = run 0.01 in
+  let width = Array.length f.Linalg.Rsvd.s in
   Alcotest.(check bool) "tail cleared" true (tail <= 0.01);
-  Alcotest.(check bool) "rank grew beyond init" true
-    (Array.length f.Linalg.Rsvd.s > 8);
-  let f2, tail2 = Linalg.Rsvd.factor_adaptive ~tail_energy:0.01 ~seed:4 ops in
-  Alcotest.(check bool) "deterministic in the seed" true
-    (Linalg.Vec.equal ~tol:0.0 f.Linalg.Rsvd.s f2.Linalg.Rsvd.s
+  Alcotest.(check bool) "several whole blocks, or the cap" true
+    (width > 16 && (width mod 16 = 0 || width = 60));
+  let loose, loose_tail = run 0.9 in
+  Alcotest.(check bool) "a loose target stops after one block" true
+    (Array.length loose.Linalg.Rsvd.s = 16 && loose_tail <= 0.9);
+  let f2, tail2 = run 0.01 in
+  Alcotest.(check bool) "bit-identical for the same seed" true
+    (Linalg.Mat.bits_equal f.Linalg.Rsvd.u f2.Linalg.Rsvd.u
+    && Linalg.Vec.equal ~tol:0.0 f.Linalg.Rsvd.s f2.Linalg.Rsvd.s
     && Float.equal tail tail2)
+
+(* the reported tail is the exact energy outside the returned
+   factorization, (||A||^2 - ||U diag(s)||^2) / ||A||^2 from the dense A,
+   for both stops; the 1e-12 floor is rounding noise, for a stop that
+   captures the whole range (the small pool has rank 16, one block) *)
+let check_exact_tail name a ops =
+  let frob2 m =
+    let f = Linalg.Mat.frobenius m in
+    f *. f
+  in
+  let total = frob2 a in
+  List.iter
+    (fun (stop_name, stop) ->
+      let f, tail = Linalg.Rsvd.factor_op ~stop ~seed:6 ops in
+      let captured =
+        frob2 (Linalg.Mat.mul f.Linalg.Rsvd.u (Linalg.Mat.diag_of_vec f.Linalg.Rsvd.s))
+      in
+      let expected = (total -. captured) /. total in
+      if not (Float.abs (tail -. expected) <= (1e-9 *. expected) +. 1e-12) then
+        Alcotest.failf "%s, %s: reported tail %.17g, exact %.17g" name stop_name tail expected)
+    [ ("Rank 3", Linalg.Rsvd.Rank 3); ("Tail_energy 0.05", Linalg.Rsvd.Tail_energy 0.05) ]
 
 (* a small circuit pool built both ways: the sparse streaming builder
    must reproduce Paths.build column-for-column *)
@@ -369,7 +384,8 @@ let small_pool () =
   let setup = Core.Pipeline.prepare ~yield_samples:100 ~netlist:nl ~model () in
   setup
 
-let test_pool_stream_matches_paths_build () =
+(* the small pool's extracted paths through both front-ends *)
+let small_pool_both () =
   let setup = small_pool () in
   let dm = setup.Core.Pipeline.dm in
   let result =
@@ -377,8 +393,10 @@ let test_pool_stream_matches_paths_build () =
       ~yield_threshold:setup.Core.Pipeline.yield_threshold
   in
   let paths = result.Timing.Path_extract.paths in
-  let dense = Timing.Paths.build dm paths in
-  let stream = Timing.Pool_stream.of_paths dm paths in
+  (Timing.Paths.build dm paths, Timing.Pool_stream.of_paths dm paths)
+
+let test_pool_stream_matches_paths_build () =
+  let dense, stream = small_pool_both () in
   Alcotest.(check int) "paths" (Timing.Paths.num_paths dense)
     (Timing.Pool_stream.num_paths stream);
   Alcotest.(check int) "segments" (Timing.Paths.num_segments dense)
@@ -399,7 +417,16 @@ let test_pool_stream_matches_paths_build () =
   Alcotest.(check bool) "implicit A rows match A = G*Sigma" true
     (Linalg.Mat.equal ~tol:1e-9
        (Timing.Pool_stream.rows_dense stream all)
-       (Timing.Paths.a_mat dense))
+       (Timing.Paths.a_mat dense));
+  let a_frob = Linalg.Mat.frobenius (Timing.Paths.a_mat dense) in
+  check_close ~tol:(1e-12 *. a_frob *. a_frob) "frob2 = ||A||_F^2" (a_frob *. a_frob)
+    (Timing.Pool_stream.op stream).Linalg.Rsvd.frob2
+
+let test_reported_tail_is_exact () =
+  let d = slow_decay () in
+  check_exact_tail "slow-decay dense" d (Linalg.Rsvd.op_of_mat d);
+  let dense, stream = small_pool_both () in
+  check_exact_tail "small_pool stream" (Timing.Paths.a_mat dense) (Timing.Pool_stream.op stream)
 
 let test_sketched_engine_matches_exact_selection () =
   (* on a pool with fast decay the sketched engine reproduces the exact
@@ -442,8 +469,6 @@ let test_sketch_config_validation () =
   in
   let d = Core.Select.default_sketch in
   bad "sketch_rank must be >= 1" { d with Core.Select.sketch_rank = Some 0 };
-  bad "oversample must be >= 0" { d with Core.Select.oversample = -1 };
-  bad "power_iters must be >= 0" { d with Core.Select.power_iters = -2 };
   Alcotest.check_raises "streaming entry validates too"
     (Invalid_argument "Select: sketch_rank must be >= 1")
     (fun () ->
@@ -481,6 +506,30 @@ let test_sketch_representatives_synthetic () =
   Alcotest.(check bool) "deterministic" true
     (st.Core.Select.stream_indices = st2.Core.Select.stream_indices)
 
+(* the multi-block loop (projection against the basis so far, hcat
+   across blocks) stays bit-identical at any pool size *)
+let test_sketch_pool_size_invariant () =
+  let pool =
+    Timing.Pool_stream.synthetic ~seed:8 ~decay:40.0 ~paths:2000 ~segments:200 ~vars:120
+      ~segs_per_path:6 ~vars_per_seg:3 ()
+  in
+  let st () = Core.Select.sketch_representatives ~ops:(Timing.Pool_stream.op pool) () in
+  Alcotest.(check bool) "several blocks" true ((st ()).Core.Select.sketch_rank_used > 16);
+  check_pool_size_invariant "indices, spectrum and tail bit-identical"
+    (fun a b ->
+      a.Core.Select.stream_indices = b.Core.Select.stream_indices
+      && Linalg.Vec.equal ~tol:0.0 a.Core.Select.stream_svd.Linalg.Svd.s
+           b.Core.Select.stream_svd.Linalg.Svd.s
+      && Float.equal a.Core.Select.tail_fraction b.Core.Select.tail_fraction)
+    st
+
+let test_sketch_zero_operator () =
+  let ops = Linalg.Rsvd.op_of_mat (Linalg.Mat.create 40 12) in
+  match Core.Select.sketch_representatives ~ops () with
+  | _ -> Alcotest.fail "a zero operator must not yield a selection"
+  | exception Core.Errors.Error (Core.Errors.Numerical { msg; _ }) ->
+    Alcotest.(check string) "typed error" "sketch captured an empty range" msg
+
 let unit_tests =
   [
     ("sparse: dense roundtrip", test_sparse_roundtrip);
@@ -503,11 +552,14 @@ let unit_tests =
     ("rsvd: deterministic", test_rsvd_deterministic);
     ("rsvd: feeds Algorithm 2", test_rsvd_subset_selection_compatible);
     ("rsvd: operator route matches dense", test_factor_op_matches_dense);
-    ("rsvd: adaptive clears the tail", test_factor_adaptive_clears_tail);
+    ("rsvd: adaptive clears the tail", test_tail_energy_stop);
+    ("rsvd: reported tail is exact", test_reported_tail_is_exact);
     ("stream: Pool_stream matches Paths.build", test_pool_stream_matches_paths_build);
     ("select: sketched engine vs exact", test_sketched_engine_matches_exact_selection);
     ("select: sketch config validation", test_sketch_config_validation);
     ("select: sketch_representatives on synthetic", test_sketch_representatives_synthetic);
+    ("select: sketch bit-identical at any pool size", test_sketch_pool_size_invariant);
+    ("select: sketch of a zero operator raises", test_sketch_zero_operator);
   ]
 
 let property_tests =
