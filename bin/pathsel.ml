@@ -269,12 +269,8 @@ let select_cmd =
      | None -> ()
      | Some spec ->
        Timing.Faults.validate spec;
-       let pool = setup.Core.Pipeline.pool in
-       let robust =
-         Core.Robust.of_selection ~a:(Timing.Paths.a_mat pool)
-           ~mu:(Timing.Paths.mu_paths pool) sel
-       in
        let p = sel.Core.Select.predictor in
+       let robust = Core.Robust.of_predictor p in
        let rep = Core.Predictor.rep_indices p in
        let mc = Core.Pipeline.draw setup in
        let d = Timing.Monte_carlo.path_delays mc in

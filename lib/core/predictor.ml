@@ -4,8 +4,9 @@ type t = {
   w : Linalg.Mat.t;          (* (n-r) x r prediction weights *)
   mu_rep : Linalg.Vec.t;
   mu_rem : Linalg.Vec.t;
-  omega : Linalg.Mat.t;      (* (n-r) x m error operator *)
-  sigmas : Linalg.Vec.t;
+  gram : Linalg.Mat.t;       (* r x r      = A_r A_r^T *)
+  cross : Linalg.Mat.t;      (* r x (n-r)  = A_r A_m^T *)
+  sigmas : Linalg.Vec.t;     (* row norms of the error operator *)
 }
 
 let complement n idx =
@@ -38,8 +39,9 @@ let build ~a ~mu ~rep =
   let cross = Linalg.Mat.mul_nt a_r a_m in  (* r x (n-r) *)
   let wt = Linalg.Pinv.solve_gram gram cross in
   let w = Linalg.Mat.transpose wt in
-  let omega = Linalg.Mat.sub (Linalg.Mat.mul w a_r) a_m in
-  let sigmas = Linalg.Mat.row_norms2 omega in
+  (* only the row norms of Omega = W A_r - A_m are kept: the
+     (n-r) x m operator itself is the largest thing [build] forms *)
+  let sigmas = Linalg.Mat.row_norms2 (Linalg.Mat.sub (Linalg.Mat.mul w a_r) a_m) in
   if Checks.on () then begin
     Checks.nan_introduced ~what:"Predictor.build (weights)"
       ~inputs:[ a.Linalg.Mat.data ] w.Linalg.Mat.data;
@@ -52,7 +54,8 @@ let build ~a ~mu ~rep =
     w;
     mu_rep = Array.map (fun i -> mu.(i)) rep;
     mu_rem = Array.map (fun i -> mu.(i)) rem;
-    omega;
+    gram;
+    cross;
     sigmas;
   }
 
@@ -61,6 +64,14 @@ let rep_indices t = Array.copy t.rep
 let rem_indices t = Array.copy t.rem
 
 let weights t = t.w
+
+let gram t = t.gram
+
+let cross t = t.cross
+
+let mu_rep t = t.mu_rep
+
+let mu_rem t = t.mu_rem
 
 let predict t ~measured =
   if Array.length measured <> Array.length t.rep then
@@ -94,8 +105,6 @@ let predict_all t ~measured =
   end;
   pred
 
-let error_operator t = t.omega
-
 let error_sigmas t = Array.copy t.sigmas
 
 let worst_case_error t ~kappa =
@@ -109,67 +118,3 @@ let epsilon_r t ~kappa ~t_cons =
 let per_path_epsilon t ~kappa ~t_cons =
   if t_cons <= 0.0 then invalid_arg "Predictor.per_path_epsilon: t_cons must be positive";
   Array.map (fun s -> kappa *. s /. t_cons) t.sigmas
-
-(* ------------------------------------------------------------------ *)
-(* Serialization support *)
-
-type raw = {
-  raw_rep : int array;
-  raw_rem : int array;
-  raw_w : Linalg.Mat.t;
-  raw_mu_rep : Linalg.Vec.t;
-  raw_mu_rem : Linalg.Vec.t;
-  raw_omega : Linalg.Mat.t;
-  raw_sigmas : Linalg.Vec.t;
-}
-
-let export t =
-  {
-    raw_rep = Array.copy t.rep;
-    raw_rem = Array.copy t.rem;
-    raw_w = Linalg.Mat.copy t.w;
-    raw_mu_rep = Array.copy t.mu_rep;
-    raw_mu_rem = Array.copy t.mu_rem;
-    raw_omega = Linalg.Mat.copy t.omega;
-    raw_sigmas = Array.copy t.sigmas;
-  }
-
-let import raw =
-  let r = Array.length raw.raw_rep in
-  let nrem = Array.length raw.raw_rem in
-  let n = r + nrem in
-  if r = 0 then invalid_arg "Predictor.import: empty representative set";
-  let check_sorted name idx =
-    Array.iteri
-      (fun k i ->
-        if i < 0 || i >= n then
-          invalid_arg (Printf.sprintf "Predictor.import: %s index out of range" name);
-        if k > 0 && idx.(k - 1) >= i then
-          invalid_arg
-            (Printf.sprintf "Predictor.import: %s indices must be sorted and distinct"
-               name))
-      idx
-  in
-  check_sorted "rep" raw.raw_rep;
-  check_sorted "rem" raw.raw_rem;
-  if complement n raw.raw_rep <> raw.raw_rem then
-    invalid_arg "Predictor.import: rem is not the complement of rep";
-  let wr, wc = Linalg.Mat.dims raw.raw_w in
-  if wr <> nrem || wc <> r then invalid_arg "Predictor.import: weight dims mismatch";
-  if Array.length raw.raw_mu_rep <> r then
-    invalid_arg "Predictor.import: mu_rep length mismatch";
-  if Array.length raw.raw_mu_rem <> nrem then
-    invalid_arg "Predictor.import: mu_rem length mismatch";
-  let omr, _ = Linalg.Mat.dims raw.raw_omega in
-  if omr <> nrem then invalid_arg "Predictor.import: omega row count mismatch";
-  if Array.length raw.raw_sigmas <> nrem then
-    invalid_arg "Predictor.import: sigmas length mismatch";
-  {
-    rep = Array.copy raw.raw_rep;
-    rem = Array.copy raw.raw_rem;
-    w = Linalg.Mat.copy raw.raw_w;
-    mu_rep = Array.copy raw.raw_mu_rep;
-    mu_rem = Array.copy raw.raw_mu_rem;
-    omega = Linalg.Mat.copy raw.raw_omega;
-    sigmas = Array.copy raw.raw_sigmas;
-  }

@@ -7,7 +7,14 @@
 
     and the prediction error is [Delta = Omega x] with
     [Omega = A_m A_r^T (A_r A_r^T)^+ A_r - A_m], a zero-mean Gaussian
-    whose per-path standard deviation is the row norm of [Omega]. *)
+    whose per-path standard deviation is the row norm of [Omega].
+
+    A predictor is a pure function of [A], [mu] and the representative
+    set: {!build} is the only constructor, and the artifact store
+    rebuilds a loaded artifact's predictor with it rather than
+    persisting any of the values below. [Omega] itself
+    ([(n - r) x m], the largest matrix [build] forms) is reduced to its
+    row norms and not kept. *)
 
 type t
 
@@ -15,7 +22,8 @@ val build :
   a:Linalg.Mat.t -> mu:Linalg.Vec.t -> rep:int array -> t
 (** [build ~a ~mu ~rep] splits rows of [a] into the representative set
     [rep] (must be sorted, distinct, non-empty, in range) and the
-    remainder, and forms the predictor. *)
+    remainder, and forms the predictor. Raises [Invalid_argument] on a
+    bad [rep] or a [mu] whose length is not the row count of [a]. *)
 
 val rep_indices : t -> int array
 
@@ -27,6 +35,23 @@ val weights : t -> Linalg.Mat.t
     [W = A_m A_r^T (A_r A_r^T)^+]. Shared (not copied): do not
     mutate. *)
 
+val gram : t -> Linalg.Mat.t
+(** The [r x r] Gram block [A_r A_r^T] the weights were solved from.
+    Shared (not copied): do not mutate. *)
+
+val cross : t -> Linalg.Mat.t
+(** The [r x (n - r)] cross block [A_r A_m^T]. Shared (not copied): do
+    not mutate. {!Robust} re-solves reduced systems from these two
+    blocks when measurements are missing. *)
+
+val mu_rep : t -> Linalg.Vec.t
+(** Means of the representative paths (ordered as [rep_indices]).
+    Shared (not copied): do not mutate. *)
+
+val mu_rem : t -> Linalg.Vec.t
+(** Means of the remaining paths (ordered as [rem_indices]). Shared
+    (not copied): do not mutate. *)
+
 val predict : t -> measured:Linalg.Vec.t -> Linalg.Vec.t
 (** [predict t ~measured] maps the measured representative delays
     (ordered as [rep_indices]) to predicted remaining delays (ordered
@@ -35,9 +60,6 @@ val predict : t -> measured:Linalg.Vec.t -> Linalg.Vec.t
 val predict_all : t -> measured:Linalg.Mat.t -> Linalg.Mat.t
 (** Row-per-sample batch version: [measured] is
     [n_samples x r]; result is [n_samples x (n - r)]. *)
-
-val error_operator : t -> Linalg.Mat.t
-(** The [Omega] matrix of Eqn (6): [(n - r) x m]. *)
 
 val error_sigmas : t -> Linalg.Vec.t
 (** Per-remaining-path standard deviation of the prediction error
@@ -52,29 +74,3 @@ val epsilon_r : t -> kappa:float -> t_cons:float -> float
 val per_path_epsilon : t -> kappa:float -> t_cons:float -> Linalg.Vec.t
 (** Per-path guard-band fractions [kappa * sigma_i / t_cons]
     (Section 4.3's tighter per-path bound). *)
-
-(** {1 Serialization support}
-
-    A built predictor is a pure value: the weight matrix and error
-    operator fully determine its behaviour. [export]/[import] expose it
-    as a plain record so {!Store} can persist a predictor and a serving
-    process can restore it {e bit-for-bit} without re-running the
-    Gram solve. *)
-
-type raw = {
-  raw_rep : int array;          (** sorted representative indices *)
-  raw_rem : int array;          (** their complement, increasing *)
-  raw_w : Linalg.Mat.t;         (** [(n-r) x r] prediction weights *)
-  raw_mu_rep : Linalg.Vec.t;
-  raw_mu_rem : Linalg.Vec.t;
-  raw_omega : Linalg.Mat.t;     (** [(n-r) x m] error operator *)
-  raw_sigmas : Linalg.Vec.t;    (** row norms of [raw_omega] *)
-}
-
-val export : t -> raw
-(** Copies of every component; mutating the result does not affect [t]. *)
-
-val import : raw -> t
-(** Inverse of {!export}. Validates index ordering and every dimension;
-    raises [Invalid_argument] on any inconsistency. For all [t],
-    [import (export t)] predicts bit-identically to [t]. *)

@@ -1,61 +1,8 @@
-type t = {
-  base : Predictor.t;
-  rep : int array;
-  rem : int array;
-  gram : Linalg.Mat.t;   (* r x r       = A_r A_r^T *)
-  cross : Linalg.Mat.t;  (* r x (n-r)   = A_r A_m^T *)
-  mu_rep : Linalg.Vec.t;
-  mu_rem : Linalg.Vec.t;
-}
+(* The robust view needs nothing beyond the base predictor: its Gram
+   and cross blocks are the ones the Theorem-2 solve already formed. *)
+type t = Predictor.t
 
-let build ~a ~mu ~rep =
-  let base = Predictor.build ~a ~mu ~rep in
-  let rem = Predictor.rem_indices base in
-  let a_r = Linalg.Mat.select_rows a rep in
-  let a_m = Linalg.Mat.select_rows a rem in
-  (* gram/cross assemble on the domain pool, same as Predictor.build *)
-  {
-    base;
-    rep = Array.copy rep;
-    rem;
-    gram = Linalg.Mat.gram a_r;
-    cross = Linalg.Mat.mul_nt a_r a_m;
-    mu_rep = Array.map (fun i -> mu.(i)) rep;
-    mu_rem = Array.map (fun i -> mu.(i)) rem;
-  }
-
-let of_selection ~a ~mu sel = build ~a ~mu ~rep:sel.Select.indices
-
-let base_predictor t = t.base
-
-(* ------------------------------------------------------------------ *)
-(* Serialization support *)
-
-type blocks = {
-  gram : Linalg.Mat.t;
-  cross : Linalg.Mat.t;
-}
-
-let export_blocks (t : t) =
-  { gram = Linalg.Mat.copy t.gram; cross = Linalg.Mat.copy t.cross }
-
-let of_parts ~base ({ gram; cross } : blocks) =
-  let raw = Predictor.export base in
-  let r = Array.length raw.Predictor.raw_rep in
-  let nrem = Array.length raw.Predictor.raw_rem in
-  let gr, gc = Linalg.Mat.dims gram in
-  if gr <> r || gc <> r then invalid_arg "Robust.of_parts: gram dims mismatch";
-  let cr, cc = Linalg.Mat.dims cross in
-  if cr <> r || cc <> nrem then invalid_arg "Robust.of_parts: cross dims mismatch";
-  {
-    base;
-    rep = raw.Predictor.raw_rep;
-    rem = raw.Predictor.raw_rem;
-    gram = Linalg.Mat.copy gram;
-    cross = Linalg.Mat.copy cross;
-    mu_rep = raw.Predictor.raw_mu_rep;
-    mu_rem = raw.Predictor.raw_mu_rem;
-  }
+let of_predictor p = p
 
 (* ------------------------------------------------------------------ *)
 (* Outlier / missing-data screen *)
@@ -72,7 +19,7 @@ let default_mad_threshold = 6.0
 let screen ?(mad_threshold = default_mad_threshold) t ~measured =
   if mad_threshold <= 0.0 then invalid_arg "Robust.screen: mad_threshold <= 0";
   let dies, r = Linalg.Mat.dims measured in
-  if r <> Array.length t.rep then
+  if r <> Array.length (Predictor.mu_rep t) then
     invalid_arg "Robust.screen: measurement width mismatch";
   let mask = Array.init dies (fun _ -> Array.make r true) in
   let missing = ref 0 in
@@ -149,10 +96,11 @@ let try_factor ~cond_limit g =
    Gram and cross products are cached in [t], so a degraded die costs
    one |S| x |S| Cholesky solve — no refactorization of A. *)
 let solve_pattern t ~cond_limit ~ridge s_idx =
+  let gram = Predictor.gram t and cross = Predictor.cross t in
   let k = Array.length s_idx in
-  let ncols = Array.length t.rem in
-  let g = Linalg.Mat.init k k (fun i j -> Linalg.Mat.get t.gram s_idx.(i) s_idx.(j)) in
-  let c = Linalg.Mat.init k ncols (fun i j -> Linalg.Mat.get t.cross s_idx.(i) j) in
+  let ncols = snd (Linalg.Mat.dims cross) in
+  let g = Linalg.Mat.init k k (fun i j -> Linalg.Mat.get gram s_idx.(i) s_idx.(j)) in
+  let c = Linalg.Mat.init k ncols (fun i j -> Linalg.Mat.get cross s_idx.(i) j) in
   let solve_with l =
     let w = Linalg.Mat.create ncols k in
     for j = 0 to ncols - 1 do
@@ -193,16 +141,17 @@ let predict_all ?mad_threshold ?(cond_limit = default_cond_limit)
   if ridge <= 0.0 then invalid_arg "Robust.predict_all: ridge <= 0";
   let screened = screen ?mad_threshold t ~measured in
   let dies, r = Linalg.Mat.dims measured in
-  let nrem = Array.length t.rem in
+  let mu_rep = Predictor.mu_rep t and mu_rem = Predictor.mu_rem t in
+  let nrem = Array.length mu_rem in
   if screened.clean then
     (* every entry usable: the baseline Theorem-2 predictor applies
        verbatim (bit-for-bit identical to Evaluate.predictor_metrics) *)
-    { predicted = Predictor.predict_all t.base ~measured; screened;
+    { predicted = Predictor.predict_all t ~measured; screened;
       resolves = 0; ridge_fallbacks = 0; dead_dies = 0 }
   else begin
     let cache : (string, Linalg.Mat.t * bool) Hashtbl.t = Hashtbl.create 16 in
     let full_key = pattern_key (Array.make r true) in
-    Hashtbl.replace cache full_key (Predictor.weights t.base, false);
+    Hashtbl.replace cache full_key (Predictor.weights t, false);
     let resolves = ref 0 in
     let ridge_fallbacks = ref 0 in
     let dead_dies = ref 0 in
@@ -221,7 +170,7 @@ let predict_all ?mad_threshold ?(cond_limit = default_cond_limit)
            mean of every remaining path *)
         incr dead_dies;
         for j = 0 to nrem - 1 do
-          Linalg.Mat.set predicted i j t.mu_rem.(j)
+          Linalg.Mat.set predicted i j mu_rem.(j)
         done
       end
       else begin
@@ -237,11 +186,11 @@ let predict_all ?mad_threshold ?(cond_limit = default_cond_limit)
             v
         in
         let centered =
-          Array.map (fun j -> Linalg.Mat.get measured i j -. t.mu_rep.(j)) s_idx
+          Array.map (fun j -> Linalg.Mat.get measured i j -. mu_rep.(j)) s_idx
         in
         let row = Linalg.Mat.apply w centered in
         for j = 0 to nrem - 1 do
-          Linalg.Mat.set predicted i j (t.mu_rem.(j) +. row.(j))
+          Linalg.Mat.set predicted i j (mu_rem.(j) +. row.(j))
         done
       end
     done;
@@ -252,6 +201,6 @@ let predict_all ?mad_threshold ?(cond_limit = default_cond_limit)
 let metrics pr ~truth = Evaluate.of_predictions ~truth ~predicted:pr.predicted
 
 let predictor_metrics ?mad_threshold ?cond_limit ?ridge t ~measured ~path_delays =
-  let truth = Linalg.Mat.select_cols path_delays t.rem in
+  let truth = Linalg.Mat.select_cols path_delays (Predictor.rem_indices t) in
   let pr = predict_all ?mad_threshold ?cond_limit ?ridge t ~measured in
   (pr, metrics pr ~truth)

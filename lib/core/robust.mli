@@ -8,42 +8,21 @@
     surviving measurement subset of each die.
 
     The full-selection Gram [A_r A_r^T] and cross product
-    [A_r A_m^T] are computed once at build time from the already
-    factored [A]; a die that lost [k] of its [r] measurements then
-    costs one [(r-k) x (r-k)] Cholesky solve on cached submatrices —
-    no refactorization of [A]. Dies sharing a survivor pattern share
-    the solve. When the reduced Gram is ill-conditioned (estimated
-    from the Cholesky pivot ratio), a Tikhonov ridge scaled to the
-    Gram's trace restores solvability at a small bias cost. *)
+    [A_r A_m^T] are the blocks {!Predictor.build} already formed for
+    the Theorem-2 solve, so a robust predictor is just a view of the
+    base predictor ({!Predictor.gram}, {!Predictor.cross}); a die that
+    lost [k] of its [r] measurements then costs one [(r-k) x (r-k)]
+    Cholesky solve on submatrices of those blocks — no refactorization
+    of [A]. Dies sharing a survivor pattern share the solve. When the
+    reduced Gram is ill-conditioned (estimated from the Cholesky pivot
+    ratio), a Tikhonov ridge scaled to the Gram's trace restores
+    solvability at a small bias cost. *)
 
 type t
 
-val build : a:Linalg.Mat.t -> mu:Linalg.Vec.t -> rep:int array -> t
-(** Same contract as {!Predictor.build}; additionally caches the
-    reduced-system blocks. *)
-
-val of_selection : a:Linalg.Mat.t -> mu:Linalg.Vec.t -> Select.t -> t
-
-val base_predictor : t -> Predictor.t
-(** The clean-data Theorem-2 predictor over the full selection. *)
-
-(** {1 Serialization support} *)
-
-type blocks = {
-  gram : Linalg.Mat.t;   (** [r x r]: [A_r A_r^T] *)
-  cross : Linalg.Mat.t;  (** [r x (n-r)]: [A_r A_m^T] *)
-}
-
-val export_blocks : t -> blocks
-(** Copies of the cached reduced-system blocks, so {!Store} can persist
-    them alongside the base predictor. *)
-
-val of_parts : base:Predictor.t -> blocks -> t
-(** Reassemble a robust predictor from a restored base predictor and
-    its cached blocks — the serving-time load path; no access to [A] is
-    needed. Validates block dimensions against [base]; raises
-    [Invalid_argument] on mismatch. [of_parts ~base (export_blocks t)]
-    with [base = base_predictor t] predicts bit-identically to [t]. *)
+val of_predictor : Predictor.t -> t
+(** The robust view of a built predictor; allocates nothing. On clean
+    data it predicts exactly as the predictor itself. *)
 
 (** {1 Screening} *)
 

@@ -60,8 +60,8 @@ let run ?(oc = stdout) profile =
      single representative path here, and then any dropout kills the
      whole die — the masked-recompute machinery never gets exercised *)
   let sel = Core.Select.exact ~a ~mu () in
-  let robust = Core.Robust.of_selection ~a ~mu sel in
   let p = sel.Core.Select.predictor in
+  let robust = Core.Robust.of_predictor p in
   let rep = Core.Predictor.rep_indices p in
   let rem = Core.Predictor.rem_indices p in
   let mc = Timing.Monte_carlo.sample (Rng.create 7) pool ~n:profile.Profile.mc_samples in

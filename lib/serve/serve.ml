@@ -166,8 +166,8 @@ type t = {
 }
 
 let hot_of_artifact ?(gen = 1) artifact =
-  (* restore once, up front: the dense weight matrix and the robust
-     Gram/cross blocks are the precomputed factors every request reuses *)
+  (* the loaded artifact's predictor already holds the dense weight
+     matrix and the Gram/cross blocks every request reuses *)
   let predictor = Store.predictor artifact in
   {
     artifact;
@@ -693,7 +693,7 @@ let handle_predict t hot req =
          in
          (* a request that flags dirty data — or one that provably is
             (missing entries) — routes through the fault-tolerant
-            predictor and its cached Gram blocks; clean batches take
+            predictor and its Gram blocks; clean batches take
             the single matrix-matrix apply *)
          let extra, predicted =
            if dirty_flag || has_missing then begin

@@ -31,7 +31,7 @@
     die; [null] entries are missing measurements. The optional
     [robust] flag — or any missing entry — routes the batch through
     {!Core.Robust} (MAD screen + per-survivor-pattern reduced solves on
-    the artifact's cached Gram blocks); clean unflagged batches take
+    the predictor's Gram blocks); clean unflagged batches take
     the plain {!Core.Predictor} matrix path, and the two agree
     bit-for-bit on clean data. A malformed line poisons only its own
     response, never the connection or the accept loop.

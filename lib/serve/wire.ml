@@ -66,6 +66,11 @@ let print j =
 
 exception Bad of string
 
+(* Arrays and objects nest at most this deep. The protocol's deepest
+   message is about 3 levels; without a cap a line of 16 MiB of '['
+   recurses 16M frames deep and pins a request worker for seconds. *)
+let max_depth = 64
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -162,7 +167,12 @@ let parse s =
       | Some i -> Int i
       | None -> fail "invalid number"
   in
-  let rec parse_value () =
+  let open_nested depth =
+    if depth >= max_depth then
+      fail (Printf.sprintf "nesting deeper than %d levels" max_depth);
+    advance ()
+  in
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -171,25 +181,25 @@ let parse s =
     | Some 'f' -> literal "false" (Bool false)
     | Some 'n' -> literal "null" Null
     | Some '[' ->
-      advance ();
+      open_nested depth;
       skip_ws ();
       if peek () = Some ']' then begin
         advance ();
         List []
       end
       else begin
-        let items = ref [ parse_value () ] in
+        let items = ref [ parse_value (depth + 1) ] in
         skip_ws ();
         while peek () = Some ',' do
           advance ();
-          items := parse_value () :: !items;
+          items := parse_value (depth + 1) :: !items;
           skip_ws ()
         done;
         expect ']';
         List (List.rev !items)
       end
     | Some '{' ->
-      advance ();
+      open_nested depth;
       skip_ws ();
       if peek () = Some '}' then begin
         advance ();
@@ -201,7 +211,7 @@ let parse s =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           (k, v)
         in
         let fields = ref [ field () ] in
@@ -218,7 +228,7 @@ let parse s =
     | Some c -> fail (Printf.sprintf "unexpected character '%c'" c)
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v

@@ -25,7 +25,9 @@ val print : json -> string
 val parse : string -> (json, string) result
 (** Strict single-value JSON parser (objects, arrays, strings with
     escapes, numbers, [true]/[false]/[null]); trailing garbage is an
-    error. Numbers without [./e] parse as [Int], others as [Float]. *)
+    error. Numbers without [./e] parse as [Int], others as [Float].
+    Arrays and objects nested more than 64 deep are an error, reported
+    as soon as the 65th unclosed bracket is read. *)
 
 (** {1 Framing}
 

@@ -118,9 +118,9 @@ module R = struct
     let cols = len t "matrix cols" in
     if rows * cols > max_len then raise (Malformed "matrix size out of range");
     need t (8 * rows * cols);
-    let data = Array.make (rows * cols) 0.0 in
+    let m = Linalg.Mat.create rows cols in
     for k = 0 to (rows * cols) - 1 do
-      data.(k) <- f64 t
+      m.Linalg.Mat.data.(k) <- f64 t
     done;
-    Linalg.Mat.init rows cols (fun i j -> data.((i * cols) + j))
+    m
 end

@@ -13,82 +13,57 @@ type t = {
   n_segments : int;
   n_vars : int;
   selection : Core.Select.t;
-  blocks : Core.Robust.blocks;
   mu : Linalg.Vec.t;
   a_mat : Linalg.Mat.t;
 }
 
 let magic = "PSA1"
 
-let current_version = 2
+let current_version = 3
 
 let header_size = 20 (* magic 4 + version 4 + payload length 8 + crc 4 *)
 
+(* [of_selection] and the decoder both end here, with a selection whose
+   predictor is [Predictor.build ~a ~mu ~rep:indices]: a loaded
+   artifact's predictor is built exactly as the saved one was. *)
+let make ~fingerprint ~t_cons ~eps ~kappa ~n_segments ~a ~mu (sel : Core.Select.t) =
+  let n, m = Linalg.Mat.dims a in
+  if Array.length sel.Core.Select.per_path_eps <> n - Array.length sel.Core.Select.indices
+  then invalid_arg "Store: per-path tolerance length disagrees with the remainder count";
+  { fingerprint; t_cons; eps; kappa; n_paths = n; n_segments; n_vars = m;
+    selection = sel; mu; a_mat = a }
+
 let of_selection ?(fingerprint = "") ?(kappa = Core.Config.default.Core.Config.kappa)
     ?(n_segments = 0) ~t_cons ~eps ~a ~mu (sel : Core.Select.t) =
-  let n, m = Linalg.Mat.dims a in
-  if Array.length mu <> n then invalid_arg "Store.of_selection: mu length mismatch";
-  let rep = sel.Core.Select.indices in
-  let rem = Core.Predictor.rem_indices sel.Core.Select.predictor in
-  let a_r = Linalg.Mat.select_rows a rep in
-  let a_m = Linalg.Mat.select_rows a rem in
-  let blocks =
-    { Core.Robust.gram = Linalg.Mat.gram a_r; cross = Linalg.Mat.mul_nt a_r a_m }
-  in
-  {
-    fingerprint;
-    t_cons;
-    eps;
-    kappa;
-    n_paths = n;
-    n_segments;
-    n_vars = m;
-    selection = sel;
-    blocks;
-    mu = Array.copy mu;
-    a_mat = a;
-  }
+  let predictor = Core.Predictor.build ~a ~mu ~rep:sel.Core.Select.indices in
+  make ~fingerprint ~t_cons ~eps ~kappa ~n_segments ~a ~mu:(Array.copy mu)
+    { sel with predictor }
 
 let predictor t = t.selection.Core.Select.predictor
 
-let robust t = Core.Robust.of_parts ~base:(predictor t) t.blocks
+let robust t = Core.Robust.of_predictor (predictor t)
 
 (* ------------------------------------------------------------------ *)
 (* Encoding *)
 
+(* Only what [Predictor.build] cannot derive: provenance, the selection
+   record (its eps_r and per-path tolerances were computed against the
+   selection's own t_cons and kappa, not necessarily these), mu and A. *)
 let encode_payload t =
   let b = Codec.W.create () in
   let sel = t.selection in
-  let raw = Core.Predictor.export sel.Core.Select.predictor in
   Codec.W.str b t.fingerprint;
   Codec.W.f64 b t.t_cons;
   Codec.W.f64 b t.eps;
   Codec.W.f64 b t.kappa;
-  Codec.W.u32 b t.n_paths;
   Codec.W.u32 b t.n_segments;
-  Codec.W.u32 b t.n_vars;
-  (* selection bookkeeping *)
   Codec.W.int_array b sel.Core.Select.indices;
   Codec.W.u32 b sel.Core.Select.rank;
   Codec.W.u32 b sel.Core.Select.effective_rank;
   Codec.W.u32 b sel.Core.Select.evaluations;
   Codec.W.f64 b sel.Core.Select.eps_r;
   Codec.W.float_array b sel.Core.Select.per_path_eps;
-  (* the Theorem-2 predictor, exactly as built *)
-  Codec.W.int_array b raw.Core.Predictor.raw_rep;
-  Codec.W.int_array b raw.Core.Predictor.raw_rem;
-  Codec.W.mat b raw.Core.Predictor.raw_w;
-  Codec.W.float_array b raw.Core.Predictor.raw_mu_rep;
-  Codec.W.float_array b raw.Core.Predictor.raw_mu_rem;
-  Codec.W.mat b raw.Core.Predictor.raw_omega;
-  Codec.W.float_array b raw.Core.Predictor.raw_sigmas;
-  (* the robust predictor's cached reduced-system blocks *)
-  Codec.W.mat b t.blocks.Core.Robust.gram;
-  Codec.W.mat b t.blocks.Core.Robust.cross;
-  (* full per-path means *)
   Codec.W.float_array b t.mu;
-  (* v2: the full sensitivity matrix, for decision workloads (yield
-     estimation needs every row, not just the reduced blocks) *)
   Codec.W.mat b t.a_mat;
   Codec.W.contents b
 
@@ -107,95 +82,32 @@ let to_bytes t =
 
 let corrupt file msg = Error (Core.Errors.Corrupt_artifact { file; msg })
 
-let decode_payload ~file payload =
+(* Fields are read in file order by sequential let-bindings (record
+   fields evaluate in unspecified order). Every structural check lives
+   in [make] and [Predictor.build]; their [Invalid_argument] is a
+   corrupt payload here. *)
+let decode_payload payload =
   let r = Codec.R.create payload in
   let fingerprint = Codec.R.str r in
   let t_cons = Codec.R.f64 r in
   let eps = Codec.R.f64 r in
   let kappa = Codec.R.f64 r in
-  let n_paths = Codec.R.u32 r in
   let n_segments = Codec.R.u32 r in
-  let n_vars = Codec.R.u32 r in
   let indices = Codec.R.int_array r in
   let rank = Codec.R.u32 r in
   let effective_rank = Codec.R.u32 r in
   let evaluations = Codec.R.u32 r in
   let eps_r = Codec.R.f64 r in
   let per_path_eps = Codec.R.float_array r in
-  (* sequential let-bindings: record-literal field order of evaluation
-     is unspecified, and the reader must consume fields in file order *)
-  let raw_rep = Codec.R.int_array r in
-  let raw_rem = Codec.R.int_array r in
-  let raw_w = Codec.R.mat r in
-  let raw_mu_rep = Codec.R.float_array r in
-  let raw_mu_rem = Codec.R.float_array r in
-  let raw_omega = Codec.R.mat r in
-  let raw_sigmas = Codec.R.float_array r in
-  let raw =
-    {
-      Core.Predictor.raw_rep;
-      raw_rem;
-      raw_w;
-      raw_mu_rep;
-      raw_mu_rem;
-      raw_omega;
-      raw_sigmas;
-    }
-  in
-  let gram = Codec.R.mat r in
-  let cross = Codec.R.mat r in
   let mu = Codec.R.float_array r in
-  let a_mat = Codec.R.mat r in
+  let a = Codec.R.mat r in
   if not (Codec.R.at_end r) then raise (Codec.Malformed "trailing bytes in payload");
-  (* structural consistency: every cross-field relationship the encoder
-     guarantees is re-checked, so a corrupted-but-CRC-colliding or
-     hand-edited payload still fails closed *)
-  let fail msg = raise (Codec.Malformed msg) in
-  let rsel = Array.length indices in
-  if indices <> raw.Core.Predictor.raw_rep then
-    fail "selection indices disagree with predictor rows";
-  if Array.length mu <> n_paths then fail "mu length disagrees with path count";
-  if rsel + Array.length raw.Core.Predictor.raw_rem <> n_paths then
-    fail "rep/rem split disagrees with path count";
-  if Array.length per_path_eps <> Array.length raw.Core.Predictor.raw_rem then
-    fail "per-path tolerance length disagrees with remainder count";
-  let omr, omc = Linalg.Mat.dims raw.Core.Predictor.raw_omega in
-  if omr > 0 && omc <> n_vars then fail "error-operator width disagrees with n_vars";
-  let ar, ac = Linalg.Mat.dims a_mat in
-  if ar <> n_paths || ac <> n_vars then
-    fail "sensitivity matrix dims disagree with path/variable counts";
-  (* Predictor.import re-validates index ordering and every dimension *)
-  let predictor =
-    try Core.Predictor.import raw
-    with Invalid_argument msg -> fail msg
-  in
-  let blocks = { Core.Robust.gram; cross } in
-  (* Robust.of_parts validates the block dimensions *)
-  (try ignore (Core.Robust.of_parts ~base:predictor blocks)
-   with Invalid_argument msg -> fail msg);
-  ignore file;
-  {
-    fingerprint;
-    t_cons;
-    eps;
-    kappa;
-    n_paths;
-    n_segments;
-    n_vars;
-    selection =
-      {
-        Core.Select.indices;
-        predictor;
-        rank;
-        effective_rank;
-        eps_r;
-        per_path_eps;
-        evaluations;
-      };
-    blocks;
-    mu;
-    a_mat;
-  }
+  try
+    let predictor = Core.Predictor.build ~a ~mu ~rep:indices in
+    make ~fingerprint ~t_cons ~eps ~kappa ~n_segments ~a ~mu
+      { Core.Select.indices; predictor; rank; effective_rank; eps_r; per_path_eps;
+        evaluations }
+  with Invalid_argument msg -> raise (Codec.Malformed msg)
 
 let of_bytes ?(file = "<bytes>") s =
   if String.length s < header_size then corrupt file "shorter than the header"
@@ -217,7 +129,7 @@ let of_bytes ?(file = "<bytes>") s =
         if Codec.crc32 payload <> stored_crc then
           corrupt file "checksum mismatch (CRC-32)"
         else
-          match decode_payload ~file payload with
+          match decode_payload payload with
           | t -> Ok t
           | exception Codec.Truncated -> corrupt file "payload field truncated"
           | exception Codec.Malformed msg -> corrupt file msg

@@ -3,14 +3,13 @@
     The paper's economics are one-time vs per-die: the SVD/QR selection
     (Algorithms 1-3) runs {e once per design}, then every fabricated
     die is predicted from a handful of measurements. This module makes
-    the split durable: everything a die-time predictor needs — the
-    {!Core.Select} result, the Theorem-2 weight matrix, the cached
-    Gram/cross blocks of the fault-tolerant predictor, the per-path
-    means, and the config/seed fingerprint that produced them — is
-    written to a versioned, checksummed binary file that a serving
-    process loads in milliseconds.
+    the split durable: what a die-time predictor needs and cannot
+    derive — the {!Core.Select} result, the per-path means, the
+    sensitivity matrix [A], and the config/seed fingerprint that
+    produced them — is written to a versioned, checksummed binary file
+    that a serving process loads and rebuilds its predictors from.
 
-    {2 File format (version 2)}
+    {2 File format (version 3)}
 
     {v
     offset  size  field
@@ -22,17 +21,30 @@
     v}
 
     The payload is a fixed positional sequence of length-prefixed
-    fields (see [store.ml]); all integers are little-endian, all floats
-    IEEE-754 doubles by bit pattern, so every value round-trips
-    {e exactly}. Version 2 appends the full sensitivity matrix [A]
-    after the mean vector so that decision workloads (yield estimation,
-    per-die tuning) can run from the artifact alone.
+    fields; all integers are little-endian, all floats IEEE-754 doubles
+    by bit pattern, so every value round-trips {e exactly}:
+
+    - provenance: fingerprint, t_cons, eps, kappa, n_segments;
+    - the selection record: indices, rank, effective_rank,
+      evaluations, eps_r, per_path_eps;
+    - the mean vector [mu] and the sensitivity matrix [A].
+
+    Nothing the predictor derives is stored. [n_paths] and [n_vars]
+    are [A]'s dimensions; the Theorem-2 weights, the error sigmas and
+    the robust predictor's Gram/cross blocks are rebuilt at decode by
+    the same {!Core.Predictor.build} [~a ~mu ~rep:indices] call
+    {!of_selection} makes, so a loaded predictor is the saved one by
+    construction, bit for bit at any pool size. [eps_r] and [per_path_eps] are stored:
+    the selection computed them against its own [t_cons] and [kappa],
+    which need not be this record's.
+
     Versioning policy: the version is bumped on {e any}
     payload layout change; readers refuse both older and newer versions
     ({!Core.Errors.Version_mismatch}) rather than guess — artifacts are
     cheap to regenerate from the design database, silent misreads are
     not. A wrong magic is {!Core.Errors.Bad_magic}; truncation, a CRC
-    mismatch, or an inconsistent payload is
+    mismatch, or an inconsistent payload (bad indices, a [mu] or
+    [per_path_eps] of the wrong length, trailing bytes) is
     {!Core.Errors.Corrupt_artifact}. [load] never raises on bad input:
     every failure is a typed [Error] with a sysexits code. *)
 
@@ -51,12 +63,11 @@ type t = {
   t_cons : float;        (** timing constraint the selection targets *)
   eps : float;           (** requested worst-case tolerance *)
   kappa : float;         (** WC quantile multiplier used *)
-  n_paths : int;         (** target-pool size |P_tar| *)
+  n_paths : int;         (** target-pool size |P_tar| (rows of [a_mat]) *)
   n_segments : int;      (** segment count of the pool *)
-  n_vars : int;          (** variation-variable count *)
+  n_vars : int;          (** variation-variable count (columns of [a_mat]) *)
   selection : Core.Select.t;
-  blocks : Core.Robust.blocks;
-      (** cached [A_r A_r^T] and [A_r A_m^T] for {!Core.Robust} *)
+      (** its predictor is [Core.Predictor.build ~a:a_mat ~mu ~rep:indices] *)
   mu : Linalg.Vec.t;     (** full per-path mean vector, length [n_paths] *)
   a_mat : Linalg.Mat.t;
       (** full sensitivity matrix [A] ([n_paths] x [n_vars]) — what
@@ -81,15 +92,15 @@ val of_selection :
   Core.Select.t ->
   t
 (** Package a selection over sensitivity matrix [a] (paths x variables)
-    and mean vector [mu]. Computes the robust predictor's Gram/cross
-    blocks from [a]; raises [Invalid_argument] on dimension mismatch. *)
+    and mean vector [mu], rebuilding its predictor from them exactly as
+    {!of_bytes} will. Raises [Invalid_argument] on a dimension
+    mismatch or invalid indices. *)
 
 val predictor : t -> Core.Predictor.t
-(** The stored Theorem-2 predictor (shared with [selection.predictor]). *)
+(** The Theorem-2 predictor ([selection.predictor]). *)
 
 val robust : t -> Core.Robust.t
-(** The fault-tolerant predictor reassembled from the stored blocks —
-    no access to [A] needed. *)
+(** The fault-tolerant view of {!predictor}; allocates nothing. *)
 
 val to_bytes : t -> string
 

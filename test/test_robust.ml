@@ -21,7 +21,7 @@ let robust_fixture seed =
     let a = Timing.Paths.a_mat pool in
     let mu = Timing.Paths.mu_paths pool in
     let sel = Core.Select.approximate ~a ~mu ~eps:0.05 ~t_cons () in
-    let robust = Core.Robust.of_selection ~a ~mu sel in
+    let robust = Core.Robust.of_predictor sel.Core.Select.predictor in
     let mc = Timing.Monte_carlo.sample (Rng.create (seed + 77)) pool ~n:300 in
     let d = Timing.Monte_carlo.path_delays mc in
     let p = sel.Core.Select.predictor in
@@ -226,13 +226,9 @@ let test_demo90_acceptance () =
         Core.Pipeline.prepare ~max_paths:400 ~yield_samples:150 ~netlist:nl
           ~model ()
       in
-      let pool = setup.Core.Pipeline.pool in
       let sel = Core.Pipeline.approximate_selection setup ~eps:0.05 in
-      let robust =
-        Core.Robust.of_selection ~a:(Timing.Paths.a_mat pool)
-          ~mu:(Timing.Paths.mu_paths pool) sel
-      in
       let p = sel.Core.Select.predictor in
+      let robust = Core.Robust.of_predictor p in
       let mc = Core.Pipeline.draw setup in
       let d = Timing.Monte_carlo.path_delays mc in
       let measured = Linalg.Mat.select_cols d (Core.Predictor.rep_indices p) in

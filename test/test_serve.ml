@@ -189,6 +189,27 @@ let test_wire_float_bits () =
     | Error m -> Alcotest.failf "float re-parse error: %s" m
   done
 
+(* nesting is capped, so a 16 MiB line of '[' (the framer's default
+   cap) fails fast with a parse error instead of recursing per byte *)
+let test_wire_depth_cap () =
+  let nested k = String.make k '[' ^ String.make k ']' in
+  (match Serve.Wire.parse (nested 64) with
+   | Ok _ -> ()
+   | Error m -> Alcotest.failf "64 levels rejected: %s" m);
+  (match Serve.Wire.parse (nested 65) with
+   | Ok _ -> Alcotest.fail "65 levels accepted"
+   | Error _ -> ());
+  let line = String.make Serve.Wire.default_max_line '[' in
+  let t0 = Unix.gettimeofday () in
+  let res = Serve.Wire.parse line in
+  let dt = Unix.gettimeofday () -. t0 in
+  (match res with
+   | Ok _ -> Alcotest.fail "16 MiB of '[' accepted"
+   | Error m ->
+     Alcotest.(check bool) ("typed depth error: " ^ m) true
+       (String.starts_with ~prefix:"nesting deeper" m));
+  if dt >= 0.1 then Alcotest.failf "16 MiB of '[' took %.3f s to reject" dt
+
 let test_clean_batch_bit_identical () =
   with_server (fun store clean addr ->
       let c = Serve.Client.connect addr in
@@ -883,6 +904,8 @@ let suites =
         Alcotest.test_case "wire round trip" `Quick test_wire_roundtrip;
         Alcotest.test_case "wire floats keep their bits" `Quick
           test_wire_float_bits;
+        Alcotest.test_case "wire nesting depth is capped" `Quick
+          test_wire_depth_cap;
         Alcotest.test_case "clean batch bit-identical over socket" `Quick
           test_clean_batch_bit_identical;
         Alcotest.test_case "faulty batch matches Robust" `Quick

@@ -80,6 +80,32 @@ let test_predictors_survive () =
   Alcotest.(check bool) "robust predictions identical" true
     (Linalg.Mat.equal ~tol:0.0 r1.Core.Robust.predicted r2.Core.Robust.predicted)
 
+(* the artifact saved and predicted at pool size 1, then loaded (its
+   predictor rebuilt) and predicted at pool size 4 on the parallel
+   kernels: both must agree bit for bit *)
+let test_load_any_pool_size () =
+  let t = Lazy.force fixture in
+  let r = Array.length t.Store.selection.Core.Select.indices in
+  let measured = Linalg.Mat.init 9 r (fun i j -> 400.0 +. float_of_int ((5 * i) - j)) in
+  Linalg.Mat.set measured 4 0 Float.nan;
+  let predict t =
+    ( Core.Predictor.predict_all (Store.predictor t) ~measured,
+      (Core.Robust.predict_all (Store.robust t) ~measured).Core.Robust.predicted )
+  in
+  let bytes, (plain, robust) =
+    Test_par.with_pool_size 1 (fun () -> (Store.to_bytes t, predict t))
+  in
+  Test_par.with_pool_size 4 @@ fun () ->
+  Test_par.with_low_threshold @@ fun () ->
+  match Store.of_bytes bytes with
+  | Error e -> Alcotest.failf "decode failed: %s" (Core.Errors.to_string e)
+  | Ok t' ->
+    let plain', robust' = predict t' in
+    Alcotest.(check bool) "plain predictions bit-identical" true
+      (Linalg.Mat.bits_equal plain plain');
+    Alcotest.(check bool) "robust predictions bit-identical" true
+      (Linalg.Mat.bits_equal robust robust')
+
 let test_bad_magic () =
   let bytes = Bytes.of_string (Store.to_bytes (Lazy.force fixture)) in
   Bytes.set bytes 0 'X';
@@ -88,11 +114,16 @@ let test_bad_magic () =
     | e -> Alcotest.failf "expected Bad_magic, got %s" (Core.Errors.to_string e))
 
 let test_future_version () =
-  let bytes = Bytes.of_string (Store.to_bytes (Lazy.force fixture)) in
-  Bytes.set_int32_le bytes 4 99l;
-  expect_error "version" (Bytes.to_string bytes) (function
-    | Core.Errors.Version_mismatch { found = 99; expected = 2; _ } -> ()
-    | e -> Alcotest.failf "expected Version_mismatch, got %s" (Core.Errors.to_string e))
+  List.iter
+    (fun v ->
+      let bytes = Bytes.of_string (Store.to_bytes (Lazy.force fixture)) in
+      Bytes.set_int32_le bytes 4 (Int32.of_int v);
+      expect_error "version" (Bytes.to_string bytes) (function
+        | Core.Errors.Version_mismatch { found; expected = 3; _ } when found = v -> ()
+        | e ->
+          Alcotest.failf "expected Version_mismatch %d, got %s" v
+            (Core.Errors.to_string e)))
+    [ 99; 2 ]
 
 let test_truncated () =
   let s = Store.to_bytes (Lazy.force fixture) in
@@ -124,6 +155,71 @@ let test_trailing_garbage () =
   expect_error "trailing bytes" (s ^ "junk") (function
     | Core.Errors.Corrupt_artifact _ -> ()
     | e -> Alcotest.failf "expected Corrupt_artifact, got %s" (Core.Errors.to_string e))
+
+(* Payloads written field by field in the version-3 layout behind a
+   valid header and CRC, so that only the decoder's structural checks
+   stand between each one defect and a served predictor. *)
+let framed payload =
+  let b = Buffer.create (Store.header_size + String.length payload) in
+  Buffer.add_string b Store.magic;
+  Buffer.add_int32_le b (Int32.of_int Store.current_version);
+  Buffer.add_int64_le b (Int64.of_int (String.length payload));
+  Buffer.add_int32_le b (Int32.of_int (Store.Codec.crc32 payload));
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+let payload ?indices ?per_path_eps ?mu ?(trailing = "") (t : Store.t) =
+  let sel = t.Store.selection in
+  let indices = Option.value indices ~default:sel.Core.Select.indices in
+  let w = Store.Codec.W.create () in
+  Store.Codec.W.str w t.Store.fingerprint;
+  Store.Codec.W.f64 w t.Store.t_cons;
+  Store.Codec.W.f64 w t.Store.eps;
+  Store.Codec.W.f64 w t.Store.kappa;
+  Store.Codec.W.u32 w t.Store.n_segments;
+  Store.Codec.W.int_array w indices;
+  Store.Codec.W.u32 w sel.Core.Select.rank;
+  Store.Codec.W.u32 w sel.Core.Select.effective_rank;
+  Store.Codec.W.u32 w sel.Core.Select.evaluations;
+  Store.Codec.W.f64 w sel.Core.Select.eps_r;
+  Store.Codec.W.float_array w
+    (Option.value per_path_eps
+       ~default:(Array.make (t.Store.n_paths - Array.length indices) 0.01));
+  Store.Codec.W.float_array w (Option.value mu ~default:t.Store.mu);
+  Store.Codec.W.mat w t.Store.a_mat;
+  Store.Codec.W.contents w ^ trailing
+
+let test_inconsistent_payloads () =
+  let t = Lazy.force fixture in
+  let idx = t.Store.selection.Core.Select.indices in
+  let n = t.Store.n_paths in
+  if Array.length idx < 2 then Alcotest.fail "fixture selects fewer than 2 paths";
+  Alcotest.(check bool) "hand-written layout matches the encoder" true
+    (String.equal
+       (framed
+          (payload ~per_path_eps:t.Store.selection.Core.Select.per_path_eps t))
+       (Store.to_bytes t));
+  let with_idx f = let a = Array.copy idx in f a; a in
+  let swap a = let x = a.(0) in a.(0) <- a.(1); a.(1) <- x in
+  let last a = Array.length a - 1 in
+  let mu = t.Store.mu in
+  List.iter
+    (fun (label, p) ->
+      expect_error label (framed p) (function
+        | Core.Errors.Corrupt_artifact _ -> ()
+        | e ->
+          Alcotest.failf "%s: expected Corrupt_artifact, got %s" label
+            (Core.Errors.to_string e)))
+    [
+      ("empty indices", payload ~indices:[||] t);
+      ("unsorted indices", payload ~indices:(with_idx swap) t);
+      ("duplicate indices", payload ~indices:(with_idx (fun a -> a.(1) <- a.(0))) t);
+      ("index >= rows(A)", payload ~indices:(with_idx (fun a -> a.(last a) <- n)) t);
+      ("mu length <> rows(A)", payload ~mu:(Array.sub mu 0 (n - 1)) t);
+      ( "per_path_eps length <> n - r",
+        payload ~per_path_eps:(Array.make (n - Array.length idx + 1) 0.01) t );
+      ("trailing payload bytes", payload ~trailing:"\000" t);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Crash safety *)
@@ -233,6 +329,10 @@ let suites =
           `Quick test_kill_mid_write;
         Alcotest.test_case "truncated artifact file is a typed error" `Quick
           test_load_truncated_file;
+        Alcotest.test_case "structurally inconsistent payloads fail closed"
+          `Quick test_inconsistent_payloads;
+        Alcotest.test_case "loading does not depend on the pool size" `Quick
+          test_load_any_pool_size;
         QCheck_alcotest.to_alcotest prop_roundtrip;
         QCheck_alcotest.to_alcotest prop_any_byte_flip_rejected;
       ] );
