@@ -3,6 +3,7 @@ type json =
   | Bool of bool
   | Int of int
   | Float of float
+  | Floats of float array
   | String of string
   | List of json list
   | Obj of (string * json) list
@@ -30,6 +31,7 @@ let rec to_string = function
   | Float f ->
     if Float.is_finite f then Printf.sprintf "%.12g" f
     else "null"
+  | Floats a -> to_string (List (Array.to_list (Array.map (fun f -> Float f) a)))
   | String s -> Printf.sprintf "\"%s\"" (escape s)
   | List l -> "[" ^ String.concat "," (List.map to_string l) ^ "]"
   | Obj fields ->

@@ -12,6 +12,10 @@ type json =
   | Bool of bool
   | Int of int
   | Float of float
+  | Floats of float array
+      (** An array of numbers, printed like a [List] of [Float]s (so
+          non-finite entries are [null]) without boxing each one: the
+          cheap form for large numeric rows. Parsers never produce it. *)
   | String of string
   | List of json list
   | Obj of (string * json) list

@@ -37,8 +37,9 @@ let pfail_target = 1e-4
 let reduction_gate = 50.0
 let agreement_gate = 3.0
 
-(* served floats travel through %.17g JSON, which round-trips doubles
-   exactly: anything short of identical bits is a wire or dispatch bug *)
+(* served floats travel as JSON with %.17g's 17 significant digits
+   (Wire's exact digit writer), which round-trip doubles exactly:
+   anything short of identical bits is a wire or dispatch bug *)
 let floats_identical got want =
   let row xs = Linalg.Mat.of_arrays [| Array.of_list xs |] in
   Linalg.Mat.bits_equal (row got) (row want)

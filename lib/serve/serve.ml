@@ -1156,13 +1156,15 @@ let handle t line =
   let failed =
     match response with Wire.Obj (("ok", Wire.Bool false) :: _) -> true | _ -> false
   in
+  let line = Wire.print response in
+  (* the latency a client sees includes encoding, often most of it *)
   let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
   tick t (fun c ->
       c.requests <- c.requests + 1;
       if failed then c.errors <- c.errors + 1;
       c.lat.(c.lat_n mod latency_window) <- ms;
       c.lat_n <- c.lat_n + 1);
-  Wire.print response
+  line
 
 (* ------------------------------------------------------------------ *)
 (* Connections *)

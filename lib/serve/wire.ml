@@ -3,6 +3,7 @@ type json = Core.Report.json =
   | Bool of bool
   | Int of int
   | Float of float
+  | Floats of float array
   | String of string
   | List of json list
   | Obj of (string * json) list
@@ -19,22 +20,110 @@ let escape = function
   | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
   | c -> String.make 1 c
 
+(* ---- exact floats
+
+   %.17g's bytes without Printf. For decimal exponent k, a * 10^(16-k)
+   is formed exactly as hi + lo: 10^n is a double for n <= 22, a
+   product's rounding error is itself a double (Float.fma recovers it),
+   and hi >= 10^16 > 2^53 is an integer, so lo alone decides the
+   half-to-even rounding to 17 significant digits. *)
+
+let pow10 = Array.init 21 (fun n -> Float.of_string ("1e" ^ string_of_int n))
+let ipow10 = Array.init 17 (fun n -> int_of_float pow10.(n))
+
+(* the integer nearest a * 10^n, ties to even, when a * 10^n lies in
+   [10^16, 10^17); -1 below that range, 0 above it *)
+let round_scaled a n =
+  let p = pow10.(n) in
+  let hi = a *. p in
+  let lo = Float.fma a p (-.hi) in
+  if hi < 1e16 || (hi <= 1e16 && lo < 0.0) then -1
+  else if hi > 1e17 || (hi >= 1e17 && lo >= 0.0) then 0
+  else
+    let fl = Float.floor lo in
+    let d = int_of_float hi + int_of_float fl in
+    let frac = lo -. fl in
+    if frac > 0.5 || (frac >= 0.5 && d land 1 = 1) then d + 1 else d
+
+(* "00" .. "99" *)
+let digit_pairs =
+  String.init 200 (fun i -> Char.chr (48 + if i land 1 = 0 then i / 20 else i / 2 mod 10))
+
+(* the 8 digits of [v < 10^8], as one little-endian word of ASCII *)
+let add8 buf v =
+  let pair k = String.get_uint16_le digit_pairs (2 * k) in
+  let hi = v / 10_000 and lo = v mod 10_000 in
+  Buffer.add_int64_le buf
+    (Int64.of_int
+       (pair (hi / 100) lor (pair (hi mod 100) lsl 16) lor (pair (lo / 100) lsl 32)
+       lor (pair (lo mod 100) lsl 48)))
+
+(* [v < 10^n] as exactly [n] digits, zero-padded; a leading part word
+   is written left-aligned and cut back *)
+let rec add_padded buf v n =
+  if n > 8 then begin
+    add_padded buf (v / 100_000_000) (n - 8);
+    add8 buf (v mod 100_000_000)
+  end
+  else begin
+    add8 buf (v * ipow10.(8 - n));
+    Buffer.truncate buf (Buffer.length buf - (8 - n))
+  end
+
+(* %.17g's fixed notation for the 17 digits [d] at decimal exponent [x]:
+   x+1 integer digits (or "0"), then the fraction without its trailing
+   zeros, keeping one so the value re-parses as a Float *)
+let add_fixed buf d x =
+  let nf = 16 - x in
+  let ip, fp = if x < 0 then (0, d) else (d / ipow10.(nf), d mod ipow10.(nf)) in
+  add_padded buf ip (max (x + 1) 1);
+  Buffer.add_char buf '.';
+  if fp = 0 then Buffer.add_char buf '0'
+  else begin
+    add_padded buf fp nf;
+    let rec zeros v = if v mod 10 = 0 then 1 + zeros (v / 10) else 0 in
+    Buffer.truncate buf (Buffer.length buf - zeros fp)
+  end
+
+(* Printf covers zero and the exponents where %.17g switches to
+   e-notation; k in [-4, 16] (nearly every served value) never reaches it *)
+let add_float buf f =
+  let in_range k = k >= -4 && k <= 16 in
+  let a = Float.abs f in
+  let k0 = if a > 0.0 then int_of_float (Float.floor (Float.log10 a)) else max_int in
+  let d0 = if in_range k0 then round_scaled a (16 - k0) else -1 in
+  (* log10 may miss by one next to a power of ten *)
+  let k = if d0 < 0 then k0 - 1 else if d0 = 0 then k0 + 1 else k0 in
+  let d = if k = k0 then d0 else if in_range k then round_scaled a (16 - k) else -1 in
+  if d > 0 && d < 100_000_000_000_000_000 then begin
+    if f < 0.0 then Buffer.add_char buf '-';
+    add_fixed buf d k
+  end
+  else begin
+    (* d = 10^17 is a rounding carry into the next decade: no double
+       with k in [-4, 16] reaches it, so Printf may handle it too *)
+    let s = Printf.sprintf "%.17g" f in
+    Buffer.add_string buf s;
+    if not (String.exists (fun c -> c = '.' || c = 'e') s) then Buffer.add_string buf ".0"
+  end
+
 let print j =
   let buf = Buffer.create 256 in
+  let add_number f =
+    if Float.is_finite f then add_float buf f else Buffer.add_string buf "null"
+  in
   let rec go = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f ->
-      if Float.is_finite f then begin
-        (* 17 significant digits round-trip any IEEE-754 double; keep a
-           decimal point or exponent so the value re-parses as Float *)
-        let s = Printf.sprintf "%.17g" f in
-        Buffer.add_string buf s;
-        if not (String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s) then
-          Buffer.add_string buf ".0"
-      end
-      else Buffer.add_string buf "null"
+    | Float f -> add_number f
+    | Floats a ->
+      Buffer.add_char buf '[';
+      for i = 0 to Array.length a - 1 do
+        if i > 0 then Buffer.add_char buf ',';
+        add_number a.(i)
+      done;
+      Buffer.add_char buf ']'
     | String s ->
       Buffer.add_char buf '"';
       String.iter (fun c -> Buffer.add_string buf (escape c)) s;
@@ -309,12 +398,7 @@ let to_float = function
 
 let mat_to_json m =
   let rows, cols = Linalg.Mat.dims m in
-  List
-    (List.init rows (fun i ->
-         List
-           (List.init cols (fun j ->
-                let v = Linalg.Mat.get m i j in
-                if Float.is_finite v then Float v else Null))))
+  List (List.init rows (fun i -> Floats (Array.sub m.Linalg.Mat.data (i * cols) cols)))
 
 let mat_of_json ~cols j =
   match j with

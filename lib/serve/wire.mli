@@ -5,8 +5,9 @@
     module does not need: a parser, and a {e round-trip-exact} printer.
     {!Core.Report.to_string} prints floats at [%.12g] for human
     consumption; predictions served to a tester must instead survive
-    print-then-parse bit-for-bit, so {!print} uses 17 significant
-    digits (sufficient for IEEE-754 doubles). Non-finite floats map to
+    print-then-parse bit-for-bit, so {!print} writes the 17 significant
+    digits of [%.17g] (sufficient for IEEE-754 doubles) with its own
+    exact digit writer rather than Printf. Non-finite floats map to
     [null] (JSON has no NaN); measurement decoding maps [null] back to
     [nan], the library-wide missing-entry encoding. *)
 
@@ -15,12 +16,22 @@ type json = Core.Report.json =
   | Bool of bool
   | Int of int
   | Float of float
+  | Floats of float array
   | String of string
   | List of json list
   | Obj of (string * json) list
 
 val print : json -> string
-(** Compact, single-line, float-exact rendering. *)
+(** Compact, single-line, float-exact rendering. A finite float prints
+    as exactly the bytes of [Printf.sprintf "%.17g"], plus [".0"] when
+    those hold neither ['.'] nor an exponent, so it re-parses as a
+    [Float] with the same bits. For a decimal exponent k in [[-4, 16]]
+    (the range [%.17g] prints without an exponent, which covers every
+    delay in picoseconds) the digits come from an exact product: [|x| *
+    10^(16-k)] is split into [hi + lo] with [Float.fma], and [lo] rounds
+    [hi] half-to-even to 17 digits, written straight into the output
+    buffer. Zero and other exponents fall back to Printf. A [Floats]
+    row prints as a JSON array, non-finite entries as [null]. *)
 
 val parse : string -> (json, string) result
 (** Strict single-value JSON parser (objects, arrays, strings with
@@ -76,8 +87,10 @@ val to_float : json -> float option
 (** {1 Measurement matrices} *)
 
 val mat_to_json : Linalg.Mat.t -> json
-(** Row-per-die list of lists; non-finite entries become [Null]. *)
+(** A [List] with one unboxed [Floats] row per die; {!print} renders
+    non-finite entries as [null]. *)
 
 val mat_of_json : cols:int -> json -> (Linalg.Mat.t, string) result
-(** Inverse of {!mat_to_json}: a non-empty list of equal-length numeric
-    rows, each of width [cols]; [Null] entries become [nan]. *)
+(** Inverse of {!mat_to_json} on the parsed wire form: a non-empty list
+    of equal-length numeric rows, each of width [cols]; [Null] entries
+    become [nan]. *)

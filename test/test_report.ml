@@ -27,7 +27,9 @@ let test_json_nonfinite_floats () =
   Alcotest.(check string) "nan -> null" "null"
     (Core.Report.to_string (Core.Report.Float Float.nan));
   Alcotest.(check string) "inf -> null" "null"
-    (Core.Report.to_string (Core.Report.Float Float.infinity))
+    (Core.Report.to_string (Core.Report.Float Float.infinity));
+  Alcotest.(check string) "Floats row at %.12g, non-finite -> null" "[0.1,null,2.5]"
+    (Core.Report.to_string (Core.Report.Floats [| 0.1; Float.neg_infinity; 2.5 |]))
 
 (* a five-minute JSON validity checker: balanced structure via a tiny
    recursive parser (no external deps in tests either) *)

@@ -176,18 +176,136 @@ let test_wire_roundtrip () =
   | Ok _ -> Alcotest.fail "unterminated array accepted"
   | Error _ -> ()
 
-let test_wire_float_bits () =
-  (* %.17g must reproduce arbitrary doubles exactly *)
+(* Printf's own float formatter: [Printf.sprintf "%.17g"] is this call
+   behind a format interpreter that costs a third of the corpus test *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* the bytes the wire's float writer must reproduce: %.17g, plus ".0"
+   when that leaves no '.' or exponent *)
+let rec reference_print j =
+  let open Serve.Wire in
+  match j with
+  | Float f when Float.is_finite f ->
+    let s = format_float "%.17g" f in
+    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
+  | Float _ -> "null"
+  | Floats a -> reference_print (List (Array.to_list (Array.map (fun f -> Float f) a)))
+  | List l -> "[" ^ String.concat "," (List.map reference_print l) ^ "]"
+  | Obj kv ->
+    let field (k, v) = print (String k) ^ ":" ^ reference_print v in
+    "{" ^ String.concat "," (List.map field kv) ^ "}"
+  | (Null | Bool _ | Int _ | String _) -> print j
+
+(* A fixed-seed corpus of 1M+ doubles: random bit patterns (every
+   exponent, subnormals, NaNs, infinities), uniform values in each
+   decade 1e-6..1e18, powers of ten and their neighbours, exact
+   half-way ties at 17 digits, and the doubles just below a power of ten
+   whose 17-digit rounding carries into the next decade. *)
+let iter_float_corpus f =
   let rng = Rng.create 5 in
-  for _ = 1 to 1000 do
-    let x = ((2.0 *. Rng.float rng) -. 1.0) *. 1e6 in
-    match Serve.Wire.parse (Serve.Wire.print (Serve.Wire.Float x)) with
-    | Ok (Serve.Wire.Float y) ->
-      if Int64.bits_of_float x <> Int64.bits_of_float y then
-        Alcotest.failf "float %h lost bits -> %h" x y
-    | Ok j -> Alcotest.failf "float re-parsed as %s" (Serve.Wire.print j)
-    | Error m -> Alcotest.failf "float re-parse error: %s" m
+  let signed x = if Rng.int rng 2 = 0 then x else -.x in
+  List.iter f [ 0.0; -0.0; Float.min_float; Float.succ 0.0; Float.max_float ];
+  for _ = 1 to 60_000 do
+    f (Int64.float_of_bits (Rng.bits64 rng))
+  done;
+  for d = -6 to 17 do
+    for _ = 1 to 35_000 do
+      f (signed (Float.pow 10.0 (float_of_int d) *. (1.0 +. (9.0 *. Rng.float rng))))
+    done
+  done;
+  for k = -323 to 308 do
+    let p = float_of_string (Printf.sprintf "1e%d" k) in
+    List.iter f [ p; Float.pred p; Float.succ p; -.p ]
+  done;
+  (* odd n / 2^j is exact, and its decimal expansion n * 5^j * 10^-j
+     has 18 significant digits ending in 5 when n * 5^j has 18 digits *)
+  for j = 1 to 24 do
+    let p5 = Float.pow 5.0 (float_of_int j) in
+    let lo = Float.ceil (1e17 /. p5) and hi = Float.min (1e18 /. p5) 0x1p53 in
+    if lo < hi then
+      for _ = 1 to 5_000 do
+        let n = Float.floor (lo +. (Rng.float rng *. (hi -. lo))) in
+        let n = if Float.rem n 2.0 = 0.0 then n +. 1.0 else n in
+        f (signed (Float.ldexp n (-j)))
+      done
   done
+
+(* every value prints as %.17g does; every 4th (strtod dominates the
+   cost) also re-parses to the same bits *)
+let test_wire_float_bits () =
+  let count = ref 0 in
+  iter_float_corpus (fun x ->
+      incr count;
+      let j = Serve.Wire.Float x in
+      let line = Serve.Wire.print j in
+      if line <> reference_print j then
+        Alcotest.failf "%h printed %s, %%.17g gives %s" x line (reference_print j);
+      if !count land 3 = 0 then
+        match Serve.Wire.parse line with
+        | Ok (Serve.Wire.Float y) ->
+          if Int64.bits_of_float x <> Int64.bits_of_float y then
+            Alcotest.failf "float %h lost bits -> %h" x y
+        | Ok Serve.Wire.Null when not (Float.is_finite x) -> ()
+        | Ok j -> Alcotest.failf "float re-parsed as %s" (Serve.Wire.print j)
+        | Error m -> Alcotest.failf "float re-parse error: %s" m);
+  Alcotest.(check bool) "corpus has 1M+ doubles" true (!count >= 1_000_000)
+
+(* Floats rows print exactly like the boxed tree of Float/Null cells
+   and decode back to the matrix, non-finite entries as NaN *)
+let test_wire_unboxed_rows () =
+  let rng = Rng.create 11 in
+  (* cell k (row-major, counted from [first]) is NaN, +inf, -inf when
+     k mod 16 is 0, 1, 2, so each shape but 1x1 holds all three *)
+  let check_mat (first, rows, cols) =
+    let m =
+      Linalg.Mat.init rows cols (fun i j ->
+          match (first + (i * cols) + j) mod 16 with
+          | 0 -> Float.nan
+          | 1 -> Float.infinity
+          | 2 -> Float.neg_infinity
+          | _ -> 500.0 *. Rng.gaussian rng)
+    in
+    let boxed =
+      Serve.Wire.List
+        (List.init rows (fun i ->
+             Serve.Wire.List
+               (List.init cols (fun j ->
+                    let v = Linalg.Mat.get m i j in
+                    if Float.is_finite v then Serve.Wire.Float v else Serve.Wire.Null))))
+    in
+    let line = Serve.Wire.print (Serve.Wire.mat_to_json m) in
+    let label = Printf.sprintf "%dx%d from %d" rows cols first in
+    Alcotest.(check bool) (label ^ " prints like the boxed tree") true
+      (line = reference_print boxed);
+    let missing = Linalg.Mat.map (fun v -> if Float.is_finite v then v else Float.nan) m in
+    match Result.bind (Serve.Wire.parse line) (Serve.Wire.mat_of_json ~cols) with
+    | Ok back ->
+      Alcotest.(check bool) (label ^ " decodes bit-exactly") true
+        (Linalg.Mat.bits_equal back missing)
+    | Error e -> Alcotest.failf "%s: %s" label e
+  in
+  List.iter check_mat
+    [ (0, 1, 1); (1, 1, 1); (2, 1, 1); (3, 1, 1); (0, 1, 37); (0, 37, 1); (0, 16, 2000) ];
+  (* a served predict response is the reference rendering on both routes *)
+  let store, clean = Lazy.force artifact in
+  let server = Serve.create store in
+  let faulty = Linalg.Mat.copy clean in
+  Linalg.Mat.set faulty 0 0 Float.nan;
+  List.iter
+    (fun (route, dies) ->
+      let request =
+        Serve.Wire.print
+          (Serve.Wire.Obj
+             [ ("op", Serve.Wire.String "predict"); ("dies", Serve.Wire.mat_to_json dies) ])
+      in
+      let response = Serve.handle server request in
+      match Serve.Wire.parse response with
+      | Ok j ->
+        Alcotest.(check bool) (route ^ " route taken") true
+          (Serve.Wire.member "robust" j = Some (Serve.Wire.Bool (route = "robust")));
+        Alcotest.(check string) (route ^ " response bytes") (reference_print j) response
+      | Error e -> Alcotest.failf "%s response: %s" route e)
+    [ ("clean", clean); ("robust", faulty) ]
 
 (* nesting is capped, so a 16 MiB line of '[' (the framer's default
    cap) fails fast with a parse error instead of recursing per byte *)
@@ -304,6 +422,37 @@ let test_stats_counters () =
           Alcotest.(check bool) "latency quantiles present" true
             (List.mem_assoc "p99" fields && List.mem_assoc "mean" fields)
         | _ -> Alcotest.fail "stats missing latency_ms")
+
+(* the live latency includes encoding, most of a large predict's time
+   (whole-ps measurements parse as cheap ints; 17-digit predictions come
+   back): the recorded maximum is most of the wall time around the call *)
+let test_stats_latency_includes_encoding () =
+  let store, clean = Lazy.force artifact in
+  let server = Serve.create store in
+  let rows, cols = Linalg.Mat.dims clean in
+  let die i =
+    Serve.Wire.List
+      (List.init cols (fun j ->
+           Serve.Wire.Int (Float.to_int (Linalg.Mat.get clean (i mod rows) j))))
+  in
+  let request =
+    Serve.Wire.print
+      (Serve.Wire.Obj
+         [ ("op", Serve.Wire.String "predict"); ("dies", Serve.Wire.List (List.init 1000 die)) ])
+  in
+  let t0 = Unix.gettimeofday () in
+  ignore (Serve.handle server request);
+  let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+  let max_ms =
+    match Serve.Wire.parse (Serve.handle server "{\"op\":\"stats\"}") with
+    | Ok j ->
+      (match Option.bind (Serve.Wire.member "latency_ms" j) (Serve.Wire.member "max") with
+       | Some (Serve.Wire.Float ms) -> ms
+       | _ -> Alcotest.fail "stats missing latency_ms.max")
+    | Error e -> Alcotest.failf "stats: %s" e
+  in
+  if max_ms < 0.5 *. wall_ms then
+    Alcotest.failf "latency max %.2f ms is under half the %.2f ms wall time" max_ms wall_ms
 
 (* ------------------------------------------------------------------ *)
 (* Framing edge cases *)
@@ -906,6 +1055,8 @@ let suites =
           test_wire_float_bits;
         Alcotest.test_case "wire nesting depth is capped" `Quick
           test_wire_depth_cap;
+        Alcotest.test_case "wire unboxed rows print like the boxed tree" `Quick
+          test_wire_unboxed_rows;
         Alcotest.test_case "clean batch bit-identical over socket" `Quick
           test_clean_batch_bit_identical;
         Alcotest.test_case "faulty batch matches Robust" `Quick
@@ -913,6 +1064,8 @@ let suites =
         Alcotest.test_case "malformed lines poison only themselves" `Quick
           test_malformed_line_isolated;
         Alcotest.test_case "stats counters" `Quick test_stats_counters;
+        Alcotest.test_case "stats latency includes encoding" `Quick
+          test_stats_latency_includes_encoding;
         Alcotest.test_case "framer edge cases" `Quick test_framer_edges;
         Alcotest.test_case "framing edge cases over the socket" `Quick
           test_framing_over_socket;
