@@ -135,15 +135,12 @@ let load_circuit ~scale ~seed ~lenient = function
      | None ->
        if Sys.file_exists spec then begin
          if Filename.check_suffix spec ".v" then
-           match Core.Errors.parse_verilog_file spec with
-           | Ok nl -> nl
-           | Error e -> Core.Errors.raise_error e
-         else
-           match Core.Errors.parse_bench_file ~lenient spec with
-           | Ok (nl, warnings) ->
-             List.iter (Printf.eprintf "pathsel: warning: %s\n") warnings;
-             nl
-           | Error e -> Core.Errors.raise_error e
+           Core.Errors.(get_ok (parse_verilog_file spec))
+         else begin
+           let nl, warnings = Core.Errors.(get_ok (parse_bench_file ~lenient spec)) in
+           List.iter (Printf.eprintf "pathsel: warning: %s\n") warnings;
+           nl
+         end
        end
        else
          Core.Errors.raise_error
@@ -154,8 +151,7 @@ let load_liberty = function
   | None -> None
   | Some "builtin" ->
     Some (Circuit.Liberty.Library.of_group (Circuit.Liberty.parse Circuit.Liberty.builtin))
-  | Some path ->
-    Some (Circuit.Liberty.Library.of_group (Circuit.Liberty.parse_file path))
+  | Some path -> Some Core.Errors.(get_ok (parse_liberty_file path))
 
 let prepare ?(lenient = false) ~circuit ~scale ~seed ~levels ~random_boost ~tscale
     ~max_paths ~liberty () =
@@ -505,9 +501,7 @@ let save_cmd =
         ~n_segments:(Timing.Paths.num_segments pool)
         ~a:(Timing.Paths.a_mat pool) ~mu:(Timing.Paths.mu_paths pool) sel
     in
-    (match Store.save output artifact with
-     | Ok () -> ()
-     | Error e -> Core.Errors.raise_error e);
+    Core.Errors.get_ok (Store.save output artifact);
     Printf.printf
       "wrote %s: %d of %d paths selected (eps_r = %.2f%%), one-time pipeline \
        amortized\n"
@@ -527,9 +521,7 @@ let save_cmd =
 let inspect_cmd =
   let run path =
    handle @@ fun () ->
-    match Store.load path with
-    | Ok artifact -> print_string (Store.describe artifact)
-    | Error e -> Core.Errors.raise_error e
+    print_string (Store.describe (Core.Errors.get_ok (Store.load path)))
   in
   Cmd.v
     (Cmd.info "inspect"
@@ -638,9 +630,7 @@ let serve_cmd =
       max_line self_check monitor drift_warn drift_threshold calibrate min_dies
       reselect_cooldown wal_dir checkpoint_every no_durability =
    handle @@ fun () ->
-    let artifact =
-      match Store.load path with Ok a -> a | Error e -> Core.Errors.raise_error e
-    in
+    let artifact = Core.Errors.get_ok (Store.load path) in
     let monitor_config =
       if not monitor then None
       else
@@ -752,11 +742,11 @@ let parse_batch text =
    | _ -> ());
   Linalg.Mat.of_arrays (Array.of_list rows)
 
-let read_file_text = function
+(* a FILE argument: [-] is stdin, anything else goes through the one
+   file reader *)
+let read_input = function
   | "-" -> In_channel.input_all stdin
-  | path ->
-    (try In_channel.with_open_text path In_channel.input_all
-     with Sys_error msg -> Core.Errors.raise_error (Core.Errors.Io { file = path; msg }))
+  | path -> Core.Errors.(get_ok (read_file path))
 
 let client_cmd =
   let op =
@@ -819,11 +809,7 @@ let client_cmd =
       | None ->
         Core.Errors.raise_error
           (Core.Errors.Invalid_input (Printf.sprintf "%s needs %s FILE" op_name flag))
-      | Some "-" -> In_channel.input_all stdin
-      | Some path ->
-        (try In_channel.with_open_text path In_channel.input_all
-         with Sys_error msg ->
-           Core.Errors.raise_error (Core.Errors.Io { file = path; msg }))
+      | Some file -> read_input file
     in
     match op with
     | `Observe ->
@@ -1072,13 +1058,11 @@ let tune_cmd =
   in
   let run () path buffers_file t_clk data delays_file =
    handle @@ fun () ->
-    let art =
-      match Store.load path with Ok a -> a | Error e -> Core.Errors.raise_error e
-    in
+    let art = Core.Errors.get_ok (Store.load path) in
     let n_paths = art.Store.n_paths in
     let buffers =
       let j =
-        match Serve.Wire.parse (String.trim (read_file_text buffers_file)) with
+        match Serve.Wire.parse (String.trim (read_input buffers_file)) with
         | Ok j -> (match Serve.Wire.member "buffers" j with Some b -> b | None -> j)
         | Error msg ->
           Core.Errors.raise_error
@@ -1096,7 +1080,7 @@ let tune_cmd =
         Core.Errors.raise_error
           (Core.Errors.Invalid_input "--data and --delays are mutually exclusive")
       | Some f, None ->
-        let d = parse_batch (read_file_text f) in
+        let d = parse_batch (read_input f) in
         let _, c = Linalg.Mat.dims d in
         if c <> n_paths then
           Core.Errors.raise_error
@@ -1105,7 +1089,7 @@ let tune_cmd =
                   c n_paths));
         d
       | None, Some f ->
-        let measured = parse_batch (read_file_text f) in
+        let measured = parse_batch (read_input f) in
         let p = Store.predictor art in
         let rep = Core.Predictor.rep_indices p in
         let rem = Core.Predictor.rem_indices p in

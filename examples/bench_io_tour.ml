@@ -11,7 +11,11 @@ let () =
     match Sys.argv with
     | [| _; path |] ->
       Printf.printf "parsing %s\n" path;
-      Circuit.Bench_io.parse_file path
+      (match Core.Errors.parse_bench_file path with
+       | Ok (nl, _) -> nl
+       | Error e ->
+         prerr_endline (Core.Errors.to_string e);
+         exit (Core.Errors.exit_code e))
     | _ ->
       (* no file given: demonstrate the round trip on a generated one *)
       let original =

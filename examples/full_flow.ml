@@ -7,8 +7,8 @@
    Run with:  dune exec examples/full_flow.exe *)
 
 let () =
-  (* 1. a gate-level Verilog netlist (generated here; parse_file loads
-     a real one) *)
+  (* 1. a gate-level Verilog netlist (generated here;
+     Core.Errors.parse_verilog_file loads a real one) *)
   let generated =
     Circuit.Generator.generate
       { Circuit.Generator.default with num_gates = 350; seed = 27 }

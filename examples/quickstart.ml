@@ -6,8 +6,8 @@
    Run with:  dune exec examples/quickstart.exe *)
 
 let () =
-  (* 1. A circuit. Here a synthetic 400-gate netlist; Bench_io.parse_file
-     loads a real ISCAS .bench instead. *)
+  (* 1. A circuit. Here a synthetic 400-gate netlist;
+     Core.Errors.parse_bench_file loads a real ISCAS .bench instead. *)
   let netlist = Circuit.Generator.generate Circuit.Generator.default in
   Printf.printf "circuit: %s\n" (Circuit.Netlist.stats netlist);
 

@@ -280,20 +280,6 @@ let parse ~name text = fst (parse_impl ~lenient:false ~name text)
 
 let parse_lenient ~name text = parse_impl ~lenient:true ~name text
 
-let with_file_context path f =
-  try f () with Parse_error (line, msg) ->
-    (* tag the error with the file it came from; the line stays in the
-       structured payload for programmatic handlers *)
-    raise (Parse_error (line, Printf.sprintf "%s:%d: %s" path line msg))
-
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  with_file_context path (fun () ->
-      parse ~name:(Filename.remove_extension (Filename.basename path)) text)
-
 let print nl =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (Printf.sprintf "# %s\n" (Netlist.name nl));

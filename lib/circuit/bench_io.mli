@@ -13,7 +13,10 @@
     input, so all parsed paths are combinational.
 
     The format has no placement; {!parse} synthesizes a deterministic
-    placement by the same fanin-averaging rule the generator uses. *)
+    placement by the same fanin-averaging rule the generator uses.
+
+    Strings in, strings out: [Core.Errors.parse_bench_file] is the file
+    entry point, and tags a {!Parse_error} with the path. *)
 
 exception Parse_error of int * string
 (** [(line, message)]. *)
@@ -28,11 +31,6 @@ val parse_lenient : name:string -> string -> Netlist.t * string list
     reported. Returns the surviving netlist plus one warning per
     skipped construct. Still raises {!Parse_error} when nothing usable
     remains or on a combinational cycle. *)
-
-val parse_file : string -> Netlist.t
-(** Parse from a path; the netlist name is the file basename. Parse
-    errors are re-raised with the file name and line number in the
-    message ([path:line: msg]). *)
 
 val print : Netlist.t -> string
 (** Render a netlist back to [.bench] text (placement is not

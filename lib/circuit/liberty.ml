@@ -205,15 +205,6 @@ let parse text =
   | Some (_, line) -> fail line "expected a top-level group"
   | None -> fail 0 "empty input"
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  try parse text
-  with Parse_error (line, msg) ->
-    raise (Parse_error (line, Printf.sprintf "%s:%d: %s" path line msg))
-
 (* ------------------------------------------------------------------ *)
 (* Tables *)
 

@@ -11,7 +11,10 @@
     {!Library} distills the tree into the NLDM view: per cell, per
     output pin, the [cell_rise]/[cell_fall] delay tables and
     [rise_transition]/[fall_transition] output-slew tables over
-    (input slew) x (output load), plus input pin capacitances. *)
+    (input slew) x (output load), plus input pin capacitances.
+
+    Strings in, strings out: [Core.Errors.parse_liberty_file] is the
+    file entry point (it also builds the {!Library} view). *)
 
 exception Parse_error of int * string
 (** [(line, message)] *)
@@ -33,8 +36,6 @@ type group = {
 val parse : string -> group
 (** Parse a full [.lib] text; the result is the top-level [library]
     group. *)
-
-val parse_file : string -> group
 
 module Table : sig
   type t = {

@@ -9,11 +9,6 @@ let print nl =
     (Netlist.gates nl);
   Buffer.contents buf
 
-let write_file path nl =
-  let oc = open_out path in
-  output_string oc (print nl);
-  close_out oc
-
 let parse text =
   let lines = String.split_on_char '\n' text in
   List.concat
@@ -41,15 +36,6 @@ let parse text =
             | _, _ -> raise (Parse_error (lineno, "malformed coordinates")))
          | _ -> raise (Parse_error (lineno, "expected: name x y")))
        lines)
-
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  try parse text
-  with Parse_error (line, msg) ->
-    raise (Parse_error (line, Printf.sprintf "%s:%d: %s" path line msg))
 
 let apply nl placements =
   let tbl = Hashtbl.create (List.length placements) in

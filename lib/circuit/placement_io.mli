@@ -12,19 +12,18 @@
       # gate  x  y
       g0  0.125  0.500
       g1  0.250  0.375
-    v} *)
+    v}
+
+    Strings in, strings out: [Core.Errors.parse_placement_file] is the
+    file entry point. *)
 
 exception Parse_error of int * string
 
 val print : Netlist.t -> string
 
-val write_file : string -> Netlist.t -> unit
-
 val parse : string -> (string * (float * float)) list
 (** Raises {!Parse_error} on malformed lines or coordinates outside
     [0, 1]. *)
-
-val parse_file : string -> (string * (float * float)) list
 
 val apply : Netlist.t -> (string * (float * float)) list -> Netlist.t
 (** Rebuild the netlist with the given placement. Gates missing from

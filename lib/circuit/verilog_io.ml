@@ -236,15 +236,6 @@ let parse ~name text =
   | nl -> nl
   | exception Bench_io.Parse_error (_, msg) -> raise (Parse_error (0, msg))
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  try parse ~name:(Filename.remove_extension (Filename.basename path)) text
-  with Parse_error (line, msg) ->
-    raise (Parse_error (line, Printf.sprintf "%s:%d: %s" path line msg))
-
 let print nl =
   let buf = Buffer.create 4096 in
   let num_inputs = Netlist.num_inputs nl in

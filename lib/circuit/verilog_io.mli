@@ -19,14 +19,15 @@
     {!Bench_io}). [DFF] instances are cut the standard way: Q becomes a
     pseudo primary input, D a pseudo primary output. Buses, behavioural
     constructs, parameters, and multiple modules are out of scope and
-    rejected with a {!Parse_error}. *)
+    rejected with a {!Parse_error}.
+
+    Strings in, strings out: [Core.Errors.parse_verilog_file] is the
+    file entry point. *)
 
 exception Parse_error of int * string
 
 val parse : name:string -> string -> Netlist.t
 (** [name] is used only when the module header cannot provide one. *)
-
-val parse_file : string -> Netlist.t
 
 val print : Netlist.t -> string
 (** Render as a structural Verilog module (placement is dropped). *)

@@ -72,38 +72,45 @@ let protect ~file f =
 
 let catch f = protect ~file:"<input>" f
 
+let get_ok = function Ok v -> v | Result.Error e -> raise_error e
+
 (* ------------------------------------------------------------------ *)
-(* Result-returning ingestion entry points *)
+(* The one file reader, and the typed ingestion entry points on it *)
 
+(* [input_all] presizes its buffer from the channel length and hands
+   that buffer back without a copy when the file holds what it said;
+   it also reads pipes and /dev/stdin, which have no length. *)
 let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  text
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> Ok text
+  | exception Sys_error msg ->
+    (* the runtime's message is "<path>: <reason>"; [to_string] puts
+       the path in front already *)
+    let prefix = path ^ ": " in
+    let msg =
+      if String.starts_with ~prefix msg then
+        String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+      else msg
+    in
+    Result.Error (Io { file = path; msg })
 
-(* these parse from the string contents so the typed [Parse] error
-   carries the clean message (the [*_file] parsers re-raise with the
-   path already baked into the text, which would tag it twice) *)
+(* the format parsers raise [Parse_error (line, msg)] with a bare
+   message; [protect] tags it with the path, once *)
+let ingest path f =
+  Result.bind (read_file path) (fun text -> protect ~file:path (fun () -> f text))
 
 let basename path = Filename.remove_extension (Filename.basename path)
 
 let parse_bench_file ?(lenient = false) path =
-  protect ~file:path (fun () ->
-      let text = read_file path in
+  ingest path (fun text ->
       if lenient then Circuit.Bench_io.parse_lenient ~name:(basename path) text
       else (Circuit.Bench_io.parse ~name:(basename path) text, []))
 
 let parse_verilog_file path =
-  protect ~file:path (fun () ->
-      Circuit.Verilog_io.parse ~name:(basename path) (read_file path))
+  ingest path (Circuit.Verilog_io.parse ~name:(basename path))
 
-let parse_placement_file path =
-  protect ~file:path (fun () -> Circuit.Placement_io.parse (read_file path))
+let parse_placement_file path = ingest path Circuit.Placement_io.parse
 
 let parse_liberty_file path =
-  protect ~file:path (fun () ->
-      Circuit.Liberty.Library.of_group (Circuit.Liberty.parse (read_file path)))
-
-let read_sdf_file path =
-  protect ~file:path (fun () -> Timing.Sdf.read (read_file path))
+  ingest path (fun text ->
+      Circuit.Liberty.Library.of_group (Circuit.Liberty.parse text))

@@ -46,11 +46,31 @@ val protect : file:string -> (unit -> 'a) -> ('a, t) result
 val catch : (unit -> 'a) -> ('a, t) result
 (** {!protect} with a generic file tag, for non-file computations. *)
 
+val get_ok : ('a, t) result -> 'a
+(** The value, or {!Error} raised with the typed error: for code that
+    reports failures at one boundary (the CLI's [handle]). *)
+
+(** {2 Reading files}
+
+    {!read_file} is the one whole-file reader: every text format below,
+    the artifact store, the serving layer's checkpoints and the WAL's
+    segment scans read through it. The format modules
+    ({!Circuit.Bench_io}, {!Circuit.Verilog_io},
+    {!Circuit.Placement_io}, {!Circuit.Liberty}, {!Timing.Sdf}) parse
+    and print strings only; the [parse_*_file] functions here are their
+    file entry points, and tag a parse error with the path once. *)
+
+val read_file : string -> (string, t) result
+(** The whole file, read in one pass into a buffer presized from its
+    length. A file that cannot be opened or read is [Io], whose [msg]
+    is the OS reason alone (the path is in [file]). *)
+
 val parse_bench_file :
   ?lenient:bool -> string -> (Circuit.Netlist.t * string list, t) result
-(** Read a [.bench] netlist. With [~lenient:true], unparseable lines
-    and gates with undefined inputs are skipped; the string list
-    carries one warning per skipped construct (empty when strict). *)
+(** Read a [.bench] netlist named after the file's basename. With
+    [~lenient:true], unparseable lines and gates with undefined inputs
+    are skipped; the string list carries one warning per skipped
+    construct (empty when strict). *)
 
 val parse_verilog_file : string -> (Circuit.Netlist.t, t) result
 
@@ -58,5 +78,3 @@ val parse_placement_file :
   string -> ((string * (float * float)) list, t) result
 
 val parse_liberty_file : string -> (Circuit.Liberty.Library.t, t) result
-
-val read_sdf_file : string -> ((string * float) list, t) result

@@ -10,9 +10,12 @@ let w_int w v =
   W.u32 w (v land 0xFFFFFFFF);
   W.u32 w ((v lsr 32) land 0x7FFFFFFF)
 
+(* [w_int] writes non-negative 63-bit ints, so the high word is below
+   2^30; a larger one would decode to a negative int *)
 let r_int r =
   let lo = R.u32 r in
   let hi = R.u32 r in
+  if hi >= 1 lsl 30 then raise (Store.Codec.Malformed "integer field out of range");
   (hi lsl 32) lor lo
 
 let w_bool w b = W.u32 w (if b then 1 else 0)
@@ -61,25 +64,18 @@ let encode_obs (o : Monitor.obs) =
   W.float_array w o.Monitor.full;
   W.contents w
 
-let decode_obs payload =
-  match
-    let r = R.create payload in
-    let kind = R.u32 r in
-    if kind <> obs_kind then
-      raise
-        (Store.Codec.Malformed (Printf.sprintf "unknown record kind %d" kind));
-    let wafer = R.str r in
-    let resid = R.f64 r in
-    let measured = R.float_array r in
-    let truth = R.float_array r in
-    let full = R.float_array r in
-    if not (R.at_end r) then
-      raise (Store.Codec.Malformed "trailing bytes after observation");
-    { Monitor.measured; truth; full; resid; wafer }
-  with
-  | o -> Ok o
-  | exception Store.Codec.Truncated -> Error "truncated observation record"
-  | exception Store.Codec.Malformed msg -> Error msg
+let r_obs r =
+  let kind = R.u32 r in
+  if kind <> obs_kind then
+    raise (Store.Codec.Malformed (Printf.sprintf "unknown record kind %d" kind));
+  let wafer = R.str r in
+  let resid = R.f64 r in
+  let measured = R.float_array r in
+  let truth = R.float_array r in
+  let full = R.float_array r in
+  { Monitor.measured; truth; full; resid; wafer }
+
+let decode_obs payload = Store.Codec.decode payload r_obs
 
 (* ------------------------------------------------------------------ *)
 (* Drift / refit / monitor snapshots *)
@@ -285,90 +281,29 @@ let encode_snapshot s =
   w_snapshot w s;
   W.contents w
 
-let decode_snapshot payload =
-  match
-    let r = R.create payload in
-    let s = r_snapshot r in
-    if not (R.at_end r) then
-      raise (Store.Codec.Malformed "trailing bytes after snapshot");
-    s
-  with
-  | s -> Ok s
-  | exception Store.Codec.Truncated -> Error "truncated snapshot"
-  | exception Store.Codec.Malformed msg -> Error msg
+let decode_snapshot payload = Store.Codec.decode payload r_snapshot
 
 let snapshot_equal a b = String.equal (encode_snapshot a) (encode_snapshot b)
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint files: PSA1-style header, own magic, atomic write *)
+(* Checkpoint files: the store's framed container with its own magic,
+   written by atomic rename *)
 
 let ckpt_magic = "PSC1"
 let ckpt_version = 1
-let header_size = 20
 
 let save_checkpoint path ~gen snapshot =
   let w = W.create () in
   w_int w gen;
   w_snapshot w snapshot;
-  let payload = W.contents w in
-  let b = Bytes.create header_size in
-  Bytes.blit_string ckpt_magic 0 b 0 4;
-  Bytes.set_int32_le b 4 (Int32.of_int ckpt_version);
-  Bytes.set_int64_le b 8 (Int64.of_int (String.length payload));
-  Bytes.set_int32_le b 16 (Int32.of_int (Store.Codec.crc32 payload));
-  Store.write_file_atomic path (Bytes.unsafe_to_string b ^ payload)
-
-let corrupt file msg = Error (Core.Errors.Corrupt_artifact { file; msg })
+  Store.write_file_atomic path
+    (Store.frame ~magic:ckpt_magic ~version:ckpt_version (W.contents w))
 
 let load_checkpoint path =
   if not (Sys.file_exists path) then Ok None
-  else begin
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | exception Sys_error msg -> Error (Core.Errors.Io { file = path; msg })
-    | exception End_of_file ->
-      corrupt path "truncated: unexpected end of file"
-    | s ->
-      if String.length s < header_size then corrupt path "short header"
-      else if String.sub s 0 4 <> ckpt_magic then
-        Error (Core.Errors.Bad_magic { file = path })
-      else begin
-        let version = Int32.to_int (String.get_int32_le s 4) land 0xFFFFFFFF in
-        if version <> ckpt_version then
-          Error
-            (Core.Errors.Version_mismatch
-               { file = path; found = version; expected = ckpt_version })
-        else begin
-          let plen = Int64.to_int (String.get_int64_le s 8) in
-          if plen < 0 || String.length s - header_size <> plen then
-            corrupt path "payload length mismatch"
-          else begin
-            let stored_crc =
-              Int32.to_int (String.get_int32_le s 16) land 0xFFFFFFFF
-            in
-            let payload = String.sub s header_size plen in
-            if Store.Codec.crc32 payload <> stored_crc then
-              corrupt path "checksum mismatch (CRC-32)"
-            else begin
-              match
-                let r = R.create payload in
-                let gen = r_int r in
-                let snap = r_snapshot r in
-                if not (R.at_end r) then
-                  raise
-                    (Store.Codec.Malformed "trailing bytes after checkpoint");
-                (gen, snap)
-              with
-              | v -> Ok (Some v)
-              | exception Store.Codec.Truncated ->
-                corrupt path "payload field truncated"
-              | exception Store.Codec.Malformed msg -> corrupt path msg
-            end
-          end
-        end
-      end
-  end
+  else
+    Result.bind (Core.Errors.read_file path) (fun s ->
+        Store.unframe ~file:path ~magic:ckpt_magic ~version:ckpt_version s
+          (fun r ->
+            let gen = r_int r in
+            Some (gen, r_snapshot r)))

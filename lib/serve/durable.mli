@@ -9,19 +9,13 @@
     is what lets tests assert recovery correctness by comparing encoded
     bytes instead of chasing a tolerance.
 
-    A checkpoint file is framed like a PSA1 artifact with its own magic:
-
-    {v
-    offset  size  field
-    0       4     magic "PSC1"
-    4       4     format version, u32 LE
-    8       8     payload length, u64 LE
-    16      4     CRC-32 (IEEE) of the payload, u32 LE
-    20      -     payload: generation counter + monitor snapshot
-    v}
-
-    and is written with {!Store.write_file_atomic} — a crash mid-
-    checkpoint leaves the previous checkpoint, never a torn one. *)
+    A checkpoint file is the store's framed container ({!Store.frame},
+    the same header a PSA1 artifact has) with its own magic ["PSC1"],
+    version 1, around a payload of the generation counter and the
+    monitor snapshot. It is written with {!Store.write_file_atomic} — a
+    crash mid-checkpoint leaves the previous checkpoint, never a torn
+    one — and read back through {!Core.Errors.read_file} and
+    {!Store.unframe}. *)
 
 val ckpt_magic : string
 
@@ -34,7 +28,9 @@ val encode_obs : Monitor.obs -> string
 
 val decode_obs : string -> (Monitor.obs, string) result
 (** Inverse of {!encode_obs}; [Error] names the defect (an unknown
-    record kind from a newer writer, a truncated field). *)
+    record kind from a newer writer, a truncated field). Never raises,
+    and accepts only canonical bytes: an [Ok] value re-encodes to the
+    input exactly. *)
 
 (** {2 Monitor snapshots} *)
 
@@ -42,6 +38,7 @@ val encode_snapshot : Monitor.snapshot -> string
 (** Canonical encoding; equal states produce equal bytes. *)
 
 val decode_snapshot : string -> (Monitor.snapshot, string) result
+(** Inverse of {!encode_snapshot}, with {!decode_obs}'s guarantees. *)
 
 val snapshot_equal : Monitor.snapshot -> Monitor.snapshot -> bool
 (** Bit-exact state equality via the canonical encoding (NaN-safe) —

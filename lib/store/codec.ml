@@ -15,10 +15,12 @@ let crc_table =
          done;
          !c))
 
-let crc32 s =
+let crc32 ?(pos = 0) s =
   let t = Lazy.force crc_table in
   let c = ref 0xFFFFFFFF in
-  String.iter (fun ch -> c := t.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
+  for i = pos to String.length s - 1 do
+    c := t.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+  done;
   !c lxor 0xFFFFFFFF
 
 module W = struct
@@ -124,3 +126,13 @@ module R = struct
     done;
     m
 end
+
+(* Every decoder failure becomes a message: a short field, a bad length
+   or tag, or a value a constructor rejects ([Invalid_argument]). *)
+let decode ?pos s f =
+  let r = R.create ?pos s in
+  match f r with
+  | v -> if R.at_end r then Ok v else Error "trailing bytes in payload"
+  | exception Truncated -> Error "payload field truncated"
+  | exception Malformed msg -> Error msg
+  | exception Invalid_argument msg -> Error msg

@@ -17,9 +17,9 @@ val max_len : int
     WAL's frame-size sanity bound): a length beyond this is
     {!Malformed} garbage, not data. *)
 
-val crc32 : string -> int
-(** IEEE 802.3 (reflected, poly 0xEDB88320) CRC over the whole string,
-    in [0, 2^32). *)
+val crc32 : ?pos:int -> string -> int
+(** IEEE 802.3 (reflected, poly 0xEDB88320) CRC of the string from
+    [pos] (default 0) to its end, in [0, 2^32). *)
 
 module W : sig
   type t
@@ -51,3 +51,9 @@ module R : sig
   val float_array : t -> float array
   val mat : t -> Linalg.Mat.t
 end
+
+val decode : ?pos:int -> string -> (R.t -> 'a) -> ('a, string) result
+(** Run a decoder over the string from [pos] (default 0) to its end.
+    Never raises: {!Truncated}, {!Malformed}, an [Invalid_argument]
+    from a constructor the decoder calls, and bytes left over after it
+    returns are all [Error msg]. *)

@@ -21,7 +21,44 @@ let magic = "PSA1"
 
 let current_version = 3
 
+(* ------------------------------------------------------------------ *)
+(* The framed-file container: PSA1 artifacts and PSC1 checkpoints *)
+
 let header_size = 20 (* magic 4 + version 4 + payload length 8 + crc 4 *)
+
+let frame ~magic ~version payload =
+  if String.length magic <> 4 then invalid_arg "Store.frame: magic must be 4 bytes";
+  let n = String.length payload in
+  let b = Bytes.create (header_size + n) in
+  Bytes.blit_string magic 0 b 0 4;
+  Bytes.set_int32_le b 4 (Int32.of_int version);
+  Bytes.set_int64_le b 8 (Int64.of_int n);
+  Bytes.set_int32_le b 16 (Int32.of_int (Codec.crc32 payload));
+  Bytes.blit_string payload 0 b header_size n;
+  Bytes.unsafe_to_string b
+
+(* The payload is checked and decoded in place, from [header_size] to
+   the end of [s]: a 17 MB artifact is never copied out of its frame. *)
+let unframe ~file ~magic ~version s decode =
+  let corrupt msg = Error (Core.Errors.Corrupt_artifact { file; msg }) in
+  let u32 off = Int32.to_int (String.get_int32_le s off) land 0xFFFFFFFF in
+  let n = String.length s in
+  if n < header_size then corrupt "shorter than the header"
+  else if String.sub s 0 4 <> magic then Error (Core.Errors.Bad_magic { file })
+  else if u32 4 <> version then
+    Error (Core.Errors.Version_mismatch { file; found = u32 4; expected = version })
+  else begin
+    let plen = Int64.to_int (String.get_int64_le s 8) in
+    if plen < 0 || n - header_size < plen then
+      corrupt "payload shorter than the header says"
+    else if n - header_size > plen then corrupt "trailing bytes after the payload"
+    else if Codec.crc32 ~pos:header_size s <> u32 16 then
+      corrupt "checksum mismatch (CRC-32)"
+    else
+      Result.map_error
+        (fun msg -> Core.Errors.Corrupt_artifact { file; msg })
+        (Codec.decode ~pos:header_size s decode)
+  end
 
 (* [of_selection] and the decoder both end here, with a selection whose
    predictor is [Predictor.build ~a ~mu ~rep:indices]: a loaded
@@ -67,27 +104,16 @@ let encode_payload t =
   Codec.W.mat b t.a_mat;
   Codec.W.contents b
 
-let to_bytes t =
-  let payload = encode_payload t in
-  let b = Buffer.create (header_size + String.length payload) in
-  Buffer.add_string b magic;
-  Buffer.add_int32_le b (Int32.of_int current_version);
-  Buffer.add_int64_le b (Int64.of_int (String.length payload));
-  Buffer.add_int32_le b (Int32.of_int (Codec.crc32 payload));
-  Buffer.add_string b payload;
-  Buffer.contents b
+let to_bytes t = frame ~magic ~version:current_version (encode_payload t)
 
 (* ------------------------------------------------------------------ *)
 (* Decoding *)
 
-let corrupt file msg = Error (Core.Errors.Corrupt_artifact { file; msg })
-
 (* Fields are read in file order by sequential let-bindings (record
    fields evaluate in unspecified order). Every structural check lives
-   in [make] and [Predictor.build]; their [Invalid_argument] is a
-   corrupt payload here. *)
-let decode_payload payload =
-  let r = Codec.R.create payload in
+   in [make] and [Predictor.build]; [Codec.decode] turns their
+   [Invalid_argument] into a corrupt payload. *)
+let decode_payload r =
   let fingerprint = Codec.R.str r in
   let t_cons = Codec.R.f64 r in
   let eps = Codec.R.f64 r in
@@ -101,41 +127,13 @@ let decode_payload payload =
   let per_path_eps = Codec.R.float_array r in
   let mu = Codec.R.float_array r in
   let a = Codec.R.mat r in
-  if not (Codec.R.at_end r) then raise (Codec.Malformed "trailing bytes in payload");
-  try
-    let predictor = Core.Predictor.build ~a ~mu ~rep:indices in
-    make ~fingerprint ~t_cons ~eps ~kappa ~n_segments ~a ~mu
-      { Core.Select.indices; predictor; rank; effective_rank; eps_r; per_path_eps;
-        evaluations }
-  with Invalid_argument msg -> raise (Codec.Malformed msg)
+  let predictor = Core.Predictor.build ~a ~mu ~rep:indices in
+  make ~fingerprint ~t_cons ~eps ~kappa ~n_segments ~a ~mu
+    { Core.Select.indices; predictor; rank; effective_rank; eps_r; per_path_eps;
+      evaluations }
 
 let of_bytes ?(file = "<bytes>") s =
-  if String.length s < header_size then corrupt file "shorter than the header"
-  else if String.sub s 0 4 <> magic then Error (Core.Errors.Bad_magic { file })
-  else begin
-    let version = Int32.to_int (String.get_int32_le s 4) land 0xFFFFFFFF in
-    if version <> current_version then
-      Error
-        (Core.Errors.Version_mismatch { file; found = version; expected = current_version })
-    else begin
-      let plen = Int64.to_int (String.get_int64_le s 8) in
-      if plen < 0 || String.length s - header_size < plen then
-        corrupt file "payload shorter than the header says"
-      else if String.length s - header_size > plen then
-        corrupt file "trailing bytes after the payload"
-      else begin
-        let stored_crc = Int32.to_int (String.get_int32_le s 16) land 0xFFFFFFFF in
-        let payload = String.sub s header_size plen in
-        if Codec.crc32 payload <> stored_crc then
-          corrupt file "checksum mismatch (CRC-32)"
-        else
-          match decode_payload payload with
-          | t -> Ok t
-          | exception Codec.Truncated -> corrupt file "payload field truncated"
-          | exception Codec.Malformed msg -> corrupt file msg
-      end
-    end
-  end
+  unframe ~file ~magic ~version:current_version s decode_payload
 
 (* ------------------------------------------------------------------ *)
 (* Files *)
@@ -184,21 +182,7 @@ let write_file_atomic path bytes =
 
 let save path t = write_file_atomic path (to_bytes t)
 
-let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-        really_input_string ic (in_channel_length ic))
-  with
-  | s -> of_bytes ~file:path s
-  | exception Sys_error msg -> Error (Core.Errors.Io { file = path; msg })
-  | exception End_of_file ->
-    (* the file shrank under the read loop: a torn artifact, not a
-       filesystem failure — report it as corruption so operators reach
-       for regeneration, not remounts *)
-    Error
-      (Core.Errors.Corrupt_artifact
-         { file = path; msg = "truncated: unexpected end of file" })
+let load path = Result.bind (Core.Errors.read_file path) (of_bytes ~file:path)
 
 (* ------------------------------------------------------------------ *)
 

@@ -9,16 +9,27 @@
     produced them — is written to a versioned, checksummed binary file
     that a serving process loads and rebuilds its predictors from.
 
-    {2 File format (version 3)}
+    {2 The framed-file container}
+
+    Selection artifacts and the serving layer's recovery checkpoints
+    share one container, encoded by {!frame} and checked by {!unframe}
+    and nowhere else:
 
     {v
     offset  size  field
-    0       4     magic "PSA1"
+    0       4     magic
     4       4     format version, u32 LE
     8       8     payload length, u64 LE
     16      4     CRC-32 (IEEE) of the payload, u32 LE
     20      -     payload
     v}
+
+    A selection artifact is magic ["PSA1"], version 3; the serving
+    layer's recovery checkpoint ([Serve.Durable]) is ["PSC1"],
+    version 1. (WAL segments are a stream of CRC frames, not one
+    container; see {!Wal}.)
+
+    {2 Artifact payload (version 3)}
 
     The payload is a fixed positional sequence of length-prefixed
     fields; all integers are little-endian, all floats IEEE-754 doubles
@@ -81,6 +92,25 @@ val current_version : int
 val header_size : int
 (** Bytes before the payload: magic + version + length + CRC. *)
 
+val frame : magic:string -> version:int -> string -> string
+(** [frame ~magic ~version payload] is the container around [payload].
+    [magic] must be 4 bytes ([Invalid_argument] otherwise). *)
+
+val unframe :
+  file:string ->
+  magic:string ->
+  version:int ->
+  string ->
+  (Codec.R.t -> 'a) ->
+  ('a, Core.Errors.t) result
+(** [unframe ~file ~magic ~version bytes decode] checks the container
+    and runs [decode] over the payload in place (no copy), through
+    {!Codec.decode}. A wrong magic is [Bad_magic], another version is
+    [Version_mismatch]; a short header, a length that disagrees with
+    the file, a CRC mismatch, or any decoder failure (including bytes
+    [decode] leaves unread) is [Corrupt_artifact]. [file] tags the
+    error. Never raises. *)
+
 val of_selection :
   ?fingerprint:string ->
   ?kappa:float ->
@@ -123,6 +153,7 @@ val save : string -> t -> (unit, Core.Errors.t) result
     replaces it. *)
 
 val load : string -> (t, Core.Errors.t) result
+(** {!Core.Errors.read_file}, then {!of_bytes}. *)
 
 val equal : t -> t -> bool
 (** Bit-exact equality of every stored field (NaN-safe: compares float

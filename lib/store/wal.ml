@@ -29,6 +29,7 @@ let typed_error ~file = function
 let protect_io ~file f =
   match f () with
   | v -> Ok v
+  | exception Core.Errors.Error e -> Error e
   | exception ((Sys_error _ | Unix.Unix_error _) as exn) ->
     Error (typed_error ~file exn)
 
@@ -60,12 +61,6 @@ let list_segments dir =
   Sys.readdir dir |> Array.to_list
   |> List.filter is_segment
   |> List.sort String.compare
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 (* Scan one segment image. Returns the intact records (in order), the
    byte offset just past the last intact frame, and whether the scan
@@ -129,7 +124,7 @@ let open_ ?(config = default_config) dir =
        last intact record so appends continue from clean bytes *)
     let base = Option.get (segment_base last) in
     let path = Filename.concat dir last in
-    let s = read_file path in
+    let s = Core.Errors.(get_ok (read_file path)) in
     let records, good_end, torn = scan_segment ~base s in
     if torn then begin
       let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
@@ -193,30 +188,29 @@ let append t payloads =
   t.next <- first + List.length payloads;
   t.next - 1
 
+(* one segment in memory at a time, each read by [Core.Errors.read_file] *)
 let fold ?(from_seq = 1) dir ~init ~f =
-  match
-    protect_io ~file:dir @@ fun () ->
-    let segments = list_segments dir in
-    List.map (fun name -> (name, read_file (Filename.concat dir name))) segments
-  with
+  match protect_io ~file:dir (fun () -> list_segments dir) with
   | Error _ as e -> e
-  | Ok images ->
-    let n_segs = List.length images in
-    let rec go i acc last images =
-      match images with
+  | Ok segments ->
+    let n_segs = List.length segments in
+    let rec go i acc last segments =
+      match segments with
       | [] -> Ok (acc, last)
-      | (name, s) :: rest ->
-        (match segment_base name with
-         | None -> corrupt (Filename.concat dir name) "bad segment name"
-         | Some base ->
+      | name :: rest ->
+        let path = Filename.concat dir name in
+        (match (segment_base name, Core.Errors.read_file path) with
+         | None, _ -> corrupt path "bad segment name"
+         | _, (Error _ as e) -> e
+         | Some base, Ok s ->
            if last > 0 && base <> last + 1 then
-             corrupt (Filename.concat dir name)
+             corrupt path
                (Printf.sprintf "sequence gap: segment starts at %d after %d"
                   base last)
            else begin
              let records, _, torn = scan_segment ~base s in
              if torn && i < n_segs - 1 then
-               corrupt (Filename.concat dir name)
+               corrupt path
                  "corrupt record before the last segment"
              else begin
                let acc =
@@ -234,7 +228,7 @@ let fold ?(from_seq = 1) dir ~init ~f =
              end
            end)
     in
-    go 0 init 0 images
+    go 0 init 0 segments
 
 let prune t ~upto_seq =
   Mutex.lock t.lock;

@@ -83,7 +83,8 @@ val fold :
     corrupt tail in the {e last} segment ends the replay silently —
     that is the crash the log exists to absorb; corruption anywhere
     else (a bad frame mid-log, a sequence gap) is data loss and
-    reports [Corrupt_artifact]. *)
+    reports [Corrupt_artifact]. Segments are read one at a time through
+    {!Core.Errors.read_file}; an unreadable one is [Io] naming it. *)
 
 val prune : t -> upto_seq:int -> (int, Core.Errors.t) result
 (** Retention: delete sealed segments whose every record has

@@ -22,11 +22,6 @@ let write nl ~delays =
   Buffer.add_string buf ")\n";
   Buffer.contents buf
 
-let write_file path nl ~delays =
-  let oc = open_out path in
-  output_string oc (write nl ~delays);
-  close_out oc
-
 (* ------------------------------------------------------------------ *)
 (* Reader: a little s-expression scanner specialized to the subset *)
 
@@ -144,15 +139,6 @@ let read text =
   in
   walk top;
   List.rev !results
-
-let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  try read text
-  with Parse_error (line, msg) ->
-    raise (Parse_error (line, Printf.sprintf "%s:%d: %s" path line msg))
 
 let annotate nl pairs =
   let tbl = Hashtbl.create (List.length pairs) in

@@ -5,7 +5,10 @@
     signoff/simulation tools — and read back for cross-checking. The
     subset covers one [IOPATH] per gate (all input pins to the output,
     equal rise/fall, as the rest of this library models delays) in a
-    flat [DELAYFILE]. Times are written in ps with [(TIMESCALE 1ps)]. *)
+    flat [DELAYFILE]. Times are written in ps with [(TIMESCALE 1ps)].
+
+    Strings in, strings out: read a file with [Core.Errors.read_file]
+    and parse it with {!read} under [Core.Errors.protect]. *)
 
 exception Parse_error of int * string
 
@@ -17,16 +20,10 @@ val write : Circuit.Netlist.t -> delays:float array -> string
 (** [write nl ~delays] renders an SDF 3.0 document; [delays] is per
     gate id, in ps. Raises [Invalid_argument] on length mismatch. *)
 
-val write_file : string -> Circuit.Netlist.t -> delays:float array -> unit
-
 val read : string -> (string * float) list
 (** [read text] returns the [(instance_name, iopath_delay_ps)] pairs of
     a flat SDF document (the typical rise value of the first IOPATH per
     cell entry). Tolerant of whitespace and comments. *)
-
-val read_file : string -> (string * float) list
-(** {!read} on a file's contents; parse errors are re-raised with the
-    file name and line number in the message ([path:line: msg]). *)
 
 val annotate : Circuit.Netlist.t -> (string * float) list -> float array
 (** Map parsed delays back onto gate ids by instance name; gates

@@ -133,7 +133,11 @@ let demo_artifact =
   lazy
     (Option.map
        (fun dir ->
-         let netlist = Circuit.Bench_io.parse_file (Filename.concat dir "demo90.bench") in
+         let netlist =
+           fst
+             (Core.Errors.get_ok
+                (Core.Errors.parse_bench_file (Filename.concat dir "demo90.bench")))
+         in
          let model = Timing.Variation.make_model ~levels:3 () in
          let setup = Core.Pipeline.prepare ~netlist ~model ~yield_samples:120 () in
          let sel = Core.Pipeline.approximate_selection setup ~eps:0.05 in

@@ -17,15 +17,23 @@ let with_data f =
   | Some dir -> f dir
   | None -> () (* data not visible from the sandbox: skip silently *)
 
+let demo90 dir =
+  fst
+    (Core.Errors.get_ok
+       (Core.Errors.parse_bench_file (Filename.concat dir "demo90.bench")))
+
 let test_bench_golden () =
   with_data (fun dir ->
-      let nl = Circuit.Bench_io.parse_file (Filename.concat dir "demo90.bench") in
+      let nl = demo90 dir in
       Alcotest.(check int) "gate count" 90 (Circuit.Netlist.num_gates nl))
 
 let test_verilog_matches_bench () =
   with_data (fun dir ->
-      let nb = Circuit.Bench_io.parse_file (Filename.concat dir "demo90.bench") in
-      let nv = Circuit.Verilog_io.parse_file (Filename.concat dir "demo90.v") in
+      let nb = demo90 dir in
+      let nv =
+        Core.Errors.get_ok
+          (Core.Errors.parse_verilog_file (Filename.concat dir "demo90.v"))
+      in
       Alcotest.(check int) "same gates" (Circuit.Netlist.num_gates nb)
         (Circuit.Netlist.num_gates nv);
       Alcotest.(check int) "same depth" (Circuit.Netlist.depth nb)
@@ -33,9 +41,10 @@ let test_verilog_matches_bench () =
 
 let test_placement_golden () =
   with_data (fun dir ->
-      let nl = Circuit.Bench_io.parse_file (Filename.concat dir "demo90.bench") in
+      let nl = demo90 dir in
       let placements =
-        Circuit.Placement_io.parse_file (Filename.concat dir "demo90.pl")
+        Core.Errors.get_ok
+          (Core.Errors.parse_placement_file (Filename.concat dir "demo90.pl"))
       in
       let nl2 = Circuit.Placement_io.apply nl placements in
       Alcotest.(check int) "all gates placed" (Circuit.Netlist.num_gates nl)
@@ -45,21 +54,18 @@ let test_placement_golden () =
 let test_liberty_golden () =
   with_data (fun dir ->
       let lib =
-        Circuit.Liberty.Library.of_group
-          (Circuit.Liberty.parse_file (Filename.concat dir "repro90.lib"))
+        Core.Errors.get_ok
+          (Core.Errors.parse_liberty_file (Filename.concat dir "repro90.lib"))
       in
       Alcotest.(check int) "twelve cells" 12
         (List.length lib.Circuit.Liberty.Library.cells))
 
 let test_sdf_golden () =
   with_data (fun dir ->
-      let nl = Circuit.Bench_io.parse_file (Filename.concat dir "demo90.bench") in
+      let nl = demo90 dir in
       let pairs =
-        let ic = open_in (Filename.concat dir "demo90.sdf") in
-        let len = in_channel_length ic in
-        let text = really_input_string ic len in
-        close_in ic;
-        Timing.Sdf.read text
+        Timing.Sdf.read
+          (Core.Errors.get_ok (Core.Errors.read_file (Filename.concat dir "demo90.sdf")))
       in
       let delays = Timing.Sdf.annotate nl pairs in
       Alcotest.(check int) "delay per gate" (Circuit.Netlist.num_gates nl)
@@ -68,7 +74,7 @@ let test_sdf_golden () =
 
 let test_full_pipeline_on_golden () =
   with_data (fun dir ->
-      let nl = Circuit.Bench_io.parse_file (Filename.concat dir "demo90.bench") in
+      let nl = demo90 dir in
       let model = Timing.Variation.make_model ~levels:3 () in
       let setup = Core.Pipeline.prepare ~netlist:nl ~model ~yield_samples:120 () in
       let sel = Core.Pipeline.approximate_selection setup ~eps:0.05 in

@@ -395,6 +395,158 @@ let test_checkpoint_kill_mid_write () =
     (Sys.readdir dir);
   Sys.remove path
 
+(* PSC1 gets the corruption table PSA1 has: every damaged checkpoint is
+   a typed error (exit 65) that boot can fall back from, never an
+   exception *)
+let with_bytes_file bytes f =
+  let path = Filename.temp_file "pathsel-ckpt" ".psc" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
+  f path
+
+let checkpoint_bytes ~gen snap =
+  let path = Filename.temp_file "pathsel-ckpt" ".psc" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  (match Durable.save_checkpoint path ~gen snap with
+   | Ok () -> ()
+   | Error e -> Alcotest.failf "save: %s" (Core.Errors.to_string e));
+  Core.Errors.get_ok (Core.Errors.read_file path)
+
+let load_checkpoint_bytes bytes = with_bytes_file bytes Durable.load_checkpoint
+
+(* The framed-file header written by hand (magic, u32 version, u64
+   payload length, u32 CRC of the payload), so tests pin the on-disk
+   layout independently of Store.frame. Test_store uses it for PSA1. *)
+let framed ~magic ~version payload =
+  let b = Buffer.create (Store.header_size + String.length payload) in
+  Buffer.add_string b magic;
+  Buffer.add_int32_le b (Int32.of_int version);
+  Buffer.add_int64_le b (Int64.of_int (String.length payload));
+  Buffer.add_int32_le b (Int32.of_int (Store.Codec.crc32 payload));
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+(* the payload (generation, then the snapshot's r, m, applied_seq and
+   ring count, each a lo/hi u32 pair) behind a valid header and CRC *)
+let reframe s ~f =
+  let payload =
+    Bytes.of_string
+      (String.sub s Store.header_size (String.length s - Store.header_size))
+  in
+  f payload;
+  framed ~magic:"PSC1" ~version:1
+    (Bytes.to_string payload)
+
+let test_checkpoint_corruption () =
+  let s = checkpoint_bytes ~gen:3 (Monitor.snapshot (uninterrupted 12)) in
+  (match Durable.load_checkpoint "/nonexistent/checkpoint.psc" with
+   | Ok None -> ()
+   | Ok (Some _) -> Alcotest.fail "missing checkpoint loaded"
+   | Error e -> Alcotest.failf "missing checkpoint: %s" (Core.Errors.to_string e));
+  (match load_checkpoint_bytes s with
+   | Ok (Some (3, _)) -> ()
+   | _ -> Alcotest.fail "pristine checkpoint did not load");
+  Alcotest.(check string) "hand-written PSC1 header matches the encoder" s
+    (reframe s ~f:ignore);
+  let expect label bytes check =
+    match load_checkpoint_bytes bytes with
+    | Ok _ -> Alcotest.failf "%s: damaged checkpoint accepted" label
+    | Error e ->
+      if not (check e) then
+        Alcotest.failf "%s: wrong error: %s" label (Core.Errors.to_string e);
+      Alcotest.(check int) (label ^ ": exit code") 65 (Core.Errors.exit_code e)
+  in
+  let set_bytes f =
+    let b = Bytes.of_string s in
+    f b;
+    Bytes.to_string b
+  in
+  expect "bad magic" (set_bytes (fun b -> Bytes.set b 0 'X')) (function
+    | Core.Errors.Bad_magic _ -> true
+    | _ -> false);
+  expect "version 2" (set_bytes (fun b -> Bytes.set_int32_le b 4 2l)) (function
+    | Core.Errors.Version_mismatch { found = 2; expected = 1; _ } -> true
+    | _ -> false);
+  let corrupt = function Core.Errors.Corrupt_artifact _ -> true | _ -> false in
+  List.iter
+    (fun keep ->
+      expect (Printf.sprintf "truncated to %d" keep) (String.sub s 0 keep) corrupt)
+    [ 0; 3; 10; Store.header_size; Store.header_size + 36; String.length s / 2;
+      String.length s - 1 ];
+  (* CRC-valid but out of range: a ring count whose high word is 2^30
+     once decoded to a negative count and crashed boot in Array.init *)
+  expect "ring-count high word 2^30"
+    (reframe s ~f:(fun p -> Bytes.set_int32_le p 36 0x40000000l))
+    corrupt;
+  expect "snapshot r high word 2^30"
+    (reframe s ~f:(fun p -> Bytes.set_int32_le p 12 0x40000000l))
+    corrupt
+
+(* Mutation fuzz under the CRC: damaged payloads go straight to the
+   decoders. Each result is a typed error or a value that re-encodes to
+   the mutated bytes exactly; an exception fails the test. *)
+let fuzz_decoder ~name ~decode ~encode bases =
+  let st = Random.State.make [| 18 |] in
+  let bases = Array.of_list bases in
+  let pick () = bases.(Random.State.int st (Array.length bases)) in
+  let mutate i s =
+    let n = String.length s in
+    let pos () = Random.State.int st (max 1 n) in
+    match i mod 4 with
+    | 0 -> String.sub s 0 (pos ())
+    | 1 ->
+      let b = Bytes.of_string s in
+      if n > 0 then begin
+        let p = pos () in
+        let mask = 1 + Random.State.int st 255 in
+        Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor mask))
+      end;
+      Bytes.to_string b
+    | 2 ->
+      let other = pick () in
+      let j = Random.State.int st (max 1 (String.length other)) in
+      String.sub s 0 (pos ()) ^ String.sub other j (String.length other - j)
+    | _ ->
+      (* inflate whatever u32 sits at a random offset: a length prefix,
+         a count's high word, a tag *)
+      let b = Bytes.of_string s in
+      if n >= 4 then begin
+        let p = Random.State.int st (n - 3) in
+        let v = Int32.to_int (Bytes.get_int32_le b p) land 0xFFFFFFFF in
+        let v' =
+          match Random.State.int st 4 with
+          | 0 -> v + 1
+          | 1 -> v + 1 + Random.State.int st (1 lsl 20)
+          | 2 -> 0x40000000
+          | _ -> 0xFFFFFFFF
+        in
+        Bytes.set_int32_le b p (Int32.of_int (v' land 0xFFFFFFFF))
+      end;
+      Bytes.to_string b
+  in
+  for i = 0 to 1999 do
+    let m = mutate i (pick ()) in
+    match decode m with
+    | Error _ -> ()
+    | Ok v ->
+      if not (String.equal (encode v) m) then
+        Alcotest.failf "%s: mutation %d accepted non-canonical bytes" name i
+    | exception e ->
+      Alcotest.failf "%s: mutation %d raised %s" name i (Printexc.to_string e)
+  done
+
+let test_decoder_fuzz () =
+  fuzz_decoder ~name:"decode_snapshot" ~decode:Durable.decode_snapshot
+    ~encode:Durable.encode_snapshot
+    (List.map
+       (fun n -> Durable.encode_snapshot (Monitor.snapshot (uninterrupted n)))
+       [ 0; 5; 12 ]);
+  fuzz_decoder ~name:"decode_obs" ~decode:Durable.decode_obs
+    ~encode:Durable.encode_obs
+    (List.map Durable.encode_obs
+       [ stream_die 1; stream_die 3; { (stream_die 4) with Monitor.wafer = "w07" } ])
+
 let suites =
   [
     ( "monitor",
@@ -413,6 +565,8 @@ let suites =
           ("replay is idempotent", test_replay_idempotent);
           ( "kill mid-checkpoint leaves old or new, never torn",
             test_checkpoint_kill_mid_write );
+          ("damaged checkpoints are typed errors", test_checkpoint_corruption);
+          ("snapshot and record decoders survive mutation", test_decoder_fuzz);
         ]
       @ [ QCheck_alcotest.to_alcotest prop_recovery ] );
   ]

@@ -220,7 +220,11 @@ let with_data f =
 
 let test_demo90_acceptance () =
   with_data (fun dir ->
-      let nl = Circuit.Bench_io.parse_file (Filename.concat dir "demo90.bench") in
+      let nl =
+        fst
+          (Core.Errors.get_ok
+             (Core.Errors.parse_bench_file (Filename.concat dir "demo90.bench")))
+      in
       let model = Timing.Variation.make_model ~levels:3 () in
       let setup =
         Core.Pipeline.prepare ~max_paths:400 ~yield_samples:150 ~netlist:nl
@@ -280,14 +284,33 @@ let test_lenient_bench () =
   Alcotest.(check bool) "warned" true (List.length warnings >= 3);
   Alcotest.(check int) "one usable gate" 1 (Circuit.Netlist.num_gates nl)
 
+(* occurrences of [sub] in [s] *)
+let count_sub s sub =
+  let n = String.length sub in
+  let rec go i acc =
+    if i + n > String.length s then acc
+    else if String.sub s i n = sub then go (i + n) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
+
+(* a missing input is [Io] with exit 66, and its message names the path
+   once: the OS reason carries no second copy of it *)
+let check_missing label path = function
+  | Ok _ -> Alcotest.failf "%s: missing file read" label
+  | Error e ->
+    (match e with
+     | Core.Errors.Io _ -> ()
+     | other -> Alcotest.failf "%s: wrong class: %s" label (Core.Errors.to_string other));
+    Alcotest.(check int) (label ^ ": missing input exit code") 66
+      (Core.Errors.exit_code e);
+    Alcotest.(check int) (label ^ ": path named once") 1
+      (count_sub (Core.Errors.to_string e) path)
+
 let test_error_wrappers () =
-  (match Core.Errors.parse_bench_file "/nonexistent/x.bench" with
-   | Ok _ -> Alcotest.fail "missing file parsed"
-   | Error e ->
-     (match e with
-      | Core.Errors.Io _ -> ()
-      | other -> Alcotest.failf "wrong class: %s" (Core.Errors.to_string other));
-     Alcotest.(check int) "missing input exit code" 66 (Core.Errors.exit_code e));
+  check_missing "bench" "/nonexistent/x.bench"
+    (Core.Errors.parse_bench_file "/nonexistent/x.bench");
+  check_missing "artifact" "/nonexistent/x.psa" (Store.load "/nonexistent/x.psa");
   let tmp = Filename.temp_file "dirty" ".bench" in
   Fun.protect
     ~finally:(fun () -> Sys.remove tmp)
@@ -298,16 +321,12 @@ let test_error_wrappers () =
       (match Core.Errors.parse_bench_file tmp with
        | Ok _ -> Alcotest.fail "strict wrapper accepted garbage"
        | Error (Core.Errors.Parse { line = Some 3; _ } as e) ->
-         Alcotest.(check int) "data exit code" 65 (Core.Errors.exit_code e)
+         Alcotest.(check int) "data exit code" 65 (Core.Errors.exit_code e);
+         let msg = Core.Errors.to_string e in
+         Alcotest.(check bool) "message is file:line: reason" true
+           (String.starts_with ~prefix:(tmp ^ ":3: ") msg);
+         Alcotest.(check int) "file named once" 1 (count_sub msg tmp)
        | Error e -> Alcotest.failf "wrong error: %s" (Core.Errors.to_string e));
-      (* parse_file raises with the path and line baked into the message *)
-      (match Circuit.Bench_io.parse_file tmp with
-       | _ -> Alcotest.fail "parse_file accepted garbage"
-       | exception Circuit.Bench_io.Parse_error (3, msg) ->
-         Alcotest.(check bool) "message carries file:line" true
-           (let tag = Printf.sprintf "%s:3:" tmp in
-            String.length msg >= String.length tag
-            && String.sub msg 0 (String.length tag) = tag));
       match Core.Errors.parse_bench_file ~lenient:true tmp with
       | Ok (nl, warnings) ->
         Alcotest.(check int) "lenient gate" 1 (Circuit.Netlist.num_gates nl);

@@ -1046,6 +1046,76 @@ let test_restart_recovers_state () =
           (List.for_all (fun s -> s = "used") (Serve.Client.die_statuses ack))
       | Error m -> Alcotest.failf "post-restart observe failed: %s" m)
 
+(* a CRC-valid checkpoint whose ring count decodes out of range (high
+   word 2^30) must not abort boot: [Serve.create] cold-starts the
+   monitor and replays the whole WAL *)
+let test_corrupt_checkpoint_boots_cold () =
+  let store, clean = Lazy.force artifact in
+  let wal_dir =
+    let d = Filename.temp_file "pathsel-serve-wal" "" in
+    Sys.remove d;
+    d
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists wal_dir then begin
+        Array.iter
+          (fun f -> try Sys.remove (Filename.concat wal_dir f) with Sys_error _ -> ())
+          (Sys.readdir wal_dir);
+        try Unix.rmdir wal_dir with Unix.Unix_error _ -> ()
+      end)
+  @@ fun () ->
+  let ok = Core.Errors.get_ok in
+  let p = Store.predictor store in
+  let rep = Core.Predictor.rep_indices p and rem = Core.Predictor.rem_indices p in
+  let truth = exact_truth store clean in
+  let n_dies, _ = Linalg.Mat.dims clean in
+  let n_paths = store.Store.n_paths in
+  let die i =
+    let measured = Linalg.Mat.row clean i and truth = Linalg.Mat.row truth i in
+    let full = Array.make n_paths 0.0 in
+    Array.iteri (fun j k -> full.(k) <- measured.(j)) rep;
+    Array.iteri (fun j k -> full.(k) <- truth.(j)) rem;
+    { Serve.Monitor.measured; truth; full; resid = 0.0; wafer = "" }
+  in
+  let wal = ok (Store.Wal.open_ wal_dir) in
+  ignore
+    (ok
+       (Store.Wal.append wal
+          (List.init n_dies (fun i -> Serve.Durable.encode_obs (die i)))));
+  Store.Wal.close wal;
+  let ckpt = Filename.concat wal_dir "checkpoint.psc" in
+  let mon =
+    Serve.Monitor.create ~config:serve_mon_cfg ~n_paths ~r:(Array.length rep)
+      ~m:(Array.length rem) ~reselect:(fun _ -> Error "none") ()
+  in
+  ok (Serve.Durable.save_checkpoint ckpt ~gen:5 (Serve.Monitor.snapshot mon));
+  let broken =
+    Test_monitor.reframe (ok (Core.Errors.read_file ckpt)) ~f:(fun payload ->
+        Bytes.set_int32_le payload 36 0x40000000l)
+  in
+  Out_channel.with_open_bin ckpt (fun oc -> Out_channel.output_string oc broken);
+  (match Serve.Durable.load_checkpoint ckpt with
+   | Error (Core.Errors.Corrupt_artifact _) -> ()
+   | Error e -> Alcotest.failf "wrong error: %s" (Core.Errors.to_string e)
+   | Ok _ -> Alcotest.fail "out-of-range checkpoint accepted");
+  let config =
+    {
+      Serve.default_config with
+      Serve.monitor = Some serve_mon_cfg;
+      durability =
+        Some
+          { Serve.wal_dir; checkpoint_every = 4; wal_segment_bytes = 1 lsl 22;
+            wal_retain = 1 };
+    }
+  in
+  let t = Serve.create ~config store in
+  match Serve.monitor_report t with
+  | None -> Alcotest.fail "monitor not armed"
+  | Some r ->
+    Alcotest.(check int) "cold monitor replayed the whole WAL" n_dies
+      r.Serve.Monitor.observed
+
 let suites =
   [
     ( "serve",
@@ -1087,5 +1157,7 @@ let suites =
           test_client_observe_and_generation;
         Alcotest.test_case "restart recovers generation and monitor state"
           `Quick test_restart_recovers_state;
+        Alcotest.test_case "corrupt checkpoint boots cold and replays the WAL"
+          `Quick test_corrupt_checkpoint_boots_cold;
       ] );
   ]

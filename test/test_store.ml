@@ -160,13 +160,7 @@ let test_trailing_garbage () =
    valid header and CRC, so that only the decoder's structural checks
    stand between each one defect and a served predictor. *)
 let framed payload =
-  let b = Buffer.create (Store.header_size + String.length payload) in
-  Buffer.add_string b Store.magic;
-  Buffer.add_int32_le b (Int32.of_int Store.current_version);
-  Buffer.add_int64_le b (Int64.of_int (String.length payload));
-  Buffer.add_int32_le b (Int32.of_int (Store.Codec.crc32 payload));
-  Buffer.add_string b payload;
-  Buffer.contents b
+  Test_monitor.framed ~magic:Store.magic ~version:Store.current_version payload
 
 let payload ?indices ?per_path_eps ?mu ?(trailing = "") (t : Store.t) =
   let sel = t.Store.selection in
@@ -298,19 +292,32 @@ let prop_roundtrip =
          | Ok t' -> Store.equal t t'
          | Error e -> QCheck.Test.fail_report (Core.Errors.to_string e)))
 
+(* one property over both files the framed container carries: a PSA1
+   artifact and a PSC1 monitor checkpoint *)
 let prop_any_byte_flip_rejected =
-  let s = lazy (Store.to_bytes (Lazy.force fixture)) in
+  let inputs =
+    lazy
+      [
+        ( Store.to_bytes (Lazy.force fixture),
+          fun s -> Result.map ignore (Store.of_bytes s) );
+        ( Test_monitor.checkpoint_bytes ~gen:1
+            (Serve.Monitor.snapshot (Test_monitor.uninterrupted 12)),
+          fun s -> Result.map ignore (Test_monitor.load_checkpoint_bytes s) );
+      ]
+  in
   QCheck.Test.make ~count:60
     ~name:"flipping any single byte yields a typed error with exit code 65"
     QCheck.(pair (int_range 0 1_000_000) (int_range 1 255))
     (fun (pos, mask) ->
-      let s = Lazy.force s in
-      let pos = pos mod String.length s in
-      let bytes = Bytes.of_string s in
-      Bytes.set bytes pos (Char.chr (Char.code (Bytes.get bytes pos) lxor mask));
-      match Store.of_bytes (Bytes.to_string bytes) with
-      | Ok _ -> QCheck.Test.fail_report "corrupted artifact accepted"
-      | Error e -> Core.Errors.exit_code e = 65)
+      List.for_all
+        (fun (s, decode) ->
+          let pos = pos mod String.length s in
+          let bytes = Bytes.of_string s in
+          Bytes.set bytes pos (Char.chr (Char.code (Bytes.get bytes pos) lxor mask));
+          match decode (Bytes.to_string bytes) with
+          | Ok () -> QCheck.Test.fail_report "corrupted file accepted"
+          | Error e -> Core.Errors.exit_code e = 65)
+        (Lazy.force inputs))
 
 let suites =
   [
