@@ -365,7 +365,7 @@ let spectrum_cmd =
       prepare ~lenient ~circuit ~scale ~seed ~levels ~random_boost ~tscale
         ~max_paths ~liberty:None ()
     in
-    let svd = Linalg.Svd.factor (Timing.Paths.a_mat setup.Core.Pipeline.pool) in
+    let svd = Linalg.Svd.factor ~vectors:Values (Timing.Paths.a_mat setup.Core.Pipeline.pool) in
     let norm = Core.Effective_rank.normalized_spectrum svd.Linalg.Svd.s in
     Printf.printf "rank %d, effective rank (eta 5%%) %d\n" (Linalg.Svd.rank svd)
       (Core.Effective_rank.of_singular_values ~eta:0.05 svd.Linalg.Svd.s);

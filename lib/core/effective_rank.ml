@@ -23,7 +23,7 @@ let of_singular_values ~eta s =
     go 0 0.0
   end
 
-let of_mat ~eta a = of_singular_values ~eta (Linalg.Svd.factor a).Linalg.Svd.s
+let of_mat ~eta a = of_singular_values ~eta (Linalg.Svd.factor ~vectors:Values a).Linalg.Svd.s
 
 let normalized_spectrum s =
   let e = Array.fold_left ( +. ) 0.0 s in

@@ -37,7 +37,7 @@ let sketch_stop ~config sketch =
    abort the whole selection, retry with a full-rank randomized SVD, and
    only surface a typed numerical error if that also fails. *)
 let factor_with_fallback ?(seed = default_seed) a =
-  try Linalg.Svd.factor a
+  try Linalg.Svd.factor ~vectors:Left a
   with Linalg.Svd.No_convergence ->
     let m, n = Linalg.Mat.dims a in
     (try Linalg.Rsvd.to_svd (Linalg.Rsvd.factor ~rank:(min m n) ~seed a)

@@ -11,7 +11,7 @@ let rows_from_svd (svd : Linalg.Svd.t) ~r =
   Array.sort compare chosen;
   chosen
 
-let rows a ~r = rows_from_svd (Linalg.Svd.factor a) ~r
+let rows a ~r = rows_from_svd (Linalg.Svd.factor ~vectors:Left a) ~r
 
 let nested_rows (svd : Linalg.Svd.t) =
   let n, k = Linalg.Mat.dims svd.u in

@@ -65,7 +65,7 @@ let run_eta ?(oc = stdout) profile =
   Printf.fprintf oc "\nAblation E6: effective-rank threshold eta (s1423)\n";
   let setup = Table1.setup profile "s1423" in
   let a = Timing.Paths.a_mat setup.Core.Pipeline.pool in
-  let svd = Linalg.Svd.factor a in
+  let svd = Linalg.Svd.factor ~vectors:Values a in
   let sel = Core.Pipeline.approximate_selection setup ~eps in
   Printf.fprintf oc "rank(A) = %d; |P_r| at eps=5%% = %d\n" (Linalg.Svd.rank svd)
     (Array.length sel.Core.Select.indices);

@@ -17,7 +17,7 @@ let series_for profile preset ~random_boost =
       ~yield_samples:profile.Profile.yield_samples ~netlist ~model ()
   in
   let a = Timing.Paths.a_mat setup.Core.Pipeline.pool in
-  let svd = Linalg.Svd.factor a in
+  let svd = Linalg.Svd.factor ~vectors:Values a in
   let s = svd.Linalg.Svd.s in
   ( Core.Effective_rank.normalized_spectrum s,
     Core.Effective_rank.of_singular_values ~eta:0.05 s,

@@ -12,34 +12,20 @@ let solve a b =
     | exception Qr.Rank_deficient _ -> solve_min_norm a b
   end
 
+(* [Qr.solve_lstsq] raises [Rank_deficient] on an exactly zero diagonal
+   of [r], a property of [a] alone: either every column falls back to
+   the pseudo-inverse or none does, so it is factored at most once. *)
 let solve_mat a b =
-  let _, n = Mat.dims a in
+  let m, n = Mat.dims a in
   let _, cols = Mat.dims b in
-  let result = Mat.create n cols in
-  let m, _ = Mat.dims a in
-  if m >= n then begin
+  let by_column solve =
+    let xs = Array.init cols (fun j -> solve (Mat.col b j)) in
+    Mat.init n cols (fun i j -> xs.(j).(i))
+  in
+  let min_norm () = by_column (Mat.apply (Svd.pinv (Svd.factor a))) in
+  if m < n then min_norm ()
+  else
     let f = Qr.factor a in
-    let solve_col j =
-      match Qr.solve_lstsq f (Mat.col b j) with
-      | x -> x
-      | exception Qr.Rank_deficient _ -> solve_min_norm a (Mat.col b j)
-    in
-    for j = 0 to cols - 1 do
-      let x = solve_col j in
-      for i = 0 to n - 1 do
-        Mat.set result i j x.(i)
-      done
-    done
-  end
-  else begin
-    let pinv = Svd.pinv (Svd.factor a) in
-    for j = 0 to cols - 1 do
-      let x = Mat.apply pinv (Mat.col b j) in
-      for i = 0 to n - 1 do
-        Mat.set result i j x.(i)
-      done
-    done
-  end;
-  result
+    try by_column (Qr.solve_lstsq f) with Qr.Rank_deficient _ -> min_norm ()
 
 let residual_norm a x b = Vec.dist2 (Mat.apply a x) b

@@ -10,7 +10,9 @@ val solve_min_norm : Mat.t -> Vec.t -> Vec.t
 
 val solve_mat : Mat.t -> Mat.t -> Mat.t
 (** [solve_mat a b] solves one least-squares problem per column of [b];
-    result is [n x cols b]. *)
+    result is [n x cols b]. Column [j] is bit-identical to
+    [solve a (Mat.col b j)]; a rank-deficient or wide [a] is factored
+    by the SVD once for all columns. *)
 
 val residual_norm : Mat.t -> Vec.t -> Vec.t -> float
 (** [residual_norm a x b] is [||a x - b||_2]. *)

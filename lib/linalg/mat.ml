@@ -495,14 +495,6 @@ let swap_rows m i j =
       set m j k t
     done
 
-let swap_cols m i j =
-  if i <> j then
-    for k = 0 to m.rows - 1 do
-      let t = get m k i in
-      set m k i (get m k j);
-      set m k j t
-    done
-
 let pp fmt m =
   Format.fprintf fmt "@[<v>";
   for i = 0 to m.rows - 1 do

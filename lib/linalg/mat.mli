@@ -142,6 +142,4 @@ val is_symmetric : ?tol:float -> t -> bool
 
 val swap_rows : t -> int -> int -> unit
 
-val swap_cols : t -> int -> int -> unit
-
 val pp : Format.formatter -> t -> unit

@@ -1,24 +1,27 @@
 exception Rank_deficient of string
 
-(* Householder QR with the reflectors stored below the diagonal of [qr]
-   (the leading 1 of each reflector is implicit) and the scalar factors
-   in [tau]: H_k = I - tau_k v_k v_k^T. *)
+(* Householder QR on flat column-major storage: element (i, j) of the
+   [m] x [n] work array lives at [qr.(i + j*m)], so every reflector
+   walks a contiguous column. The reflectors are stored below the
+   diagonal of [qr] (the leading 1 of each reflector is implicit) and
+   the scalar factors in [tau]: H_k = I - tau_k v_k v_k^T. *)
 type t = {
-  qr : Mat.t;
+  qr : float array;
   tau : float array;
   jpvt : int array;  (* pivoted position -> original column *)
   m : int;
   n : int;
 }
 
-let house_column a m k col =
-  (* Build the reflector annihilating column [col] below row [k]; returns
+let house_column a m k =
+  (* Build the reflector annihilating column [k] below row [k]; returns
      tau and writes v (normalized, v.(k)=1 implicit) into rows k+1.. of
-     the column, with the resulting R entry at (k, col). *)
-  let alpha = Mat.get a k col in
+     the column, with the resulting R entry at (k, k). *)
+  let c = k * m in
+  let alpha = a.(c + k) in
   let xnorm2 = ref 0.0 in
-  for i = k + 1 to m - 1 do
-    let v = Mat.get a i col in
+  for i = c + k + 1 to c + m - 1 do
+    let v = a.(i) in
     xnorm2 := !xnorm2 +. (v *. v)
   done;
   if Float.equal !xnorm2 0.0 then 0.0
@@ -27,46 +30,51 @@ let house_column a m k col =
     let beta = if alpha >= 0.0 then -.norm else norm in
     let tau = (beta -. alpha) /. beta in
     let scale = 1.0 /. (alpha -. beta) in
-    for i = k + 1 to m - 1 do
-      Mat.set a i col (Mat.get a i col *. scale)
+    for i = c + k + 1 to c + m - 1 do
+      a.(i) <- a.(i) *. scale
     done;
-    Mat.set a k col beta;
+    a.(c + k) <- beta;
     tau
   end
 
-let apply_reflector a m n k tau jstart =
-  (* Apply H_k = I - tau v v^T (v stored in column k below the diagonal)
-     to columns [jstart..n-1] of [a]. *)
-  if not (Float.equal tau 0.0) then
-    for j = jstart to n - 1 do
-      let s = ref (Mat.get a k j) in
+(* Apply H_k = I - tau v v^T, v stored in column [vc] (leading
+   dimension [m]) below row [k], to the [cols] columns of [x] (leading
+   dimension [m]) from column [jstart] on. *)
+let apply_reflector ~v ~vc x m cols k tau jstart =
+  if not (Float.equal tau 0.0) then begin
+    let ck = vc * m in
+    for j = jstart to cols - 1 do
+      let cj = j * m in
+      let s = ref x.(cj + k) in
       for i = k + 1 to m - 1 do
-        s := !s +. (Mat.get a i k *. Mat.get a i j)
+        s := !s +. (v.(ck + i) *. x.(cj + i))
       done;
       let s = tau *. !s in
-      Mat.set a k j (Mat.get a k j -. s);
+      x.(cj + k) <- x.(cj + k) -. s;
       for i = k + 1 to m - 1 do
-        Mat.set a i j (Mat.get a i j -. (s *. Mat.get a i k))
+        x.(cj + i) <- x.(cj + i) -. (s *. v.(ck + i))
       done
     done
+  end
+
+(* Squared norm of rows [k..m-1] of column [j]. *)
+let col_norm2 a m k j =
+  let acc = ref 0.0 in
+  for i = (j * m) + k to (j * m) + m - 1 do
+    let v = a.(i) in
+    acc := !acc +. (v *. v)
+  done;
+  !acc
 
 let factor_generic ~pivot a0 =
   let m, n = Mat.dims a0 in
-  let a = Mat.copy a0 in
+  (* the row-major transpose's data is [a0] in column-major order *)
+  let a = (Mat.transpose a0).Mat.data in
   let kmax = min m n in
   let tau = Array.make kmax 0.0 in
   let jpvt = Array.init n (fun j -> j) in
   (* running squared residual norms of each column, for pivoting *)
-  let cnorm = Array.make n 0.0 in
-  if pivot then
-    for j = 0 to n - 1 do
-      let acc = ref 0.0 in
-      for i = 0 to m - 1 do
-        let v = Mat.get a i j in
-        acc := !acc +. (v *. v)
-      done;
-      cnorm.(j) <- !acc
-    done;
+  let cnorm = if pivot then Array.init n (col_norm2 a m 0) else [||] in
   for k = 0 to kmax - 1 do
     if pivot then begin
       let best = ref k in
@@ -74,19 +82,11 @@ let factor_generic ~pivot a0 =
         if cnorm.(j) > cnorm.(!best) then best := j
       done;
       (* Guard against stale downdated norms: recompute the winner. *)
-      let recompute j =
-        let acc = ref 0.0 in
-        for i = k to m - 1 do
-          let v = Mat.get a i j in
-          acc := !acc +. (v *. v)
-        done;
-        !acc
-      in
-      let exact = recompute !best in
+      let exact = col_norm2 a m k !best in
       if exact < 0.5 *. cnorm.(!best) then begin
         (* norms drifted; refresh all remaining and re-select *)
         for j = k to n - 1 do
-          cnorm.(j) <- recompute j
+          cnorm.(j) <- col_norm2 a m k j
         done;
         best := k;
         for j = k + 1 to n - 1 do
@@ -95,7 +95,12 @@ let factor_generic ~pivot a0 =
       end
       else cnorm.(!best) <- exact;
       if !best <> k then begin
-        Mat.swap_cols a k !best;
+        let ck = k * m and cb = !best * m in
+        for i = 0 to m - 1 do
+          let t = a.(ck + i) in
+          a.(ck + i) <- a.(cb + i);
+          a.(cb + i) <- t
+        done;
         let t = cnorm.(k) in
         cnorm.(k) <- cnorm.(!best);
         cnorm.(!best) <- t;
@@ -104,13 +109,13 @@ let factor_generic ~pivot a0 =
         jpvt.(!best) <- t
       end
     end;
-    let t = house_column a m k k in
+    let t = house_column a m k in
     tau.(k) <- t;
-    apply_reflector a m n k t (k + 1);
+    apply_reflector ~v:a ~vc:k a m n k t (k + 1);
     if pivot then
       (* downdate the residual norms of the remaining columns *)
       for j = k + 1 to n - 1 do
-        let v = Mat.get a k j in
+        let v = a.(k + (j * m)) in
         cnorm.(j) <- Float.max 0.0 (cnorm.(j) -. (v *. v))
       done
   done;
@@ -122,69 +127,41 @@ let factor_pivoted a = factor_generic ~pivot:true a
 
 let r f =
   let k = min f.m f.n in
-  Mat.init k f.n (fun i j -> if j >= i then Mat.get f.qr i j else 0.0)
+  Mat.init k f.n (fun i j -> if j >= i then f.qr.(i + (j * f.m)) else 0.0)
 
 let perm f = Array.copy f.jpvt
 
 let q f =
   let k = min f.m f.n in
   (* Accumulate the thin Q by applying the reflectors to I backwards. *)
-  let qm = Mat.create f.m k in
+  let qm = Array.make (f.m * k) 0.0 in
   for j = 0 to k - 1 do
-    Mat.set qm j j 1.0
+    qm.(j + (j * f.m)) <- 1.0
   done;
   for kk = k - 1 downto 0 do
-    let tau = f.tau.(kk) in
-    if not (Float.equal tau 0.0) then
-      for j = 0 to k - 1 do
-        let s = ref (Mat.get qm kk j) in
-        for i = kk + 1 to f.m - 1 do
-          s := !s +. (Mat.get f.qr i kk *. Mat.get qm i j)
-        done;
-        let s = tau *. !s in
-        Mat.set qm kk j (Mat.get qm kk j -. s);
-        for i = kk + 1 to f.m - 1 do
-          Mat.set qm i j (Mat.get qm i j -. (s *. Mat.get f.qr i kk))
-        done
-      done
+    apply_reflector ~v:f.qr ~vc:kk qm f.m k kk f.tau.(kk) 0
   done;
-  qm
+  Mat.init f.m k (fun i j -> qm.(i + (j * f.m)))
 
 let rank ?tol f =
   let k = min f.m f.n in
   if k = 0 then 0
   else begin
-    let r00 = Float.abs (Mat.get f.qr 0 0) in
+    let diag i = Float.abs f.qr.(i + (i * f.m)) in
     let tol =
       match tol with
       | Some t -> t
-      | None -> float_of_int (max f.m f.n) *. epsilon_float *. r00
+      | None -> float_of_int (max f.m f.n) *. epsilon_float *. diag 0
     in
-    let rec count i =
-      if i >= k then i
-      else if Float.abs (Mat.get f.qr i i) <= tol then i
-      else count (i + 1)
-    in
+    let rec count i = if i >= k || diag i <= tol then i else count (i + 1) in
     count 0
   end
 
 let apply_qt f b =
   if Array.length b <> f.m then invalid_arg "Qr.apply_qt: dimension mismatch";
   let y = Array.copy b in
-  let k = min f.m f.n in
-  for kk = 0 to k - 1 do
-    let tau = f.tau.(kk) in
-    if not (Float.equal tau 0.0) then begin
-      let s = ref y.(kk) in
-      for i = kk + 1 to f.m - 1 do
-        s := !s +. (Mat.get f.qr i kk *. y.(i))
-      done;
-      let s = tau *. !s in
-      y.(kk) <- y.(kk) -. s;
-      for i = kk + 1 to f.m - 1 do
-        y.(i) <- y.(i) -. (s *. Mat.get f.qr i kk)
-      done
-    end
+  for kk = 0 to min f.m f.n - 1 do
+    apply_reflector ~v:f.qr ~vc:kk y f.m 1 kk f.tau.(kk) 0
   done;
   y
 
@@ -195,9 +172,9 @@ let solve_lstsq f b =
   for i = f.n - 1 downto 0 do
     let acc = ref y.(i) in
     for j = i + 1 to f.n - 1 do
-      acc := !acc -. (Mat.get f.qr i j *. x.(j))
+      acc := !acc -. (f.qr.(i + (j * f.m)) *. x.(j))
     done;
-    let d = Mat.get f.qr i i in
+    let d = f.qr.(i + (i * f.m)) in
     if Float.equal d 0.0 then raise (Rank_deficient "Qr.solve_lstsq: rank-deficient matrix");
     x.(i) <- !acc /. d
   done;

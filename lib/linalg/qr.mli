@@ -42,5 +42,6 @@ val apply_qt : t -> Vec.t -> Vec.t
 
 val solve_lstsq : t -> Vec.t -> Vec.t
 (** Least-squares solution of [a x = b] for a full-column-rank [a]
-    ([m >= n]). Raises [Invalid_argument] when [m < n] and [Failure]
-    when [r] has a zero diagonal entry. *)
+    ([m >= n]). Raises [Invalid_argument] when [m < n] and
+    {!Rank_deficient} when [r] has an exactly zero diagonal entry
+    ([Core.Errors] maps it to a [Numerical] error). *)

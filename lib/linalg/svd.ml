@@ -1,147 +1,233 @@
 type t = { u : Mat.t; s : Vec.t; v : Mat.t }
 
+type vectors = Both | Left | Values
+
 exception No_convergence
 
 let hypot2 a b = Float.hypot a b
 
 let sign_of x y = if y >= 0.0 then Float.abs x else -.Float.abs x
 
-(* Golub–Reinsch SVD for m >= n, operating on float array arrays for index
-   brevity. [a] is destroyed and becomes U (m x n); returns (w, v) with
-   singular values w (length n, unsorted/unsigned at intermediate stages)
-   and V (n x n). Classic svdcmp structure. *)
-let golub_reinsch a m n =
+(* Rotate columns [p] and [q] (each [len] long, column-major, leading
+   dimension [len]) of [x] by the plane rotation (c, s). *)
+let rotate x len p q c s =
+  let cp = p * len and cq = q * len in
+  for r = 0 to len - 1 do
+    let y = x.(cp + r) in
+    let z = x.(cq + r) in
+    x.(cp + r) <- (y *. c) +. (z *. s);
+    x.(cq + r) <- (z *. c) -. (y *. s)
+  done
+
+(* [x.(yo + r) <- x.(yo + r) +. f *. x.(xo + r)] for r in [lo, hi). *)
+let axpy f x ~xo ~yo lo hi =
+  for r = lo to hi - 1 do
+    x.(yo + r) <- x.(yo + r) +. (f *. x.(xo + r))
+  done
+
+(* [dots.(j) <- sum over r in [lo, m) of p.(po + r) *. x.(j*m + r)] for
+   every column j in [jlo, n) of the column-major [x], each sum formed
+   in increasing r from 0.0 as a plain loop forms it. Four columns
+   share one pass over [p], so their independent sums overlap instead
+   of waiting on one add chain. *)
+let column_dots ~p ~po x m lo jlo n dots =
+  let j = ref jlo in
+  while !j + 4 <= n do
+    let c0 = !j * m in
+    let c1 = c0 + m in
+    let c2 = c1 + m in
+    let c3 = c2 + m in
+    let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
+    for r = lo to m - 1 do
+      let pr = p.(po + r) in
+      s0 := !s0 +. (pr *. x.(c0 + r));
+      s1 := !s1 +. (pr *. x.(c1 + r));
+      s2 := !s2 +. (pr *. x.(c2 + r));
+      s3 := !s3 +. (pr *. x.(c3 + r))
+    done;
+    dots.(!j) <- !s0;
+    dots.(!j + 1) <- !s1;
+    dots.(!j + 2) <- !s2;
+    dots.(!j + 3) <- !s3;
+    j := !j + 4
+  done;
+  for j = !j to n - 1 do
+    let cj = j * m in
+    let s = ref 0.0 in
+    for r = lo to m - 1 do
+      s := !s +. (p.(po + r) *. x.(cj + r))
+    done;
+    dots.(j) <- !s
+  done
+
+(* [acc.(r) <- sum over k in [lo, n) of x.(r + k*m) *. x.(i + k*m)] for
+   every row r in [lo, m) of the column-major [x], each sum formed in
+   increasing k from 0.0 as a plain loop forms it. Each pass over the
+   rows adds four columns, in order, so [acc] is loaded and stored a
+   quarter as often. *)
+let row_dots x m i lo n acc =
+  Array.fill acc lo (m - lo) 0.0;
+  let k = ref lo in
+  while !k + 4 <= n do
+    let c0 = !k * m in
+    let c1 = c0 + m in
+    let c2 = c1 + m in
+    let c3 = c2 + m in
+    let x0 = x.(i + c0) and x1 = x.(i + c1) and x2 = x.(i + c2) and x3 = x.(i + c3) in
+    for r = lo to m - 1 do
+      acc.(r) <-
+        acc.(r)
+        +. (x.(c0 + r) *. x0)
+        +. (x.(c1 + r) *. x1)
+        +. (x.(c2 + r) *. x2)
+        +. (x.(c3 + r) *. x3)
+    done;
+    k := !k + 4
+  done;
+  for k = !k to n - 1 do
+    let ck = k * m in
+    let xk = x.(i + ck) in
+    for r = lo to m - 1 do
+      acc.(r) <- acc.(r) +. (x.(ck + r) *. xk)
+    done
+  done
+
+(* Golub–Reinsch SVD for m >= n (classic svdcmp structure) on flat
+   column-major storage: element (i, j) of [a] lives at [a.(i + j*m)].
+   [a] is destroyed; with [want_u] it becomes U (m x n). Returns the
+   singular values w (length n, unsorted) and, with [want_v], V (n x n,
+   column-major; [||] otherwise). Nothing flows from U or V back into
+   w, rv1 or the other factor, so skipping one changes no other bit. *)
+let golub_reinsch ~want_u ~want_v a m n =
   let w = Array.make n 0.0 in
   let rv1 = Array.make n 0.0 in
-  let v = Array.make_matrix n n 0.0 in
+  let v = if want_v then Array.make (n * n) 0.0 else [||] in
+  (* one column's dot products with the columns to its right *)
+  let dots = Array.make n 0.0 in
+  (* the row reflectors' dot products, one per row, summed in increasing k *)
+  let acc = Array.make m 0.0 in
   let g = ref 0.0 and scale = ref 0.0 and anorm = ref 0.0 in
   (* Householder reduction to bidiagonal form *)
   let l = ref 0 in
   for i = 0 to n - 1 do
     l := i + 1;
+    let l = !l in
+    let ci = i * m in
     rv1.(i) <- !scale *. !g;
     g := 0.0;
     scale := 0.0;
-    if i < m then begin
+    for k = i to m - 1 do
+      scale := !scale +. Float.abs a.(ci + k)
+    done;
+    if not (Float.equal !scale 0.0) then begin
+      let s = ref 0.0 in
       for k = i to m - 1 do
-        scale := !scale +. Float.abs a.(k).(i)
+        a.(ci + k) <- a.(ci + k) /. !scale;
+        s := !s +. (a.(ci + k) *. a.(ci + k))
       done;
-      if not (Float.equal !scale 0.0) then begin
-        let s = ref 0.0 in
-        for k = i to m - 1 do
-          a.(k).(i) <- a.(k).(i) /. !scale;
-          s := !s +. (a.(k).(i) *. a.(k).(i))
-        done;
-        let f = a.(i).(i) in
-        g := -.sign_of (sqrt !s) f;
-        let h = (f *. !g) -. !s in
-        a.(i).(i) <- f -. !g;
-        for j = !l to n - 1 do
-          let s = ref 0.0 in
-          for k = i to m - 1 do
-            s := !s +. (a.(k).(i) *. a.(k).(j))
-          done;
-          let fac = !s /. h in
-          for k = i to m - 1 do
-            a.(k).(j) <- a.(k).(j) +. (fac *. a.(k).(i))
-          done
-        done;
-        for k = i to m - 1 do
-          a.(k).(i) <- a.(k).(i) *. !scale
-        done
-      end
+      let f = a.(ci + i) in
+      g := -.sign_of (sqrt !s) f;
+      let h = (f *. !g) -. !s in
+      a.(ci + i) <- f -. !g;
+      column_dots ~p:a ~po:ci a m i l n dots;
+      for j = l to n - 1 do
+        axpy (dots.(j) /. h) a ~xo:ci ~yo:(j * m) i m
+      done;
+      for k = i to m - 1 do
+        a.(ci + k) <- a.(ci + k) *. !scale
+      done
     end;
     w.(i) <- !scale *. !g;
     g := 0.0;
     scale := 0.0;
-    if i < m && i <> n - 1 then begin
-      for k = !l to n - 1 do
-        scale := !scale +. Float.abs a.(i).(k)
+    if i <> n - 1 then begin
+      for k = l to n - 1 do
+        scale := !scale +. Float.abs a.(i + (k * m))
       done;
       if not (Float.equal !scale 0.0) then begin
         let s = ref 0.0 in
-        for k = !l to n - 1 do
-          a.(i).(k) <- a.(i).(k) /. !scale;
-          s := !s +. (a.(i).(k) *. a.(i).(k))
+        for k = l to n - 1 do
+          let ik = i + (k * m) in
+          a.(ik) <- a.(ik) /. !scale;
+          s := !s +. (a.(ik) *. a.(ik))
         done;
-        let f = a.(i).(!l) in
+        let f = a.(i + (l * m)) in
         g := -.sign_of (sqrt !s) f;
         let h = (f *. !g) -. !s in
-        a.(i).(!l) <- f -. !g;
-        for k = !l to n - 1 do
-          rv1.(k) <- a.(i).(k) /. h
+        a.(i + (l * m)) <- f -. !g;
+        for k = l to n - 1 do
+          rv1.(k) <- a.(i + (k * m)) /. h
         done;
-        for j = !l to m - 1 do
-          let s = ref 0.0 in
-          for k = !l to n - 1 do
-            s := !s +. (a.(j).(k) *. a.(i).(k))
-          done;
-          for k = !l to n - 1 do
-            a.(j).(k) <- a.(j).(k) +. (!s *. rv1.(k))
+        row_dots a m i l n acc;
+        for k = l to n - 1 do
+          let ck = k * m in
+          let r = rv1.(k) in
+          for j = l to m - 1 do
+            a.(ck + j) <- a.(ck + j) +. (acc.(j) *. r)
           done
         done;
-        for k = !l to n - 1 do
-          a.(i).(k) <- a.(i).(k) *. !scale
+        for k = l to n - 1 do
+          let ik = i + (k * m) in
+          a.(ik) <- a.(ik) *. !scale
         done
       end
     end;
     anorm := Float.max !anorm (Float.abs w.(i) +. Float.abs rv1.(i))
   done;
-  (* Accumulation of right-hand transformations *)
-  for i = n - 1 downto 0 do
-    if i < n - 1 then begin
-      if not (Float.equal !g 0.0) then begin
-        for j = !l to n - 1 do
-          v.(j).(i) <- a.(i).(j) /. a.(i).(!l) /. !g
-        done;
-        for j = !l to n - 1 do
-          let s = ref 0.0 in
+  (* Accumulation of right-hand transformations; row i of [a] is
+     gathered into [row] so the inner loops run down columns of v. *)
+  if want_v then begin
+    let row = Array.make n 0.0 in
+    for i = n - 1 downto 0 do
+      let ci = i * n in
+      if i < n - 1 then begin
+        if not (Float.equal !g 0.0) then begin
           for k = !l to n - 1 do
-            s := !s +. (a.(i).(k) *. v.(k).(j))
+            row.(k) <- a.(i + (k * m))
           done;
-          for k = !l to n - 1 do
-            v.(k).(j) <- v.(k).(j) +. (!s *. v.(k).(i))
+          for j = !l to n - 1 do
+            v.(j + ci) <- row.(j) /. row.(!l) /. !g
+          done;
+          column_dots ~p:row ~po:0 v n !l !l n dots;
+          for j = !l to n - 1 do
+            axpy dots.(j) v ~xo:ci ~yo:(j * n) !l n
           done
+        end;
+        for j = !l to n - 1 do
+          v.(i + (j * n)) <- 0.0;
+          v.(j + ci) <- 0.0
         done
       end;
-      for j = !l to n - 1 do
-        v.(i).(j) <- 0.0;
-        v.(j).(i) <- 0.0
-      done
-    end;
-    v.(i).(i) <- 1.0;
-    g := rv1.(i);
-    l := i
-  done;
+      v.(i + ci) <- 1.0;
+      g := rv1.(i);
+      l := i
+    done
+  end;
   (* Accumulation of left-hand transformations *)
-  for i = min m n - 1 downto 0 do
-    let l = i + 1 in
-    let g = w.(i) in
-    for j = l to n - 1 do
-      a.(i).(j) <- 0.0
-    done;
-    if not (Float.equal g 0.0) then begin
-      let ginv = 1.0 /. g in
+  if want_u then
+    for i = n - 1 downto 0 do
+      let l = i + 1 in
+      let ci = i * m in
+      let g = w.(i) in
       for j = l to n - 1 do
-        let s = ref 0.0 in
-        for k = l to m - 1 do
-          s := !s +. (a.(k).(i) *. a.(k).(j))
+        a.(i + (j * m)) <- 0.0
+      done;
+      if not (Float.equal g 0.0) then begin
+        let ginv = 1.0 /. g in
+        column_dots ~p:a ~po:ci a m l l n dots;
+        for j = l to n - 1 do
+          axpy (dots.(j) /. a.(ci + i) *. ginv) a ~xo:ci ~yo:(j * m) i m
         done;
-        let f = !s /. a.(i).(i) *. ginv in
-        for k = i to m - 1 do
-          a.(k).(j) <- a.(k).(j) +. (f *. a.(k).(i))
+        for j = i to m - 1 do
+          a.(ci + j) <- a.(ci + j) *. ginv
         done
-      done;
-      for j = i to m - 1 do
-        a.(j).(i) <- a.(j).(i) *. ginv
-      done
-    end
-    else
-      for j = i to m - 1 do
-        a.(j).(i) <- 0.0
-      done;
-    a.(i).(i) <- a.(i).(i) +. 1.0
-  done;
+      end
+      else
+        for j = i to m - 1 do
+          a.(ci + j) <- 0.0
+        done;
+      a.(ci + i) <- a.(ci + i) +. 1.0
+    done;
   (* Diagonalization of the bidiagonal form *)
   for k = n - 1 downto 0 do
     let its = ref 0 in
@@ -178,12 +264,7 @@ let golub_reinsch a m n =
              let hinv = 1.0 /. h in
              c := g *. hinv;
              s := -.f *. hinv;
-             for j = 0 to m - 1 do
-               let y = a.(j).(!nm) in
-               let z = a.(j).(i) in
-               a.(j).(!nm) <- (y *. !c) +. (z *. !s);
-               a.(j).(i) <- (z *. !c) -. (y *. !s)
-             done
+             if want_u then rotate a m !nm i !c !s
            done
          with Exit -> ())
       end;
@@ -192,9 +273,10 @@ let golub_reinsch a m n =
         (* convergence; make the singular value non-negative *)
         if z < 0.0 then begin
           w.(k) <- -.z;
-          for j = 0 to n - 1 do
-            v.(j).(k) <- -.v.(j).(k)
-          done
+          if want_v then
+            for j = k * n to (k * n) + n - 1 do
+              v.(j) <- -.v.(j)
+            done
         end;
         converged := true
       end
@@ -227,12 +309,7 @@ let golub_reinsch a m n =
           g := (!g *. !c) -. (!x *. !s);
           h := !y *. !s;
           y := !y *. !c;
-          for jj = 0 to n - 1 do
-            let xx = v.(jj).(j) in
-            let zz = v.(jj).(i) in
-            v.(jj).(j) <- (xx *. !c) +. (zz *. !s);
-            v.(jj).(i) <- (zz *. !c) -. (xx *. !s)
-          done;
+          if want_v then rotate v n j i !c !s;
           let z = hypot2 fnew !h in
           w.(j) <- z;
           if not (Float.equal z 0.0) then begin
@@ -242,12 +319,7 @@ let golub_reinsch a m n =
           end;
           f := (!c *. !g) +. (!s *. !y);
           x := (!c *. !y) -. (!s *. !g);
-          for jj = 0 to m - 1 do
-            let yy = a.(jj).(j) in
-            let zz = a.(jj).(i) in
-            a.(jj).(j) <- (yy *. !c) +. (zz *. !s);
-            a.(jj).(i) <- (zz *. !c) -. (yy *. !s)
-          done
+          if want_u then rotate a m j i !c !s
         done;
         rv1.(!l) <- 0.0;
         rv1.(k) <- !f;
@@ -256,29 +328,6 @@ let golub_reinsch a m n =
     done
   done;
   (w, v)
-
-(* Sort singular values into non-increasing order, permuting U and V
-   columns to match. *)
-let sort_svd u s v =
-  let k = Array.length s in
-  let order = Array.init k (fun i -> i) in
-  Array.sort (fun i j -> compare s.(j) s.(i)) order;
-  let s' = Array.init k (fun i -> s.(order.(i))) in
-  let um, uk = Mat.dims u in
-  ignore uk;
-  let vm, _ = Mat.dims v in
-  let u' = Mat.init um k (fun i j -> Mat.get u i order.(j)) in
-  let v' = Mat.init vm k (fun i j -> Mat.get v i order.(j)) in
-  (u', s', v')
-
-let factor_tall a0 =
-  let m, n = Mat.dims a0 in
-  let a = Mat.to_arrays a0 in
-  let w, v = golub_reinsch a m n in
-  let u = Mat.of_arrays a in
-  let v = Mat.of_arrays v in
-  let u, s, v = sort_svd u w v in
-  { u; s; v }
 
 let check_finite op a =
   let m, n = Mat.dims a in
@@ -291,16 +340,46 @@ let check_finite op a =
     done
   done
 
-let factor a =
+(* The singular values in non-increasing order; [order.(j)] is the
+   column of the unsorted factors that becomes column [j]. *)
+let sorted_order w =
+  let order = Array.init (Array.length w) (fun i -> i) in
+  Array.sort (fun i j -> compare w.(j) w.(i)) order;
+  order
+
+(* The [rows] x [k] matrix whose column [j] is column [order.(j)] of the
+   column-major [x] (leading dimension [rows]). *)
+let permuted_cols x rows order =
+  Mat.init rows (Array.length order) (fun i j -> x.(i + (order.(j) * rows)))
+
+let factor ?(vectors = Both) a =
   check_finite "Svd.factor" a;
   let m, n = Mat.dims a in
-  if m = 0 || n = 0 then
-    { u = Mat.create m 0; s = [||]; v = Mat.create n 0 }
-  else if m >= n then factor_tall a
+  if m = 0 || n = 0 then { u = Mat.create m 0; s = [||]; v = Mat.create n 0 }
   else begin
-    let { u; s; v } = factor_tall (Mat.transpose a) in
-    { u = v; s; v = u }
+    (* Golub–Reinsch wants rows >= cols, column-major. A wide [a]'s
+       row-major data already is [transpose a] in column-major order, so
+       it factors as is and its U and V swap roles; a tall [a] is
+       transposed in. *)
+    let wide = m < n in
+    let rows, cols = if wide then (n, m) else (m, n) in
+    let work = if wide then Array.copy a.Mat.data else (Mat.transpose a).Mat.data in
+    let left = vectors <> Values and right = vectors = Both in
+    let want_u, want_v = if wide then (right, left) else (left, right) in
+    let w, v = golub_reinsch ~want_u ~want_v work rows cols in
+    let order = sorted_order w in
+    let s = Array.map (fun j -> w.(j)) order in
+    let gu = if want_u then permuted_cols work rows order else Mat.create rows 0 in
+    let gv = if want_v then permuted_cols v cols order else Mat.create cols 0 in
+    if wide then { u = gv; s; v = gu } else { u = gu; s; v = gv }
   end
+
+(* Sort singular values into non-increasing order, permuting the
+   columns of the row-major U and V to match. *)
+let sort_svd u s v =
+  let order = sorted_order s in
+  let pick x = Mat.init (fst (Mat.dims x)) (Array.length order) (fun i j -> Mat.get x i order.(j)) in
+  (pick u, Array.map (fun j -> s.(j)) order, pick v)
 
 let jacobi_tall a0 =
   (* One-sided Jacobi on a tall matrix: orthogonalize the columns by plane

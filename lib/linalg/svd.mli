@@ -6,11 +6,22 @@
 
 type t = { u : Mat.t; s : Vec.t; v : Mat.t }
 
+(** Which singular vectors {!factor} forms. *)
+type vectors =
+  | Both  (** [u] and [v] *)
+  | Left  (** [u] only *)
+  | Values  (** neither: the singular values alone *)
+
 exception No_convergence
 
-val factor : Mat.t -> t
+val factor : ?vectors:vectors -> Mat.t -> t
 (** Golub–Reinsch: Householder bidiagonalization followed by implicit-shift
-    QR on the bidiagonal. Raises {!No_convergence} after 60 sweeps on one
+    QR on the bidiagonal, on flat column-major storage. [vectors]
+    (default [Both]) names the factors to form; a factor that is not
+    formed comes back with its row count and zero columns ([u] is
+    [m x 0], [v] is [n x 0]), so {!rank}'s default tolerance is the same
+    for every choice. Skipping a factor changes no bit of the others or
+    of [s]. Raises {!No_convergence} after 60 sweeps on one
     singular value (does not happen on finite inputs in practice), and
     [Invalid_argument] on NaN/infinite entries — checked up front, since
     non-finite input would otherwise corrupt the iteration's stopping
@@ -23,14 +34,16 @@ val factor_jacobi : Mat.t -> t
 
 val rank : ?tol:float -> t -> int
 (** Numerical rank: number of singular values above [tol]. Default
-    [tol = max m n * epsilon * s.(0)]. *)
+    [tol = max m n * epsilon * s.(0)], with [m] and [n] the row counts
+    of [u] and [v]. *)
 
 val reconstruct : t -> Mat.t
-(** [u * diag s * transpose v]. *)
+(** [u * diag s * transpose v]. Needs both factors. *)
 
 val pinv : ?tol:float -> t -> Mat.t
 (** Moore–Penrose pseudo-inverse [v * diag 1/s * transpose u], zeroing
-    singular values below [tol] (same default as {!rank}). *)
+    singular values below [tol] (same default as {!rank}). Needs both
+    factors. *)
 
 val nuclear_norm : t -> float
 (** Sum of singular values (the "energy" E of the paper's Section 4.2). *)

@@ -78,7 +78,14 @@ let test_full_pipeline_on_golden () =
       let model = Timing.Variation.make_model ~levels:3 () in
       let setup = Core.Pipeline.prepare ~netlist:nl ~model ~yield_samples:120 () in
       let sel = Core.Pipeline.approximate_selection setup ~eps:0.05 in
-      Alcotest.(check bool) "tolerance met" true (sel.Core.Select.eps_r <= 0.05))
+      Alcotest.(check bool) "tolerance met" true (sel.Core.Select.eps_r <= 0.05);
+      (* bit pins on demo90's 94x65 A: Algorithm 1's representatives and
+         eps_r, and the exact selection *)
+      Alcotest.(check (array int)) "representatives" [| 21; 53; 79 |] sel.Core.Select.indices;
+      Alcotest.(check (float 0.0)) "eps_r" 0x1.5a71a4ca96313p-5 sel.Core.Select.eps_r;
+      let exact = Core.Pipeline.exact_selection setup in
+      Alcotest.(check int) "exact size" 28 (Array.length exact.Core.Select.indices);
+      Alcotest.(check (float 0.0)) "exact eps_r" 0x1.a6bacb58ed234p-46 exact.Core.Select.eps_r)
 
 let unit_tests =
   [

@@ -206,6 +206,38 @@ let test_qr_lstsq () =
   let x = Linalg.Qr.solve_lstsq (Linalg.Qr.factor a) b in
   Alcotest.(check bool) "recover exact" true (Linalg.Vec.equal ~tol:1e-8 x_true x)
 
+(* A matrix from its own seeded LCG, so the pins and the tests below
+   leave [lcg_state]'s stream, and the matrices of every later test,
+   unchanged. *)
+let seeded_mat ~seed m n =
+  let st = ref seed in
+  Linalg.Mat.init m n (fun _ _ ->
+      st := ((!st * 1103515245) + 12345) land 0x3FFFFFFF;
+      (float_of_int !st /. float_of_int 0x3FFFFFFF *. 2.0) -. 1.0)
+
+let vec_bits_equal x y =
+  Array.length x = Array.length y
+  && Array.for_all2
+       (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+       x y
+
+(* A rank-deficient [a] sends every column of [solve_mat] to the SVD
+   fallback: each must be bit-equal to the one-column minimum-norm
+   solve. *)
+let test_lstsq_solve_mat_rank_deficient () =
+  let a = seeded_mat ~seed:5 9 4 in
+  for i = 0 to 8 do
+    Linalg.Mat.set a i 2 0.0
+  done;
+  let b = seeded_mat ~seed:6 9 3 in
+  let x = Linalg.Lstsq.solve_mat a b in
+  Alcotest.(check (pair int int)) "shape" (4, 3) (Linalg.Mat.dims x);
+  for j = 0 to 2 do
+    let expected = Linalg.Lstsq.solve_min_norm a (Linalg.Mat.col b j) in
+    if not (vec_bits_equal expected (Linalg.Mat.col x j)) then
+      Alcotest.failf "column %d differs from solve_min_norm" j
+  done
+
 let test_qr_lstsq_residual_orthogonal () =
   (* The least-squares residual must be orthogonal to the column space. *)
   let a = random_mat 10 4 in
@@ -279,6 +311,36 @@ let test_svd_zero_matrix () =
   let f = Linalg.Svd.factor (Linalg.Mat.create 4 3) in
   check_close "all zero" 0.0 (Linalg.Vec.norm_inf f.s);
   Alcotest.(check int) "rank 0" 0 (Linalg.Svd.rank f)
+
+(* Bit pins: MD5 digests of the IEEE bits of [Svd.factor]'s s, u and
+   v and of [Qr.factor_pivoted]'s permutation and r, on one fixed wide
+   and one fixed tall matrix. A kernel rewrite must keep every
+   floating-point operation in the same order to keep them. *)
+let bits_digest xs =
+  let b = Buffer.create 4096 in
+  Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) xs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let check_pins a ~s ~u ~v ~perm ~r =
+  let f = Linalg.Svd.factor a in
+  let data (x : Linalg.Mat.t) = x.Linalg.Mat.data in
+  Alcotest.(check string) "svd s" s (bits_digest f.s);
+  Alcotest.(check string) "svd u" u (bits_digest (data f.u));
+  Alcotest.(check string) "svd v" v (bits_digest (data f.v));
+  let q = Linalg.Qr.factor_pivoted a in
+  Alcotest.(check string) "qr perm" perm
+    (bits_digest (Array.map float_of_int (Linalg.Qr.perm q)));
+  Alcotest.(check string) "qr r" r (bits_digest (data (Linalg.Qr.r q)))
+
+let test_bit_pins_wide () =
+  check_pins (seeded_mat ~seed:19 23 57) ~s:"1780ef1fa4ae0ef2abd9894cdb91bd70"
+    ~u:"e0fa4a61f83c612a08ada86da89f84a7" ~v:"2a39a42df787dbac6408a41e4e69504f"
+    ~perm:"629382708d075a6d5a67fee79dc3ab60" ~r:"ac35e9675537df77010ae03fdbcc2a9c"
+
+let test_bit_pins_tall () =
+  check_pins (seeded_mat ~seed:23 61 17) ~s:"31785ed140a8854ee864d5135349625a"
+    ~u:"6483212a0179052c7e2d046ea942e7f5" ~v:"7d94ec93ed9bd9c4880c874c5130c542"
+    ~perm:"a0b13b7ea84553e5703303839f18b723" ~r:"aca988499b827158aa9d9c385e9727a3"
 
 let test_pinv_moore_penrose () =
   let a = random_low_rank 8 6 3 in
@@ -388,6 +450,34 @@ let prop_pinv_least_squares =
       done;
       !ok)
 
+(* [Left] and [Values] skip factors, not work on the others: [u] and
+   [s] are the bits of [Both]'s, a skipped factor keeps its row count,
+   and the default-tolerance rank agrees. Checked on [a] and on a
+   rank-1 product of its shape. *)
+let prop_svd_partial_equals_full =
+  QCheck.Test.make ~count:60 ~name:"svd: Left/Values equal the full factorization"
+    (qcheck_mat ()) (fun a ->
+      let m, n = Linalg.Mat.dims a in
+      let same x =
+        let full = Linalg.Svd.factor x in
+        let left = Linalg.Svd.factor ~vectors:Left x in
+        let values = Linalg.Svd.factor ~vectors:Values x in
+        let k = min m n in
+        Linalg.Mat.bits_equal left.u full.u
+        && vec_bits_equal left.s full.s
+        && vec_bits_equal values.s full.s
+        && Linalg.Mat.dims left.v = (n, 0)
+        && Linalg.Mat.dims values.u = (m, 0)
+        && Linalg.Mat.dims values.v = (n, 0)
+        && Linalg.Mat.dims full.v = (n, k)
+        && Linalg.Svd.rank left = Linalg.Svd.rank full
+        && Linalg.Svd.rank values = Linalg.Svd.rank full
+      in
+      let rank1 =
+        Linalg.Mat.mul (Linalg.Mat.sub_left_cols a 1) (Linalg.Mat.select_rows a [| 0 |])
+      in
+      same a && same rank1)
+
 (* bit equality is stricter than [=] on floats: signed zeros differ,
    and a NaN equals itself when its payload matches *)
 let test_mat_bits_equal () =
@@ -429,6 +519,7 @@ let unit_tests =
     ("qr: rank detection", test_qr_rank_detection);
     ("qr: least squares exact recovery", test_qr_lstsq);
     ("qr: residual orthogonality", test_qr_lstsq_residual_orthogonal);
+    ("lstsq: solve_mat on a rank-deficient a", test_lstsq_solve_mat_rank_deficient);
     ("qr: apply_qt preserves norm", test_qr_apply_qt);
     ("svd: known diagonal", test_svd_known);
     ("svd: reconstruct tall", test_svd_reconstruct_tall);
@@ -438,6 +529,8 @@ let unit_tests =
     ("svd: agrees with jacobi", test_svd_vs_jacobi);
     ("svd: frobenius identity", test_svd_frobenius_identity);
     ("svd: zero matrix", test_svd_zero_matrix);
+    ("pins: svd and pivoted qr bits, wide", test_bit_pins_wide);
+    ("pins: svd and pivoted qr bits, tall", test_bit_pins_tall);
     ("pinv: moore-penrose identities", test_pinv_moore_penrose);
     ("pinv: gram solve (definite)", test_pinv_solve_gram_definite);
     ("pinv: gram solve (singular)", test_pinv_solve_gram_singular);
@@ -454,6 +547,7 @@ let property_tests =
       prop_qr_reconstruct;
       prop_rank_bounded;
       prop_pinv_least_squares;
+      prop_svd_partial_equals_full;
     ]
 
 let suites =
