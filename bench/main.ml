@@ -151,6 +151,13 @@ let micro_tests () =
              Timing.Monte_carlo.sample (Rng.create 5) setup.Core.Pipeline.pool ~n:500
            in
            ignore (Timing.Monte_carlo.path_delays mc)));
+    (* the full-circuit yield sweep behind [prepare]'s extraction
+       threshold, on the fixture's netlist *)
+    Test.make ~name:"mc:circuit-yield-300"
+      (Staged.stage (fun () ->
+           ignore
+             (Timing.Monte_carlo.circuit_yield setup.Core.Pipeline.dm
+                ~t_cons:setup.Core.Pipeline.t_cons ~rng:(Rng.create 5) ~samples:300)));
     (* cold whole-program analysis of the built lib/ tree (the summary
        cache is disabled so every run re-reads all cmts); measures the
        cost `make analyze` adds to the CI gate. No-op when the cmts are

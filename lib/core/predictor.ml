@@ -33,15 +33,19 @@ let build ~a ~mu ~rep =
   let a_m = Linalg.Mat.select_rows a rem in
   (* W = A_m A_r^T (A_r A_r^T)^+ ; computed as the transpose of the Gram
      solve (A_r A_r^T) W^T = A_r A_m^T, robust to a singular Gram. The
-     Gram and cross blocks assemble on the domain pool (Mat.gram /
-     Mat.mul_nt are row-band parallel). *)
+     two products with A_r run through its CSR form: A is mostly exact
+     zeros, and on finite A and W the CSR kernels are bit-identical to
+     the dense ones (see Sparse). The Gram stays dense. *)
+  let a_r_csr = Linalg.Sparse.of_dense a_r in
   let gram = Linalg.Mat.gram a_r in
-  let cross = Linalg.Mat.mul_nt a_r a_m in  (* r x (n-r) *)
+  let cross = Linalg.Mat.transpose (Linalg.Sparse.mul_dense_nt a_m a_r_csr) in  (* r x (n-r) *)
   let wt = Linalg.Pinv.solve_gram gram cross in
   let w = Linalg.Mat.transpose wt in
   (* only the row norms of Omega = W A_r - A_m are kept: the
      (n-r) x m operator itself is the largest thing [build] forms *)
-  let sigmas = Linalg.Mat.row_norms2 (Linalg.Mat.sub (Linalg.Mat.mul w a_r) a_m) in
+  let sigmas =
+    Linalg.Mat.row_norms2 (Linalg.Mat.sub (Linalg.Sparse.dense_mul w a_r_csr) a_m)
+  in
   if Checks.on () then begin
     Checks.nan_introduced ~what:"Predictor.build (weights)"
       ~inputs:[ a.Linalg.Mat.data ] w.Linalg.Mat.data;

@@ -96,18 +96,36 @@ let init_rows ~rows ~cols f =
     values = Array.sub !values 0 !k;
   }
 
+(* Count pass, then fill pass: the CSR arrays are sized exactly and
+   filled in row-major order, so columns come out sorted. An entry is
+   dropped only when its magnitude is provably <= [tol]; a NaN compares
+   false and is kept, as the dense products would propagate it. *)
 let of_dense ?(tol = 0.0) m =
   let rows, cols = Mat.dims m in
-  let lists =
-    Array.init rows (fun i ->
-        let acc = ref [] in
-        for j = cols - 1 downto 0 do
-          let v = Mat.get m i j in
-          if Float.abs v > tol then acc := (j, v) :: !acc
-        done;
-        !acc)
-  in
-  of_rows cols lists
+  let d = m.Mat.data in
+  let keep v = not (Float.abs v <= tol) in
+  let row_ptr = Array.make (rows + 1) 0 in
+  for i = 0 to rows - 1 do
+    let c = ref 0 in
+    for j = 0 to cols - 1 do
+      if keep d.((i * cols) + j) then incr c
+    done;
+    row_ptr.(i + 1) <- row_ptr.(i) + !c
+  done;
+  let col_idx = Array.make row_ptr.(rows) 0 in
+  let values = Array.make row_ptr.(rows) 0.0 in
+  let k = ref 0 in
+  for i = 0 to rows - 1 do
+    for j = 0 to cols - 1 do
+      let v = d.((i * cols) + j) in
+      if keep v then begin
+        col_idx.(!k) <- j;
+        values.(!k) <- v;
+        incr k
+      end
+    done
+  done;
+  { rows; cols; row_ptr; col_idx; values }
 
 let to_dense a =
   let m = Mat.create a.rows a.cols in
@@ -154,23 +172,6 @@ let apply_t a x =
       done
   done;
   y
-
-let mul_dense_nt x a =
-  let n, m = Mat.dims x in
-  if m <> a.cols then invalid_arg "Sparse.mul_dense_nt: dimension mismatch";
-  let out = Mat.create n a.rows in
-  for i = 0 to n - 1 do
-    let xbase = i * m in
-    let obase = i * a.rows in
-    for r = 0 to a.rows - 1 do
-      let acc = ref 0.0 in
-      for k = a.row_ptr.(r) to a.row_ptr.(r + 1) - 1 do
-        acc := !acc +. (a.values.(k) *. x.Mat.data.(xbase + a.col_idx.(k)))
-      done;
-      out.Mat.data.(obase + r) <- !acc
-    done
-  done;
-  out
 
 (* Rows per chunk so one chunk is ~[Mat.par_threshold_value] flops; when
    the whole kernel fits in one grain, [parallel_chunks] degenerates to
@@ -246,6 +247,83 @@ let tmul_mat a x =
     done
   in
   Par.Pool.parallel_chunks ~grain:(max 1 grain) 0 xc band;
+  out
+
+(* the Mat products' PATHSEL_CHECKS contract: flag NaNs the inputs
+   did not contain *)
+let check_product what x a out =
+  if Checks.on () then
+    Checks.nan_introduced ~what ~inputs:[ x.Mat.data; a.values ] out.Mat.data
+
+(* dense rows per chunk: one dense row meets every nonzero of [a] once *)
+let dense_row_grain a = max 1 (Mat.par_threshold_value () / max 1 (2 * nnz a))
+
+(* Dense x CSR products, bit-identical to the dense kernels they replace
+   (Mat.mul_nt, Mat.mul) on finite inputs:
+   - each output element still sums its terms in ascending k, starting
+     from +0.0;
+   - under round-to-nearest a sum is -0.0 only when both addends are
+     -0.0, so the accumulator never becomes -0.0, and adding a +-0
+     product leaves it unchanged;
+   - a skipped product 0 * x differs from +-0 only when x is +-inf or
+     NaN. Monte Carlo draws, path sensitivities and predictor weights
+     are finite.
+   Mat.mul and Mat.mul_tn already skip zero left factors on the same
+   reasoning. Both kernels are row-band parallel over the dense
+   operand's rows, each output row written by one chunk, so they are
+   bit-identical at any pool size. *)
+let mul_dense_nt x a =
+  let n, m = Mat.dims x in
+  if m <> a.cols then invalid_arg "Sparse.mul_dense_nt: dimension mismatch";
+  let k = a.rows in
+  let out = Mat.create n k in
+  let xd = x.Mat.data and od = out.Mat.data in
+  let row_ptr = a.row_ptr and col_idx = a.col_idx and values = a.values in
+  let band lo hi =
+    for i = lo to hi - 1 do
+      let xbase = i * m in
+      let obase = i * k in
+      for r = 0 to k - 1 do
+        let acc = ref 0.0 in
+        for p = Array.unsafe_get row_ptr r to Array.unsafe_get row_ptr (r + 1) - 1 do
+          acc :=
+            !acc
+            +. (Array.unsafe_get values p
+                *. Array.unsafe_get xd (xbase + Array.unsafe_get col_idx p))
+        done;
+        Array.unsafe_set od (obase + r) !acc
+      done
+    done
+  in
+  Par.Pool.parallel_chunks ~grain:(dense_row_grain a) 0 n band;
+  check_product "Sparse.mul_dense_nt" x a out;
+  out
+
+let dense_mul w a =
+  let n, kk = Mat.dims w in
+  if kk <> a.rows then invalid_arg "Sparse.dense_mul: dimension mismatch";
+  let m = a.cols in
+  let out = Mat.create n m in
+  let wd = w.Mat.data and od = out.Mat.data in
+  let row_ptr = a.row_ptr and col_idx = a.col_idx and values = a.values in
+  (* ikj order: row k of [a] scatters into row i of [out] *)
+  let band lo hi =
+    for i = lo to hi - 1 do
+      let wbase = i * kk in
+      let obase = i * m in
+      for k = 0 to kk - 1 do
+        let wik = Array.unsafe_get wd (wbase + k) in
+        if not (Float.equal wik 0.0) then
+          for p = Array.unsafe_get row_ptr k to Array.unsafe_get row_ptr (k + 1) - 1 do
+            let o = obase + Array.unsafe_get col_idx p in
+            Array.unsafe_set od o
+              (Array.unsafe_get od o +. (wik *. Array.unsafe_get values p))
+          done
+      done
+    done
+  in
+  Par.Pool.parallel_chunks ~grain:(dense_row_grain a) 0 n band;
+  check_product "Sparse.dense_mul" w a out;
   out
 
 let row_norms2 a =

@@ -2,7 +2,8 @@
 
     The path sensitivity matrices of this library are naturally sparse
     (a handful of non-zeros per gate), so the Monte Carlo and selection
-    front-ends can hold [A] and [Sigma] in CSR and only densify for the
+    front-ends hold [A] and [Sigma] in CSR for their products
+    ({!mul_dense_nt}, {!dense_mul}) and only densify for the
     factorizations that need it. *)
 
 type t = private {
@@ -14,7 +15,8 @@ type t = private {
 }
 
 val of_dense : ?tol:float -> Mat.t -> t
-(** Entries with magnitude <= [tol] (default 0) are dropped. *)
+(** Entries with magnitude <= [tol] (default 0, so both zeros) are
+    dropped; every other entry is kept, NaN included. *)
 
 val to_dense : t -> Mat.t
 
@@ -68,7 +70,21 @@ val tmul_mat : t -> Mat.t -> Mat.t
 val mul_dense_nt : Mat.t -> t -> Mat.t
 (** [mul_dense_nt x a] is [x * transpose a] with [x] dense [n x m] and
     [a] sparse [k x m]; the result is dense [n x k]. This is the Monte
-    Carlo kernel [X A^T]. *)
+    Carlo kernel [X A^T]. Row-band parallel over the rows of [x] and
+    bit-identical at any pool size. Each output element sums its
+    stored terms in ascending column order from [+0.0], so for finite
+    [x] the result is bit-identical to [Mat.mul_nt x (to_dense a)]:
+    the skipped terms are [+-0] and cannot change the sum. Under
+    [PATHSEL_CHECKS] the output is scanned for NaNs the inputs did not
+    contain, as for the {!Mat} products. *)
+
+val dense_mul : Mat.t -> t -> Mat.t
+(** [dense_mul w a] is the dense x CSR product [w * a] ([w] is
+    [n x k], [a] is [k x m], result [n x m]), in ikj order: row [k] of
+    [a] scatters into row [i] of the result, so each output element
+    sums its terms in ascending [k]. For finite [w] it is bit-identical
+    to [Mat.mul w (to_dense a)]. Row-band parallel, bit-identical at any
+    pool size, and NaN-checked like {!mul_dense_nt}. *)
 
 val row_norms2 : t -> Vec.t
 

@@ -1,10 +1,19 @@
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-  mutable spare : float option;  (* cached second deviate of the polar method *)
-}
+(* The whole state lives in one 41-byte buffer: the four xoshiro256**
+   words, the polar method's cached second deviate (as its bit pattern)
+   and a flag saying whether that deviate is pending. ocamlopt compiles
+   the [Bytes] 64-bit accessors to plain loads and stores on unboxed
+   int64s, so a draw allocates nothing, where mutable [int64] record
+   fields would box every state word on every step. *)
+type t = Bytes.t
+
+let s0 = 0
+let s1 = 8
+let s2 = 16
+let s3 = 24
+let spare = 32      (* bits of the cached second polar deviate *)
+let has_spare = 40  (* '\001' while [spare] holds an unused deviate *)
+
+let state_bytes = 41
 
 (* SplitMix64: turns any seed into a well-distributed state. *)
 let splitmix64 state =
@@ -16,63 +25,67 @@ let splitmix64 state =
 
 let create seed =
   let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3; spare = None }
+  let r = Bytes.make state_bytes '\000' in
+  List.iter (fun off -> Bytes.set_int64_ne r off (splitmix64 state)) [ s0; s1; s2; s3 ];
+  r
 
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 r =
-  let result = Int64.mul (rotl (Int64.mul r.s1 5L) 7) 9L in
-  let t = Int64.shift_left r.s1 17 in
-  r.s2 <- Int64.logxor r.s2 r.s0;
-  r.s3 <- Int64.logxor r.s3 r.s1;
-  r.s1 <- Int64.logxor r.s1 r.s2;
-  r.s0 <- Int64.logxor r.s0 r.s3;
-  r.s2 <- Int64.logxor r.s2 t;
-  r.s3 <- rotl r.s3 45;
+(* inlined into every draw so the result stays unboxed up to its use *)
+let[@inline] next r =
+  let x0 = Bytes.get_int64_ne r s0 and x1 = Bytes.get_int64_ne r s1
+  and x2 = Bytes.get_int64_ne r s2 and x3 = Bytes.get_int64_ne r s3 in
+  let result = Int64.mul (rotl (Int64.mul x1 5L) 7) 9L in
+  let t = Int64.shift_left x1 17 in
+  let x2 = Int64.logxor x2 x0 in
+  let x3 = Int64.logxor x3 x1 in
+  Bytes.set_int64_ne r s1 (Int64.logxor x1 x2);
+  Bytes.set_int64_ne r s0 (Int64.logxor x0 x3);
+  Bytes.set_int64_ne r s2 (Int64.logxor x2 t);
+  Bytes.set_int64_ne r s3 (rotl x3 45);
   result
 
+let bits64 r = next r
+
 let split r =
-  let seed = Int64.to_int (bits64 r) in
+  let seed = Int64.to_int (next r) in
   create (seed lxor 0x5DEECE66D)
 
-let copy r = { r with spare = r.spare }
+let copy = Bytes.copy
 
 (* 53 uniform bits into [0,1) *)
-let float r =
-  let x = Int64.shift_right_logical (bits64 r) 11 in
+let[@inline] float r =
+  let x = Int64.shift_right_logical (next r) 11 in
   Int64.to_float x *. 0x1.0p-53
 
-let uniform r lo hi = lo +. ((hi -. lo) *. float r)
+let[@inline] uniform r lo hi = lo +. ((hi -. lo) *. float r)
 
 let int r bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* keep 62 bits so the value fits OCaml's native int; plain modulo is
      fine for our small bounds *)
-  let x = Int64.to_int (Int64.shift_right_logical (bits64 r) 2) in
+  let x = Int64.to_int (Int64.shift_right_logical (next r) 2) in
   x mod bound
 
 let gaussian r =
-  match r.spare with
-  | Some v ->
-    r.spare <- None;
-    v
-  | None ->
-    let rec draw () =
-      let u = uniform r (-1.0) 1.0 in
-      let v = uniform r (-1.0) 1.0 in
-      let s = (u *. u) +. (v *. v) in
-      if s >= 1.0 || Float.equal s 0.0 then draw ()
-      else begin
-        let mul = sqrt (-2.0 *. log s /. s) in
-        r.spare <- Some (v *. mul);
-        u *. mul
-      end
-    in
-    draw ()
+  if Bytes.get r has_spare <> '\000' then begin
+    Bytes.set r has_spare '\000';
+    Int64.float_of_bits (Bytes.get_int64_ne r spare)
+  end
+  else begin
+    (* polar method: redraw until (u, v) falls strictly inside the unit
+       disc, away from the origin *)
+    let u = ref 0.0 and v = ref 0.0 and s = ref 1.0 in
+    while !s >= 1.0 || Float.equal !s 0.0 do
+      u := uniform r (-1.0) 1.0;
+      v := uniform r (-1.0) 1.0;
+      s := (!u *. !u) +. (!v *. !v)
+    done;
+    let mul = sqrt (-2.0 *. log !s /. !s) in
+    Bytes.set_int64_ne r spare (Int64.bits_of_float (!v *. mul));
+    Bytes.set r has_spare '\001';
+    !u *. mul
+  end
 
 let gaussian_vector r n = Array.init n (fun _ -> gaussian r)
 

@@ -15,9 +15,13 @@ let num_samples t = fst (Linalg.Mat.dims t.x)
 
 let x_mat t = t.x
 
-(* the product is fresh, so the mean shift lands in place: no per-element
-   closure, no second allocation *)
-let add_mu d mu =
+(* [mu + X M^T] for a sensitivity matrix [M]. [M] is mostly exact zeros
+   (a path touches a few of the model's variables), so the product runs
+   through CSR at the cost of its nonzeros; on finite draws it is
+   bit-identical to the dense [Mat.mul_nt] (see Sparse). The product is
+   fresh, so the mean shift lands in place. *)
+let shifted_product x m mu =
+  let d = Linalg.Sparse.mul_dense_nt x (Linalg.Sparse.of_dense m) in
   Linalg.Mat.add_row_vec_into d mu;
   d
 
@@ -25,7 +29,7 @@ let path_delays t =
   match t.d_paths with
   | Some d -> d
   | None ->
-    let d = add_mu (Linalg.Mat.mul_nt t.x (Paths.a_mat t.pool)) (Paths.mu_paths t.pool) in
+    let d = shifted_product t.x (Paths.a_mat t.pool) (Paths.mu_paths t.pool) in
     t.d_paths <- Some d;
     d
 
@@ -33,72 +37,107 @@ let segment_delays t =
   match t.d_segments with
   | Some d -> d
   | None ->
-    let d =
-      add_mu (Linalg.Mat.mul_nt t.x (Paths.sigma_mat t.pool)) (Paths.mu_segments t.pool)
-    in
+    let d = shifted_product t.x (Paths.sigma_mat t.pool) (Paths.mu_segments t.pool) in
     t.d_segments <- Some d;
     d
+
+(* [Float.max] with the strict cases inline: ties, where the sign of a
+   zero decides, and NaNs go to [Float.max] itself, so the result is
+   bit-identical to it. *)
+let[@inline] fmax x y = if y > x then y else if x > y then x else Float.max x y
 
 let circuit_yield dm ~t_cons ~rng ~samples =
   if samples <= 0 then invalid_arg "Monte_carlo.circuit_yield: samples must be positive";
   let nl = Delay_model.netlist dm in
-  let model = Delay_model.model dm in
+  let levels = (Delay_model.model dm).Variation.levels in
+  let gates = Circuit.Netlist.gates nl in
   let n_gates = Circuit.Netlist.num_gates nl in
   let num_inputs = Circuit.Netlist.num_inputs nl in
-  let levels = model.Variation.levels in
-  let gates = Circuit.Netlist.gates nl in
-  let outputs = Circuit.Netlist.outputs nl in
-  (* Randomness is drawn sample-by-sample from the single [rng] stream —
-     the exact sequence the serial loop consumed — and only the per-sample
-     longest-path sweeps run on the domain pool. Execution order therefore
-     never touches the draw order: the yield is bit-identical at any
-     PATHSEL_DOMAINS, including the historical serial result. Draws are
-     buffered one block at a time to bound memory on big netlists. *)
-  let draw_one () =
-    let region_draw =
-      Array.init 2 (fun _ ->
-          Array.init levels (fun level ->
-              Rng.gaussian_vector rng (Variation.regions_at_level level)))
-    in
-    let rand_draw = Rng.gaussian_vector rng n_gates in
-    (region_draw, rand_draw)
+  let n_signals = num_inputs + n_gates in
+  (* One sample's draws form a flat vector, in the order the estimate
+     has always consumed the stream: Leff regions, then Vt regions (each
+     level by level, cell by cell), then one random variable per gate. *)
+  let level_base = Array.make (levels + 1) 0 in
+  for l = 0 to levels - 1 do
+    level_base.(l + 1) <- level_base.(l) + Variation.regions_at_level l
+  done;
+  let per_param = level_base.(levels) in
+  let nd = (2 * per_param) + n_gates in
+  let slot = function
+    | Variation.Region { param; level; cell } ->
+      if level < 0 || level >= levels || cell < 0 || cell >= Variation.regions_at_level level
+      then invalid_arg "Monte_carlo.circuit_yield: region outside the model";
+      let p = match param with Variation.Leff -> 0 | Variation.Vt -> 1 in
+      (p * per_param) + level_base.(level) + cell
+    | Variation.Gate_random gid ->
+      if gid < 0 || gid >= n_gates then
+        invalid_arg "Monte_carlo.circuit_yield: gate outside the netlist";
+      (2 * per_param) + gid
   in
-  let sweep (region_draw, rand_draw) arrival =
-    Array.fill arrival 0 (num_inputs + n_gates) 0.0;
-    Array.iter
-      (fun (g : Circuit.Netlist.gate) ->
-        let d = ref (Delay_model.nominal dm g.id) in
-        List.iter
-          (fun (k, c) ->
-            match k with
-            | Variation.Region { param; level; cell } ->
-              let p = match param with Variation.Leff -> 0 | Variation.Vt -> 1 in
-              d := !d +. (c *. region_draw.(p).(level).(cell))
-            | Variation.Gate_random gid -> d := !d +. (c *. rand_draw.(gid)))
-          (Delay_model.sensitivities dm g.id);
-        let amax =
-          Array.fold_left (fun acc code -> Float.max acc arrival.(code)) 0.0 g.fanin
-        in
-        arrival.(num_inputs + g.id) <- amax +. !d)
-      gates;
-    let dmax =
-      Array.fold_left
-        (fun acc o -> Float.max acc arrival.(Circuit.Netlist.encode_signal nl o))
-        0.0 outputs
-    in
-    dmax <= t_cons
+  (* The sweep, compiled once: gate [k]'s sensitivity terms are entries
+     [ptr.(k), ptr.(k + 1)) of [slots]/[coefs], in list order, so each
+     sample's delays accumulate in the sensitivity list's order. *)
+  let sens =
+    Array.map (fun (g : Circuit.Netlist.gate) -> Delay_model.sensitivities dm g.id) gates
   in
+  let ptr = Array.make (Array.length gates + 1) 0 in
+  Array.iteri (fun k l -> ptr.(k + 1) <- ptr.(k) + List.length l) sens;
+  let slots = Array.make ptr.(Array.length gates) 0 in
+  let coefs = Array.make ptr.(Array.length gates) 0.0 in
+  Array.iteri
+    (fun k l ->
+      List.iteri
+        (fun e (key, c) ->
+          slots.(ptr.(k) + e) <- slot key;
+          coefs.(ptr.(k) + e) <- c)
+        l)
+    sens;
+  let nominal =
+    Array.map (fun (g : Circuit.Netlist.gate) -> Delay_model.nominal dm g.id) gates
+  in
+  let fanin = Array.map (fun (g : Circuit.Netlist.gate) -> g.fanin) gates in
+  let target = Array.map (fun (g : Circuit.Netlist.gate) -> num_inputs + g.id) gates in
+  let outputs = Array.map (Circuit.Netlist.encode_signal nl) (Circuit.Netlist.outputs nl) in
+  let sweep draws base arrival =
+    Array.fill arrival 0 n_signals 0.0;
+    for k = 0 to Array.length gates - 1 do
+      let d = ref nominal.(k) in
+      for e = ptr.(k) to ptr.(k + 1) - 1 do
+        d := !d +. (coefs.(e) *. draws.(base + slots.(e)))
+      done;
+      let fi = fanin.(k) in
+      let amax = ref 0.0 in
+      for j = 0 to Array.length fi - 1 do
+        amax := fmax !amax arrival.(fi.(j))
+      done;
+      arrival.(target.(k)) <- !amax +. !d
+    done;
+    let dmax = ref 0.0 in
+    for j = 0 to Array.length outputs - 1 do
+      dmax := fmax !dmax arrival.(outputs.(j))
+    done;
+    !dmax <= t_cons
+  in
+  (* Randomness is drawn sample-by-sample from the single [rng] stream,
+     serially, one block of samples at a time (bounding memory on big
+     netlists); only the per-sample longest-path sweeps run on the
+     domain pool. Execution order therefore never touches the draw
+     order: the yield is bit-identical at any PATHSEL_DOMAINS, including
+     the historical serial result. *)
   let block = min samples 64 in
+  let draws = Array.make (block * nd) 0.0 in
   let passed = Array.make block false in
   let pass = ref 0 in
   let remaining = ref samples in
   while !remaining > 0 do
     let b = min block !remaining in
-    let draws = Array.init b (fun _ -> draw_one ()) in
+    for i = 0 to (b * nd) - 1 do
+      draws.(i) <- Rng.gaussian rng
+    done;
     Par.Pool.parallel_chunks ~grain:2 0 b (fun lo hi ->
-        let arrival = Array.make (num_inputs + n_gates) 0.0 in
+        let arrival = Array.make n_signals 0.0 in
         for s = lo to hi - 1 do
-          passed.(s) <- sweep draws.(s) arrival
+          passed.(s) <- sweep draws (s * nd) arrival
         done);
     for s = 0 to b - 1 do
       if passed.(s) then incr pass

@@ -85,7 +85,26 @@ let test_full_pipeline_on_golden () =
       Alcotest.(check (float 0.0)) "eps_r" 0x1.5a71a4ca96313p-5 sel.Core.Select.eps_r;
       let exact = Core.Pipeline.exact_selection setup in
       Alcotest.(check int) "exact size" 28 (Array.length exact.Core.Select.indices);
-      Alcotest.(check (float 0.0)) "exact eps_r" 0x1.a6bacb58ed234p-46 exact.Core.Select.eps_r)
+      Alcotest.(check (float 0.0)) "exact eps_r" 0x1.a6bacb58ed234p-46 exact.Core.Select.eps_r;
+      (* bit pins on the two Monte Carlo runs: the yield sweep behind the
+         extraction threshold, and the virtual dies that score the
+         selection *)
+      Alcotest.(check (float 0.0)) "circuit yield" 0x1.f777777777777p-2
+        setup.Core.Pipeline.circuit_yield;
+      let m = Core.Pipeline.evaluate_selection ~mc_samples:200 ~seed:3 setup sel in
+      Alcotest.(check (float 0.0)) "e1" 0x1.f8209f4935cecp-6 m.Core.Evaluate.e1;
+      Alcotest.(check (float 0.0)) "e2" 0x1.01ba8cb951a84p-7 m.Core.Evaluate.e2)
+
+(* bit pin on the generator's stream: 1000 polar deviates (so 500 cached
+   spares), then the raw word that follows the last spare *)
+let test_rng_stream_pinned () =
+  let r = Rng.create 7 in
+  let h = ref 0L in
+  for _ = 1 to 1000 do
+    h := Int64.add (Int64.mul !h 31L) (Int64.bits_of_float (Rng.gaussian r))
+  done;
+  Alcotest.(check int64) "gaussian fold" 2521607213528076706L !h;
+  Alcotest.(check int64) "next bits64" (-4926611735503755677L) (Rng.bits64 r)
 
 let unit_tests =
   [
@@ -95,6 +114,7 @@ let unit_tests =
     ("golden: liberty parses", test_liberty_golden);
     ("golden: sdf annotates", test_sdf_golden);
     ("golden: pipeline runs", test_full_pipeline_on_golden);
+    ("golden: rng stream", test_rng_stream_pinned);
   ]
 
 let suites =

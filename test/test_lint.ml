@@ -120,6 +120,8 @@ let unit_tests =
       check_fires "no-self-init" ~path:"lib/rng/rng.ml" self_init_bad );
     ( "unsafe-array allowed in allowlisted kernel",
       check_silent "unsafe-array" ~path:"lib/linalg/mat.ml" unsafe_bad );
+    ( "unsafe-array allowed in the CSR kernels",
+      check_silent "unsafe-array" ~path:"lib/linalg/sparse.ml" unsafe_bad );
     ("no-float-eq silent on int (=)", check_silent "no-float-eq" int_eq_good);
     ( "no-float-eq silent on Float.equal",
       check_silent "no-float-eq" "let f x = Float.equal x 0.0" );

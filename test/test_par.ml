@@ -186,15 +186,21 @@ let test_path_delays_invariant () =
       with_pool_size d (fun () ->
           with_low_threshold (fun () ->
               let mc = Timing.Monte_carlo.sample (Rng.create 9) pool ~n:120 in
-              Timing.Monte_carlo.path_delays mc))
+              ( Timing.Monte_carlo.path_delays mc,
+                Timing.Monte_carlo.segment_delays mc )))
     in
-    let reference = delays_at 1 in
+    let ref_paths, ref_segments = delays_at 1 in
     List.iter
       (fun d ->
+        let paths, segments = delays_at d in
         Alcotest.(check bool)
-          (Printf.sprintf "die delays bit-identical at %d domains" d)
+          (Printf.sprintf "die path delays bit-identical at %d domains" d)
           true
-          (Linalg.Mat.bits_equal reference (delays_at d)))
+          (Linalg.Mat.bits_equal ref_paths paths);
+        Alcotest.(check bool)
+          (Printf.sprintf "die segment delays bit-identical at %d domains" d)
+          true
+          (Linalg.Mat.bits_equal ref_segments segments))
       [ 2; 4 ]
 
 let q = QCheck_alcotest.to_alcotest

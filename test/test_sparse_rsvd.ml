@@ -46,8 +46,8 @@ let test_sparse_mul_dense_nt () =
   let a = random_sparse_dense 5 7 0.4 in
   let s = Linalg.Sparse.of_dense a in
   let x = Linalg.Mat.init 4 7 (fun i j -> float_of_int ((i * 7) + j) /. 10.0) in
-  Alcotest.(check bool) "X A^T matches dense" true
-    (Linalg.Mat.equal ~tol:1e-12 (Linalg.Mat.mul_nt x a) (Linalg.Sparse.mul_dense_nt x s))
+  Alcotest.(check bool) "X A^T bit-equal to dense" true
+    (Linalg.Mat.bits_equal (Linalg.Mat.mul_nt x a) (Linalg.Sparse.mul_dense_nt x s))
 
 let test_sparse_transpose () =
   let d = random_sparse_dense 5 6 0.4 in
@@ -64,6 +64,22 @@ let test_sparse_row_norms () =
 let test_sparse_density () =
   let s = Linalg.Sparse.of_rows 4 [| [ (0, 1.0) ]; [ (1, 1.0); (2, 1.0) ] |] in
   check_close "density" (3.0 /. 8.0) (Linalg.Sparse.density s)
+
+(* a NaN is not a small entry: it must reach the CSR products, as the
+   dense ones propagate it; both zeros are dropped *)
+let test_sparse_of_dense_keeps_nan () =
+  let d = Linalg.Mat.of_arrays [| [| 1.0; Float.nan; -0.0 |]; [| -0.0; 0.0; 2.0 |] |] in
+  let s = Linalg.Sparse.of_dense d in
+  Alcotest.(check int) "NaN kept, zeros dropped" 3 (Linalg.Sparse.nnz s);
+  let back = Linalg.Sparse.to_dense s in
+  for i = 0 to 1 do
+    for j = 0 to 2 do
+      let v = Linalg.Mat.get d i j and b = Linalg.Mat.get back i j in
+      if not (Float.equal v b) then
+        Alcotest.failf "entry (%d,%d): %h became %h" i j v b
+    done
+  done;
+  Alcotest.(check bool) "NaN at its position" true (Float.is_nan (Linalg.Mat.get back 0 1))
 
 let test_sparse_tol_drop () =
   let d = Linalg.Mat.of_arrays [| [| 1.0; 1e-14 |] |] in
@@ -131,6 +147,53 @@ let check_pool_size_invariant name eq f =
   match with_forced_parallel [ 1; 2; 4 ] f with
   | first :: rest -> List.iter (fun r -> Alcotest.(check bool) name true (eq first r)) rest
   | [] -> assert false
+
+(* The Monte Carlo and Theorem-2 CSR products against the dense kernels
+   they replace, bit for bit: at least 70% exact zeros of both signs,
+   empty rows, and magnitudes over 40 binades so that any reordered or
+   extra term would show in the bits. *)
+let csr_product_gen =
+  QCheck.Gen.(
+    let value = map2 ldexp (float_range (-1.0) 1.0) (int_range (-20) 20) in
+    let zero = oneofl [ 0.0; -0.0 ] in
+    let sparse_row m =
+      let* row = array_repeat m zero in
+      let* nz = int_range 0 (3 * m / 10) in
+      let* entries = list_repeat nz (pair (int_bound (m - 1)) value) in
+      List.iter (fun (j, v) -> row.(j) <- v) entries;
+      return row
+    in
+    let* n = int_range 1 7 in
+    let* k = int_range 1 10 in
+    let* m = int_range 1 16 in
+    let* a = array_repeat k (sparse_row m) in
+    let* x = array_repeat n (array_repeat m value) in
+    let* w = array_repeat n (array_repeat k (frequency [ (1, zero); (4, value) ])) in
+    return (Linalg.Mat.of_arrays a, Linalg.Mat.of_arrays x, Linalg.Mat.of_arrays w))
+
+let csr_product_case =
+  QCheck.make
+    ~print:(fun (a, x, w) ->
+      let shape m = Printf.sprintf "%dx%d" (fst (Linalg.Mat.dims m)) (snd (Linalg.Mat.dims m)) in
+      Printf.sprintf "A %s, X %s, W %s" (shape a) (shape x) (shape w))
+    csr_product_gen
+
+let prop_csr_products_bit_equal_dense =
+  QCheck.Test.make ~count:150
+    ~name:"CSR mul_dense_nt/dense_mul bit-equal to Mat.mul_nt/Mat.mul (pool 1 and 4)"
+    csr_product_case
+    (fun (a, x, w) ->
+      let s = Linalg.Sparse.of_dense a in
+      Linalg.Mat.bits_equal (Linalg.Sparse.mul_dense_nt x s) (Linalg.Mat.mul_nt x a)
+      && Linalg.Mat.bits_equal (Linalg.Sparse.dense_mul w s) (Linalg.Mat.mul w a))
+
+(* the property at pool sizes 1 and 4, on the same cases, with the grain
+   threshold low enough that every product takes the parallel path *)
+let test_csr_products_bit_equal_dense () =
+  ignore
+    (with_forced_parallel [ 1; 4 ] (fun () ->
+         QCheck.Test.check_exn ~rand:(Random.State.make [| 20 |])
+           prop_csr_products_bit_equal_dense))
 
 let test_kernels_pool_size_invariant () =
   let d = random_sparse_dense 17 23 0.3 in
@@ -536,10 +599,12 @@ let unit_tests =
     ("sparse: of_rows merges duplicates", test_sparse_of_rows_duplicates);
     ("sparse: apply / apply_t", test_sparse_apply);
     ("sparse: X A^T kernel", test_sparse_mul_dense_nt);
+    ("sparse: CSR products bit-equal dense (property)", test_csr_products_bit_equal_dense);
     ("sparse: transpose", test_sparse_transpose);
     ("sparse: row norms", test_sparse_row_norms);
     ("sparse: density", test_sparse_density);
     ("sparse: tolerance drop", test_sparse_tol_drop);
+    ("sparse: of_dense keeps NaN", test_sparse_of_dense_keeps_nan);
     ("sparse: init_rows matches of_rows", test_init_rows_matches_of_rows);
     ("sparse: init_rows rejects bad column", test_init_rows_out_of_range);
     ("sparse: mul_vec vs dense", test_mul_vec_matches_dense);

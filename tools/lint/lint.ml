@@ -46,7 +46,7 @@ type config = {
 
 let default_config =
   {
-    unsafe_allowlist = [ "lib/linalg/mat.ml"; "lib/linalg/vec.ml" ];
+    unsafe_allowlist = [ "lib/linalg/mat.ml"; "lib/linalg/vec.ml"; "lib/linalg/sparse.ml" ];
     raw_domain_dirs = [ "lib/par/" ];
     catchall_allowlist = [ "lib/core/errors.ml" ];
     rng_dirs = [ "lib/rng/" ];
