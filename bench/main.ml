@@ -103,6 +103,22 @@ let sparse_tests () =
            ignore (Linalg.Rsvd.factor_op ~stop:(Rank 32) ~seed:9 ops)));
   ]
 
+let observe_line =
+  lazy
+    (let rng = Rng.create 47 in
+     let dies cols =
+       Serve.Wire.mat_to_json
+         (Linalg.Mat.init 8 cols (fun _ _ -> 400.0 +. (50.0 *. Rng.gaussian rng)))
+     in
+     Serve.Wire.print
+       (Serve.Wire.Obj
+          [ ("op", Serve.Wire.String "observe"); ("dies", dies 6); ("truth", dies 2000) ]))
+
+let crc_input =
+  lazy
+    (let rng = Rng.create 53 in
+     String.init (16 lsl 20) (fun _ -> Char.chr (Rng.int rng 256)))
+
 let micro_tests () =
   let open Bechamel in
   let setup, a, mu, svd = Lazy.force micro_fixture in
@@ -158,6 +174,12 @@ let micro_tests () =
            ignore
              (Timing.Monte_carlo.circuit_yield setup.Core.Pipeline.dm
                 ~t_cons:setup.Core.Pipeline.t_cons ~rng:(Rng.create 5) ~samples:300)));
+    (* a serve_fleet observe request: 8 dies of 6 measured and 2000
+       remainder delays, every float printed at 17 digits *)
+    Test.make ~name:"wire:parse-observe-8x2000"
+      (Staged.stage (fun () -> ignore (Serve.Wire.parse (Lazy.force observe_line))));
+    Test.make ~name:"store:crc32-16MB"
+      (Staged.stage (fun () -> ignore (Store.Codec.crc32 (Lazy.force crc_input))));
     (* cold whole-program analysis of the built lib/ tree (the summary
        cache is disabled so every run re-reads all cmts); measures the
        cost `make analyze` adds to the CI gate. No-op when the cmts are

@@ -28,7 +28,8 @@ let escape = function
    and hi >= 10^16 > 2^53 is an integer, so lo alone decides the
    half-to-even rounding to 17 significant digits. *)
 
-let pow10 = Array.init 21 (fun n -> Float.of_string ("1e" ^ string_of_int n))
+(* 10^0 .. 10^22, every one a double *)
+let pow10 = Array.init 23 (fun n -> Float.of_string ("1e" ^ string_of_int n))
 let ipow10 = Array.init 17 (fun n -> int_of_float pow10.(n))
 
 (* the integer nearest a * 10^n, ties to even, when a * 10^n lies in
@@ -160,11 +161,60 @@ exception Bad of string
    recurses 16M frames deep and pins a request worker for seconds. *)
 let max_depth = 64
 
+let is_num_char = function
+  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  | _ -> false
+
+(* ---- exact numbers
+
+   [decimal neg d e] is [Float] of the double nearest (-1)^neg * d * 10^e,
+   ties to even (the value strtod, and so [float_of_string], gives), for
+   0 <= d < 10^18, or [Null] where that is not proven here and the
+   caller must fall back:
+   - d < 2^53 and |e| <= 22: both operands of one IEEE operation are
+     exact, so its rounding is the answer (Clinger's fast path);
+   - d >= 2^53 and -22 <= e < 0 (17 printed digits in fixed notation):
+     with d = dh + dl split so both are doubles and p = 10^-e, q = dh/p
+     leaves an exact remainder r = dh - q*p (Float.fma), and
+     y = q + (r + dl)/p is within an ulp or so of d/p. y is accepted
+     when the residual y*p - d, formed exactly with fma and Sterbenz
+     subtraction, is under 0.4999 * p times the smaller gap to y's
+     neighbours: then d/p lies strictly inside y's rounding interval.
+     The 0.0001 margin covers the one rounding of the residual's last
+     sum and of the bound itself, and rejects near-ties. *)
+
+let two53 = 1 lsl 53
+
+let verified_quotient neg d p =
+  let dh = float_of_int (d land lnot 0x7FF) and dl = float_of_int (d land 0x7FF) in
+  let q = dh /. p in
+  let r = Float.fma (-.q) p dh in
+  let y = q +. ((r +. dl) /. p) in
+  let hi = y *. p in
+  let resid = (hi -. dh -. dl) +. Float.fma y p (-.hi) in
+  (* y > 0 is normal, so its neighbours are one bit pattern away *)
+  let bits = Int64.bits_of_float y in
+  let gap =
+    Float.min
+      (Int64.float_of_bits (Int64.succ bits) -. y)
+      (y -. Int64.float_of_bits (Int64.pred bits))
+  in
+  if Float.abs resid < 0.4999 *. p *. gap then Float (if neg then -.y else y) else Null
+
+let decimal neg d e =
+  if d = 0 then if neg then Float (-0.0) else Float 0.0
+  else if d < two53 && e >= -22 && e <= 22 then begin
+    let x = if e >= 0 then float_of_int d *. pow10.(e) else float_of_int d /. pow10.(-e) in
+    Float (if neg then -.x else x)
+  end
+  else if d >= two53 && e < 0 && e >= -22 then verified_quotient neg d pow10.(-e)
+  else Null
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  let at c = !pos < n && s.[!pos] = c in
   let advance () = incr pos in
   let skip_ws () =
     while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
@@ -172,11 +222,7 @@ let parse s =
       advance ()
     done
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
+  let expect c = if at c then advance () else fail (Printf.sprintf "expected '%c'" c) in
   let literal word value =
     if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
     then begin
@@ -236,12 +282,12 @@ let parse s =
     go ();
     Buffer.contents buf
   in
-  let parse_number () =
+  (* the general reader: the whole run of number characters through
+     [int_of_string]/[float_of_string]; it defines every result and
+     error message, and [parse_number] below only takes the tokens it
+     reads identically *)
+  let parse_number_general () =
     let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
     while !pos < n && is_num_char s.[!pos] do
       advance ()
     done;
@@ -256,6 +302,64 @@ let parse s =
       | Some i -> Int i
       | None -> fail "invalid number"
   in
+  (* -?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)? in one pass, when it spans
+     the whole run of number characters: an int of at most 18 digits,
+     or a float of at most 18 significant digits that [decimal] reads *)
+  let parse_number () =
+    let start = !pos in
+    let neg = s.[start] = '-' in
+    let i = ref (if neg then start + 1 else start) in
+    let int_start = !i in
+    (* the mantissa's digits and at most one '.' among them; [sig_digits]
+       counts from the first nonzero digit, and past 18 [d] is unused *)
+    let d = ref 0 and sig_digits = ref 0 and dot = ref (-1) and more = ref true in
+    while !more && !i < n do
+      match s.[!i] with
+      | '0' .. '9' as c ->
+        d := (!d * 10) + Char.code c - 48;
+        if !sig_digits > 0 || c <> '0' then incr sig_digits;
+        incr i
+      | '.' when !dot < 0 ->
+        dot := !i;
+        incr i
+      | _ -> more := false
+    done;
+    let int_end = if !dot < 0 then !i else !dot in
+    let frac_digits = if !dot < 0 then 0 else !i - !dot - 1 in
+    let ok = ref (int_end > int_start && (!dot < 0 || frac_digits > 0)) in
+    let has_exp = !i < n && (s.[!i] = 'e' || s.[!i] = 'E') in
+    (* an exponent of 10^6 or more goes to the general reader rather
+       than saturating: a run of leading fraction zeros of any length
+       can cancel it, so only its exact value may be used *)
+    let e = ref 0 in
+    if has_exp then begin
+      incr i;
+      let exp_neg = !i < n && s.[!i] = '-' in
+      if exp_neg || (!i < n && s.[!i] = '+') then incr i;
+      let exp_start = !i in
+      while !i < n && match s.[!i] with '0' .. '9' -> true | _ -> false do
+        if !e < 100_000 then e := (!e * 10) + Char.code s.[!i] - 48 else ok := false;
+        incr i
+      done;
+      if !i = exp_start then ok := false;
+      if exp_neg then e := - !e
+    end;
+    let tok_end = !i in
+    if (not !ok) || (tok_end < n && is_num_char s.[tok_end]) then parse_number_general ()
+    else if !dot < 0 && not has_exp then
+      if tok_end - int_start > 18 then parse_number_general ()
+      else begin
+        pos := tok_end;
+        Int (if neg then - !d else !d)
+      end
+    else if !sig_digits > 18 then parse_number_general ()
+    else
+      match decimal neg !d (!e - frac_digits) with
+      | Null -> parse_number_general ()
+      | v ->
+        pos := tok_end;
+        v
+  in
   let open_nested depth =
     if depth >= max_depth then
       fail (Printf.sprintf "nesting deeper than %d levels" max_depth);
@@ -263,23 +367,24 @@ let parse s =
   in
   let rec parse_value depth =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some '[' ->
+    if !pos >= n then fail "unexpected end of input";
+    match s.[!pos] with
+    | '-' | '0' .. '9' -> parse_number ()
+    | '"' -> String (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '[' ->
       open_nested depth;
       skip_ws ();
-      if peek () = Some ']' then begin
+      if at ']' then begin
         advance ();
         List []
       end
       else begin
         let items = ref [ parse_value (depth + 1) ] in
         skip_ws ();
-        while peek () = Some ',' do
+        while at ',' do
           advance ();
           items := parse_value (depth + 1) :: !items;
           skip_ws ()
@@ -287,10 +392,10 @@ let parse s =
         expect ']';
         List (List.rev !items)
       end
-    | Some '{' ->
+    | '{' ->
       open_nested depth;
       skip_ws ();
-      if peek () = Some '}' then begin
+      if at '}' then begin
         advance ();
         Obj []
       end
@@ -305,7 +410,7 @@ let parse s =
         in
         let fields = ref [ field () ] in
         skip_ws ();
-        while peek () = Some ',' do
+        while at ',' do
           advance ();
           fields := field () :: !fields;
           skip_ws ()
@@ -313,8 +418,7 @@ let parse s =
         expect '}';
         Obj (List.rev !fields)
       end
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected character '%c'" c)
+    | c -> fail (Printf.sprintf "unexpected character '%c'" c)
   in
   match
     let v = parse_value 0 in

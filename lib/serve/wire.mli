@@ -38,7 +38,19 @@ val parse : string -> (json, string) result
     escapes, numbers, [true]/[false]/[null]); trailing garbage is an
     error. Numbers without [./e] parse as [Int], others as [Float].
     Arrays and objects nested more than 64 deep are an error, reported
-    as soon as the 65th unclosed bracket is read. *)
+    as soon as the 65th unclosed bracket is read.
+
+    Numbers are read in place and exactly: every [Int] is the value of
+    [int_of_string] and every [Float] has the bits of [float_of_string]
+    on the same token. A token of the canonical grammar
+    [-?[0-9]+(.[0-9]+)?([eE][+-]?[0-9]+)?] is read directly when its
+    value is proven: an int of at most 18 digits, or a float of at most
+    18 significant digits that is one exact IEEE operation (Clinger's
+    fast path) or, for {!print}'s 17-digit fixed notation, an
+    fma-verified quotient. Every other token, and any quotient the
+    verification does not prove correctly rounded, falls back to those
+    standard readers, so results and error messages do not depend on
+    which path a token takes. *)
 
 (** {1 Framing}
 

@@ -6,20 +6,49 @@ exception Malformed of string
    beyond any real selection artifact. *)
 let max_len = 1 lsl 28
 
-let crc_table =
+(* Slice-by-8: [crc_tables] holds eight 256-entry tables back to back.
+   Table 0 is the bytewise table; entry b of table k is the CRC state
+   after byte b followed by k zero bytes, so the state after 8 bytes is
+   the xor of one lookup per byte, each in its own table. *)
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+    (let t = Array.make (8 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for k = 1 to 7 do
+       for n = 0 to 255 do
+         let c = t.(((k - 1) * 256) + n) in
+         t.((k * 256) + n) <- t.(c land 0xFF) lxor (c lsr 8)
+       done
+     done;
+     t)
 
 let crc32 ?(pos = 0) s =
-  let t = Lazy.force crc_table in
+  let t = Lazy.force crc_tables in
+  let n = String.length s in
   let c = ref 0xFFFFFFFF in
-  for i = pos to String.length s - 1 do
-    c := t.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+  let i = ref pos in
+  while !i + 8 <= n do
+    let lo = !c lxor (String.get_uint16_le s !i lor (String.get_uint16_le s (!i + 2) lsl 16)) in
+    let b4 = String.get_uint16_le s (!i + 4) and b6 = String.get_uint16_le s (!i + 6) in
+    c :=
+      t.((7 * 256) + (lo land 0xFF))
+      lxor t.((6 * 256) + ((lo lsr 8) land 0xFF))
+      lxor t.((5 * 256) + ((lo lsr 16) land 0xFF))
+      lxor t.((4 * 256) + (lo lsr 24))
+      lxor t.((3 * 256) + (b4 land 0xFF))
+      lxor t.((2 * 256) + (b4 lsr 8))
+      lxor t.(256 + (b6 land 0xFF))
+      lxor t.(b6 lsr 8);
+    i := !i + 8
+  done;
+  for j = !i to n - 1 do
+    c := t.((!c lxor Char.code s.[j]) land 0xFF) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
 

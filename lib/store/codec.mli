@@ -19,7 +19,10 @@ val max_len : int
 
 val crc32 : ?pos:int -> string -> int
 (** IEEE 802.3 (reflected, poly 0xEDB88320) CRC of the string from
-    [pos] (default 0) to its end, in [0, 2^32). *)
+    [pos] (default 0) to its end, in [0, 2^32); 0 when [pos] is past
+    the end. Computed slice-by-8 (8 bytes per step, one lookup per byte
+    in eight derived tables, the tail bytewise); the value is the
+    bytewise CRC's, so files written by earlier versions still load. *)
 
 module W : sig
   type t

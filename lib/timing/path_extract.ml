@@ -24,10 +24,13 @@ module Acc = struct
         Hashtbl.replace t.coeffs k cur)
       sens
 
+  (* a key is dropped when its sum returns to exactly 0.0, so a missing
+     key reads as 0.0 here too: a zero coefficient lower on the stack
+     pops a key a later frame already emptied *)
   let pop t sens =
     List.iter
       (fun (k, c) ->
-        let cur = Hashtbl.find t.coeffs k in
+        let cur = match Hashtbl.find t.coeffs k with v -> v | exception Not_found -> 0.0 in
         let old = cur -. c in
         t.ss <- t.ss +. ((old *. old) -. (cur *. cur));
         if Float.equal old 0.0 then Hashtbl.remove t.coeffs k else Hashtbl.replace t.coeffs k old)

@@ -95,6 +95,18 @@ let test_full_pipeline_on_golden () =
       Alcotest.(check (float 0.0)) "e1" 0x1.f8209f4935cecp-6 m.Core.Evaluate.e1;
       Alcotest.(check (float 0.0)) "e2" 0x1.01ba8cb951a84p-7 m.Core.Evaluate.e2)
 
+(* a zero level weight puts exact 0.0 coefficients on the extraction
+   DFS's stack; popping a key whose running sum had already returned to
+   0.0 (and been dropped) once raised Not_found out of [prepare] *)
+let test_zero_level_weight () =
+  with_data (fun dir ->
+      let nl = demo90 dir in
+      let model = Timing.Variation.make_model ~level_weights:[| 0.0; 0.5; 0.5 |] ~levels:3 () in
+      match Core.Pipeline.prepare_result ~netlist:nl ~model ~yield_samples:120 () with
+      | Error e -> Alcotest.failf "prepare: %s" (Core.Errors.to_string e)
+      | Ok setup ->
+        Alcotest.(check int) "paths" 67 (Timing.Paths.num_paths setup.Core.Pipeline.pool))
+
 (* bit pin on the generator's stream: 1000 polar deviates (so 500 cached
    spares), then the raw word that follows the last spare *)
 let test_rng_stream_pinned () =
@@ -114,6 +126,7 @@ let unit_tests =
     ("golden: liberty parses", test_liberty_golden);
     ("golden: sdf annotates", test_sdf_golden);
     ("golden: pipeline runs", test_full_pipeline_on_golden);
+    ("golden: zero level weight extracts", test_zero_level_weight);
     ("golden: rng stream", test_rng_stream_pinned);
   ]
 

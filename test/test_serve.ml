@@ -328,6 +328,390 @@ let test_wire_depth_cap () =
        (String.starts_with ~prefix:"nesting deeper" m));
   if dt >= 0.1 then Alcotest.failf "16 MiB of '[' took %.3f s to reject" dt
 
+(* ------------------------------------------------------------------ *)
+(* [parse] against the parser as it stood before numbers were scanned
+   in place, when every number went through [int_of_string] or
+   [float_of_string]: the two must agree on every input, tree for tree
+   (floats by their bits) and error message for error message. *)
+
+exception Reference_bad of string
+
+let reference_parse s =
+  let open Serve.Wire in
+  let max_depth = 64 in
+  let n = String.length s in
+  let pos = ref 0 in
+  let fail msg = raise (Reference_bad (Printf.sprintf "%s at offset %d" msg !pos)) in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let advance () = incr pos in
+  let skip_ws () =
+    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+    do
+      advance ()
+    done
+  in
+  let expect c =
+    match peek () with
+    | Some c' when c' = c -> advance ()
+    | _ -> fail (Printf.sprintf "expected '%c'" c)
+  in
+  let literal word value =
+    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
+    then begin
+      pos := !pos + String.length word;
+      value
+    end
+    else fail "invalid literal"
+  in
+  let parse_string () =
+    expect '"';
+    let buf = Buffer.create 16 in
+    let rec go () =
+      if !pos >= n then fail "unterminated string";
+      match s.[!pos] with
+      | '"' -> advance ()
+      | '\\' ->
+        advance ();
+        (if !pos >= n then fail "unterminated escape");
+        (match s.[!pos] with
+         | '"' -> Buffer.add_char buf '"'
+         | '\\' -> Buffer.add_char buf '\\'
+         | '/' -> Buffer.add_char buf '/'
+         | 'b' -> Buffer.add_char buf '\b'
+         | 'f' -> Buffer.add_char buf '\012'
+         | 'n' -> Buffer.add_char buf '\n'
+         | 'r' -> Buffer.add_char buf '\r'
+         | 't' -> Buffer.add_char buf '\t'
+         | 'u' ->
+           if !pos + 4 >= n then fail "truncated \\u escape";
+           let hex = String.sub s (!pos + 1) 4 in
+           let code =
+             match int_of_string_opt ("0x" ^ hex) with
+             | Some c -> c
+             | None -> fail "invalid \\u escape"
+           in
+           pos := !pos + 4;
+           (* decode to UTF-8 *)
+           if code < 0x80 then Buffer.add_char buf (Char.chr code)
+           else if code < 0x800 then begin
+             Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+             Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+           end
+           else begin
+             Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+             Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+             Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+           end
+         | _ -> fail "invalid escape");
+        advance ();
+        go ()
+      | c when Char.code c < 0x20 -> fail "control character in string"
+      | c ->
+        Buffer.add_char buf c;
+        advance ();
+        go ()
+    in
+    go ();
+    Buffer.contents buf
+  in
+  let parse_number () =
+    let start = !pos in
+    let is_num_char = function
+      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+      | _ -> false
+    in
+    while !pos < n && is_num_char s.[!pos] do
+      advance ()
+    done;
+    let tok = String.sub s start (!pos - start) in
+    let is_float = String.exists (fun c -> c = '.' || c = 'e' || c = 'E') tok in
+    if is_float then
+      match float_of_string_opt tok with
+      | Some f -> Float f
+      | None -> fail "invalid number"
+    else
+      match int_of_string_opt tok with
+      | Some i -> Int i
+      | None -> fail "invalid number"
+  in
+  let open_nested depth =
+    if depth >= max_depth then
+      fail (Printf.sprintf "nesting deeper than %d levels" max_depth);
+    advance ()
+  in
+  let rec parse_value depth =
+    skip_ws ();
+    match peek () with
+    | None -> fail "unexpected end of input"
+    | Some '"' -> String (parse_string ())
+    | Some 't' -> literal "true" (Bool true)
+    | Some 'f' -> literal "false" (Bool false)
+    | Some 'n' -> literal "null" Null
+    | Some '[' ->
+      open_nested depth;
+      skip_ws ();
+      if peek () = Some ']' then begin
+        advance ();
+        List []
+      end
+      else begin
+        let items = ref [ parse_value (depth + 1) ] in
+        skip_ws ();
+        while peek () = Some ',' do
+          advance ();
+          items := parse_value (depth + 1) :: !items;
+          skip_ws ()
+        done;
+        expect ']';
+        List (List.rev !items)
+      end
+    | Some '{' ->
+      open_nested depth;
+      skip_ws ();
+      if peek () = Some '}' then begin
+        advance ();
+        Obj []
+      end
+      else begin
+        let field () =
+          skip_ws ();
+          let k = parse_string () in
+          skip_ws ();
+          expect ':';
+          let v = parse_value (depth + 1) in
+          (k, v)
+        in
+        let fields = ref [ field () ] in
+        skip_ws ();
+        while peek () = Some ',' do
+          advance ();
+          fields := field () :: !fields;
+          skip_ws ()
+        done;
+        expect '}';
+        Obj (List.rev !fields)
+      end
+    | Some ('-' | '0' .. '9') -> parse_number ()
+    | Some c -> fail (Printf.sprintf "unexpected character '%c'" c)
+  in
+  match
+    let v = parse_value 0 in
+    skip_ws ();
+    if !pos <> n then fail "trailing garbage";
+    v
+  with
+  | v -> Ok v
+  | exception Reference_bad msg -> Error msg
+
+let rec json_bits_equal a b =
+  let open Serve.Wire in
+  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  match (a, b) with
+  | Float x, Float y -> same x y
+  | Floats x, Floats y -> Array.length x = Array.length y && Array.for_all2 same x y
+  | List x, List y -> List.length x = List.length y && List.for_all2 json_bits_equal x y
+  | Obj x, Obj y ->
+    List.length x = List.length y
+    && List.for_all2 (fun (k, v) (k', v') -> String.equal k k' && json_bits_equal v v') x y
+  | (Null | Bool _ | Int _ | String _), _ -> a = b
+  | (Float _ | Floats _ | List _ | Obj _), _ -> false
+
+let rec show_json j =
+  let open Serve.Wire in
+  match j with
+  | Float x -> Printf.sprintf "%h" x
+  | List l -> "[" ^ String.concat "," (List.map show_json l) ^ "]"
+  | Obj kv -> "{" ^ String.concat "," (List.map (fun (k, v) -> k ^ ":" ^ show_json v) kv) ^ "}"
+  | _ -> print j
+
+let check_parse_agrees label line =
+  let got =
+    try Serve.Wire.parse line
+    with e -> Alcotest.failf "%s: parse raised %s on %S" label (Printexc.to_string e) line
+  in
+  let show = function Ok j -> show_json j | Error m -> "error: " ^ m in
+  match (got, reference_parse line) with
+  | Ok a, Ok b when json_bits_equal a b -> ()
+  | Error a, Error b when String.equal a b -> ()
+  | _, want -> Alcotest.failf "%s: %S parsed as %s, the reference gives %s" label line
+                 (show got) (show want)
+
+(* number tokens inside and outside the canonical grammar: 0-25 digit
+   mantissas (leading zeros too), exponents -400..400, doubled signs,
+   bare '.' and 'e', and junk after the token *)
+let random_number_token rng =
+  let digits k = String.init k (fun _ -> Char.chr (48 + Rng.int rng 10)) in
+  let pick a = a.(Rng.int rng (Array.length a)) in
+  let sign = pick [| ""; ""; ""; "-"; "-"; "--"; "-+" |] in
+  let zeros = pick [| ""; ""; ""; ""; "0"; "00"; "000000" |] in
+  let int_part = zeros ^ digits (pick [| 0; 1; 1; 2; 5; 15; 16; 17; 18; 19; 25 |]) in
+  let frac =
+    match Rng.int rng 10 with
+    | 0 | 1 | 2 | 3 -> ""
+    | 4 -> "."
+    | _ -> "." ^ digits (1 + Rng.int rng 25)
+  in
+  let exp =
+    match Rng.int rng 8 with
+    | 0 | 1 | 2 | 3 -> ""
+    | 4 -> pick [| "e"; "E"; "e+"; "e-" |]
+    | _ ->
+      pick [| "e"; "E" |] ^ pick [| ""; "+"; "-" |] ^ string_of_int (Rng.int rng 401)
+  in
+  let junk = if Rng.int rng 20 = 0 then pick [| "."; ".5"; "e"; "-"; "1.5"; "+1" |] else "" in
+  sign ^ int_part ^ frac ^ exp ^ junk
+
+(* a fraction behind a long run of leading zeros whose exponent all but
+   cancels it, so the scanner's own exponent arithmetic decides the
+   value: 1k-200k zeros, 1-18 digits, and e - (fraction digits) in
+   [-22, 22]; half the time the exponent has 1-3 more digits, which a
+   scanner that stopped reading them would take for the cancelling one *)
+let cancelling_exponent_token rng =
+  let zeros = 1_000 + Rng.int rng 199_001 in
+  let k = 1 + Rng.int rng 18 in
+  let digits =
+    String.init k (fun j -> if j = 0 then Char.chr (49 + Rng.int rng 9) else Char.chr (48 + Rng.int rng 10))
+  in
+  let sign = if Rng.int rng 2 = 0 then "" else "-" in
+  let exp = string_of_int (zeros + k + Rng.int rng 45 - 22) in
+  let extra = if Rng.int rng 2 = 0 then "" else string_of_int (Rng.int rng 1000) in
+  Printf.sprintf "%s0.%s%se%s%s%s" sign (String.make zeros '0') digits
+    (if Rng.int rng 2 = 0 then "" else "+") exp extra
+
+(* the exact decimal of a midpoint between adjacent doubles in
+   [2^50, 2^55), of the decimals an eighth away, and of their last-digit
+   neighbours: 16-19 significant digits, where the exact ties are the
+   ones the verified path must leave to the fallback *)
+let random_tie_tokens rng =
+  let x = Float.ldexp (1.0 +. Rng.float rng) (50 + Rng.int rng 5) in
+  let eighths = int_of_float (x *. 8.0) + int_of_float ((Float.succ x -. x) *. 4.0) in
+  (* a fraction of thousandths without its trailing zeros *)
+  let frac t =
+    let s = Printf.sprintf "%03d" t in
+    let k = ref 3 in
+    while !k > 1 && s.[!k - 1] = '0' do decr k done;
+    String.sub s 0 !k
+  in
+  List.concat_map
+    (fun m ->
+      let whole = m / 8 and thousandths = m mod 8 * 125 in
+      [ Printf.sprintf "%d.%s" whole (frac thousandths);
+        Printf.sprintf "%d.%s" whole (frac (thousandths + 1));
+        Printf.sprintf "%d.999" (whole - 1);
+        Printf.sprintf "-%d.%s" whole (frac thousandths) ])
+    [ eighths; eighths - 1; eighths + 1 ]
+
+(* decimals d * 10^-22 a hair from a midpoint between adjacent doubles,
+   where the quotient [parse] forms rounds the wrong way about a third
+   of the time, so only its residual check keeps the bits: when
+   d * 2^t = (2a+1) * 5^22 + delta with 2a+1 in [2^53, 2^54), d / 10^22
+   lies delta / (2 * 5^22), about 2^-52, ulps from the midpoint
+   (2a+1) * 2^-(t+23). d is solved for modulo 5^22. *)
+let near_tie_tokens rng =
+  let m = 2384185791015625 (* 5^22 *) in
+  let rec mulmod a b acc =
+    if b = 0 then acc
+    else mulmod ((a + a) mod m) (b lsr 1) (if b land 1 = 1 then (acc + a) mod m else acc)
+  in
+  let rec powmod b e =
+    if e = 0 then 1
+    else
+      let h = powmod (mulmod b b 0) (e / 2) in
+      if e land 1 = 1 then mulmod h b 0 else h
+  in
+  let t = 45 + Rng.int rng 7 in
+  let delta = if Rng.int rng 2 = 0 then 1 else m - 1 in
+  (* delta * 2^-t mod 5^22; 2^-1 is (m + 1) / 2 *)
+  let d0 = mulmod delta (powmod ((m + 1) / 2) t) 0 in
+  let lo = max (m lsl (53 - t)) (1 lsl 53) and hi = min (m lsl (54 - t)) 1_000_000_000_000_000_000 in
+  let first = d0 + (m * ((lo - d0 + m - 1) / m)) in
+  let d = first + (m * Rng.int rng (max 1 ((hi - first) / m))) in
+  let digits = string_of_int d in
+  [ digits ^ "e-22"; "0." ^ String.make (22 - String.length digits) '0' ^ digits ]
+
+(* an observe-shaped request: two measurement matrices with missing
+   entries, a string with escapes, ints *)
+let random_request rng =
+  let mat rows cols =
+    Linalg.Mat.init rows cols (fun _ _ ->
+        if Rng.int rng 12 = 0 then Float.nan else 400.0 +. (80.0 *. Rng.gaussian rng))
+  in
+  Serve.Wire.print
+    (Serve.Wire.Obj
+       [ ("op", Serve.Wire.String "observe");
+         ("wafer", Serve.Wire.String "w\"7\\\n\x01");
+         ("dies", Serve.Wire.mat_to_json (mat (1 + Rng.int rng 3) (1 + Rng.int rng 5)));
+         ("truth", Serve.Wire.mat_to_json (mat 2 (1 + Rng.int rng 4)));
+         ("seq", Serve.Wire.Int (Rng.int rng 1_000_000 - 500));
+         ("tags", Serve.Wire.List [ Serve.Wire.Bool true; Serve.Wire.Null ]) ])
+
+(* truncate, splice, flip a byte, or inflate a run, one to three times *)
+let mutate rng lines s =
+  let at_most k = if k <= 0 then 0 else Rng.int rng (k + 1) in
+  let once s =
+    let n = String.length s in
+    match Rng.int rng 4 with
+    | 0 -> String.sub s 0 (at_most n)
+    | 1 ->
+      let t = lines.(Rng.int rng (Array.length lines)) in
+      let j = at_most (String.length t) in
+      String.sub s 0 (at_most n) ^ String.sub t j (String.length t - j)
+    | 2 when n > 0 ->
+      let b = Bytes.of_string s in
+      let pool = "0123456789-+.eE\"[]{},: nul\\" in
+      Bytes.set b (Rng.int rng n)
+        (if Rng.int rng 4 = 0 then Char.chr (Rng.int rng 256)
+         else pool.[Rng.int rng (String.length pool)]);
+      Bytes.to_string b
+    | _ ->
+      let i = at_most n in
+      let len = at_most (min 24 (n - i)) in
+      let j = at_most n in
+      let run = String.sub s i len in
+      String.sub s 0 j ^ run ^ run ^ String.sub s j (n - j)
+  in
+  let rec go k s = if k = 0 then s else go (k - 1) (once s) in
+  go (1 + Rng.int rng 3) s
+
+let test_wire_parse_matches_reference () =
+  let rng = Rng.create 29 in
+  List.iter (check_parse_agrees "fixed")
+    [ "0"; "-0"; "-0.0"; "0e400"; "-0e-400"; "007"; "007.50"; "1e"; "1."; "-"; "--1";
+      "1.5.5"; "1e+"; ".5"; "-.5"; "1e22"; "1e23"; "9007199254740993"; "4611686018427387903";
+      "4611686018427387904"; "-4611686018427387904"; "-4611686018427387905";
+      "999999999999999999"; "99999999999999999999"; "[1,-2.5e-3,]"; "[1 2]"; "{\"a\":1e5}" ];
+  (* exponents near and past the scanner's 10^6 limit against leading
+     fraction zeros that cancel them or their first six digits *)
+  let zeros k = "0." ^ String.make k '0' in
+  List.iter (check_parse_agrees "cancelling exponent")
+    [ zeros 100_000 ^ "1e100005"; zeros 99_999 ^ "1e1000005"; "-" ^ zeros 99_999 ^ "1e1000005";
+      zeros 99_999 ^ "1e-1000005"; zeros 99_999 ^ "1e1000000"; zeros 999_990 ^ "1e999995";
+      zeros 1_000_000 ^ "1e1000005"; zeros 100_000 ^ "1e0000000100005" ];
+  let long_rng = Rng.create 31 in
+  for _ = 1 to 300 do
+    check_parse_agrees "cancelling exponent" (cancelling_exponent_token long_rng)
+  done;
+  for _ = 1 to 60_000 do
+    let tok = random_number_token rng in
+    check_parse_agrees "token" tok;
+    check_parse_agrees "token in an array" ("[" ^ tok ^ "," ^ tok ^ "]")
+  done;
+  for _ = 1 to 20_000 do
+    List.iter (check_parse_agrees "tie") (random_tie_tokens rng);
+    List.iter (check_parse_agrees "near tie") (near_tie_tokens rng)
+  done;
+  (* every 3rd double of the print corpus: subnormals, powers of ten
+     and their neighbours, 17-digit ties *)
+  let count = ref 0 in
+  iter_float_corpus (fun x ->
+      incr count;
+      if !count mod 3 = 0 then check_parse_agrees "printed" (Serve.Wire.print (Serve.Wire.Float x)));
+  let lines = Array.init 64 (fun _ -> random_request rng) in
+  Array.iter (check_parse_agrees "request") lines;
+  for _ = 1 to 20_000 do
+    check_parse_agrees "mutated request" (mutate rng lines lines.(Rng.int rng 64))
+  done
+
 let test_clean_batch_bit_identical () =
   with_server (fun store clean addr ->
       let c = Serve.Client.connect addr in
@@ -1125,6 +1509,8 @@ let suites =
           test_wire_float_bits;
         Alcotest.test_case "wire nesting depth is capped" `Quick
           test_wire_depth_cap;
+        Alcotest.test_case "wire parse matches the reference parser" `Quick
+          test_wire_parse_matches_reference;
         Alcotest.test_case "wire unboxed rows print like the boxed tree" `Quick
           test_wire_unboxed_rows;
         Alcotest.test_case "clean batch bit-identical over socket" `Quick

@@ -319,6 +319,58 @@ let prop_any_byte_flip_rejected =
           | Error e -> Core.Errors.exit_code e = 65)
         (Lazy.force inputs))
 
+(* ------------------------------------------------------------------ *)
+(* CRC-32: the table-driven [Codec.crc32] against the definition, one
+   bit at a time (reflected, polynomial 0xEDB88320) *)
+
+let bitwise_crc32 ?(pos = 0) s =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to String.length s - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc32_pinned () =
+  Alcotest.(check int) "check value" 0xCBF43926 (Store.Codec.crc32 "123456789");
+  let rng = Rng.create 17 in
+  let random_string n = String.init n (fun _ -> Char.chr (Rng.int rng 256)) in
+  for n = 0 to 64 do
+    for _ = 1 to 4 do
+      let s = random_string n in
+      for pos = 0 to n + 1 do
+        if Store.Codec.crc32 ~pos s <> bitwise_crc32 ~pos s then
+          Alcotest.failf "crc32 ~pos:%d of %S" pos s
+      done
+    done
+  done;
+  let big = random_string (1 lsl 20) in
+  List.iter
+    (fun pos ->
+      Alcotest.(check int) (Printf.sprintf "1 MB from %d" pos) (bitwise_crc32 ~pos big)
+        (Store.Codec.crc32 ~pos big))
+    [ 0; 1; 7; 20 ]
+
+(* an artifact framed by hand around the bitwise CRC is the encoder's
+   bytes, and loads *)
+let test_bitwise_framed_artifact_loads () =
+  let t = Lazy.force fixture in
+  let s = Store.to_bytes t in
+  let payload = String.sub s Store.header_size (String.length s - Store.header_size) in
+  let b = Buffer.create (String.length s) in
+  Buffer.add_string b Store.magic;
+  Buffer.add_int32_le b (Int32.of_int Store.current_version);
+  Buffer.add_int64_le b (Int64.of_int (String.length payload));
+  Buffer.add_int32_le b (Int32.of_int (bitwise_crc32 payload));
+  Buffer.add_string b payload;
+  let framed = Buffer.contents b in
+  Alcotest.(check bool) "same bytes as the encoder" true (String.equal framed s);
+  match Store.of_bytes framed with
+  | Ok t' -> Alcotest.(check bool) "loads equal" true (Store.equal t t')
+  | Error e -> Alcotest.failf "load: %s" (Core.Errors.to_string e)
+
 let suites =
   [
     ( "store",
@@ -340,6 +392,9 @@ let suites =
           `Quick test_inconsistent_payloads;
         Alcotest.test_case "loading does not depend on the pool size" `Quick
           test_load_any_pool_size;
+        Alcotest.test_case "crc32 equals the bitwise definition" `Quick test_crc32_pinned;
+        Alcotest.test_case "an artifact framed with the bitwise CRC loads" `Quick
+          test_bitwise_framed_artifact_loads;
         QCheck_alcotest.to_alcotest prop_roundtrip;
         QCheck_alcotest.to_alcotest prop_any_byte_flip_rejected;
       ] );

@@ -314,6 +314,32 @@ let test_kill_mid_append () =
   let _, high = replay dir in
   Alcotest.(check int) "final append lands" first high
 
+(* a segment framed by hand around the bitwise CRC (u32 length, u32
+   CRC, u64 sequence number, payload) is the bytes [append] writes, and
+   replays *)
+let test_bitwise_framed_segment () =
+  let frame seq =
+    let body = Bytes.create 8 in
+    Bytes.set_int64_le body 0 (Int64.of_int seq);
+    let body = Bytes.to_string body ^ payload seq in
+    let b = Buffer.create 16 in
+    Buffer.add_int32_le b (Int32.of_int (String.length body));
+    Buffer.add_int32_le b (Int32.of_int (Test_store.bitwise_crc32 body));
+    Buffer.contents b ^ body
+  in
+  let by_hand = String.concat "" (List.init 3 (fun i -> frame (i + 1))) in
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let t = open_wal dir in
+  ignore (get_ok "append" (Wal.append t [ payload 1; payload 2 ]));
+  ignore (get_ok "append" (Wal.append t [ payload 3 ]));
+  Wal.close t;
+  let file = Filename.concat dir (List.hd (segments dir)) in
+  Alcotest.(check bool) "same bytes as append" true
+    (String.equal by_hand (Core.Errors.get_ok (Core.Errors.read_file file)));
+  Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc by_hand);
+  check_replay "hand-framed" dir ~upto:3
+
 (* ------------------------------------------------------------------ *)
 
 let suites =
@@ -328,5 +354,7 @@ let suites =
         Alcotest.test_case "rotation and prune retention" `Quick
           test_rotation_and_prune;
         Alcotest.test_case "kill mid-append" `Quick test_kill_mid_append;
+        Alcotest.test_case "a segment framed with the bitwise CRC replays" `Quick
+          test_bitwise_framed_segment;
       ] );
   ]
