@@ -1,6 +1,6 @@
 # Convenience wrappers over dune; `make smoke` is the CI fast path.
 
-.PHONY: all build test smoke perf-smoke chaos-smoke drift-smoke yield-smoke sketch-smoke recover-smoke lint analyze tsan-smoke bench doc clean
+.PHONY: all build test smoke perf-smoke chaos-smoke drift-smoke yield-smoke sketch-smoke recover-smoke lint tsan-smoke bench doc clean
 
 all: build
 
@@ -16,19 +16,14 @@ test:
 smoke:
 	dune build @smoke
 
-# Project static analysis: tools/lint/pathsel-lint over lib/, bin/ and
-# bench/. Non-zero exit on any unsuppressed error-severity diagnostic.
-# Also attached to `dune runtest`, so tier-1 enforces it. @lint now
-# includes @analyze, so `make lint` runs both engines.
+# Project static analysis: one tools/lint/pathsel-lint run does the
+# syntactic pass over lib/, bin/ and bench/ and the whole-program
+# typedtree pass over lib/'s .cmt files (race/atomics discipline,
+# blocking reachability, fd-leak tracking). Non-zero exit on any
+# unsuppressed error-severity diagnostic. Also attached to
+# `dune runtest`, so tier-1 enforces it.
 lint:
 	dune build @lint
-
-# Whole-program typedtree analysis: tools/lint/pathsel-analyze over the
-# .cmt files of lib/ (interprocedural race/atomics discipline, blocking
-# reachability, fd-leak tracking). Needs a built tree for the .cmts;
-# the driver skips with a message when they are missing.
-analyze:
-	dune build @analyze
 
 # Run the parallel test suite under ThreadSanitizer where the
 # toolchain supports it (OCaml >= 5.2 configured with --enable-tsan);

@@ -180,17 +180,12 @@ let micro_tests () =
       (Staged.stage (fun () -> ignore (Serve.Wire.parse (Lazy.force observe_line))));
     Test.make ~name:"store:crc32-16MB"
       (Staged.stage (fun () -> ignore (Store.Codec.crc32 (Lazy.force crc_input))));
-    (* cold whole-program analysis of the built lib/ tree (the summary
-       cache is disabled so every run re-reads all cmts); measures the
-       cost `make analyze` adds to the CI gate. No-op when the cmts are
-       missing, e.g. a bench binary run outside the repo root. *)
-    Test.make ~name:"tooling:pathsel-analyze-lib-tree"
+    (* whole-program analysis of the built lib/ tree: the typedtree
+       half of the cost `make lint` adds to the CI gate. No-op when the
+       cmts are missing, e.g. a bench binary run outside the repo root. *)
+    Test.make ~name:"tooling:analysis-lib-tree"
       (Staged.stage (fun () ->
-           match Analysis.find_cmts "_build/default/lib" with
-           | [] -> ()
-           | cmts ->
-             let config = { Analysis.default_config with summary_cache = None } in
-             ignore (Analysis.analyze_cmts ~config cmts)));
+           ignore (Analysis.analyze_cmts (Analysis.find_cmts "_build/default/lib"))));
   ]
 
 let run_micro () =
@@ -253,7 +248,7 @@ let experiments :
       "E4 / Section 6.3 -- guard-band analysis",
       (fun p -> ignore (Experiments.Guardband_exp.run p)),
       None );
-    ("ablation", "E5+E6+E7 -- ablations", (fun p -> Experiments.Ablation.run p), None);
+    ("ablation", "E5+E6+E7+E10 -- ablations", (fun p -> Experiments.Ablation.run p), None);
     ( "robustness",
       "E8+E9+E11 -- production robustness",
       (fun p -> Experiments.Robustness.run p),
@@ -340,9 +335,16 @@ let () =
   end;
   Printf.printf "profile: %s\n" profile.Experiments.Profile.name;
   let t0 = Unix.gettimeofday () in
+  (* typed-error boundary: an error the Errors layer recognizes is one
+     stderr line and its sysexits status (64 usage, 65 data, 66 missing
+     input, 70 numerical), not a backtrace *)
   let run_one (_, title, fn, _) =
     banner title;
-    fn profile
+    match Core.Errors.catch (fun () -> fn profile) with
+    | Ok () -> ()
+    | Error e ->
+      Printf.eprintf "bench: %s\n" (Core.Errors.to_string e);
+      exit (Core.Errors.exit_code e)
   in
   (match (what, entry) with
    | "all", _ -> List.iter run_one experiments

@@ -5,8 +5,10 @@
      select     run Algorithm 1 on a .bench netlist (or a named preset)
      hybrid     run Algorithm 3 (path + segment selection)
      spectrum   print the normalized singular values of A
-     table1 / table2 / figure2 / guardband / ablation
-                regenerate the paper's experiments *)
+     sdf, diagnose, save, inspect, serve, client, chaos, yield, tune
+                see each command's --help
+
+   The paper's experiments are regenerated by bench/main.exe. *)
 
 open Cmdliner
 
@@ -1091,25 +1093,14 @@ let tune_cmd =
       | None, Some f ->
         let measured = parse_batch (read_input f) in
         let p = Store.predictor art in
-        let rep = Core.Predictor.rep_indices p in
-        let rem = Core.Predictor.rem_indices p in
-        let n_dies, c = Linalg.Mat.dims measured in
-        if c <> Array.length rep then
+        let r = Array.length (Core.Predictor.rep_indices p) in
+        let _, c = Linalg.Mat.dims measured in
+        if c <> r then
           Core.Errors.raise_error
             (Core.Errors.Bad_data
                (Printf.sprintf "--data rows have %d entries; artifact measures %d paths"
-                  c (Array.length rep)));
-        let pred = Core.Predictor.predict_all p ~measured in
-        let scattered = Array.make_matrix n_dies n_paths 0.0 in
-        for i = 0 to n_dies - 1 do
-          Array.iteri
-            (fun j q -> scattered.(i).(q) <- Linalg.Mat.get measured i j)
-            rep;
-          Array.iteri
-            (fun j q -> scattered.(i).(q) <- Linalg.Mat.get pred i j)
-            rem
-        done;
-        Linalg.Mat.of_arrays scattered
+                  c r));
+        Core.Predictor.full_delays p ~measured
       | None, None ->
         Core.Errors.raise_error
           (Core.Errors.Invalid_input
@@ -1156,50 +1147,6 @@ let tune_cmd =
     Term.(const run $ runtime_arg $ artifact_pos $ buffers_arg $ t_clk_arg
           $ data $ delays_arg)
 
-(* ---------------- experiment wrappers ---------------- *)
-
-let profile_arg =
-  let profile_conv =
-    Arg.conv'
-      ( (fun s ->
-          match Experiments.Profile.of_string s with
-          | Some p -> Ok p
-          | None -> Error "profile must be quick or full"),
-        fun ppf p -> Format.fprintf ppf "%s" p.Experiments.Profile.name )
-  in
-  Arg.(value & opt profile_conv Experiments.Profile.quick
-       & info [ "profile" ] ~doc:"Experiment profile: quick or full.")
-
-let experiment_cmd name doc f =
-  Cmd.v (Cmd.info name ~doc)
-    Term.(const (fun () p -> f p)
-          $ runtime_arg $ profile_arg)
-
-let table1_cmd =
-  experiment_cmd "table1" "Regenerate the paper's Table 1." (fun p ->
-      ignore (Experiments.Table1.run p))
-
-let table2_cmd =
-  experiment_cmd "table2" "Regenerate the paper's Table 2." (fun p ->
-      ignore (Experiments.Table2.run p))
-
-let figure2_cmd =
-  experiment_cmd "figure2" "Regenerate the paper's Figure 2." (fun p ->
-      ignore (Experiments.Figure2.run p))
-
-let guardband_cmd =
-  experiment_cmd "guardband" "Regenerate the Section-6.3 guard-band analysis."
-    (fun p -> ignore (Experiments.Guardband_exp.run p))
-
-let ablation_cmd =
-  experiment_cmd "ablation" "Run the E5/E6 design ablations." (fun p ->
-      Experiments.Ablation.run p)
-
-let faults_cmd =
-  experiment_cmd "faults"
-    "Run the E13 fault-tolerance experiment (dropout/outlier sweep)." (fun p ->
-      handle (fun () -> ignore (Experiments.Faults_exp.run p)))
-
 let main =
   Cmd.group
     (Cmd.info "pathsel" ~version:"1.0.0"
@@ -1207,7 +1154,6 @@ let main =
              (Xie & Davoodi, DAC 2010).")
     [ generate_cmd; select_cmd; hybrid_cmd; spectrum_cmd; sdf_cmd; diagnose_cmd;
       save_cmd; inspect_cmd; serve_cmd; client_cmd; chaos_cmd; yield_cmd;
-      tune_cmd;
-      table1_cmd; table2_cmd; figure2_cmd; guardband_cmd; ablation_cmd; faults_cmd ]
+      tune_cmd ]
 
 let () = exit (Cmd.eval main)

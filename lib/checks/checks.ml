@@ -20,11 +20,6 @@ let find_nan a =
   let rec go i = if i >= n then None else if Float.is_nan a.(i) then Some i else go (i + 1) in
   go 0
 
-let no_nan ~what a =
-  match find_nan a with
-  | None -> ()
-  | Some i -> failf "%s: NaN at flat index %d" what i
-
 let nan_introduced ~what ~inputs out =
   match find_nan out with
   | None -> ()

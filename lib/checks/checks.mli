@@ -34,9 +34,6 @@ val require : bool -> string -> unit
 val find_nan : float array -> int option
 (** Index of the first NaN, scanning left to right. *)
 
-val no_nan : what:string -> float array -> unit
-(** Raise {!Contract_violation} if the array contains a NaN. *)
-
 val nan_introduced : what:string -> inputs:float array list -> float array -> unit
 (** [nan_introduced ~what ~inputs out] raises iff [out] contains a NaN
     and no array in [inputs] does — the NaN-propagation detector used by

@@ -15,7 +15,6 @@ type t = {
   gates : gate array;
   outputs : signal array;
   fanout_counts : int array;       (* per gate: gate sinks + PO sinks *)
-  gate_fanouts : int list array;   (* per gate: sink gate ids *)
 }
 
 let signal_code ~num_inputs = function
@@ -56,15 +55,13 @@ let build ~name ~num_inputs ~gates ~outputs =
   in
   List.iter (check_signal "output" n) outputs;
   let fanout_counts = Array.make n 0 in
-  let gate_fanouts = Array.make n [] in
   Array.iter
     (fun g ->
       Array.iter
         (fun code ->
           if code >= num_inputs then begin
             let src = code - num_inputs in
-            fanout_counts.(src) <- fanout_counts.(src) + 1;
-            gate_fanouts.(src) <- g.id :: gate_fanouts.(src)
+            fanout_counts.(src) <- fanout_counts.(src) + 1
           end)
         g.fanin)
     gate_array;
@@ -86,7 +83,6 @@ let build ~name ~num_inputs ~gates ~outputs =
     gates = gate_array;
     outputs = Array.of_list outputs;
     fanout_counts;
-    gate_fanouts = Array.map List.rev gate_fanouts;
   }
 
 let name (t : t) = t.name
@@ -102,8 +98,6 @@ let gates t = t.gates
 let outputs t = t.outputs
 
 let fanout_count t g = t.fanout_counts.(g)
-
-let fanouts t g = List.map (fun id -> Gate_out id) t.gate_fanouts.(g)
 
 let encode_signal t s = signal_code ~num_inputs:t.num_inputs s
 

@@ -53,10 +53,6 @@ val fanout_count : t -> int -> int
     outputs driven by gate [g]'s output. Every gate drives at least one
     sink by construction. *)
 
-val fanouts : t -> int -> signal list
-(** Gate sinks of gate [g] as [Gate_out] ids; primary-output sinks are
-    not listed (use {!outputs}). *)
-
 val encode_signal : t -> signal -> int
 (** Injective encoding of signals into [0 .. num_inputs + num_gates - 1]:
     primary inputs first, then gate outputs. *)

@@ -109,6 +109,16 @@ let predict_all t ~measured =
   end;
   pred
 
+let full_delays t ~measured =
+  let pred = predict_all t ~measured in
+  let n_dies, _ = Linalg.Mat.dims measured in
+  let full = Linalg.Mat.create n_dies (Array.length t.rep + Array.length t.rem) in
+  for i = 0 to n_dies - 1 do
+    Array.iteri (fun j q -> Linalg.Mat.set full i q (Linalg.Mat.get measured i j)) t.rep;
+    Array.iteri (fun j q -> Linalg.Mat.set full i q (Linalg.Mat.get pred i j)) t.rem
+  done;
+  full
+
 let error_sigmas t = Array.copy t.sigmas
 
 let worst_case_error t ~kappa =

@@ -61,6 +61,11 @@ val predict_all : t -> measured:Linalg.Mat.t -> Linalg.Mat.t
 (** Row-per-sample batch version: [measured] is
     [n_samples x r]; result is [n_samples x (n - r)]. *)
 
+val full_delays : t -> measured:Linalg.Mat.t -> Linalg.Mat.t
+(** Every path's delay per die: the [n_samples x n] matrix holding the
+    measured representative delays in the [rep_indices] columns and
+    {!predict_all}'s predictions in the [rem_indices] columns. *)
+
 val error_sigmas : t -> Linalg.Vec.t
 (** Per-remaining-path standard deviation of the prediction error
     (row norms of [Omega]). *)

@@ -33,8 +33,3 @@ let full =
     yield_samples = 1000;
     benches = Circuit.Benchmarks.all;
   }
-
-let of_string = function
-  | "quick" -> Some quick
-  | "full" -> Some full
-  | _ -> None

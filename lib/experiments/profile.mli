@@ -19,5 +19,3 @@ type t = {
 val quick : t
 
 val full : t
-
-val of_string : string -> t option

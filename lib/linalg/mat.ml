@@ -475,26 +475,6 @@ let bits_equal a b =
   in
   go 0
 
-let is_symmetric ?(tol = 1e-12) m =
-  m.rows = m.cols
-  && begin
-    let ok = ref true in
-    for i = 0 to m.rows - 1 do
-      for j = i + 1 to m.cols - 1 do
-        if Float.abs (get m i j -. get m j i) > tol then ok := false
-      done
-    done;
-    !ok
-  end
-
-let swap_rows m i j =
-  if i <> j then
-    for k = 0 to m.cols - 1 do
-      let t = get m i k in
-      set m i k (get m j k);
-      set m j k t
-    done
-
 let pp fmt m =
   Format.fprintf fmt "@[<v>";
   for i = 0 to m.rows - 1 do

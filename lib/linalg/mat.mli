@@ -138,8 +138,4 @@ val bits_equal : t -> t -> bool
     check for answers that travel through [%.17g] JSON, which round-trips
     doubles exactly. *)
 
-val is_symmetric : ?tol:float -> t -> bool
-
-val swap_rows : t -> int -> int -> unit
-
 val pp : Format.formatter -> t -> unit

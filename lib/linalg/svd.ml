@@ -474,5 +474,3 @@ let pinv ?tol f =
   let n, _ = Mat.dims f.v in
   let vs = Mat.init n k (fun i j -> if f.s.(j) > tol then Mat.get f.v i j /. f.s.(j) else 0.0) in
   Mat.mul_nt vs f.u
-
-let nuclear_norm f = Array.fold_left ( +. ) 0.0 f.s

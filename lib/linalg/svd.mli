@@ -44,6 +44,3 @@ val pinv : ?tol:float -> t -> Mat.t
 (** Moore–Penrose pseudo-inverse [v * diag 1/s * transpose u], zeroing
     singular values below [tol] (same default as {!rank}). Needs both
     factors. *)
-
-val nuclear_norm : t -> float
-(** Sum of singular values (the "energy" E of the paper's Section 4.2). *)

@@ -5,18 +5,6 @@ module Durable = Durable
 
 type address = Unix_sock of string | Tcp of int
 
-let address_of_string s =
-  let tcp p =
-    match int_of_string_opt p with
-    | Some port when port >= 0 && port < 65536 -> Ok (Tcp port)
-    | _ -> Error (Printf.sprintf "invalid TCP port %S" p)
-  in
-  if String.length s > 0 && s.[0] = ':' then tcp (String.sub s 1 (String.length s - 1))
-  else if String.length s > 4 && String.sub s 0 4 = "tcp:" then
-    tcp (String.sub s 4 (String.length s - 4))
-  else if s = "" then Error "empty address"
-  else Ok (Unix_sock s)
-
 let address_to_string = function
   | Unix_sock path -> path
   | Tcp port -> Printf.sprintf "127.0.0.1:%d" port
@@ -1035,22 +1023,7 @@ let handle_tune t hot req =
               (match Wire.mat_of_json ~cols:hot.n_rep dies with
                | Error _ as e -> e
                | Ok measured ->
-                 let n_dies, _ = Linalg.Mat.dims measured in
-                 let pred =
-                   Core.Predictor.predict_all hot.predictor ~measured
-                 in
-                 let rep = Core.Predictor.rep_indices hot.predictor in
-                 let rem = Core.Predictor.rem_indices hot.predictor in
-                 let full = Array.make_matrix n_dies n_paths 0.0 in
-                 for i = 0 to n_dies - 1 do
-                   Array.iteri
-                     (fun j p -> full.(i).(p) <- Linalg.Mat.get measured i j)
-                     rep;
-                   Array.iteri
-                     (fun j p -> full.(i).(p) <- Linalg.Mat.get pred i j)
-                     rem
-                 done;
-                 Ok (Linalg.Mat.init n_dies n_paths (fun i j -> full.(i).(j))))
+                 Ok (Core.Predictor.full_delays hot.predictor ~measured))
             | None, None -> Error "missing \"dies\" (or \"delays\")"
           in
           (match full_delays with

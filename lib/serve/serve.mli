@@ -121,9 +121,6 @@ type address =
   | Unix_sock of string  (** filesystem path of a Unix-domain socket *)
   | Tcp of int           (** TCP port on 127.0.0.1; 0 = ephemeral *)
 
-val address_of_string : string -> (address, string) result
-(** ["path.sock"] or [":4242"] / ["tcp:4242"]. *)
-
 val address_to_string : address -> string
 
 (** {1 Server} *)

@@ -48,8 +48,6 @@ let quantile xs p =
   let frac = pos -. float_of_int lo in
   ((1.0 -. frac) *. sorted.(lo)) +. (frac *. sorted.(hi))
 
-let max_abs xs = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 xs
-
 let approx_equal ?(rel = 1e-9) ?(abs = 1e-12) a b =
   if Float.is_nan a || Float.is_nan b then false
   else if Float.equal a b then true (* covers equal infinities *)

@@ -19,8 +19,6 @@ val quantile : float array -> float -> float
     [p] in [0, 1]. Raises [Invalid_argument] on an empty array or [p]
     outside [0, 1]. Does not modify [xs]. *)
 
-val max_abs : float array -> float
-
 val approx_equal : ?rel:float -> ?abs:float -> float -> float -> bool
 (** [approx_equal a b] is true when
     [|a - b| <= max abs (rel * max |a| |b|)] — a combined

@@ -11,10 +11,6 @@ let sample rng pool ~n =
   let x = Linalg.Mat.init n m (fun _ _ -> Rng.gaussian rng) in
   { pool; x; d_paths = None; d_segments = None }
 
-let num_samples t = fst (Linalg.Mat.dims t.x)
-
-let x_mat t = t.x
-
 (* [mu + X M^T] for a sensitivity matrix [M]. [M] is mostly exact zeros
    (a path touches a few of the model's variables), so the product runs
    through CSR at the cost of its nonzeros; on finite draws it is

@@ -10,11 +10,6 @@ type t
 val sample : Rng.t -> Paths.t -> n:int -> t
 (** Draw [n] dies for the given path pool. *)
 
-val num_samples : t -> int
-
-val x_mat : t -> Linalg.Mat.t
-(** [n x m] raw variation draws. *)
-
 val path_delays : t -> Linalg.Mat.t
 (** [n_samples x n_paths] true path delays: [mu_P + X A^T], computed
     lazily and cached. [A] is mostly exact zeros, so the product runs

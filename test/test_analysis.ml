@@ -26,7 +26,6 @@ let cfg =
     serving_entries = [ "Fix_srv.handle" ];
     handler_entries = [ "Fix_srv.handle" ];
     io_wrapper_modules = [ "Fix_io" ];
-    summary_cache = None;
   }
 
 let analyze mods = Analysis.analyze_sources ~config:cfg mods
@@ -86,6 +85,37 @@ let test_cross_module_lock_beats_syntactic () =
       d.Lint.file;
     Alcotest.(check bool) "chain names the entry point" true
       (contains d.Lint.message "Fix_mon.tick -> Fix_helper.guarded")
+
+(* The converse: the analyzer sees only code reachable from its entry
+   points, while the syntactic rules cover whole files. A lock in a
+   monitor.ml function that only the serving side calls (the shape of
+   Monitor.submit), and a raw write in a lib/serve function no handler
+   reaches (the shape of a client's close), are caught by the syntactic
+   rules alone, so neither rule is redundant with the analyzer. *)
+
+let mon_submit_locks =
+  "let m = Mutex.create ()\n\
+   let tick () = ()\n\
+   let submit () = Mutex.lock m; Mutex.unlock m"
+
+let srv_calls_submit = "let handle () = Fix_mon.submit ()"
+
+let srv_unreached_write =
+  "let handle () = ()\n\
+   let close fd = ignore (Unix.write fd (Bytes.create 1) 0 1)"
+
+let check_syntactic_only rule mods () =
+  let path, src =
+    match mods with
+    | (_, path, src) :: _ -> (path, src)
+    | [] -> invalid_arg "check_syntactic_only: no modules"
+  in
+  let syntactic = Lint.lint_source ~path src in
+  if not (fired rule syntactic) then
+    Alcotest.failf "expected syntactic %s to fire; got [%s]" rule (show syntactic);
+  let diags = analyze mods in
+  if diags <> [] then
+    Alcotest.failf "expected the analyzer to stay silent; got [%s]" (show diags)
 
 (* ------------------------------------------------------------------ *)
 (* Blocking reachability: deadline-scoped handlers *)
@@ -298,7 +328,7 @@ let test_boot_fn_entry_still_seeded () =
       (show diags)
 
 (* ------------------------------------------------------------------ *)
-(* The @smoke invariant, as a test: pathsel-analyze reports zero
+(* The @smoke invariant, as a test: the analyzer reports zero
    errors on the real tree. dune runs this suite from
    _build/default/test, where the built tree sits one level up (cmts
    in lib/<l>/.<l>.objs/, sources copied alongside); a repo-root run
@@ -324,11 +354,10 @@ let test_repo_tree_clean () =
         in
         let cmts = Analysis.find_cmts cmt_root in
         if cmts <> [] then begin
-          let config = { Analysis.default_config with summary_cache = None } in
           let errs =
             List.filter
               (fun d -> d.Lint.severity = Lint.Error)
-              (Analysis.analyze_cmts ~config cmts)
+              (Analysis.analyze_cmts cmts)
           in
           if errs <> [] then
             Alcotest.failf "repository tree has analyzer errors:\n%s"
@@ -354,6 +383,15 @@ let corpus =
         ] );
     ( "cross-module lock: analyzer fires where the syntactic rule is silent",
       test_cross_module_lock_beats_syntactic );
+    ( "serving-side lock in monitor.ml: only the syntactic rule fires",
+      check_syntactic_only "no-blocking-in-monitor"
+        [
+          ("Fix_mon", "lib/serve/monitor.ml", mon_submit_locks);
+          ("Fix_srv", "lib/serve/fix_srv.ml", srv_calls_submit);
+        ] );
+    ( "raw write no handler reaches: only the syntactic rule fires",
+      check_syntactic_only "no-unbounded-io"
+        [ ("Fix_srv", "lib/serve/fix_srv.ml", srv_unreached_write) ] );
     (* handler blocking *)
     ( "handler-blocking fires through a helper module",
       check_fires "handler-blocking"

@@ -1,14 +1,6 @@
 (* Tests for the related-work baseline implementations. *)
 
-let fixture =
-  lazy
-    (let nl =
-       Circuit.Generator.generate
-         { Circuit.Generator.default with num_gates = 150; num_inputs = 14;
-           num_outputs = 12; depth = 10; seed = 8 }
-     in
-     let model = Timing.Variation.make_model ~levels:3 () in
-     Core.Pipeline.prepare ~netlist:nl ~model ~yield_samples:200 ~seed:21 ())
+open Helpers
 
 let score setup predictor =
   let mc = Timing.Monte_carlo.sample (Rng.create 3) setup.Core.Pipeline.pool ~n:1200 in
@@ -16,7 +8,7 @@ let score setup predictor =
     ~path_delays:(Timing.Monte_carlo.path_delays mc)
 
 let test_random_selection_valid () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let a = Timing.Paths.a_mat setup.Core.Pipeline.pool in
   let mu = Timing.Paths.mu_paths setup.Core.Pipeline.pool in
   let p = Core.Baselines.random_selection ~rng:(Rng.create 1) ~a ~mu ~r:8 in
@@ -25,7 +17,7 @@ let test_random_selection_valid () =
   Alcotest.(check bool) "finite errors" true (Float.is_finite m.Core.Evaluate.e1)
 
 let test_random_selection_validation () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let a = Timing.Paths.a_mat setup.Core.Pipeline.pool in
   let mu = Timing.Paths.mu_paths setup.Core.Pipeline.pool in
   Alcotest.(check bool) "r = 0 rejected" true
@@ -34,7 +26,7 @@ let test_random_selection_validation () =
      | exception Invalid_argument _ -> true)
 
 let test_path_features_sane () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let pool = setup.Core.Pipeline.pool in
   for i = 0 to min 20 (Timing.Paths.num_paths pool - 1) do
     let f = Core.Baselines.path_features pool i in
@@ -47,7 +39,7 @@ let test_path_features_sane () =
   done
 
 let test_feature_clustering_runs () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let p =
     Core.Baselines.feature_clustering ~rng:(Rng.create 2)
       ~pool:setup.Core.Pipeline.pool ~r:6
@@ -56,14 +48,14 @@ let test_feature_clustering_runs () =
   Alcotest.(check bool) "between 1 and 6 medoids" true (n >= 1 && n <= 6)
 
 let test_rcp_single_path () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let p = Core.Baselines.representative_critical_path ~pool:setup.Core.Pipeline.pool in
   Alcotest.(check int) "one path" 1 (Array.length (Core.Predictor.rep_indices p))
 
 let test_algorithm1_beats_baselines () =
   (* the paper's premise: variational subset selection binds paths
      better than structural features or chance, at the same budget *)
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let pool = setup.Core.Pipeline.pool in
   let a = Timing.Paths.a_mat pool in
   let mu = Timing.Paths.mu_paths pool in

@@ -2,20 +2,7 @@
    Theorem-2 predictor, Algorithms 1 and 3, guard-band analysis, and the
    end-to-end pipeline. *)
 
-let check_close ?(tol = 1e-9) msg expected actual =
-  if Float.abs (expected -. actual) > tol then
-    Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
-
-(* Shared small end-to-end fixture (built once). *)
-let fixture =
-  lazy
-    (let nl =
-       Circuit.Generator.generate
-         { Circuit.Generator.default with num_gates = 150; num_inputs = 14;
-           num_outputs = 12; depth = 10; seed = 8 }
-     in
-     let model = Timing.Variation.make_model ~levels:3 () in
-     Core.Pipeline.prepare ~netlist:nl ~model ~yield_samples:200 ~seed:21 ())
+open Helpers
 
 (* ------------------------------------------------------------------ *)
 (* Effective rank *)
@@ -41,7 +28,7 @@ let test_effective_rank_monotone_in_eta () =
   Alcotest.(check bool) "larger eta, smaller effective rank" true (e10 <= e1)
 
 let test_effective_rank_le_rank () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let a = Timing.Paths.a_mat setup.pool in
   let svd = Linalg.Svd.factor a in
   let er = Core.Effective_rank.of_singular_values ~eta:0.05 svd.Linalg.Svd.s in
@@ -68,7 +55,7 @@ let test_energy_profile () =
 (* Subset selection (Algorithm 2) *)
 
 let test_subset_select_distinct_sorted () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let a = Timing.Paths.a_mat setup.pool in
   let idx = Core.Subset_select.rows a ~r:10 in
   Alcotest.(check int) "10 rows" 10 (Array.length idx);
@@ -79,7 +66,7 @@ let test_subset_select_distinct_sorted () =
 
 let test_subset_select_rows_independent () =
   (* the selected rows must be linearly independent when r <= rank *)
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let a = Timing.Paths.a_mat setup.pool in
   let svd = Linalg.Svd.factor a in
   let rank = Linalg.Svd.rank svd in
@@ -127,7 +114,7 @@ let test_predictor_partial_information () =
 
 let test_predictor_error_matches_mc () =
   (* the analytic per-path error std must match Monte Carlo *)
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let sel = Core.Pipeline.approximate_selection setup ~eps:0.05 in
   let p = sel.Core.Select.predictor in
   let mc = Timing.Monte_carlo.sample (Rng.create 33) setup.pool ~n:3000 in
@@ -164,20 +151,20 @@ let test_predictor_validation () =
 (* Selection (Algorithm 1) *)
 
 let test_exact_selection_zero_error () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let sel = Core.Pipeline.exact_selection setup in
   Alcotest.(check int) "r = rank" sel.Core.Select.rank (Array.length sel.Core.Select.indices);
   Alcotest.(check bool) "analytic error ~ 0" true (sel.Core.Select.eps_r < 1e-6)
 
 let test_approximate_meets_tolerance () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let sel = Core.Pipeline.approximate_selection setup ~eps:0.05 in
   Alcotest.(check bool) "eps_r <= eps" true (sel.Core.Select.eps_r <= 0.05);
   Alcotest.(check bool) "fewer than exact" true
     (Array.length sel.Core.Select.indices <= sel.Core.Select.rank)
 
 let test_linear_and_bisection_agree () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let a = Timing.Paths.a_mat setup.pool in
   let mu = Timing.Paths.mu_paths setup.pool in
   let lin =
@@ -195,7 +182,7 @@ let test_linear_and_bisection_agree () =
     (bis.Core.Select.evaluations <= lin.Core.Select.evaluations)
 
 let test_tighter_eps_needs_more_paths () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let loose = Core.Pipeline.approximate_selection setup ~eps:0.10 in
   let tight = Core.Pipeline.approximate_selection setup ~eps:0.01 in
   Alcotest.(check bool) "monotone in eps" true
@@ -204,7 +191,7 @@ let test_tighter_eps_needs_more_paths () =
 let test_mc_error_within_guardband () =
   (* the MC max relative error must respect the analytic bound:
      e1 <= eps (the paper's Table 1 relationship e1 < eps) *)
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let sel = Core.Pipeline.approximate_selection setup ~eps:0.05 in
   let m = Core.Pipeline.evaluate_selection ~mc_samples:2000 setup sel in
   (* relative errors are vs d_true ~ T, so eps_r (vs T_cons) bounds them
@@ -213,7 +200,7 @@ let test_mc_error_within_guardband () =
   Alcotest.(check bool) "e2 < e1" true (m.Core.Evaluate.e2 <= m.Core.Evaluate.e1)
 
 let test_select_with_size () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let a = Timing.Paths.a_mat setup.pool in
   let mu = Timing.Paths.mu_paths setup.pool in
   let s5 = Core.Select.select_with_size ~a ~mu ~r:5 () in
@@ -275,7 +262,7 @@ let test_figure1_prediction_identity () =
 (* Hybrid (Algorithm 3) *)
 
 let test_hybrid_reduces_measurements () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let h = Core.Pipeline.hybrid_selection setup ~eps:0.08 in
   let exact = Core.Pipeline.exact_selection setup in
   Alcotest.(check bool) "feasible" true h.Core.Hybrid.feasible;
@@ -283,7 +270,7 @@ let test_hybrid_reduces_measurements () =
     (Core.Hybrid.total_measurements h < Array.length exact.Core.Select.indices)
 
 let test_hybrid_unmeasured_paths_within_eps () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let h = Core.Pipeline.hybrid_selection setup ~eps:0.08 in
   Array.iteri
     (fun i wc ->
@@ -293,13 +280,13 @@ let test_hybrid_unmeasured_paths_within_eps () =
     h.Core.Hybrid.per_path_wc
 
 let test_hybrid_mc_accuracy () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let h = Core.Pipeline.hybrid_selection setup ~eps:0.08 in
   let m = Core.Pipeline.evaluate_hybrid ~mc_samples:1500 setup h in
   Alcotest.(check bool) "e1 below eps with slack" true (m.Core.Evaluate.e1 <= 0.08 *. 1.3)
 
 let test_hybrid_segment_indices_valid () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let h = Core.Pipeline.hybrid_selection setup ~eps:0.08 in
   let n_s = Timing.Paths.num_segments setup.pool in
   Array.iter
@@ -320,7 +307,7 @@ let test_guardband_flag_logic () =
 let test_guardband_no_misses_with_wc_band () =
   (* with the analytic worst-case band, misses are bounded by the kappa
      tail mass (0.13% per check for kappa = 3) *)
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let sel = Core.Pipeline.approximate_selection setup ~eps:0.05 in
   let r = Core.Pipeline.guardband_report ~mc_samples:1000 setup sel in
   Alcotest.(check bool) "some failures occur in fixture" true (r.true_failures > 0);
@@ -356,7 +343,7 @@ let test_evaluate_known_error () =
 (* Pipeline *)
 
 let test_pipeline_setup_consistent () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   Alcotest.(check bool) "yield in (0,1]" true
     (setup.Core.Pipeline.circuit_yield > 0.0 && setup.Core.Pipeline.circuit_yield <= 1.0);
   Alcotest.(check bool) "threshold from yield" true
@@ -384,7 +371,7 @@ let prop_subset_selection_never_degenerate =
   QCheck.Test.make ~count:10 ~name:"selected predictor never exceeds rank error bound"
     QCheck.(int_range 2 12)
     (fun r ->
-      let setup = Lazy.force fixture in
+      let setup = Lazy.force pipeline in
       let a = Timing.Paths.a_mat setup.pool in
       let mu = Timing.Paths.mu_paths setup.pool in
       let sel = Core.Select.select_with_size ~a ~mu ~r () in

@@ -120,11 +120,6 @@ let test_robustness_ssta_runner () =
           r.Experiments.Robustness.ssta_yield r.Experiments.Robustness.mc_yield)
     rows
 
-let test_profiles_resolvable () =
-  Alcotest.(check bool) "quick" true (Experiments.Profile.of_string "quick" <> None);
-  Alcotest.(check bool) "full" true (Experiments.Profile.of_string "full" <> None);
-  Alcotest.(check bool) "garbage" true (Experiments.Profile.of_string "nope" = None)
-
 (* ---- the served-soak lifecycle, on the committed demo circuit ---- *)
 
 module Soak = Experiments.Soak
@@ -235,7 +230,6 @@ let unit_tests =
     ("experiments: guardband runner", test_guardband_runner);
     ("experiments: ablation runners", test_ablation_runners);
     ("experiments: ssta validation runner", test_robustness_ssta_runner);
-    ("experiments: profile lookup", test_profiles_resolvable);
   ]
 
 let suites =

@@ -1,21 +1,12 @@
 (* Tests for the extension modules: block-based SSTA, clustered
    selection, and post-silicon diagnosis. *)
 
-let check_close ?(tol = 1e-9) msg expected actual =
-  if Float.abs (expected -. actual) > tol then
-    Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
+open Helpers
 
 let fixture =
   lazy
-    (let nl =
-       Circuit.Generator.generate
-         { Circuit.Generator.default with num_gates = 150; num_inputs = 14;
-           num_outputs = 12; depth = 10; seed = 8 }
-     in
-     let model = Timing.Variation.make_model ~levels:3 () in
-     let dm = Timing.Delay_model.build nl model in
-     let setup = Core.Pipeline.prepare ~netlist:nl ~model ~yield_samples:200 ~seed:21 () in
-     (dm, setup))
+    (let setup = Lazy.force pipeline in
+     (setup.Core.Pipeline.dm, setup))
 
 (* ------------------------------------------------------------------ *)
 (* SSTA *)

@@ -1,12 +1,10 @@
 (* Unit and property tests for the dense linear-algebra substrate. *)
 
+open Helpers
+
 let mat = Linalg.Mat.of_arrays
 
 let check_float = Alcotest.(check (float 1e-9))
-
-let check_close ?(tol = 1e-9) msg expected actual =
-  if Float.abs (expected -. actual) > tol then
-    Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
 
 let check_mat_close ?(tol = 1e-9) msg a b =
   if not (Linalg.Mat.equal ~tol a b) then

@@ -1,8 +1,6 @@
 (* Tests for measurement modelling and the randomized selection path. *)
 
-let check_close ?(tol = 1e-9) msg expected actual =
-  if Float.abs (expected -. actual) > tol then
-    Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
+open Helpers
 
 let test_measurement_ideal_identity () =
   let rng = Rng.create 1 in
@@ -65,16 +63,6 @@ let test_measurement_apply_mat () =
 (* ------------------------------------------------------------------ *)
 (* Randomized selection *)
 
-let fixture =
-  lazy
-    (let nl =
-       Circuit.Generator.generate
-         { Circuit.Generator.default with num_gates = 150; num_inputs = 14;
-           num_outputs = 12; depth = 10; seed = 8 }
-     in
-     let model = Timing.Variation.make_model ~levels:3 () in
-     Core.Pipeline.prepare ~netlist:nl ~model ~yield_samples:200 ~seed:21 ())
-
 (* Algorithm 1 on a fixed-rank randomized sketch of A *)
 let sketched ~a ~mu ~t_cons k =
   Core.Select.approximate ~engine:Core.Select.Sketched
@@ -82,7 +70,7 @@ let sketched ~a ~mu ~t_cons k =
     ~a ~mu ~eps:0.05 ~t_cons ()
 
 let test_randomized_select_meets_tolerance () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let a = Timing.Paths.a_mat setup.Core.Pipeline.pool in
   let mu = Timing.Paths.mu_paths setup.Core.Pipeline.pool in
   let sel =
@@ -91,7 +79,7 @@ let test_randomized_select_meets_tolerance () =
   Alcotest.(check bool) "eps_r <= eps" true (sel.Core.Select.eps_r <= 0.05)
 
 let test_randomized_select_close_to_exact () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let a = Timing.Paths.a_mat setup.Core.Pipeline.pool in
   let mu = Timing.Paths.mu_paths setup.Core.Pipeline.pool in
   let t_cons = setup.Core.Pipeline.t_cons in
@@ -105,7 +93,7 @@ let test_randomized_select_close_to_exact () =
     Alcotest.failf "randomized selection much larger: %d vs %d" nr ne
 
 let test_randomized_select_deterministic () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let a = Timing.Paths.a_mat setup.Core.Pipeline.pool in
   let mu = Timing.Paths.mu_paths setup.Core.Pipeline.pool in
   let t_cons = setup.Core.Pipeline.t_cons in
@@ -117,7 +105,7 @@ let test_randomized_select_deterministic () =
 let test_prediction_under_path_ro_measurement () =
   (* end-to-end: typical path-RO measurement error must barely move the
      MC accuracy of the predictor *)
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let sel = Core.Pipeline.approximate_selection setup ~eps:0.05 in
   let p = sel.Core.Select.predictor in
   let mc = Timing.Monte_carlo.sample (Rng.create 3) setup.Core.Pipeline.pool ~n:800 in

@@ -1,17 +1,9 @@
 (* Tests for the nested (incremental) subset selection. *)
 
-let fixture =
-  lazy
-    (let nl =
-       Circuit.Generator.generate
-         { Circuit.Generator.default with num_gates = 150; num_inputs = 14;
-           num_outputs = 12; depth = 10; seed = 8 }
-     in
-     let model = Timing.Variation.make_model ~levels:3 () in
-     Core.Pipeline.prepare ~netlist:nl ~model ~yield_samples:200 ~seed:21 ())
+open Helpers
 
 let test_nested_order_is_permutation_prefix () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let a = Timing.Paths.a_mat setup.Core.Pipeline.pool in
   let svd = Linalg.Svd.factor a in
   let order = Core.Subset_select.nested_rows svd in
@@ -24,7 +16,7 @@ let test_nested_order_is_permutation_prefix () =
 let test_nested_prefixes_independent () =
   (* each prefix up to rank picks rows that are independent as members
      of the left singular basis (the space the pivoting works in) *)
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let a = Timing.Paths.a_mat setup.Core.Pipeline.pool in
   let svd = Linalg.Svd.factor a in
   let rank = Linalg.Svd.rank svd in
@@ -40,7 +32,7 @@ let test_nested_prefixes_independent () =
     [ 2; 5; 10; 20 ]
 
 let test_nested_meets_tolerance () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let a = Timing.Paths.a_mat setup.Core.Pipeline.pool in
   let mu = Timing.Paths.mu_paths setup.Core.Pipeline.pool in
   let sel =
@@ -49,7 +41,7 @@ let test_nested_meets_tolerance () =
   Alcotest.(check bool) "tolerance met" true (sel.Core.Select.eps_r <= 0.05)
 
 let test_nested_close_to_repivot () =
-  let setup = Lazy.force fixture in
+  let setup = Lazy.force pipeline in
   let a = Timing.Paths.a_mat setup.Core.Pipeline.pool in
   let mu = Timing.Paths.mu_paths setup.Core.Pipeline.pool in
   let t_cons = setup.Core.Pipeline.t_cons in

@@ -1,8 +1,6 @@
 (* Tests for placement IO. *)
 
-let check_close ?(tol = 1e-9) msg expected actual =
-  if Float.abs (expected -. actual) > tol then
-    Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
+open Helpers
 
 let netlist () =
   Circuit.Generator.generate { Circuit.Generator.default with num_gates = 40; seed = 77 }

@@ -1,8 +1,6 @@
 (* Tests for the rng and stats substrates. *)
 
-let check_close ?(tol = 1e-9) msg expected actual =
-  if Float.abs (expected -. actual) > tol then
-    Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
+open Helpers
 
 (* ------------------------------------------------------------------ *)
 (* Rng *)

@@ -1,9 +1,7 @@
 (* Tests for the timing substrate: variation model, delay model, timing
    graph, path extraction, segments/matrices, Monte Carlo. *)
 
-let check_close ?(tol = 1e-9) msg expected actual =
-  if Float.abs (expected -. actual) > tol then
-    Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
+open Helpers
 
 let small_netlist () =
   Circuit.Generator.generate

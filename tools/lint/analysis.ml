@@ -10,12 +10,10 @@
      fields, arrays) owned by the shared modules that are reached both
      from the monitor-thread entry points and from the request-serving
      entry points without going through [Atomic.t].
-   - [monitor-blocking]: the reachability-closed form of the syntactic
-     [no-blocking-in-monitor] rule — a blocking primitive
-     ([Mutex.lock], [Unix.select], [Thread.join], ...) anywhere in the
-     call graph below a monitor entry point, even across modules.
-   - [handler-blocking]: the reachability-closed form of
-     [no-unbounded-io] — a raw blocking syscall reachable from a
+   - [monitor-blocking]: a blocking primitive ([Mutex.lock],
+     [Unix.select], [Thread.join], ...) anywhere in the call graph
+     below a monitor entry point, even across modules.
+   - [handler-blocking]: a raw blocking syscall reachable from a
      deadline-scoped request handler outside the [Serve.Io] wrappers.
    - [fd-leak]: intraprocedural path-sensitive tracking that every
      [Unix.socket]/[accept]/[openfile] result reaches [close] (or an
@@ -27,17 +25,18 @@
      parameter becomes a closer, one that returns a descriptor it
      opened becomes a creator).
 
+   The two blocking rules are counterparts of the syntactic
+   [no-blocking-in-monitor] and [no-unbounded-io] rules, not
+   replacements: they see only code reachable from the entry points,
+   the syntactic rules whole files.
+
    Known approximations, chosen to stay sound for the rules above:
    closure bodies are summarized into their enclosing top-level
    binding; closures handed to [Thread.create]/[Domain.spawn] are
    severed (the spawned thread is a different side of the race
    analysis, so its effects must not leak into the spawner's summary —
    cover spawned code by listing its entry points in the config);
-   calls through stored function values are not tracked.
-
-   Per-module summaries are serialized (keyed by the cmt digest) so
-   re-analysis after an incremental rebuild only re-walks changed
-   modules. *)
+   calls through stored function values are not tracked. *)
 
 open Typedtree
 
@@ -62,7 +61,6 @@ type config = {
           epilogue after threads are joined): cut from thread-side
           reachability traversal; being listed as an entry still seeds
           them *)
-  summary_cache : string option;
 }
 
 let default_config =
@@ -130,7 +128,6 @@ let default_config =
         "Serve.Monitor.applied_seq";
         "Serve.maybe_checkpoint";
       ];
-    summary_cache = Some "_build/.pathsel-analyze.cache";
   }
 
 let rules =
@@ -936,38 +933,6 @@ let run_rules ~cfg ~sources summaries =
     kept
 
 (* ------------------------------------------------------------------ *)
-(* Incremental summary cache *)
-
-let cache_tag = "pathsel-analyze-summaries-v1"
-
-let load_cache = function
-  | None -> []
-  | Some path -> (
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let tag : string = Marshal.from_channel ic in
-          if tag = cache_tag then
-            (Marshal.from_channel ic : (string * (string * module_summary)) list)
-          else [])
-    with _ -> [])
-
-let save_cache path entries =
-  match path with
-  | None -> ()
-  | Some path -> (
-    try
-      let tmp = path ^ ".tmp" in
-      let oc = open_out_bin tmp in
-      Marshal.to_channel oc cache_tag [];
-      Marshal.to_channel oc (entries : (string * (string * module_summary)) list) [];
-      close_out oc;
-      Sys.rename tmp path
-    with _ -> ())
-
-(* ------------------------------------------------------------------ *)
 (* Entry points *)
 
 let modname_of_cmt_path p =
@@ -996,40 +961,25 @@ let find_cmts root =
 
 let analyze_cmts ?(config = default_config) cmt_paths =
   let known = List.filter_map modname_of_cmt_path cmt_paths in
-  let cache = load_cache config.summary_cache in
-  (* a cached summary is stale when the cmt changed, but also when the
-     analyzer itself or its config did — fold all three into the key *)
-  let stamp =
-    (try Digest.file Sys.executable_name with _ -> "")
-    ^ Digest.string (Marshal.to_string { config with summary_cache = None } [])
-  in
-  let entries =
+  let summaries =
     List.filter_map
       (fun p ->
-        match Digest.string (stamp ^ Digest.file p) with
-        | exception _ -> None
-        | dg -> (
-          match List.assoc_opt p cache with
-          | Some (dg', ms) when dg' = dg -> Some (p, (dg, ms))
-          | _ -> (
-            try
-              let ci = Cmt_format.read_cmt p in
-              match ci.Cmt_format.cmt_annots with
-              | Cmt_format.Implementation str ->
-                let modname = replace_dunder ci.Cmt_format.cmt_modname in
-                let file =
-                  match ci.Cmt_format.cmt_sourcefile with
-                  | Some f -> Lint.normalize f
-                  | None -> modname
-                in
-                Some
-                  (p, (dg, build_module_summary ~cfg:config ~known ~modname ~file str))
-              | _ -> None
-            with _ -> None)))
+        try
+          let ci = Cmt_format.read_cmt p in
+          match ci.Cmt_format.cmt_annots with
+          | Cmt_format.Implementation str ->
+            let modname = replace_dunder ci.Cmt_format.cmt_modname in
+            let file =
+              match ci.Cmt_format.cmt_sourcefile with
+              | Some f -> Lint.normalize f
+              | None -> modname
+            in
+            Some (build_module_summary ~cfg:config ~known ~modname ~file str)
+          | _ -> None
+        with _ -> None)
       cmt_paths
   in
-  save_cache config.summary_cache entries;
-  run_rules ~cfg:config ~sources:[] (List.map (fun (_, (_, ms)) -> ms) entries)
+  run_rules ~cfg:config ~sources:[] summaries
 
 (* ------------------------------------------------------------------ *)
 (* In-process typechecking, for fixture tests: analyze source snippets

@@ -3,8 +3,9 @@
     The interprocedural companion to {!Lint}: builds a call graph with
     per-function effect summaries and checks atomics/race discipline
     between the monitor thread and the serving path, blocking-call
-    reachability (the closure of [no-blocking-in-monitor] and
-    [no-unbounded-io]), and path-sensitive fd-leak freedom. Shares
+    reachability (the interprocedural counterparts of
+    [no-blocking-in-monitor] and [no-unbounded-io], which see whole
+    files instead), and path-sensitive fd-leak freedom. Shares
     {!Lint.diagnostic}, the renderers, and the suppression-comment
     syntax (file-wide [lint: allow] and line-scoped
     [lint: allow-next]). *)
@@ -40,9 +41,6 @@ type config = {
           otherwise thread-owned state do not register as cross-thread
           races. A cut function that is itself listed as an entry is
           still seeded and analyzed on that side. *)
-  summary_cache : string option;
-      (** where per-module summaries are memoized (keyed by cmt
-          digest); [None] disables caching *)
 }
 
 val default_config : config

@@ -12,8 +12,8 @@
    Suppression: a comment [(* lint: allow rule-a rule-b *)] anywhere in
    a file silences those rules for that file; [(* lint: allow-next
    rule *)] silences a rule for the next source line only. Both forms
-   are honored by this engine and by the typedtree analyzer
-   (pathsel-analyze, see analysis.ml). *)
+   are honored by this engine and by the typedtree analyzer (see
+   analysis.ml); the pathsel-lint driver runs both. *)
 
 type severity = Error | Warning
 
@@ -609,9 +609,9 @@ let render_json diags =
 
 (* SARIF 2.1.0, the minimal shape CI diff-annotators consume: one run,
    the rule table under tool.driver.rules, one result per diagnostic.
-   Shared by pathsel-lint and pathsel-analyze (the [tool] name and rule
-   table differ). SARIF regions are 1-based in both coordinates; our
-   columns are 0-based, hence the + 1. *)
+   pathsel-lint passes the union of both engines' rule tables. SARIF
+   regions are 1-based in both coordinates; our columns are 0-based,
+   hence the + 1. *)
 let render_sarif ~tool ~rules diags =
   let buf = Buffer.create 4096 in
   let str s = "\"" ^ json_escape s ^ "\"" in

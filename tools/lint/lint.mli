@@ -7,7 +7,7 @@
     those rules for that file; [(* lint: allow-next rule *)] suppresses
     a rule on the next source line only. The diagnostic, rendering and
     suppression machinery here is shared with the whole-program
-    typedtree analyzer ({!Analysis}, the pathsel-analyze engine). *)
+    typedtree analyzer ({!Analysis}); the pathsel-lint driver runs both. *)
 
 type severity = Error | Warning
 
@@ -72,8 +72,7 @@ val render_json : diagnostic list -> string
 val render_sarif :
   tool:string -> rules:(string * severity * string) list -> diagnostic list -> string
 (** SARIF 2.1.0 (one run, located results), for CI diff annotation.
-    [tool] names the driver ("pathsel-lint" / "pathsel-analyze") and
-    [rules] is its rule table. *)
+    [tool] names the driver and [rules] is its rule table. *)
 
 val has_errors : diagnostic list -> bool
 
