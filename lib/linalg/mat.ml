@@ -88,7 +88,16 @@ let set_row m i v =
   if Array.length v <> m.cols then invalid_arg "Mat.set_row: dimension mismatch";
   Array.blit v 0 m.data (i * m.cols) m.cols
 
-let transpose m = init m.cols m.rows (fun i j -> get m j i)
+let transpose m =
+  let t = create m.cols m.rows in
+  let md = m.data and td = t.data in
+  for i = 0 to m.rows - 1 do
+    let base = i * m.cols in
+    for j = 0 to m.cols - 1 do
+      Array.unsafe_set td ((j * m.rows) + i) (Array.unsafe_get md (base + j))
+    done
+  done;
+  t
 
 let map f m = { m with data = Array.map f m.data }
 
@@ -317,21 +326,48 @@ let mul_tn a b =
 let gram a =
   let c = create a.rows a.rows in
   let kk = a.cols in
+  let n = a.rows in
   let ad = a.data and cd = c.data in
   (* row i owns both (i, j) and its mirror (j, i) for j >= i: bands never
      write the same element. Triangular rows are uneven; the pool's
-     dynamic chunking balances them. *)
+     dynamic chunking balances them. Four dot products per pass share
+     one streaming read of row i, each summed in ascending k from 0.0
+     as a lone dot product sums it. *)
+  let put i j acc =
+    Array.unsafe_set cd ((i * n) + j) acc;
+    Array.unsafe_set cd ((j * n) + i) acc
+  in
   let band ilo ihi =
     for i = ilo to ihi - 1 do
       let ibase = i * kk in
-      for j = i to a.rows - 1 do
-        let jbase = j * kk in
+      let j = ref i in
+      while !j + 3 < n do
+        let b0 = !j * kk in
+        let b1 = b0 + kk in
+        let b2 = b1 + kk in
+        let b3 = b2 + kk in
+        let acc0 = ref 0.0 and acc1 = ref 0.0 and acc2 = ref 0.0 and acc3 = ref 0.0 in
+        for k = 0 to kk - 1 do
+          let av = Array.unsafe_get ad (ibase + k) in
+          acc0 := !acc0 +. (av *. Array.unsafe_get ad (b0 + k));
+          acc1 := !acc1 +. (av *. Array.unsafe_get ad (b1 + k));
+          acc2 := !acc2 +. (av *. Array.unsafe_get ad (b2 + k));
+          acc3 := !acc3 +. (av *. Array.unsafe_get ad (b3 + k))
+        done;
+        put i !j !acc0;
+        put i (!j + 1) !acc1;
+        put i (!j + 2) !acc2;
+        put i (!j + 3) !acc3;
+        j := !j + 4
+      done;
+      while !j < n do
+        let jbase = !j * kk in
         let acc = ref 0.0 in
         for k = 0 to kk - 1 do
           acc := !acc +. (Array.unsafe_get ad (ibase + k) *. Array.unsafe_get ad (jbase + k))
         done;
-        Array.unsafe_set cd ((i * a.rows) + j) !acc;
-        Array.unsafe_set cd ((j * a.rows) + i) !acc
+        put i !j !acc;
+        incr j
       done
     done
   in

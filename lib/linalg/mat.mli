@@ -91,7 +91,9 @@ val mul_tn : t -> t -> t
 
 val gram : t -> t
 (** [gram a] is [a * transpose a] (symmetric, computed in half the flops,
-    row-band parallel). *)
+    row-band parallel). Four dot products share each pass over a row;
+    every element is summed in ascending k from 0.0, so the bits are
+    those of a lone dot product. *)
 
 val set_par_threshold : int -> unit
 (** Flop count below which the dense products stay serial (default

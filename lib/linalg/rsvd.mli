@@ -21,7 +21,10 @@
 type t = {
   u : Mat.t;   (** m x k *)
   s : Vec.t;   (** leading singular values, non-increasing *)
-  v : Mat.t;   (** n x k *)
+  v : Mat.t;
+  (** n x 0: the right factor is not formed (Algorithm 1 reads only
+      [u] and [s]); its row count keeps {!Svd.rank}'s default
+      tolerance through {!to_svd} *)
 }
 
 type op = {
@@ -57,8 +60,20 @@ val factor_op : stop:stop -> seed:int -> op -> t * float
     orthonormalization is CholQR2 (two Cholesky-QR passes — two tall
     Gram products instead of column-at-a-time Gram-Schmidt) with a
     rank-revealing Gram-Schmidt fallback on numerically rank-deficient
-    blocks. One exact {!Svd.factor} of [B^T] ([cols x width] — never
-    pool-sized) closes the loop.
+    blocks. One exact {!Svd.factor} of [B = Q^T A] ([width x cols] —
+    never pool-sized), forming only Z of [B^T = W S Z^T], closes the
+    loop: [u = Q Z].
+
+    [Q], [B^T] and every iterate are held column-major across the loop,
+    so the Gram products, triangular solves and projections run down
+    contiguous columns; blocks are transposed only at the operator
+    boundary ([mul] and [tmul] take and return row-major blocks) and
+    for the returned [u]. Each kernel sums every element from the same
+    products in the same ascending order, from +0.0, as the row-major
+    products it replaced; products commute, a sum from +0.0 never holds
+    -0.0, and a dropped zero-skip matters only for non-finite factors,
+    which finite operator outputs never give. So the factorization is
+    bit-identical to the row-major one.
 
     The tail-energy stop is exact, not estimated: because [Q] is
     orthonormal, [||A - Q Q^T A||_F^2 = ||A||_F^2 - ||B||_F^2], and each
@@ -82,4 +97,5 @@ val factor : rank:int -> seed:int -> Mat.t -> t
 
 val to_svd : t -> Svd.t
 (** Repackage as a (truncated) {!Svd.t} so downstream code (subset
-    selection, effective rank) can consume it unchanged. *)
+    selection, effective rank) can consume it unchanged. Its [v] has no
+    columns, so {!Svd.reconstruct} and {!Svd.pinv} do not apply. *)

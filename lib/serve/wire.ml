@@ -450,31 +450,47 @@ module Framer = struct
 
   (* a trailing '\r' belongs to a CRLF terminator, not the payload *)
   let finish_line t =
-    let line = Buffer.contents t.pending in
+    let n = Buffer.length t.pending in
+    let n = if n > 0 && Buffer.nth t.pending (n - 1) = '\r' then n - 1 else n in
+    let line = Buffer.sub t.pending 0 n in
     Buffer.clear t.pending;
-    let n = String.length line in
-    if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
+    line
 
+  (* the first '\n' in [bytes] at or after [i], or [stop] if none is
+     before it: the caller's buffer may hold stale bytes past [stop] *)
+  let rec newline bytes i stop =
+    if i >= stop || Bytes.get bytes i = '\n' then i else newline bytes (i + 1) stop
+
+  (* Whole runs between newlines are appended at once. The cap keeps
+     the byte-at-a-time rule: a line fills [pending] up to [max_line]
+     bytes, the byte that finds it full frees it and starts the
+     discard count, and every later byte up to the newline adds one. *)
   let feed t bytes ofs len =
     if ofs < 0 || len < 0 || ofs + len > Bytes.length bytes then
       invalid_arg "Wire.Framer.feed: bad range";
-    for i = ofs to ofs + len - 1 do
-      let c = Bytes.get bytes i in
-      if t.dropped > 0 then
-        if c = '\n' then begin
+    let stop = ofs + len in
+    let i = ref ofs in
+    while !i < stop do
+      let nl = newline bytes !i stop in
+      let run = nl - !i in
+      (if t.dropped > 0 then t.dropped <- t.dropped + run
+       else
+         let room = t.max_line - Buffer.length t.pending in
+         if run <= room then Buffer.add_subbytes t.pending bytes !i run
+         else begin
+           (* cap tripped: free the buffered prefix immediately — holding
+              it is exactly the OOM a newline-less flood aims for *)
+           Buffer.clear t.pending;
+           t.dropped <- run - room
+         end);
+      if nl < stop then
+        if t.dropped > 0 then begin
           (* the oversized line finally ended; report its total size *)
           Queue.add (Too_long (t.max_line + t.dropped)) t.out;
           t.dropped <- 0
         end
-        else t.dropped <- t.dropped + 1
-      else if c = '\n' then Queue.add (Line (finish_line t)) t.out
-      else if Buffer.length t.pending >= t.max_line then begin
-        (* cap tripped: free the buffered prefix immediately — holding
-           it is exactly the OOM a newline-less flood aims for *)
-        Buffer.clear t.pending;
-        t.dropped <- 1
-      end
-      else Buffer.add_char t.pending c
+        else Queue.add (Line (finish_line t)) t.out;
+      i := nl + 1
     done
 
   let pop t = Queue.take_opt t.out

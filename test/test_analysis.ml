@@ -86,6 +86,22 @@ let test_cross_module_lock_beats_syntactic () =
     Alcotest.(check bool) "chain names the entry point" true
       (contains d.Lint.message "Fix_mon.tick -> Fix_helper.guarded")
 
+(* A helper inside a wrapped dune library, reached the two ways the
+   typedtree spells it: from a sibling module through the library's
+   alias module ("Fix__.Helper.guarded", the shape of a lib/serve
+   helper called from Monitor.step) and from another library through
+   its main module ("Fixcore.Helper.guarded", a lib/core helper). Both
+   name the summary "Fix.Helper" / "Fixcore.Helper" that the mangled
+   module "Fix__Helper" / "Fixcore__Helper" gets, so both must fire. *)
+let wrapped_helper ~lib ~dir ~via =
+  [
+    (lib ^ "__Helper", dir ^ "/helper.ml", helper_locks);
+    (via, dir ^ "/" ^ String.lowercase_ascii via ^ ".ml", "module Helper = " ^ lib ^ "__Helper");
+    ( "Fix_mon",
+      "lib/serve/fix_mon.ml",
+      "let state = ref 0\nlet tick () = " ^ via ^ ".Helper.guarded (fun () -> incr state)" );
+  ]
+
 (* The converse: the analyzer sees only code reachable from its entry
    points, while the syntactic rules cover whole files. A lock in a
    monitor.ml function that only the serving side calls (the shape of
@@ -383,6 +399,11 @@ let corpus =
         ] );
     ( "cross-module lock: analyzer fires where the syntactic rule is silent",
       test_cross_module_lock_beats_syntactic );
+    ( "monitor-blocking fires through a sibling module's alias path",
+      check_fires "monitor-blocking" (wrapped_helper ~lib:"Fix" ~dir:"lib/serve" ~via:"Fix__") );
+    ( "monitor-blocking fires through another library's main module",
+      check_fires "monitor-blocking"
+        (wrapped_helper ~lib:"Fixcore" ~dir:"lib/core" ~via:"Fixcore") );
     ( "serving-side lock in monitor.ml: only the syntactic rule fires",
       check_syntactic_only "no-blocking-in-monitor"
         [

@@ -118,6 +118,47 @@ let test_rng_stream_pinned () =
   Alcotest.(check int64) "gaussian fold" 2521607213528076706L !h;
   Alcotest.(check int64) "next bits64" (-4926611735503755677L) (Rng.bits64 r)
 
+(* bit pins on the streamed range finder, end to end through
+   [sketch_representatives]: a tail-energy run that appends a second
+   block and a fixed-rank run, plus a dense sketch whose small problem
+   is square. Every kernel of the sketch (the Gaussian
+   block, the projections, CholQR2, the small SVD, U = QZ) feeds these
+   bits, so a rewrite of any of them that moves one bit shows here. *)
+let fold_bits h a =
+  Array.fold_left (fun h x -> Int64.add (Int64.mul h 31L) (Int64.bits_of_float x)) h a
+
+let test_sketch_pinned () =
+  let pool =
+    Timing.Pool_stream.synthetic ~seed:4 ~decay:12.0 ~paths:500 ~segments:100 ~vars:60
+      ~segs_per_path:5 ~vars_per_seg:3 ()
+  in
+  let pin name sketch ~width ~indices ~fold ~tail =
+    let st =
+      Core.Select.sketch_representatives ~sketch ~ops:(Timing.Pool_stream.op pool) ()
+    in
+    let svd = st.Core.Select.stream_svd in
+    Alcotest.(check int) (name ^ " width") width st.Core.Select.sketch_rank_used;
+    Alcotest.(check (array int)) (name ^ " indices") indices st.Core.Select.stream_indices;
+    Alcotest.(check int64) (name ^ " s and u bits") fold
+      (fold_bits (fold_bits 0L svd.Linalg.Svd.s) svd.Linalg.Svd.u.Linalg.Mat.data);
+    Alcotest.(check int64) (name ^ " tail bits") tail
+      (Int64.bits_of_float st.Core.Select.tail_fraction)
+  in
+  let d = Core.Select.default_sketch in
+  pin "tail energy" d ~width:32
+    ~indices:
+      [| 22; 37; 113; 117; 130; 154; 183; 189; 190; 201; 241; 255; 268; 273; 276; 351;
+         361; 374; 382; 387; 405; 415; 418; 481; 483 |]
+    ~fold:3927482924851048154L ~tail:4567649073226401844L;
+  pin "rank 12" { d with Core.Select.sketch_rank = Some 12 } ~width:12
+    ~indices:[| 129; 146; 176; 183; 199; 374; 387; 418; 428; 433; 449 |]
+    ~fold:(-6837487006880943483L) ~tail:4589503555846042863L;
+  (* a first block as wide as A, so the small problem B is square *)
+  let a = Linalg.Mat.init 18 12 (fun i j -> sin (float_of_int ((i * 31) + (j * 7) + (i * j)))) in
+  let f = Linalg.Rsvd.factor ~rank:4 ~seed:5 a in
+  Alcotest.(check int64) "square B: s and u bits" 2059369699749120818L
+    (fold_bits (fold_bits 0L f.Linalg.Rsvd.s) f.Linalg.Rsvd.u.Linalg.Mat.data)
+
 let unit_tests =
   [
     ("golden: .bench parses", test_bench_golden);
@@ -128,6 +169,7 @@ let unit_tests =
     ("golden: pipeline runs", test_full_pipeline_on_golden);
     ("golden: zero level weight extracts", test_zero_level_weight);
     ("golden: rng stream", test_rng_stream_pinned);
+    ("golden: streamed sketch", test_sketch_pinned);
   ]
 
 let suites =

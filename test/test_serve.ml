@@ -877,6 +877,53 @@ let test_framer_edges () =
   | Some (Framer.Line "ok") -> ()
   | _ -> Alcotest.fail "line after the overflow was lost"
 
+(* Framing by runs against the one-byte-at-a-time rule: random lines
+   (CRLF, bare '\r', empty, over the cap, an unterminated tail) fed in
+   random chunks must give the same items and the same partial and
+   overflowing state. Each chunk sits inside a buffer of stale bytes
+   ending in a newline, so a scan past the fed range would show. *)
+let prop_framer_chunking =
+  let open Serve.Wire in
+  let line = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; '\r' ]) (int_bound 20)) in
+  let input =
+    QCheck.Gen.(
+      map2
+        (fun lines tail ->
+          String.concat "" (List.map (fun (l, crlf) -> l ^ if crlf then "\r\n" else "\n") lines)
+          ^ tail)
+        (list_size (int_bound 8) (pair line bool))
+        line)
+  in
+  let gen = QCheck.Gen.(triple (int_range 1 12) input (list_size (int_range 1 6) (int_range 1 9))) in
+  let print (max_line, s, cuts) =
+    Printf.sprintf "max_line %d, input %S, chunks %s" max_line s
+      (String.concat "," (List.map string_of_int cuts))
+  in
+  QCheck.Test.make ~count:500 ~name:"framer: any chunking frames like one byte at a time"
+    (QCheck.make ~print gen)
+    (fun (max_line, s, cuts) ->
+      let state f =
+        let rec drain acc = match Framer.pop f with Some x -> drain (x :: acc) | None -> acc in
+        (List.rev (drain []), Framer.partial f, Framer.overflowing f)
+      in
+      let bytewise = Framer.create ~max_line () in
+      String.iter (fun c -> Framer.feed bytewise (Bytes.make 1 c) 0 1) s;
+      let chunked = Framer.create ~max_line () in
+      let buf = Bytes.create (String.length s + 4) in
+      let n = String.length s and cuts = Array.of_list cuts in
+      let rec go pos i =
+        if pos < n then begin
+          let k = min cuts.(i mod Array.length cuts) (n - pos) in
+          Bytes.fill buf 0 (Bytes.length buf) 'x';
+          Bytes.set buf (Bytes.length buf - 1) '\n';
+          Bytes.blit_string s pos buf 2 k;
+          Framer.feed chunked buf 2 k;
+          go (pos + k) (i + 1)
+        end
+      in
+      go 0 0;
+      state bytewise = state chunked)
+
 let test_framing_over_socket () =
   let config = { Serve.default_config with Serve.max_line = 256 } in
   with_server ~config (fun _store _clean addr ->
@@ -1523,6 +1570,7 @@ let suites =
         Alcotest.test_case "stats latency includes encoding" `Quick
           test_stats_latency_includes_encoding;
         Alcotest.test_case "framer edge cases" `Quick test_framer_edges;
+        QCheck_alcotest.to_alcotest prop_framer_chunking;
         Alcotest.test_case "framing edge cases over the socket" `Quick
           test_framing_over_socket;
         Alcotest.test_case "overload shedding" `Quick test_shed_overloaded;

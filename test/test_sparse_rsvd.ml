@@ -310,6 +310,33 @@ let test_rsvd_orthonormal_u () =
   Alcotest.(check bool) "U^T U = I" true
     (Linalg.Mat.equal ~tol:1e-8 g (Linalg.Mat.identity 6))
 
+(* an operator whose rank is below the block width (duplicated
+   columns): the block's Gram is singular, so CholQR2 rejects it (here
+   Cholesky meets a nonpositive pivot; the pivot-ratio guard catches
+   the barely-positive ones) and the rank-revealing Gram-Schmidt keeps
+   exactly the rank's worth of columns, where CholQR2 would have kept
+   the whole block.
+   Rank 3 sits below the first block; rank 20 fills the first block and
+   leaves 4 columns for the second, which is projected against it. *)
+let test_rsvd_rank_deficient_block () =
+  let dup c =
+    Linalg.Mat.init 80 (2 * c) (fun i j ->
+        let j = j mod c in
+        exp (-0.1 *. float_of_int j)
+        *. sin (float_of_int i *. (0.37 +. (0.21 *. float_of_int j))))
+  in
+  List.iter
+    (fun (c, stop) ->
+      let f, tail = Linalg.Rsvd.factor_op ~stop ~seed:3 (Linalg.Rsvd.op_of_mat (dup c)) in
+      let u = f.Linalg.Rsvd.u in
+      Alcotest.(check (pair int int)) "U spans the rank" (80, c) (Linalg.Mat.dims u);
+      Alcotest.(check bool) "U^T U = I" true
+        (Linalg.Mat.equal ~tol:1e-8 (Linalg.Mat.mul_tn u u) (Linalg.Mat.identity c));
+      Alcotest.(check bool) "whole energy captured" true (tail < 1e-12);
+      Alcotest.(check (pair int int)) "V not formed" (2 * c, 0)
+        (Linalg.Mat.dims f.Linalg.Rsvd.v))
+    [ (3, Linalg.Rsvd.Tail_energy 1e-9); (3, Rank 5); (20, Tail_energy 1e-9) ]
+
 let test_rsvd_deterministic () =
   let a = Linalg.Mat.init 15 10 (fun i j -> cos (float_of_int ((3 * i) + j))) in
   let r1 = Linalg.Rsvd.factor ~rank:4 ~seed:5 a in
@@ -576,12 +603,14 @@ let test_sketch_pool_size_invariant () =
   in
   let st () = Core.Select.sketch_representatives ~ops:(Timing.Pool_stream.op pool) () in
   Alcotest.(check bool) "several blocks" true ((st ()).Core.Select.sketch_rank_used > 16);
-  check_pool_size_invariant "indices, spectrum and tail bit-identical"
+  check_pool_size_invariant "indices, spectrum, tail and U bit-identical"
     (fun a b ->
       a.Core.Select.stream_indices = b.Core.Select.stream_indices
       && Linalg.Vec.equal ~tol:0.0 a.Core.Select.stream_svd.Linalg.Svd.s
            b.Core.Select.stream_svd.Linalg.Svd.s
-      && Float.equal a.Core.Select.tail_fraction b.Core.Select.tail_fraction)
+      && Float.equal a.Core.Select.tail_fraction b.Core.Select.tail_fraction
+      && Linalg.Mat.bits_equal a.Core.Select.stream_svd.Linalg.Svd.u
+           b.Core.Select.stream_svd.Linalg.Svd.u)
     st
 
 let test_sketch_zero_operator () =
@@ -612,6 +641,7 @@ let unit_tests =
     ("rsvd: exact on low rank", test_rsvd_low_rank_exact);
     ("rsvd: leading values close", test_rsvd_leading_values_close);
     ("rsvd: orthonormal U", test_rsvd_orthonormal_u);
+    ("rsvd: rank-deficient block falls back", test_rsvd_rank_deficient_block);
     ("rsvd: deterministic", test_rsvd_deterministic);
     ("rsvd: feeds Algorithm 2", test_rsvd_subset_selection_compatible);
     ("rsvd: operator route matches dense", test_factor_op_matches_dense);

@@ -183,7 +183,9 @@ let site_of ~file (loc : Location.t) =
 
    cmt module names use dune's mangling ("Serve__Monitor"); paths
    inside a library refer to siblings without the library prefix
-   ("Monitor.step" inside serve.cmt); stdlib values carry a "Stdlib."
+   ("Monitor.step" inside serve.cmt) or through its alias module
+   ("Serve__.Helper.f" inside serve__Monitor.cmt, where "__." must
+   become one dot, not two); stdlib values carry a "Stdlib."
    prefix ("Stdlib.Mutex.lock"); same-module top-level bindings appear
    as bare idents. Everything is normalized to the dotted form used in
    the config lists ("Serve.Monitor.step", "Mutex.lock"). *)
@@ -195,7 +197,7 @@ let replace_dunder s =
   while !i < n do
     if !i + 1 < n && s.[!i] = '_' && s.[!i + 1] = '_' then begin
       Buffer.add_char b '.';
-      i := !i + 2
+      i := if !i + 2 < n && s.[!i + 2] = '.' then !i + 3 else !i + 2
     end
     else begin
       Buffer.add_char b s.[!i];
@@ -1017,11 +1019,12 @@ let typecheck_sources srcs =
 
 let analyze_sources ?(config = default_config) srcs =
   let typed = typecheck_sources srcs in
-  let known = List.map (fun (m, _, _) -> m) srcs in
+  let known = List.map (fun (m, _, _) -> replace_dunder m) srcs in
   let summaries =
     List.map
       (fun (modname, path, tstr) ->
-        build_module_summary ~cfg:config ~known ~modname ~file:(Lint.normalize path) tstr)
+        build_module_summary ~cfg:config ~known ~modname:(replace_dunder modname)
+          ~file:(Lint.normalize path) tstr)
       typed
   in
   run_rules ~cfg:config

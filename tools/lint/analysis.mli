@@ -65,5 +65,6 @@ val analyze_sources :
     snippets in-process (in order, so later snippets can reference
     earlier modules by [modname]) and analyzes them as one program —
     the fixture-test entry point. [path] drives the directory-scoped
-    config and diagnostic locations. Raises [Failure] if a snippet
-    does not typecheck. *)
+    config and diagnostic locations. A [modname] in dune's mangling
+    ("Fix__Helper") is summarized as "Fix.Helper", as its cmt would be.
+    Raises [Failure] if a snippet does not typecheck. *)
