@@ -574,8 +574,8 @@ let serve_cmd =
     Arg.(value & flag
          & info [ "monitor" ]
              ~doc:"Arm the self-healing loop: CUSUM drift detection on \
-                   $(b,observe) streams, incremental refit, and automatic \
-                   background re-selection (written back to the artifact \
+                   $(b,observe) streams and automatic background \
+                   re-selection (written back to the artifact \
                    path and hot-swapped).")
   in
   let drift_warn =

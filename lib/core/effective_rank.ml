@@ -23,8 +23,6 @@ let of_singular_values ~eta s =
     go 0 0.0
   end
 
-let of_mat ~eta a = of_singular_values ~eta (Linalg.Svd.factor ~vectors:Values a).Linalg.Svd.s
-
 let normalized_spectrum s =
   let e = Array.fold_left ( +. ) 0.0 s in
   if Float.equal e 0.0 then Array.map (fun _ -> 0.0) s else Array.map (fun v -> v /. e) s

@@ -9,8 +9,6 @@ val of_singular_values : eta:float -> Linalg.Vec.t -> int
 (** Raises [Invalid_argument] if [eta] is outside (0, 1) or the values
     are negative/unsorted. Returns 0 for an all-zero spectrum. *)
 
-val of_mat : eta:float -> Linalg.Mat.t -> int
-
 val normalized_spectrum : Linalg.Vec.t -> Linalg.Vec.t
 (** [s_i / sum s] — the quantity plotted in the paper's Figure 2. *)
 

@@ -62,7 +62,6 @@ let run ?(oc = stdout) ?out profile =
       Serve.Monitor.calibrate = 32;
       min_dies = 64;
       buffer = 160;
-      refit_min = 16;
       cooldown = 0.4;
     }
   in

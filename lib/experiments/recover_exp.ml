@@ -101,7 +101,6 @@ let run ?(oc = stdout) ?out profile =
       Serve.Monitor.calibrate = 16;
       min_dies = 64;
       buffer = 128;
-      refit_min = 8;
       drift =
         {
           Stats.Drift.default_config with

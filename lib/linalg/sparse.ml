@@ -335,8 +335,6 @@ let row_norms2 a =
       done;
       sqrt !acc)
 
-let scale s a = { a with values = Array.map (fun v -> s *. v) a.values }
-
 let transpose a =
   let lists = Array.make a.cols [] in
   for i = a.rows - 1 downto 0 do

@@ -88,8 +88,6 @@ val dense_mul : Mat.t -> t -> Mat.t
 
 val row_norms2 : t -> Vec.t
 
-val scale : float -> t -> t
-
 val transpose : t -> t
 
 val equal_dense : ?tol:float -> t -> Mat.t -> bool

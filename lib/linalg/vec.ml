@@ -1,18 +1,6 @@
 type t = float array
 
-let create n = Array.make n 0.0
-
 let init = Array.init
-
-let copy = Array.copy
-
-let dim = Array.length
-
-let of_list = Array.of_list
-
-let to_list = Array.to_list
-
-let fill x c = Array.fill x 0 (Array.length x) c
 
 let map = Array.map
 
@@ -123,10 +111,3 @@ let equal ?(tol = 1e-12) x y =
     done;
     !ok
   end
-
-let pp fmt x =
-  Format.fprintf fmt "[|";
-  Array.iteri
-    (fun i v -> if i > 0 then Format.fprintf fmt "; %g" v else Format.fprintf fmt "%g" v)
-    x;
-  Format.fprintf fmt "|]"

@@ -5,20 +5,7 @@
 
 type t = float array
 
-val create : int -> t
-(** [create n] is the zero vector of dimension [n]. *)
-
 val init : int -> (int -> float) -> t
-
-val copy : t -> t
-
-val dim : t -> int
-
-val of_list : float list -> t
-
-val to_list : t -> float list
-
-val fill : t -> float -> unit
 
 val map : (float -> float) -> t -> t
 
@@ -60,5 +47,3 @@ val argmax : t -> int
 
 val equal : ?tol:float -> t -> t -> bool
 (** Pointwise comparison with absolute tolerance [tol] (default [1e-12]). *)
-
-val pp : Format.formatter -> t -> unit

@@ -51,8 +51,6 @@ let split r =
   let seed = Int64.to_int (next r) in
   create (seed lxor 0x5DEECE66D)
 
-let copy = Bytes.copy
-
 (* 53 uniform bits into [0,1) *)
 let[@inline] float r =
   let x = Int64.shift_right_logical (next r) 11 in

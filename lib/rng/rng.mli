@@ -19,10 +19,6 @@ val split : t -> t
 (** [split rng] derives an independent generator stream and advances
     [rng]. Use it to hand sub-components their own streams. *)
 
-val copy : t -> t
-(** An independent generator at the same point of the same stream,
-    pending polar deviate included. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -78,7 +78,7 @@ let r_obs r =
 let decode_obs payload = Store.Codec.decode payload r_obs
 
 (* ------------------------------------------------------------------ *)
-(* Drift / refit / monitor snapshots *)
+(* Drift / monitor snapshots *)
 
 let w_drift_config w (c : Stats.Drift.config) =
   W.f64 w c.Stats.Drift.slack;
@@ -177,42 +177,6 @@ let r_grouped r : Stats.Drift.Grouped.group_snapshot =
     snap_entries;
   }
 
-let w_refit w (s : Core.Refit.snapshot) =
-  w_int w s.Core.Refit.snap_r;
-  w_int w s.snap_m;
-  w_int w s.snap_resync_every;
-  W.mat w s.snap_g;
-  W.mat w s.snap_c;
-  W.mat w s.snap_l;
-  w_int w s.snap_count;
-  w_int w s.snap_skipped;
-  w_int w s.snap_since_resync;
-  w_int w s.snap_resyncs
-
-let r_refit r : Core.Refit.snapshot =
-  let snap_r = r_int r in
-  let snap_m = r_int r in
-  let snap_resync_every = r_int r in
-  let snap_g = R.mat r in
-  let snap_c = R.mat r in
-  let snap_l = R.mat r in
-  let snap_count = r_int r in
-  let snap_skipped = r_int r in
-  let snap_since_resync = r_int r in
-  let snap_resyncs = r_int r in
-  {
-    Core.Refit.snap_r;
-    snap_m;
-    snap_resync_every;
-    snap_g;
-    snap_c;
-    snap_l;
-    snap_count;
-    snap_skipped;
-    snap_since_resync;
-    snap_resyncs;
-  }
-
 let w_snapshot w (s : Monitor.snapshot) =
   w_int w s.Monitor.snap_r;
   w_int w s.snap_m;
@@ -231,7 +195,6 @@ let w_snapshot w (s : Monitor.snapshot) =
   W.f64 w s.snap_next_attempt;
   w_bool w s.snap_self_swap;
   W.str w s.snap_last_error;
-  w_refit w s.snap_refit;
   w_grouped w s.snap_drift
 
 let r_snapshot r : Monitor.snapshot =
@@ -253,7 +216,6 @@ let r_snapshot r : Monitor.snapshot =
   let snap_next_attempt = R.f64 r in
   let snap_self_swap = r_bool r in
   let snap_last_error = R.str r in
-  let snap_refit = r_refit r in
   let snap_drift = r_grouped r in
   {
     Monitor.snap_r;
@@ -272,7 +234,6 @@ let r_snapshot r : Monitor.snapshot =
     snap_next_attempt;
     snap_self_swap;
     snap_last_error;
-    snap_refit;
     snap_drift;
   }
 
@@ -290,7 +251,7 @@ let snapshot_equal a b = String.equal (encode_snapshot a) (encode_snapshot b)
    written by atomic rename *)
 
 let ckpt_magic = "PSC1"
-let ckpt_version = 1
+let ckpt_version = 2
 
 let save_checkpoint path ~gen snapshot =
   let w = W.create () in

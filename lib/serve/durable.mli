@@ -2,7 +2,7 @@
     recovery checkpoints.
 
     Everything here rides the artifact codec ({!Store.Codec}), so every
-    float — refit moments, CUSUM accumulators, ring rows — round-trips
+    float — CUSUM accumulators, ring rows — round-trips
     {e bit-exactly}; recovered state is not "close to" the pre-crash
     state, it {e is} the pre-crash state. Snapshot encodings are also
     canonical (ring rows oldest-first, detector groups sorted), which
@@ -11,8 +11,11 @@
 
     A checkpoint file is the store's framed container ({!Store.frame},
     the same header a PSA1 artifact has) with its own magic ["PSC1"],
-    version 1, around a payload of the generation counter and the
-    monitor snapshot. It is written with {!Store.write_file_atomic} — a
+    version 2, around a payload of the generation counter and the
+    monitor snapshot. (Version 1 also carried an incremental-regression
+    block the monitor no longer keeps; such a file loads as a typed
+    [Version_mismatch], and boot falls back to a cold start plus a full
+    WAL replay.) It is written with {!Store.write_file_atomic} — a
     crash mid-checkpoint leaves the previous checkpoint, never a torn
     one — and read back through {!Core.Errors.read_file} and
     {!Store.unframe}. *)

@@ -1,7 +1,7 @@
 (* Single-writer state machine: everything below the Atomics is touched
    only by the monitor thread ([step]/[swapped]); workers talk to it
-   exclusively through [submit] (CAS push) and [read]/[coefficients]
-   (snapshot gets). Nothing here may block — see the
+   exclusively through [submit] (CAS push) and [read] (snapshot
+   get). Nothing here may block — see the
    no-blocking-in-monitor lint rule. *)
 
 type config = {
@@ -10,9 +10,6 @@ type config = {
   max_groups : int;
   min_dies : int;
   buffer : int;
-  refit_min : int;
-  refit_ridge : float;
-  refit_resync_every : int;
   cooldown : float;
   max_backoff : float;
   pending_cap : int;
@@ -25,9 +22,6 @@ let default_config =
     max_groups = 64;
     min_dies = 64;
     buffer = 256;
-    refit_min = 16;
-    refit_ridge = 1e-3;
-    refit_resync_every = 64;
     cooldown = 5.0;
     max_backoff = 60.0;
     pending_cap = 4096;
@@ -53,8 +47,6 @@ type report = {
   groups : int;
   group_overflow : int;
   monitor_errors : int;
-  refit_dies : int;
-  refit_resyncs : int;
   reselects : int;
   reselect_failures : int;
   last_reselect_ms : float;
@@ -75,8 +67,6 @@ let initial_report =
     groups = 0;
     group_overflow = 0;
     monitor_errors = 0;
-    refit_dies = 0;
-    refit_resyncs = 0;
     reselects = 0;
     reselect_failures = 0;
     last_reselect_ms = Float.nan;
@@ -94,13 +84,11 @@ type t = {
   pending_n : int Atomic.t;
   dropped : int Atomic.t;
   published : report Atomic.t;
-  coeffs : (Linalg.Mat.t * int) option Atomic.t;
   (* monitor-thread state *)
   mutable r : int;
   mutable m : int;
   mutable grouped : Stats.Drift.Grouped.t;
       (* per-wafer detectors, lazily keyed; mutable only for [restore] *)
-  mutable refit : Core.Refit.t;
   ring : float array array; (* recent full dies, circular *)
   mutable ring_n : int; (* total dies ever accepted into the ring *)
   mutable observed : int;
@@ -132,7 +120,6 @@ let check_config cfg =
   if cfg.max_groups < 1 then invalid_arg "Monitor: max_groups < 1";
   if cfg.min_dies < 1 then invalid_arg "Monitor: min_dies < 1";
   if cfg.buffer < cfg.min_dies then invalid_arg "Monitor: buffer < min_dies";
-  if cfg.refit_min < 1 then invalid_arg "Monitor: refit_min < 1";
   if not (cfg.cooldown > 0.0) then invalid_arg "Monitor: cooldown must be > 0";
   if cfg.max_backoff < cfg.cooldown then
     invalid_arg "Monitor: max_backoff < cooldown";
@@ -150,15 +137,11 @@ let create ?(config = default_config) ~n_paths ~r ~m ~reselect () =
     pending_n = Atomic.make 0;
     dropped = Atomic.make 0;
     published = Atomic.make initial_report;
-    coeffs = Atomic.make None;
     r;
     m;
     grouped =
       Stats.Drift.Grouped.create ~config:config.drift
         ~calibrate:config.calibrate ~max_groups:config.max_groups ();
-    refit =
-      Core.Refit.create ~ridge:config.refit_ridge
-        ~resync_every:config.refit_resync_every ~r ~m ();
     ring = Array.make config.buffer [||];
     ring_n = 0;
     observed = 0;
@@ -206,7 +189,6 @@ let submit ?(seq = 0) t o =
   end
 
 let read t = Atomic.get t.published
-let coefficients t = Atomic.get t.coeffs
 
 let publish t =
   let g = t.grouped in
@@ -226,8 +208,6 @@ let publish t =
       groups = Stats.Drift.Grouped.group_count g;
       group_overflow = Stats.Drift.Grouped.overflowed g;
       monitor_errors = t.errors;
-      refit_dies = Core.Refit.count t.refit;
-      refit_resyncs = Core.Refit.resyncs t.refit;
       reselects = t.reselects;
       reselect_failures = t.reselect_failures;
       last_reselect_ms = t.last_reselect_ms;
@@ -235,7 +215,7 @@ let publish t =
       last_error = t.last_error;
     }
 
-(* Restart detector + refit against a fresh artifact split; the ring of
+(* Restart the detector against a fresh artifact split; the ring of
    full dies is artifact-independent and survives. Re-selection pacing
    (backoff/next_attempt) is deliberately untouched: clearing it here
    would erase the post-reselect cooldown the moment our own swap lands
@@ -245,11 +225,7 @@ let restart t ~r ~m =
     invalid_arg "Monitor: swapped artifact has an incompatible path split";
   t.r <- r;
   t.m <- m;
-  Stats.Drift.Grouped.restart t.grouped;
-  t.refit <-
-    Core.Refit.create ~ridge:t.cfg.refit_ridge
-      ~resync_every:t.cfg.refit_resync_every ~r ~m ();
-  Atomic.set t.coeffs None
+  Stats.Drift.Grouped.restart t.grouped
 
 let swapped t ~r ~m =
   restart t ~r ~m;
@@ -283,23 +259,23 @@ let ingest t seq o =
        || Array.length o.truth <> t.m
        || Array.length o.full <> t.n_paths
      then t.skipped <- t.skipped + 1
-     else
-       match Core.Refit.observe t.refit ~measured:o.measured ~truth:o.truth with
-       | false ->
-         (* non-finite die: the refit moments stay clean; the residual
-            still goes to the detector, whose quarantine logic owns
-            pathological input *)
-         t.skipped <- t.skipped + 1;
-         feed_detector t o
-       | true ->
-         t.observed <- t.observed + 1;
-         t.ring.(t.ring_n mod t.cfg.buffer) <- Array.copy o.full;
-         t.ring_n <- t.ring_n + 1;
-         feed_detector t o
-       | exception Invalid_argument _ ->
-         (* the fail-safe: a malformed observation is dropped and counted;
-            it must never take the monitor (let alone the server) down *)
-         t.errors <- t.errors + 1);
+     else if
+       not
+         (Array.for_all Float.is_finite o.measured
+         && Array.for_all Float.is_finite o.truth)
+     then begin
+       (* non-finite die: kept out of the ring; the residual still goes
+          to the detector, whose quarantine logic owns pathological
+          input *)
+       t.skipped <- t.skipped + 1;
+       feed_detector t o
+     end
+     else begin
+       t.observed <- t.observed + 1;
+       t.ring.(t.ring_n mod t.cfg.buffer) <- Array.copy o.full;
+       t.ring_n <- t.ring_n + 1;
+       feed_detector t o
+     end);
     if seq > t.applied_seq then t.applied_seq <- seq
   end
 
@@ -334,11 +310,6 @@ let maybe_reselect t ~now =
       t.next_attempt <- now +. t.backoff
   end
 
-let publish_coeffs t =
-  if Core.Refit.count t.refit >= t.cfg.refit_min then
-    Atomic.set t.coeffs
-      (Some (Core.Refit.coefficients t.refit, Core.Refit.count t.refit))
-
 let step t ~now =
   let batch = List.rev (Atomic.exchange t.pending []) in
   (* release exactly the slots we drained: a submit that claimed its
@@ -349,7 +320,6 @@ let step t ~now =
    | _ :: _ ->
      ignore (Atomic.fetch_and_add t.pending_n (-(List.length batch))));
   List.iter (fun (seq, o) -> ingest t seq o) batch;
-  (match batch with [] -> () | _ :: _ -> publish_coeffs t);
   maybe_reselect t ~now;
   publish t
 
@@ -379,7 +349,6 @@ type snapshot = {
   snap_next_attempt : float;
   snap_self_swap : bool;
   snap_last_error : string;
-  snap_refit : Core.Refit.snapshot;
   snap_drift : Stats.Drift.Grouped.group_snapshot;
 }
 
@@ -404,7 +373,6 @@ let snapshot t =
     snap_next_attempt = t.next_attempt;
     snap_self_swap = t.self_swap;
     snap_last_error = t.last_error;
-    snap_refit = Core.Refit.snapshot t.refit;
     snap_drift = Stats.Drift.Grouped.snapshot t.grouped;
   }
 
@@ -435,11 +403,7 @@ let restore ?(config = default_config) ~n_paths ~reselect s =
   t.next_attempt <- s.snap_next_attempt;
   t.self_swap <- s.snap_self_swap;
   t.last_error <- s.snap_last_error;
-  t.refit <- Core.Refit.restore s.snap_refit;
-  if Core.Refit.r t.refit <> s.snap_r || Core.Refit.m t.refit <> s.snap_m then
-    invalid_arg "Monitor.restore: refit snapshot split mismatch";
   t.grouped <- Stats.Drift.Grouped.restore s.snap_drift;
-  publish_coeffs t;
   publish t;
   t
 
@@ -447,5 +411,4 @@ let applied_seq t = t.applied_seq
 
 let replay t records =
   List.iter (fun (seq, o) -> ingest t seq o) records;
-  publish_coeffs t;
   publish t

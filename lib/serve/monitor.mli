@@ -1,15 +1,14 @@
-(** The self-healing loop: drift monitoring, incremental refit, and
-    background re-selection.
+(** The self-healing loop: drift monitoring and background
+    re-selection.
 
     Connection workers {!submit} observations — fully measured dies with
     their prediction residual — through a lock-free queue; a single
     monitor thread drains it with {!step}. Each step (1) calibrates a
     {!Stats.Drift} detector from the first healthy residuals, then feeds
-    it; (2) folds the die into an incremental {!Core.Refit} regression
-    and publishes a coefficient snapshot; (3) keeps a ring of recent
-    full-die delay vectors; and (4) when the detector binds ([Drifted]),
-    invokes the [reselect] callback on the recent dies — off the hot
-    path — with a cooldown and exponential backoff on failure.
+    it; (2) keeps a ring of recent full-die delay vectors; and (3) when
+    the detector binds ([Drifted]), invokes the [reselect] callback on
+    the recent dies — off the hot path — with a cooldown and
+    exponential backoff on failure.
 
     Locking discipline: this module must never block. Submission is a
     compare-and-set push; every externally visible figure is published
@@ -35,12 +34,6 @@ type config = {
           Default [64]. *)
   buffer : int;
       (** Ring capacity of recent full-die vectors. Default [256]. *)
-  refit_min : int;
-      (** Accepted dies before refit coefficients are published.
-          Default [16]. *)
-  refit_ridge : float;  (** {!Core.Refit} ridge. Default [1e-3]. *)
-  refit_resync_every : int;
-      (** {!Core.Refit} exact-resync period. Default [64]. *)
   cooldown : float;
       (** Seconds between re-selection attempts (also the delay after a
           success before the detector may trigger again). Default [5]. *)
@@ -84,10 +77,7 @@ type report = {
       (** observations folded into the default group because the wafer
           table was full *)
   monitor_errors : int;
-      (** fail-safe hits: malformed observations dropped, plus monitor
-          loop failures recorded via {!note_error} *)
-  refit_dies : int;
-  refit_resyncs : int;
+      (** monitor loop failures recorded via {!note_error} *)
   reselects : int;  (** successful background re-selections *)
   reselect_failures : int;
   last_reselect_ms : float;  (** [nan] before the first success *)
@@ -131,27 +121,21 @@ val submit : ?seq:int -> t -> obs -> unit
     record it has already applied — replay is idempotent. *)
 
 val step : t -> now:float -> unit
-(** Drain the queue, update detector/refit/ring, and trigger a
+(** Drain the queue, update detector and ring, and trigger a
     re-selection when drift binds and the cooldown/backoff allows.
     [now] is the caller's wall clock (seconds); the monitor keeps no
     clock of its own, which also makes backoff testable. Never raises:
-    pathological observations are counted in [monitor_errors] and the
-    detector can quarantine itself, but the serving path is never the
+    malformed or non-finite observations are counted in [skipped] and
+    the detector can quarantine itself, but the serving path is never the
     monitor's to break. *)
 
 val read : t -> report
 (** Latest published snapshot. Safe from any thread. *)
 
-val coefficients : t -> (Linalg.Mat.t * int) option
-(** Published refit coefficients (with the die count behind them), once
-    [refit_min] dies have been accepted. The matrix is an immutable
-    snapshot — apply it with {!Core.Refit.predict}. Safe from any
-    thread. *)
-
 val swapped : t -> r:int -> m:int -> unit
 (** Tell the monitor the serving artifact changed under it: reset the
-    detector (to recalibrate against the new model's residuals) and
-    restart the refit at the new [(r, m)] split. An operator swap
+    detector (to recalibrate against the new model's residuals) at the
+    new [(r, m)] split. An operator swap
     (SIGHUP reload) also clears any pending re-selection backoff; when
     the swap is the monitor's own re-selection landing, the
     post-reselect cooldown survives. The recent-die ring survives
@@ -166,8 +150,7 @@ val note_error : t -> string -> unit
 
 (** {2 Durability}
 
-    The whole monitor-thread state — refit moments, per-wafer
-    detectors, the recent-die ring, counters, re-selection pacing —
+    The whole monitor-thread state — per-wafer detectors, the recent-die ring, counters, re-selection pacing —
     snapshots into an inert canonical record (ring rows oldest-first,
     detector groups sorted by id) for the serving layer's periodic
     checkpoint. Recovery is {!restore} from the last checkpoint
@@ -194,7 +177,6 @@ type snapshot = {
   snap_next_attempt : float;
   snap_self_swap : bool;
   snap_last_error : string;
-  snap_refit : Core.Refit.snapshot;
   snap_drift : Stats.Drift.Grouped.group_snapshot;
 }
 
@@ -224,7 +206,7 @@ val replay : t -> (int * obs) list -> unit
 (** [replay t records] re-applies journaled observations (in sequence
     order, as {!Store.Wal.fold} yields them) directly — bypassing the
     bounded queue, so a long WAL suffix cannot shed — then republishes
-    coefficients and the report. Records at or below {!applied_seq}
+    the report. Records at or below {!applied_seq}
     are skipped. No re-selection fires during replay: the first live
     {!step} decides, so recovery adds at most one cooldown of delay.
     Monitor thread only, before serving starts. *)

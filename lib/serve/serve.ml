@@ -149,7 +149,7 @@ type t = {
          their own threads, so the cell must be Atomic *)
   mon_resync : bool Atomic.t;
       (* an artifact swap happened: the monitor thread must re-anchor
-         its detector/refit before the next step (it alone may touch
+         its detector before the next step (it alone may touch
          monitor internals, so the swap path only raises this flag) *)
 }
 
@@ -414,10 +414,10 @@ let create ?(config = default_config) ?reload_from artifact =
              if snap.Monitor.snap_r <> r then begin
                (* an operator swapped in an artifact with a different
                   split while the server was down: the ring survives,
-                  detector and refit re-anchor (reload semantics) *)
+                  the detector re-anchors (reload semantics) *)
                Printf.eprintf
                  "pathsel serve: artifact split changed offline (r=%d -> \
-                  %d); re-anchoring detector and refit\n%!"
+                  %d); re-anchoring the detector\n%!"
                  snap.Monitor.snap_r r;
                Monitor.swapped mon ~r ~m
              end;
@@ -580,8 +580,6 @@ let monitor_fields t =
             ("groups", Wire.Int r.Monitor.groups);
             ("group_overflow", Wire.Int r.Monitor.group_overflow);
             ("monitor_errors", Wire.Int r.Monitor.monitor_errors);
-            ("refit_dies", Wire.Int r.Monitor.refit_dies);
-            ("refit_resyncs", Wire.Int r.Monitor.refit_resyncs);
             ("reselects", Wire.Int r.Monitor.reselects);
             ("reselect_failures", Wire.Int r.Monitor.reselect_failures);
             ("last_reselect_ms", Wire.Float r.Monitor.last_reselect_ms);
@@ -755,7 +753,7 @@ let handle_observe t hot req =
               | Some _ | None -> ""
             in
             (* the MAD screen + missing check keep corrupted dies out of
-               the refit/detector stream; they are counted, not served *)
+               the ring/detector stream; they are counted, not served *)
             let screen = Core.Robust.screen hot.robust ~measured in
             let die_clean i =
               let row = screen.Core.Robust.mask.(i) in
@@ -1327,7 +1325,7 @@ let run ?(install_signals = true) ?config ?reload_from ?on_ready artifact addr =
     List.init (resolved_workers t.cfg) (fun _ -> Thread.create worker sh)
   in
   (* the self-healing loop rides its own thread: drain observations,
-     update detector/refit, and run re-selection when drift binds — a
+     update the detector, and run re-selection when drift binds — a
      slow reselect stalls only this thread, never a request *)
   let monitor_thread =
     match Atomic.get t.mon with

@@ -39,8 +39,8 @@
     [observe] streams {e fully measured} dies — representative
     measurements plus ground-truth remaining-path delays — into the
     self-healing loop (enabled by {!config}'s [monitor]): dies passing
-    the MAD/missing screen feed the drift detector and the incremental
-    refit, and become re-selection input if drift binds. The optional
+    the MAD/missing screen feed the drift detector and the recent-die
+    ring, and become re-selection input if drift binds. The optional
     [wafer] field keys drift calibration per wafer/lot group
     ({!Stats.Drift.Grouped}); streams that omit it behave exactly as
     before. Every ok response carries the artifact generation ([gen],
@@ -108,8 +108,8 @@ module Io : module type of Io
     the [Chaos] proxy). *)
 
 module Monitor : module type of Monitor
-(** Re-export of the self-healing loop (drift detection, incremental
-    refit, background re-selection); configure it via {!config}'s
+(** Re-export of the self-healing loop (drift detection, background
+    re-selection); configure it via {!config}'s
     [monitor] field. *)
 
 module Durable : module type of Durable
@@ -129,8 +129,8 @@ val address_to_string : address -> string
     the docs). When {!config}'s [durability] is armed, every [observe]
     batch is appended to a CRC-framed write-ahead log and fsynced
     {e before} the ok ack leaves — an acknowledged observation survives
-    a SIGKILL. The monitor state (recent-die ring, refit moments, drift
-    detectors, generation counter) is checkpointed atomically every
+    a SIGKILL. The monitor state (recent-die ring, drift detectors,
+    generation counter) is checkpointed atomically every
     [checkpoint_every] applied records and on every generation change;
     boot loads the last checkpoint and replays the WAL suffix, landing
     bit-exactly on the pre-crash state. *)
@@ -228,7 +228,7 @@ val do_reload : t -> (unit, string) result
 val monitor_step : t -> now:float -> unit
 (** One iteration of the self-healing loop: re-anchor the monitor after
     an artifact swap, drain queued observations, update the detector
-    and refit, and trigger re-selection when drift binds. [run] drives
+    and ring, and trigger re-selection when drift binds. [run] drives
     this from a dedicated thread; tests may drive it directly for
     deterministic control. No-op when the monitor is off. *)
 

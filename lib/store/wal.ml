@@ -203,7 +203,10 @@ let fold ?(from_seq = 1) dir ~init ~f =
          | None, _ -> corrupt path "bad segment name"
          | _, (Error _ as e) -> e
          | Some base, Ok s ->
-           if last > 0 && base <> last + 1 then
+           (* every segment after the first starts right after its
+              predecessor's last record; an emptied sealed segment
+              counts as ending at [base - 1] *)
+           if i > 0 && base <> last + 1 then
              corrupt path
                (Printf.sprintf "sequence gap: segment starts at %d after %d"
                   base last)
@@ -222,7 +225,7 @@ let fold ?(from_seq = 1) dir ~init ~f =
                let last =
                  match List.rev records with
                  | (seq, _) :: _ -> seq
-                 | [] -> if base > 1 then base - 1 else last
+                 | [] -> base - 1
                in
                go (i + 1) acc last rest
              end

@@ -48,11 +48,7 @@ let path_yield p ~t_cons =
 
 exception Source_limit
 
-(* The DFS shared by [extract] (list accumulation) and [fold]
-   (streaming): every accepted path is handed to [emit] exactly once, in
-   discovery order, so a caller can turn a million-path pool directly
-   into CSR rows without ever holding the list. *)
-let extract_gen ?(max_paths = 20_000) dm ~t_cons ~yield_threshold ~emit =
+let extract ?(max_paths = 20_000) dm ~t_cons ~yield_threshold =
   if not (yield_threshold > 0.0 && yield_threshold < 1.0) then
     invalid_arg "Path_extract.extract: yield_threshold outside (0,1)";
   if t_cons <= 0.0 then invalid_arg "Path_extract.extract: t_cons <= 0";
@@ -63,6 +59,7 @@ let extract_gen ?(max_paths = 20_000) dm ~t_cons ~yield_threshold ~emit =
   let rest_sig = Tgraph.rest_bounds tg ~gate_value:(Delay_model.sigma dm) in
   let acc = Acc.create () in
   let stack = ref [] in
+  let found = ref [] in
   let n_found = ref 0 in
   let visited = ref 0 in
   let seen = Hashtbl.create 1024 in
@@ -84,7 +81,7 @@ let extract_gen ?(max_paths = 20_000) dm ~t_cons ~yield_threshold ~emit =
       let mu = Array.fold_left (fun m g -> m +. Delay_model.nominal dm g) 0.0 gates in
       let sigma = Acc.sigma acc in
       if mu +. (z *. sigma) > t_cons then begin
-        emit { gates; mu; sigma };
+        found := { gates; mu; sigma } :: !found;
         incr n_found;
         incr source_found;
         if !n_found >= max_paths then begin
@@ -137,20 +134,4 @@ let extract_gen ?(max_paths = 20_000) dm ~t_cons ~yield_threshold ~emit =
        Array.iter (fun pi -> dfs pi 0.0 0.0) (Tgraph.pi_codes tg)
      end
    with Limit_reached -> ());
-  (!truncated, !visited)
-
-let extract ?max_paths dm ~t_cons ~yield_threshold =
-  let found = ref [] in
-  let truncated, visited_nodes =
-    extract_gen ?max_paths dm ~t_cons ~yield_threshold
-      ~emit:(fun p -> found := p :: !found)
-  in
-  { paths = List.rev !found; truncated; visited_nodes }
-
-let fold ?max_paths dm ~t_cons ~yield_threshold ~init ~f =
-  let acc = ref init in
-  let truncated, visited_nodes =
-    extract_gen ?max_paths dm ~t_cons ~yield_threshold
-      ~emit:(fun p -> acc := f !acc p)
-  in
-  (!acc, truncated, visited_nodes)
+  { paths = List.rev !found; truncated = !truncated; visited_nodes = !visited }

@@ -28,20 +28,5 @@ val extract :
 (** Raises [Invalid_argument] if [yield_threshold] is outside (0, 1)
     or [t_cons <= 0]. Default [max_paths] is 20_000. *)
 
-val fold :
-  ?max_paths:int ->
-  Delay_model.t ->
-  t_cons:float ->
-  yield_threshold:float ->
-  init:'a ->
-  f:('a -> path -> 'a) ->
-  'a * bool * int
-(** Streaming variant of {!extract}: [f] receives each accepted path
-    exactly once, in discovery order, without the result list ever
-    being materialized — the entry point for row-streamed pool builders
-    ({!Pool_stream}) that must scale past what a list of millions of
-    paths would allow. Returns [(acc, truncated, visited_nodes)]. Same
-    validation and defaults as {!extract}. *)
-
 val path_yield : path -> t_cons:float -> float
 (** [P(d_path <= t_cons)]. *)

@@ -105,17 +105,6 @@ let of_paths dm path_list =
   let mu_paths = Linalg.Sparse.mul_vec g mu_segments in
   { g; sigma; mu_segments; mu_paths }
 
-let of_extract ?max_paths dm ~t_cons ~yield_threshold =
-  (* [Path_extract.fold] streams the accepted paths; only the compact
-     gate sequences are retained (the chain partition needs the whole
-     union graph), never any matrix wider than the CSR rows *)
-  let acc, truncated, _visited =
-    Path_extract.fold ?max_paths dm ~t_cons ~yield_threshold ~init:[]
-      ~f:(fun acc p -> p :: acc)
-  in
-  if acc = [] then invalid_arg "Pool_stream.of_extract: no critical paths at this threshold";
-  (of_paths dm (List.rev acc), truncated)
-
 let synthetic ?(seed = 1) ?(decay = 24.0) ~paths ~segments ~vars ~segs_per_path
     ~vars_per_seg () =
   if paths <= 0 || segments <= 0 || vars <= 0 then

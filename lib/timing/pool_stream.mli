@@ -24,17 +24,6 @@ val of_paths : Delay_model.t -> Path_extract.path list -> t
     an empty path list or a non-finite sensitivity (the message names
     the offending segment and gate). *)
 
-val of_extract :
-  ?max_paths:int ->
-  Delay_model.t ->
-  t_cons:float ->
-  yield_threshold:float ->
-  t * bool
-(** Extraction fused with pool construction through
-    {!Path_extract.fold}: accepted paths stream straight into the
-    builder. Returns the pool and the extractor's [truncated] flag.
-    Raises [Invalid_argument] when no path clears the threshold. *)
-
 val synthetic :
   ?seed:int ->
   ?decay:float ->

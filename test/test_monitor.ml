@@ -16,7 +16,6 @@ let mon_cfg =
     Monitor.calibrate = 4;
     min_dies = 4;
     buffer = 8;
-    refit_min = 2;
     cooldown = 1.0;
     max_backoff = 4.0;
     drift =
@@ -25,7 +24,7 @@ let mon_cfg =
   }
 
 (* a fully measured die whose residual is [resid]; delay values are
-   arbitrary finite numbers keyed off [i] so the refit sees variation *)
+   arbitrary finite numbers keyed off [i] so ring rows differ *)
 let obs ?(resid = 0.0) i =
   let f k = 10.0 +. float_of_int (((i * 7) + k) mod 5) in
   let measured = Array.init r f in
@@ -53,13 +52,7 @@ let test_calibration () =
   Alcotest.(check bool) "calibrated" false r1.Monitor.calibrating;
   Alcotest.(check int) "dies observed" 4 r1.Monitor.observed;
   Alcotest.(check string) "healthy" "healthy"
-    (Stats.Drift.state_to_string r1.Monitor.state);
-  (* refit_min = 2 < 4: a coefficient snapshot is published *)
-  match Monitor.coefficients t with
-  | Some (b, n) ->
-    Alcotest.(check (pair int int)) "coeff dims" (r + 1, m) (Linalg.Mat.dims b);
-    Alcotest.(check int) "dies behind the snapshot" 4 n
-  | None -> Alcotest.fail "no coefficients after refit_min dies"
+    (Stats.Drift.state_to_string r1.Monitor.state)
 
 let test_drift_triggers_reselect () =
   let calls = ref [] in
@@ -144,7 +137,8 @@ let test_swapped_recalibrates () =
   Monitor.swapped t ~r ~m;
   let rep = Monitor.read t in
   Alcotest.(check bool) "recalibrating after swap" true rep.Monitor.calibrating;
-  Alcotest.(check int) "refit restarted" 0 rep.Monitor.refit_dies;
+  Alcotest.(check int) "stream counters survive the swap" 4
+    rep.Monitor.observed;
   Monitor.step t ~now:1.0;
   Alcotest.(check int) "no reselect during recalibration" 0
     (Monitor.read t).Monitor.reselects;
@@ -215,7 +209,7 @@ let test_malformed_observations () =
   Monitor.submit t
     { Monitor.measured = [| 1.0 |]; truth = Array.make m 1.0;
       full = Array.make n_paths 1.0; resid = 0.0; wafer = "" };
-  (* non-finite die: refit refuses it, detector sees the residual *)
+  (* non-finite die: kept out of the ring, detector sees the residual *)
   let bad = obs 3 in
   bad.Monitor.measured.(0) <- Float.nan;
   bad.Monitor.full.(0) <- Float.nan;
@@ -267,8 +261,8 @@ let test_create_validation () =
 module Durable = Serve.Durable
 
 (* drift thresholds pushed out of reach: no re-selection fires, so the
-   comparison below is pure ingest state (refit moments, detector
-   accumulators, ring, counters) with no pacing noise *)
+   comparison below is pure ingest state (detector accumulators, ring,
+   counters) with no pacing noise *)
 let quiet_cfg =
   {
     mon_cfg with
@@ -435,8 +429,49 @@ let reframe s ~f =
       (String.sub s Store.header_size (String.length s - Store.header_size))
   in
   f payload;
+  framed ~magic:"PSC1" ~version:Durable.ckpt_version (Bytes.to_string payload)
+
+(* A checkpoint in the version-1 layout. Version 1 held one more
+   block, an incremental regression, between [snap_last_error] and the
+   drift detectors: this writes the shared head field by field, checks
+   it against the version-2 encoder, and puts the block back as a
+   regression that has seen no die wrote it (ridge 1e-3 on the Gram
+   diagonal, its Cholesky factor, zero cross moments, resync period
+   64). *)
+let v1_checkpoint_bytes ~gen (s : Monitor.snapshot) =
+  let module W = Store.Codec.W in
+  let int w v =
+    W.u32 w (v land 0xFFFFFFFF);
+    W.u32 w (v lsr 32)
+  in
+  let head = W.create () in
+  List.iter (int head)
+    [ gen; s.Monitor.snap_r; s.snap_m; s.snap_applied_seq;
+      Array.length s.snap_ring ];
+  Array.iter (W.float_array head) s.snap_ring;
+  List.iter (int head)
+    [ s.snap_ring_n; s.snap_observed; s.snap_skipped; s.snap_dropped;
+      s.snap_errors; s.snap_reselects; s.snap_reselect_failures ];
+  List.iter (W.f64 head)
+    [ s.snap_last_reselect_ms; s.snap_backoff; s.snap_next_attempt ];
+  W.u32 head (if s.snap_self_swap then 1 else 0);
+  W.str head s.snap_last_error;
+  let head = W.contents head in
+  let v2 = checkpoint_bytes ~gen s in
+  let v2 = String.sub v2 Store.header_size (String.length v2 - Store.header_size) in
+  let n = String.length head in
+  if not (String.equal head (String.sub v2 0 n)) then
+    Alcotest.fail "version-1 head does not match the version-2 encoder";
+  let refit = W.create () in
+  let d = s.snap_r + 1 and ridge = 1e-3 in
+  let diag x = Linalg.Mat.init d d (fun i j -> if i = j then x else 0.0) in
+  List.iter (int refit) [ s.snap_r; s.snap_m; 64 ];
+  W.mat refit (diag ridge);
+  W.mat refit (Linalg.Mat.create d s.snap_m);
+  W.mat refit (diag (Float.sqrt ridge));
+  List.iter (int refit) [ 0; 0; 0; 0 ];
   framed ~magic:"PSC1" ~version:1
-    (Bytes.to_string payload)
+    (head ^ W.contents refit ^ String.sub v2 n (String.length v2 - n))
 
 let test_checkpoint_corruption () =
   let s = checkpoint_bytes ~gen:3 (Monitor.snapshot (uninterrupted 12)) in
@@ -465,8 +500,8 @@ let test_checkpoint_corruption () =
   expect "bad magic" (set_bytes (fun b -> Bytes.set b 0 'X')) (function
     | Core.Errors.Bad_magic _ -> true
     | _ -> false);
-  expect "version 2" (set_bytes (fun b -> Bytes.set_int32_le b 4 2l)) (function
-    | Core.Errors.Version_mismatch { found = 2; expected = 1; _ } -> true
+  expect "version 1" (set_bytes (fun b -> Bytes.set_int32_le b 4 1l)) (function
+    | Core.Errors.Version_mismatch { found = 1; expected = 2; _ } -> true
     | _ -> false);
   let corrupt = function Core.Errors.Corrupt_artifact _ -> true | _ -> false in
   List.iter

@@ -1144,7 +1144,6 @@ let serve_mon_cfg =
     Serve.Monitor.calibrate = 8;
     min_dies = 8;
     buffer = 16;
-    refit_min = 4;
     cooldown = 0.5;
     drift =
       { Stats.Drift.default_config with Stats.Drift.slack = 0.0; warn = 1.0;
@@ -1455,7 +1454,7 @@ let test_restart_recovers_state () =
             ("monitor." ^ field ^ " recovered")
             (obj_int first_run "monitor" field)
             (obj_int j "monitor" field))
-        [ "observed"; "skipped"; "dropped"; "refit_dies"; "reselects" ];
+        [ "observed"; "skipped"; "dropped"; "reselects" ];
       Alcotest.(check string) "drift state recovered"
         (obj_string first_run "monitor" "state")
         (obj_string j "monitor" "state");
@@ -1477,25 +1476,13 @@ let test_restart_recovers_state () =
           (List.for_all (fun s -> s = "used") (Serve.Client.die_statuses ack))
       | Error m -> Alcotest.failf "post-restart observe failed: %s" m)
 
-(* a CRC-valid checkpoint whose ring count decodes out of range (high
-   word 2^30) must not abort boot: [Serve.create] cold-starts the
-   monitor and replays the whole WAL *)
+(* a checkpoint boot cannot use must not abort it: [Serve.create]
+   cold-starts the monitor and replays the whole WAL. Two inputs: a
+   CRC-valid checkpoint whose ring count decodes out of range (high
+   word 2^30), and a version-1 checkpoint, whose layout still carried
+   the incremental-regression block *)
 let test_corrupt_checkpoint_boots_cold () =
   let store, clean = Lazy.force artifact in
-  let wal_dir =
-    let d = Filename.temp_file "pathsel-serve-wal" "" in
-    Sys.remove d;
-    d
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists wal_dir then begin
-        Array.iter
-          (fun f -> try Sys.remove (Filename.concat wal_dir f) with Sys_error _ -> ())
-          (Sys.readdir wal_dir);
-        try Unix.rmdir wal_dir with Unix.Unix_error _ -> ()
-      end)
-  @@ fun () ->
   let ok = Core.Errors.get_ok in
   let p = Store.predictor store in
   let rep = Core.Predictor.rep_indices p and rem = Core.Predictor.rem_indices p in
@@ -1509,43 +1496,64 @@ let test_corrupt_checkpoint_boots_cold () =
     Array.iteri (fun j k -> full.(k) <- truth.(j)) rem;
     { Serve.Monitor.measured; truth; full; resid = 0.0; wafer = "" }
   in
-  let wal = ok (Store.Wal.open_ wal_dir) in
-  ignore
-    (ok
-       (Store.Wal.append wal
-          (List.init n_dies (fun i -> Serve.Durable.encode_obs (die i)))));
-  Store.Wal.close wal;
-  let ckpt = Filename.concat wal_dir "checkpoint.psc" in
-  let mon =
-    Serve.Monitor.create ~config:serve_mon_cfg ~n_paths ~r:(Array.length rep)
-      ~m:(Array.length rem) ~reselect:(fun _ -> Error "none") ()
+  let snap =
+    Serve.Monitor.snapshot
+      (Serve.Monitor.create ~config:serve_mon_cfg ~n_paths ~r:(Array.length rep)
+         ~m:(Array.length rem) ~reselect:(fun _ -> Error "none") ())
   in
-  ok (Serve.Durable.save_checkpoint ckpt ~gen:5 (Serve.Monitor.snapshot mon));
-  let broken =
-    Test_monitor.reframe (ok (Core.Errors.read_file ckpt)) ~f:(fun payload ->
-        Bytes.set_int32_le payload 36 0x40000000l)
+  let boots_cold ~label ckpt_bytes expected =
+    let wal_dir =
+      let d = Filename.temp_file "pathsel-serve-wal" "" in
+      Sys.remove d;
+      d
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        if Sys.file_exists wal_dir then begin
+          Array.iter
+            (fun f -> try Sys.remove (Filename.concat wal_dir f) with Sys_error _ -> ())
+            (Sys.readdir wal_dir);
+          try Unix.rmdir wal_dir with Unix.Unix_error _ -> ()
+        end)
+    @@ fun () ->
+    let wal = ok (Store.Wal.open_ wal_dir) in
+    ignore
+      (ok
+         (Store.Wal.append wal
+            (List.init n_dies (fun i -> Serve.Durable.encode_obs (die i)))));
+    Store.Wal.close wal;
+    let ckpt = Filename.concat wal_dir "checkpoint.psc" in
+    Out_channel.with_open_bin ckpt (fun oc -> Out_channel.output_string oc ckpt_bytes);
+    (match Serve.Durable.load_checkpoint ckpt with
+     | Error e when expected e -> ()
+     | Error e -> Alcotest.failf "%s: wrong error: %s" label (Core.Errors.to_string e)
+     | Ok _ -> Alcotest.failf "%s: checkpoint accepted" label);
+    let config =
+      {
+        Serve.default_config with
+        Serve.monitor = Some serve_mon_cfg;
+        durability =
+          Some
+            { Serve.wal_dir; checkpoint_every = 4; wal_segment_bytes = 1 lsl 22;
+              wal_retain = 1 };
+      }
+    in
+    let t = Serve.create ~config store in
+    match Serve.monitor_report t with
+    | None -> Alcotest.failf "%s: monitor not armed" label
+    | Some r ->
+      Alcotest.(check int) (label ^ ": cold monitor replayed the whole WAL") n_dies
+        r.Serve.Monitor.observed
   in
-  Out_channel.with_open_bin ckpt (fun oc -> Out_channel.output_string oc broken);
-  (match Serve.Durable.load_checkpoint ckpt with
-   | Error (Core.Errors.Corrupt_artifact _) -> ()
-   | Error e -> Alcotest.failf "wrong error: %s" (Core.Errors.to_string e)
-   | Ok _ -> Alcotest.fail "out-of-range checkpoint accepted");
-  let config =
-    {
-      Serve.default_config with
-      Serve.monitor = Some serve_mon_cfg;
-      durability =
-        Some
-          { Serve.wal_dir; checkpoint_every = 4; wal_segment_bytes = 1 lsl 22;
-            wal_retain = 1 };
-    }
-  in
-  let t = Serve.create ~config store in
-  match Serve.monitor_report t with
-  | None -> Alcotest.fail "monitor not armed"
-  | Some r ->
-    Alcotest.(check int) "cold monitor replayed the whole WAL" n_dies
-      r.Serve.Monitor.observed
+  boots_cold ~label:"ring count out of range"
+    (Test_monitor.reframe (Test_monitor.checkpoint_bytes ~gen:5 snap)
+       ~f:(fun payload -> Bytes.set_int32_le payload 36 0x40000000l))
+    (function Core.Errors.Corrupt_artifact _ -> true | _ -> false);
+  boots_cold ~label:"version-1 checkpoint"
+    (Test_monitor.v1_checkpoint_bytes ~gen:5 snap)
+    (function
+      | Core.Errors.Version_mismatch { found = 1; expected = 2; _ } -> true
+      | _ -> false)
 
 let suites =
   [

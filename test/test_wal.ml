@@ -195,7 +195,11 @@ let test_torn_tails () =
       3)
 
 (* corruption that is NOT a crash tail — a bad frame in a sealed
-   segment — is data loss and must be reported, not skipped *)
+   segment — is data loss and must be reported, not skipped. Two
+   inputs: a flipped payload byte deep inside the FIRST (sealed)
+   segment, and that segment emptied to zero bytes, which leaves no
+   torn frame to report but makes the next segment's base a sequence
+   gap *)
 let test_midlog_corruption () =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -208,20 +212,26 @@ let test_midlog_corruption () =
   let segs = segments dir in
   if List.length segs < 2 then
     Alcotest.failf "rotation produced %d segments" (List.length segs);
-  (* flip a payload byte deep inside the FIRST (sealed) segment *)
   let first = Filename.concat dir (List.hd segs) in
-  let b =
-    Bytes.of_string (In_channel.with_open_bin first In_channel.input_all)
+  let pristine = In_channel.with_open_bin first In_channel.input_all in
+  let flipped =
+    let b = Bytes.of_string pristine in
+    Bytes.set b 17 (Char.chr (Char.code (Bytes.get b 17) lxor 0x10));
+    Bytes.to_string b
   in
-  Bytes.set b 17 (Char.chr (Char.code (Bytes.get b 17) lxor 0x10));
-  Out_channel.with_open_bin first (fun oc -> Out_channel.output_bytes oc b);
-  match Wal.fold dir ~init:0 ~f:(fun acc ~seq:_ _ -> acc + 1) with
-  | Ok (n, high) ->
-    Alcotest.failf "mid-log corruption replayed as %d records (high %d)" n high
-  | Error (Core.Errors.Corrupt_artifact _ as e) ->
-    Alcotest.(check int) "sysexits data code" 65 (Core.Errors.exit_code e)
-  | Error e ->
-    Alcotest.failf "expected Corrupt_artifact, got %s" (Core.Errors.to_string e)
+  List.iter
+    (fun (label, damaged) ->
+      Out_channel.with_open_bin first (fun oc -> Out_channel.output_string oc damaged);
+      match Wal.fold dir ~init:0 ~f:(fun acc ~seq:_ _ -> acc + 1) with
+      | Ok (n, high) ->
+        Alcotest.failf "%s: replayed as %d records (high %d)" label n high
+      | Error (Core.Errors.Corrupt_artifact _ as e) ->
+        Alcotest.(check int) (label ^ ": sysexits data code") 65
+          (Core.Errors.exit_code e)
+      | Error e ->
+        Alcotest.failf "%s: expected Corrupt_artifact, got %s" label
+          (Core.Errors.to_string e))
+    [ ("flipped payload byte", flipped); ("emptied first segment", "") ]
 
 (* ------------------------------------------------------------------ *)
 (* Rotation and retention *)
@@ -341,6 +351,130 @@ let test_bitwise_framed_segment () =
   check_replay "hand-framed" dir ~upto:3
 
 (* ------------------------------------------------------------------ *)
+(* Mutation fuzz over a rotated journal: truncate, flip, splice and
+   inflate-length mutations, one damaged segment per case under a fixed
+   seed. Whatever the damage, [fold] replays a byte-identical prefix of
+   the appended payloads or returns a typed error, and [open_] returns
+   a handle or a typed error; neither raises. When the damaged journal
+   replays, [open_] resumes the sequence right after the replayed
+   prefix and leaves that prefix as it was. *)
+
+let test_mutation_fuzz () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let config = { Wal.segment_bytes = 4096; retain_segments = 1 } in
+  let n = 14 in
+  let t = open_wal ~config dir in
+  for i = 1 to n do
+    ignore (get_ok "append" (Wal.append t [ payload i ]))
+  done;
+  Wal.close t;
+  let names = Array.of_list (segments dir) in
+  if Array.length names < 3 then
+    Alcotest.failf "rotation produced %d segments" (Array.length names);
+  let path name = Filename.concat dir name in
+  let pristine =
+    Array.map (fun name -> In_channel.with_open_bin (path name) In_channel.input_all) names
+  in
+  let st = Random.State.make [| 24 |] in
+  (* where the frames of [s] start, read off their length fields *)
+  let frame_starts s =
+    let rec go off acc =
+      if off + 4 > String.length s then Array.of_list (List.rev acc)
+      else go (off + 8 + (Int32.to_int (String.get_int32_le s off) land 0xFFFFFFFF)) (off :: acc)
+    in
+    go 0 []
+  in
+  (* [s] is an intact segment of at least one frame *)
+  let mutate i s =
+    let len = String.length s in
+    let frame () =
+      let starts = frame_starts s in
+      starts.(Random.State.int st (Array.length starts))
+    in
+    (* half the cuts land on a frame boundary: a clean, shorter segment *)
+    let cut () =
+      if Random.State.bool st then frame () else Random.State.int st (len + 1)
+    in
+    match i mod 4 with
+    | 0 -> String.sub s 0 (cut ())
+    | 1 ->
+      let b = Bytes.of_string s in
+      let p = Random.State.int st len in
+      let mask = 1 + Random.State.int st 255 in
+      Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor mask));
+      Bytes.to_string b
+    | 2 ->
+      let other = pristine.(Random.State.int st (Array.length pristine)) in
+      let j = Random.State.int st (String.length other + 1) in
+      String.sub s 0 (cut ()) ^ String.sub other j (String.length other - j)
+    | _ ->
+      (* a frame's length field, or any u32, grown: by one, by up to a
+         megabyte, to 2^30 or to the u32 maximum *)
+      let b = Bytes.of_string s in
+      let p = if Random.State.bool st then frame () else Random.State.int st (len - 3) in
+      let v = Int32.to_int (Bytes.get_int32_le b p) land 0xFFFFFFFF in
+      let v' =
+        match Random.State.int st 4 with
+        | 0 -> v + 1
+        | 1 -> v + 1 + Random.State.int st (1 lsl 20)
+        | 2 -> 0x40000000
+        | _ -> 0xFFFFFFFF
+      in
+      Bytes.set_int32_le b p (Int32.of_int (v' land 0xFFFFFFFF));
+      Bytes.to_string b
+  in
+  (* [Some high] for a replay that is the prefix [1..high], [None] for a
+     typed error; anything else fails the case *)
+  let replayed label i =
+    match
+      Wal.fold dir ~init:[] ~f:(fun acc ~seq payload -> (seq, payload) :: acc)
+    with
+    | exception e ->
+      Alcotest.failf "case %d: %s raised %s" i label (Printexc.to_string e)
+    | Error (_ : Core.Errors.t) -> None
+    | Ok (acc, high) ->
+      let records = List.rev acc in
+      List.iteri
+        (fun j (seq, p) ->
+          if seq <> j + 1 || not (String.equal p (payload seq)) then
+            Alcotest.failf "case %d: %s replayed record %d out of the prefix" i
+              label seq)
+        records;
+      if high <> List.length records then
+        Alcotest.failf "case %d: %s reports high %d after %d records" i label
+          high (List.length records);
+      Some high
+  in
+  for i = 0 to 1999 do
+    let k = Random.State.int st (Array.length names) in
+    Array.iteri
+      (fun j name ->
+        Out_channel.with_open_bin (path name) (fun oc ->
+            Out_channel.output_string oc
+              (if j = k then mutate i pristine.(j) else pristine.(j))))
+      names;
+    let before = replayed "fold" i in
+    match Wal.open_ ~config dir with
+    | exception e -> Alcotest.failf "case %d: open_ raised %s" i (Printexc.to_string e)
+    | Error e ->
+      if before <> None then
+        Alcotest.failf "case %d: open_ refused a replayable journal: %s" i
+          (Core.Errors.to_string e)
+    | Ok t ->
+      let next = Wal.next_seq t in
+      Wal.close t;
+      (match (before, replayed "fold after open_" i) with
+       | Some high, Some high' ->
+         if high' <> high then
+           Alcotest.failf "case %d: open_ changed the replay (%d -> %d)" i high high';
+         if next <> high + 1 then
+           Alcotest.failf "case %d: open_ resumes at %d after %d records" i next high
+       | Some _, None -> Alcotest.failf "case %d: open_ broke a replayable journal" i
+       | None, _ -> ())
+  done
+
+(* ------------------------------------------------------------------ *)
 
 let suites =
   [
@@ -356,5 +490,7 @@ let suites =
         Alcotest.test_case "kill mid-append" `Quick test_kill_mid_append;
         Alcotest.test_case "a segment framed with the bitwise CRC replays" `Quick
           test_bitwise_framed_segment;
+        Alcotest.test_case "mutated journals replay a prefix or fail typed" `Quick
+          test_mutation_fuzz;
       ] );
   ]

@@ -115,7 +115,7 @@ let default_config =
        strictly before the listener, workers or monitor thread exist;
        the final forced checkpoint (Serve.maybe_checkpoint in Serve.run's
        epilogue) runs after the monitor thread is joined. Writes into
-       monitor/refit state from these single-threaded phases cannot race
+       monitor state from these single-threaded phases cannot race
        anything; listing them keeps the race rule from seeing a
        serving-side path into the monitor internals. Entry seeding is
        unaffected: a cut function listed as a monitor entry is still
