@@ -114,6 +114,22 @@ let observe_line =
        (Serve.Wire.Obj
           [ ("op", Serve.Wire.String "observe"); ("dies", dies 6); ("truth", dies 2000) ]))
 
+(* a served serve_predict response: 16 dies of 2000 predicted delays *)
+let predict_response =
+  lazy
+    (let rng = Rng.create 59 in
+     Serve.Wire.Obj
+       [
+         ("ok", Serve.Wire.Bool true);
+         ("op", Serve.Wire.String "predict");
+         ("gen", Serve.Wire.Int 1);
+         ("dies", Serve.Wire.Int 16);
+         ("robust", Serve.Wire.Bool false);
+         ( "predictions",
+           Serve.Wire.mat_to_json
+             (Linalg.Mat.init 16 2000 (fun _ _ -> 400.0 +. (50.0 *. Rng.gaussian rng))) );
+       ])
+
 let crc_input =
   lazy
     (let rng = Rng.create 53 in
@@ -178,6 +194,8 @@ let micro_tests () =
        remainder delays, every float printed at 17 digits *)
     Test.make ~name:"wire:parse-observe-8x2000"
       (Staged.stage (fun () -> ignore (Serve.Wire.parse (Lazy.force observe_line))));
+    Test.make ~name:"wire:print-predict-16x2000"
+      (Staged.stage (fun () -> ignore (Serve.Wire.print (Lazy.force predict_response))));
     Test.make ~name:"store:crc32-16MB"
       (Staged.stage (fun () -> ignore (Store.Codec.crc32 (Lazy.force crc_input))));
     (* whole-program analysis of the built lib/ tree: the typedtree

@@ -268,3 +268,19 @@ let load_checkpoint path =
           (fun r ->
             let gen = r_int r in
             Some (gen, r_snapshot r)))
+
+(* Every version so far puts the generation first, so it outlives a
+   layout change; a frame whose CRC fails gives no word to trust. *)
+let checkpoint_generation path =
+  match Core.Errors.read_file path with
+  | Error _ -> None
+  | Ok s when String.length s < Store.header_size -> None
+  | Ok s ->
+    let version = Int32.to_int (String.get_int32_le s 4) in
+    if version < 1 || version > ckpt_version then None
+    else
+      Result.to_option
+        (Store.unframe ~file:path ~magic:ckpt_magic ~version s (fun r ->
+             let gen = r_int r in
+             R.skip_rest r;
+             gen))

@@ -15,7 +15,7 @@
     monitor snapshot. (Version 1 also carried an incremental-regression
     block the monitor no longer keeps; such a file loads as a typed
     [Version_mismatch], and boot falls back to a cold start plus a full
-    WAL replay.) It is written with {!Store.write_file_atomic} — a
+    WAL replay, keeping the generation: {!checkpoint_generation}.) It is written with {!Store.write_file_atomic} — a
     crash mid-checkpoint leaves the previous checkpoint, never a torn
     one — and read back through {!Core.Errors.read_file} and
     {!Store.unframe}. *)
@@ -59,3 +59,11 @@ val load_checkpoint :
     [Error] is a typed [Bad_magic]/[Version_mismatch]/
     [Corrupt_artifact]/[Io] — the caller decides whether to fall back
     to a cold start plus full-WAL replay. Never raises. *)
+
+val checkpoint_generation : string -> int option
+(** The generation of a checkpoint that {!load_checkpoint} rejects but
+    whose frame is intact: magic, length and CRC check out under any
+    version from 1 to {!ckpt_version}, each of which writes the
+    generation first. [None] when the file is missing, unreadable, of
+    an unknown version, or fails its CRC, so no generation in it can be
+    trusted. Never raises. *)

@@ -62,18 +62,19 @@ let read fd buf ofs len ~timeout =
   in
   go ()
 
-(* Write the whole string or raise: [Timeout] when the budget runs out
-   mid-write (slow-loris reader), [Closed] when the peer is gone. *)
-let write_all fd s ~timeout =
+(* Write bytes [ofs, ofs + len) of a buffer through [write], or raise:
+   [Timeout] when the budget runs out mid-write (slow-loris reader),
+   [Closed] when the peer is gone. *)
+let write_range write fd ofs len ~timeout =
   let deadline = now () +. timeout in
-  let len = String.length s in
-  let off = ref 0 in
-  while !off < len do
+  let stop = ofs + len in
+  let off = ref ofs in
+  while !off < stop do
     match wait_writable fd (remaining deadline) with
     | `Timeout -> raise Timeout
     | `Interrupted -> if now () >= deadline then raise Timeout
     | `Ready -> (
-      match Unix.write_substring fd s !off (len - !off) with
+      match write fd !off (stop - !off) with
       | 0 -> raise Closed
       | k -> off := !off + k
       | exception
@@ -83,6 +84,14 @@ let write_all fd s ~timeout =
       | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
         raise Closed)
   done
+
+let write_all fd s ~timeout =
+  write_range (fun fd o n -> Unix.write_substring fd s o n) fd 0 (String.length s) ~timeout
+
+let write_bytes fd b ofs len ~timeout =
+  if ofs < 0 || len < 0 || ofs + len > Bytes.length b then
+    invalid_arg "Io.write_bytes: bad range";
+  write_range (fun fd o n -> Unix.write fd b o n) fd ofs len ~timeout
 
 (* Non-blocking connect with a deadline; the fd is returned to blocking
    mode (the wrappers above carry their own budgets via select).

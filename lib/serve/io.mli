@@ -30,6 +30,12 @@ val write_all : Unix.file_descr -> string -> timeout:float -> unit
 (** Write the whole string within [timeout] seconds or raise
     {!Timeout} (slow reader) / {!Closed} (peer gone). *)
 
+val write_bytes :
+  Unix.file_descr -> Bytes.t -> int -> int -> timeout:float -> unit
+(** [write_bytes fd b ofs len ~timeout]: {!write_all} for bytes
+    [[ofs, ofs + len)] of [b], so a buffer is sent without a copy to a
+    string. Raises [Invalid_argument] on a range outside [b]. *)
+
 val connect : Unix.file_descr -> Unix.sockaddr -> timeout:float -> unit
 (** Non-blocking connect with a deadline; the descriptor is returned to
     blocking mode on completion. Raises {!Timeout} or the underlying

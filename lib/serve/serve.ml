@@ -331,9 +331,9 @@ let create ?(config = default_config) ?reload_from artifact =
   (* durability prologue: open (and crash-recover) the WAL and read the
      last checkpoint before the serving state is built, because the boot
      generation is derived from the checkpointed one *)
-  let dur, ckpt =
+  let dur, ckpt, last_gen =
     match config.durability with
-    | None -> (None, None)
+    | None -> (None, None, None)
     | Some d ->
       let wal =
         match
@@ -355,17 +355,22 @@ let create ?(config = default_config) ?reload_from artifact =
                })
       in
       let ckpt_path = Filename.concat d.wal_dir checkpoint_file in
-      let ckpt =
+      let ckpt, last_gen =
         match Durable.load_checkpoint ckpt_path with
-        | Ok c -> c
+        | Ok c -> (c, Option.map fst c)
         | Error e ->
-          (* a corrupt checkpoint is recoverable: cold-start the monitor
-             and replay the whole journal instead *)
+          (* an unusable checkpoint is recoverable: cold-start the
+             monitor and replay the whole journal instead; an intact
+             frame of an older layout still names its generation *)
+          let last_gen = Durable.checkpoint_generation ckpt_path in
           Printf.eprintf
             "pathsel serve: checkpoint %s unreadable (%s); cold start + \
-             full WAL replay\n%!"
-            ckpt_path (Core.Errors.to_string e);
-          None
+             full WAL replay, %s\n%!"
+            ckpt_path (Core.Errors.to_string e)
+            (match last_gen with
+             | Some g -> Printf.sprintf "generation continues after %d" g
+             | None -> "generation restarts at 1");
+          (None, last_gen)
       in
       ( Some
           {
@@ -378,14 +383,14 @@ let create ?(config = default_config) ?reload_from artifact =
                 (match ckpt with
                  | Some (_, s) -> s.Monitor.snap_applied_seq
                  | None -> 0);
-            ckpt_gen =
-              Atomic.make (match ckpt with Some (g, _) -> g | None -> 0);
+            ckpt_gen = Atomic.make (Option.value last_gen ~default:0);
           },
-        ckpt )
+        ckpt,
+        last_gen )
   in
   (* every restart bumps the generation past the checkpointed one, so a
      client watching [gen] sees a recovery as the model swap it is *)
-  let gen = match ckpt with Some (g, _) -> g + 1 | None -> 1 in
+  let gen = match last_gen with Some g -> g + 1 | None -> 1 in
   let t = create_raw ~config ~gen ?dur ?reload_from artifact in
   (match config.monitor with
    | None -> ()
@@ -1094,7 +1099,10 @@ let compute_ops =
     ("tune", handle_tune);
   ]
 
-let handle t line =
+(* Answer one request line into [w]. The latency the stats op reports
+   stops once the response is fully in the writer: it includes the
+   encoding, often most of it, but not the socket write. *)
+let answer t w line =
   let t0 = Unix.gettimeofday () in
   (* one snapshot per request: a SIGHUP reload swapping [t.hot] mid-soak
      never changes the artifact a request already started on *)
@@ -1127,15 +1135,18 @@ let handle t line =
   let failed =
     match response with Wire.Obj (("ok", Wire.Bool false) :: _) -> true | _ -> false
   in
-  let line = Wire.print response in
-  (* the latency a client sees includes encoding, often most of it *)
+  Wire.Writer.json w response;
   let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
   tick t (fun c ->
       c.requests <- c.requests + 1;
       if failed then c.errors <- c.errors + 1;
       c.lat.(c.lat_n mod latency_window) <- ms;
-      c.lat_n <- c.lat_n + 1);
-  line
+      c.lat_n <- c.lat_n + 1)
+
+let handle t line =
+  let w = Wire.Writer.create () in
+  answer t w line;
+  Wire.Writer.contents w
 
 (* ------------------------------------------------------------------ *)
 (* Connections *)
@@ -1152,22 +1163,35 @@ let serve_conn t fd =
     started :=
       (if Wire.Framer.partial framer then Some (Unix.gettimeofday ()) else None)
   in
-  let respond s =
-    match Io.write_all fd s ~timeout:t.cfg.deadline with
-    | () -> true
-    | exception Io.Timeout ->
-      (* a reader too slow to take its own response: count and drop *)
-      tick t (fun c -> c.timeouts <- c.timeouts + 1);
-      false
-    | exception Io.Closed -> false
+  (* every response is written once, into the connection's one writer,
+     and sent straight from its bytes *)
+  let out = Wire.Writer.create () in
+  let respond write =
+    write out;
+    Wire.Writer.add_char out '\n';
+    let sent =
+      match
+        Io.write_bytes fd (Wire.Writer.bytes out) 0 (Wire.Writer.length out)
+          ~timeout:t.cfg.deadline
+      with
+      | () -> true
+      | exception Io.Timeout ->
+        (* a reader too slow to take its own response: count and drop *)
+        tick t (fun c -> c.timeouts <- c.timeouts + 1);
+        false
+      | exception Io.Closed -> false
+    in
+    Wire.Writer.reset out;
+    sent
   in
+  let respond_json j = respond (fun w -> Wire.Writer.json w j) in
   let rec loop () =
     if not (Atomic.get t.stop_flag) then
       match Wire.Framer.pop framer with
       | Some (Wire.Framer.Line line) ->
         (* even an empty line gets its (error) response: one line in,
            one line out keeps client pipelining aligned *)
-        let keep = respond (handle t line ^ "\n") in
+        let keep = respond (fun w -> answer t w line) in
         after_response ();
         if keep then loop ()
       | Some (Wire.Framer.Too_long n) ->
@@ -1178,13 +1202,10 @@ let serve_conn t fd =
             c.overflows <- c.overflows + 1;
             c.errors <- c.errors + 1);
         let keep =
-          respond
-            (Wire.print
-               (infra_response "line_too_long"
-                  (Printf.sprintf
-                     "request line of %d bytes exceeds the %d-byte cap" n
-                     t.cfg.max_line))
-            ^ "\n")
+          respond_json
+            (infra_response "line_too_long"
+               (Printf.sprintf "request line of %d bytes exceeds the %d-byte cap" n
+                  t.cfg.max_line))
         in
         after_response ();
         if keep then loop ()
@@ -1208,11 +1229,9 @@ let serve_conn t fd =
                  c.timeouts <- c.timeouts + 1;
                  c.errors <- c.errors + 1);
              ignore
-               (respond
-                  (Wire.print
-                     (infra_response "deadline_exceeded"
-                        "request did not complete within the deadline")
-                  ^ "\n"))
+               (respond_json
+                  (infra_response "deadline_exceeded"
+                     "request did not complete within the deadline"))
            end
            else
              (* silent connection: reap it quietly to free the worker *)
@@ -1429,6 +1448,7 @@ module Client = struct
     fd : Unix.file_descr;
     framer : Wire.Framer.t;
     chunk : Bytes.t;
+    out : Wire.Writer.t;  (* request lines are written here, then sent *)
     mutable last_gen : int option;
         (* last artifact generation seen on this connection *)
   }
@@ -1444,7 +1464,13 @@ module Client = struct
       let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
       match Io.connect fd sa ~timeout with
       | () ->
-        { fd; framer = Wire.Framer.create (); chunk = Bytes.create 65536; last_gen = None }
+        {
+          fd;
+          framer = Wire.Framer.create ();
+          chunk = Bytes.create 65536;
+          out = Wire.Writer.create ();
+          last_gen = None;
+        }
       | exception
           Unix.Unix_error
             ((Unix.ECONNREFUSED | Unix.ENOENT | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
@@ -1505,8 +1531,11 @@ module Client = struct
 
   let request ?(deadline = 30.0) c req =
     let dl = Unix.gettimeofday () +. deadline in
+    Wire.Writer.reset c.out;
+    Wire.Writer.json c.out req;
+    Wire.Writer.add_char c.out '\n';
     match
-      Io.write_all c.fd (Wire.print req ^ "\n")
+      Io.write_bytes c.fd (Wire.Writer.bytes c.out) 0 (Wire.Writer.length c.out)
         ~timeout:(Float.max 0.0 (dl -. Unix.gettimeofday ()));
       read_line ~deadline:dl c
     with

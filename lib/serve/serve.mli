@@ -213,7 +213,9 @@ val handle : t -> string -> string
     newline). Never raises: parse errors, bad shapes, and numerical
     failures all become ["ok":false] responses and count toward the
     error counter. A ["shutdown"] request flips the stop flag.
-    Thread-safe. *)
+    Thread-safe. A connection runs the same handler, writing each
+    response into a {!Wire.Writer} it keeps and sending it from there,
+    so it sends exactly these bytes plus ['\n']. *)
 
 val stopping : t -> bool
 

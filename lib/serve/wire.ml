@@ -9,16 +9,7 @@ type json = Core.Report.json =
   | Obj of (string * json) list
 
 (* ------------------------------------------------------------------ *)
-(* Printing *)
-
-let escape = function
-  | '"' -> "\\\""
-  | '\\' -> "\\\\"
-  | '\n' -> "\\n"
-  | '\r' -> "\\r"
-  | '\t' -> "\\t"
-  | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
-  | c -> String.make 1 c
+(* Printing: one writer over a growable Bytes *)
 
 (* ---- exact floats
 
@@ -30,7 +21,9 @@ let escape = function
 
 (* 10^0 .. 10^22, every one a double *)
 let pow10 = Array.init 23 (fun n -> Float.of_string ("1e" ^ string_of_int n))
-let ipow10 = Array.init 17 (fun n -> int_of_float pow10.(n))
+
+(* 10^-5 .. 10^17: [decade.(k + 5)] is the double nearest 10^k *)
+let decade = Array.init 23 (fun i -> Float.of_string ("1e" ^ string_of_int (i - 5)))
 
 (* the integer nearest a * 10^n, ties to even, when a * 10^n lies in
    [10^16, 10^17); -1 below that range, 0 above it *)
@@ -41,115 +34,202 @@ let round_scaled a n =
   if hi < 1e16 || (hi <= 1e16 && lo < 0.0) then -1
   else if hi > 1e17 || (hi >= 1e17 && lo >= 0.0) then 0
   else
-    let fl = Float.floor lo in
-    let d = int_of_float hi + int_of_float fl in
-    let frac = lo -. fl in
-    if frac > 0.5 || (frac >= 0.5 && d land 1 = 1) then d + 1 else d
+    (* hi is an even integer (its ulp is at least 2), so lo rounded to
+       an integer, ties to even, rounds hi + lo half-to-even; adding and
+       removing 1.5 * 2^52 is that rounding for |lo| < 2^51 *)
+    int_of_float hi + int_of_float (lo +. 0x1.8p52 -. 0x1.8p52)
 
-(* "00" .. "99" *)
-let digit_pairs =
-  String.init 200 (fun i -> Char.chr (48 + if i land 1 = 0 then i / 20 else i / 2 mod 10))
+(* the 8 digits of [v < 10^8] as one little-endian word of ASCII, by
+   SIMD within a register: v splits into two 4-digit lanes, each lane
+   into two 2-digit lanes (x / 100 is x * 10486 >> 20 below 10^4), and
+   each of those into digits (x / 10 is x * 103 >> 10 below 100). Every
+   intermediate stays under 2^62, and so does the word: its top byte is
+   at most '9'. *)
+let[@inline] digits8 v =
+  let hi = v / 10_000 in
+  let x = hi lor ((v - (hi * 10_000)) lsl 32) in
+  let q = ((x * 10486) lsr 20) land 0x7F_0000_007F in
+  let x = ((x - (q * 100)) lsl 16) lor q in
+  let q = ((x * 103) lsr 10) land 0xF_000F_000F_000F in
+  (((x - (q * 10)) lsl 8) lor q) + 0x3030_3030_3030_3030
 
-(* the 8 digits of [v < 10^8], as one little-endian word of ASCII *)
-let add8 buf v =
-  let pair k = String.get_uint16_le digit_pairs (2 * k) in
-  let hi = v / 10_000 and lo = v mod 10_000 in
-  Buffer.add_int64_le buf
-    (Int64.of_int
-       (pair (hi / 100) lor (pair (hi mod 100) lsl 16) lor (pair (lo / 100) lsl 32)
-       lor (pair (lo mod 100) lsl 48)))
+(* the head of every value below 1, as one little-endian word *)
+let zero_point = String.get_int64_le "0.000000" 0
 
-(* [v < 10^n] as exactly [n] digits, zero-padded; a leading part word
-   is written left-aligned and cut back *)
-let rec add_padded buf v n =
-  if n > 8 then begin
-    add_padded buf (v / 100_000_000) (n - 8);
-    add8 buf (v mod 100_000_000)
-  end
-  else begin
-    add8 buf (v * ipow10.(8 - n));
-    Buffer.truncate buf (Buffer.length buf - (8 - n))
-  end
+module Writer = struct
+  type t = { mutable buf : Bytes.t; mutable len : int }
 
-(* %.17g's fixed notation for the 17 digits [d] at decimal exponent [x]:
-   x+1 integer digits (or "0"), then the fraction without its trailing
-   zeros, keeping one so the value re-parses as a Float *)
-let add_fixed buf d x =
-  let nf = 16 - x in
-  let ip, fp = if x < 0 then (0, d) else (d / ipow10.(nf), d mod ipow10.(nf)) in
-  add_padded buf ip (max (x + 1) 1);
-  Buffer.add_char buf '.';
-  if fp = 0 then Buffer.add_char buf '0'
-  else begin
-    add_padded buf fp nf;
-    let rec zeros v = if v mod 10 = 0 then 1 + zeros (v / 10) else 0 in
-    Buffer.truncate buf (Buffer.length buf - zeros fp)
-  end
+  let initial = 256
 
-(* Printf covers zero and the exponents where %.17g switches to
-   e-notation; k in [-4, 16] (nearly every served value) never reaches it *)
-let add_float buf f =
-  let in_range k = k >= -4 && k <= 16 in
-  let a = Float.abs f in
-  let k0 = if a > 0.0 then int_of_float (Float.floor (Float.log10 a)) else max_int in
-  let d0 = if in_range k0 then round_scaled a (16 - k0) else -1 in
-  (* log10 may miss by one next to a power of ten *)
-  let k = if d0 < 0 then k0 - 1 else if d0 = 0 then k0 + 1 else k0 in
-  let d = if k = k0 then d0 else if in_range k then round_scaled a (16 - k) else -1 in
-  if d > 0 && d < 100_000_000_000_000_000 then begin
-    if f < 0.0 then Buffer.add_char buf '-';
-    add_fixed buf d k
-  end
-  else begin
-    (* d = 10^17 is a rounding carry into the next decade: no double
-       with k in [-4, 16] reaches it, so Printf may handle it too *)
-    let s = Printf.sprintf "%.17g" f in
-    Buffer.add_string buf s;
-    if not (String.exists (fun c -> c = '.' || c = 'e') s) then Buffer.add_string buf ".0"
-  end
+  (* a writer grown past this gives its store up on [reset]: one huge
+     response does not pin its buffer for a connection's lifetime *)
+  let kept = 4 lsl 20
 
-let print j =
-  let buf = Buffer.create 256 in
-  let add_number f =
-    if Float.is_finite f then add_float buf f else Buffer.add_string buf "null"
-  in
-  let rec go = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f -> add_number f
-    | Floats a ->
-      Buffer.add_char buf '[';
-      for i = 0 to Array.length a - 1 do
-        if i > 0 then Buffer.add_char buf ',';
-        add_number a.(i)
+  let create () = { buf = Bytes.create initial; len = 0 }
+
+  let reset w =
+    w.len <- 0;
+    if Bytes.length w.buf > kept then w.buf <- Bytes.create initial
+
+  let length w = w.len
+  let bytes w = w.buf
+  let contents w = Bytes.sub_string w.buf 0 w.len
+
+  let grow w n =
+    let b = Bytes.create (Int.max (w.len + n) (2 * Bytes.length w.buf)) in
+    Bytes.blit w.buf 0 b 0 w.len;
+    w.buf <- b
+
+  (* room for [n] more bytes; a growing writer at least doubles *)
+  let[@inline] reserve w n = if w.len + n > Bytes.length w.buf then grow w n
+
+  let add_char w c =
+    reserve w 1;
+    Bytes.set w.buf w.len c;
+    w.len <- w.len + 1
+
+  let add_sub w s ofs n =
+    reserve w n;
+    Bytes.blit_string s ofs w.buf w.len n;
+    w.len <- w.len + n
+
+  let add_string w s = add_sub w s 0 (String.length s)
+
+  (* %.17g's fixed notation of the 17 digits [d] at decimal exponent
+     [k] in [-4, 16]: the leading digit and two words of 8 go down one
+     byte right of where the value starts (k >= 0) or after "0." and
+     -k-1 zeros (k < 0); the k+1 integer digits then slide left over
+     the spare byte and the point takes their last place. Trailing
+     zeros are cut back to the first fraction digit, so the value
+     re-parses as a Float. *)
+  let add_fixed w neg d k =
+    (* a sign, then at most "0.000" and the 17 digits *)
+    reserve w 23;
+    let b = w.buf in
+    if neg then Bytes.set b w.len '-';
+    let p = if neg then w.len + 1 else w.len in
+    let s =
+      if k < 0 then begin
+        Bytes.set_int64_le b p zero_point;
+        p + 1 - k
+      end
+      else p + 1
+    in
+    let h = d / 100_000_000 in
+    let d0 = h / 100_000_000 in
+    Bytes.set_uint8 b s (48 + d0);
+    Bytes.set_int64_le b (s + 1) (Int64.of_int (digits8 (h - (d0 * 100_000_000))));
+    Bytes.set_int64_le b (s + 9) (Int64.of_int (digits8 (d - (h * 100_000_000))));
+    (* the first fraction digit *)
+    let frac =
+      if k < 0 then s
+      else begin
+        for i = p to p + k do
+          Bytes.set b i (Bytes.get b (i + 1))
+        done;
+        Bytes.set b (p + k + 1) '.';
+        p + k + 2
+      end
+    in
+    let e = ref (s + 17) in
+    if frac = !e then begin
+      (* k = 16: no fraction digit was printed *)
+      Bytes.set b !e '0';
+      incr e
+    end
+    else
+      while !e - 1 > frac && Bytes.get b (!e - 1) = '0' do
+        decr e
       done;
-      Buffer.add_char buf ']'
-    | String s ->
-      Buffer.add_char buf '"';
-      String.iter (fun c -> Buffer.add_string buf (escape c)) s;
-      Buffer.add_char buf '"'
+    w.len <- !e
+
+  let in_range k = k >= -4 && k <= 16
+
+  (* The decimal exponent k comes from the binary one e2: floor(e2 log10
+     2), which (e2 * 78913) asr 18 is for every double's exponent, plus
+     one when [a] reaches the next power of ten. The off-by-one
+     [round_scaled] reports covers an inexact power of ten. Printf
+     covers zero, subnormals and the exponents where %.17g switches to
+     e-notation; k in [-4, 16] (nearly every served value) never
+     reaches it. *)
+  let add_float w f =
+    let a = Float.abs f in
+    let e2 = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float a) 52) - 1023 in
+    let k0 = (e2 * 78913) asr 18 in
+    let k0 = if k0 >= -5 && k0 <= 16 && a >= decade.(k0 + 6) then k0 + 1 else k0 in
+    let d0 = if in_range k0 then round_scaled a (16 - k0) else -1 in
+    let k = if d0 < 0 then k0 - 1 else if d0 = 0 then k0 + 1 else k0 in
+    let d = if k = k0 then d0 else if in_range k then round_scaled a (16 - k) else -1 in
+    if d > 0 && d < 100_000_000_000_000_000 then add_fixed w (f < 0.0) d k
+    else begin
+      (* d = 10^17 is a rounding carry into the next decade: no double
+         with k in [-4, 16] reaches it, so Printf may handle it too *)
+      let s = Printf.sprintf "%.17g" f in
+      add_string w s;
+      if not (String.exists (fun c -> c = '.' || c = 'e') s) then add_string w ".0"
+    end
+
+  let add_number w f = if Float.is_finite f then add_float w f else add_string w "null"
+
+  (* a JSON string: runs that need no escape are copied whole *)
+  let add_escaped w s =
+    add_char w '"';
+    let start = ref 0 in
+    String.iteri
+      (fun i c ->
+        if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+          add_sub w s !start (i - !start);
+          start := i + 1;
+          add_string w
+            (match c with
+             | '"' -> "\\\""
+             | '\\' -> "\\\\"
+             | '\n' -> "\\n"
+             | '\r' -> "\\r"
+             | '\t' -> "\\t"
+             | c -> Printf.sprintf "\\u%04x" (Char.code c))
+        end)
+      s;
+    add_sub w s !start (String.length s - !start);
+    add_char w '"'
+
+  let rec json w = function
+    | Null -> add_string w "null"
+    | Bool b -> add_string w (if b then "true" else "false")
+    | Int i -> add_string w (string_of_int i)
+    | Float f -> add_number w f
+    | Floats a ->
+      add_char w '[';
+      for i = 0 to Array.length a - 1 do
+        if i > 0 then add_char w ',';
+        add_number w a.(i)
+      done;
+      add_char w ']'
+    | String s -> add_escaped w s
     | List l ->
-      Buffer.add_char buf '[';
+      add_char w '[';
       List.iteri
         (fun i v ->
-          if i > 0 then Buffer.add_char buf ',';
-          go v)
+          if i > 0 then add_char w ',';
+          json w v)
         l;
-      Buffer.add_char buf ']'
+      add_char w ']'
     | Obj fields ->
-      Buffer.add_char buf '{';
+      add_char w '{';
       List.iteri
         (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          go (String k);
-          Buffer.add_char buf ':';
-          go v)
+          if i > 0 then add_char w ',';
+          add_escaped w k;
+          add_char w ':';
+          json w v)
         fields;
-      Buffer.add_char buf '}'
-  in
-  go j;
-  Buffer.contents buf
+      add_char w '}'
+end
+
+let print j =
+  let w = Writer.create () in
+  Writer.json w j;
+  Writer.contents w
 
 (* ------------------------------------------------------------------ *)
 (* Parsing: plain recursive descent over the string *)

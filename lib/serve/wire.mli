@@ -22,16 +22,60 @@ type json = Core.Report.json =
   | Obj of (string * json) list
 
 val print : json -> string
-(** Compact, single-line, float-exact rendering. A finite float prints
-    as exactly the bytes of [Printf.sprintf "%.17g"], plus [".0"] when
-    those hold neither ['.'] nor an exponent, so it re-parses as a
-    [Float] with the same bits. For a decimal exponent k in [[-4, 16]]
-    (the range [%.17g] prints without an exponent, which covers every
-    delay in picoseconds) the digits come from an exact product: [|x| *
-    10^(16-k)] is split into [hi + lo] with [Float.fma], and [lo] rounds
-    [hi] half-to-even to 17 digits, written straight into the output
-    buffer. Zero and other exponents fall back to Printf. A [Floats]
-    row prints as a JSON array, non-finite entries as [null]. *)
+(** Compact, single-line, float-exact rendering: the value written into
+    a fresh {!Writer}, then copied out once.
+
+    A finite float prints as exactly the bytes of
+    [Printf.sprintf "%.17g"], plus [".0"] when those hold neither ['.']
+    nor an exponent, so it re-parses as a [Float] with the same bits.
+    For a decimal exponent k in [[-4, 16]] (the range [%.17g] prints
+    without an exponent, which covers every delay in picoseconds)
+    Printf is not used:
+    - k is [floor(e2 * log10 2)] from the float's binary exponent e2,
+      plus one when the value reaches the next power of ten; the
+      rounding step below reports an off-by-one, which is then
+      corrected;
+    - the 17 digits come from an exact product: [|x| * 10^(16-k)] is
+      split into [hi + lo] with [Float.fma], and [lo] rounds [hi]
+      half-to-even to a 17-digit integer;
+    - that integer is cut into 1 + 8 + 8 digits by constant divisors,
+      each 8 written as one word from a table of digit pairs; the
+      decimal point is placed in the output buffer and trailing zeros
+      are trimmed by a byte scan.
+    Printf is still used for zero, subnormals, exponents outside
+    [[-4, 16]] and a rounding carry to [10^17]. A [Floats] row prints as
+    a JSON array, non-finite entries as [null]. *)
+
+(** A growable byte buffer that JSON values are written into.
+    {!print} uses a fresh one per call; a server connection keeps one
+    and {!Writer.reset}s it for each response, so a response is written
+    once and sent straight from the writer's bytes. *)
+module Writer : sig
+  type t
+
+  val create : unit -> t
+  (** An empty writer with a small initial capacity; it doubles as
+      needed. *)
+
+  val reset : t -> unit
+  (** Empty the writer. It keeps its capacity up to 4 MiB; a larger
+      store is released for a fresh small one. *)
+
+  val json : t -> json -> unit
+  (** Append the bytes {!print} gives for the value. *)
+
+  val add_char : t -> char -> unit
+
+  val length : t -> int
+  (** Bytes written since the last {!reset}. *)
+
+  val bytes : t -> Bytes.t
+  (** The backing store: its first {!length} bytes are the output. It
+      is replaced when the writer grows, so read it after writing. *)
+
+  val contents : t -> string
+  (** A copy of the output. *)
+end
 
 val parse : string -> (json, string) result
 (** Strict single-value JSON parser (objects, arrays, strings with

@@ -97,6 +97,8 @@ module R = struct
 
   let at_end t = t.pos = String.length t.s
 
+  let skip_rest t = t.pos <- String.length t.s
+
   let need t n =
     if n < 0 || t.pos + n > String.length t.s then raise Truncated
 

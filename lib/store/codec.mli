@@ -47,6 +47,10 @@ module R : sig
   val create : ?pos:int -> string -> t
   val pos : t -> int
   val at_end : t -> bool
+
+  val skip_rest : t -> unit
+  (** Move to the end, for a decoder that reads only a prefix. *)
+
   val u32 : t -> int
   val f64 : t -> float
   val str : t -> string

@@ -231,23 +231,56 @@ let iter_float_corpus f =
   done
 
 (* every value prints as %.17g does; every 4th (strtod dominates the
-   cost) also re-parses to the same bits *)
+   cost) also re-parses to the same bits. The corpus is also printed in
+   rows of 4096: as a Floats row through [print], and through one
+   reused writer whose previous output, a string of '0's, was longer
+   than the row, so a stale byte left inside the row would show. *)
 let test_wire_float_bits () =
+  let module W = Serve.Wire in
   let count = ref 0 in
+  let width = 4096 in
+  let row = Array.make width 0.0 and refs = Array.make width "" and filled = ref 0 in
+  let w = W.Writer.create () in
+  let check_row () =
+    let a = Array.sub row 0 !filled in
+    let expected = "[" ^ String.concat "," (Array.to_list (Array.sub refs 0 !filled)) ^ "]" in
+    let first_diff got =
+      let rec go i = if i < String.length got && got.[i] = expected.[i] then go (i + 1) else i in
+      go 0
+    in
+    let printed = W.print (W.Floats a) in
+    if printed <> expected then
+      Alcotest.failf "a Floats row of the corpus prints differently from byte %d"
+        (first_diff printed);
+    W.Writer.reset w;
+    W.Writer.json w (W.String (String.make (String.length expected + 64) '0'));
+    W.Writer.reset w;
+    W.Writer.json w (W.Floats a);
+    let reused = W.Writer.contents w in
+    if reused <> expected then
+      Alcotest.failf "a reused writer prints a corpus row differently from byte %d"
+        (first_diff reused);
+    filled := 0
+  in
   iter_float_corpus (fun x ->
       incr count;
-      let j = Serve.Wire.Float x in
-      let line = Serve.Wire.print j in
-      if line <> reference_print j then
-        Alcotest.failf "%h printed %s, %%.17g gives %s" x line (reference_print j);
+      let j = W.Float x in
+      let line = W.print j in
+      let expected = reference_print j in
+      if line <> expected then Alcotest.failf "%h printed %s, %%.17g gives %s" x line expected;
+      row.(!filled) <- x;
+      refs.(!filled) <- expected;
+      incr filled;
+      if !filled = width then check_row ();
       if !count land 3 = 0 then
-        match Serve.Wire.parse line with
-        | Ok (Serve.Wire.Float y) ->
+        match W.parse line with
+        | Ok (W.Float y) ->
           if Int64.bits_of_float x <> Int64.bits_of_float y then
             Alcotest.failf "float %h lost bits -> %h" x y
-        | Ok Serve.Wire.Null when not (Float.is_finite x) -> ()
-        | Ok j -> Alcotest.failf "float re-parsed as %s" (Serve.Wire.print j)
+        | Ok W.Null when not (Float.is_finite x) -> ()
+        | Ok j -> Alcotest.failf "float re-parsed as %s" (W.print j)
         | Error m -> Alcotest.failf "float re-parse error: %s" m);
+  if !filled > 0 then check_row ();
   Alcotest.(check bool) "corpus has 1M+ doubles" true (!count >= 1_000_000)
 
 (* Floats rows print exactly like the boxed tree of Float/Null cells
@@ -750,6 +783,53 @@ let test_faulty_batch_matches_robust () =
         match Serve.Wire.member "screen" resp with
         | Some (Serve.Wire.Obj _) -> ()
         | _ -> Alcotest.fail "robust response should carry screen counters")
+
+(* a connection writes each response into its one reused writer and
+   sends it from there: the bytes on the socket are exactly what
+   [Serve.handle] returns, plus the newline, for every kind of response.
+   The large predict goes first so every later, shorter response is
+   written over its stale bytes. *)
+let test_connection_sends_handle_bytes () =
+  with_server (fun store clean addr ->
+      let fd = raw_connect (sock_path addr) in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      let local = Serve.create store in
+      let faulty = Linalg.Mat.copy clean in
+      Linalg.Mat.set faulty 2 0 Float.nan;
+      let buffers =
+        [|
+          {
+            Tune.paths = [| 0 |];
+            levels =
+              [|
+                { Tune.offset_ps = 0.0; cost = 0.0 };
+                { Tune.offset_ps = -10.0; cost = 1.0 };
+              |];
+          };
+        |]
+      in
+      let predict m =
+        Serve.Wire.Obj
+          [ ("op", Serve.Wire.String "predict"); ("dies", Serve.Wire.mat_to_json m) ]
+      in
+      let requests =
+        [
+          ("predict", predict clean);
+          ("error", Serve.Wire.Obj [ ("op", Serve.Wire.String "no-such-op") ]);
+          ("robust predict", predict faulty);
+          ("yield", Serve.Client.yield_request ~samples:256 ~seed:3 ());
+          ("tune", Serve.Client.tune_request ~t_clk:1e9 ~buffers ~measured:clean ());
+        ]
+      in
+      List.iter
+        (fun (label, req) ->
+          let line = Serve.Wire.print req in
+          let sent = raw_roundtrip fd line in
+          Alcotest.(check bool) (label ^ ": answered as expected") (label <> "error")
+            (response_ok sent);
+          Alcotest.(check string) (label ^ ": socket bytes = Serve.handle") (Serve.handle local line)
+            sent)
+        requests)
 
 let test_malformed_line_isolated () =
   with_server (fun _store clean addr ->
@@ -1476,12 +1556,11 @@ let test_restart_recovers_state () =
           (List.for_all (fun s -> s = "used") (Serve.Client.die_statuses ack))
       | Error m -> Alcotest.failf "post-restart observe failed: %s" m)
 
-(* a checkpoint boot cannot use must not abort it: [Serve.create]
-   cold-starts the monitor and replays the whole WAL. Two inputs: a
-   CRC-valid checkpoint whose ring count decodes out of range (high
-   word 2^30), and a version-1 checkpoint, whose layout still carried
-   the incremental-regression block *)
-let test_corrupt_checkpoint_boots_cold () =
+(* Boot on a WAL of every clean die plus the given checkpoint file,
+   which [Durable.load_checkpoint] must reject with [expected]: the
+   monitor cold-starts and replays the whole WAL. Returns the booted
+   server's generation and the one the checkpoint file still yields. *)
+let boot_on_bad_checkpoint ~label ckpt_bytes expected =
   let store, clean = Lazy.force artifact in
   let ok = Core.Errors.get_ok in
   let p = Store.predictor store in
@@ -1496,64 +1575,107 @@ let test_corrupt_checkpoint_boots_cold () =
     Array.iteri (fun j k -> full.(k) <- truth.(j)) rem;
     { Serve.Monitor.measured; truth; full; resid = 0.0; wafer = "" }
   in
-  let snap =
-    Serve.Monitor.snapshot
-      (Serve.Monitor.create ~config:serve_mon_cfg ~n_paths ~r:(Array.length rep)
-         ~m:(Array.length rem) ~reselect:(fun _ -> Error "none") ())
+  let wal_dir =
+    let d = Filename.temp_file "pathsel-serve-wal" "" in
+    Sys.remove d;
+    d
   in
-  let boots_cold ~label ckpt_bytes expected =
-    let wal_dir =
-      let d = Filename.temp_file "pathsel-serve-wal" "" in
-      Sys.remove d;
-      d
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        if Sys.file_exists wal_dir then begin
-          Array.iter
-            (fun f -> try Sys.remove (Filename.concat wal_dir f) with Sys_error _ -> ())
-            (Sys.readdir wal_dir);
-          try Unix.rmdir wal_dir with Unix.Unix_error _ -> ()
-        end)
-    @@ fun () ->
-    let wal = ok (Store.Wal.open_ wal_dir) in
-    ignore
-      (ok
-         (Store.Wal.append wal
-            (List.init n_dies (fun i -> Serve.Durable.encode_obs (die i)))));
-    Store.Wal.close wal;
-    let ckpt = Filename.concat wal_dir "checkpoint.psc" in
-    Out_channel.with_open_bin ckpt (fun oc -> Out_channel.output_string oc ckpt_bytes);
-    (match Serve.Durable.load_checkpoint ckpt with
-     | Error e when expected e -> ()
-     | Error e -> Alcotest.failf "%s: wrong error: %s" label (Core.Errors.to_string e)
-     | Ok _ -> Alcotest.failf "%s: checkpoint accepted" label);
-    let config =
-      {
-        Serve.default_config with
-        Serve.monitor = Some serve_mon_cfg;
-        durability =
-          Some
-            { Serve.wal_dir; checkpoint_every = 4; wal_segment_bytes = 1 lsl 22;
-              wal_retain = 1 };
-      }
-    in
-    let t = Serve.create ~config store in
-    match Serve.monitor_report t with
-    | None -> Alcotest.failf "%s: monitor not armed" label
-    | Some r ->
-      Alcotest.(check int) (label ^ ": cold monitor replayed the whole WAL") n_dies
-        r.Serve.Monitor.observed
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists wal_dir then begin
+        Array.iter
+          (fun f -> try Sys.remove (Filename.concat wal_dir f) with Sys_error _ -> ())
+          (Sys.readdir wal_dir);
+        try Unix.rmdir wal_dir with Unix.Unix_error _ -> ()
+      end)
+  @@ fun () ->
+  let wal = ok (Store.Wal.open_ wal_dir) in
+  ignore
+    (ok
+       (Store.Wal.append wal
+          (List.init n_dies (fun i -> Serve.Durable.encode_obs (die i)))));
+  Store.Wal.close wal;
+  let ckpt = Filename.concat wal_dir "checkpoint.psc" in
+  Out_channel.with_open_bin ckpt (fun oc -> Out_channel.output_string oc ckpt_bytes);
+  (match Serve.Durable.load_checkpoint ckpt with
+   | Error e when expected e -> ()
+   | Error e -> Alcotest.failf "%s: wrong error: %s" label (Core.Errors.to_string e)
+   | Ok _ -> Alcotest.failf "%s: checkpoint accepted" label);
+  let file_gen = Serve.Durable.checkpoint_generation ckpt in
+  let config =
+    {
+      Serve.default_config with
+      Serve.monitor = Some serve_mon_cfg;
+      durability =
+        Some
+          { Serve.wal_dir; checkpoint_every = 4; wal_segment_bytes = 1 lsl 22;
+            wal_retain = 1 };
+    }
   in
-  boots_cold ~label:"ring count out of range"
-    (Test_monitor.reframe (Test_monitor.checkpoint_bytes ~gen:5 snap)
-       ~f:(fun payload -> Bytes.set_int32_le payload 36 0x40000000l))
-    (function Core.Errors.Corrupt_artifact _ -> true | _ -> false);
-  boots_cold ~label:"version-1 checkpoint"
-    (Test_monitor.v1_checkpoint_bytes ~gen:5 snap)
-    (function
-      | Core.Errors.Version_mismatch { found = 1; expected = 2; _ } -> true
-      | _ -> false)
+  let t = Serve.create ~config store in
+  (match Serve.monitor_report t with
+   | None -> Alcotest.failf "%s: monitor not armed" label
+   | Some r ->
+     Alcotest.(check int) (label ^ ": cold monitor replayed the whole WAL") n_dies
+       r.Serve.Monitor.observed);
+  let gen =
+    match Serve.Wire.parse (Serve.handle t {|{"op":"ping"}|}) with
+    | Ok j ->
+      (match Serve.Wire.member "gen" j with
+       | Some (Serve.Wire.Int g) -> g
+       | _ -> Alcotest.failf "%s: ping has no generation" label)
+    | Error m -> Alcotest.failf "%s: ping reply: %s" label m
+  in
+  (gen, file_gen)
+
+let empty_snapshot () =
+  let store, _ = Lazy.force artifact in
+  let r = Array.length (Core.Predictor.rep_indices (Store.predictor store)) in
+  Serve.Monitor.snapshot
+    (Serve.Monitor.create ~config:serve_mon_cfg ~n_paths:store.Store.n_paths ~r
+       ~m:(store.Store.n_paths - r) ~reselect:(fun _ -> Error "none") ())
+
+(* a checkpoint boot cannot use must not abort it: [Serve.create]
+   cold-starts the monitor and replays the whole WAL. Here the
+   checkpoint is CRC-valid but its ring count decodes out of range
+   (high word 2^30); its leading generation still counts *)
+let test_corrupt_checkpoint_boots_cold () =
+  let gen, file_gen =
+    boot_on_bad_checkpoint ~label:"ring count out of range"
+      (Test_monitor.reframe (Test_monitor.checkpoint_bytes ~gen:5 (empty_snapshot ()))
+         ~f:(fun payload -> Bytes.set_int32_le payload 36 0x40000000l))
+      (function Core.Errors.Corrupt_artifact _ -> true | _ -> false)
+  in
+  Alcotest.(check (option int)) "intact frame names its generation" (Some 5) file_gen;
+  Alcotest.(check int) "boot bumps past it" 6 gen
+
+(* a version-1 checkpoint (its layout still carried the incremental-
+   regression block) is rejected, but its frame and CRC are intact and
+   the generation is its first word in both layouts: boot bumps past
+   it, so generations stay strictly monotonic across the upgrade *)
+let test_v1_checkpoint_keeps_generation () =
+  let gen, file_gen =
+    boot_on_bad_checkpoint ~label:"version-1 checkpoint"
+      (Test_monitor.v1_checkpoint_bytes ~gen:5 (empty_snapshot ()))
+      (function
+        | Core.Errors.Version_mismatch { found = 1; expected = 2; _ } -> true
+        | _ -> false)
+  in
+  Alcotest.(check (option int)) "version-1 frame names its generation" (Some 5) file_gen;
+  Alcotest.(check int) "boot bumps past it" 6 gen
+
+(* a checkpoint whose CRC fails holds no generation anyone can trust:
+   boot restarts it at 1, and says so on stderr *)
+let test_crc_damaged_checkpoint_restarts_generation () =
+  let bytes = Bytes.of_string (Test_monitor.checkpoint_bytes ~gen:5 (empty_snapshot ())) in
+  let last = Bytes.length bytes - 1 in
+  Bytes.set_uint8 bytes last (Bytes.get_uint8 bytes last lxor 0x01);
+  let gen, file_gen =
+    boot_on_bad_checkpoint ~label:"CRC-damaged checkpoint" (Bytes.to_string bytes)
+      (function Core.Errors.Corrupt_artifact _ -> true | _ -> false)
+  in
+  Alcotest.(check (option int)) "no generation survives a CRC failure" None file_gen;
+  Alcotest.(check int) "boot restarts the generation" 1 gen
 
 let suites =
   [
@@ -1572,6 +1694,8 @@ let suites =
           test_clean_batch_bit_identical;
         Alcotest.test_case "faulty batch matches Robust" `Quick
           test_faulty_batch_matches_robust;
+        Alcotest.test_case "connection sends the bytes handle returns" `Quick
+          test_connection_sends_handle_bytes;
         Alcotest.test_case "malformed lines poison only themselves" `Quick
           test_malformed_line_isolated;
         Alcotest.test_case "stats counters" `Quick test_stats_counters;
@@ -1601,5 +1725,9 @@ let suites =
           `Quick test_restart_recovers_state;
         Alcotest.test_case "corrupt checkpoint boots cold and replays the WAL"
           `Quick test_corrupt_checkpoint_boots_cold;
+        Alcotest.test_case "version-1 checkpoint keeps the generation monotonic"
+          `Quick test_v1_checkpoint_keeps_generation;
+        Alcotest.test_case "CRC-damaged checkpoint restarts the generation"
+          `Quick test_crc_damaged_checkpoint_restarts_generation;
       ] );
   ]
