@@ -423,8 +423,6 @@ module Killer = struct
 
   let delay t = t.delay
 
-  let fired t = Atomic.get t.did_fire
-
   let cancel t =
     Atomic.set t.cancelled true;
     Thread.join t.thread;

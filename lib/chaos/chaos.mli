@@ -26,10 +26,6 @@ type spec = {
 val none : spec
 (** All faults off — a transparent proxy. *)
 
-val validate : spec -> unit
-(** Raises [Invalid_argument] on rates outside [\[0, 1\]], negative or
-    non-finite delays, or a negative burst. *)
-
 val of_string : string -> (spec, string) result
 (** Comma-separated [key=value] fields over {!none}, mirroring
     [Timing.Faults.of_string]:
@@ -103,10 +99,6 @@ module Killer : sig
 
   val delay : t -> float
   (** The drawn fire time, seconds after [arm]. *)
-
-  val fired : t -> bool
-  (** Whether the SIGKILL has been sent (racy by nature: a [false] may
-      be stale by the time you read it). *)
 
   val cancel : t -> bool
   (** Disarm (if the timer has not fired yet) and join the timer

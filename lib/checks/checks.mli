@@ -23,16 +23,9 @@ val on : unit -> bool
 val set_enabled : bool -> unit
 (** Override the environment setting for this process. *)
 
-val failf : ('a, unit, string, 'b) format4 -> 'a
-(** [failf fmt ...] raises {!Contract_violation} with a formatted
-    message. *)
-
 val require : bool -> string -> unit
 (** [require cond msg] raises {!Contract_violation} [msg] when [cond]
     is false. Call sites should already be guarded by {!on}. *)
-
-val find_nan : float array -> int option
-(** Index of the first NaN, scanning left to right. *)
 
 val nan_introduced : what:string -> inputs:float array list -> float array -> unit
 (** [nan_introduced ~what ~inputs out] raises iff [out] contains a NaN

@@ -22,13 +22,10 @@ type preset = {
 val all : preset list
 (** The paper's evaluation suite, in the tables' order: s1196 ... s38417. *)
 
-val extended : preset list
-(** The full ISCAS'89 family (s27 ... s38584), including {!all}; sizes
-    follow the published gate counts. Useful for user experiments beyond
-    the paper's tables. *)
-
 val find : string -> preset option
-(** Case-insensitive lookup by name, over {!extended}. *)
+(** Case-insensitive lookup by name, over the full ISCAS'89 family
+    (s27 ... s38584, sizes from the published gate counts), which
+    includes {!all}. *)
 
 val netlist : ?scale:float -> preset -> Netlist.t
 (** Deterministic netlist for the preset (seeded by the preset name).

@@ -31,12 +31,6 @@ val of_name : string -> kind option
 val arity : kind -> int
 (** Number of inputs. *)
 
-val intrinsic_delay : kind -> float
-(** Nominal zero-load delay, ps. *)
-
-val load_delay : kind -> float
-(** Extra delay per additional fanout, ps. *)
-
 val delay : kind -> fanout:int -> float
 (** [delay k ~fanout] is the nominal gate delay driving [fanout] sinks:
     [intrinsic + load * max 0 (fanout - 1)]. *)

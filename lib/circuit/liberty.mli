@@ -44,6 +44,7 @@ module Table : sig
     values : float array array;  (** values.(i).(j), ns *)
   }
 
+  (* lint: allow-next unused-export: Library runs it; test_liberty pins it *)
   val lookup : t -> slew:float -> load:float -> float
   (** Bilinear interpolation, clamped at the table edges. *)
 end

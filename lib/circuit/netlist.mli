@@ -61,6 +61,7 @@ val decode_signal : t -> int -> signal
 
 val signal_name : t -> signal -> string
 
+(* lint: allow-next unused-export: tests check parser round trips through it *)
 val depth : t -> int
 (** Longest path length counted in gates. 0 for a gateless netlist. *)
 

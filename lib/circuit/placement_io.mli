@@ -19,12 +19,14 @@
 
 exception Parse_error of int * string
 
+(* lint: allow-next unused-export: no production caller; only its own tests run it *)
 val print : Netlist.t -> string
 
 val parse : string -> (string * (float * float)) list
 (** Raises {!Parse_error} on malformed lines or coordinates outside
     [0, 1]. *)
 
+(* lint: allow-next unused-export: no production caller; only its own tests run it *)
 val apply : Netlist.t -> (string * (float * float)) list -> Netlist.t
 (** Rebuild the netlist with the given placement. Gates missing from
     the list keep their current position; unknown gate names raise

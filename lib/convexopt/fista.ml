@@ -61,14 +61,14 @@ let solve ?(stop = default_stop) p ~init =
    with Exit -> ());
   { solution = !x; iterations = !iters; objective_value = !fx; converged = !converged }
 
-let power_iteration_norm ?(iters = 60) m =
+let power_iteration_norm m =
   let n, n2 = Linalg.Mat.dims m in
   if n <> n2 then invalid_arg "Fista.power_iteration_norm: matrix not square";
   if n = 0 then 0.0
   else begin
     let v = ref (Array.init n (fun i -> 1.0 +. (0.01 *. float_of_int (i mod 7)))) in
     let lambda = ref 0.0 in
-    for _ = 1 to iters do
+    for _ = 1 to 60 do
       let w = Linalg.Mat.apply m !v in
       let nw = Linalg.Vec.norm2 w in
       if nw > 0.0 then begin

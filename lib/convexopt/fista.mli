@@ -14,9 +14,6 @@ type problem = {
 
 type stop = { max_iter : int; rel_tol : float }
 
-val default_stop : stop
-(** 500 iterations, 1e-7 relative objective change. *)
-
 type report = {
   solution : Linalg.Mat.t;
   iterations : int;
@@ -28,6 +25,7 @@ val solve : ?stop:stop -> problem -> init:Linalg.Mat.t -> report
 (** FISTA with function-value restart (O'Donoghue–Candès). Raises
     [Invalid_argument] when [lipschitz <= 0]. *)
 
-val power_iteration_norm : ?iters:int -> Linalg.Mat.t -> float
-(** Largest eigenvalue estimate of a symmetric PSD matrix, for
-    computing Lipschitz constants of quadratics. *)
+val power_iteration_norm : Linalg.Mat.t -> float
+(** Largest eigenvalue estimate of a symmetric PSD matrix (60 power
+    iterations, then a Rayleigh quotient), for computing Lipschitz
+    constants of quadratics. *)

@@ -28,6 +28,7 @@ type features = {
   cell_mix : float array;  (** normalized cell-kind histogram *)
 }
 
+(* lint: allow-next unused-export: [feature_clustering] runs it; tests pin it *)
 val path_features : Timing.Paths.t -> int -> features
 
 val feature_clustering :

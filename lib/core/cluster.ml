@@ -12,7 +12,7 @@ let normalize_rows a =
   Linalg.Mat.init n m (fun i j ->
       if norms.(i) > 0.0 then Linalg.Mat.get a i j /. norms.(i) else 0.0)
 
-let kmeans_rows ?(max_iter = 30) ~rng ~k a =
+let kmeans_rows ~rng ~k a =
   let n, m = Linalg.Mat.dims a in
   let k = max 1 (min k n) in
   let rows = normalize_rows a in
@@ -42,7 +42,7 @@ let kmeans_rows ?(max_iter = 30) ~rng ~k a =
   let assign = Array.make n 0 in
   let changed = ref true in
   let iter = ref 0 in
-  while !changed && !iter < max_iter do
+  while !changed && !iter < 30 do
     incr iter;
     changed := false;
     (* assignment step: nearest center by cosine similarity *)

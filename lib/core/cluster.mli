@@ -20,11 +20,10 @@ type t = {
                                    predictor *)
 }
 
-val kmeans_rows :
-  ?max_iter:int -> rng:Rng.t -> k:int -> Linalg.Mat.t -> int array
-(** Spherical k-means over the rows of a matrix; returns a cluster id
-    per row. [k] is clamped to the row count. Empty clusters are
-    re-seeded from the farthest row. *)
+val kmeans_rows : rng:Rng.t -> k:int -> Linalg.Mat.t -> int array
+(** Spherical k-means over the rows of a matrix (at most 30 Lloyd
+    iterations); returns a cluster id per row. [k] is clamped to the
+    row count. Empty clusters are re-seeded from the farthest row. *)
 
 val select :
   ?config:Config.t ->

@@ -24,6 +24,7 @@ val build : pool:Timing.Paths.t -> rep:int array -> t
 (** [rep] must be sorted and distinct (the representative set from
     {!Select}). *)
 
+(* lint: allow-next unused-export: [attribute] runs it; test_extensions pins it *)
 val estimate_x : t -> measured:Linalg.Vec.t -> Linalg.Vec.t
 (** Minimum-norm variation estimate for one die; ordered like
     [Timing.Paths.var_keys]. *)

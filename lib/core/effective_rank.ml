@@ -26,14 +26,3 @@ let of_singular_values ~eta s =
 let normalized_spectrum s =
   let e = Array.fold_left ( +. ) 0.0 s in
   if Float.equal e 0.0 then Array.map (fun _ -> 0.0) s else Array.map (fun v -> v /. e) s
-
-let energy_profile s =
-  let e = Array.fold_left ( +. ) 0.0 s in
-  let n = Array.length s in
-  let out = Array.make n 0.0 in
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    acc := !acc +. s.(i);
-    out.(i) <- (if Float.equal e 0.0 then 0.0 else !acc /. e)
-  done;
-  out

@@ -11,7 +11,3 @@ val of_singular_values : eta:float -> Linalg.Vec.t -> int
 
 val normalized_spectrum : Linalg.Vec.t -> Linalg.Vec.t
 (** [s_i / sum s] — the quantity plotted in the paper's Figure 2. *)
-
-val energy_profile : Linalg.Vec.t -> Linalg.Vec.t
-(** Cumulative energy fraction after each index:
-    [profile.(k) = sum_{i<=k} s_i / E]. *)

@@ -39,12 +39,9 @@ val of_exn : file:string -> exn -> t option
 (** Classify a raised exception; [None] for exceptions that are not
     ours to interpret (e.g. [Out_of_memory]). *)
 
-val protect : file:string -> (unit -> 'a) -> ('a, t) result
-(** Run [f], converting any recognized exception into a typed error
-    tagged with [file]. Unrecognized exceptions are re-raised. *)
-
 val catch : (unit -> 'a) -> ('a, t) result
-(** {!protect} with a generic file tag, for non-file computations. *)
+(** Run [f], converting any recognized exception into a typed error
+    with a generic file tag; unrecognized exceptions are re-raised. *)
 
 val get_ok : ('a, t) result -> 'a
 (** The value, or {!Error} raised with the typed error: for code that
@@ -74,6 +71,7 @@ val parse_bench_file :
 
 val parse_verilog_file : string -> (Circuit.Netlist.t, t) result
 
+(* lint: allow-next unused-export: no production caller; only its own tests run it *)
 val parse_placement_file :
   string -> ((string * (float * float)) list, t) result
 

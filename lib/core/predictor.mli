@@ -66,15 +66,13 @@ val full_delays : t -> measured:Linalg.Mat.t -> Linalg.Mat.t
     measured representative delays in the [rep_indices] columns and
     {!predict_all}'s predictions in the [rem_indices] columns. *)
 
+(* lint: allow-next unused-export: Theorem-2 tests check errors against MC with it *)
 val error_sigmas : t -> Linalg.Vec.t
 (** Per-remaining-path standard deviation of the prediction error
     (row norms of [Omega]). *)
 
-val worst_case_error : t -> kappa:float -> float
-(** [max_i kappa * sigma_i] — the numerator of the paper's Eqn (7). *)
-
 val epsilon_r : t -> kappa:float -> t_cons:float -> float
-(** Eqn (7): [worst_case_error / t_cons]. *)
+(** Eqn (7): [max_i kappa * sigma_i / t_cons]. *)
 
 val per_path_epsilon : t -> kappa:float -> t_cons:float -> Linalg.Vec.t
 (** Per-path guard-band fractions [kappa * sigma_i / t_cons]

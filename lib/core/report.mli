@@ -20,6 +20,7 @@ type json =
   | List of json list
   | Obj of (string * json) list
 
+(* lint: allow-next unused-export: the writers run it; test_report checks the JSON *)
 val to_string : json -> string
 (** Compact rendering with correct escaping. *)
 

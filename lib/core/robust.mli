@@ -33,13 +33,9 @@ type screen_report = {
   clean : bool;  (** no entry rejected *)
 }
 
-val default_mad_threshold : float
-(** 6.0 robust sigmas: on clean Gaussian data the expected false-reject
-    rate is ~2e-9 per entry, so a fault-free matrix screens clean. *)
-
-val screen :
-  ?mad_threshold:float -> t -> measured:Linalg.Mat.t -> screen_report
-(** Per-path (column) MAD screen over the die population plus
+val screen : t -> measured:Linalg.Mat.t -> screen_report
+(** Per-path (column) MAD screen over the die population, at 6 robust
+    sigmas (on clean Gaussian data ~2e-9 false rejects per entry), plus
     missing-entry detection. Columns with fewer than 4 finite entries,
     or a zero MAD (degenerate distribution, e.g. coarse quantization),
     only get the missing-entry check. *)
@@ -54,33 +50,13 @@ type prediction = {
   dead_dies : int;  (** dies predicted from the mean only *)
 }
 
-val default_cond_limit : float
-
-val default_ridge : float
-(** Relative ridge: [lambda = ridge * trace(G_S) / |S|]. *)
-
-val predict_all :
-  ?mad_threshold:float ->
-  ?cond_limit:float ->
-  ?ridge:float ->
-  t ->
-  measured:Linalg.Mat.t ->
-  prediction
+val predict_all : ?cond_limit:float -> t -> measured:Linalg.Mat.t -> prediction
 (** Screen, then predict every die from its surviving measurements.
     When the screen rejects nothing the baseline predictor is applied
     verbatim, so clean data reproduces {!Predictor.predict_all}
-    bit-for-bit. Always returns finite predictions. *)
+    bit-for-bit. Always returns finite predictions. A reduced Gram
+    whose Cholesky pivot ratio squared exceeds [cond_limit] (default
+    1e10) takes the Tikhonov ridge; the knob exists so a test can force
+    that path on a well-conditioned pool. *)
 
 val metrics : prediction -> truth:Linalg.Mat.t -> Evaluate.metrics
-
-val predictor_metrics :
-  ?mad_threshold:float ->
-  ?cond_limit:float ->
-  ?ridge:float ->
-  t ->
-  measured:Linalg.Mat.t ->
-  path_delays:Linalg.Mat.t ->
-  prediction * Evaluate.metrics
-(** Convenience mirroring {!Evaluate.predictor_metrics}: [measured] is
-    the (possibly corrupted) [dies x r] matrix; truth columns are
-    taken from [path_delays]. *)

@@ -16,8 +16,8 @@ type schedule =
 
 type engine =
   | Auto
-  (** {!Exact} below {!sketch_threshold} rows, {!Sketched} at or above
-      it — the default everywhere *)
+  (** {!Exact} below 4096 rows, {!Sketched} at or above — the default
+      everywhere *)
   | Exact
   (** full Golub–Reinsch SVD of [A] (with the randomized
       no-convergence fallback) *)
@@ -42,9 +42,6 @@ type sketch = {
     selections). *)
 
 val default_sketch : sketch
-
-val sketch_threshold : int
-(** Row count at which {!Auto} switches to {!Sketched} (4096). *)
 
 type t = {
   indices : int array;          (** selected representative rows, sorted *)

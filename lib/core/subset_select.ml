@@ -11,8 +11,6 @@ let rows_from_svd (svd : Linalg.Svd.t) ~r =
   Array.sort compare chosen;
   chosen
 
-let rows a ~r = rows_from_svd (Linalg.Svd.factor ~vectors:Left a) ~r
-
 let nested_rows (svd : Linalg.Svd.t) =
   let n, k = Linalg.Mat.dims svd.u in
   let r = max 1 (min n k) in

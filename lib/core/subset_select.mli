@@ -10,9 +10,6 @@ val rows_from_svd : Linalg.Svd.t -> r:int -> int array
 (** The selected row indices, increasing. Raises [Invalid_argument]
     when [r] is outside [1, rows u]. *)
 
-val rows : Linalg.Mat.t -> r:int -> int array
-(** Convenience: factor then select. *)
-
 val nested_rows : Linalg.Svd.t -> int array
 (** The incremental variant the paper alludes to ("this procedure can
     also be implemented incrementally"): one pivoted QR on the

@@ -23,9 +23,11 @@ type eta_row = {
   effective_rank : int;
 }
 
+(* lint: allow-next unused-export: [run] runs it; test_experiments drives it small *)
 val run_schedule : ?oc:out_channel -> Profile.t -> schedule_row list
 (** E5, on the three smallest benchmarks. *)
 
+(* lint: allow-next unused-export: [run] runs it; test_experiments drives it small *)
 val run_eta : ?oc:out_channel -> Profile.t -> eta_row list
 (** E6, on s1423: eta in {1, 2, 5, 10}%. *)
 
@@ -36,10 +38,6 @@ type cluster_row = {
   cluster_seconds : float;
 }
 
-val run_cluster : ?oc:out_channel -> Profile.t -> cluster_row list
-(** E7: Section-4.4 clustering speedup on s38417 — per-cluster
-    Algorithm 1 vs the direct global selection, over k. *)
-
 type nested_row = {
   nested_bench : string;
   repivot_r : int;
@@ -47,10 +45,5 @@ type nested_row = {
   nested_r : int;
   nested_seconds : float;
 }
-
-val run_nested : ?oc:out_channel -> Profile.t -> nested_row list
-(** E10: Algorithm 2 re-run per candidate r (the paper's letter) vs one
-    nested pivot order shared by all r (the paper's "incremental"
-    remark). *)
 
 val run : ?oc:out_channel -> Profile.t -> unit

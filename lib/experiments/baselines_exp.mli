@@ -14,6 +14,4 @@ type row = {
   e2_pct : float;
 }
 
-val run_bench : Profile.t -> Circuit.Benchmarks.preset -> row list
-
 val run : ?oc:out_channel -> Profile.t -> row list

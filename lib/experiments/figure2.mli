@@ -11,9 +11,5 @@ type series = {
   rank : int;
 }
 
-val compute : ?k:int -> Profile.t -> series list
-(** Returns the two series (baseline, 3x random). [k] defaults to 30
-    as in the paper's plot. *)
-
 val run : ?oc:out_channel -> Profile.t -> series list
 (** Computes and renders an ASCII log-scale plot plus the raw values. *)

@@ -13,7 +13,5 @@ type row = {
   false_alarm_rate : float;
 }
 
-val run_bench : Profile.t -> eps:float -> Circuit.Benchmarks.preset -> row
-
 val run : ?oc:out_channel -> Profile.t -> row list
 (** Three representative circuits at eps = 5% and 8%. *)

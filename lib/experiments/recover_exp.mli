@@ -47,11 +47,6 @@ type result = {
   ok : bool;
 }
 
-val recovery_bound_s : float
-(** Restart-to-first-answer budget, seconds: artifact load + checkpoint
-    load + WAL replay + listen, plus at most one reselect cooldown —
-    replay itself never reselects. *)
-
 val run : ?oc:out_channel -> ?out:string -> Profile.t -> result
 (** Run the soak (quick: 6 kill cycles; full: 20) and print a summary
     to [oc]; with [out], also write the JSON report there

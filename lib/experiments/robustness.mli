@@ -25,16 +25,13 @@ type noise_row = {
   false_alarm_rate : float;
 }
 
-val run_rsvd : ?oc:out_channel -> Profile.t -> rsvd_row list
-
-val run_noise : ?oc:out_channel -> Profile.t -> noise_row list
-
 type ssta_row = {
   t_over_nominal : float;
   ssta_yield : float;
   mc_yield : float;
 }
 
+(* lint: allow-next unused-export: [run] runs it; test_experiments drives it small *)
 val run_ssta : ?oc:out_channel -> Profile.t -> ssta_row list
 (** E11: analytic yield curve of the SSTA substrate vs full Monte
     Carlo. *)

@@ -66,10 +66,6 @@ type result = {
   ok : bool;
 }
 
-val ratio_gate : float
-(** 1.25 — the sketched worst-case error may exceed exact by at most
-    this factor (the CI acceptance bound). *)
-
 val run : ?oc:out_channel -> ?out:string -> ?smoke:bool -> Profile.t -> result
 (** Runs the experiment, prints a table to [oc] (default stdout), and
     writes a JSON report to [out] when given (BENCH_e19.json from the

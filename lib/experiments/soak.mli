@@ -10,6 +10,7 @@
     child not yet reaped is SIGKILLed and reaped and the directory is
     removed; an exception from the body is then re-raised. *)
 
+(* lint: allow-next unused-export: the soak runs it; the kill-child tests use it *)
 val child : (unit -> unit) -> int
 (** [child f] runs [f] in a new process and returns its pid. [f] is
     marshalled with its environment ([Marshal.Closures]) to a temp file,

@@ -17,14 +17,8 @@ type row = {
   seconds : float;
 }
 
-val run_bench : Profile.t -> Circuit.Benchmarks.preset -> row
-
 val run : ?oc:out_channel -> Profile.t -> row list
 (** Runs every benchmark of the profile and prints the table. *)
-
-val print_header : out_channel -> unit
-
-val print_row : out_channel -> row -> unit
 
 val setup_for :
   Profile.t ->
@@ -41,6 +35,3 @@ val preset : string -> Circuit.Benchmarks.preset
 val setup : Profile.t -> string -> Core.Pipeline.setup
 (** {!setup_for} the named preset at [t_cons_scale = 1.0] under the
     profile's path cap: the single-circuit setup most experiments use. *)
-
-val eps : float
-(** The paper's Table-1 tolerance: 0.05. *)

@@ -29,11 +29,4 @@ type row = {
   seconds : float;
 }
 
-val eps : float
-(** 0.08, per the paper. *)
-
-val t_cons_scale : float
-
-val run_bench : Profile.t -> Circuit.Benchmarks.preset -> row
-
 val run : ?oc:out_channel -> Profile.t -> row list

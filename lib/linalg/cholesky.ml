@@ -42,9 +42,3 @@ let solve l b =
     y.(i) <- !acc /. Mat.get l i i
   done;
   y
-
-let is_positive_definite a =
-  match factor a with
-  | (_ : Mat.t) -> true
-  | exception Not_positive_definite -> false
-  | exception Invalid_argument _ -> false

@@ -10,5 +10,3 @@ val factor : Mat.t -> Mat.t
 
 val solve : Mat.t -> Vec.t -> Vec.t
 (** [solve l b] solves [l l^T x = b] given the factor from {!factor}. *)
-
-val is_positive_definite : Mat.t -> bool

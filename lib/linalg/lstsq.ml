@@ -2,16 +2,6 @@ let solve_min_norm a b =
   let f = Svd.factor a in
   Mat.apply (Svd.pinv f) b
 
-let solve a b =
-  let m, n = Mat.dims a in
-  if m < n then solve_min_norm a b
-  else begin
-    let f = Qr.factor a in
-    match Qr.solve_lstsq f b with
-    | x -> x
-    | exception Qr.Rank_deficient _ -> solve_min_norm a b
-  end
-
 (* [Qr.solve_lstsq] raises [Rank_deficient] on an exactly zero diagonal
    of [r], a property of [a] alone: either every column falls back to
    the pseudo-inverse or none does, so it is factored at most once. *)
@@ -27,5 +17,3 @@ let solve_mat a b =
   else
     let f = Qr.factor a in
     try by_column (Qr.solve_lstsq f) with Qr.Rank_deficient _ -> min_norm ()
-
-let residual_norm a x b = Vec.dist2 (Mat.apply a x) b

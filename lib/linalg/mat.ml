@@ -140,13 +140,6 @@ let scale s m =
   done;
   c
 
-let scale_into ~into s m =
-  check_same "scale_into" m into;
-  let dd = into.data and md = m.data in
-  for k = 0 to Array.length dd - 1 do
-    Array.unsafe_set dd k (s *. Array.unsafe_get md k)
-  done
-
 let axpy ~alpha x y =
   check_same "axpy" x y;
   let xd = x.data and yd = y.data in
@@ -422,19 +415,6 @@ let select_rows m idx =
     idx;
   r
 
-let drop_rows m idx =
-  let dropped = Array.make m.rows false in
-  Array.iter
-    (fun i ->
-      if i < 0 || i >= m.rows then invalid_arg "Mat.drop_rows: index out of range";
-      dropped.(i) <- true)
-    idx;
-  let keep = ref [] in
-  for i = m.rows - 1 downto 0 do
-    if not dropped.(i) then keep := i :: !keep
-  done;
-  select_rows m (Array.of_list !keep)
-
 let select_cols m idx =
   init m.rows (Array.length idx) (fun i k ->
       let j = idx.(k) in
@@ -448,15 +428,6 @@ let sub_left_cols m k =
     Array.blit m.data (i * m.cols) r.data (i * k) k
   done;
   r
-
-let hcat a b =
-  if a.rows <> b.rows then invalid_arg "Mat.hcat: row counts differ";
-  let c = create a.rows (a.cols + b.cols) in
-  for i = 0 to a.rows - 1 do
-    Array.blit a.data (i * a.cols) c.data (i * c.cols) a.cols;
-    Array.blit b.data (i * b.cols) c.data ((i * c.cols) + a.cols) b.cols
-  done;
-  c
 
 let vcat a b =
   if a.cols <> b.cols then invalid_arg "Mat.vcat: column counts differ";
@@ -510,16 +481,3 @@ let bits_equal a b =
        && go (k + 1)
   in
   go 0
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Format.fprintf fmt "[";
-    for j = 0 to m.cols - 1 do
-      if j > 0 then Format.fprintf fmt " ";
-      Format.fprintf fmt "%10.4g" (get m i j)
-    done;
-    Format.fprintf fmt "]";
-    if i < m.rows - 1 then Format.fprintf fmt "@,"
-  done;
-  Format.fprintf fmt "@]"

@@ -23,10 +23,13 @@ val to_arrays : t -> float array array
 
 val of_rows : Vec.t list -> t
 
+(* lint: allow-next unused-export: test helper for inputs and orthonormality checks *)
 val identity : int -> t
 
+(* lint: allow-next unused-export: test helper: rebuilds sketched factors *)
 val diag_of_vec : Vec.t -> t
 
+(* lint: allow-next unused-export: test helper: reads the pivoted QR diagonal *)
 val diag : t -> Vec.t
 (** Main diagonal, of length [min rows cols]. *)
 
@@ -47,21 +50,20 @@ val set_row : t -> int -> Vec.t -> unit
 
 val transpose : t -> t
 
+(* lint: allow-next unused-export: test helper for expected answers and NaN inputs *)
 val map : (float -> float) -> t -> t
 
+(* lint: allow-next unused-export: test helper: fused-kernel oracles in test_par *)
 val add : t -> t -> t
 
 val sub : t -> t -> t
 
+(* lint: allow-next unused-export: test helper: fused-kernel oracles in test_par *)
 val scale : float -> t -> t
 
 val sub_into : into:t -> t -> t -> unit
 (** [sub_into ~into a b] writes [a - b] into [into] without allocating.
     [into] may alias [a] or [b]. *)
-
-val scale_into : into:t -> float -> t -> unit
-(** [scale_into ~into s m] writes [s * m] into [into]. [into] may alias
-    [m]. *)
 
 val axpy : alpha:float -> t -> t -> unit
 (** [axpy ~alpha x y] performs [y <- y + alpha * x] in place. *)
@@ -105,22 +107,17 @@ val par_threshold_value : unit -> int
 val apply : t -> Vec.t -> Vec.t
 (** Matrix-vector product. *)
 
+(* lint: allow-next unused-export: oracle for [Sparse] adjoints and residual checks *)
 val apply_t : t -> Vec.t -> Vec.t
 (** [apply_t a x] is [transpose a * x]. *)
 
 val select_rows : t -> int array -> t
 (** [select_rows a idx] stacks rows [idx.(0); idx.(1); ...] of [a]. *)
 
-val drop_rows : t -> int array -> t
-(** Complement of {!select_rows}: all rows whose index is not in [idx],
-    in increasing order. *)
-
 val select_cols : t -> int array -> t
 
 val sub_left_cols : t -> int -> t
 (** [sub_left_cols a k] is the [rows]x[k] block of the first [k] columns. *)
-
-val hcat : t -> t -> t
 
 val vcat : t -> t -> t
 
@@ -129,9 +126,11 @@ val row_norms2 : t -> Vec.t
 
 val frobenius : t -> float
 
+(* lint: allow-next unused-export: test helper: reports matrix differences *)
 val norm_inf : t -> float
 (** Max absolute entry. *)
 
+(* lint: allow-next unused-export: test helper: compares kernel outputs *)
 val equal : ?tol:float -> t -> t -> bool
 
 val bits_equal : t -> t -> bool
@@ -139,5 +138,3 @@ val bits_equal : t -> t -> bool
     from [0.0], and a NaN equals only a NaN with the same payload. The
     check for answers that travel through [%.17g] JSON, which round-trips
     doubles exactly. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,5 +1,6 @@
 (** Moore–Penrose pseudo-inverse. *)
 
+(* lint: allow-next unused-export: [solve_gram] runs it; test_linalg pins it *)
 val compute : ?tol:float -> Mat.t -> Mat.t
 (** SVD-based pseudo-inverse; singular values below [tol] (default
     [max m n * epsilon * s_max]) are treated as zero. *)

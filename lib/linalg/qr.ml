@@ -143,20 +143,6 @@ let q f =
   done;
   Mat.init f.m k (fun i j -> qm.(i + (j * f.m)))
 
-let rank ?tol f =
-  let k = min f.m f.n in
-  if k = 0 then 0
-  else begin
-    let diag i = Float.abs f.qr.(i + (i * f.m)) in
-    let tol =
-      match tol with
-      | Some t -> t
-      | None -> float_of_int (max f.m f.n) *. epsilon_float *. diag 0
-    in
-    let rec count i = if i >= k || diag i <= tol then i else count (i + 1) in
-    count 0
-  end
-
 let apply_qt f b =
   if Array.length b <> f.m then invalid_arg "Qr.apply_qt: dimension mismatch";
   let y = Array.copy b in

@@ -21,9 +21,11 @@ val factor_pivoted : Mat.t -> t
     [|r.(0,0)| >= |r.(1,1)| >= ...]. This is the subset-selection
     workhorse of the paper's Algorithm 2. *)
 
+(* lint: allow-next unused-export: test_linalg checks the factorizations through it *)
 val q : t -> Mat.t
 (** Thin orthogonal factor, [m]x[min m n]. *)
 
+(* lint: allow-next unused-export: test_linalg checks the factorizations through it *)
 val r : t -> Mat.t
 (** Upper-triangular factor, [min m n]x[n], columns in pivoted order. *)
 
@@ -31,11 +33,7 @@ val perm : t -> int array
 (** [perm f] maps pivoted position [j] to the original column index;
     the identity permutation when factored without pivoting. *)
 
-val rank : ?tol:float -> t -> int
-(** Numerical rank estimate from the pivoted diagonal of [r]. Default
-    [tol] is [max m n * epsilon * |r00|]. Only meaningful on a pivoted
-    factorization. *)
-
+(* lint: allow-next unused-export: [solve_lstsq] runs it; test_linalg pins it *)
 val apply_qt : t -> Vec.t -> Vec.t
 (** [apply_qt f b] is [transpose q_full * b] (length [m]), applied
     implicitly from the stored Householder reflectors. *)

@@ -2,6 +2,3 @@
 
 val of_mat : ?tol:float -> Mat.t -> int
 (** SVD-based numerical rank (robust). *)
-
-val of_mat_qr : ?tol:float -> Mat.t -> int
-(** Pivoted-QR-based rank estimate (cheaper, used as a cross-check). *)

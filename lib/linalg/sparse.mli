@@ -18,8 +18,10 @@ val of_dense : ?tol:float -> Mat.t -> t
 (** Entries with magnitude <= [tol] (default 0, so both zeros) are
     dropped; every other entry is kept, NaN included. *)
 
+(* lint: allow-next unused-export: test helper: checks CSR kernels against dense *)
 val to_dense : t -> Mat.t
 
+(* lint: allow-next unused-export: the builders run it; test_sparse_rsvd pins it *)
 val of_rows : int -> (int * float) list array -> t
 (** [of_rows cols rows] builds from per-row (column, value) lists;
     duplicate columns within a row are summed. Raises
@@ -37,15 +39,19 @@ val dims : t -> int * int
 
 val nnz : t -> int
 
+(* lint: allow-next unused-export: no production caller; only its own tests run it *)
 val density : t -> float
 (** [nnz / (rows * cols)]; 0 for an empty matrix. *)
 
+(* lint: allow-next unused-export: test_sparse_rsvd checks [of_rows] through it *)
 val get : t -> int -> int -> float
 (** O(log nnz-in-row). *)
 
+(* lint: allow-next unused-export: no production caller; only its own tests run it *)
 val apply : t -> Vec.t -> Vec.t
 (** Sparse matrix x dense vector. *)
 
+(* lint: allow-next unused-export: no production caller; only its own tests run it *)
 val apply_t : t -> Vec.t -> Vec.t
 (** Transpose apply. *)
 
@@ -86,9 +92,12 @@ val dense_mul : Mat.t -> t -> Mat.t
     to [Mat.mul w (to_dense a)]. Row-band parallel, bit-identical at any
     pool size, and NaN-checked like {!mul_dense_nt}. *)
 
+(* lint: allow-next unused-export: no production caller; only its own tests run it *)
 val row_norms2 : t -> Vec.t
 
+(* lint: allow-next unused-export: no production caller; only its own tests run it *)
 val transpose : t -> t
 
+(* lint: allow-next unused-export: test helper: checks CSR builders against dense *)
 val equal_dense : ?tol:float -> t -> Mat.t -> bool
 (** Structural comparison against a dense matrix. *)

@@ -28,6 +28,7 @@ val factor : ?vectors:vectors -> Mat.t -> t
     tests. Callers wanting graceful degradation should catch
     {!No_convergence} and fall back to {!Rsvd} (see [Core.Select]). *)
 
+(* lint: allow-next unused-export: oracle for [factor]'s spectrum *)
 val factor_jacobi : Mat.t -> t
 (** One-sided Jacobi SVD. Slower; kept as an independent oracle for
     cross-checking {!factor} in tests. *)
@@ -37,6 +38,7 @@ val rank : ?tol:float -> t -> int
     [tol = max m n * epsilon * s.(0)], with [m] and [n] the row counts
     of [u] and [v]. *)
 
+(* lint: allow-next unused-export: tests check [factor] through it *)
 val reconstruct : t -> Mat.t
 (** [u * diag s * transpose v]. Needs both factors. *)
 

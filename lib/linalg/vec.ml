@@ -1,9 +1,5 @@
 type t = float array
 
-let init = Array.init
-
-let map = Array.map
-
 let check_dims name x y =
   if Array.length x <> Array.length y then
     invalid_arg (Printf.sprintf "Vec.%s: dimensions %d and %d differ"
@@ -18,12 +14,6 @@ let add x y = map2 ( +. ) x y
 let sub x y = map2 ( -. ) x y
 
 let scale a x = Array.map (fun v -> a *. v) x
-
-let axpy a x y =
-  check_dims "axpy" x y;
-  for i = 0 to Array.length x - 1 do
-    y.(i) <- y.(i) +. (a *. x.(i))
-  done
 
 let dot x y =
   check_dims "dot" x y;
@@ -74,33 +64,6 @@ let dist2 x y =
     acc := !acc +. (d *. d)
   done;
   sqrt !acc
-
-let sum x =
-  let acc = ref 0.0 in
-  for i = 0 to Array.length x - 1 do
-    acc := !acc +. x.(i)
-  done;
-  !acc
-
-let mean x =
-  if Array.length x = 0 then invalid_arg "Vec.mean: empty vector";
-  sum x /. float_of_int (Array.length x)
-
-let max_elt x =
-  if Array.length x = 0 then invalid_arg "Vec.max_elt: empty vector";
-  Array.fold_left Float.max x.(0) x
-
-let min_elt x =
-  if Array.length x = 0 then invalid_arg "Vec.min_elt: empty vector";
-  Array.fold_left Float.min x.(0) x
-
-let argmax x =
-  if Array.length x = 0 then invalid_arg "Vec.argmax: empty vector";
-  let best = ref 0 in
-  for i = 1 to Array.length x - 1 do
-    if x.(i) > x.(!best) then best := i
-  done;
-  !best
 
 let equal ?(tol = 1e-12) x y =
   Array.length x = Array.length y

@@ -43,10 +43,12 @@ val parallel_chunks : ?grain:int -> int -> int -> (int -> int -> unit) -> unit
     raised by any chunk is re-raised in the caller after the region
     completes. *)
 
+(* lint: allow-next unused-export: test_par checks the pool through it *)
 val parallel_for : ?grain:int -> int -> int -> (int -> unit) -> unit
 (** [parallel_for ~grain lo hi f] runs [f i] for [lo <= i < hi], chunked
     as in {!parallel_chunks}. *)
 
+(* lint: allow-next unused-export: [at_exit] runs it; test_par checks respawning *)
 val shutdown : unit -> unit
 (** Join all worker domains. Safe to call when no pool exists; also
     registered via [at_exit] when the pool first spawns. A later

@@ -19,6 +19,7 @@ val split : t -> t
 (** [split rng] derives an independent generator stream and advances
     [rng]. Use it to hand sub-components their own streams. *)
 
+(* lint: allow-next unused-export: test_golden pins the raw stream through it *)
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

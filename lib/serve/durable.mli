@@ -20,8 +20,7 @@
     one — and read back through {!Core.Errors.read_file} and
     {!Store.unframe}. *)
 
-val ckpt_magic : string
-
+(* lint: allow-next unused-export: test_monitor frames checkpoints by hand *)
 val ckpt_version : int
 
 (** {2 WAL observation records} *)
@@ -37,12 +36,15 @@ val decode_obs : string -> (Monitor.obs, string) result
 
 (** {2 Monitor snapshots} *)
 
+(* lint: allow-next unused-export: checkpoints run it; test_monitor checks recovery *)
 val encode_snapshot : Monitor.snapshot -> string
 (** Canonical encoding; equal states produce equal bytes. *)
 
+(* lint: allow-next unused-export: test_monitor checks recovery through it *)
 val decode_snapshot : string -> (Monitor.snapshot, string) result
 (** Inverse of {!encode_snapshot}, with {!decode_obs}'s guarantees. *)
 
+(* lint: allow-next unused-export: test_monitor checks recovery through it *)
 val snapshot_equal : Monitor.snapshot -> Monitor.snapshot -> bool
 (** Bit-exact state equality via the canonical encoding (NaN-safe) —
     the predicate behind the recovery QCheck property. *)

@@ -17,7 +17,6 @@ type readiness = [ `Ready | `Timeout | `Interrupted ]
     timeout — the caller decides whether its deadline has passed. *)
 
 val wait_readable : Unix.file_descr -> float -> readiness
-val wait_writable : Unix.file_descr -> float -> readiness
 
 type read_result = Data of int | Eof | Read_timeout
 

@@ -197,8 +197,6 @@ let create_raw ?(config = default_config) ?(gen = 1) ?dur ?reload_from artifact 
     mon_resync = Atomic.make false;
   }
 
-let stopping t = Atomic.get t.stop_flag
-
 (* counter updates never raise, so a plain lock/unlock pair is safe.
    The analyzer flags the lock as monitor-reachable (reselect ->
    do_reload -> tick): that is by design — [t.cm] guards only the
@@ -1568,12 +1566,16 @@ module Client = struct
         ("dies", Wire.mat_to_json measured);
       ]
 
+  (* the [Error] of an ["ok":false] response: the server's message, or
+     a generic one naming what was refused *)
+  let refused what resp =
+    Error
+      (match Wire.member "error" resp with
+       | Some (Wire.String msg) -> msg
+       | _ -> "server refused the " ^ what)
+
   let decode_predict resp =
-    if Wire.member "ok" resp <> Some (Wire.Bool true) then
-      Error
-        (match Wire.member "error" resp with
-         | Some (Wire.String msg) -> msg
-         | _ -> "server refused the request")
+    if Wire.member "ok" resp <> Some (Wire.Bool true) then refused "request" resp
     else begin
       match Wire.member "predictions" resp with
       | Some (Wire.List rows as preds) ->
@@ -1591,28 +1593,20 @@ module Client = struct
     | Error msg -> Error msg
     | Ok resp -> decode_predict resp
 
-  let observe ?deadline ?wafer c ~measured ~truth =
+  let observe ?deadline c ~measured ~truth =
     let req =
       Wire.Obj
-        ([
-           ("op", Wire.String "observe");
-           ("dies", Wire.mat_to_json measured);
-           ("truth", Wire.mat_to_json truth);
-         ]
-        @
-        match wafer with
-        | None -> []
-        | Some w -> [ ("wafer", Wire.String w) ])
+        [
+          ("op", Wire.String "observe");
+          ("dies", Wire.mat_to_json measured);
+          ("truth", Wire.mat_to_json truth);
+        ]
     in
     match request ?deadline c req with
     | Error msg -> Error msg
     | Ok resp ->
       if Wire.member "ok" resp = Some (Wire.Bool true) then Ok resp
-      else
-        Error
-          (match Wire.member "error" resp with
-           | Some (Wire.String msg) -> msg
-           | _ -> "server refused the observation batch")
+      else refused "observation batch" resp
 
   (* per-die verdicts from an observe ack: which dies fed the loop,
      which the screen quarantined, and whether the accepted ones are on
@@ -1637,12 +1631,6 @@ module Client = struct
       @ opt "samples" (fun n -> Wire.Int n) samples
       @ opt "seed" (fun n -> Wire.Int n) seed
       @ opt "t_cons" (fun x -> Wire.Float x) t_cons)
-
-  let refused what resp =
-    Error
-      (match Wire.member "error" resp with
-       | Some (Wire.String msg) -> msg
-       | _ -> "server refused the " ^ what)
 
   let tune_request ?t_clk ~buffers ~measured () =
     Wire.Obj

@@ -173,10 +173,6 @@ val default_config : config
 type t
 (** Server state: config, hot artifact snapshot, counters, stop flag. *)
 
-val buffers_to_json : Tune.buffer array -> Wire.json
-(** Wire encoding of a tunable-buffer description (the [buffers] field
-    of a [tune] request) — inverse of the server's decoder. *)
-
 val buffers_of_json :
   n_paths:int -> Wire.json -> (Tune.buffer array, string) result
 (** The server's decoder for the [buffers] field: a list of
@@ -200,14 +196,6 @@ val create : ?config:config -> ?reload_from:string -> Store.t -> t
     is discarded with a warning. Raises [Failure] only when the WAL
     directory itself cannot be opened. *)
 
-val maybe_checkpoint : ?force:bool -> t -> unit
-(** Write a checkpoint if one is due ([checkpoint_every] applied records
-    since the last, or a generation change), then prune WAL segments the
-    checkpoint covers; [force] skips the due-check. No-op without
-    durability. {b Monitor-thread only} (it snapshots monitor
-    internals): [run] calls it after every {!monitor_step}; tests
-    driving {!monitor_step} directly may call it the same way. *)
-
 val handle : t -> string -> string
 (** Process one request line into one response line (no trailing
     newline). Never raises: parse errors, bad shapes, and numerical
@@ -217,8 +205,7 @@ val handle : t -> string -> string
     response into a {!Wire.Writer} it keeps and sending it from there,
     so it sends exactly these bytes plus ['\n']. *)
 
-val stopping : t -> bool
-
+(* lint: allow-next unused-export: seam: test_serve reloads deterministically *)
 val do_reload : t -> (unit, string) result
 (** Load + CRC-verify the [reload_from] artifact and atomically swap it
     in, bumping the generation; in-flight requests finish on their
@@ -227,6 +214,7 @@ val do_reload : t -> (unit, string) result
     no reload path is configured or the artifact is rejected (the old
     artifact keeps serving either way; [reload_failures] counts it). *)
 
+(* lint: allow-next unused-export: seam: test_serve steps the monitor *)
 val monitor_step : t -> now:float -> unit
 (** One iteration of the self-healing loop: re-anchor the monitor after
     an artifact swap, drain queued observations, update the detector
@@ -234,6 +222,7 @@ val monitor_step : t -> now:float -> unit
     this from a dedicated thread; tests may drive it directly for
     deterministic control. No-op when the monitor is off. *)
 
+(* lint: allow-next unused-export: seam: test_serve reads the monitor state *)
 val monitor_report : t -> Monitor.report option
 (** Latest monitor snapshot ([None] when monitoring is off). *)
 
@@ -273,6 +262,7 @@ module Client : sig
 
   val close : conn -> unit
 
+  (* lint: allow-next unused-export: tests check the server's answers through it *)
   val request : ?deadline:float -> conn -> Wire.json -> (Wire.json, string) result
   (** One round trip: print, send, read one line, parse — all within
       [deadline] seconds of wall clock (default 30). A timeout, a lost
@@ -296,15 +286,14 @@ module Client : sig
 
   val observe :
     ?deadline:float ->
-    ?wafer:string ->
     conn ->
     measured:Linalg.Mat.t ->
     truth:Linalg.Mat.t ->
     (Wire.json, string) result
   (** Stream a batch of fully measured dies ([measured]: [dies x r],
-      [truth]: [dies x (n-r)]) into the server's self-healing loop.
-      [wafer] keys per-group drift calibration (omitted = the flat
-      default group). [Ok] carries the full response: [queued]/
+      [truth]: [dies x (n-r)]) into the server's flat default drift
+      group (a raw request may carry a [wafer] member to key per-group
+      calibration). [Ok] carries the full response: [queued]/
       [screened] counts, a per-die [die_status] list (["used"] /
       ["screened"]), and [journaled] — [true] means every used die hit
       fsynced storage before this ack left. An ["ok":false] response is
@@ -332,6 +321,7 @@ module Client : sig
     unit ->
     Wire.json
 
+  (* lint: allow-next unused-export: test_tune checks the tune op through it *)
   val tune :
     ?deadline:float ->
     ?t_clk:float ->
@@ -344,6 +334,7 @@ module Client : sig
       surfaced here as [Error] with the server's message; use
       {!request} directly to inspect the code. *)
 
+  (* lint: allow-next unused-export: test_serve checks generation stamps with it *)
   val generation : conn -> int option
   (** Artifact generation of the last ok response on this connection
       ([None] before the first). A mid-stream change — the server hot

@@ -126,6 +126,7 @@ module Framer : sig
   (** An unterminated line is pending (buffered or being discarded) —
       the signal that a request is mid-flight for deadline purposes. *)
 
+  (* lint: allow-next unused-export: test_serve checks the line cap through it *)
   val overflowing : t -> bool
   (** The current unterminated line already exceeds the cap; servers
       can reject without waiting for the newline that may never come. *)

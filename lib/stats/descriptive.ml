@@ -47,9 +47,3 @@ let quantile xs p =
   let hi = min (n - 1) (lo + 1) in
   let frac = pos -. float_of_int lo in
   ((1.0 -. frac) *. sorted.(lo)) +. (frac *. sorted.(hi))
-
-let approx_equal ?(rel = 1e-9) ?(abs = 1e-12) a b =
-  if Float.is_nan a || Float.is_nan b then false
-  else if Float.equal a b then true (* covers equal infinities *)
-  else
-    Float.abs (a -. b) <= Float.max abs (rel *. Float.max (Float.abs a) (Float.abs b))

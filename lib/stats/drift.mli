@@ -48,6 +48,7 @@ val check_config : config -> unit
 
 type t
 
+(* lint: allow-next unused-export: [Grouped] runs it; test_drift drives it *)
 val create : ?config:config -> mean:float -> sigma:float -> unit -> t
 (** Reference distribution of healthy residuals. [sigma] must be
     finite and [>= 0]; a zero [sigma] (degenerate reference) is floored
@@ -55,6 +56,7 @@ val create : ?config:config -> mean:float -> sigma:float -> unit -> t
     Raises [Invalid_argument] on non-finite or negative inputs, or on a
     non-positive [window], [drift <= 0] or [warn > drift]. *)
 
+(* lint: allow-next unused-export: [Grouped] runs it; test_drift drives it *)
 val observe : t -> float -> state
 (** Feed one residual and return the updated state. [Drifted] latches:
     once reached it persists until [reset]. Non-finite input never
@@ -63,24 +65,31 @@ val observe : t -> float -> state
     quarantines itself ([quarantined] becomes true and the state
     freezes). *)
 
+(* lint: allow-next unused-export: [Grouped] runs it; test_drift drives it *)
 val state : t -> state
 
+(* lint: allow-next unused-export: [Grouped] runs it; test_drift drives it *)
 val cusum : t -> float
 (** Current two-sided CUSUM statistic, max of the high and low sides,
     in reference sigmas. *)
 
+(* lint: allow-next unused-export: [Grouped] runs it; test_drift drives it *)
 val variance_ratio : t -> float option
 (** Windowed sample variance over reference variance; [None] until the
     window has filled. *)
 
+(* lint: allow-next unused-export: test_drift checks the counters with it *)
 val observed : t -> int
 (** Finite residuals consumed. *)
 
+(* lint: allow-next unused-export: test_drift checks the counters with it *)
 val bad_inputs : t -> int
 (** Non-finite residuals rejected (cumulative, survives [reset]). *)
 
+(* lint: allow-next unused-export: [Grouped] runs it; test_drift drives it *)
 val quarantined : t -> bool
 
+(* lint: allow-next unused-export: test_drift checks the latch with it *)
 val reset : t -> unit
 (** Clear CUSUM state, window, latch and quarantine; keep the reference
     distribution and the cumulative [bad_inputs] counter. Use after an
@@ -107,13 +116,6 @@ type snapshot = {
   snap_win_n : int;
   snap_state : state;
 }
-
-val snapshot : t -> snapshot
-(** Deep copy; safe to serialize while the live detector observes. *)
-
-val restore : snapshot -> t
-(** Rebuild a detector mid-stream. Raises [Invalid_argument] on an
-    invalid config or a window length mismatch. *)
 
 (** Per-group drift detection for streams partitioned by wafer/lot.
 

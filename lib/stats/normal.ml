@@ -85,7 +85,3 @@ type gaussian = { mean : float; std : float }
 let cdf_of g x =
   if g.std <= 0.0 then if x >= g.mean then 1.0 else 0.0
   else cdf ((x -. g.mean) /. g.std)
-
-let worst_case ~kappa g = Float.abs g.mean +. (kappa *. g.std)
-
-let yield_at g t = cdf_of g t

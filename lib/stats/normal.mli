@@ -11,19 +11,8 @@ val quantile : float -> float
     step; accurate to ~1e-13 on (0, 1). Raises [Invalid_argument]
     outside (0, 1). *)
 
-val erfc : float -> float
-(** Complementary error function. *)
-
 type gaussian = { mean : float; std : float }
 (** A scalar Gaussian N(mean, std^2); [std >= 0]. *)
 
 val cdf_of : gaussian -> float -> float
 (** [cdf_of g x] is P(X <= x) for X ~ g; degenerate [std = 0] is a step. *)
-
-val worst_case : kappa:float -> gaussian -> float
-(** [worst_case ~kappa g] is the paper's WC(y) operator: the worst-case
-    magnitude [|mean| + kappa * std] of the random variable. *)
-
-val yield_at : gaussian -> float -> float
-(** [yield_at g t] is P(X <= t): the timing yield of a path with delay
-    distribution [g] against constraint [t]. Synonym of {!cdf_of}. *)

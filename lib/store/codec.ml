@@ -93,8 +93,6 @@ module R = struct
 
   let create ?(pos = 0) s = { s; pos }
 
-  let pos t = t.pos
-
   let at_end t = t.pos = String.length t.s
 
   let skip_rest t = t.pos <- String.length t.s

@@ -44,10 +44,6 @@ end
 module R : sig
   type t
 
-  val create : ?pos:int -> string -> t
-  val pos : t -> int
-  val at_end : t -> bool
-
   val skip_rest : t -> unit
   (** Move to the end, for a decoder that reads only a prefix. *)
 

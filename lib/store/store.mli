@@ -85,6 +85,7 @@ type t = {
           yield estimation and per-die tuning consume *)
 }
 
+(* lint: allow-next unused-export: test_store frames artifacts by hand *)
 val magic : string
 
 val current_version : int
@@ -132,8 +133,10 @@ val predictor : t -> Core.Predictor.t
 val robust : t -> Core.Robust.t
 (** The fault-tolerant view of {!predictor}; allocates nothing. *)
 
+(* lint: allow-next unused-export: [save] runs it; test_store checks the codec *)
 val to_bytes : t -> string
 
+(* lint: allow-next unused-export: [load] runs it; test_store checks the codec *)
 val of_bytes : ?file:string -> string -> (t, Core.Errors.t) result
 (** [file] tags the typed error (default ["<bytes>"]). *)
 
@@ -155,6 +158,7 @@ val save : string -> t -> (unit, Core.Errors.t) result
 val load : string -> (t, Core.Errors.t) result
 (** {!Core.Errors.read_file}, then {!of_bytes}. *)
 
+(* lint: allow-next unused-export: test_store checks round trips with it *)
 val equal : t -> t -> bool
 (** Bit-exact equality of every stored field (NaN-safe: compares float
     bit patterns, not values). *)

@@ -12,7 +12,6 @@ type t = {
   mutable closed : bool;
 }
 
-let dir t = t.dir
 let next_seq t = t.next
 
 (* Frame: u32 len (8 + payload) | u32 crc (of seq+payload) | u64 seq

@@ -55,8 +55,6 @@ val open_ : ?config:config -> string -> (t, Core.Errors.t) result
     next sequence number is positioned after the last intact record.
     Fails with a typed [Io]/[Corrupt_artifact] error; never raises. *)
 
-val dir : t -> string
-
 val next_seq : t -> int
 (** The sequence number the next appended record will carry.
     Sequence numbers start at 1. *)

@@ -20,8 +20,6 @@ type config = {
   primary_output_cap : float;   (** pF load of a primary output; default 0.004 *)
 }
 
-val default_config : config
-
 type t = {
   delays : float array;   (** per gate, ps *)
   slews : float array;    (** per gate output, ns *)

@@ -54,9 +54,6 @@ type injected = {
   stats : stats;
 }
 
-val missing : float
-(** The in-band encoding of a missing measurement ([nan]). *)
-
 val inject :
   ?measurement:Measurement.model -> spec -> Rng.t -> Linalg.Mat.t -> injected
 (** [inject spec rng clean] corrupts a copy of [clean]. Deterministic

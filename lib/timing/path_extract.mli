@@ -28,5 +28,6 @@ val extract :
 (** Raises [Invalid_argument] if [yield_threshold] is outside (0, 1)
     or [t_cons <= 0]. Default [max_paths] is 20_000. *)
 
+(* lint: allow-next unused-export: test_timing checks the yield criterion *)
 val path_yield : path -> t_cons:float -> float
 (** [P(d_path <= t_cons)]. *)

@@ -43,6 +43,7 @@ val path : t -> int -> Path_extract.path
 
 val segment_gates : t -> int -> int array
 
+(* lint: allow-next unused-export: test_timing checks segment sums with it *)
 val segments_of_path : t -> int -> int array
 (** Segment ids whose concatenation is exactly path [i]'s gate list. *)
 
@@ -59,6 +60,7 @@ val mu_paths : t -> Linalg.Vec.t
 
 val mu_segments : t -> Linalg.Vec.t
 
+(* lint: allow-next unused-export: oracle for the rows of A *)
 val path_row : t -> int -> Linalg.Vec.t
 (** Directly accumulated sensitivity row of path [i] (independent of
     the [G * Sigma] factorization; used to cross-check [A]). *)

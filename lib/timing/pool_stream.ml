@@ -1,7 +1,6 @@
 type t = {
   g : Linalg.Sparse.t;
   sigma : Linalg.Sparse.t;
-  mu_segments : Linalg.Vec.t;
   mu_paths : Linalg.Vec.t;
 }
 
@@ -18,8 +17,6 @@ let g t = t.g
 let sigma t = t.sigma
 
 let mu t = t.mu_paths
-
-let mu_segments t = t.mu_segments
 
 (* [f j v] for every product term [v = G(i,s) * Sigma(s,j)] of row [i]
    of the implicit A, in CSR order; a column [j] may recur. *)
@@ -103,7 +100,7 @@ let of_paths dm path_list =
         Array.fold_left (fun acc s -> (s, 1.0) :: acc) [] seg_of_path.(i))
   in
   let mu_paths = Linalg.Sparse.mul_vec g mu_segments in
-  { g; sigma; mu_segments; mu_paths }
+  { g; sigma; mu_paths }
 
 let synthetic ?(seed = 1) ?(decay = 24.0) ~paths ~segments ~vars ~segs_per_path
     ~vars_per_seg () =
@@ -146,7 +143,7 @@ let synthetic ?(seed = 1) ?(decay = 24.0) ~paths ~segments ~vars ~segs_per_path
         !entries)
   in
   let mu_paths = Linalg.Sparse.mul_vec g mu_segments in
-  { g; sigma; mu_segments; mu_paths }
+  { g; sigma; mu_paths }
 
 let rows_dense t idx =
   let m = num_vars t in

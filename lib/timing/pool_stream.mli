@@ -16,6 +16,7 @@
 
 type t
 
+(* lint: allow-next unused-export: tests compare the stream with Paths.build *)
 val of_paths : Delay_model.t -> Path_extract.path list -> t
 (** Sparse analogue of {!Paths.build}: same segment partition
     ({!Paths.segment_chains}) and the same sorted variable order, so
@@ -49,26 +50,31 @@ val op : t -> Linalg.Rsvd.op
     formed. [frob2] is summed one row of [G] at a time through a single
     length-[vars] accumulator. *)
 
+(* lint: allow-next unused-export: tests compare the stream with Paths.build *)
 val num_paths : t -> int
 
+(* lint: allow-next unused-export: tests compare the stream with Paths.build *)
 val num_segments : t -> int
 
+(* lint: allow-next unused-export: tests compare the stream with Paths.build *)
 val num_vars : t -> int
 
 val nnz : t -> int
 (** Stored entries across both CSR factors. *)
 
+(* lint: allow-next unused-export: tests compare the stream with Paths.build *)
 val g : t -> Linalg.Sparse.t
 (** [paths x segments] incidence. *)
 
+(* lint: allow-next unused-export: tests compare the stream with Paths.build *)
 val sigma : t -> Linalg.Sparse.t
 (** [segments x parameters] sensitivities. *)
 
+(* lint: allow-next unused-export: tests compare the stream with Paths.build *)
 val mu : t -> Linalg.Vec.t
 (** Nominal path delays, [G * mu_segments]. *)
 
-val mu_segments : t -> Linalg.Vec.t
-
+(* lint: allow-next unused-export: tests compare the stream with Paths.build *)
 val rows_dense : t -> int array -> Linalg.Mat.t
 (** [rows_dense t idx] densifies only the selected rows of the implicit
     [A] ([|idx| x parameters]) — the piece a representative-set

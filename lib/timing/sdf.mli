@@ -20,16 +20,19 @@ val write : Circuit.Netlist.t -> delays:float array -> string
 (** [write nl ~delays] renders an SDF 3.0 document; [delays] is per
     gate id, in ps. Raises [Invalid_argument] on length mismatch. *)
 
+(* lint: allow-next unused-export: no production caller; only its own tests run it *)
 val read : string -> (string * float) list
 (** [read text] returns the [(instance_name, iopath_delay_ps)] pairs of
     a flat SDF document (the typical rise value of the first IOPATH per
     cell entry). Tolerant of whitespace and comments. *)
 
+(* lint: allow-next unused-export: no production caller; only its own tests run it *)
 val annotate : Circuit.Netlist.t -> (string * float) list -> float array
 (** Map parsed delays back onto gate ids by instance name; gates
     missing from the SDF raise [Failure] naming how many instances
     were unannotated and the first few of them. *)
 
+(* lint: allow-next unused-export: no production caller; only its own tests run it *)
 val annotate_lenient :
   Circuit.Netlist.t -> (string * float) list -> float array * string list
 (** Skip-and-warn variant: gates missing from the SDF (or annotated

@@ -23,11 +23,13 @@ type canonical = {
 val sigma : canonical -> float
 (** Total standard deviation. *)
 
+(* lint: allow-next unused-export: [analyze] runs it; test_extensions pins it *)
 val add_delay : canonical -> mean:float -> coeffs:float array -> residual:float
   -> canonical
 (** Add a gate delay in canonical form (sums means and coefficients;
     residuals add in quadrature). *)
 
+(* lint: allow-next unused-export: [analyze] runs it; test_extensions pins it *)
 val clark_max : canonical -> canonical -> canonical
 (** Clark's approximation of [max(a, b)], matching the first two
     moments and preserving the correlated structure. *)
@@ -45,6 +47,7 @@ val yield_at : t -> float -> float
 (** [yield_at a t_cons] is the analytic [P(circuit delay <= t_cons)]
     under the Gaussian approximation of the circuit delay. *)
 
+(* lint: allow-next unused-export: tests check SSTA against Monte Carlo with it *)
 val quantile : t -> float -> float
 (** [quantile a p] is the delay the circuit meets with probability
     [p]. *)

@@ -1,7 +1,6 @@
 type arc = { src : int; gate : int; dst : int }
 
 type t = {
-  netlist : Circuit.Netlist.t;
   out_arcs : arc list array;
   po : bool array;
   pis : int array;
@@ -32,9 +31,7 @@ let build nl =
   Array.iter
     (fun o -> po.(Circuit.Netlist.encode_signal nl o) <- true)
     (Circuit.Netlist.outputs nl);
-  { netlist = nl; out_arcs; po; pis = Array.init num_inputs (fun i -> i) }
-
-let netlist t = t.netlist
+  { out_arcs; po; pis = Array.init num_inputs (fun i -> i) }
 
 let num_nodes t = Array.length t.out_arcs
 

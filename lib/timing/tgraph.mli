@@ -16,8 +16,7 @@ type t
 
 val build : Circuit.Netlist.t -> t
 
-val netlist : t -> Circuit.Netlist.t
-
+(* lint: allow-next unused-export: test_timing checks [build] through it *)
 val num_nodes : t -> int
 (** [num_inputs + num_gates] signal codes. *)
 

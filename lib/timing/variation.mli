@@ -20,8 +20,6 @@ type param = Leff | Vt
 
 val params : param list
 
-val param_name : param -> string
-
 (** An abstract independent N(0,1) variable of the model. *)
 type var_key =
   | Region of { param : param; level : int; cell : int }
@@ -48,6 +46,7 @@ val make_model :
     the finer levels. Defaults: [random_share = 0.06],
     [random_boost = 1.0]. *)
 
+(* lint: allow-next unused-export: test_timing checks the quadtree with it *)
 val region_count : model -> int
 (** Total regions |R| across all levels: sum of [4^k]. *)
 

@@ -51,11 +51,6 @@ type infeasible = {
 
 type result = Feasible of assignment | Infeasible of infeasible
 
-val check_instance : instance -> unit
-(** Raises [Invalid_argument] on malformed input: non-finite delays,
-    offsets, costs or [t_clk]; negative costs; empty level sets;
-    path indices out of range. *)
-
 val solve : ?max_nodes:int -> instance -> result
 (** Minimum-cost level assignment meeting [t_clk] on every path, or
     [Infeasible] naming the worst path and its deficit when even the
@@ -63,8 +58,12 @@ val solve : ?max_nodes:int -> instance -> result
     complete: offsets are additive, so per-buffer minima dominate).
     [max_nodes] (default 200_000) bounds the branch-and-bound search;
     on exhaustion the best feasible incumbent is returned with
-    [exact = false]. Runs {!check_instance} first. *)
+    [exact = false] (the knob lets a test reach that cap). Raises
+    [Invalid_argument] on malformed input: non-finite delays, offsets,
+    costs or [t_clk]; negative costs; empty level sets; path indices
+    out of range. *)
 
+(* lint: allow-next unused-export: oracle for [solve]'s optimum *)
 val exhaustive : instance -> result
 (** Reference solver: full enumeration of the level product space.
     Raises [Invalid_argument] when the product exceeds [1_000_000]

@@ -182,8 +182,8 @@ let run_estimate ?(block = 4096) ~a ~mu ~t_cons ~rng ~samples ~shifted () =
 let importance ?block ~a ~mu ~t_cons ~rng ~samples () =
   run_estimate ?block ~a ~mu ~t_cons ~rng ~samples ~shifted:true ()
 
-let brute_force ?block ~a ~mu ~t_cons ~rng ~samples () =
-  run_estimate ?block ~a ~mu ~t_cons ~rng ~samples ~shifted:false ()
+let brute_force ~a ~mu ~t_cons ~rng ~samples () =
+  run_estimate ~a ~mu ~t_cons ~rng ~samples ~shifted:false ()
 
 let union_bound ~a ~mu ~t_cons =
   check ~a ~mu ~t_cons;

@@ -45,12 +45,14 @@ type estimate = {
 val yield_of : estimate -> float
 (** [1 - p_fail] (from the unbiased estimate). *)
 
+(* lint: allow-next unused-export: [importance] runs it; test_yield pins it *)
 val dominant_path :
   a:Linalg.Mat.t -> mu:Linalg.Vec.t -> t_cons:float -> int * float
 (** The path minimizing [beta_i = (t_cons - mu_i) / ||a_i||] over rows
     with nonzero sensitivity, and its [beta]. [(-1, infinity)] when
     every row is (numerically) zero. *)
 
+(* lint: allow-next unused-export: [importance] runs it; test_yield pins it *)
 val design_point :
   a:Linalg.Mat.t -> mu:Linalg.Vec.t -> t_cons:float -> float array
 (** The mean shift [x*]: the dominant path moved onto its failure
@@ -66,12 +68,12 @@ val importance :
   unit ->
   estimate
 (** Mean-shifted importance sampling with [samples] draws, evaluated in
-    blocks of [block] (default 4096) through the dense kernels. Raises
+    blocks of [block] (default 4096) through the dense kernels; the
+    knob lets a test check that the bits do not depend on it. Raises
     [Invalid_argument] on dimension mismatch, non-finite [t_cons], or
     [samples < 2]. *)
 
 val brute_force :
-  ?block:int ->
   a:Linalg.Mat.t ->
   mu:Linalg.Vec.t ->
   t_cons:float ->
@@ -84,6 +86,7 @@ val brute_force :
     draw sequence of {!Timing.Monte_carlo.sample}, so failure counts
     against [path_delays] agree bit-for-bit. *)
 
+(* lint: allow-next unused-export: [calibrate_t_cons] runs it; test_yield pins it *)
 val union_bound : a:Linalg.Mat.t -> mu:Linalg.Vec.t -> t_cons:float -> float
 (** Gaussian union bound [sum_i Phi(-beta_i)] on the failure
     probability, clamped to [1.0]. Cheap, conservative. *)

@@ -344,6 +344,71 @@ let test_boot_fn_entry_still_seeded () =
       (show diags)
 
 (* ------------------------------------------------------------------ *)
+(* unused-export: a lib .mli's vals against the references of every
+   other unit, bin/ and test/ ones included *)
+
+let util_mli =
+  "val used : int -> int\nval internal : int -> int\nmodule Inner : sig val deep : int end"
+
+let util_ml =
+  "let internal x = x + 1\nlet used x = internal x\nmodule Inner = struct let deep = 3 end"
+
+let util ?(mli = util_mli) () =
+  [ ("Fix_util", "lib/core/fix_util.mli", mli); ("Fix_util", "lib/core/fix_util.ml", util_ml) ]
+
+(* one unit in each tree that uses lib; [bin] and [test] carry the
+   fixture's references *)
+let consumers ?(bin = "") ?(test = "") () =
+  [
+    ("Fix_main", "bin/fix_main.ml", bin);
+    ("Fix_t", "test/fix_t.ml", test);
+    ("Fix_bench", "bench/fix_bench.ml", "");
+    ("Fix_example", "examples/fix_example.ml", "");
+    ("Fix_perf", "perfbench/fix_perf.ml", "");
+  ]
+
+let qualified_use = "let () = ignore (Fix_util.used Fix_util.Inner.deep)"
+
+let unused_exports mods =
+  List.filter (fun d -> d.Lint.rule = "unused-export") (analyze mods)
+
+let check_exports expected mods () =
+  let got = List.map (fun d -> d.Lint.message) (unused_exports mods) in
+  let names (name, how) m = contains m ("'" ^ name ^ "'") && contains m how in
+  let ok = List.length got = List.length expected && List.for_all2 names expected got in
+  if not ok then Alcotest.failf "unused-export: got [%s]" (String.concat "; " got)
+
+(* dune's mangled sibling path: [Fixlib__.Util.v] inside the library *)
+let mangled =
+  [
+    ("Fixlib__Util", "lib/fixlib/util.mli", "val v : int");
+    ("Fixlib__Util", "lib/fixlib/util.ml", "let v = 1");
+    ("Fixlib__", "lib/fixlib/fixlib__.ml", "module Util = Fixlib__Util");
+    ("Fixlib__User", "lib/fixlib/user.ml", "let w = Fixlib__.Util.v");
+  ]
+  @ consumers ()
+
+(* a missing consumer tree skips the rule (never run on a partial set)
+   and says so on stderr *)
+let test_export_skipped_without_consumers () =
+  let tmp = Filename.temp_file "analysis" ".err" in
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let found =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      (fun () -> unused_exports (util () @ List.tl (consumers ())))
+  in
+  let err = In_channel.with_open_bin tmp In_channel.input_all in
+  Sys.remove tmp;
+  if found <> [] || not (contains err "unused-export skipped" && contains err "bin/") then
+    Alcotest.failf "expected a skip naming bin/; got [%s], stderr %S" (show found) err
+
+(* ------------------------------------------------------------------ *)
 (* The @smoke invariant, as a test: the analyzer reports zero
    errors on the real tree. dune runs this suite from
    _build/default/test, where the built tree sits one level up (cmts
@@ -476,6 +541,33 @@ let corpus =
     ("boot_fns cuts the recovery chain out of the race", test_boot_cut);
     ( "a boot function listed as an entry is still seeded",
       test_boot_fn_entry_still_seeded );
+    (* unused exports *)
+    ( "unused-export flags a value used only in its own module",
+      check_exports
+        [ ("Fix_util.internal", "no other compilation unit") ]
+        (util () @ consumers ~bin:qualified_use ()) );
+    ( "unused-export flags a value only test/ uses",
+      check_exports
+        [ ("Fix_util.internal", "only test/") ]
+        (util ()
+        @ consumers ~bin:qualified_use ~test:"let () = ignore (Fix_util.internal 1)" ()) );
+    ( "unused-export silent on uses after open",
+      check_exports []
+        (util ()
+        @ consumers ~bin:"open Fix_util\nlet () = ignore (used (internal Inner.deep))" ()) );
+    ("unused-export silent on a dune-mangled sibling path", check_exports [] mangled);
+    ( "unused-export honors allow-next in the .mli",
+      check_exports []
+        (util
+           ~mli:
+             "val used : int -> int\n\
+              (* lint: allow-next unused-export: fixture *)\n\
+              val internal : int -> int\n\
+              module Inner : sig val deep : int end"
+           ()
+        @ consumers ~bin:qualified_use ()) );
+    ( "unused-export skipped when a consumer tree has no units",
+      test_export_skipped_without_consumers );
     (* the acceptance invariant *)
     ("repo tree is analyzer-clean", test_repo_tree_clean);
   ]

@@ -45,9 +45,6 @@ let test_effective_rank_validation () =
      | exception Invalid_argument _ -> true)
 
 let test_energy_profile () =
-  let p = Core.Effective_rank.energy_profile [| 3.0; 1.0 |] in
-  check_close "first" 0.75 p.(0);
-  check_close "last" 1.0 p.(1);
   let n = Core.Effective_rank.normalized_spectrum [| 3.0; 1.0 |] in
   check_close "normalized head" 0.75 n.(0)
 
@@ -57,7 +54,7 @@ let test_energy_profile () =
 let test_subset_select_distinct_sorted () =
   let setup = Lazy.force pipeline in
   let a = Timing.Paths.a_mat setup.pool in
-  let idx = Core.Subset_select.rows a ~r:10 in
+  let idx = Core.Subset_select.rows_from_svd (Linalg.Svd.factor ~vectors:Left a) ~r:10 in
   Alcotest.(check int) "10 rows" 10 (Array.length idx);
   Array.iteri
     (fun k i ->
@@ -78,7 +75,7 @@ let test_subset_select_rows_independent () =
 let test_subset_select_range_check () =
   let a = Linalg.Mat.identity 4 in
   Alcotest.(check bool) "r=0 rejected" true
-    (match Core.Subset_select.rows a ~r:0 with
+    (match Core.Subset_select.rows_from_svd (Linalg.Svd.factor ~vectors:Left a) ~r:0 with
      | (_ : int array) -> false
      | exception Invalid_argument _ -> true)
 
@@ -125,7 +122,9 @@ let test_predictor_error_matches_mc () =
   let truth = Linalg.Mat.select_cols d rem in
   let sig_model = Core.Predictor.error_sigmas p in
   (* pick the remaining path with the largest modeled error *)
-  let j = Linalg.Vec.argmax sig_model in
+  let j = ref 0 in
+  Array.iteri (fun i s -> if s > sig_model.(!j) then j := i) sig_model;
+  let j = !j in
   let errs =
     Array.init 3000 (fun i -> Linalg.Mat.get pred i j -. Linalg.Mat.get truth i j)
   in

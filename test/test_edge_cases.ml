@@ -36,8 +36,7 @@ let test_qr_zero_column () =
   in
   let f = Linalg.Qr.factor_pivoted a in
   let perm = Linalg.Qr.perm f in
-  Alcotest.(check int) "zero column pivoted last" 1 perm.(2);
-  Alcotest.(check int) "rank 2" 2 (Linalg.Qr.rank f)
+  Alcotest.(check int) "zero column pivoted last" 1 perm.(2)
 
 let test_pinv_of_zero () =
   let p = Linalg.Pinv.compute (Linalg.Mat.create 3 2) in
@@ -73,7 +72,7 @@ let test_predictor_all_paths_representative () =
   let mu = [| 1.0; 2.0; 3.0 |] in
   let p = Core.Predictor.build ~a ~mu ~rep:[| 0; 1; 2 |] in
   Alcotest.(check int) "no remaining paths" 0 (Array.length (Core.Predictor.rem_indices p));
-  check_close "zero worst case" 0.0 (Core.Predictor.worst_case_error p ~kappa:3.0)
+  check_close "zero worst case" 0.0 (Core.Predictor.epsilon_r p ~kappa:3.0 ~t_cons:1.0)
 
 let test_select_on_rank_one_pool () =
   (* all paths proportional: one representative suffices at any eps *)

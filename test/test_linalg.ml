@@ -50,19 +50,6 @@ let test_vec_norm2_no_overflow () =
   check_close ~tol:1e186 "scaled norm" (big *. sqrt 2.0)
     (Linalg.Vec.norm2 [| big; big |])
 
-let test_vec_axpy () =
-  let y = [| 1.0; 1.0 |] in
-  Linalg.Vec.axpy 2.0 [| 3.0; 4.0 |] y;
-  check_float "axpy.0" 7.0 y.(0);
-  check_float "axpy.1" 9.0 y.(1)
-
-let test_vec_stats () =
-  check_float "sum" 6.0 (Linalg.Vec.sum [| 1.; 2.; 3. |]);
-  check_float "mean" 2.0 (Linalg.Vec.mean [| 1.; 2.; 3. |]);
-  check_float "max" 3.0 (Linalg.Vec.max_elt [| 1.; 3.; 2. |]);
-  check_float "min" 1.0 (Linalg.Vec.min_elt [| 1.; 3.; 2. |]);
-  Alcotest.(check int) "argmax" 1 (Linalg.Vec.argmax [| 1.; 3.; 2. |])
-
 let test_vec_mismatch () =
   Alcotest.check_raises "dot mismatch"
     (Invalid_argument "Vec.dot: dimensions 2 and 3 differ") (fun () ->
@@ -116,20 +103,10 @@ let test_mat_select_drop () =
   let idx = [| 4; 1 |] in
   let sel = Linalg.Mat.select_rows a idx in
   check_mat_close "select row 0" (mat [| Linalg.Mat.row a 4 |])
-    (mat [| Linalg.Mat.row sel 0 |]);
-  let dropped = Linalg.Mat.drop_rows a idx in
-  Alcotest.(check int) "drop count" 4 (fst (Linalg.Mat.dims dropped));
-  check_mat_close "drop keeps order" (mat [| Linalg.Mat.row a 0 |])
-    (mat [| Linalg.Mat.row dropped 0 |]);
-  check_mat_close "drop keeps order 2" (mat [| Linalg.Mat.row a 2 |])
-    (mat [| Linalg.Mat.row dropped 1 |])
+    (mat [| Linalg.Mat.row sel 0 |])
 
 let test_mat_cat () =
   let a = random_mat 2 3 in
-  let b = random_mat 2 2 in
-  let h = Linalg.Mat.hcat a b in
-  Alcotest.(check (pair int int)) "hcat dims" (2, 5) (Linalg.Mat.dims h);
-  check_close "hcat entry" (Linalg.Mat.get b 1 1) (Linalg.Mat.get h 1 4);
   let c = random_mat 3 3 in
   let v = Linalg.Mat.vcat a c in
   Alcotest.(check (pair int int)) "vcat dims" (5, 3) (Linalg.Mat.dims v);
@@ -160,7 +137,8 @@ let test_cholesky_roundtrip () =
 
 let test_cholesky_not_pd () =
   let a = mat [| [| 1.; 2. |]; [| 2.; 1. |] |] in
-  Alcotest.(check bool) "indefinite" false (Linalg.Cholesky.is_positive_definite a)
+  Alcotest.check_raises "indefinite" Linalg.Cholesky.Not_positive_definite (fun () ->
+      ignore (Linalg.Cholesky.factor a))
 
 (* ------------------------------------------------------------------ *)
 (* QR *)
@@ -192,10 +170,6 @@ let test_qr_pivot_decreasing_diag () =
     if d.(i + 1) > d.(i) +. 1e-9 then
       Alcotest.failf "pivoted diagonal not non-increasing at %d: %g < %g" i d.(i) d.(i + 1)
   done
-
-let test_qr_rank_detection () =
-  let a = random_low_rank 12 9 4 in
-  Alcotest.(check int) "pivoted qr rank" 4 (Linalg.Rank.of_mat_qr a)
 
 let test_qr_lstsq () =
   let a = random_mat 12 5 in
@@ -240,7 +214,7 @@ let test_qr_lstsq_residual_orthogonal () =
   (* The least-squares residual must be orthogonal to the column space. *)
   let a = random_mat 10 4 in
   let b = Array.init 10 (fun _ -> lcg_float ()) in
-  let x = Linalg.Lstsq.solve a b in
+  let x = Linalg.Qr.solve_lstsq (Linalg.Qr.factor a) b in
   let r = Linalg.Vec.sub (Linalg.Mat.apply a x) b in
   let g = Linalg.Mat.apply_t a r in
   check_close ~tol:1e-8 "A^T r = 0" 0.0 (Linalg.Vec.norm_inf g)
@@ -366,32 +340,6 @@ let test_pinv_solve_gram_singular () =
   check_mat_close ~tol:1e-6 "singular gram solve" rhs (Linalg.Mat.mul g x)
 
 (* ------------------------------------------------------------------ *)
-(* Eigen *)
-
-let test_eigen_known () =
-  let a = mat [| [| 2.; 1. |]; [| 1.; 2. |] |] in
-  let e = Linalg.Eigen.symmetric a in
-  check_close "lambda0" 3.0 e.values.(0);
-  check_close "lambda1" 1.0 e.values.(1)
-
-let test_eigen_reconstruct () =
-  let b = random_mat 7 7 in
-  let a = Linalg.Mat.add b (Linalg.Mat.transpose b) in
-  let e = Linalg.Eigen.symmetric a in
-  check_mat_close ~tol:1e-7 "eigen reconstruct" a (Linalg.Eigen.reconstruct e);
-  Alcotest.(check bool) "orthonormal vectors" true (is_orthonormal_cols e.vectors)
-
-let test_eigen_matches_svd_on_gram () =
-  let a = random_mat 6 4 in
-  let g = Linalg.Mat.mul_tn a a in
-  let e = Linalg.Eigen.symmetric g in
-  let f = Linalg.Svd.factor a in
-  for i = 0 to 3 do
-    check_close ~tol:1e-7 (Printf.sprintf "lambda_%d = s_%d^2" i i)
-      (f.s.(i) *. f.s.(i)) e.values.(i)
-  done
-
-(* ------------------------------------------------------------------ *)
 (* Property tests *)
 
 let qcheck_mat ?(max_dim = 10) () =
@@ -403,7 +351,7 @@ let qcheck_mat ?(max_dim = 10) () =
       array_size (return (m * n)) (float_range (-10.0) 10.0) >|= fun data ->
       Linalg.Mat.init m n (fun i j -> data.((i * n) + j)))
   in
-  make ~print:(fun m -> Format.asprintf "%a" Linalg.Mat.pp m) gen_mat
+  make ~print:(fun m -> Print.(array (array float)) (Linalg.Mat.to_arrays m)) gen_mat
 
 let prop_svd_reconstruct =
   QCheck.Test.make ~count:60 ~name:"svd reconstructs any matrix" (qcheck_mat ())
@@ -438,13 +386,14 @@ let prop_pinv_least_squares =
       let m, n = Linalg.Mat.dims a in
       let b = Array.init m (fun i -> sin (float_of_int i)) in
       let x = Linalg.Lstsq.solve_min_norm a b in
-      let base = Linalg.Lstsq.residual_norm a x b in
+      let residual x = Linalg.Vec.dist2 (Linalg.Mat.apply a x) b in
+      let base = residual x in
       (* perturbing the solution must not reduce the residual *)
       let ok = ref true in
       for j = 0 to n - 1 do
         let x' = Array.copy x in
         x'.(j) <- x'.(j) +. 1e-3;
-        if Linalg.Lstsq.residual_norm a x' b < base -. 1e-9 then ok := false
+        if residual x' < base -. 1e-9 then ok := false
       done;
       !ok)
 
@@ -496,8 +445,6 @@ let unit_tests =
     ("vec: dot", test_vec_dot);
     ("vec: norms", test_vec_norms);
     ("vec: norm2 avoids overflow", test_vec_norm2_no_overflow);
-    ("vec: axpy", test_vec_axpy);
-    ("vec: stats", test_vec_stats);
     ("vec: dimension mismatch raises", test_vec_mismatch);
     ("mat: 2x2 multiply", test_mat_mul);
     ("mat: rectangular multiply", test_mat_mul_rect);
@@ -514,7 +461,6 @@ let unit_tests =
     ("qr: reconstruct", test_qr_reconstruct);
     ("qr: pivoted reconstruct", test_qr_pivoted_reconstruct);
     ("qr: pivoted diag non-increasing", test_qr_pivot_decreasing_diag);
-    ("qr: rank detection", test_qr_rank_detection);
     ("qr: least squares exact recovery", test_qr_lstsq);
     ("qr: residual orthogonality", test_qr_lstsq_residual_orthogonal);
     ("lstsq: solve_mat on a rank-deficient a", test_lstsq_solve_mat_rank_deficient);
@@ -532,9 +478,6 @@ let unit_tests =
     ("pinv: moore-penrose identities", test_pinv_moore_penrose);
     ("pinv: gram solve (definite)", test_pinv_solve_gram_definite);
     ("pinv: gram solve (singular)", test_pinv_solve_gram_singular);
-    ("eigen: known 2x2", test_eigen_known);
-    ("eigen: reconstruct", test_eigen_reconstruct);
-    ("eigen: matches svd on gram", test_eigen_matches_svd_on_gram);
   ]
 
 let property_tests =

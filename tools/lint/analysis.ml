@@ -4,7 +4,7 @@
    untyped AST in isolation, this module reads the [.cmt] files dune
    produces as compilation side-products, builds a call graph with a
    per-function effect summary for every top-level binding, and runs
-   three interprocedural rule families:
+   five rule families:
 
    - [shared-mutable-race]: mutable locations (refs, mutable record
      fields, arrays) owned by the shared modules that are reached both
@@ -24,6 +24,9 @@
      escape-to-caller summaries (a function that closes its fd
      parameter becomes a closer, one that returns a descriptor it
      opened becomes a creator).
+   - [unused-export]: a [val] of a program [.mli] that no other
+     compilation unit, consumer trees (bin, test, ...) included,
+     refers to, or that only test code does.
 
    The two blocking rules are counterparts of the syntactic
    [no-blocking-in-monitor] and [no-unbounded-io] rules, not
@@ -130,6 +133,13 @@ let default_config =
       ];
   }
 
+(* The trees outside lib that use it. Their units are not analyzed as
+   program code; their references count as uses for [unused-export],
+   which runs only when each of them has compiled units. References
+   from [test_dir] alone keep no export. *)
+let consumer_dirs = [ "bin/"; "bench/"; "test/"; "examples/"; "perfbench/" ]
+let test_dir = "test/"
+
 let rules =
   [
     ( "shared-mutable-race",
@@ -144,6 +154,9 @@ let rules =
     ( "fd-leak",
       Lint.Error,
       "file descriptor not closed or ownership-transferred on every path (incl. exceptions)" );
+    ( "unused-export",
+      Lint.Error,
+      "val in a lib .mli that no other compilation unit (or only test/) refers to" );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -154,7 +167,6 @@ type access = Read | Write
 
 type fn_summary = {
   fn : string;  (** fully qualified, e.g. "Serve.Monitor.step" *)
-  def : site;
   calls : (string * site) list;
   blocking : (string * site) list;
   raw_io : (string * site) list;
@@ -162,12 +174,7 @@ type fn_summary = {
       (** (location key, kind, site); keys look like "Serve.t.mon",
           "Serve.counters.reloads", "Serve.Monitor.t.ring[]" *)
   fd_leaks : (string * site) list;  (** (message, site) *)
-  creates_fd : bool;  (** opens a descriptor and lets it escape *)
-  closes_fd_param : bool;  (** closes its descriptor argument on all paths *)
 }
-[@@warning "-69"] (* def/creates_fd/closes_fd_param are summary
-                     metadata: serialized to the cache and read by
-                     tests/tooling, not by the rules themselves *)
 
 type module_summary = { m_name : string; m_file : string; m_fns : fn_summary list }
 
@@ -629,7 +636,7 @@ let closes_param ctx sets local_closes body =
 (* ------------------------------------------------------------------ *)
 (* Per-module summary construction *)
 
-type raw_binding = { b_fn : string; b_loc : Location.t; b_expr : expression }
+type raw_binding = { b_fn : string; b_expr : expression }
 
 let collect_bindings ctx (str : structure) =
   let bindings = ref [] in
@@ -648,7 +655,7 @@ let collect_bindings ctx (str : structure) =
               match ids with
               | id :: _ ->
                 bindings :=
-                  { b_fn = prefix ^ "." ^ Ident.name id; b_loc = vb.vb_loc; b_expr = vb.vb_expr }
+                  { b_fn = prefix ^ "." ^ Ident.name id; b_expr = vb.vb_expr }
                   :: !bindings
               | [] -> ())
             vbs
@@ -671,13 +678,16 @@ let collect_bindings ctx (str : structure) =
   items ctx.cur_mod str.str_items;
   List.rev !bindings
 
-let build_module_summary ~cfg ~known ~modname ~file (str : structure) =
+let make_ctx ~cfg ~known ~modname ~file =
   let lib =
     match String.index_opt modname '.' with
     | Some i -> String.sub modname 0 i
     | None -> modname
   in
-  let ctx = { cfg; known; cur_mod = modname; lib; file; toplevel = ref [] } in
+  { cfg; known; cur_mod = modname; lib; file; toplevel = ref [] }
+
+let build_module_summary ~cfg ~known ~modname ~file (str : structure) =
+  let ctx = make_ctx ~cfg ~known ~modname ~file in
   let bindings = collect_bindings ctx str in
   let effects = List.map (fun b -> (b, collect_effects ctx b.b_expr)) bindings in
   let track_fds = Lint.in_any file cfg.fd_dirs in
@@ -708,19 +718,14 @@ let build_module_summary ~cfg ~known ~modname ~file (str : structure) =
   let fns =
     List.map
       (fun (b, eff) ->
-        let leaks, creates, closes =
-          match List.assoc_opt b.b_fn r2 with Some x -> x | None -> ([], false, false)
-        in
         {
           fn = b.b_fn;
-          def = site_of ~file b.b_loc;
           calls = List.sort_uniq compare eff.e_calls;
           blocking = List.sort_uniq compare eff.e_blocking;
           raw_io = List.sort_uniq compare eff.e_raw_io;
           mut_uses = List.sort_uniq compare eff.e_mut;
-          fd_leaks = leaks;
-          creates_fd = creates;
-          closes_fd_param = closes;
+          fd_leaks =
+            (match List.assoc_opt b.b_fn r2 with Some (leaks, _, _) -> leaks | None -> []);
         })
       effects
   in
@@ -898,13 +903,192 @@ let fd_leak_rule summaries =
         m.m_fns)
     summaries
 
-let run_rules ~cfg ~sources summaries =
+(* ------------------------------------------------------------------ *)
+(* unused-export: every [val] a program .mli declares needs a user in
+   another compilation unit. A use inside the defining unit means the
+   value should leave the .mli; a use from test code alone means it
+   should go together with its tests, unless a test checks other code
+   through it (then an allow-next in the .mli says so). *)
+
+type export = { x_name : string; x_unit : string; x_site : site }
+
+let rec sig_exports ~file ~unit prefix (items : signature_item list) =
+  List.concat_map
+    (fun item ->
+      match item.sig_desc with
+      | Tsig_value vd ->
+        [
+          {
+            x_name = prefix ^ "." ^ vd.val_name.txt;
+            x_unit = unit;
+            x_site = site_of ~file vd.val_loc;
+          };
+        ]
+      | Tsig_module md -> submodule_exports ~file ~unit prefix md
+      | Tsig_recmodule mds -> List.concat_map (submodule_exports ~file ~unit prefix) mds
+      | _ -> [])
+    items
+
+(* aliases and [module type of] re-export another unit's values, which
+   that unit's own interface already lists *)
+and submodule_exports ~file ~unit prefix md =
+  match (md.md_name.txt, md.md_type.mty_desc) with
+  | Some n, Tmty_signature sg -> sig_exports ~file ~unit (prefix ^ "." ^ n) sg.sig_items
+  | _ -> []
+
+(* The values a unit refers to and the modules it uses whole (a functor
+   argument, an include, a packed module, a [let module]), by
+   normalized name. A use through a top-level alias ([module W =
+   Store.Codec.W]) is charged to the alias's target; a plain [open]
+   uses nothing by itself. *)
+let unit_uses ctx str =
+  let aliases = ref [] in
+  let name_of p =
+    let head = Path.head p in
+    match List.find_opt (fun (i, _) -> Ident.same i head) !aliases with
+    | Some (_, target) ->
+      let n = Path.name p and h = String.length (Ident.name head) in
+      Some (target ^ String.sub n h (String.length n - h))
+    | None -> ( match p with Path.Pident _ -> None | _ -> resolve ctx p)
+  in
+  let vals = ref [] and mods = ref [] in
+  let rec strip me =
+    match me.mod_desc with Tmod_constraint (me, _, _, _) -> strip me | _ -> me
+  in
+  let alias id me =
+    match (strip me).mod_desc with
+    | Tmod_ident (p, _) -> (
+      match name_of p with
+      | Some n ->
+        aliases := (id, n) :: !aliases;
+        true
+      | None -> false)
+    | _ -> false
+  in
+  let default = Tast_iterator.default_iterator in
+  let it =
+    {
+      default with
+      expr =
+        (fun sub e ->
+          match e.exp_desc with
+          | Texp_ident (p, _, _) -> Option.iter (fun n -> vals := n :: !vals) (name_of p)
+          | _ -> default.expr sub e);
+      module_binding =
+        (fun sub mb ->
+          match mb.mb_id with
+          | Some id when alias id mb.mb_expr -> ()
+          | _ -> default.module_binding sub mb);
+      open_declaration =
+        (fun sub od ->
+          match od.open_expr.mod_desc with
+          | Tmod_ident _ -> ()
+          | _ -> default.open_declaration sub od);
+      module_expr =
+        (fun sub me ->
+          (match me.mod_desc with
+           | Tmod_ident (p, _) -> Option.iter (fun n -> mods := n :: !mods) (name_of p)
+           | _ -> ());
+          default.module_expr sub me);
+    }
+  in
+  it.structure it str;
+  (List.sort_uniq compare !vals, List.sort_uniq compare !mods)
+
+(* [uses]: (unit, source file, values, whole modules) per unit *)
+let unused_export_rule exports uses =
+  let users = Hashtbl.create 4096 and whole = ref [] in
+  List.iter
+    (fun (unit, file, vals, mods) ->
+      let u = (unit, Lint.path_under file test_dir) in
+      List.iter (fun v -> Hashtbl.add users v u) vals;
+      List.iter (fun m -> whole := (m ^ ".", u) :: !whole) mods)
+    uses;
+  List.filter_map
+    (fun x ->
+      let by_module =
+        List.filter_map
+          (fun (m, u) -> if String.starts_with ~prefix:m x.x_name then Some u else None)
+          !whole
+      in
+      let others =
+        List.filter
+          (fun (unit, _) -> unit <> x.x_unit)
+          (Hashtbl.find_all users x.x_name @ by_module)
+      in
+      if List.exists (fun (_, in_test) -> not in_test) others then None
+      else
+        Some
+          (diag "unused-export" x.x_site
+             (if others = [] then
+                Printf.sprintf
+                  "'%s' is exported but no other compilation unit refers to it: drop it \
+                   from the .mli, or delete it"
+                  x.x_name
+              else
+                Printf.sprintf
+                  "only %s refers to '%s': delete it with its tests, or keep it under an \
+                   allow-next that says what the test checks through it"
+                  test_dir x.x_name)))
+    exports
+
+(* ------------------------------------------------------------------ *)
+(* The program: lib's compilation units, plus the consumer units whose
+   references feed [unused-export]. *)
+
+type unit_src = {
+  u_name : string;  (** normalized, e.g. "Serve.Monitor" *)
+  u_file : string;  (** the implementation's source path *)
+  u_impl : structure;
+  u_intf : (string * signature) option;  (** the .mli's path and signature *)
+}
+
+let run_rules ~cfg ~sources units =
+  let program = List.filter (fun u -> not (Lint.in_any u.u_file consumer_dirs)) units in
+  let known = List.map (fun u -> u.u_name) program in
+  let summaries =
+    List.map
+      (fun u -> build_module_summary ~cfg ~known ~modname:u.u_name ~file:u.u_file u.u_impl)
+      program
+  in
   let idx = build_index summaries in
+  let exports =
+    List.concat_map
+      (fun u ->
+        match u.u_intf with
+        | Some (file, sg) -> sig_exports ~file ~unit:u.u_name u.u_name sg.sig_items
+        | None -> [])
+      program
+  in
+  let missing =
+    List.filter
+      (fun d -> not (List.exists (fun u -> Lint.path_under u.u_file d) units))
+      consumer_dirs
+  in
+  let unused_exports =
+    if exports = [] then []
+    else if missing <> [] then begin
+      Printf.eprintf
+        "unused-export skipped: no compiled units under %s (their .cmt files come from \
+         dune build @check)\n%!"
+        (String.concat ", " missing);
+      []
+    end
+    else
+      unused_export_rule exports
+        (List.map
+           (fun u ->
+             let ctx = make_ctx ~cfg ~known ~modname:u.u_name ~file:u.u_file in
+             let vals, mods = unit_uses ctx u.u_impl in
+             (u.u_name, u.u_file, vals, mods))
+           units)
+  in
   let diags =
     race_rule cfg summaries idx
     @ monitor_blocking_rule cfg idx
     @ handler_blocking_rule cfg idx
     @ fd_leak_rule summaries
+    @ unused_exports
   in
   (* suppression comments come from the source files the cmts point at *)
   let sup_cache = Hashtbl.create 8 in
@@ -937,10 +1121,6 @@ let run_rules ~cfg ~sources summaries =
 (* ------------------------------------------------------------------ *)
 (* Entry points *)
 
-let modname_of_cmt_path p =
-  let b = Filename.remove_extension (Filename.basename p) in
-  if b = "" then None else Some (replace_dunder (String.capitalize_ascii b))
-
 let find_cmts root =
   let acc = ref [] in
   let rec walk d =
@@ -961,32 +1141,35 @@ let find_cmts root =
   (try if Sys.is_directory root then walk root with _ -> ());
   List.sort compare !acc
 
+let find_tree_cmts root =
+  List.concat_map (fun d -> find_cmts (Filename.concat root d)) ("lib" :: consumer_dirs)
+
+let read_unit p =
+  match Cmt_format.read_cmt p with
+  | { cmt_annots = Implementation str; cmt_modname; cmt_sourcefile; _ } ->
+    let name = replace_dunder cmt_modname in
+    let file = match cmt_sourcefile with Some f -> Lint.normalize f | None -> name in
+    let intf =
+      if Lint.in_any file consumer_dirs || not (Sys.file_exists (p ^ "i")) then None
+      else
+        match Cmt_format.read_cmt (p ^ "i") with
+        | { cmt_annots = Interface sg; cmt_sourcefile = Some f; _ } ->
+          Some (Lint.normalize f, sg)
+        | _ -> None
+    in
+    Some { u_name = name; u_file = file; u_impl = str; u_intf = intf }
+  | _ -> None
+  | exception _ -> None
+
 let analyze_cmts ?(config = default_config) cmt_paths =
-  let known = List.filter_map modname_of_cmt_path cmt_paths in
-  let summaries =
-    List.filter_map
-      (fun p ->
-        try
-          let ci = Cmt_format.read_cmt p in
-          match ci.Cmt_format.cmt_annots with
-          | Cmt_format.Implementation str ->
-            let modname = replace_dunder ci.Cmt_format.cmt_modname in
-            let file =
-              match ci.Cmt_format.cmt_sourcefile with
-              | Some f -> Lint.normalize f
-              | None -> modname
-            in
-            Some (build_module_summary ~cfg:config ~known ~modname ~file str)
-          | _ -> None
-        with _ -> None)
-      cmt_paths
-  in
-  run_rules ~cfg:config ~sources:[] summaries
+  run_rules ~cfg:config ~sources:[] (List.filter_map read_unit cmt_paths)
 
 (* ------------------------------------------------------------------ *)
 (* In-process typechecking, for fixture tests: analyze source snippets
    without shelling out to the compiler. Snippets are typed in order;
-   each one can refer to the modules of the previous ones. *)
+   each one can refer to the modules of the previous ones. A snippet
+   whose path ends in ".mli" is the interface of the implementation
+   snippet of the same module name: its vals are the unit's exports. *)
 
 let typecheck_sources srcs =
   Compmisc.init_path ();
@@ -1001,13 +1184,21 @@ let typecheck_sources srcs =
       let lb = Lexing.from_string src in
       Lexing.set_filename lb path;
       try
-        let pstr = Parse.implementation lb in
-        let tstr, sg, _names, _shape, _env = Typemod.type_structure !env pstr in
+        let sg, typed =
+          if Filename.check_suffix path ".mli" then
+            let tsig = Typemod.transl_signature !env (Parse.interface lb) in
+            (tsig.sig_type, `Intf tsig)
+          else
+            let tstr, sg, _names, _shape, _env =
+              Typemod.type_structure !env (Parse.implementation lb)
+            in
+            (sg, `Impl tstr)
+        in
         env :=
           Env.add_module
             (Ident.create_persistent modname)
             Types.Mp_present (Types.Mty_signature sg) !env;
-        (modname, path, tstr)
+        (modname, path, typed)
       with e ->
         let msg =
           match Location.error_of_exn e with
@@ -1019,14 +1210,18 @@ let typecheck_sources srcs =
 
 let analyze_sources ?(config = default_config) srcs =
   let typed = typecheck_sources srcs in
-  let known = List.map (fun (m, _, _) -> replace_dunder m) srcs in
-  let summaries =
-    List.map
-      (fun (modname, path, tstr) ->
-        build_module_summary ~cfg:config ~known ~modname:(replace_dunder modname)
-          ~file:(Lint.normalize path) tstr)
+  let intf_of m =
+    List.find_map
+      (function m', p, `Intf sg when m' = m -> Some (Lint.normalize p, sg) | _ -> None)
       typed
   in
-  run_rules ~cfg:config
-    ~sources:(List.map (fun (_, p, s) -> (Lint.normalize p, s)) srcs)
-    summaries
+  let units =
+    List.filter_map
+      (function
+        | m, p, `Impl str ->
+          let u_file = Lint.normalize p in
+          Some { u_name = replace_dunder m; u_file; u_impl = str; u_intf = intf_of m }
+        | _, _, `Intf _ -> None)
+      typed
+  in
+  run_rules ~cfg:config ~sources:(List.map (fun (_, p, s) -> (Lint.normalize p, s)) srcs) units

@@ -5,7 +5,10 @@
     between the monitor thread and the serving path, blocking-call
     reachability (the interprocedural counterparts of
     [no-blocking-in-monitor] and [no-unbounded-io], which see whole
-    files instead), and path-sensitive fd-leak freedom. Shares
+    files instead), path-sensitive fd-leak freedom, and that every
+    [val] of lib's interfaces has a user in another compilation unit
+    ([unused-export], which reads the consumer trees' [.cmt] files
+    too). Shares
     {!Lint.diagnostic}, the renderers, and the suppression-comment
     syntax (file-wide [lint: allow] and line-scoped
     [lint: allow-next]). *)
@@ -46,18 +49,27 @@ type config = {
 val default_config : config
 
 val rules : (string * Lint.severity * string) list
-(** [(name, severity, one-line description)] for the four rule
+(** [(name, severity, one-line description)] for the five rule
     families. *)
 
 val find_cmts : string -> string list
 (** All [.cmt] files under a directory (descending into dune's
     [.objs] dot-directories), excluding library alias modules. *)
 
+val find_tree_cmts : string -> string list
+(** [find_tree_cmts root]: {!find_cmts} of [root/lib] and of the trees
+    that use lib ([bin], [bench], [test], [examples], [perfbench]) under
+    [root]. *)
+
 val analyze_cmts : ?config:config -> string list -> Lint.diagnostic list
-(** Analyze the given [.cmt] files as one program. Unreadable or
+(** Analyze the given [.cmt] files: lib's as one program, each with the
+    [.cmti] beside it as its interface; those of the trees that use lib
+    only as users of its exports. [unused-export] runs only when each
+    of those trees has a cmt among them, and otherwise is skipped with
+    a line on stderr, never run on a partial set. Unreadable or
     non-implementation cmts are skipped. Suppression comments are read
-    from the source file each cmt names, resolved relative to the
-    current directory. *)
+    from the source file each diagnostic names, resolved relative to
+    the current directory. *)
 
 val analyze_sources :
   ?config:config -> (string * string * string) list -> Lint.diagnostic list
@@ -65,6 +77,7 @@ val analyze_sources :
     snippets in-process (in order, so later snippets can reference
     earlier modules by [modname]) and analyzes them as one program —
     the fixture-test entry point. [path] drives the directory-scoped
-    config and diagnostic locations. A [modname] in dune's mangling
+    config and diagnostic locations; a path ending in [.mli] makes the
+    snippet that module's interface. A [modname] in dune's mangling
     ("Fix__Helper") is summarized as "Fix.Helper", as its cmt would be.
     Raises [Failure] if a snippet does not typecheck. *)

@@ -451,8 +451,8 @@ let check_expr ctx (e : expression) =
         when List.exists (fun (_, a) -> floaty a) args ->
         emit ctx "no-float-eq" e.pexp_loc
           (Printf.sprintf
-             "(%s) on float operands; use Float.equal (exact, NaN-sound) or a \
-              tolerance helper (Stats.Descriptive.approx_equal)"
+             "(%s) on float operands; use Float.equal (exact, NaN-sound) or an \
+              explicit tolerance"
              op)
       | Some
           [ "Unix";
@@ -620,11 +620,13 @@ let render_sarif ~tool ~rules diags =
      \"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{";
   Buffer.add_string buf (Printf.sprintf "\"name\":%s,\"rules\":[" (str tool));
   List.iteri
-    (fun i (name, _, doc) ->
+    (fun i (name, sev, doc) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "{\"id\":%s,\"shortDescription\":{\"text\":%s}}"
-           (str name) (str doc)))
+        (Printf.sprintf
+           "{\"id\":%s,\"shortDescription\":{\"text\":%s},\
+            \"defaultConfiguration\":{\"level\":%s}}"
+           (str name) (str doc) (str (severity_string sev))))
     rules;
   Buffer.add_string buf "]}},\"results\":[";
   List.iteri

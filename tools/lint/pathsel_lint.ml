@@ -1,11 +1,16 @@
 (* CLI driver for the project's two analysis engines, run in one pass:
    the syntactic linter ({!Lint}) over the given source paths (default
    lib, bin and bench), then the whole-program typedtree analyzer
-   ({!Analysis}) over the .cmt files dune produced for lib/. Exits 1
-   when any error-severity diagnostic survives suppression, 0
-   otherwise (warnings don't fail the build). When no .cmt files are
-   found the typedtree pass is skipped with a message on stderr, so
-   the gate degrades cleanly on trees that were never built. *)
+   ({!Analysis}) over the .cmt files dune produced for lib/ and for the
+   trees that use it (bin, bench, test, examples, perfbench), which
+   unused-export reads for references. Exits 1 when any error-severity
+   diagnostic survives suppression, 0 otherwise (warnings don't fail
+   the build). When lib/ has no .cmt files the typedtree pass is
+   skipped with a message on stderr, so the gate degrades cleanly on
+   trees that were never built; when only a consumer tree lacks them
+   (a plain `dune build` writes none for an executable module that has
+   an .mli; `dune build @check` does), unused-export alone is skipped
+   the same way. *)
 
 let usage = "pathsel-lint [--format=text|json|sarif] [--root DIR] [path ...]"
 
@@ -58,17 +63,15 @@ let () =
   let paths =
     match List.rev !paths with [] -> [ "lib"; "bin"; "bench" ] | ps -> ps
   in
-  (* the repo root keeps lib's cmts under _build/default; inside a dune
+  (* the repo root keeps the cmts under _build/default; inside a dune
      action the cwd is the build tree itself *)
-  let cmt_root =
-    if Sys.file_exists "_build/default/lib" then "_build/default/lib" else "lib"
-  in
-  let cmts = Analysis.find_cmts cmt_root in
-  if cmts = [] then
+  let build = if Sys.file_exists "_build/default/lib" then "_build/default" else "." in
+  let cmts = Analysis.find_tree_cmts build in
+  if Analysis.find_cmts (Filename.concat build "lib") = [] then
     Printf.eprintf
-      "pathsel-lint: no .cmt files under %s — build first (dune build); skipping \
+      "pathsel-lint: no .cmt files under %s/lib — build first (dune build); skipping \
        whole-program analysis\n"
-      cmt_root;
+      build;
   let diags = Lint.lint_paths paths @ Analysis.analyze_cmts cmts in
   (match !format with
    | Json -> print_endline (Lint.render_json diags)
