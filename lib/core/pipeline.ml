@@ -40,14 +40,17 @@ let prepare_result ?t_cons_scale ?max_paths ?yield_samples ?seed ~netlist ~model
   Errors.catch (fun () ->
       prepare ?t_cons_scale ?max_paths ?yield_samples ?seed ~netlist ~model ())
 
+(* the pool's G and Sigma, for Select's Lemma-1 route *)
+let factors setup = (Timing.Paths.g_mat setup.pool, Timing.Paths.sigma_mat setup.pool)
+
 let approximate_selection ?config ?schedule ?engine ?sketch setup ~eps =
-  Select.approximate ?config ?schedule ?engine ?sketch
+  Select.approximate ?config ?schedule ?engine ?sketch ~factors:(factors setup)
     ~a:(Timing.Paths.a_mat setup.pool)
     ~mu:(Timing.Paths.mu_paths setup.pool)
     ~eps ~t_cons:setup.t_cons ()
 
 let exact_selection ?config ?engine ?sketch setup =
-  Select.exact ?config ?engine ?sketch
+  Select.exact ?config ?engine ?sketch ~factors:(factors setup)
     ~a:(Timing.Paths.a_mat setup.pool)
     ~mu:(Timing.Paths.mu_paths setup.pool) ()
 

@@ -61,7 +61,8 @@ val approximate_selection :
   eps:float ->
   Select.t
 (** Algorithm 1 on the pool's [A]. [engine]/[sketch] select between the
-    exact SVD and the randomized sketch (see {!Select.engine}). *)
+    exact SVD and the randomized sketch (see {!Select.engine}); the
+    exact one factors the pool's [G * R^T] ({!Select.segment_svd}). *)
 
 val exact_selection :
   ?config:Config.t ->
@@ -69,6 +70,8 @@ val exact_selection :
   ?sketch:Select.sketch ->
   setup ->
   Select.t
+(** Section 4.1 on the pool, through the same factorization as
+    {!approximate_selection}. *)
 
 val hybrid_selection :
   ?config:Config.t ->

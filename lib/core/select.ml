@@ -51,12 +51,22 @@ let factor_with_fallback ?(seed = default_seed) a =
                 ^ Printexc.to_string e;
             }))
 
+(* Lemma 1 as an algorithm (see the .mli). G is 0/1, so G·Rᵀ is row
+   sums of Rᵀ's rows: one CSR product. *)
+let segment_svd ~g ~sigma =
+  let r = Linalg.Qr.r (Linalg.Qr.factor (Linalg.Mat.transpose sigma)) in
+  let m = Linalg.Sparse.mul_mat (Linalg.Sparse.of_dense g) (Linalg.Mat.transpose r) in
+  let f = Linalg.Svd.factor ~vectors:Left m in
+  { f with Linalg.Svd.v = Linalg.Mat.create (snd (Linalg.Mat.dims sigma)) 0 }
+
 (* The engine dispatch shared by every dense entry point. [Auto] keeps
    small pools on the exact Golub–Reinsch factorization (bit-compatible
    with the pre-engine behaviour) and switches to the randomized sketch
    at [sketch_threshold] rows, where the dense SVD's cubic cost starts
-   to dominate. *)
-let factor_for ~config ~engine ~sketch a =
+   to dominate. The exact factorization takes the segment route when
+   the caller has [factors = (g, sigma)] and n_S < m, and falls back to
+   A's own SVD if the small one does not converge. *)
+let factor_for ~config ~engine ~sketch ~factors a =
   let stop = sketch_stop ~config sketch in
   let use_sketch =
     match engine with
@@ -64,9 +74,18 @@ let factor_for ~config ~engine ~sketch a =
     | Sketched -> true
     | Auto -> fst (Linalg.Mat.dims a) >= sketch_threshold
   in
+  let of_a () = factor_with_fallback ~seed:sketch.sketch_seed a in
   if use_sketch then
     Linalg.Rsvd.(to_svd (fst (factor_op ~stop ~seed:sketch.sketch_seed (op_of_mat a))))
-  else factor_with_fallback ~seed:sketch.sketch_seed a
+  else
+    match factors with
+    | Some (g, sigma) ->
+      let n, m = Linalg.Mat.dims a and n_s, sm = Linalg.Mat.dims sigma in
+      if Linalg.Mat.dims g <> (n, n_s) || sm <> m then
+        invalid_arg "Select: factors (g, sigma) do not match a = g * sigma";
+      if n_s >= m then of_a ()
+      else (try segment_svd ~g ~sigma with Linalg.Svd.No_convergence -> of_a ())
+    | None -> of_a ()
 
 let build_at ~svd ~a ~mu ~r =
   let indices = Subset_select.rows_from_svd svd ~r in
@@ -87,15 +106,16 @@ let finish ~config ~svd ~kappa ~t_cons ~evaluations (indices, predictor) =
 
 (* Fixed-size selection: no tolerance search, so [t_cons] only keeps the
    bookkeeping's epsilon_r well-defined; use the largest path mean. *)
-let fixed_size ~config ~engine ~sketch ~a ~mu size =
+let fixed_size ~config ~engine ~sketch ?factors ~a ~mu size =
   Config.validate config;
-  let svd = factor_for ~config ~engine ~sketch a in
+  let svd = factor_for ~config ~engine ~sketch ~factors a in
   let sel = build_at ~svd ~a ~mu ~r:(size svd) in
   let t_cons = Float.max 1e-9 (Array.fold_left Float.max 0.0 mu) in
   finish ~config ~svd ~kappa:config.Config.kappa ~t_cons ~evaluations:1 sel
 
-let exact ?(config = Config.default) ?(engine = Auto) ?(sketch = default_sketch) ~a ~mu () =
-  fixed_size ~config ~engine ~sketch ~a ~mu (fun svd ->
+let exact ?(config = Config.default) ?(engine = Auto) ?(sketch = default_sketch) ?factors
+    ~a ~mu () =
+  fixed_size ~config ~engine ~sketch ?factors ~a ~mu (fun svd ->
       max 1 (Linalg.Svd.rank ?tol:config.Config.rank_tol svd))
 
 let select_with_size ?(config = Config.default) ?(engine = Auto)
@@ -125,11 +145,11 @@ let bisect ~eps ~rank eval =
 (* The tolerance search shared by [approximate] and [approximate_nested]:
    validate, factor, and count the [eval r] calls of [search], which
    picks the selection from the factorization's numerical rank. *)
-let search_within ~name ~config ~engine ~sketch ~a ~eps ~t_cons search =
+let search_within ~name ~config ~engine ~sketch ?factors ~a ~eps ~t_cons search =
   Config.validate config;
   if eps <= 0.0 then invalid_arg (name ^ ": eps must be positive");
   if t_cons <= 0.0 then invalid_arg (name ^ ": t_cons must be positive");
-  let svd = factor_for ~config ~engine ~sketch a in
+  let svd = factor_for ~config ~engine ~sketch ~factors a in
   let rank = max 1 (Linalg.Svd.rank ?tol:config.Config.rank_tol svd) in
   let evaluations = ref 0 in
   let counted eval r =
@@ -140,9 +160,9 @@ let search_within ~name ~config ~engine ~sketch ~a ~eps ~t_cons search =
   finish ~config ~svd ~kappa:config.Config.kappa ~t_cons ~evaluations:!evaluations result
 
 let approximate ?(config = Config.default) ?(schedule = Bisection) ?(engine = Auto)
-    ?(sketch = default_sketch) ~a ~mu ~eps ~t_cons () =
+    ?(sketch = default_sketch) ?factors ~a ~mu ~eps ~t_cons () =
   let kappa = config.Config.kappa in
-  search_within ~name:"Select.approximate" ~config ~engine ~sketch ~a ~eps ~t_cons
+  search_within ~name:"Select.approximate" ~config ~engine ~sketch ?factors ~a ~eps ~t_cons
   @@ fun ~svd ~rank counted ->
   let eval =
     counted (fun r ->

@@ -1,9 +1,11 @@
 (** Representative path selection (the paper's Algorithm 1).
 
-    The SVD of [A] is computed once; each candidate size [r] re-slices
-    [U_r], runs the pivoted-QR subset selection (Algorithm 2), builds
-    the Theorem-2 predictor, and evaluates the analytic worst-case
-    error of Eqn (7) against the tolerance [eps]. *)
+    One factorization gives [A]'s left singular vectors: the SVD of
+    [A], or of the smaller [G * R^T] ({!segment_svd}). Each candidate
+    size [r] then re-slices [U_r], runs the pivoted-QR subset selection
+    (Algorithm 2), builds the Theorem-2 predictor from [A], and
+    evaluates the analytic worst-case error of Eqn (7) against the
+    tolerance [eps]. *)
 
 type schedule =
   | Linear
@@ -19,8 +21,9 @@ type engine =
   (** {!Exact} below 4096 rows, {!Sketched} at or above — the default
       everywhere *)
   | Exact
-  (** full Golub–Reinsch SVD of [A] (with the randomized
-      no-convergence fallback) *)
+  (** full Golub–Reinsch SVD of [A], or of [G * R^T] when [?factors]
+      is given and n_S < m (with the randomized no-convergence
+      fallback) *)
   | Sketched
   (** randomized range sketch ({!Linalg.Rsvd}): the production engine
       for large pools; the paper's fast singular-value decay (§4.2)
@@ -57,19 +60,25 @@ val exact :
   ?config:Config.t ->
   ?engine:engine ->
   ?sketch:sketch ->
+  ?factors:Linalg.Mat.t * Linalg.Mat.t ->
   a:Linalg.Mat.t ->
   mu:Linalg.Vec.t ->
   unit ->
   t
 (** Section 4.1: select [r = rank A] rows; the predictor is exact
     (zero analytic error up to numerical noise) under the [Exact]
-    engine, and [r = sketch rank] under [Sketched]. *)
+    engine, and [r = sketch rank] under [Sketched]. [factors] is
+    [(g, sigma)] with [a = g * sigma], for {!segment_svd};
+    [Invalid_argument] when the shapes do not match [a]. Through it
+    the exact set may be other rows than [a]'s own SVD picks, equally
+    exact (Theorem 1). *)
 
 val approximate :
   ?config:Config.t ->
   ?schedule:schedule ->
   ?engine:engine ->
   ?sketch:sketch ->
+  ?factors:Linalg.Mat.t * Linalg.Mat.t ->
   a:Linalg.Mat.t ->
   mu:Linalg.Vec.t ->
   eps:float ->
@@ -78,9 +87,20 @@ val approximate :
   t
 (** Algorithm 1. Raises [Invalid_argument] when [eps <= 0] or
     [t_cons <= 0]. Default schedule is [Bisection], default engine
-    {!Auto}. Under [Sketched] only the subset-selection basis is
-    approximate — every candidate predictor and its analytic error are
-    still built from the true [a]. *)
+    {!Auto}; [factors] as for {!exact}. Under [Sketched] only the
+    subset-selection basis is approximate — every candidate predictor
+    and its analytic error are still built from the true [a]. *)
+
+(* lint: allow-next unused-export: test_properties checks exact and approximate's segment route through it *)
+val segment_svd : g:Linalg.Mat.t -> sigma:Linalg.Mat.t -> Linalg.Svd.t
+(** Lemma 1 as the exact engine's route when [factors] is given and
+    [sigma] is n_S x m with n_S < m: with [transpose sigma = Q R]
+    (unpivoted), [A = g * sigma = (g * R^T) Q^T] and [Q] is
+    orthonormal, so [Svd.factor ~vectors:Left] of the n x n_S
+    [g * R^T] gives [A]'s left singular vectors and values up to
+    rounding ([s] has n_S entries; [A]'s others are zeros). [v] has
+    [A]'s m rows and no columns, so {!Linalg.Svd.rank}'s default
+    tolerance is [A]'s. Raises {!Linalg.Svd.No_convergence}. *)
 
 val select_with_size :
   ?config:Config.t ->

@@ -25,7 +25,6 @@ val factor_pivoted : Mat.t -> t
 val q : t -> Mat.t
 (** Thin orthogonal factor, [m]x[min m n]. *)
 
-(* lint: allow-next unused-export: test_linalg checks the factorizations through it *)
 val r : t -> Mat.t
 (** Upper-triangular factor, [min m n]x[n], columns in pivoted order. *)
 

@@ -10,10 +10,6 @@ let dims a = (a.rows, a.cols)
 
 let nnz a = a.row_ptr.(a.rows)
 
-let density a =
-  if a.rows = 0 || a.cols = 0 then 0.0
-  else float_of_int (nnz a) /. float_of_int (a.rows * a.cols)
-
 let of_rows cols rows =
   let n = Array.length rows in
   (* merge duplicates and sort each row *)
@@ -152,27 +148,6 @@ let get a i j =
   done;
   !result
 
-let apply a x =
-  if Array.length x <> a.cols then invalid_arg "Sparse.apply: dimension mismatch";
-  Array.init a.rows (fun i ->
-      let acc = ref 0.0 in
-      for k = a.row_ptr.(i) to a.row_ptr.(i + 1) - 1 do
-        acc := !acc +. (a.values.(k) *. x.(a.col_idx.(k)))
-      done;
-      !acc)
-
-let apply_t a x =
-  if Array.length x <> a.rows then invalid_arg "Sparse.apply_t: dimension mismatch";
-  let y = Array.make a.cols 0.0 in
-  for i = 0 to a.rows - 1 do
-    let xi = x.(i) in
-    if not (Float.equal xi 0.0) then
-      for k = a.row_ptr.(i) to a.row_ptr.(i + 1) - 1 do
-        y.(a.col_idx.(k)) <- y.(a.col_idx.(k)) +. (xi *. a.values.(k))
-      done
-  done;
-  y
-
 (* Rows per chunk so one chunk is ~[Mat.par_threshold_value] flops; when
    the whole kernel fits in one grain, [parallel_chunks] degenerates to
    the serial loop. Each output row is produced by exactly one chunk in
@@ -271,7 +246,13 @@ let dense_row_grain a = max 1 (Mat.par_threshold_value () / max 1 (2 * nnz a))
    Mat.mul and Mat.mul_tn already skip zero left factors on the same
    reasoning. Both kernels are row-band parallel over the dense
    operand's rows, each output row written by one chunk, so they are
-   bit-identical at any pool size. *)
+   bit-identical at any pool size.
+   mul_dense_nt takes a band's dense rows four at a time: each stored
+   entry of [a] is loaded once for four independent accumulators, one
+   per dense row, and each still sums that row's terms in ascending k
+   from +0.0, so the bits are those of the one-row loop, which the
+   band's last (n mod 4) rows take. The blocks are cut inside a band,
+   so the chunking cannot move a bit either. *)
 let mul_dense_nt x a =
   let n, m = Mat.dims x in
   if m <> a.cols then invalid_arg "Sparse.mul_dense_nt: dimension mismatch";
@@ -279,20 +260,50 @@ let mul_dense_nt x a =
   let out = Mat.create n k in
   let xd = x.Mat.data and od = out.Mat.data in
   let row_ptr = a.row_ptr and col_idx = a.col_idx and values = a.values in
+  let row i =
+    let xbase = i * m in
+    let obase = i * k in
+    for r = 0 to k - 1 do
+      let acc = ref 0.0 in
+      for p = Array.unsafe_get row_ptr r to Array.unsafe_get row_ptr (r + 1) - 1 do
+        acc :=
+          !acc
+          +. (Array.unsafe_get values p
+              *. Array.unsafe_get xd (xbase + Array.unsafe_get col_idx p))
+      done;
+      Array.unsafe_set od (obase + r) !acc
+    done
+  in
+  (* dense rows i .. i+3 against every row of [a] *)
+  let block i =
+    let x0 = i * m in
+    let x1 = x0 + m in
+    let x2 = x1 + m in
+    let x3 = x2 + m in
+    let o0 = i * k in
+    for r = 0 to k - 1 do
+      let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
+      for p = Array.unsafe_get row_ptr r to Array.unsafe_get row_ptr (r + 1) - 1 do
+        let v = Array.unsafe_get values p and c = Array.unsafe_get col_idx p in
+        s0 := !s0 +. (v *. Array.unsafe_get xd (x0 + c));
+        s1 := !s1 +. (v *. Array.unsafe_get xd (x1 + c));
+        s2 := !s2 +. (v *. Array.unsafe_get xd (x2 + c));
+        s3 := !s3 +. (v *. Array.unsafe_get xd (x3 + c))
+      done;
+      Array.unsafe_set od (o0 + r) !s0;
+      Array.unsafe_set od (o0 + k + r) !s1;
+      Array.unsafe_set od (o0 + (2 * k) + r) !s2;
+      Array.unsafe_set od (o0 + (3 * k) + r) !s3
+    done
+  in
   let band lo hi =
-    for i = lo to hi - 1 do
-      let xbase = i * m in
-      let obase = i * k in
-      for r = 0 to k - 1 do
-        let acc = ref 0.0 in
-        for p = Array.unsafe_get row_ptr r to Array.unsafe_get row_ptr (r + 1) - 1 do
-          acc :=
-            !acc
-            +. (Array.unsafe_get values p
-                *. Array.unsafe_get xd (xbase + Array.unsafe_get col_idx p))
-        done;
-        Array.unsafe_set od (obase + r) !acc
-      done
+    let i = ref lo in
+    while !i + 4 <= hi do
+      block !i;
+      i := !i + 4
+    done;
+    for i = !i to hi - 1 do
+      row i
     done
   in
   Par.Pool.parallel_chunks ~grain:(dense_row_grain a) 0 n band;
@@ -325,24 +336,6 @@ let dense_mul w a =
   Par.Pool.parallel_chunks ~grain:(dense_row_grain a) 0 n band;
   check_product "Sparse.dense_mul" w a out;
   out
-
-let row_norms2 a =
-  Array.init a.rows (fun i ->
-      let acc = ref 0.0 in
-      for k = a.row_ptr.(i) to a.row_ptr.(i + 1) - 1 do
-        let v = a.values.(k) in
-        acc := !acc +. (v *. v)
-      done;
-      sqrt !acc)
-
-let transpose a =
-  let lists = Array.make a.cols [] in
-  for i = a.rows - 1 downto 0 do
-    for k = a.row_ptr.(i + 1) - 1 downto a.row_ptr.(i) do
-      lists.(a.col_idx.(k)) <- (i, a.values.(k)) :: lists.(a.col_idx.(k))
-    done
-  done;
-  of_rows a.rows lists
 
 let equal_dense ?(tol = 1e-12) a m =
   let rows, cols = Mat.dims m in

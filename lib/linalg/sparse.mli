@@ -39,32 +39,22 @@ val dims : t -> int * int
 
 val nnz : t -> int
 
-(* lint: allow-next unused-export: no production caller; only its own tests run it *)
-val density : t -> float
-(** [nnz / (rows * cols)]; 0 for an empty matrix. *)
-
 (* lint: allow-next unused-export: test_sparse_rsvd checks [of_rows] through it *)
 val get : t -> int -> int -> float
 (** O(log nnz-in-row). *)
 
-(* lint: allow-next unused-export: no production caller; only its own tests run it *)
-val apply : t -> Vec.t -> Vec.t
-(** Sparse matrix x dense vector. *)
-
-(* lint: allow-next unused-export: no production caller; only its own tests run it *)
-val apply_t : t -> Vec.t -> Vec.t
-(** Transpose apply. *)
-
 val mul_vec : t -> Vec.t -> Vec.t
-(** {!apply}, row-band parallel on the {!Par.Pool} when the flop count
-    clears [Mat.par_threshold_value]. Bit-identical to {!apply} at any
-    pool size. *)
+(** Sparse matrix x dense vector, row-band parallel on the {!Par.Pool}
+    when the flop count clears [Mat.par_threshold_value]. Each row sums
+    in CSR entry order, so the result is bit-identical at any pool
+    size. *)
 
 val mul_mat : t -> Mat.t -> Mat.t
 (** [mul_mat a x] is the CSR x dense product [a * x] ([a] is [m x n],
     [x] is [n x k], result [m x k]). Row-band parallel over CSR rows;
     bit-identical at any pool size. This is the randomized range
-    finder's forward kernel. *)
+    finder's forward kernel, and it forms the Lemma-1 matrix
+    [G * transpose R] of [Core.Select]. *)
 
 val tmul_mat : t -> Mat.t -> Mat.t
 (** [tmul_mat a y] is [transpose a * y] ([y] is [m x k], result
@@ -91,12 +81,6 @@ val dense_mul : Mat.t -> t -> Mat.t
     sums its terms in ascending [k]. For finite [w] it is bit-identical
     to [Mat.mul w (to_dense a)]. Row-band parallel, bit-identical at any
     pool size, and NaN-checked like {!mul_dense_nt}. *)
-
-(* lint: allow-next unused-export: no production caller; only its own tests run it *)
-val row_norms2 : t -> Vec.t
-
-(* lint: allow-next unused-export: no production caller; only its own tests run it *)
-val transpose : t -> t
 
 (* lint: allow-next unused-export: test helper: checks CSR builders against dense *)
 val equal_dense : ?tol:float -> t -> Mat.t -> bool

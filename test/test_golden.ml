@@ -83,9 +83,25 @@ let test_full_pipeline_on_golden () =
          eps_r, and the exact selection *)
       Alcotest.(check (array int)) "representatives" [| 21; 53; 79 |] sel.Core.Select.indices;
       Alcotest.(check (float 0.0)) "eps_r" 0x1.5a71a4ca96313p-5 sel.Core.Select.eps_r;
+      (* the pipeline factors G R^T (Lemma 1); A's own SVD picks the
+         same representatives, bit for bit *)
+      let pool = setup.Core.Pipeline.pool in
+      let a_only =
+        Core.Select.approximate ~a:(Timing.Paths.a_mat pool) ~mu:(Timing.Paths.mu_paths pool)
+          ~eps:0.05 ~t_cons:setup.Core.Pipeline.t_cons ()
+      in
+      Alcotest.(check (array int)) "representatives, A route" a_only.Core.Select.indices
+        sel.Core.Select.indices;
+      Alcotest.(check (float 0.0)) "eps_r, A route" a_only.Core.Select.eps_r sel.Core.Select.eps_r;
+      (* the exact set is any rank(A) independent rows (Theorem 1), so
+         beside its pins: its size is the rank, and its error is zero up
+         to rounding *)
       let exact = Core.Pipeline.exact_selection setup in
       Alcotest.(check int) "exact size" 28 (Array.length exact.Core.Select.indices);
-      Alcotest.(check (float 0.0)) "exact eps_r" 0x1.a6bacb58ed234p-46 exact.Core.Select.eps_r;
+      Alcotest.(check int) "exact size = rank" exact.Core.Select.rank
+        (Array.length exact.Core.Select.indices);
+      Alcotest.(check bool) "exact eps_r <= 1e-12" true (exact.Core.Select.eps_r <= 1e-12);
+      Alcotest.(check (float 0.0)) "exact eps_r" 0x1.068605f8b1389p-45 exact.Core.Select.eps_r;
       (* bit pins on the two Monte Carlo runs: the yield sweep behind the
          extraction threshold, and the virtual dies that score the
          selection *)

@@ -190,6 +190,17 @@ let test_path_delays_invariant () =
                 Timing.Monte_carlo.segment_delays mc )))
     in
     let ref_paths, ref_segments = delays_at 1 in
+    (* the CSR product (4 dies per pass) against the dense mu + X A^T on
+       the same draws *)
+    let dense =
+      let rng = Rng.create 9 in
+      let x = Linalg.Mat.init 120 (Timing.Paths.num_vars pool) (fun _ _ -> Rng.gaussian rng) in
+      let d = Linalg.Mat.mul_nt x (Timing.Paths.a_mat pool) in
+      Linalg.Mat.add_row_vec_into d (Timing.Paths.mu_paths pool);
+      d
+    in
+    Alcotest.(check bool) "die path delays bit-equal to the dense product" true
+      (Linalg.Mat.bits_equal dense ref_paths);
     List.iter
       (fun d ->
         let paths, segments = delays_at d in

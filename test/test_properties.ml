@@ -132,6 +132,68 @@ let prop_extraction_paths_end_at_outputs =
         done;
         !ok)
 
+(* Lemma 1 and Theorem 1 on random small pools, straight from a 0/1 G
+   (every path crosses 1-4 segments) and a sparse Sigma with n_S < m.
+   As in the delay model, every segment has a private variable (its
+   gates' random components) besides sparse shared ones, so A's rank
+   deficiency comes from G: fewer paths than segments, duplicate paths,
+   paths that are sums of others. *)
+let segment_pool_gen =
+  QCheck.Gen.(
+    let* n_s = int_range 1 14 in
+    let* shared = int_range 1 16 in
+    let* n = int_range 2 28 in
+    let path =
+      let* k = int_range 1 (min 4 n_s) in
+      list_repeat k (int_bound (n_s - 1))
+    in
+    let* g = array_repeat n path in
+    let entry = frequency [ (3, return 0.0); (1, float_range (-1.0) 1.0) ] in
+    let segment s =
+      let* own = float_range 0.2 1.0 in
+      let* rest = array_repeat shared entry in
+      return (Array.append (Array.init n_s (fun j -> if j = s then own else 0.0)) rest)
+    in
+    let* sigma = flatten_a (Array.init n_s segment) in
+    let* mu = array_repeat n (float_range 1.0 2.0) in
+    let gm = Linalg.Mat.create n n_s in
+    Array.iteri (fun i segs -> List.iter (fun s -> Linalg.Mat.set gm i s 1.0) segs) g;
+    return (gm, Linalg.Mat.of_arrays sigma, mu))
+
+let prop_segment_route =
+  QCheck.Test.make ~count:1000
+    ~name:"Lemma 1 route: rank, spectrum and exact selection of A = G Sigma"
+    (QCheck.make
+       ~print:(fun (g, sigma, _) ->
+         let n, n_s = Linalg.Mat.dims g in
+         Printf.sprintf "n %d, n_S %d, m %d" n n_s (snd (Linalg.Mat.dims sigma)))
+       segment_pool_gen)
+    (fun (g, sigma, mu) ->
+      let n_s = fst (Linalg.Mat.dims sigma) in
+      let a = Linalg.Mat.mul g sigma in
+      let of_a = Linalg.Svd.factor ~vectors:Values a in
+      let route = Core.Select.segment_svd ~g ~sigma in
+      let rank = Linalg.Svd.rank of_a in
+      let agree = ref true in
+      for i = 0 to rank - 1 do
+        let sa = of_a.Linalg.Svd.s.(i) and sm = route.Linalg.Svd.s.(i) in
+        if Float.abs (sa -. sm) > 1e-12 *. sa then agree := false
+      done;
+      let exact = Core.Select.exact ~engine:Core.Select.Exact ~factors:(g, sigma) ~a ~mu () in
+      if rank > n_s then QCheck.Test.fail_reportf "rank(A) %d > n_S %d" rank n_s;
+      (* A's m rows in [v] keep A's default rank tolerance *)
+      if Linalg.Mat.dims route.Linalg.Svd.v <> (snd (Linalg.Mat.dims a), 0) then
+        QCheck.Test.fail_report "route's v is not m x 0";
+      if Linalg.Svd.rank route <> rank then
+        QCheck.Test.fail_reportf "route rank %d, rank(A) %d" (Linalg.Svd.rank route) rank;
+      if not !agree then QCheck.Test.fail_report "singular values differ";
+      if Array.length exact.Core.Select.indices <> rank then
+        QCheck.Test.fail_reportf "exact |P_r| %d, rank %d"
+          (Array.length exact.Core.Select.indices) rank;
+      if exact.Core.Select.eps_r > 1e-12 then
+        QCheck.Test.fail_reportf "exact eps_r %g" exact.Core.Select.eps_r;
+      true)
+
 let suites =
   [
     ( "paper-invariants",
@@ -145,4 +207,8 @@ let suites =
           prop_hybrid_bounded;
           prop_extraction_paths_end_at_outputs;
         ] );
+    ( "theorems",
+      [
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |]) prop_segment_route;
+      ] );
   ]

@@ -1040,7 +1040,9 @@ type unit_src = {
   u_name : string;  (** normalized, e.g. "Serve.Monitor" *)
   u_file : string;  (** the implementation's source path *)
   u_impl : structure;
-  u_intf : (string * signature) option;  (** the .mli's path and signature *)
+  u_intf : (string * signature) option Lazy.t option;
+  (** [None] without an interface; else the .mli's path and signature,
+      read only when [unused-export] runs *)
 }
 
 let run_rules ~cfg ~sources units =
@@ -1052,21 +1054,13 @@ let run_rules ~cfg ~sources units =
       program
   in
   let idx = build_index summaries in
-  let exports =
-    List.concat_map
-      (fun u ->
-        match u.u_intf with
-        | Some (file, sg) -> sig_exports ~file ~unit:u.u_name u.u_name sg.sig_items
-        | None -> [])
-      program
-  in
   let missing =
     List.filter
       (fun d -> not (List.exists (fun u -> Lint.path_under u.u_file d) units))
       consumer_dirs
   in
   let unused_exports =
-    if exports = [] then []
+    if not (List.exists (fun u -> u.u_intf <> None) program) then []
     else if missing <> [] then begin
       Printf.eprintf
         "unused-export skipped: no compiled units under %s (their .cmt files come from \
@@ -1075,6 +1069,14 @@ let run_rules ~cfg ~sources units =
       []
     end
     else
+      let exports =
+        List.concat_map
+          (fun u ->
+            match Option.map Lazy.force u.u_intf with
+            | Some (Some (file, sg)) -> sig_exports ~file ~unit:u.u_name u.u_name sg.sig_items
+            | Some None | None -> [])
+          program
+      in
       unused_export_rule exports
         (List.map
            (fun u ->
@@ -1152,10 +1154,12 @@ let read_unit p =
     let intf =
       if Lint.in_any file consumer_dirs || not (Sys.file_exists (p ^ "i")) then None
       else
-        match Cmt_format.read_cmt (p ^ "i") with
-        | { cmt_annots = Interface sg; cmt_sourcefile = Some f; _ } ->
-          Some (Lint.normalize f, sg)
-        | _ -> None
+        Some
+          (lazy
+            (match Cmt_format.read_cmt (p ^ "i") with
+             | { cmt_annots = Interface sg; cmt_sourcefile = Some f; _ } ->
+               Some (Lint.normalize f, sg)
+             | _ -> None))
     in
     Some { u_name = name; u_file = file; u_impl = str; u_intf = intf }
   | _ -> None
@@ -1220,7 +1224,8 @@ let analyze_sources ?(config = default_config) srcs =
       (function
         | m, p, `Impl str ->
           let u_file = Lint.normalize p in
-          Some { u_name = replace_dunder m; u_file; u_impl = str; u_intf = intf_of m }
+          let u_intf = Option.map (fun i -> Lazy.from_val (Some i)) (intf_of m) in
+          Some { u_name = replace_dunder m; u_file; u_impl = str; u_intf }
         | _, _, `Intf _ -> None)
       typed
   in
