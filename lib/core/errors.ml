@@ -47,12 +47,9 @@ let of_exn ~file (exn : exn) =
   | Error e -> Some e
   | Circuit.Bench_io.Parse_error (l, msg)
   | Circuit.Verilog_io.Parse_error (l, msg)
-  | Circuit.Placement_io.Parse_error (l, msg)
-  | Circuit.Liberty.Parse_error (l, msg)
-  | Timing.Sdf.Parse_error (l, msg) ->
+  | Circuit.Liberty.Parse_error (l, msg) ->
     Some (Parse { file; line = (if l > 0 then Some l else None); msg })
-  | Timing.Sdf.Annotate_error msg | Timing.Delay_calc.Missing_cell msg ->
-    Some (Bad_data msg)
+  | Timing.Delay_calc.Missing_cell msg -> Some (Bad_data msg)
   | Linalg.Qr.Rank_deficient msg ->
     Some (Numerical { op = "Qr.solve_lstsq"; msg })
   | Sys_error msg -> Some (Io { file; msg })
@@ -108,8 +105,6 @@ let parse_bench_file ?(lenient = false) path =
 
 let parse_verilog_file path =
   ingest path (Circuit.Verilog_io.parse ~name:(basename path))
-
-let parse_placement_file path = ingest path Circuit.Placement_io.parse
 
 let parse_liberty_file path =
   ingest path (fun text ->

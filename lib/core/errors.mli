@@ -52,10 +52,9 @@ val get_ok : ('a, t) result -> 'a
     {!read_file} is the one whole-file reader: every text format below,
     the artifact store, the serving layer's checkpoints and the WAL's
     segment scans read through it. The format modules
-    ({!Circuit.Bench_io}, {!Circuit.Verilog_io},
-    {!Circuit.Placement_io}, {!Circuit.Liberty}, {!Timing.Sdf}) parse
-    and print strings only; the [parse_*_file] functions here are their
-    file entry points, and tag a parse error with the path once. *)
+    ({!Circuit.Bench_io}, {!Circuit.Verilog_io}, {!Circuit.Liberty})
+    parse and print strings only; the [parse_*_file] functions here are
+    their file entry points, and tag a parse error with the path once. *)
 
 val read_file : string -> (string, t) result
 (** The whole file, read in one pass into a buffer presized from its
@@ -70,9 +69,5 @@ val parse_bench_file :
     construct (empty when strict). *)
 
 val parse_verilog_file : string -> (Circuit.Netlist.t, t) result
-
-(* lint: allow-next unused-export: no production caller; only its own tests run it *)
-val parse_placement_file :
-  string -> ((string * (float * float)) list, t) result
 
 val parse_liberty_file : string -> (Circuit.Liberty.Library.t, t) result

@@ -39,18 +39,6 @@ let test_verilog_matches_bench () =
       Alcotest.(check int) "same depth" (Circuit.Netlist.depth nb)
         (Circuit.Netlist.depth nv))
 
-let test_placement_golden () =
-  with_data (fun dir ->
-      let nl = demo90 dir in
-      let placements =
-        Core.Errors.get_ok
-          (Core.Errors.parse_placement_file (Filename.concat dir "demo90.pl"))
-      in
-      let nl2 = Circuit.Placement_io.apply nl placements in
-      Alcotest.(check int) "all gates placed" (Circuit.Netlist.num_gates nl)
-        (List.length placements);
-      ignore nl2)
-
 let test_liberty_golden () =
   with_data (fun dir ->
       let lib =
@@ -60,17 +48,21 @@ let test_liberty_golden () =
       Alcotest.(check int) "twelve cells" 12
         (List.length lib.Circuit.Liberty.Library.cells))
 
-let test_sdf_golden () =
+(* the SDF writer over demo90's builtin-Liberty NLDM sweep, byte for
+   byte: any change to a delay, its formatting or the document layout
+   shows here *)
+let test_sdf_writer_bytes () =
   with_data (fun dir ->
       let nl = demo90 dir in
-      let pairs =
-        Timing.Sdf.read
-          (Core.Errors.get_ok (Core.Errors.read_file (Filename.concat dir "demo90.sdf")))
+      let lib =
+        Circuit.Liberty.Library.of_group (Circuit.Liberty.parse Circuit.Liberty.builtin)
       in
-      let delays = Timing.Sdf.annotate nl pairs in
-      Alcotest.(check int) "delay per gate" (Circuit.Netlist.num_gates nl)
-        (Array.length delays);
-      Array.iter (fun d -> if d <= 0.0 then Alcotest.fail "non-positive delay") delays)
+      let sweep = Timing.Delay_calc.run lib nl in
+      let expected =
+        Core.Errors.get_ok (Core.Errors.read_file (Filename.concat dir "demo90.sdf"))
+      in
+      Alcotest.(check string) "demo90.sdf" expected
+        (Timing.Sdf.write nl ~delays:sweep.Timing.Delay_calc.delays))
 
 let test_full_pipeline_on_golden () =
   with_data (fun dir ->
@@ -179,9 +171,8 @@ let unit_tests =
   [
     ("golden: .bench parses", test_bench_golden);
     ("golden: verilog matches bench", test_verilog_matches_bench);
-    ("golden: placement applies", test_placement_golden);
     ("golden: liberty parses", test_liberty_golden);
-    ("golden: sdf annotates", test_sdf_golden);
+    ("golden: sdf writer bytes", test_sdf_writer_bytes);
     ("golden: pipeline runs", test_full_pipeline_on_golden);
     ("golden: zero level weight extracts", test_zero_level_weight);
     ("golden: rng stream", test_rng_stream_pinned);

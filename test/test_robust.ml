@@ -358,28 +358,6 @@ let test_svd_rejects_nan () =
   | _ -> Alcotest.fail "factor accepted NaN"
   | exception Invalid_argument _ -> ()
 
-let test_sdf_lenient_annotate () =
-  let nl =
-    Circuit.Generator.generate { Circuit.Generator.default with num_gates = 20 }
-  in
-  let n = Circuit.Netlist.num_gates nl in
-  let delays = Array.init n (fun i -> 50.0 +. float_of_int i) in
-  let pairs = Timing.Sdf.read (Timing.Sdf.write nl ~delays) in
-  let full = Timing.Sdf.annotate nl pairs in
-  Alcotest.(check (float 1e-9)) "round trip" delays.(3) full.(3);
-  let partial = List.filteri (fun i _ -> i > 1) pairs in
-  (match Timing.Sdf.annotate nl partial with
-   | _ -> Alcotest.fail "annotate accepted missing instances"
-   | exception Timing.Sdf.Annotate_error msg ->
-     Alcotest.(check bool) "failure counts instances" true
-       (String.length msg > 0));
-  let filled, warnings = Timing.Sdf.annotate_lenient nl partial in
-  Alcotest.(check int) "two warnings" 2 (List.length warnings);
-  Alcotest.(check int) "full length" n (Array.length filled);
-  Array.iter
-    (fun v -> Alcotest.(check bool) "finite fill" true (Float.is_finite v))
-    filled
-
 let suites =
   [
     ( "faults",
@@ -406,6 +384,5 @@ let suites =
         Alcotest.test_case "typed wrappers + exit codes" `Quick test_error_wrappers;
         Alcotest.test_case "no critical paths" `Quick test_no_critical_paths_error;
         Alcotest.test_case "svd rejects NaN" `Quick test_svd_rejects_nan;
-        Alcotest.test_case "sdf lenient annotate" `Quick test_sdf_lenient_annotate;
       ] );
   ]

@@ -1,26 +1,10 @@
-(* Tests for the SDF writer/reader and the multi-corner selection. *)
-
-open Helpers
+(* Tests for the SDF writer and the multi-corner selection. *)
 
 let netlist () =
   Circuit.Generator.generate { Circuit.Generator.default with num_gates = 60; seed = 33 }
 
 (* ------------------------------------------------------------------ *)
 (* SDF *)
-
-let test_sdf_roundtrip () =
-  let nl = netlist () in
-  let delays =
-    Array.init (Circuit.Netlist.num_gates nl) (fun g -> 10.0 +. (0.25 *. float_of_int g))
-  in
-  let text = Timing.Sdf.write nl ~delays in
-  let parsed = Timing.Sdf.read text in
-  Alcotest.(check int) "one entry per gate" (Circuit.Netlist.num_gates nl)
-    (List.length parsed);
-  let back = Timing.Sdf.annotate nl parsed in
-  Array.iteri
-    (fun g d -> check_close ~tol:1e-3 (Printf.sprintf "gate %d" g) delays.(g) d)
-    back
 
 let test_sdf_structure () =
   let nl = netlist () in
@@ -40,45 +24,6 @@ let test_sdf_rejects_bad_lengths () =
     (match Timing.Sdf.write nl ~delays:[| 1.0 |] with
      | (_ : string) -> false
      | exception Invalid_argument _ -> true)
-
-let test_sdf_read_tolerates_noise () =
-  let text =
-    "(DELAYFILE (SDFVERSION \"3.0\")\n// a comment\n\
-     (CELL (CELLTYPE \"INV\") (INSTANCE g7)\n\
-     (DELAY (ABSOLUTE (IOPATH A Z (1.5:2.0:2.5))))))"
-  in
-  match Timing.Sdf.read text with
-  | [ ("g7", d) ] -> check_close "typical value" 1.5 d
-  | other -> Alcotest.failf "unexpected parse: %d entries" (List.length other)
-
-let test_sdf_parse_error () =
-  Alcotest.(check bool) "unbalanced" true
-    (match Timing.Sdf.read "(DELAYFILE (CELL" with
-     | (_ : (string * float) list) -> false
-     | exception Timing.Sdf.Parse_error _ -> true)
-
-let test_sdf_annotate_missing_gate () =
-  let nl = netlist () in
-  Alcotest.(check bool) "missing instance" true
-    (match Timing.Sdf.annotate nl [ ("nonexistent", 1.0) ] with
-     | (_ : float array) -> false
-     | exception Timing.Sdf.Annotate_error _ -> true)
-
-let test_sdf_of_nldm_sweep () =
-  (* full loop: NLDM sweep -> SDF -> read back -> delay model *)
-  let nl = netlist () in
-  let lib =
-    Circuit.Liberty.Library.of_group (Circuit.Liberty.parse Circuit.Liberty.builtin)
-  in
-  let sweep = Timing.Delay_calc.run lib nl in
-  let text = Timing.Sdf.write nl ~delays:sweep.Timing.Delay_calc.delays in
-  let back = Timing.Sdf.annotate nl (Timing.Sdf.read text) in
-  let model = Timing.Variation.make_model ~levels:3 () in
-  let dm = Timing.Delay_model.build_with_nominals nl model back in
-  check_close ~tol:0.01 "critical delay survives the roundtrip"
-    (Timing.Delay_model.nominal_critical_delay
-       (Timing.Delay_model.build_with_nominals nl model sweep.Timing.Delay_calc.delays))
-    (Timing.Delay_model.nominal_critical_delay dm)
 
 (* ------------------------------------------------------------------ *)
 (* Corners *)
@@ -178,13 +123,8 @@ let test_corners_mc_accuracy_at_each_corner () =
 
 let unit_tests =
   [
-    ("sdf: write/read roundtrip", test_sdf_roundtrip);
     ("sdf: document structure", test_sdf_structure);
     ("sdf: rejects bad lengths", test_sdf_rejects_bad_lengths);
-    ("sdf: reader tolerates noise", test_sdf_read_tolerates_noise);
-    ("sdf: parse error", test_sdf_parse_error);
-    ("sdf: annotate missing gate", test_sdf_annotate_missing_gate);
-    ("sdf: NLDM sweep roundtrip", test_sdf_of_nldm_sweep);
     ("corners: tolerance met at every corner", test_corners_meet_tolerance_everywhere);
     ("corners: single corner degenerates to solo", test_corners_single_corner_degenerates);
     ("corners: joint at least max solo", test_corners_needs_at_least_solo_size);

@@ -88,6 +88,36 @@ let test_variation_validation () =
      | (_ : Timing.Variation.model) -> false
      | exception Invalid_argument _ -> true)
 
+let test_variation_gates_in_one_corner () =
+  (* moving every gate into one corner collapses the covered regions *)
+  let nl =
+    Circuit.Generator.generate { Circuit.Generator.default with num_gates = 40; seed = 77 }
+  in
+  let cornered_nl =
+    let gates =
+      Array.to_list (Circuit.Netlist.gates nl)
+      |> List.map (fun (g : Circuit.Netlist.gate) ->
+           let fanin = Array.map (Circuit.Netlist.decode_signal nl) g.fanin in
+           (g.name, g.cell, fanin, (0.01, 0.01)))
+    in
+    Circuit.Netlist.build ~name:(Circuit.Netlist.name nl)
+      ~num_inputs:(Circuit.Netlist.num_inputs nl) ~gates
+      ~outputs:(Array.to_list (Circuit.Netlist.outputs nl))
+  in
+  let pool_of n =
+    let dm = Timing.Delay_model.build n (model3 ()) in
+    let t = Timing.Delay_model.nominal_critical_delay dm in
+    let r = Timing.Path_extract.extract dm ~t_cons:t ~yield_threshold:0.999 in
+    Timing.Paths.build dm r.Timing.Path_extract.paths
+  in
+  let spread = Timing.Paths.covered_regions (pool_of nl) in
+  let cornered = Timing.Paths.covered_regions (pool_of cornered_nl) in
+  Alcotest.(check bool)
+    (Printf.sprintf "cornered %d < spread %d regions" cornered spread)
+    true (cornered < spread);
+  (* one cell per level when everything sits in one corner *)
+  Alcotest.(check int) "3 regions when colocated" 3 cornered
+
 (* ------------------------------------------------------------------ *)
 (* Delay model *)
 
@@ -376,6 +406,7 @@ let unit_tests =
     ("variation: quadtree cell lookup", test_variation_cell_of_position);
     ("variation: locality shares regions", test_variation_nearby_gates_share_regions);
     ("variation: validation", test_variation_validation);
+    ("variation: gates in one corner", test_variation_gates_in_one_corner);
     ("delay: random share is 6%", test_delay_model_random_share);
     ("delay: boost scales random term", test_delay_model_boost_scales_random);
     ("delay: positive nominals", test_delay_model_nominal_positive);
