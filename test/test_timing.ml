@@ -406,7 +406,6 @@ let unit_tests =
     ("variation: quadtree cell lookup", test_variation_cell_of_position);
     ("variation: locality shares regions", test_variation_nearby_gates_share_regions);
     ("variation: validation", test_variation_validation);
-    ("variation: gates in one corner", test_variation_gates_in_one_corner);
     ("delay: random share is 6%", test_delay_model_random_share);
     ("delay: boost scales random term", test_delay_model_boost_scales_random);
     ("delay: positive nominals", test_delay_model_nominal_positive);
@@ -438,5 +437,9 @@ let suites =
   [
     ( "timing",
       List.map (fun (name, f) -> Alcotest.test_case name `Quick f) unit_tests
-      @ property_tests );
+      @ property_tests
+      @ [
+          Alcotest.test_case "variation: gates in one corner" `Quick
+            test_variation_gates_in_one_corner;
+        ] );
   ]
