@@ -2,14 +2,14 @@
 
    Regenerates every table and figure of the paper's evaluation section
    (Table 1, Table 2, Figure 2, the Section-6.3 guard-band analysis),
-   plus the E5/E6 ablations from DESIGN.md, and runs Bechamel
-   micro-benchmarks of the computational kernels.
+   plus the ablations, baselines and robustness studies from DESIGN.md
+   and the E14-E20 soak and scaling experiments with their CI gates.
+   Kernel timings are E15's rows; per-layer timings are perfbench's.
 
    Usage:
      dune exec bench/main.exe                     # everything, quick profile
      dune exec bench/main.exe -- table1           # one experiment
      dune exec bench/main.exe -- table2 --full    # paper-scale sizes
-     dune exec bench/main.exe -- micro            # kernel timings only
      dune exec bench/main.exe -- e16 --smoke      # one experiment's CI gate *)
 
 let () = Experiments.Soak.child_main ()
@@ -17,225 +17,6 @@ let () = Experiments.Soak.child_main ()
 (* The dispatch table at the bottom is the single source of truth for
    the subcommand list: the usage string, the dispatch, and "all" are
    all generated from it, so they cannot drift apart. *)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the kernels behind each experiment *)
-
-let micro_fixture =
-  lazy
-    (let nl =
-       Circuit.Generator.generate
-         { Circuit.Generator.default with num_gates = 300; seed = 4 }
-     in
-     let model = Timing.Variation.make_model ~levels:3 () in
-     let setup = Core.Pipeline.prepare ~yield_samples:120 ~netlist:nl ~model () in
-     let a = Timing.Paths.a_mat setup.Core.Pipeline.pool in
-     let mu = Timing.Paths.mu_paths setup.Core.Pipeline.pool in
-     let svd = Linalg.Svd.factor a in
-     (setup, a, mu, svd))
-
-(* Unblocked triple loop, kept here only as the baseline row for the
-   kernel benchmarks below. *)
-let naive_mul a b =
-  let m, k = Linalg.Mat.dims a in
-  let k2, n = Linalg.Mat.dims b in
-  assert (k = k2);
-  Linalg.Mat.init m n (fun i j ->
-      let acc = ref 0.0 in
-      for p = 0 to k - 1 do
-        acc := !acc +. (Linalg.Mat.get a i p *. Linalg.Mat.get b p j)
-      done;
-      !acc)
-
-(* Dense-kernel rows: naive serial vs the cache-blocked kernel at 1 and
-   4 pool domains. Each row carries the pool size to install before the
-   measurement (None = leave the pool alone). *)
-let kernel_tests () =
-  let open Bechamel in
-  let rng = Rng.create 41 in
-  let dim = 256 in
-  let a = Linalg.Mat.init dim dim (fun _ _ -> Rng.gaussian rng) in
-  let b = Linalg.Mat.init dim dim (fun _ _ -> Rng.gaussian rng) in
-  let at d name f = (Some d, Test.make ~name (Staged.stage f)) in
-  [
-    (None,
-     Test.make ~name:"kernel:mul-naive-serial"
-       (Staged.stage (fun () -> ignore (naive_mul a b))));
-    at 1 "kernel:mul-blocked-1dom" (fun () -> ignore (Linalg.Mat.mul a b));
-    at 4 "kernel:mul-blocked-4dom" (fun () -> ignore (Linalg.Mat.mul a b));
-    at 1 "kernel:mul_nt-1dom" (fun () -> ignore (Linalg.Mat.mul_nt a b));
-    at 4 "kernel:mul_nt-4dom" (fun () -> ignore (Linalg.Mat.mul_nt a b));
-    at 1 "kernel:mul_tn-1dom" (fun () -> ignore (Linalg.Mat.mul_tn a b));
-    at 4 "kernel:mul_tn-4dom" (fun () -> ignore (Linalg.Mat.mul_tn a b));
-    at 1 "kernel:gram-1dom" (fun () -> ignore (Linalg.Mat.gram a));
-    at 4 "kernel:gram-4dom" (fun () -> ignore (Linalg.Mat.gram a));
-  ]
-
-(* Sparse-kernel and sketch rows: CSR spmm at the same nnz as the dense
-   256x256 product above (spread over 8x the rows), and the randomized
-   range finder at two sketch ranks on that operator. *)
-let sparse_tests () =
-  let open Bechamel in
-  let rng = Rng.create 43 in
-  let dim = 256 in
-  let dense_a = Linalg.Mat.init dim dim (fun _ _ -> Rng.gaussian rng) in
-  let b = Linalg.Mat.init dim dim (fun _ _ -> Rng.gaussian rng) in
-  let rows = 8 * dim in
-  let per_row = dim * dim / rows in
-  let sp =
-    Linalg.Sparse.init_rows ~rows ~cols:dim (fun i ->
-        List.init per_row (fun k -> (((7 * i) + (k * 11)) mod dim, Rng.gaussian rng)))
-  in
-  let tall = Linalg.Mat.init rows dim (fun _ _ -> Rng.gaussian rng) in
-  let ops = Linalg.Rsvd.op_of_sparse sp in
-  [
-    Test.make ~name:"sparse:dense-mul-256x256-65k-nnz"
-      (Staged.stage (fun () -> ignore (Linalg.Mat.mul dense_a b)));
-    Test.make ~name:"sparse:spmm-2048x256-65k-nnz"
-      (Staged.stage (fun () -> ignore (Linalg.Sparse.mul_mat sp b)));
-    Test.make ~name:"sparse:spmm-t-2048x256-65k-nnz"
-      (Staged.stage (fun () -> ignore (Linalg.Sparse.tmul_mat sp tall)));
-    Test.make ~name:"sketch:range-finder-rank8"
-      (Staged.stage (fun () ->
-           ignore (Linalg.Rsvd.factor_op ~stop:(Rank 8) ~seed:9 ops)));
-    Test.make ~name:"sketch:range-finder-rank32"
-      (Staged.stage (fun () ->
-           ignore (Linalg.Rsvd.factor_op ~stop:(Rank 32) ~seed:9 ops)));
-  ]
-
-let observe_line =
-  lazy
-    (let rng = Rng.create 47 in
-     let dies cols =
-       Serve.Wire.mat_to_json
-         (Linalg.Mat.init 8 cols (fun _ _ -> 400.0 +. (50.0 *. Rng.gaussian rng)))
-     in
-     Serve.Wire.print
-       (Serve.Wire.Obj
-          [ ("op", Serve.Wire.String "observe"); ("dies", dies 6); ("truth", dies 2000) ]))
-
-(* a served serve_predict response: 16 dies of 2000 predicted delays *)
-let predict_response =
-  lazy
-    (let rng = Rng.create 59 in
-     Serve.Wire.Obj
-       [
-         ("ok", Serve.Wire.Bool true);
-         ("op", Serve.Wire.String "predict");
-         ("gen", Serve.Wire.Int 1);
-         ("dies", Serve.Wire.Int 16);
-         ("robust", Serve.Wire.Bool false);
-         ( "predictions",
-           Serve.Wire.mat_to_json
-             (Linalg.Mat.init 16 2000 (fun _ _ -> 400.0 +. (50.0 *. Rng.gaussian rng))) );
-       ])
-
-let crc_input =
-  lazy
-    (let rng = Rng.create 53 in
-     String.init (16 lsl 20) (fun _ -> Char.chr (Rng.int rng 256)))
-
-let micro_tests () =
-  let open Bechamel in
-  let setup, a, mu, svd = Lazy.force micro_fixture in
-  let group_select_input =
-    lazy
-      (let exact = Core.Pipeline.exact_selection setup in
-       let g_r1 =
-         Linalg.Mat.select_rows
-           (Timing.Paths.g_mat setup.Core.Pipeline.pool)
-           exact.Core.Select.indices
-       in
-       let bounds =
-         Array.make (Array.length exact.Core.Select.indices)
-           (0.05 *. setup.Core.Pipeline.t_cons)
-       in
-       (g_r1, bounds))
-  in
-  [
-    Test.make ~name:"table1:svd-of-A"
-      (Staged.stage (fun () -> ignore (Linalg.Svd.factor a)));
-    Test.make ~name:"table1:algo2-pivoted-qr-subset"
-      (Staged.stage (fun () -> ignore (Core.Subset_select.rows_from_svd svd ~r:20)));
-    Test.make ~name:"table1:thm2-predictor-build"
-      (Staged.stage (fun () ->
-           let rep = Core.Subset_select.rows_from_svd svd ~r:20 in
-           ignore (Core.Predictor.build ~a ~mu ~rep)));
-    Test.make ~name:"table1:algo1-bisection"
-      (Staged.stage (fun () ->
-           ignore
-             (Core.Select.approximate ~a ~mu ~eps:0.05
-                ~t_cons:setup.Core.Pipeline.t_cons ())));
-    Test.make ~name:"table2:eqn10-group-select"
-      (Staged.stage (fun () ->
-           let g_r1, bounds = Lazy.force group_select_input in
-           ignore
-             (Convexopt.Group_select.select
-                ~sigma:(Timing.Paths.sigma_mat setup.Core.Pipeline.pool)
-                ~g1:g_r1 ~bounds ~kappa:3.0 ())));
-    Test.make ~name:"figure2:effective-rank"
-      (Staged.stage (fun () ->
-           ignore
-             (Core.Effective_rank.of_singular_values ~eta:0.05 svd.Linalg.Svd.s)));
-    Test.make ~name:"mc:500-virtual-dies"
-      (Staged.stage (fun () ->
-           let mc =
-             Timing.Monte_carlo.sample (Rng.create 5) setup.Core.Pipeline.pool ~n:500
-           in
-           ignore (Timing.Monte_carlo.path_delays mc)));
-    (* the full-circuit yield sweep behind [prepare]'s extraction
-       threshold, on the fixture's netlist *)
-    Test.make ~name:"mc:circuit-yield-300"
-      (Staged.stage (fun () ->
-           ignore
-             (Timing.Monte_carlo.circuit_yield setup.Core.Pipeline.dm
-                ~t_cons:setup.Core.Pipeline.t_cons ~rng:(Rng.create 5) ~samples:300)));
-    (* a serve_fleet observe request: 8 dies of 6 measured and 2000
-       remainder delays, every float printed at 17 digits *)
-    Test.make ~name:"wire:parse-observe-8x2000"
-      (Staged.stage (fun () -> ignore (Serve.Wire.parse (Lazy.force observe_line))));
-    Test.make ~name:"wire:print-predict-16x2000"
-      (Staged.stage (fun () -> ignore (Serve.Wire.print (Lazy.force predict_response))));
-    Test.make ~name:"store:crc32-16MB"
-      (Staged.stage (fun () -> ignore (Store.Codec.crc32 (Lazy.force crc_input))));
-    (* whole-program analysis of the built lib/ tree: the typedtree
-       half of the cost `make lint` adds to the CI gate. No-op when the
-       cmts are missing, e.g. a bench binary run outside the repo root. *)
-    Test.make ~name:"tooling:analysis-lib-tree"
-      (Staged.stage (fun () ->
-           ignore (Analysis.analyze_cmts (Analysis.find_cmts "_build/default/lib"))));
-  ]
-
-let run_micro () =
-  let open Bechamel in
-  print_endline "Micro-benchmarks (Bechamel, monotonic clock)";
-  print_endline (String.make 64 '-');
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.5) () in
-  let analyze = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let run_one (domains, test) =
-    (match domains with None -> () | Some d -> Par.Pool.set_size d);
-    let raw = Benchmark.all cfg [ instance ] test in
-    let results = Analyze.all analyze instance raw in
-    Hashtbl.iter
-      (fun name ols ->
-        match Analyze.OLS.estimates ols with
-        | Some [ est ] -> Printf.printf "%-46s %12.3f ms/run\n%!" name (est /. 1e6)
-        | Some _ | None -> Printf.printf "%-46s (no estimate)\n%!" name)
-      results
-  in
-  List.iter run_one (List.map (fun t -> (None, t)) (micro_tests ()));
-  (* lower the grain threshold so the 256x256 kernel rows exercise the
-     parallel path; restore it afterwards *)
-  let saved_threshold = Linalg.Mat.par_threshold_value () in
-  let saved_domains = Par.Pool.size () in
-  Linalg.Mat.set_par_threshold 10_000;
-  Fun.protect ~finally:(fun () ->
-      Linalg.Mat.set_par_threshold saved_threshold;
-      Par.Pool.set_size saved_domains)
-  @@ fun () ->
-  List.iter run_one (kernel_tests ());
-  List.iter run_one (List.map (fun t -> (None, t)) (sparse_tests ()))
 
 let banner title =
   Printf.printf "\n%s\n%s\n%s\n\n" (String.make 78 '=') title (String.make 78 '=')
@@ -318,7 +99,6 @@ let experiments :
       "E20 -- kill/recovery soak: WAL + checkpoint durability under SIGKILL",
       (fun p -> ignore (Experiments.Recover_exp.run ~out:"BENCH_e20.json" p)),
       Some (fun p -> (Experiments.Recover_exp.run p).Experiments.Recover_exp.ok) );
-    ("micro", "micro-benchmarks", (fun _ -> run_micro ()), None);
   ]
 
 let usage () =

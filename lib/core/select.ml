@@ -210,9 +210,9 @@ type stream_t = {
    streams through it, and pivoted QR runs on the k x rows transpose of
    the sketched left basis — the densest allocations are
    [rows x sketch_width] tall blocks. No Theorem-2 predictor is built
-   here (that needs dense representative rows; see
-   [Pool_stream.rows_dense] for the follow-up), so this returns the
-   representative set and the sketched spectrum. *)
+   here (that needs the dense representative rows of A, which the
+   operator does not expose), so this returns the representative set
+   and the sketched spectrum. *)
 let sketch_representatives ?(config = Config.default) ?(sketch = default_sketch) ?r
     ~ops:(op : Linalg.Rsvd.op) () =
   Config.validate config;

@@ -33,11 +33,9 @@ let run_schedule ?(oc = stdout) profile =
         let a = Timing.Paths.a_mat setup.Core.Pipeline.pool in
         let mu = Timing.Paths.mu_paths setup.Core.Pipeline.pool in
         let timed schedule =
-          let t0 = Unix.gettimeofday () in
-          let s =
-            Core.Select.approximate ~schedule ~a ~mu ~eps ~t_cons:setup.Core.Pipeline.t_cons ()
-          in
-          (s, Unix.gettimeofday () -. t0)
+          Soak.time (fun () ->
+              Core.Select.approximate ~schedule ~a ~mu ~eps
+                ~t_cons:setup.Core.Pipeline.t_cons ())
         in
         let lin, lin_t = timed Core.Select.Linear in
         let bis, bis_t = timed Core.Select.Bisection in
@@ -98,13 +96,14 @@ let run_cluster ?(oc = stdout) profile =
   Printf.fprintf oc "%10s | %8s %10s %8s\n" "k" "|Pr|" "eps_r%" "sec";
   Printf.fprintf oc "%s\n" (String.make 44 '-');
   let direct_row =
-    let t0 = Unix.gettimeofday () in
-    let s = Core.Select.approximate ~a ~mu ~eps ~t_cons () in
+    let s, cluster_seconds =
+      Soak.time (fun () -> Core.Select.approximate ~a ~mu ~eps ~t_cons ())
+    in
     {
       k = 1;
       selected = Array.length s.Core.Select.indices;
       cluster_eps_r_pct = 100.0 *. s.Core.Select.eps_r;
-      cluster_seconds = Unix.gettimeofday () -. t0;
+      cluster_seconds;
     }
   in
   Printf.fprintf oc "%10s | %8d %10.2f %8.2f\n" "direct" direct_row.selected
@@ -112,14 +111,15 @@ let run_cluster ?(oc = stdout) profile =
   let rows =
     List.map
       (fun k ->
-        let t0 = Unix.gettimeofday () in
-        let c = Core.Cluster.select ~k ~a ~mu ~eps ~t_cons () in
+        let c, cluster_seconds =
+          Soak.time (fun () -> Core.Cluster.select ~k ~a ~mu ~eps ~t_cons ())
+        in
         let row =
           {
             k;
             selected = Array.length c.Core.Cluster.indices;
             cluster_eps_r_pct = 100.0 *. c.Core.Cluster.eps_r;
-            cluster_seconds = Unix.gettimeofday () -. t0;
+            cluster_seconds;
           }
         in
         Printf.fprintf oc "%10d | %8d %10.2f %8.2f\n" row.k row.selected
@@ -162,14 +162,11 @@ let run_nested ?(oc = stdout) profile =
       let a = Timing.Paths.a_mat setup.Core.Pipeline.pool in
       let mu = Timing.Paths.mu_paths setup.Core.Pipeline.pool in
       let t_cons = setup.Core.Pipeline.t_cons in
-      let time f =
-        let t0 = Unix.gettimeofday () in
-        let r = f () in
-        (r, Unix.gettimeofday () -. t0)
+      let repivot, t_re =
+        Soak.time (fun () -> Core.Select.approximate ~a ~mu ~eps ~t_cons ())
       in
-      let repivot, t_re = time (fun () -> Core.Select.approximate ~a ~mu ~eps ~t_cons ()) in
       let nested, t_ne =
-        time (fun () -> Core.Select.approximate_nested ~a ~mu ~eps ~t_cons ())
+        Soak.time (fun () -> Core.Select.approximate_nested ~a ~mu ~eps ~t_cons ())
       in
       let row =
         {

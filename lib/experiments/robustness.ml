@@ -27,14 +27,13 @@ let run_rsvd ?(oc = stdout) profile =
   Printf.fprintf oc "%-22s | %6s %10s %8s\n" "method" "|Pr|" "eps_r%" "sec";
   Printf.fprintf oc "%s\n" (String.make 52 '-');
   let timed name f =
-    let t0 = Unix.gettimeofday () in
-    let sel = f () in
+    let sel, seconds = Soak.time f in
     let row =
       {
         method_name = name;
         selected = Array.length sel.Core.Select.indices;
         eps_r_pct = 100.0 *. sel.Core.Select.eps_r;
-        seconds = Unix.gettimeofday () -. t0;
+        seconds;
       }
     in
     Printf.fprintf oc "%-22s | %6d %10.2f %8.2f\n" row.method_name row.selected

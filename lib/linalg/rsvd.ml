@@ -14,11 +14,6 @@ let op_of_mat a =
   let rows, cols = Mat.dims a in
   { rows; cols; frob2 = sum_squares a.Mat.data; mul = Mat.mul a; tmul = Mat.mul_tn a }
 
-let op_of_sparse a =
-  let rows, cols = Sparse.dims a in
-  let frob2 = sum_squares a.Sparse.values in
-  { rows; cols; frob2; mul = Sparse.mul_mat a; tmul = Sparse.tmul_mat a }
-
 (* Storage. Every tall block the range finder builds (the basis Q,
    B^T = A^T Q, each iterate) is held column-major, as the row-major
    [Mat.t] of its transpose: an [n x k] block is a [k x n] matrix whose

@@ -42,8 +42,6 @@ type op = {
 
 val op_of_mat : Mat.t -> op
 
-val op_of_sparse : Sparse.t -> op
-
 type stop =
   | Rank of int
   (** one block of [k + 8] columns, truncated to the leading [k]

@@ -148,30 +148,6 @@ let get a i j =
   done;
   !result
 
-(* Rows per chunk so one chunk is ~[Mat.par_threshold_value] flops; when
-   the whole kernel fits in one grain, [parallel_chunks] degenerates to
-   the serial loop. Each output row is produced by exactly one chunk in
-   CSR entry order, so the kernels below are bit-identical at any pool
-   size (the PR 3 determinism contract). *)
-let spmv_grain a per_col =
-  let avg_row_flops = 2 * per_col * (nnz a / max 1 a.rows) in
-  max 1 (Mat.par_threshold_value () / max 1 avg_row_flops)
-
-let mul_vec a x =
-  if Array.length x <> a.cols then invalid_arg "Sparse.mul_vec: dimension mismatch";
-  let y = Array.make a.rows 0.0 in
-  let band lo hi =
-    for i = lo to hi - 1 do
-      let acc = ref 0.0 in
-      for k = a.row_ptr.(i) to a.row_ptr.(i + 1) - 1 do
-        acc := !acc +. (a.values.(k) *. x.(a.col_idx.(k)))
-      done;
-      y.(i) <- !acc
-    done
-  in
-  Par.Pool.parallel_chunks ~grain:(spmv_grain a 1) 0 a.rows band;
-  y
-
 let mul_mat a x =
   let xr, xc = Mat.dims x in
   if xr <> a.cols then invalid_arg "Sparse.mul_mat: dimension mismatch";
@@ -189,7 +165,14 @@ let mul_mat a x =
       done
     done
   in
-  Par.Pool.parallel_chunks ~grain:(spmv_grain a xc) 0 a.rows band;
+  (* rows per chunk so one chunk is ~[Mat.par_threshold_value] flops;
+     when the whole product fits in one grain, [parallel_chunks]
+     degenerates to the serial loop. Each output row is produced by
+     exactly one chunk in CSR entry order, so the result is
+     bit-identical at any pool size. *)
+  let row_flops = 2 * xc * (nnz a / max 1 a.rows) in
+  let grain = max 1 (Mat.par_threshold_value () / max 1 row_flops) in
+  Par.Pool.parallel_chunks ~grain 0 a.rows band;
   out
 
 let tmul_mat a x =

@@ -43,12 +43,6 @@ val nnz : t -> int
 val get : t -> int -> int -> float
 (** O(log nnz-in-row). *)
 
-val mul_vec : t -> Vec.t -> Vec.t
-(** Sparse matrix x dense vector, row-band parallel on the {!Par.Pool}
-    when the flop count clears [Mat.par_threshold_value]. Each row sums
-    in CSR entry order, so the result is bit-identical at any pool
-    size. *)
-
 val mul_mat : t -> Mat.t -> Mat.t
 (** [mul_mat a x] is the CSR x dense product [a * x] ([a] is [m x n],
     [x] is [n x k], result [m x k]). Row-band parallel over CSR rows;

@@ -140,15 +140,6 @@ let observed t = t.n
 let bad_inputs t = t.bad
 let quarantined t = t.quarantine
 
-let reset t =
-  t.s_hi <- 0.0;
-  t.s_lo <- 0.0;
-  t.n <- 0;
-  t.consecutive_bad <- 0;
-  t.quarantine <- false;
-  t.win_n <- 0;
-  t.st <- Healthy
-
 (* ------------------------------------------------------------------ *)
 (* Durability: a detector is its reference, its CUSUM accumulators,
    the residual window, and the latch/quarantine flags — all plain

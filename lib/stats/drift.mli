@@ -59,7 +59,8 @@ val create : ?config:config -> mean:float -> sigma:float -> unit -> t
 (* lint: allow-next unused-export: [Grouped] runs it; test_drift drives it *)
 val observe : t -> float -> state
 (** Feed one residual and return the updated state. [Drifted] latches:
-    once reached it persists until [reset]. Non-finite input never
+    once reached it persists for the detector's life ({!Grouped.restart}
+    replaces it). Non-finite input never
     raises — it is counted ([bad_inputs]), leaves the statistics
     untouched, and after [max_consecutive_bad] in a row the detector
     quarantines itself ([quarantined] becomes true and the state
@@ -84,16 +85,10 @@ val observed : t -> int
 
 (* lint: allow-next unused-export: test_drift checks the counters with it *)
 val bad_inputs : t -> int
-(** Non-finite residuals rejected (cumulative, survives [reset]). *)
+(** Non-finite residuals rejected (cumulative). *)
 
 (* lint: allow-next unused-export: [Grouped] runs it; test_drift drives it *)
 val quarantined : t -> bool
-
-(* lint: allow-next unused-export: test_drift checks the latch with it *)
-val reset : t -> unit
-(** Clear CUSUM state, window, latch and quarantine; keep the reference
-    distribution and the cumulative [bad_inputs] counter. Use after an
-    artifact swap (followed by recalibration) or operator intervention. *)
 
 (** {2 Durability}
 

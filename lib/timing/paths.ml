@@ -82,8 +82,6 @@ let extract_segments paths =
   let segments = Array.of_list (List.rev !segments) in
   (segments, seg_of_path)
 
-let segment_chains = extract_segments
-
 let build dm path_list =
   if path_list = [] then invalid_arg "Paths.build: empty path list";
   let paths = Array.of_list path_list in

@@ -16,15 +16,6 @@ type t
 val build : Delay_model.t -> Path_extract.path list -> t
 (** Raises [Invalid_argument] on an empty path list. *)
 
-val segment_chains :
-  Path_extract.path array -> int array array * int array array
-(** [segment_chains paths] partitions the path-union subgraph into
-    maximal gate chains: returns [(segments, seg_of_path)] where
-    [segments.(s)] is segment [s]'s gate list and [seg_of_path.(i)] the
-    segment ids whose concatenation is path [i]. This is the shared
-    front half of {!build} and of the sparse streaming builder
-    {!Pool_stream.of_paths}. *)
-
 val num_paths : t -> int
 
 val num_segments : t -> int

@@ -1,12 +1,9 @@
 type t = {
   g : Linalg.Sparse.t;
   sigma : Linalg.Sparse.t;
-  mu_paths : Linalg.Vec.t;
 }
 
 let num_paths t = fst (Linalg.Sparse.dims t.g)
-
-let num_segments t = fst (Linalg.Sparse.dims t.sigma)
 
 let num_vars t = snd (Linalg.Sparse.dims t.sigma)
 
@@ -15,8 +12,6 @@ let nnz t = Linalg.Sparse.nnz t.g + Linalg.Sparse.nnz t.sigma
 let g t = t.g
 
 let sigma t = t.sigma
-
-let mu t = t.mu_paths
 
 (* [f j v] for every product term [v = G(i,s) * Sigma(s,j)] of row [i]
    of the implicit A, in CSR order; a column [j] may recur. *)
@@ -55,53 +50,6 @@ let op t =
     tmul = (fun y -> Linalg.Sparse.tmul_mat t.sigma (Linalg.Sparse.tmul_mat t.g y));
   }
 
-let of_paths dm path_list =
-  if path_list = [] then invalid_arg "Pool_stream.of_paths: empty path list";
-  let paths = Array.of_list path_list in
-  let segments, seg_of_path = Paths.segment_chains paths in
-  let n = Array.length paths in
-  let n_s = Array.length segments in
-  (* variable space over covered gates, in the same sorted order as
-     [Paths.build] so the two front-ends agree column-for-column *)
-  let covered = Hashtbl.create 1024 in
-  Array.iter (fun s -> Array.iter (fun gt -> Hashtbl.replace covered gt ()) s) segments;
-  let var_set = Hashtbl.create 1024 in
-  Hashtbl.iter
-    (fun gt () ->
-      List.iter (fun (k, _) -> Hashtbl.replace var_set k ()) (Delay_model.sensitivities dm gt))
-    covered;
-  let vars = Array.of_seq (Hashtbl.to_seq_keys var_set) in
-  Array.sort Variation.compare_var vars;
-  let m = Array.length vars in
-  let var_index = Hashtbl.create m in
-  Array.iteri (fun i k -> Hashtbl.replace var_index k i) vars;
-  let mu_segments = Array.make n_s 0.0 in
-  let sigma =
-    Linalg.Sparse.init_rows ~rows:n_s ~cols:m (fun s ->
-        let gates = segments.(s) in
-        let entries = ref [] in
-        Array.iter
-          (fun gt ->
-            mu_segments.(s) <- mu_segments.(s) +. Delay_model.nominal dm gt;
-            List.iter
-              (fun (k, c) ->
-                if not (Float.is_finite c) then
-                  invalid_arg
-                    (Printf.sprintf
-                       "Pool_stream.of_paths: non-finite sensitivity %g at segment %d, gate %d"
-                       c s gt);
-                entries := (Hashtbl.find var_index k, c) :: !entries)
-              (Delay_model.sensitivities dm gt))
-          gates;
-        !entries)
-  in
-  let g =
-    Linalg.Sparse.init_rows ~rows:n ~cols:n_s (fun i ->
-        Array.fold_left (fun acc s -> (s, 1.0) :: acc) [] seg_of_path.(i))
-  in
-  let mu_paths = Linalg.Sparse.mul_vec g mu_segments in
-  { g; sigma; mu_paths }
-
 let synthetic ?(seed = 1) ?(decay = 24.0) ~paths ~segments ~vars ~segs_per_path
     ~vars_per_seg () =
   if paths <= 0 || segments <= 0 || vars <= 0 then
@@ -119,9 +67,12 @@ let synthetic ?(seed = 1) ?(decay = 24.0) ~paths ~segments ~vars ~segs_per_path
      4.2, the regime that licenses sketched selection in the first
      place. *)
   let col_scale j = exp (-.float_of_int j /. decay) in
-  let mu_segments =
-    Array.init segments (fun _ -> Rng.uniform seg_rng 0.5 1.5)
-  in
+  (* one draw per segment ahead of Sigma's (the nominal segment delays,
+     which the pool does not keep): test_golden pins each seed's pool,
+     so Sigma's draws must stay at this stream position *)
+  for _ = 1 to segments do
+    ignore (Rng.uniform seg_rng 0.5 1.5)
+  done;
   let sigma =
     Linalg.Sparse.init_rows ~rows:segments ~cols:vars (fun _ ->
         let k = min vars_per_seg vars in
@@ -142,17 +93,4 @@ let synthetic ?(seed = 1) ?(decay = 24.0) ~paths ~segments ~vars ~segs_per_path
         done;
         !entries)
   in
-  let mu_paths = Linalg.Sparse.mul_vec g mu_segments in
-  { g; sigma; mu_paths }
-
-let rows_dense t idx =
-  let m = num_vars t in
-  let out = Linalg.Mat.create (Array.length idx) m in
-  Array.iteri
-    (fun r i ->
-      if i < 0 || i >= num_paths t then invalid_arg "Pool_stream.rows_dense: row out of range";
-      let base = r * m in
-      row_terms t i (fun j v ->
-          out.Linalg.Mat.data.(base + j) <- out.Linalg.Mat.data.(base + j) +. v))
-    idx;
-  out
+  { g; sigma }

@@ -3,64 +3,26 @@
    mangled wire can fail a request but can never change an answer. *)
 
 let artifact =
-  lazy
-    (let nl =
-       Circuit.Generator.generate
-         { Circuit.Generator.default with num_gates = 90; seed = 23; depth = 8;
-           num_inputs = 10; num_outputs = 8 }
-     in
-     let model = Timing.Variation.make_model ~levels:3 () in
-     let dm = Timing.Delay_model.build nl model in
-     let t_cons = Timing.Delay_model.nominal_critical_delay dm in
-     let r =
-       Timing.Path_extract.extract ~max_paths:400 dm ~t_cons ~yield_threshold:0.99
-     in
-     let pool = Timing.Paths.build dm r.Timing.Path_extract.paths in
-     let a = Timing.Paths.a_mat pool in
-     let mu = Timing.Paths.mu_paths pool in
-     let sel = Core.Select.exact ~a ~mu () in
-     let mc = Timing.Monte_carlo.sample (Rng.create 7) pool ~n:12 in
-     let d = Timing.Monte_carlo.path_delays mc in
-     let rep = Core.Predictor.rep_indices sel.Core.Select.predictor in
-     let clean = Linalg.Mat.select_cols d rep in
-     let store =
-       Store.of_selection ~fingerprint:"test:chaos"
-         ~n_segments:(Timing.Paths.num_segments pool)
-         ~t_cons ~eps:0.05 ~a ~mu sel
-     in
-     (store, clean))
+  lazy (Helpers.served_artifact ~fingerprint:"test:chaos" ~seed:7 ~dies:12)
 
 (* real server on a thread, proxy in front, both torn down afterwards *)
 let with_stack ?seed ?eintr_pid spec f =
-  let store, clean = Lazy.force artifact in
-  let dir = Filename.temp_file "pathsel-chaos" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let s_addr = Serve.Unix_sock (Filename.concat dir "s.sock") in
-  let thread =
-    Thread.create (fun () -> Serve.run ~install_signals:false store s_addr) ()
-  in
+  Helpers.with_server (Lazy.force artifact) @@ fun store clean s_addr ->
   (* wait for the server socket before pointing the proxy at it *)
   (let c = Serve.Client.connect s_addr in
    Serve.Client.close c);
+  let dir =
+    match s_addr with
+    | Serve.Unix_sock p -> Filename.dirname p
+    | Serve.Tcp _ -> assert false
+  in
   let proxy =
     Chaos.start ?seed ?eintr_pid spec
       ~listen:(Serve.Unix_sock (Filename.concat dir "p.sock"))
       ~upstream:s_addr
   in
   Fun.protect
-    ~finally:(fun () ->
-      Chaos.stop proxy;
-      (try
-         let c = Serve.Client.connect ~retries:5 s_addr in
-         Serve.Client.shutdown c;
-         Serve.Client.close c
-       with _ -> ());
-      Thread.join thread;
-      Array.iter
-        (fun e -> try Sys.remove (Filename.concat dir e) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    ~finally:(fun () -> Chaos.stop proxy)
     (fun () ->
       let expected =
         Core.Predictor.predict_all (Store.predictor store) ~measured:clean

@@ -56,18 +56,14 @@ let test_threshold_boundary_inclusive () =
   Alcotest.check state "below threshold" Drift.Healthy (Drift.observe d 1.0);
   Alcotest.check state "exactly at threshold" Drift.Drifted (Drift.observe d 1.0)
 
-let test_latch_and_reset () =
+let test_latch () =
   let d = Drift.create ~config:(cfg ~window:64 ()) ~mean:0.0 ~sigma:1.0 () in
   for _ = 1 to 10 do ignore (Drift.observe d 2.0) done;
   Alcotest.check state "drifted" Drift.Drifted (Drift.state d);
   (* perfectly healthy residuals do not clear the latch *)
   for _ = 1 to 100 do
     Alcotest.check state "latched" Drift.Drifted (Drift.observe d 0.0)
-  done;
-  Drift.reset d;
-  Alcotest.check state "reset clears the latch" Drift.Healthy (Drift.state d);
-  Alcotest.(check bool) "cusum cleared" true (Drift.cusum d < 1e-12);
-  Alcotest.check state "healthy after reset" Drift.Healthy (Drift.observe d 0.0)
+  done
 
 let test_zero_sigma_reference () =
   (* degenerate reference: healthy residuals are a point mass, so the
@@ -116,10 +112,7 @@ let test_nan_quarantine () =
   (* quarantine freezes the detector: even a massive shift is ignored *)
   let n0 = Drift.observed d in
   Alcotest.check state "frozen" Drift.Healthy (Drift.observe d 1000.0);
-  Alcotest.(check int) "frozen input not consumed" n0 (Drift.observed d);
-  Drift.reset d;
-  Alcotest.(check bool) "reset lifts quarantine" false (Drift.quarantined d);
-  Alcotest.(check int) "bad_inputs survives reset" 5 (Drift.bad_inputs d)
+  Alcotest.(check int) "frozen input not consumed" n0 (Drift.observed d)
 
 let test_create_validation () =
   let rejects name f =
@@ -158,7 +151,7 @@ let suites =
           ("mean shift walks warn then drifted", test_mean_shift_progression);
           ("negative shift detected", test_negative_shift_detected);
           ("drift boundary is inclusive", test_threshold_boundary_inclusive);
-          ("drifted latches until reset", test_latch_and_reset);
+          ("drifted latches", test_latch);
           ("zero-sigma reference is floored", test_zero_sigma_reference);
           ("variance blow-up without mean shift", test_variance_blowup_without_mean_shift);
           ("nan quarantine", test_nan_quarantine);

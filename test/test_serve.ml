@@ -3,79 +3,10 @@
    format round trips and per-connection error isolation. *)
 
 let artifact =
-  lazy
-    (let nl =
-       Circuit.Generator.generate
-         { Circuit.Generator.default with num_gates = 90; seed = 23; depth = 8;
-           num_inputs = 10; num_outputs = 8 }
-     in
-     let model = Timing.Variation.make_model ~levels:3 () in
-     let dm = Timing.Delay_model.build nl model in
-     let t_cons = Timing.Delay_model.nominal_critical_delay dm in
-     let r =
-       Timing.Path_extract.extract ~max_paths:400 dm ~t_cons ~yield_threshold:0.99
-     in
-     let pool = Timing.Paths.build dm r.Timing.Path_extract.paths in
-     let a = Timing.Paths.a_mat pool in
-     let mu = Timing.Paths.mu_paths pool in
-     let sel = Core.Select.exact ~a ~mu () in
-     let mc = Timing.Monte_carlo.sample (Rng.create 99) pool ~n:40 in
-     let d = Timing.Monte_carlo.path_delays mc in
-     let rep = Core.Predictor.rep_indices sel.Core.Select.predictor in
-     let clean = Linalg.Mat.select_cols d rep in
-     let store =
-       Store.of_selection ~fingerprint:"test:serve"
-         ~n_segments:(Timing.Paths.num_segments pool)
-         ~t_cons ~eps:0.05 ~a ~mu sel
-     in
-     (store, clean))
+  lazy (Helpers.served_artifact ~fingerprint:"test:serve" ~seed:99 ~dies:40)
 
-(* run the real accept loop on a background thread; the client drives
-   it over the socket and shuts it down at the end *)
 let with_server ?config ?reload_from f =
-  let store, clean = Lazy.force artifact in
-  let dir = Filename.temp_file "pathsel-serve" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let path = Filename.concat dir "s.sock" in
-  let addr = Serve.Unix_sock path in
-  let thread =
-    Thread.create
-      (fun () ->
-        Serve.run ~install_signals:false ?config ?reload_from store addr)
-      ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (* the teardown connection can itself be shed when a bounded-queue
-         test leaves the queue full (unix connect succeeds before accept):
-         the server answers "overloaded" instead of executing the
-         shutdown, and a single blind attempt would leave the join below
-         blocked forever — retry until the drain is actually acked *)
-      let shutdown_acked () =
-        try
-          let c = Serve.Client.connect ~retries:5 addr in
-          let r =
-            Serve.Client.request c
-              (Serve.Wire.Obj [ ("op", Serve.Wire.String "shutdown") ])
-          in
-          Serve.Client.close c;
-          match r with
-          | Ok j -> Serve.Wire.member "ok" j = Some (Serve.Wire.Bool true)
-          | Error _ -> false
-        with _ -> false
-      in
-      let rec ask tries =
-        if (not (shutdown_acked ())) && tries > 0 then begin
-          Thread.delay 0.1;
-          ask (tries - 1)
-        end
-      in
-      ask 50;
-      Thread.join thread;
-      (try Sys.remove path with Sys_error _ -> ());
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () -> f store clean addr)
+  Helpers.with_server ?config ?reload_from (Lazy.force artifact) f
 
 let sock_path = function
   | Serve.Unix_sock p -> p

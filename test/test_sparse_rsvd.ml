@@ -74,13 +74,6 @@ let test_init_rows_out_of_range () =
     (fun () ->
       ignore (Linalg.Sparse.init_rows ~rows:1 ~cols:4 (fun _ -> [ (4, 1.0) ])))
 
-let test_mul_vec_matches_dense () =
-  let d = random_sparse_dense 9 13 0.35 in
-  let s = Linalg.Sparse.of_dense d in
-  let x = Array.init 13 (fun i -> float_of_int (i - 6) /. 3.0) in
-  Alcotest.(check bool) "mul_vec = dense apply" true
-    (Linalg.Vec.equal ~tol:1e-12 (Linalg.Mat.apply d x) (Linalg.Sparse.mul_vec s x))
-
 let test_mul_mat_matches_dense () =
   let d = random_sparse_dense 8 11 0.35 in
   let s = Linalg.Sparse.of_dense d in
@@ -173,13 +166,10 @@ let test_kernels_pool_size_invariant () =
   let s = Linalg.Sparse.of_dense d in
   let x = Linalg.Mat.init 23 6 (fun i j -> sin (float_of_int ((i * 6) + j))) in
   let y = Linalg.Mat.init 17 6 (fun i j -> cos (float_of_int ((i * 6) + j))) in
-  let v = Array.init 23 (fun i -> float_of_int (i mod 5) -. 2.0) in
   check_pool_size_invariant "mul_mat bit-identical" (Linalg.Mat.equal ~tol:0.0) (fun () ->
       Linalg.Sparse.mul_mat s x);
   check_pool_size_invariant "tmul_mat bit-identical" (Linalg.Mat.equal ~tol:0.0) (fun () ->
-      Linalg.Sparse.tmul_mat s y);
-  check_pool_size_invariant "mul_vec bit-identical" (Linalg.Vec.equal ~tol:0.0) (fun () ->
-      Linalg.Sparse.mul_vec s v)
+      Linalg.Sparse.tmul_mat s y)
 
 (* random CSR row structure with empty rows and duplicate columns; the
    dense reference accumulates duplicates in the same sorted-column
@@ -219,16 +209,14 @@ let dense_of_row_lists rows cols data =
 
 let prop_sparse_kernels_match_dense =
   QCheck.Test.make ~count:100
-    ~name:"CSR mul_vec/mul_mat/tmul_mat match dense refs (dups, empty rows)"
+    ~name:"CSR mul_mat/tmul_mat match dense refs (dups, empty rows)"
     qcheck_rows
     (fun (rows, cols, data) ->
       let s = Linalg.Sparse.init_rows ~rows ~cols (fun i -> data.(i)) in
       let d = dense_of_row_lists rows cols data in
       let x = Linalg.Mat.init cols 3 (fun i j -> sin (float_of_int ((i * 3) + j))) in
       let y = Linalg.Mat.init rows 3 (fun i j -> cos (float_of_int ((i * 3) + j))) in
-      let v = Array.init cols (fun i -> float_of_int (i - 2)) in
       Linalg.Sparse.equal_dense ~tol:1e-12 s d
-      && Linalg.Vec.equal ~tol:1e-9 (Linalg.Sparse.mul_vec s v) (Linalg.Mat.apply d v)
       && Linalg.Mat.equal ~tol:1e-9 (Linalg.Sparse.mul_mat s x) (Linalg.Mat.mul d x)
       && Linalg.Mat.equal ~tol:1e-9 (Linalg.Sparse.tmul_mat s y)
            (Linalg.Mat.mul_tn d y))
@@ -369,7 +357,14 @@ let test_factor_op_matches_dense () =
   let s = Linalg.Sparse.of_dense d in
   let dense = Linalg.Rsvd.factor ~rank:6 ~seed:21 d in
   let viaop, _ =
-    Linalg.Rsvd.factor_op ~stop:(Rank 6) ~seed:21 (Linalg.Rsvd.op_of_sparse s)
+    Linalg.Rsvd.factor_op ~stop:(Rank 6) ~seed:21
+      {
+        Linalg.Rsvd.rows = 60;
+        cols = 20;
+        frob2 = Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 s.Linalg.Sparse.values;
+        mul = Linalg.Sparse.mul_mat s;
+        tmul = Linalg.Sparse.tmul_mat s;
+      }
   in
   Alcotest.(check int) "same rank kept" (Array.length dense.Linalg.Rsvd.s)
     (Array.length viaop.Linalg.Rsvd.s);
@@ -418,7 +413,7 @@ let test_tail_energy_stop () =
 (* the reported tail is the exact energy outside the returned
    factorization, (||A||^2 - ||U diag(s)||^2) / ||A||^2 from the dense A,
    for both stops; the 1e-12 floor is rounding noise, for a stop that
-   captures the whole range (the small pool has rank 16, one block) *)
+   captures the whole range (the small stream has rank 16, one block) *)
 let check_exact_tail name a ops =
   let frob2 m =
     let f = Linalg.Mat.frobenius m in
@@ -436,8 +431,7 @@ let check_exact_tail name a ops =
         Alcotest.failf "%s, %s: reported tail %.17g, exact %.17g" name stop_name tail expected)
     [ ("Rank 3", Linalg.Rsvd.Rank 3); ("Tail_energy 0.05", Linalg.Rsvd.Tail_energy 0.05) ]
 
-(* a small circuit pool built both ways: the sparse streaming builder
-   must reproduce Paths.build column-for-column *)
+(* a small circuit pool for the exact-vs-sketch engine comparisons *)
 let small_pool () =
   let nl =
     Circuit.Generator.generate
@@ -447,49 +441,40 @@ let small_pool () =
   let setup = Core.Pipeline.prepare ~yield_samples:100 ~netlist:nl ~model () in
   setup
 
-(* the small pool's extracted paths through both front-ends *)
-let small_pool_both () =
-  let setup = small_pool () in
-  let dm = setup.Core.Pipeline.dm in
-  let result =
-    Timing.Path_extract.extract dm ~t_cons:setup.Core.Pipeline.t_cons
-      ~yield_threshold:setup.Core.Pipeline.yield_threshold
+(* a small streamed pool and its A = G * Sigma formed densely, the
+   reference for the operator Pool_stream.op exposes; 16 variables, so
+   its rank is at most 16, one block *)
+let small_stream () =
+  let pool =
+    Timing.Pool_stream.synthetic ~seed:3 ~paths:60 ~segments:24 ~vars:16
+      ~segs_per_path:4 ~vars_per_seg:3 ()
   in
-  let paths = result.Timing.Path_extract.paths in
-  (Timing.Paths.build dm paths, Timing.Pool_stream.of_paths dm paths)
+  let a =
+    Linalg.Mat.mul
+      (Linalg.Sparse.to_dense (Timing.Pool_stream.g pool))
+      (Linalg.Sparse.to_dense (Timing.Pool_stream.sigma pool))
+  in
+  (pool, a)
 
-let test_pool_stream_matches_paths_build () =
-  let dense, stream = small_pool_both () in
-  Alcotest.(check int) "paths" (Timing.Paths.num_paths dense)
-    (Timing.Pool_stream.num_paths stream);
-  Alcotest.(check int) "segments" (Timing.Paths.num_segments dense)
-    (Timing.Pool_stream.num_segments stream);
-  Alcotest.(check int) "vars" (Timing.Paths.num_vars dense)
-    (Timing.Pool_stream.num_vars stream);
-  Alcotest.(check bool) "G matches" true
-    (Linalg.Sparse.equal_dense (Timing.Pool_stream.g stream)
-       (Timing.Paths.g_mat dense));
-  Alcotest.(check bool) "Sigma matches" true
-    (Linalg.Sparse.equal_dense ~tol:1e-12 (Timing.Pool_stream.sigma stream)
-       (Timing.Paths.sigma_mat dense));
-  Alcotest.(check bool) "mu matches" true
-    (Linalg.Vec.equal ~tol:1e-9 (Timing.Pool_stream.mu stream)
-       (Timing.Paths.mu_paths dense));
-  let n = Timing.Paths.num_paths dense in
-  let all = Array.init n (fun i -> i) in
-  Alcotest.(check bool) "implicit A rows match A = G*Sigma" true
-    (Linalg.Mat.equal ~tol:1e-9
-       (Timing.Pool_stream.rows_dense stream all)
-       (Timing.Paths.a_mat dense));
-  let a_frob = Linalg.Mat.frobenius (Timing.Paths.a_mat dense) in
+let test_pool_stream_op_matches_dense () =
+  let pool, a = small_stream () in
+  let ops = Timing.Pool_stream.op pool in
+  Alcotest.(check (pair int int)) "dims" (Linalg.Mat.dims a) (ops.Linalg.Rsvd.rows, ops.cols);
+  let x = Linalg.Mat.init 16 5 (fun i j -> sin (float_of_int ((7 * i) + j + 1))) in
+  let y = Linalg.Mat.init 60 5 (fun i j -> cos (float_of_int ((3 * i) + j))) in
+  Alcotest.(check bool) "mul x = A x" true
+    (Linalg.Mat.equal ~tol:1e-12 (ops.mul x) (Linalg.Mat.mul a x));
+  Alcotest.(check bool) "tmul y = A^T y" true
+    (Linalg.Mat.equal ~tol:1e-12 (ops.tmul y) (Linalg.Mat.mul_tn a y));
+  let a_frob = Linalg.Mat.frobenius a in
   check_close ~tol:(1e-12 *. a_frob *. a_frob) "frob2 = ||A||_F^2" (a_frob *. a_frob)
-    (Timing.Pool_stream.op stream).Linalg.Rsvd.frob2
+    ops.frob2
 
 let test_reported_tail_is_exact () =
   let d = slow_decay () in
   check_exact_tail "slow-decay dense" d (Linalg.Rsvd.op_of_mat d);
-  let dense, stream = small_pool_both () in
-  check_exact_tail "small_pool stream" (Timing.Paths.a_mat dense) (Timing.Pool_stream.op stream)
+  let pool, a = small_stream () in
+  check_exact_tail "small stream" a (Timing.Pool_stream.op pool)
 
 let test_sketched_engine_matches_exact_selection () =
   (* on a pool with fast decay the sketched engine reproduces the exact
@@ -558,7 +543,7 @@ let test_sketch_representatives_synthetic () =
   Array.sort compare sorted;
   Alcotest.(check bool) "indices sorted and in range" true
     (idx = sorted && idx.(0) >= 0
-    && idx.(Array.length idx - 1) < Timing.Pool_stream.num_paths pool);
+    && idx.(Array.length idx - 1) < 3000);
   let distinct = Array.length idx = List.length (List.sort_uniq compare (Array.to_list idx)) in
   Alcotest.(check bool) "indices distinct" true distinct;
   Alcotest.(check bool) "adaptive tail recorded" true
@@ -605,7 +590,6 @@ let unit_tests =
     ("sparse: of_dense keeps NaN", test_sparse_of_dense_keeps_nan);
     ("sparse: init_rows matches of_rows", test_init_rows_matches_of_rows);
     ("sparse: init_rows rejects bad column", test_init_rows_out_of_range);
-    ("sparse: mul_vec vs dense", test_mul_vec_matches_dense);
     ("sparse: mul_mat vs dense", test_mul_mat_matches_dense);
     ("sparse: tmul_mat vs dense", test_tmul_mat_matches_dense);
     ("sparse: kernels pool-size invariant", test_kernels_pool_size_invariant);
@@ -618,7 +602,7 @@ let unit_tests =
     ("rsvd: operator route matches dense", test_factor_op_matches_dense);
     ("rsvd: adaptive clears the tail", test_tail_energy_stop);
     ("rsvd: reported tail is exact", test_reported_tail_is_exact);
-    ("stream: Pool_stream matches Paths.build", test_pool_stream_matches_paths_build);
+    ("stream: Pool_stream.op = dense G*Sigma", test_pool_stream_op_matches_dense);
     ("select: sketched engine vs exact", test_sketched_engine_matches_exact_selection);
     ("select: sketch config validation", test_sketch_config_validation);
     ("select: sketch_representatives on synthetic", test_sketch_representatives_synthetic);

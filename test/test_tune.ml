@@ -202,55 +202,9 @@ let test_check_instance () =
 (* ---- through the server: tune as a first-class op ---------------- *)
 
 let artifact =
-  lazy
-    (let nl =
-       Circuit.Generator.generate
-         { Circuit.Generator.default with num_gates = 90; seed = 23; depth = 8;
-           num_inputs = 10; num_outputs = 8 }
-     in
-     let model = Timing.Variation.make_model ~levels:3 () in
-     let dm = Timing.Delay_model.build nl model in
-     let t_cons = Timing.Delay_model.nominal_critical_delay dm in
-     let r =
-       Timing.Path_extract.extract ~max_paths:400 dm ~t_cons
-         ~yield_threshold:0.99
-     in
-     let pool = Timing.Paths.build dm r.Timing.Path_extract.paths in
-     let a = Timing.Paths.a_mat pool in
-     let mu = Timing.Paths.mu_paths pool in
-     let sel = Core.Select.exact ~a ~mu () in
-     let mc = Timing.Monte_carlo.sample (Rng.create 99) pool ~n:4 in
-     let d = Timing.Monte_carlo.path_delays mc in
-     let rep = Core.Predictor.rep_indices sel.Core.Select.predictor in
-     let measured = Linalg.Mat.select_cols d rep in
-     let store =
-       Store.of_selection ~fingerprint:"test:tune"
-         ~n_segments:(Timing.Paths.num_segments pool)
-         ~t_cons ~eps:0.05 ~a ~mu sel
-     in
-     (store, measured))
+  lazy (Helpers.served_artifact ~fingerprint:"test:tune" ~seed:99 ~dies:4)
 
-let with_server f =
-  let store, measured = Lazy.force artifact in
-  let dir = Filename.temp_file "pathsel-tune" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let path = Filename.concat dir "s.sock" in
-  let addr = Serve.Unix_sock path in
-  let thread =
-    Thread.create (fun () -> Serve.run ~install_signals:false store addr) ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (try
-         let c = Serve.Client.connect ~retries:5 addr in
-         Serve.Client.shutdown c;
-         Serve.Client.close c
-       with _ -> ());
-      Thread.join thread;
-      (try Sys.remove path with Sys_error _ -> ());
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () -> f store measured addr)
+let with_server f = Helpers.with_server (Lazy.force artifact) f
 
 let simple_buffers =
   [|
