@@ -582,6 +582,41 @@ let test_decoder_fuzz () =
     (List.map Durable.encode_obs
        [ stream_die 1; stream_die 3; { (stream_die 4) with Monitor.wafer = "w07" } ])
 
+(* PSC1 pinned: examples/data/monitor_v2.psc was written by the
+   version-2 encoder over this stream (the quiet stream, 20 journaled
+   dies, generation 7). Dies 1, 5, 9, 13, 17 carry wafer "w1", dies 19
+   and 20 wafer "w2", which is still calibrating (2 of 4); dies 3, 10
+   and 17 are non-finite; 17 dies in an 8-row ring have wrapped it. *)
+let fixture_wafer i = if i mod 4 = 1 then "w1" else if i >= 19 then "w2" else ""
+
+let fixture_monitor () =
+  let t = quiet_create () in
+  for i = 1 to 20 do
+    Monitor.submit ~seq:i t { (stream_die i) with Monitor.wafer = fixture_wafer i }
+  done;
+  Monitor.step t ~now:0.0;
+  t
+
+let test_checkpoint_fixture () =
+  let path =
+    match Lazy.force Test_golden.data_dir with
+    | Some dir -> Filename.concat dir "monitor_v2.psc"
+    | None -> Alcotest.fail "examples/data is not visible"
+  in
+  let pinned = Core.Errors.get_ok (Core.Errors.read_file path) in
+  let recovered =
+    match Durable.load_checkpoint path with
+    | Ok (Some (7, snap)) ->
+      Monitor.restore ~config:quiet_cfg ~n_paths
+        ~reselect:(fun _ -> Error "no reselect") snap
+    | Ok _ -> Alcotest.fail "fixture: expected generation 7"
+    | Error e -> Alcotest.failf "fixture: %s" (Core.Errors.to_string e)
+  in
+  Alcotest.(check string) "decoded fixture re-encodes byte for byte" pinned
+    (checkpoint_bytes ~gen:7 (Monitor.snapshot recovered));
+  Alcotest.(check string) "a fresh run of the stream encodes the fixture" pinned
+    (checkpoint_bytes ~gen:7 (Monitor.snapshot (fixture_monitor ())))
+
 let suites =
   [
     ( "monitor",
@@ -603,5 +638,7 @@ let suites =
           ("damaged checkpoints are typed errors", test_checkpoint_corruption);
           ("snapshot and record decoders survive mutation", test_decoder_fuzz);
         ]
-      @ [ QCheck_alcotest.to_alcotest prop_recovery ] );
+      @ [ QCheck_alcotest.to_alcotest prop_recovery;
+          Alcotest.test_case "the PSC1 fixture re-encodes byte for byte" `Quick
+            test_checkpoint_fixture ] );
   ]
