@@ -27,46 +27,6 @@ let eps = 0.05
    crash can add) plus startup margin. *)
 let recovery_bound_s = 10.0
 
-(* Mirror of the server's observe handler over one batch: same MAD
-   screen, same predictor apply, same residual arithmetic — bit-exact,
-   so the parent can rebuild the journal's record contents from the
-   send stream alone (see the journal-content reconstruction note in
-   [run]). *)
-let batch_obs ~predictor ~robust ~rep ~rem ~measured ~truth =
-  let n_dies, n_rep = Linalg.Mat.dims measured in
-  let n_rem = Array.length rem in
-  let n_paths = n_rep + n_rem in
-  let screen = Core.Robust.screen robust ~measured in
-  let pred = Core.Predictor.predict_all predictor ~measured in
-  let out = ref [] in
-  for i = 0 to n_dies - 1 do
-    let clean = ref (Array.for_all (fun b -> b) screen.Core.Robust.mask.(i)) in
-    for j = 0 to n_rem - 1 do
-      if not (Float.is_finite (Linalg.Mat.get truth i j)) then clean := false
-    done;
-    if !clean then begin
-      let m_row = Linalg.Mat.row measured i in
-      let t_row = Linalg.Mat.row truth i in
-      let full = Array.make n_paths 0.0 in
-      Array.iteri (fun j p -> full.(p) <- m_row.(j)) rep;
-      Array.iteri (fun j p -> full.(p) <- t_row.(j)) rem;
-      let resid = ref 0.0 in
-      for j = 0 to n_rem - 1 do
-        resid := !resid +. (t_row.(j) -. Linalg.Mat.get pred i j)
-      done;
-      out :=
-        {
-          Serve.Monitor.measured = m_row;
-          truth = t_row;
-          full;
-          resid = !resid /. float_of_int n_rem;
-          wafer = "";
-        }
-        :: !out
-    end
-  done;
-  List.rev !out
-
 let run ?(oc = stdout) ?out profile =
   let quick = profile.Profile.name <> "full" in
   let cycles = if quick then 6 else 20 in
@@ -170,7 +130,12 @@ let run ?(oc = stdout) ?out profile =
   let spawn_server () = Soak.spawn ~config ~reload_from:store_path soak in
   let send_batch conn ~expect_ack =
     let measured, truth = batch_at !die_idx in
-    let expected = batch_obs ~predictor ~robust ~rep ~rem ~measured ~truth in
+    (* the server's own intake, so the parent can rebuild the journal's
+       record contents from the send stream alone (see the
+       journal-content reconstruction note above) *)
+    let _, expected =
+      Serve.observations ~predictor ~robust ~measured ~truth ~wafer:""
+    in
     die_idx := (!die_idx + batch) mod stream_rows;
     incr batches_sent;
     match Serve.Client.observe conn ~measured ~truth with

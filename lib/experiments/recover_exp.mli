@@ -13,9 +13,9 @@
     whole and in send order. The single ambiguity per incarnation — its
     final unacked batch, which the kill may have caught before, during
     (torn tail) or after the append — is resolved exactly by the
-    journal high-water mark read at the next boot. The client mirrors
-    the observe handler bit-exactly to rebuild the journaled record
-    stream, feeds it to a fresh uninterrupted reference
+    journal high-water mark read at the next boot. The client runs the
+    server's own observe intake ({!Serve.observations}) to rebuild the
+    journaled record stream, feeds it to a fresh uninterrupted reference
     {!Serve.Monitor}, and requires the same state (counters exact,
     cusum/var_ratio within 1e-12) as the much-killed server reports.
 

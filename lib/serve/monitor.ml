@@ -88,7 +88,7 @@ type t = {
   mutable r : int;
   mutable m : int;
   mutable grouped : Stats.Drift.Grouped.t;
-      (* per-wafer detectors, lazily keyed; mutable only for [restore] *)
+      (* per-wafer detectors, lazily keyed; mutable only for [decode] *)
   ring : float array array; (* recent full dies, circular *)
   mutable ring_n : int; (* total dies ever accepted into the ring *)
   mutable observed : int;
@@ -324,88 +324,196 @@ let step t ~now =
   publish t
 
 (* ------------------------------------------------------------------ *)
-(* Durability: the monitor-thread state is snapshotted into an inert,
-   canonical record (ring rows in chronological order, group table
-   sorted) that the serving layer's checkpoint writer serializes with
-   the artifact codec. [restore] + [replay] over the WAL suffix land
-   bit-exactly on the state an uninterrupted run would hold — the
-   recovery property in test/test_monitor.ml. *)
+(* Durability: the checkpoint payload is the monitor-thread state read
+   in place, in a fixed positional order on the artifact codec: the
+   ring's live window oldest first, the wafer groups sorted by id. The
+   encoding is canonical, so equal states give equal bytes, and
+   [decode] accepts only bytes [encode] could have written. [decode] +
+   [replay] over the WAL suffix land bit-exactly on the state an
+   uninterrupted run would hold — the recovery property in
+   test/test_monitor.ml. *)
 
-type snapshot = {
-  snap_r : int;
-  snap_m : int;
-  snap_applied_seq : int;
-  snap_ring : float array array;
-      (* the live window, oldest first: min(ring_n, buffer) rows *)
-  snap_ring_n : int;
-  snap_observed : int;
-  snap_skipped : int;
-  snap_dropped : int;
-  snap_errors : int;
-  snap_reselects : int;
-  snap_reselect_failures : int;
-  snap_last_reselect_ms : float;
-  snap_backoff : float;
-  snap_next_attempt : float;
-  snap_self_swap : bool;
-  snap_last_error : string;
-  snap_drift : Stats.Drift.Grouped.group_snapshot;
-}
+module W = Store.Codec.W
+module R = Store.Codec.R
 
-let snapshot t =
+let malformed msg = raise (Store.Codec.Malformed msg)
+let w_bool w b = W.u32 w (if b then 1 else 0)
+
+let r_bool rd =
+  match R.u32 rd with
+  | 0 -> false
+  | 1 -> true
+  | _ -> malformed "boolean field out of range"
+
+let w_state w (s : Stats.Drift.state) =
+  W.u32 w (match s with Healthy -> 0 | Warning -> 1 | Drifted -> 2)
+
+let r_state rd : Stats.Drift.state =
+  match R.u32 rd with
+  | 0 -> Healthy
+  | 1 -> Warning
+  | 2 -> Drifted
+  | _ -> malformed "drift state out of range"
+
+let w_drift_config w (c : Stats.Drift.config) =
+  W.f64 w c.slack;
+  W.f64 w c.warn;
+  W.f64 w c.drift;
+  W.int w c.window;
+  W.f64 w c.var_ratio;
+  W.int w c.max_consecutive_bad
+
+let r_drift_config rd : Stats.Drift.config =
+  let slack = R.f64 rd in
+  let warn = R.f64 rd in
+  let drift = R.f64 rd in
+  let window = R.int rd in
+  let var_ratio = R.f64 rd in
+  let max_consecutive_bad = R.int rd in
+  let c = { Stats.Drift.slack; warn; drift; window; var_ratio; max_consecutive_bad } in
+  Stats.Drift.check_config c;
+  c
+
+let w_detector w (d : Stats.Drift.t) =
+  w_drift_config w d.config;
+  List.iter (W.f64 w) [ d.mean0; d.sigma0; d.s_hi; d.s_lo ];
+  List.iter (W.int w) [ d.n; d.bad; d.consecutive_bad ];
+  w_bool w d.quarantine;
+  W.float_array w d.win;
+  W.int w d.win_n;
+  w_state w d.state
+
+let r_detector rd : Stats.Drift.t =
+  let config = r_drift_config rd in
+  let mean0 = R.f64 rd in
+  let sigma0 = R.f64 rd in
+  let s_hi = R.f64 rd in
+  let s_lo = R.f64 rd in
+  let n = R.int rd in
+  let bad = R.int rd in
+  let consecutive_bad = R.int rd in
+  let quarantine = r_bool rd in
+  let win = R.float_array rd in
+  if Array.length win <> config.window then malformed "drift window length";
+  let win_n = R.int rd in
+  let state = r_state rd in
+  { config; mean0; sigma0; s_hi; s_lo; n; bad; consecutive_bad; quarantine;
+    win; win_n; state }
+
+let w_grouped w (g : Stats.Drift.Grouped.t) =
+  w_drift_config w g.cfg;
+  List.iter (W.int w) [ g.calibrate; g.max_groups; g.overflow ];
+  let entries =
+    List.sort
+      (fun (a, _) (b, _) -> String.compare a b)
+      (Hashtbl.fold (fun id e acc -> (id, e) :: acc) g.groups [])
+  in
+  W.int w (List.length entries);
+  List.iter
+    (fun (id, (e : Stats.Drift.Grouped.entry)) ->
+      W.str w id;
+      W.float_array w e.calib;
+      W.int w e.calib_n;
+      match e.det with
+      | None -> W.u32 w 0
+      | Some d ->
+        W.u32 w 1;
+        w_detector w d)
+    entries
+
+(* A table rebuilt under the checkpoint's own detector config: group
+   ids strictly ascending (one table, one encoding), the default group
+   present, and each group either calibrating with fewer than
+   [calibrate] residuals or calibrated with all of them. The entries
+   are read before [create] allocates the default group's buffer, so
+   a [calibrate] no buffer in the payload matches is rejected first. *)
+let r_grouped rd =
+  let config = r_drift_config rd in
+  let calibrate = R.int rd in
+  let max_groups = R.int rd in
+  let overflow = R.int rd in
+  let n = R.int rd in
+  if n > 1 lsl 20 then malformed "group count out of range";
+  let entries =
+    List.init n (fun _ ->
+        let id = R.str rd in
+        let calib = R.float_array rd in
+        let calib_n = R.int rd in
+        let det =
+          match R.u32 rd with
+          | 0 -> None
+          | 1 -> Some (r_detector rd)
+          | _ -> malformed "option tag out of range"
+        in
+        if
+          Array.length calib <> calibrate
+          || calib_n > calibrate
+          || (calib_n = calibrate) <> Option.is_some det
+        then malformed "calibration buffer";
+        (id, { Stats.Drift.Grouped.calib; calib_n; det }))
+  in
+  let rec ascending = function
+    | (a, _) :: ((b, _) :: _ as rest) -> String.compare a b < 0 && ascending rest
+    | [ _ ] | [] -> true
+  in
+  if not (ascending entries) then malformed "group ids out of order";
+  if not (List.mem_assoc "" entries) then malformed "default group missing";
+  let g = Stats.Drift.Grouped.create ~config ~calibrate ~max_groups () in
+  g.overflow <- overflow;
+  List.iter (fun (id, e) -> Hashtbl.replace g.groups id e) entries;
+  g
+
+let encode w t =
   let k = Int.min t.ring_n t.cfg.buffer in
-  let base = t.ring_n - k in
-  {
-    snap_r = t.r;
-    snap_m = t.m;
-    snap_applied_seq = t.applied_seq;
-    snap_ring =
-      Array.init k (fun i -> Array.copy t.ring.((base + i) mod t.cfg.buffer));
-    snap_ring_n = t.ring_n;
-    snap_observed = t.observed;
-    snap_skipped = t.skipped;
-    snap_dropped = Atomic.get t.dropped;
-    snap_errors = t.errors;
-    snap_reselects = t.reselects;
-    snap_reselect_failures = t.reselect_failures;
-    snap_last_reselect_ms = t.last_reselect_ms;
-    snap_backoff = t.backoff;
-    snap_next_attempt = t.next_attempt;
-    snap_self_swap = t.self_swap;
-    snap_last_error = t.last_error;
-    snap_drift = Stats.Drift.Grouped.snapshot t.grouped;
-  }
-
-let restore ?(config = default_config) ~n_paths ~reselect s =
-  let t = create ~config ~n_paths ~r:s.snap_r ~m:s.snap_m ~reselect () in
-  (* re-inserting the snapshot rows in chronological order reproduces
-     the raw circular layout exactly when the buffer size is unchanged,
-     and degrades gracefully (keeping the newest rows) when an operator
-     shrank or grew it between runs *)
-  let k = Array.length s.snap_ring in
-  if k > s.snap_ring_n then
-    invalid_arg "Monitor.restore: ring larger than its own die count";
-  let kept = Int.min k config.buffer in
-  for i = 0 to kept - 1 do
-    t.ring.((s.snap_ring_n - kept + i) mod config.buffer) <-
-      Array.copy s.snap_ring.(k - kept + i)
+  List.iter (W.int w) [ t.r; t.m; t.applied_seq; k ];
+  for i = t.ring_n - k to t.ring_n - 1 do
+    W.float_array w t.ring.(i mod t.cfg.buffer)
   done;
-  t.ring_n <- s.snap_ring_n;
-  t.applied_seq <- s.snap_applied_seq;
-  t.observed <- s.snap_observed;
-  t.skipped <- s.snap_skipped;
-  Atomic.set t.dropped s.snap_dropped;
-  t.errors <- s.snap_errors;
-  t.reselects <- s.snap_reselects;
-  t.reselect_failures <- s.snap_reselect_failures;
-  t.last_reselect_ms <- s.snap_last_reselect_ms;
-  t.backoff <- s.snap_backoff;
-  t.next_attempt <- s.snap_next_attempt;
-  t.self_swap <- s.snap_self_swap;
-  t.last_error <- s.snap_last_error;
-  t.grouped <- Stats.Drift.Grouped.restore s.snap_drift;
+  List.iter (W.int w)
+    [ t.ring_n; t.observed; t.skipped; Atomic.get t.dropped; t.errors;
+      t.reselects; t.reselect_failures ];
+  List.iter (W.f64 w) [ t.last_reselect_ms; t.backoff; t.next_attempt ];
+  w_bool w t.self_swap;
+  W.str w t.last_error;
+  w_grouped w t.grouped
+
+let decode ?(config = default_config) ~reselect rd =
+  let r = R.int rd in
+  let m = R.int rd in
+  let t = create ~config ~n_paths:(r + m) ~r ~m ~reselect () in
+  t.applied_seq <- R.int rd;
+  let k = R.int rd in
+  if k > 1 lsl 24 then malformed "ring size out of range";
+  let rows = Array.init k (fun _ -> R.float_array rd) in
+  if Array.exists (fun row -> Array.length row <> t.n_paths) rows then
+    malformed "ring row length";
+  let ring_n = R.int rd in
+  if k > ring_n then malformed "ring larger than its own die count";
+  (* the newest rows go back in chronological order: with the buffer
+     that wrote them the circular layout is the one encoded; a smaller
+     buffer keeps the newest; a larger one that the rows cannot fill
+     counts only the rows it holds, so no slot of its window is empty *)
+  let kept = Int.min k config.buffer in
+  t.ring_n <- (if kept < Int.min ring_n config.buffer then kept else ring_n);
+  for i = 0 to kept - 1 do
+    t.ring.((t.ring_n - kept + i) mod config.buffer) <- rows.(k - kept + i)
+  done;
+  t.observed <- R.int rd;
+  t.skipped <- R.int rd;
+  Atomic.set t.dropped (R.int rd);
+  t.errors <- R.int rd;
+  t.reselects <- R.int rd;
+  t.reselect_failures <- R.int rd;
+  t.last_reselect_ms <- R.f64 rd;
+  t.backoff <- R.f64 rd;
+  t.next_attempt <- R.f64 rd;
+  t.self_swap <- r_bool rd;
+  t.last_error <- R.str rd;
+  t.grouped <- r_grouped rd;
   publish t;
   t
+
+let split t = (t.r, t.m)
 
 let applied_seq t = t.applied_seq
 

@@ -150,52 +150,45 @@ val note_error : t -> string -> unit
 
 (** {2 Durability}
 
-    The whole monitor-thread state — per-wafer detectors, the recent-die ring, counters, re-selection pacing —
-    snapshots into an inert canonical record (ring rows oldest-first,
-    detector groups sorted by id) for the serving layer's periodic
-    checkpoint. Recovery is {!restore} from the last checkpoint
-    followed by {!replay} of the WAL records above
-    [snap_applied_seq]; the result is bit-exactly the state an
-    uninterrupted run over the same die stream would hold
-    (QCheck-property-tested in [test/test_monitor.ml]). *)
+    A checkpoint is the monitor-thread state itself, encoded: the
+    per-wafer detectors, the recent-die ring, the counters and the
+    re-selection pacing, read in place by {!encode} and built back by
+    {!decode} on the artifact codec ({!Store.Codec}), so every float
+    round-trips bit-exactly. The encoding is canonical (ring rows
+    oldest first, wafer groups sorted by id): equal states give equal
+    bytes. Recovery is {!decode} of the last checkpoint followed by
+    {!replay} of the WAL records above its {!applied_seq}; the result
+    is bit-exactly the state an uninterrupted run over the same die
+    stream would hold (QCheck-property-tested in
+    [test/test_monitor.ml]). [Serve.Durable] frames the payload into a
+    checkpoint file. *)
 
-type snapshot = {
-  snap_r : int;
-  snap_m : int;
-  snap_applied_seq : int;
-  snap_ring : float array array;
-      (** the live window, oldest first: [min (ring dies, buffer)] rows *)
-  snap_ring_n : int;  (** total dies ever accepted into the ring *)
-  snap_observed : int;
-  snap_skipped : int;
-  snap_dropped : int;
-  snap_errors : int;
-  snap_reselects : int;
-  snap_reselect_failures : int;
-  snap_last_reselect_ms : float;
-  snap_backoff : float;
-  snap_next_attempt : float;
-  snap_self_swap : bool;
-  snap_last_error : string;
-  snap_drift : Stats.Drift.Grouped.group_snapshot;
-}
+val encode : Store.Codec.W.t -> t -> unit
+(** Append the checkpoint payload. Monitor thread only (or after it is
+    joined): nothing else may move the state while it is read. *)
 
-val snapshot : t -> snapshot
-(** Deep copy of the monitor state; the live monitor keeps running
-    while a checkpoint writer serializes it. Monitor thread only. *)
-
-val restore :
+val decode :
   ?config:config ->
-  n_paths:int ->
   reselect:(Linalg.Mat.t -> (int * int * float, string) result) ->
-  snapshot ->
+  Store.Codec.R.t ->
   t
-(** Rebuild a monitor mid-stream. The snapshot's own detector config
-    and [(r, m)] split win over [config] for everything already
-    accumulated; [config] governs capacity knobs (ring [buffer],
-    [pending_cap], pacing) — with an unchanged [buffer] the restored
-    ring is bit-identical, with a changed one the newest rows are
-    kept. Raises [Invalid_argument] on inconsistent shapes. *)
+(** Rebuild a monitor mid-stream from an {!encode}d payload. The
+    payload's own detector config and [(r, m)] split win over [config]
+    for everything already accumulated, and its [r + m] is the path
+    pool ({!n_paths}); [config] governs the capacity knobs (ring
+    [buffer], [pending_cap], pacing). With the [buffer] that wrote it
+    the ring comes back bit-identical; a smaller one keeps the newest
+    rows, and a larger one holds the rows there are. Raises
+    {!Store.Codec.Malformed} or {!Store.Codec.Truncated} on bytes
+    {!encode} cannot write (a calibration buffer or window of the wrong
+    length, more ring rows than dies, group ids out of order, no
+    default group), and [Invalid_argument] on an invalid config or
+    split; {!Store.Codec.decode} and {!Store.unframe} turn each into an
+    error value. Every payload it accepts re-encodes to itself, except
+    one written with a different ring [buffer]. *)
+
+val split : t -> int * int
+(** The [(r, m)] split the detector is anchored to. *)
 
 val applied_seq : t -> int
 (** Highest WAL sequence number folded into this state ([0] when

@@ -327,11 +327,13 @@ let reselect_from_recent t recent =
 let create ?(config = default_config) ?reload_from artifact =
   check_config config;
   (* durability prologue: open (and crash-recover) the WAL and read the
-     last checkpoint before the serving state is built, because the boot
-     generation is derived from the checkpointed one *)
-  let dur, ckpt, last_gen =
+     last checkpoint's generation before the serving state is built,
+     because the boot generation is derived from it. Every checkpoint
+     version writes the generation first, so an intact frame names it
+     even when its monitor state is then rejected. *)
+  let dur, last_gen =
     match config.durability with
-    | None -> (None, None, None)
+    | None -> (None, None)
     | Some d ->
       let wal =
         match
@@ -353,37 +355,16 @@ let create ?(config = default_config) ?reload_from artifact =
                })
       in
       let ckpt_path = Filename.concat d.wal_dir checkpoint_file in
-      let ckpt, last_gen =
-        match Durable.load_checkpoint ckpt_path with
-        | Ok c -> (c, Option.map fst c)
-        | Error e ->
-          (* an unusable checkpoint is recoverable: cold-start the
-             monitor and replay the whole journal instead; an intact
-             frame of an older layout still names its generation *)
-          let last_gen = Durable.checkpoint_generation ckpt_path in
-          Printf.eprintf
-            "pathsel serve: checkpoint %s unreadable (%s); cold start + \
-             full WAL replay, %s\n%!"
-            ckpt_path (Core.Errors.to_string e)
-            (match last_gen with
-             | Some g -> Printf.sprintf "generation continues after %d" g
-             | None -> "generation restarts at 1");
-          (None, last_gen)
-      in
+      let last_gen = Durable.checkpoint_generation ckpt_path in
       ( Some
           {
             dur_cfg = d;
             wal;
             ckpt_path;
             jm = Mutex.create ();
-            ckpt_seq =
-              Atomic.make
-                (match ckpt with
-                 | Some (_, s) -> s.Monitor.snap_applied_seq
-                 | None -> 0);
+            ckpt_seq = Atomic.make 0;
             ckpt_gen = Atomic.make (Option.value last_gen ~default:0);
           },
-        ckpt,
         last_gen )
   in
   (* every restart bumps the generation past the checkpointed one, so a
@@ -400,36 +381,42 @@ let create ?(config = default_config) ?reload_from artifact =
      let reselect recent = reselect_from_recent t recent in
      let fresh () = Monitor.create ~config:mc ~n_paths ~r ~m ~reselect () in
      let mon =
-       match ckpt with
+       match t.dur with
        | None -> fresh ()
-       | Some (_, snap) ->
-         if snap.Monitor.snap_r + snap.Monitor.snap_m <> n_paths then begin
-           Printf.eprintf
-             "pathsel serve: checkpointed path pool (%d) does not match \
-              the artifact (%d paths); discarding monitor state\n%!"
-             (snap.Monitor.snap_r + snap.Monitor.snap_m)
-             n_paths;
-           fresh ()
-         end
-         else begin
-           match Monitor.restore ~config:mc ~n_paths ~reselect snap with
-           | mon ->
-             if snap.Monitor.snap_r <> r then begin
-               (* an operator swapped in an artifact with a different
-                  split while the server was down: the ring survives,
-                  the detector re-anchors (reload semantics) *)
-               Printf.eprintf
-                 "pathsel serve: artifact split changed offline (r=%d -> \
-                  %d); re-anchoring the detector\n%!"
-                 snap.Monitor.snap_r r;
-               Monitor.swapped mon ~r ~m
-             end;
-             mon
-           | exception Invalid_argument msg ->
-             Printf.eprintf
-               "pathsel serve: checkpoint rejected (%s); cold start\n%!" msg;
-             fresh ()
-         end
+       | Some dur ->
+         (match Durable.load_checkpoint ~config:mc ~reselect dur.ckpt_path with
+          | Ok None -> fresh ()
+          | Error e ->
+            (* an unusable checkpoint is recoverable: cold-start the
+               monitor and replay the whole journal instead *)
+            Printf.eprintf
+              "pathsel serve: checkpoint %s unreadable (%s); cold start + \
+               full WAL replay, %s\n%!"
+              dur.ckpt_path (Core.Errors.to_string e)
+              (match last_gen with
+               | Some g -> Printf.sprintf "generation continues after %d" g
+               | None -> "generation restarts at 1");
+            fresh ()
+          | Ok (Some (_, mon)) when Monitor.n_paths mon <> n_paths ->
+            Printf.eprintf
+              "pathsel serve: checkpointed path pool (%d) does not match \
+               the artifact (%d paths); discarding monitor state\n%!"
+              (Monitor.n_paths mon) n_paths;
+            fresh ()
+          | Ok (Some (_, mon)) ->
+            Atomic.set dur.ckpt_seq (Monitor.applied_seq mon);
+            let ckpt_r, _ = Monitor.split mon in
+            if ckpt_r <> r then begin
+              (* an operator swapped in an artifact with a different
+                 split while the server was down: the ring survives,
+                 the detector re-anchors (reload semantics) *)
+              Printf.eprintf
+                "pathsel serve: artifact split changed offline (r=%d -> \
+                 %d); re-anchoring the detector\n%!"
+                ckpt_r r;
+              Monitor.swapped mon ~r ~m
+            end;
+            mon)
      in
      (* replay the WAL suffix — every record acked after the checkpoint
         was taken. Ingestion is idempotent over sequence numbers, so a
@@ -501,9 +488,7 @@ let maybe_checkpoint ?(force = false) t =
       || applied - Atomic.get dur.ckpt_seq >= dur.dur_cfg.checkpoint_every
       || gen <> Atomic.get dur.ckpt_gen
     then begin
-      match
-        Durable.save_checkpoint dur.ckpt_path ~gen (Monitor.snapshot mon)
-      with
+      match Durable.save_checkpoint dur.ckpt_path ~gen mon with
       | Ok () ->
         Atomic.set dur.ckpt_seq applied;
         Atomic.set dur.ckpt_gen gen;
@@ -712,6 +697,52 @@ let handle_predict t hot req =
             @ [ ("predictions", Wire.mat_to_json predicted) ])
        end)
 
+(* The observe intake over one batch: the MAD screen and the missing-
+   truth check keep corrupted dies out of the ring/detector stream (they
+   are counted, not served); every clean die gets one predictor apply,
+   its full-pool row and its residual. *)
+let observations ~predictor ~robust ~measured ~truth ~wafer =
+  let n_dies, _ = Linalg.Mat.dims measured in
+  let rep = Core.Predictor.rep_indices predictor in
+  let rem = Core.Predictor.rem_indices predictor in
+  let n_rem = Array.length rem in
+  let screen = Core.Robust.screen robust ~measured in
+  let die_clean i =
+    let row = screen.Core.Robust.mask.(i) in
+    let ok = ref (Array.for_all (fun b -> b) row) in
+    for j = 0 to n_rem - 1 do
+      if not (Float.is_finite (Linalg.Mat.get truth i j)) then ok := false
+    done;
+    !ok
+  in
+  let pred = Core.Predictor.predict_all predictor ~measured in
+  let status = Array.make n_dies "screened" in
+  let batch = ref [] in
+  for i = 0 to n_dies - 1 do
+    if die_clean i then begin
+      status.(i) <- "used";
+      let m_row = Linalg.Mat.row measured i in
+      let t_row = Linalg.Mat.row truth i in
+      let full = Array.make (Array.length rep + n_rem) 0.0 in
+      Array.iteri (fun j p -> full.(p) <- m_row.(j)) rep;
+      Array.iteri (fun j p -> full.(p) <- t_row.(j)) rem;
+      let resid = ref 0.0 in
+      for j = 0 to n_rem - 1 do
+        resid := !resid +. (t_row.(j) -. Linalg.Mat.get pred i j)
+      done;
+      batch :=
+        {
+          Monitor.measured = m_row;
+          truth = t_row;
+          full;
+          resid = !resid /. float_of_int n_rem;
+          wafer;
+        }
+        :: !batch
+    end
+  done;
+  (status, List.rev !batch)
+
 (* observe: stream fully measured dies (representative measurements
    plus ground-truth remaining-path delays) into the self-healing loop.
    The handler does the cheap, bounded part — screen, one predictor
@@ -755,50 +786,13 @@ let handle_observe t hot req =
               | Some (Wire.String w) -> w
               | Some _ | None -> ""
             in
-            (* the MAD screen + missing check keep corrupted dies out of
-               the ring/detector stream; they are counted, not served *)
-            let screen = Core.Robust.screen hot.robust ~measured in
-            let die_clean i =
-              let row = screen.Core.Robust.mask.(i) in
-              let ok = ref (Array.for_all (fun b -> b) row) in
-              for j = 0 to n_rem - 1 do
-                if not (Float.is_finite (Linalg.Mat.get truth i j)) then
-                  ok := false
-              done;
-              !ok
-            in
-            let pred = Core.Predictor.predict_all hot.predictor ~measured in
-            let rep = Core.Predictor.rep_indices hot.predictor in
-            let rem = Core.Predictor.rem_indices hot.predictor in
             (* per-die verdicts ride the ack, so a tester knows which of
                its dies actually fed the loop and which the MAD/missing
                screen quarantined *)
-            let status = Array.make n_dies "screened" in
-            let batch = ref [] in
-            for i = 0 to n_dies - 1 do
-              if die_clean i then begin
-                status.(i) <- "used";
-                let m_row = Linalg.Mat.row measured i in
-                let t_row = Linalg.Mat.row truth i in
-                let full = Array.make hot.artifact.Store.n_paths 0.0 in
-                Array.iteri (fun j p -> full.(p) <- m_row.(j)) rep;
-                Array.iteri (fun j p -> full.(p) <- t_row.(j)) rem;
-                let resid = ref 0.0 in
-                for j = 0 to n_rem - 1 do
-                  resid := !resid +. (t_row.(j) -. Linalg.Mat.get pred i j)
-                done;
-                batch :=
-                  {
-                    Monitor.measured = m_row;
-                    truth = t_row;
-                    full;
-                    resid = !resid /. float_of_int n_rem;
-                    wafer;
-                  }
-                  :: !batch
-              end
-            done;
-            let batch = List.rev !batch in
+            let status, batch =
+              observations ~predictor:hot.predictor ~robust:hot.robust
+                ~measured ~truth ~wafer
+            in
             let queued = List.length batch in
             let journal_and_submit () =
               match t.dur with
@@ -1359,7 +1353,7 @@ let run ?(install_signals = true) ?config ?reload_from ?on_ready artifact addr =
                (match
                   monitor_step t ~now:(Unix.gettimeofday ());
                   (* checkpointing rides the monitor thread: it alone
-                     may snapshot monitor internals *)
+                     may read monitor internals *)
                   maybe_checkpoint t
                 with
                 | () -> ()
@@ -1386,7 +1380,7 @@ let run ?(install_signals = true) ?config ?reload_from ?on_ready artifact addr =
       List.iter Thread.join workers;
       Option.iter Thread.join monitor_thread;
       (* the monitor thread has exited (join is the happens-before), so
-         the main thread may take one final snapshot: a clean shutdown
+         the main thread may write one final checkpoint: a clean shutdown
          leaves a checkpoint at the journal's high-water mark and the
          next boot replays nothing *)
       (match maybe_checkpoint ~force:true t with

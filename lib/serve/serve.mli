@@ -186,9 +186,9 @@ val create : ?config:config -> ?reload_from:string -> Store.t -> t
     names the artifact path a SIGHUP re-loads.
 
     With [durability] armed this is also the recovery path: the WAL is
-    opened (truncating any torn tail), the last checkpoint is loaded,
-    the monitor is restored from it, and the WAL suffix above the
-    checkpoint's watermark is replayed — sequence-numbered ingestion
+    opened (truncating any torn tail), the monitor is decoded from the
+    last checkpoint ({!Durable.load_checkpoint}), and the WAL suffix
+    above the checkpoint's watermark is replayed — sequence-numbered ingestion
     makes the replay idempotent, so a crash {e during} recovery re-lands
     on the same state. The boot generation is the checkpointed one plus
     one. A corrupt checkpoint degrades to a cold start plus full-WAL
@@ -204,6 +204,23 @@ val handle : t -> string -> string
     Thread-safe. A connection runs the same handler, writing each
     response into a {!Wire.Writer} it keeps and sending it from there,
     so it sends exactly these bytes plus ['\n']. *)
+
+val observations :
+  predictor:Core.Predictor.t ->
+  robust:Core.Robust.t ->
+  measured:Linalg.Mat.t ->
+  truth:Linalg.Mat.t ->
+  wafer:string ->
+  string array * Monitor.obs list
+(** The observe op's intake over one batch of [measured]
+    (dies x representatives) and [truth] (dies x remaining paths): a
+    die the robust predictor's MAD screen flags, or whose truth holds a
+    non-finite delay, is ["screened"]; every other die is ["used"] and
+    yields one {!Monitor.obs} on [wafer], with its full delay row in
+    artifact path order and its residual (the mean of truth minus
+    [predictor]'s prediction). Returns each die's status and the used
+    dies' observations in batch order, bit for bit what the server
+    journals and submits. *)
 
 (* lint: allow-next unused-export: seam: test_serve reloads deterministically *)
 val do_reload : t -> (unit, string) result

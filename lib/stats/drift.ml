@@ -30,7 +30,7 @@ let default_config =
 let sigma_floor = 1e-12
 
 type t = {
-  cfg : config;
+  config : config;
   mean0 : float;
   sigma0 : float; (* floored, > 0 *)
   mutable s_hi : float;
@@ -41,7 +41,7 @@ type t = {
   mutable quarantine : bool;
   win : float array; (* ring buffer of recent residuals *)
   mutable win_n : int; (* total pushed into the ring *)
-  mutable st : state;
+  mutable state : state;
 }
 
 let check_config config =
@@ -65,7 +65,7 @@ let create ?(config = default_config) ~mean ~sigma () =
     invalid_arg "Drift.create: reference sigma must be finite and >= 0";
   check_config config;
   {
-    cfg = config;
+    config;
     mean0 = mean;
     sigma0 = Float.max sigma sigma_floor;
     s_hi = 0.0;
@@ -76,7 +76,7 @@ let create ?(config = default_config) ~mean ~sigma () =
     quarantine = false;
     win = Array.make config.window 0.0;
     win_n = 0;
-    st = Healthy;
+    state = Healthy;
   }
 
 let cusum t = Float.max t.s_hi t.s_lo
@@ -101,100 +101,39 @@ let variance_ratio t =
   | Some v -> Some (v /. (t.sigma0 *. t.sigma0))
 
 let classify t =
-  match t.st with
+  match t.state with
   | Drifted -> Drifted (* latched *)
   | Healthy | Warning ->
     let c = cusum t in
     let var_hit =
       match variance_ratio t with
-      | Some r -> r >= t.cfg.var_ratio
+      | Some r -> r >= t.config.var_ratio
       | None -> false
     in
-    if c >= t.cfg.drift || var_hit then Drifted
-    else if c >= t.cfg.warn then Warning
+    if c >= t.config.drift || var_hit then Drifted
+    else if c >= t.config.warn then Warning
     else Healthy
 
 let observe t x =
-  if t.quarantine then t.st
+  if t.quarantine then t.state
   else if not (Float.is_finite x) then begin
     t.bad <- t.bad + 1;
     t.consecutive_bad <- t.consecutive_bad + 1;
-    if t.consecutive_bad >= t.cfg.max_consecutive_bad then
+    if t.consecutive_bad >= t.config.max_consecutive_bad then
       t.quarantine <- true;
-    t.st
+    t.state
   end
   else begin
     t.consecutive_bad <- 0;
     let z = (x -. t.mean0) /. t.sigma0 in
-    t.s_hi <- Float.max 0.0 (t.s_hi +. z -. t.cfg.slack);
-    t.s_lo <- Float.max 0.0 (t.s_lo -. z -. t.cfg.slack);
+    t.s_hi <- Float.max 0.0 (t.s_hi +. z -. t.config.slack);
+    t.s_lo <- Float.max 0.0 (t.s_lo -. z -. t.config.slack);
     t.win.(t.win_n mod Array.length t.win) <- x;
     t.win_n <- t.win_n + 1;
     t.n <- t.n + 1;
-    t.st <- classify t;
-    t.st
+    t.state <- classify t;
+    t.state
   end
-
-let state t = t.st
-let observed t = t.n
-let bad_inputs t = t.bad
-let quarantined t = t.quarantine
-
-(* ------------------------------------------------------------------ *)
-(* Durability: a detector is its reference, its CUSUM accumulators,
-   the residual window, and the latch/quarantine flags — all plain
-   data. Snapshots deep-copy the window so a checkpoint writer can
-   encode one while the live detector keeps observing. *)
-
-type snapshot = {
-  snap_config : config;
-  snap_mean0 : float;
-  snap_sigma0 : float;
-  snap_s_hi : float;
-  snap_s_lo : float;
-  snap_n : int;
-  snap_bad : int;
-  snap_consecutive_bad : int;
-  snap_quarantine : bool;
-  snap_win : float array;
-  snap_win_n : int;
-  snap_state : state;
-}
-
-let snapshot t =
-  {
-    snap_config = t.cfg;
-    snap_mean0 = t.mean0;
-    snap_sigma0 = t.sigma0;
-    snap_s_hi = t.s_hi;
-    snap_s_lo = t.s_lo;
-    snap_n = t.n;
-    snap_bad = t.bad;
-    snap_consecutive_bad = t.consecutive_bad;
-    snap_quarantine = t.quarantine;
-    snap_win = Array.copy t.win;
-    snap_win_n = t.win_n;
-    snap_state = t.st;
-  }
-
-let restore s =
-  check_config s.snap_config;
-  if Array.length s.snap_win <> s.snap_config.window then
-    invalid_arg "Drift.restore: window length mismatch";
-  {
-    cfg = s.snap_config;
-    mean0 = s.snap_mean0;
-    sigma0 = s.snap_sigma0;
-    s_hi = s.snap_s_hi;
-    s_lo = s.snap_s_lo;
-    n = s.snap_n;
-    bad = s.snap_bad;
-    consecutive_bad = s.snap_consecutive_bad;
-    quarantine = s.snap_quarantine;
-    win = Array.copy s.snap_win;
-    win_n = s.snap_win_n;
-    st = s.snap_state;
-  }
 
 (* ------------------------------------------------------------------ *)
 
@@ -203,12 +142,8 @@ module Grouped = struct
 
   let flat_create = create
   let flat_observe = observe
-  let flat_state = state
   let flat_cusum = cusum
   let flat_variance_ratio = variance_ratio
-  let flat_quarantined = quarantined
-  let flat_snapshot = snapshot
-  let flat_restore = restore
 
   (* each group calibrates its own reference from its first residuals,
      exactly the way a flat caller would *)
@@ -295,7 +230,7 @@ module Grouped = struct
         match e.det with
         | None -> acc
         | Some d ->
-          let s = flat_state d in
+          let s = d.state in
           if severity s > severity acc then s else acc)
       Healthy t
 
@@ -323,7 +258,7 @@ module Grouped = struct
     fold
       (fun acc e ->
         acc
-        || match e.det with Some d -> flat_quarantined d | None -> false)
+        || match e.det with Some d -> d.quarantine | None -> false)
       false t
 
   let drifted_active t =
@@ -333,8 +268,8 @@ module Grouped = struct
         ||
         match e.det with
         | Some d ->
-          (match flat_state d with
-           | Drifted -> not (flat_quarantined d)
+          (match d.state with
+           | Drifted -> not d.quarantine
            | Healthy | Warning -> false)
         | None -> false)
       false t
@@ -342,66 +277,4 @@ module Grouped = struct
   let restart t =
     Hashtbl.reset t.groups;
     Hashtbl.replace t.groups default_group (fresh t)
-
-  (* Durability: group entries are serialized sorted by key so the
-     snapshot is canonical — two tables with the same contents yield
-     the same snapshot regardless of hash-table history. *)
-
-  type entry_snapshot = {
-    snap_group : string;
-    snap_calib : float array;
-    snap_calib_n : int;
-    snap_det : snapshot option;
-  }
-
-  type group_snapshot = {
-    snap_cfg : config;
-    snap_calibrate : int;
-    snap_max_groups : int;
-    snap_overflow : int;
-    snap_entries : entry_snapshot list;  (** sorted by group id *)
-  }
-
-  let snapshot t =
-    let entries =
-      Hashtbl.fold
-        (fun group e acc ->
-          {
-            snap_group = group;
-            snap_calib = Array.copy e.calib;
-            snap_calib_n = e.calib_n;
-            snap_det = Option.map flat_snapshot e.det;
-          }
-          :: acc)
-        t.groups []
-      |> List.sort (fun a b -> String.compare a.snap_group b.snap_group)
-    in
-    {
-      snap_cfg = t.cfg;
-      snap_calibrate = t.calibrate;
-      snap_max_groups = t.max_groups;
-      snap_overflow = t.overflow;
-      snap_entries = entries;
-    }
-
-  let restore s =
-    let t =
-      create ~config:s.snap_cfg ~calibrate:s.snap_calibrate
-        ~max_groups:s.snap_max_groups ()
-    in
-    t.overflow <- s.snap_overflow;
-    List.iter
-      (fun e ->
-        if Array.length e.snap_calib <> t.calibrate then
-          invalid_arg "Drift.Grouped.restore: calibration length mismatch";
-        Hashtbl.replace t.groups e.snap_group
-          {
-            calib = Array.copy e.snap_calib;
-            calib_n = e.snap_calib_n;
-            det = Option.map flat_restore e.snap_det;
-          })
-      s.snap_entries;
-    if not (Hashtbl.mem t.groups default_group) then
-      Hashtbl.replace t.groups default_group (fresh t);
-    t
 end

@@ -46,7 +46,25 @@ val check_config : config -> unit
     {e later} (e.g. after a calibration phase) can fail fast at
     configuration time instead of mid-stream. *)
 
-type t
+(** A detector is plain data: its reference, its CUSUM accumulators,
+    its residual window and its latch. The record is open so a
+    checkpoint codec ([Serve.Monitor]'s) can encode a live detector and
+    build one back; a rebuilt detector continues bit-exactly where the
+    encoded one stood. Only {!observe} should move it otherwise. *)
+type t = {
+  config : config;
+  mean0 : float;
+  sigma0 : float;  (** floored, [> 0] *)
+  mutable s_hi : float;
+  mutable s_lo : float;
+  mutable n : int;  (** finite residuals consumed *)
+  mutable bad : int;  (** non-finite residuals rejected (cumulative) *)
+  mutable consecutive_bad : int;
+  mutable quarantine : bool;
+  win : float array;  (** residual ring, length [config.window] *)
+  mutable win_n : int;  (** total pushed into the ring *)
+  mutable state : state;
+}
 
 (* lint: allow-next unused-export: [Grouped] runs it; test_drift drives it *)
 val create : ?config:config -> mean:float -> sigma:float -> unit -> t
@@ -61,13 +79,10 @@ val observe : t -> float -> state
 (** Feed one residual and return the updated state. [Drifted] latches:
     once reached it persists for the detector's life ({!Grouped.restart}
     replaces it). Non-finite input never
-    raises — it is counted ([bad_inputs]), leaves the statistics
+    raises — it is counted ([bad]), leaves the statistics
     untouched, and after [max_consecutive_bad] in a row the detector
-    quarantines itself ([quarantined] becomes true and the state
+    quarantines itself ([quarantine] becomes true and the state
     freezes). *)
-
-(* lint: allow-next unused-export: [Grouped] runs it; test_drift drives it *)
-val state : t -> state
 
 (* lint: allow-next unused-export: [Grouped] runs it; test_drift drives it *)
 val cusum : t -> float
@@ -78,39 +93,6 @@ val cusum : t -> float
 val variance_ratio : t -> float option
 (** Windowed sample variance over reference variance; [None] until the
     window has filled. *)
-
-(* lint: allow-next unused-export: test_drift checks the counters with it *)
-val observed : t -> int
-(** Finite residuals consumed. *)
-
-(* lint: allow-next unused-export: test_drift checks the counters with it *)
-val bad_inputs : t -> int
-(** Non-finite residuals rejected (cumulative). *)
-
-(* lint: allow-next unused-export: [Grouped] runs it; test_drift drives it *)
-val quarantined : t -> bool
-
-(** {2 Durability}
-
-    A detector is plain data — reference, CUSUM accumulators, residual
-    window, latch — so crash recovery is a deep copy out and a deep
-    copy back: a restored detector continues bit-exactly where the
-    snapshot was taken. *)
-
-type snapshot = {
-  snap_config : config;
-  snap_mean0 : float;
-  snap_sigma0 : float;  (** already floored *)
-  snap_s_hi : float;
-  snap_s_lo : float;
-  snap_n : int;
-  snap_bad : int;
-  snap_consecutive_bad : int;
-  snap_quarantine : bool;
-  snap_win : float array;  (** length [snap_config.window] *)
-  snap_win_n : int;
-  snap_state : state;
-}
 
 (** Per-group drift detection for streams partitioned by wafer/lot.
 
@@ -124,7 +106,22 @@ type snapshot = {
     the default group [""] and behaves exactly like a single flat
     detector with the same calibration length. *)
 module Grouped : sig
-  type t
+  (** One group: its calibration buffer, then its detector. Like the
+      detector, the table is open for the checkpoint codec. *)
+  type entry = {
+    calib : float array;  (** length [calibrate] *)
+    mutable calib_n : int;  (** finite residuals buffered so far *)
+    mutable det : t option;  (** [None] while still calibrating *)
+  }
+
+  type nonrec t = {
+    cfg : config;
+    calibrate : int;
+    max_groups : int;
+    groups : (string, entry) Hashtbl.t;
+        (** keyed by group id; always holds the default group [""] *)
+    mutable overflow : int;
+  }
 
   val create :
     ?config:config -> ?calibrate:int -> ?max_groups:int -> unit -> t
@@ -174,32 +171,4 @@ module Grouped : sig
   (** Drop every group (including calibration progress) back to a fresh
       table with only the default group; keeps the cumulative
       {!overflowed} counter. Use after an artifact swap. *)
-
-  (** {2 Durability} *)
-
-  type entry_snapshot = {
-    snap_group : string;
-    snap_calib : float array;
-    snap_calib_n : int;
-    snap_det : snapshot option;  (** [None] while still calibrating *)
-  }
-
-  type group_snapshot = {
-    snap_cfg : config;
-    snap_calibrate : int;
-    snap_max_groups : int;
-    snap_overflow : int;
-    snap_entries : entry_snapshot list;
-        (** sorted by group id, so the snapshot is canonical — equal
-            tables produce equal snapshots regardless of insertion
-            history *)
-  }
-
-  val snapshot : t -> group_snapshot
-  (** Deep copy of every group (calibration buffers included). *)
-
-  val restore : group_snapshot -> t
-  (** Rebuild the table mid-stream; the default group is re-created if
-      the snapshot somehow lacks it. Raises [Invalid_argument] on an
-      invalid config or calibration-length mismatch. *)
 end

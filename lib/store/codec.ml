@@ -65,6 +65,11 @@ module W = struct
 
   let f64 b x = Buffer.add_int64_le b (Int64.bits_of_float x)
 
+  let int b v =
+    if v < 0 then raise (Malformed "negative integer field");
+    u32 b (v land 0xFFFFFFFF);
+    u32 b ((v lsr 32) land 0x7FFFFFFF)
+
   let str b s =
     u32 b (String.length s);
     Buffer.add_string b s
@@ -105,6 +110,14 @@ module R = struct
     let v = Int32.to_int (String.get_int32_le t.s t.pos) land 0xFFFFFFFF in
     t.pos <- t.pos + 4;
     v
+
+  (* [W.int] writes non-negative 63-bit ints, so the high word is below
+     2^30; a larger one would decode to a negative int *)
+  let int t =
+    let lo = u32 t in
+    let hi = u32 t in
+    if hi >= 1 lsl 30 then raise (Malformed "integer field out of range");
+    (hi lsl 32) lor lo
 
   let f64 t =
     need t 8;

@@ -32,6 +32,10 @@ module W : sig
   val u32 : t -> int -> unit
   (** The value must fit in 32 bits; raises {!Malformed} otherwise. *)
 
+  val int : t -> int -> unit
+  (** A non-negative int as two u32s, low word first; raises
+      {!Malformed} on a negative value. *)
+
   val f64 : t -> float -> unit
   (** Exact, by IEEE bit pattern. *)
 
@@ -48,6 +52,10 @@ module R : sig
   (** Move to the end, for a decoder that reads only a prefix. *)
 
   val u32 : t -> int
+
+  val int : t -> int
+  (** Inverse of [W.int]; a high word of 2{^30} or more is {!Malformed}. *)
+
   val f64 : t -> float
   val str : t -> string
   val int_array : t -> int array

@@ -409,43 +409,6 @@ let test_export_skipped_without_consumers () =
     Alcotest.failf "expected a skip naming bin/; got [%s], stderr %S" (show found) err
 
 (* ------------------------------------------------------------------ *)
-(* The @smoke invariant, as a test: the analyzer reports zero
-   errors on the real tree. dune runs this suite from
-   _build/default/test, where the built tree sits one level up (cmts
-   in lib/<l>/.<l>.objs/, sources copied alongside); a repo-root run
-   finds the same tree under _build/default. Anywhere else — e.g. an
-   installed-package run — skip. *)
-
-let test_repo_tree_clean () =
-  let root =
-    if Sys.file_exists "../lib" && Sys.file_exists "../tools" then Some ".."
-    else if Sys.file_exists "lib" && Sys.file_exists "_build/default/lib" then Some "."
-    else None
-  in
-  match root with
-  | None -> ()
-  | Some root ->
-    let cwd = Sys.getcwd () in
-    Fun.protect
-      ~finally:(fun () -> Sys.chdir cwd)
-      (fun () ->
-        Sys.chdir root;
-        let cmt_root =
-          if Sys.file_exists "_build/default/lib" then "_build/default/lib" else "lib"
-        in
-        let cmts = Analysis.find_cmts cmt_root in
-        if cmts <> [] then begin
-          let errs =
-            List.filter
-              (fun d -> d.Lint.severity = Lint.Error)
-              (Analysis.analyze_cmts cmts)
-          in
-          if errs <> [] then
-            Alcotest.failf "repository tree has analyzer errors:\n%s"
-              (String.concat "\n" (List.map Lint.render_text errs))
-        end)
-
-(* ------------------------------------------------------------------ *)
 
 let corpus =
   [
@@ -568,8 +531,6 @@ let corpus =
         @ consumers ~bin:qualified_use ()) );
     ( "unused-export skipped when a consumer tree has no units",
       test_export_skipped_without_consumers );
-    (* the acceptance invariant *)
-    ("repo tree is analyzer-clean", test_repo_tree_clean);
   ]
 
 let suites =

@@ -30,7 +30,7 @@ let test_healthy_stream () =
     let x = if i mod 2 = 0 then 0.3 else -0.3 in
     Alcotest.check state "stays healthy" Drift.Healthy (Drift.observe d x)
   done;
-  Alcotest.(check int) "observed" 200 (Drift.observed d);
+  Alcotest.(check int) "observed" 200 d.Drift.n;
   Alcotest.(check bool) "cusum stays small" true (Drift.cusum d < 1.0)
 
 let test_mean_shift_progression () =
@@ -59,7 +59,7 @@ let test_threshold_boundary_inclusive () =
 let test_latch () =
   let d = Drift.create ~config:(cfg ~window:64 ()) ~mean:0.0 ~sigma:1.0 () in
   for _ = 1 to 10 do ignore (Drift.observe d 2.0) done;
-  Alcotest.check state "drifted" Drift.Drifted (Drift.state d);
+  Alcotest.check state "drifted" Drift.Drifted d.Drift.state;
   (* perfectly healthy residuals do not clear the latch *)
   for _ = 1 to 100 do
     Alcotest.check state "latched" Drift.Drifted (Drift.observe d 0.0)
@@ -99,20 +99,20 @@ let test_nan_quarantine () =
   let d = Drift.create ~config:(cfg ~max_bad:3 ()) ~mean:0.0 ~sigma:1.0 () in
   ignore (Drift.observe d Float.nan);
   ignore (Drift.observe d Float.infinity);
-  Alcotest.(check bool) "two bad, not yet quarantined" false (Drift.quarantined d);
-  Alcotest.(check int) "bad counted" 2 (Drift.bad_inputs d);
+  Alcotest.(check bool) "two bad, not yet quarantined" false d.Drift.quarantine;
+  Alcotest.(check int) "bad counted" 2 d.Drift.bad;
   (* a finite residual resets the consecutive run *)
   ignore (Drift.observe d 0.0);
   ignore (Drift.observe d Float.nan);
   ignore (Drift.observe d Float.nan);
-  Alcotest.(check bool) "run restarted" false (Drift.quarantined d);
+  Alcotest.(check bool) "run restarted" false d.Drift.quarantine;
   ignore (Drift.observe d Float.nan);
-  Alcotest.(check bool) "third consecutive quarantines" true (Drift.quarantined d);
-  Alcotest.(check int) "cumulative bad" 5 (Drift.bad_inputs d);
+  Alcotest.(check bool) "third consecutive quarantines" true d.Drift.quarantine;
+  Alcotest.(check int) "cumulative bad" 5 d.Drift.bad;
   (* quarantine freezes the detector: even a massive shift is ignored *)
-  let n0 = Drift.observed d in
+  let n0 = d.Drift.n in
   Alcotest.check state "frozen" Drift.Healthy (Drift.observe d 1000.0);
-  Alcotest.(check int) "frozen input not consumed" n0 (Drift.observed d)
+  Alcotest.(check int) "frozen input not consumed" n0 d.Drift.n
 
 let test_create_validation () =
   let rejects name f =

@@ -290,6 +290,29 @@ let uninterrupted n =
   Monitor.step t ~now:0.0;
   t
 
+let no_reselect _ = Error "no reselect"
+
+module W = Store.Codec.W
+module R = Store.Codec.R
+
+(* the checkpoint payload: the monitor's canonical bytes *)
+let encode t =
+  let w = W.create () in
+  Monitor.encode w t;
+  W.contents w
+
+let decode ?(config = quiet_cfg) s =
+  Store.Codec.decode s (Monitor.decode ~config ~reselect:no_reselect)
+
+(* the ring a payload holds: its rows, oldest first, and its die count *)
+let payload_ring s =
+  Store.Codec.decode s (fun rd ->
+      for _ = 1 to 3 do ignore (R.int rd) done;
+      let rows = Array.init (R.int rd) (fun _ -> R.float_array rd) in
+      let ring_n = R.int rd in
+      R.skip_rest rd;
+      (rows, ring_n))
+
 let prop_recovery =
   QCheck.Test.make ~count:40
     ~name:"checkpoint + WAL-suffix replay equals the uninterrupted run"
@@ -297,23 +320,12 @@ let prop_recovery =
     (fun (n, kseed, overlap) ->
       let k = kseed mod (n + 1) in
       let reference = uninterrupted n in
-      (* the crashed run: k dies made it into the checkpoint *)
-      let before = quiet_create () in
-      for i = 1 to k do
-        Monitor.submit ~seq:i before (stream_die i)
-      done;
-      Monitor.step before ~now:0.0;
-      (* the snapshot rides the real codec, so this also proves the
-         canonical encoding round-trips *)
-      let snap =
-        match Durable.decode_snapshot (Durable.encode_snapshot
-                                         (Monitor.snapshot before)) with
-        | Ok s -> s
-        | Error msg -> QCheck.Test.fail_reportf "snapshot codec: %s" msg
-      in
+      (* the crashed run: k dies made it into the checkpoint, which
+         rides the real codec *)
       let recovered =
-        Monitor.restore ~config:quiet_cfg ~n_paths
-          ~reselect:(fun _ -> Error "no reselect during the property") snap
+        match decode (encode (uninterrupted k)) with
+        | Ok t -> t
+        | Error msg -> QCheck.Test.fail_reportf "checkpoint codec: %s" msg
       in
       if Monitor.applied_seq recovered <> k then
         QCheck.Test.fail_reportf "restored applied_seq %d, expected %d"
@@ -324,59 +336,43 @@ let prop_recovery =
       Monitor.replay recovered
         (List.init (n - from + 1) (fun j -> (from + j, stream_die (from + j))));
       Monitor.applied_seq recovered = n
-      && Durable.snapshot_equal (Monitor.snapshot reference)
-           (Monitor.snapshot recovered))
+      && String.equal (encode reference) (encode recovered))
 
 (* a double replay of the same suffix must change nothing *)
 let test_replay_idempotent () =
   let n = 12 and k = 5 in
-  let recovered =
-    Monitor.restore ~config:quiet_cfg ~n_paths
-      ~reselect:(fun _ -> Error "no reselect")
-      (Monitor.snapshot
-         (let t = quiet_create () in
-          for i = 1 to k do
-            Monitor.submit ~seq:i t (stream_die i)
-          done;
-          Monitor.step t ~now:0.0;
-          t))
-  in
+  let recovered = Result.get_ok (decode (encode (uninterrupted k))) in
   let suffix = List.init (n - k) (fun j -> (k + 1 + j, stream_die (k + 1 + j))) in
   Monitor.replay recovered suffix;
-  let once = Monitor.snapshot recovered in
+  let once = encode recovered in
   Monitor.replay recovered suffix;
-  Alcotest.(check bool) "second replay is a no-op" true
-    (Durable.snapshot_equal once (Monitor.snapshot recovered));
-  Alcotest.(check bool) "matches the uninterrupted run" true
-    (Durable.snapshot_equal (Monitor.snapshot (uninterrupted n)) once)
+  Alcotest.(check string) "second replay is a no-op" once (encode recovered);
+  Alcotest.(check string) "matches the uninterrupted run"
+    (encode (uninterrupted n)) once
+
+let load_checkpoint = Durable.load_checkpoint ~config:quiet_cfg ~reselect:no_reselect
 
 (* Durable.save_checkpoint rides Store.write_file_atomic: children are
    SIGKILLed mid-save; the checkpoint path must always load as the old
-   or the new (gen, snapshot) pair, never torn — the serve-layer twin
+   or the new (gen, monitor) pair, never torn — the serve-layer twin
    of test_store's kill-mid-write *)
 let test_checkpoint_kill_mid_write () =
-  let snap_after n =
-    let t = uninterrupted n in
-    Monitor.snapshot t
-  in
-  let s1 = snap_after 6 and s2 = snap_after 14 in
+  let s1 = encode (uninterrupted 6) and s2 = encode (uninterrupted 14) in
   let path = Filename.temp_file "pathsel-ckpt" ".psc" in
-  (match Durable.save_checkpoint path ~gen:1 s1 with
+  (match Durable.save_checkpoint path ~gen:1 (uninterrupted 6) with
    | Ok () -> ()
    | Error e -> Alcotest.failf "seed checkpoint: %s" (Core.Errors.to_string e));
   for i = 0 to 19 do
     Kill_child.run ~delay:(float_of_int (i mod 7) *. 0.0004) (fun () ->
-        ignore (Durable.save_checkpoint path ~gen:2 s2));
-    match Durable.load_checkpoint path with
+        ignore (Durable.save_checkpoint path ~gen:2 (uninterrupted 14)));
+    match load_checkpoint path with
     | Error e ->
       Alcotest.failf "iteration %d: torn checkpoint: %s" i
         (Core.Errors.to_string e)
     | Ok None -> Alcotest.failf "iteration %d: checkpoint vanished" i
-    | Ok (Some (gen, s)) ->
-      if
-        not
-          ((gen = 1 && Durable.snapshot_equal s s1)
-          || (gen = 2 && Durable.snapshot_equal s s2))
+    | Ok (Some (gen, t)) ->
+      let s = encode t in
+      if not ((gen = 1 && String.equal s s1) || (gen = 2 && String.equal s s2))
       then Alcotest.failf "iteration %d: checkpoint is neither old nor new" i
   done;
   let dir = Filename.dirname path in
@@ -399,15 +395,15 @@ let with_bytes_file bytes f =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
   f path
 
-let checkpoint_bytes ~gen snap =
+let checkpoint_bytes ~gen t =
   let path = Filename.temp_file "pathsel-ckpt" ".psc" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  (match Durable.save_checkpoint path ~gen snap with
+  (match Durable.save_checkpoint path ~gen t with
    | Ok () -> ()
    | Error e -> Alcotest.failf "save: %s" (Core.Errors.to_string e));
   Core.Errors.get_ok (Core.Errors.read_file path)
 
-let load_checkpoint_bytes bytes = with_bytes_file bytes Durable.load_checkpoint
+let load_checkpoint_bytes bytes = with_bytes_file bytes load_checkpoint
 
 (* The framed-file header written by hand (magic, u32 version, u64
    payload length, u32 CRC of the payload), so tests pin the on-disk
@@ -421,61 +417,66 @@ let framed ~magic ~version payload =
   Buffer.add_string b payload;
   Buffer.contents b
 
-(* the payload (generation, then the snapshot's r, m, applied_seq and
+let payload_of s = String.sub s Store.header_size (String.length s - Store.header_size)
+
+(* the payload (generation, then the monitor's r, m, applied_seq and
    ring count, each a lo/hi u32 pair) behind a valid header and CRC *)
 let reframe s ~f =
-  let payload =
-    Bytes.of_string
-      (String.sub s Store.header_size (String.length s - Store.header_size))
-  in
+  let payload = Bytes.of_string (payload_of s) in
   f payload;
   framed ~magic:"PSC1" ~version:Durable.ckpt_version (Bytes.to_string payload)
 
 (* A checkpoint in the version-1 layout. Version 1 held one more
-   block, an incremental regression, between [snap_last_error] and the
-   drift detectors: this writes the shared head field by field, checks
-   it against the version-2 encoder, and puts the block back as a
-   regression that has seen no die wrote it (ridge 1e-3 on the Gram
-   diagonal, its Cholesky factor, zero cross moments, resync period
-   64). *)
-let v1_checkpoint_bytes ~gen (s : Monitor.snapshot) =
-  let module W = Store.Codec.W in
-  let int w v =
-    W.u32 w (v land 0xFFFFFFFF);
-    W.u32 w (v lsr 32)
-  in
+   block, an incremental regression, between the last error and the
+   drift detectors: this reads the head both layouts share off the
+   version-2 payload, writes it again field by field, and puts the
+   block back as a regression that has seen no die wrote it (ridge
+   1e-3 on the Gram diagonal, its Cholesky factor, zero cross moments,
+   resync period 64). *)
+let v1_checkpoint_bytes ~gen t =
+  let v2 = payload_of (checkpoint_bytes ~gen t) in
   let head = W.create () in
-  List.iter (int head)
-    [ gen; s.Monitor.snap_r; s.snap_m; s.snap_applied_seq;
-      Array.length s.snap_ring ];
-  Array.iter (W.float_array head) s.snap_ring;
-  List.iter (int head)
-    [ s.snap_ring_n; s.snap_observed; s.snap_skipped; s.snap_dropped;
-      s.snap_errors; s.snap_reselects; s.snap_reselect_failures ];
-  List.iter (W.f64 head)
-    [ s.snap_last_reselect_ms; s.snap_backoff; s.snap_next_attempt ];
-  W.u32 head (if s.snap_self_swap then 1 else 0);
-  W.str head s.snap_last_error;
+  let r, m =
+    match
+      Store.Codec.decode v2 (fun rd ->
+          let int () =
+            let v = R.int rd in
+            W.int head v;
+            v
+          in
+          ignore (int ());
+          let r = int () in
+          let m = int () in
+          ignore (int ());
+          for _ = 1 to int () do W.float_array head (R.float_array rd) done;
+          for _ = 1 to 7 do ignore (int ()) done;
+          for _ = 1 to 3 do W.f64 head (R.f64 rd) done;
+          W.u32 head (R.u32 rd);
+          W.str head (R.str rd);
+          R.skip_rest rd;
+          (r, m))
+    with
+    | Ok rm -> rm
+    | Error msg -> Alcotest.failf "version-2 head: %s" msg
+  in
   let head = W.contents head in
-  let v2 = checkpoint_bytes ~gen s in
-  let v2 = String.sub v2 Store.header_size (String.length v2 - Store.header_size) in
   let n = String.length head in
   if not (String.equal head (String.sub v2 0 n)) then
     Alcotest.fail "version-1 head does not match the version-2 encoder";
   let refit = W.create () in
-  let d = s.snap_r + 1 and ridge = 1e-3 in
+  let d = r + 1 and ridge = 1e-3 in
   let diag x = Linalg.Mat.init d d (fun i j -> if i = j then x else 0.0) in
-  List.iter (int refit) [ s.snap_r; s.snap_m; 64 ];
+  List.iter (W.int refit) [ r; m; 64 ];
   W.mat refit (diag ridge);
-  W.mat refit (Linalg.Mat.create d s.snap_m);
+  W.mat refit (Linalg.Mat.create d m);
   W.mat refit (diag (Float.sqrt ridge));
-  List.iter (int refit) [ 0; 0; 0; 0 ];
+  List.iter (W.int refit) [ 0; 0; 0; 0 ];
   framed ~magic:"PSC1" ~version:1
     (head ^ W.contents refit ^ String.sub v2 n (String.length v2 - n))
 
 let test_checkpoint_corruption () =
-  let s = checkpoint_bytes ~gen:3 (Monitor.snapshot (uninterrupted 12)) in
-  (match Durable.load_checkpoint "/nonexistent/checkpoint.psc" with
+  let s = checkpoint_bytes ~gen:3 (uninterrupted 12) in
+  (match load_checkpoint "/nonexistent/checkpoint.psc" with
    | Ok None -> ()
    | Ok (Some _) -> Alcotest.fail "missing checkpoint loaded"
    | Error e -> Alcotest.failf "missing checkpoint: %s" (Core.Errors.to_string e));
@@ -514,14 +515,20 @@ let test_checkpoint_corruption () =
   expect "ring-count high word 2^30"
     (reframe s ~f:(fun p -> Bytes.set_int32_le p 36 0x40000000l))
     corrupt;
-  expect "snapshot r high word 2^30"
+  expect "r high word 2^30"
     (reframe s ~f:(fun p -> Bytes.set_int32_le p 12 0x40000000l))
+    corrupt;
+  (* CRC-valid and in range, but more ring rows (8) than dies: the ring
+     count sits after the 8 rows of 4 + 8 * n_paths bytes each *)
+  expect "ring larger than its die count"
+    (reframe s ~f:(fun p -> Bytes.set_int32_le p (40 + (8 * (4 + (8 * n_paths)))) 7l))
     corrupt
 
 (* Mutation fuzz under the CRC: damaged payloads go straight to the
    decoders. Each result is a typed error or a value that re-encodes to
-   the mutated bytes exactly; an exception fails the test. *)
-let fuzz_decoder ~name ~decode ~encode bases =
+   the mutated bytes exactly, unless [exempt] says the bytes cannot;
+   an exception fails the test. *)
+let fuzz_decoder ?(exempt = fun _ -> false) ~name ~decode ~encode bases =
   let st = Random.State.make [| 18 |] in
   let bases = Array.of_list bases in
   let pick () = bases.(Random.State.int st (Array.length bases)) in
@@ -565,18 +572,24 @@ let fuzz_decoder ~name ~decode ~encode bases =
     match decode m with
     | Error _ -> ()
     | Ok v ->
-      if not (String.equal (encode v) m) then
+      if not (String.equal (encode v) m || exempt m) then
         Alcotest.failf "%s: mutation %d accepted non-canonical bytes" name i
     | exception e ->
       Alcotest.failf "%s: mutation %d raised %s" name i (Printexc.to_string e)
   done
 
+(* A payload whose ring holds other than min (dies, buffer) rows was
+   written under another ring buffer: it loads (see the next case),
+   and it is the one loadable payload that cannot re-encode to itself. *)
+let other_buffer s =
+  match payload_ring s with
+  | Ok (rows, ring_n) ->
+    Array.length rows <> Int.min ring_n quiet_cfg.Monitor.buffer
+  | Error _ -> false
+
 let test_decoder_fuzz () =
-  fuzz_decoder ~name:"decode_snapshot" ~decode:Durable.decode_snapshot
-    ~encode:Durable.encode_snapshot
-    (List.map
-       (fun n -> Durable.encode_snapshot (Monitor.snapshot (uninterrupted n)))
-       [ 0; 5; 12 ]);
+  fuzz_decoder ~exempt:other_buffer ~name:"Monitor.decode" ~decode:(fun s -> decode s) ~encode
+    (List.map (fun n -> encode (uninterrupted n)) [ 0; 5; 12 ]);
   fuzz_decoder ~name:"decode_obs" ~decode:Durable.decode_obs
     ~encode:Durable.encode_obs
     (List.map Durable.encode_obs
@@ -605,17 +618,39 @@ let test_checkpoint_fixture () =
   in
   let pinned = Core.Errors.get_ok (Core.Errors.read_file path) in
   let recovered =
-    match Durable.load_checkpoint path with
-    | Ok (Some (7, snap)) ->
-      Monitor.restore ~config:quiet_cfg ~n_paths
-        ~reselect:(fun _ -> Error "no reselect") snap
+    match load_checkpoint path with
+    | Ok (Some (7, t)) -> t
     | Ok _ -> Alcotest.fail "fixture: expected generation 7"
     | Error e -> Alcotest.failf "fixture: %s" (Core.Errors.to_string e)
   in
   Alcotest.(check string) "decoded fixture re-encodes byte for byte" pinned
-    (checkpoint_bytes ~gen:7 (Monitor.snapshot recovered));
+    (checkpoint_bytes ~gen:7 recovered);
   Alcotest.(check string) "a fresh run of the stream encodes the fixture" pinned
-    (checkpoint_bytes ~gen:7 (Monitor.snapshot (fixture_monitor ())))
+    (checkpoint_bytes ~gen:7 (fixture_monitor ()))
+
+(* The fixture's 17 dies under another ring buffer than the 8 rows
+   that wrote them: a smaller one keeps the newest rows and the die
+   count, a larger one keeps all 8 and counts only them, so its window
+   has no empty slot and re-encodes to itself from then on. *)
+let test_ring_buffer_change () =
+  let payload = encode (fixture_monitor ()) in
+  let rows, ring_n = Result.get_ok (payload_ring payload) in
+  Alcotest.(check (pair int int)) "fixture ring" (8, 17) (Array.length rows, ring_n);
+  let under buffer = decode ~config:{ quiet_cfg with Monitor.buffer } in
+  let ring_of = function
+    | Ok t -> (encode t, Result.get_ok (payload_ring (encode t)))
+    | Error msg -> Alcotest.failf "decode: %s" msg
+  in
+  let shrunk, (rows4, ring_n4) = ring_of (under 4 payload) in
+  Alcotest.(check bool) "a smaller buffer does not re-encode to the payload" false
+    (String.equal shrunk payload);
+  Alcotest.(check int) "die count kept" 17 ring_n4;
+  Alcotest.(check bool) "newest rows kept" true (rows4 = Array.sub rows 4 4);
+  let grown, (rows16, ring_n16) = ring_of (under 16 payload) in
+  Alcotest.(check int) "die count is the rows held" 8 ring_n16;
+  Alcotest.(check bool) "every row kept" true (rows16 = rows);
+  Alcotest.(check string) "the grown ring re-encodes to itself" grown
+    (fst (ring_of (under 16 grown)))
 
 let suites =
   [
@@ -640,5 +675,7 @@ let suites =
         ]
       @ [ QCheck_alcotest.to_alcotest prop_recovery;
           Alcotest.test_case "the PSC1 fixture re-encodes byte for byte" `Quick
-            test_checkpoint_fixture ] );
+            test_checkpoint_fixture;
+          Alcotest.test_case "a changed ring buffer keeps the newest rows" `Quick
+            test_ring_buffer_change ] );
   ]

@@ -1528,7 +1528,10 @@ let boot_on_bad_checkpoint ~label ckpt_bytes expected =
   Store.Wal.close wal;
   let ckpt = Filename.concat wal_dir "checkpoint.psc" in
   Out_channel.with_open_bin ckpt (fun oc -> Out_channel.output_string oc ckpt_bytes);
-  (match Serve.Durable.load_checkpoint ckpt with
+  (match
+     Serve.Durable.load_checkpoint ~config:serve_mon_cfg
+       ~reselect:(fun _ -> Error "none") ckpt
+   with
    | Error e when expected e -> ()
    | Error e -> Alcotest.failf "%s: wrong error: %s" label (Core.Errors.to_string e)
    | Ok _ -> Alcotest.failf "%s: checkpoint accepted" label);
@@ -1559,12 +1562,11 @@ let boot_on_bad_checkpoint ~label ckpt_bytes expected =
   in
   (gen, file_gen)
 
-let empty_snapshot () =
+let empty_monitor () =
   let store, _ = Lazy.force artifact in
   let r = Array.length (Core.Predictor.rep_indices (Store.predictor store)) in
-  Serve.Monitor.snapshot
-    (Serve.Monitor.create ~config:serve_mon_cfg ~n_paths:store.Store.n_paths ~r
-       ~m:(store.Store.n_paths - r) ~reselect:(fun _ -> Error "none") ())
+  Serve.Monitor.create ~config:serve_mon_cfg ~n_paths:store.Store.n_paths ~r
+    ~m:(store.Store.n_paths - r) ~reselect:(fun _ -> Error "none") ()
 
 (* a checkpoint boot cannot use must not abort it: [Serve.create]
    cold-starts the monitor and replays the whole WAL. Here the
@@ -1573,7 +1575,7 @@ let empty_snapshot () =
 let test_corrupt_checkpoint_boots_cold () =
   let gen, file_gen =
     boot_on_bad_checkpoint ~label:"ring count out of range"
-      (Test_monitor.reframe (Test_monitor.checkpoint_bytes ~gen:5 (empty_snapshot ()))
+      (Test_monitor.reframe (Test_monitor.checkpoint_bytes ~gen:5 (empty_monitor ()))
          ~f:(fun payload -> Bytes.set_int32_le payload 36 0x40000000l))
       (function Core.Errors.Corrupt_artifact _ -> true | _ -> false)
   in
@@ -1587,7 +1589,7 @@ let test_corrupt_checkpoint_boots_cold () =
 let test_v1_checkpoint_keeps_generation () =
   let gen, file_gen =
     boot_on_bad_checkpoint ~label:"version-1 checkpoint"
-      (Test_monitor.v1_checkpoint_bytes ~gen:5 (empty_snapshot ()))
+      (Test_monitor.v1_checkpoint_bytes ~gen:5 (empty_monitor ()))
       (function
         | Core.Errors.Version_mismatch { found = 1; expected = 2; _ } -> true
         | _ -> false)
@@ -1598,7 +1600,7 @@ let test_v1_checkpoint_keeps_generation () =
 (* a checkpoint whose CRC fails holds no generation anyone can trust:
    boot restarts it at 1, and says so on stderr *)
 let test_crc_damaged_checkpoint_restarts_generation () =
-  let bytes = Bytes.of_string (Test_monitor.checkpoint_bytes ~gen:5 (empty_snapshot ())) in
+  let bytes = Bytes.of_string (Test_monitor.checkpoint_bytes ~gen:5 (empty_monitor ())) in
   let last = Bytes.length bytes - 1 in
   Bytes.set_uint8 bytes last (Bytes.get_uint8 bytes last lxor 0x01);
   let gen, file_gen =

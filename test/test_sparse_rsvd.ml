@@ -2,22 +2,23 @@
 
 open Helpers
 
-let lcg_state = ref 99
-
-let lcg_float () =
-  lcg_state := ((!lcg_state * 1103515245) + 12345) land 0x3FFFFFFF;
-  (float_of_int !lcg_state /. float_of_int 0x3FFFFFFF *. 2.0) -. 1.0
-
-let random_sparse_dense m n density =
+(* Each case draws from its own LCG, so running, filtering or deleting
+   one case leaves the inputs of the others as they are. The seeds are
+   the states one LCG shared by the cases (seeded 99) reached at each
+   call, in suite order, so every case keeps the matrix it was written
+   against. *)
+let random_sparse_dense ~seed m n density =
+  let state = ref seed in
   Linalg.Mat.init m n (fun _ _ ->
-      let v = lcg_float () in
+      state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+      let v = (float_of_int !state /. float_of_int 0x3FFFFFFF *. 2.0) -. 1.0 in
       if Float.abs v < 1.0 -. density then 0.0 else v)
 
 (* ------------------------------------------------------------------ *)
 (* Sparse *)
 
 let test_sparse_roundtrip () =
-  let d = random_sparse_dense 7 9 0.3 in
+  let d = random_sparse_dense ~seed:99 7 9 0.3 in
   let s = Linalg.Sparse.of_dense d in
   Alcotest.(check bool) "to_dense inverts of_dense" true
     (Linalg.Mat.equal d (Linalg.Sparse.to_dense s));
@@ -31,7 +32,7 @@ let test_sparse_of_rows_duplicates () =
   Alcotest.(check int) "nnz" 2 (Linalg.Sparse.nnz s)
 
 let test_sparse_mul_dense_nt () =
-  let a = random_sparse_dense 5 7 0.4 in
+  let a = random_sparse_dense ~seed:539835730 5 7 0.4 in
   let s = Linalg.Sparse.of_dense a in
   let x = Linalg.Mat.init 4 7 (fun i j -> float_of_int ((i * 7) + j) /. 10.0) in
   Alcotest.(check bool) "X A^T bit-equal to dense" true
@@ -75,14 +76,14 @@ let test_init_rows_out_of_range () =
       ignore (Linalg.Sparse.init_rows ~rows:1 ~cols:4 (fun _ -> [ (4, 1.0) ])))
 
 let test_mul_mat_matches_dense () =
-  let d = random_sparse_dense 8 11 0.35 in
+  let d = random_sparse_dense ~seed:456300985 8 11 0.35 in
   let s = Linalg.Sparse.of_dense d in
   let x = Linalg.Mat.init 11 5 (fun i j -> float_of_int ((i * 5) + j) /. 7.0) in
   Alcotest.(check bool) "mul_mat = dense mul" true
     (Linalg.Mat.equal ~tol:1e-12 (Linalg.Mat.mul d x) (Linalg.Sparse.mul_mat s x))
 
 let test_tmul_mat_matches_dense () =
-  let d = random_sparse_dense 8 11 0.35 in
+  let d = random_sparse_dense ~seed:203146273 8 11 0.35 in
   let s = Linalg.Sparse.of_dense d in
   let y = Linalg.Mat.init 8 4 (fun i j -> float_of_int ((i * 4) + j) /. 9.0) in
   Alcotest.(check bool) "tmul_mat = dense mul_tn" true
@@ -162,7 +163,7 @@ let test_csr_products_bit_equal_dense () =
            prop_csr_products_bit_equal_dense))
 
 let test_kernels_pool_size_invariant () =
-  let d = random_sparse_dense 17 23 0.3 in
+  let d = random_sparse_dense ~seed:94709129 17 23 0.3 in
   let s = Linalg.Sparse.of_dense d in
   let x = Linalg.Mat.init 23 6 (fun i j -> sin (float_of_int ((i * 6) + j))) in
   let y = Linalg.Mat.init 17 6 (fun i j -> cos (float_of_int ((i * 6) + j))) in

@@ -300,8 +300,7 @@ let prop_any_byte_flip_rejected =
       [
         ( Store.to_bytes (Lazy.force fixture),
           fun s -> Result.map ignore (Store.of_bytes s) );
-        ( Test_monitor.checkpoint_bytes ~gen:1
-            (Serve.Monitor.snapshot (Test_monitor.uninterrupted 12)),
+        ( Test_monitor.checkpoint_bytes ~gen:1 (Test_monitor.uninterrupted 12),
           fun s -> Result.map ignore (Test_monitor.load_checkpoint_bytes s) );
       ]
   in

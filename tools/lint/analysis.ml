@@ -114,7 +114,7 @@ let default_config =
     fd_transfers =
       [ "Thread.create"; "Queue.add"; "Queue.push"; "Hashtbl.add"; "Hashtbl.replace" ];
     thread_spawns = [ "Thread.create"; "Domain.spawn" ];
-    (* Recovery (restore/replay/swapped under Serve.create) runs
+    (* Recovery (decode/split/replay/swapped under Serve.create) runs
        strictly before the listener, workers or monitor thread exist;
        the final forced checkpoint (Serve.maybe_checkpoint in Serve.run's
        epilogue) runs after the monitor thread is joined. Writes into
@@ -126,7 +126,8 @@ let default_config =
     boot_fns =
       [
         "Serve.Monitor.replay";
-        "Serve.Monitor.restore";
+        "Serve.Monitor.decode";
+        "Serve.Monitor.split";
         "Serve.Monitor.swapped";
         "Serve.Monitor.applied_seq";
         "Serve.maybe_checkpoint";

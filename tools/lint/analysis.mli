@@ -38,7 +38,7 @@ type config = {
   boot_fns : string list;
       (** functions that run only in single-threaded phases — boot-time
           recovery before any worker or monitor thread is spawned (the
-          restore/replay path under [Serve.create]) or the epilogue
+          decode/replay path under [Serve.create]) or the epilogue
           after they are joined (the final forced checkpoint):
           reachability traversals stop at them, so their writes into
           otherwise thread-owned state do not register as cross-thread
