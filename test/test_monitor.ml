@@ -290,6 +290,21 @@ let uninterrupted n =
   Monitor.step t ~now:0.0;
   t
 
+(* PSC1 pinned: examples/data/monitor_v2.psc was written by the
+   version-2 encoder over this stream (the quiet stream, 20 journaled
+   dies, generation 7). Dies 1, 5, 9, 13, 17 carry wafer "w1", dies 19
+   and 20 wafer "w2", which is still calibrating (2 of 4); dies 3, 10
+   and 17 are non-finite; 17 dies in an 8-row ring have wrapped it. *)
+let fixture_wafer i = if i mod 4 = 1 then "w1" else if i >= 19 then "w2" else ""
+
+let fixture_monitor () =
+  let t = quiet_create () in
+  for i = 1 to 20 do
+    Monitor.submit ~seq:i t { (stream_die i) with Monitor.wafer = fixture_wafer i }
+  done;
+  Monitor.step t ~now:0.0;
+  t
+
 let no_reselect _ = Error "no reselect"
 
 module W = Store.Codec.W
@@ -522,7 +537,23 @@ let test_checkpoint_corruption () =
      count sits after the 8 rows of 4 + 8 * n_paths bytes each *)
   expect "ring larger than its die count"
     (reframe s ~f:(fun p -> Bytes.set_int32_le p (40 + (8 * (4 + (8 * n_paths)))) 7l))
-    corrupt
+    corrupt;
+  (* an empty monitor's one group is calibrating, its residual count at
+     byte 240: a full buffer without a detector, or a count past the
+     buffer, would index past it at the group's next residual *)
+  let empty = encode (quiet_create ()) in
+  let with_calib_n k =
+    let b = Bytes.of_string empty in
+    Bytes.set_int32_le b 240 (Int32.of_int k);
+    decode (Bytes.to_string b)
+  in
+  Alcotest.(check bool) "3 of 4 calibrating residuals load" true
+    (Result.is_ok (with_calib_n 3));
+  List.iter
+    (fun k ->
+      if Result.is_ok (with_calib_n k) then
+        Alcotest.failf "calibration count %d of 4 without a detector accepted" k)
+    [ 4; 5 ]
 
 (* Mutation fuzz under the CRC: damaged payloads go straight to the
    decoders. Each result is a typed error or a value that re-encodes to
@@ -589,26 +620,12 @@ let other_buffer s =
 
 let test_decoder_fuzz () =
   fuzz_decoder ~exempt:other_buffer ~name:"Monitor.decode" ~decode:(fun s -> decode s) ~encode
-    (List.map (fun n -> encode (uninterrupted n)) [ 0; 5; 12 ]);
+    (encode (fixture_monitor ())
+     :: List.map (fun n -> encode (uninterrupted n)) [ 0; 5; 12 ]);
   fuzz_decoder ~name:"decode_obs" ~decode:Durable.decode_obs
     ~encode:Durable.encode_obs
     (List.map Durable.encode_obs
        [ stream_die 1; stream_die 3; { (stream_die 4) with Monitor.wafer = "w07" } ])
-
-(* PSC1 pinned: examples/data/monitor_v2.psc was written by the
-   version-2 encoder over this stream (the quiet stream, 20 journaled
-   dies, generation 7). Dies 1, 5, 9, 13, 17 carry wafer "w1", dies 19
-   and 20 wafer "w2", which is still calibrating (2 of 4); dies 3, 10
-   and 17 are non-finite; 17 dies in an 8-row ring have wrapped it. *)
-let fixture_wafer i = if i mod 4 = 1 then "w1" else if i >= 19 then "w2" else ""
-
-let fixture_monitor () =
-  let t = quiet_create () in
-  for i = 1 to 20 do
-    Monitor.submit ~seq:i t { (stream_die i) with Monitor.wafer = fixture_wafer i }
-  done;
-  Monitor.step t ~now:0.0;
-  t
 
 let test_checkpoint_fixture () =
   let path =
