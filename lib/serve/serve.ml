@@ -1091,10 +1091,15 @@ let compute_ops =
     ("tune", handle_tune);
   ]
 
-(* Answer one request line into [w]. The latency the stats op reports
-   stops once the response is fully in the writer: it includes the
-   encoding, often most of it, but not the socket write. *)
-let answer t w line =
+(* Answer one request line into [w], then [finish] the response: a
+   connection writes its tail to the socket there. The request counts
+   once, as soon as its response is computed: before any byte leaves,
+   so a client holding its answer finds it in stats, and before a sink's
+   [Io.Timeout] or [Io.Closed] can cut the encode short. The latency the
+   stats op reports runs from the request line to the end of [finish],
+   or to the failed write: to the last byte written for a connection,
+   to the last byte encoded for the in-process [handle]. *)
+let answer t w ~finish line =
   let t0 = Unix.gettimeofday () in
   (* one snapshot per request: a SIGHUP reload swapping [t.hot] mid-soak
      never changes the artifact a request already started on *)
@@ -1127,17 +1132,22 @@ let answer t w line =
   let failed =
     match response with Wire.Obj (("ok", Wire.Bool false) :: _) -> true | _ -> false
   in
-  Wire.Writer.json w response;
-  let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
   tick t (fun c ->
       c.requests <- c.requests + 1;
-      if failed then c.errors <- c.errors + 1;
-      c.lat.(c.lat_n mod latency_window) <- ms;
-      c.lat_n <- c.lat_n + 1)
+      if failed then c.errors <- c.errors + 1);
+  Fun.protect
+    ~finally:(fun () ->
+      let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+      tick t (fun c ->
+          c.lat.(c.lat_n mod latency_window) <- ms;
+          c.lat_n <- c.lat_n + 1))
+    (fun () ->
+      Wire.Writer.json w response;
+      finish ())
 
 let handle t line =
   let w = Wire.Writer.create () in
-  answer t w line;
+  answer t w ~finish:ignore line;
   Wire.Writer.contents w
 
 (* ------------------------------------------------------------------ *)
@@ -1155,35 +1165,44 @@ let serve_conn t fd =
     started :=
       (if Wire.Framer.partial framer then Some (Unix.gettimeofday ()) else None)
   in
-  (* every response is written once, into the connection's one writer,
-     and sent straight from its bytes *)
-  let out = Wire.Writer.create () in
-  let respond write =
-    write out;
-    Wire.Writer.add_char out '\n';
-    let sent =
-      match
-        Io.write_bytes fd (Wire.Writer.bytes out) 0 (Wire.Writer.length out)
-          ~timeout:t.cfg.deadline
-      with
-      | () -> true
-      | exception Io.Timeout ->
-        (* a reader too slow to take its own response: count and drop *)
-        tick t (fun c -> c.timeouts <- c.timeouts + 1);
-        false
-      | exception Io.Closed -> false
-    in
-    Wire.Writer.reset out;
-    sent
+  (* every response is sent in 64 KiB pieces while it is encoded, from
+     the connection's one writer; its pieces share one deadline, armed
+     by the first of them *)
+  let due = ref Float.infinity in
+  let send b ofs len =
+    let now = Unix.gettimeofday () in
+    if Float.equal !due Float.infinity then due := now +. t.cfg.deadline;
+    Io.write_bytes fd b ofs len ~timeout:(Float.max 0.0 (!due -. now))
   in
-  let respond_json j = respond (fun w -> Wire.Writer.json w j) in
+  let out = Wire.Writer.create ~sink:send () in
+  let finish () =
+    Wire.Writer.add_char out '\n';
+    Wire.Writer.flush out
+  in
+  (* false once a write failed: the stream may end mid-line, so the
+     connection closes and writes nothing more *)
+  let respond write =
+    due := Float.infinity;
+    match write () with
+    | () -> true
+    | exception Io.Timeout ->
+      (* a reader too slow to take its own response: count and drop *)
+      tick t (fun c -> c.timeouts <- c.timeouts + 1);
+      false
+    | exception Io.Closed -> false
+  in
+  let respond_json j =
+    respond (fun () ->
+        Wire.Writer.json out j;
+        finish ())
+  in
   let rec loop () =
     if not (Atomic.get t.stop_flag) then
       match Wire.Framer.pop framer with
       | Some (Wire.Framer.Line line) ->
         (* even an empty line gets its (error) response: one line in,
            one line out keeps client pipelining aligned *)
-        let keep = respond (fun w -> answer t w line) in
+        let keep = respond (fun () -> answer t out ~finish line) in
         after_response ();
         if keep then loop ()
       | Some (Wire.Framer.Too_long n) ->
@@ -1440,7 +1459,8 @@ module Client = struct
     fd : Unix.file_descr;
     framer : Wire.Framer.t;
     chunk : Bytes.t;
-    out : Wire.Writer.t;  (* request lines are written here, then sent *)
+    out : Wire.Writer.t;  (* request lines are sent from here as they are written *)
+    due : float ref;  (* the current request's deadline, shared by its pieces *)
     mutable last_gen : int option;
         (* last artifact generation seen on this connection *)
   }
@@ -1456,11 +1476,17 @@ module Client = struct
       let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
       match Io.connect fd sa ~timeout with
       | () ->
+        let due = ref 0.0 in
+        let send b ofs len =
+          Io.write_bytes fd b ofs len
+            ~timeout:(Float.max 0.0 (!due -. Unix.gettimeofday ()))
+        in
         {
           fd;
           framer = Wire.Framer.create ();
           chunk = Bytes.create 65536;
-          out = Wire.Writer.create ();
+          out = Wire.Writer.create ~sink:send ();
+          due;
           last_gen = None;
         }
       | exception
@@ -1523,12 +1549,12 @@ module Client = struct
 
   let request ?(deadline = 30.0) c req =
     let dl = Unix.gettimeofday () +. deadline in
+    c.due := dl;
     Wire.Writer.reset c.out;
-    Wire.Writer.json c.out req;
-    Wire.Writer.add_char c.out '\n';
     match
-      Io.write_bytes c.fd (Wire.Writer.bytes c.out) 0 (Wire.Writer.length c.out)
-        ~timeout:(Float.max 0.0 (dl -. Unix.gettimeofday ()));
+      Wire.Writer.json c.out req;
+      Wire.Writer.add_char c.out '\n';
+      Wire.Writer.flush c.out;
       read_line ~deadline:dl c
     with
     | Some line ->

@@ -201,9 +201,16 @@ val handle : t -> string -> string
     newline). Never raises: parse errors, bad shapes, and numerical
     failures all become ["ok":false] responses and count toward the
     error counter. A ["shutdown"] request flips the stop flag.
-    Thread-safe. A connection runs the same handler, writing each
-    response into a {!Wire.Writer} it keeps and sending it from there,
-    so it sends exactly these bytes plus ['\n']. *)
+    Thread-safe. The request's [stats] latency runs from the line to
+    the last byte encoded.
+
+    A connection runs the same handler into a {!Wire.Writer} with a
+    sink, so it sends exactly these bytes plus ['\n'], in pieces of at
+    most 64 KiB while the response is still being encoded. The pieces
+    share one write deadline ({!config}'s [deadline], armed by the
+    first piece). A failed write stops the encode, counts in [timeouts]
+    when the deadline ran out, and closes the connection; the request
+    still counts once, its latency running to the failed write. *)
 
 val observations :
   predictor:Core.Predictor.t ->
@@ -282,7 +289,9 @@ module Client : sig
   (* lint: allow-next unused-export: tests check the server's answers through it *)
   val request : ?deadline:float -> conn -> Wire.json -> (Wire.json, string) result
   (** One round trip: print, send, read one line, parse — all within
-      [deadline] seconds of wall clock (default 30). A timeout, a lost
+      [deadline] seconds of wall clock (default 30). The request is
+      sent in 64 KiB pieces while it is encoded, each piece within
+      what is left of that one budget. A timeout, a lost
       connection, or an unparseable response is the [Error] case; it
       never blocks forever on a dead peer. *)
 

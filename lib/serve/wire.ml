@@ -57,41 +57,64 @@ let[@inline] digits8 v =
 let zero_point = String.get_int64_le "0.000000" 0
 
 module Writer = struct
-  type t = { mutable buf : Bytes.t; mutable len : int }
+  type t = {
+    mutable buf : Bytes.t;
+    mutable len : int;
+    sink : (Bytes.t -> int -> int -> unit) option;
+  }
 
   let initial = 256
 
-  (* a writer grown past this gives its store up on [reset]: one huge
-     response does not pin its buffer for a connection's lifetime *)
-  let kept = 4 lsl 20
+  (* a sinking writer's store: the client's read chunk, and the most
+     Unix.write passes to the kernel in one system call *)
+  let piece = 65536
 
-  let create () = { buf = Bytes.create initial; len = 0 }
+  let create ?sink () =
+    { buf = Bytes.create (if Option.is_none sink then initial else piece); len = 0; sink }
 
-  let reset w =
-    w.len <- 0;
-    if Bytes.length w.buf > kept then w.buf <- Bytes.create initial
+  let reset w = w.len <- 0
 
-  let length w = w.len
-  let bytes w = w.buf
   let contents w = Bytes.sub_string w.buf 0 w.len
+
+  let flush w =
+    match w.sink with
+    | Some send when w.len > 0 ->
+      send w.buf 0 w.len;
+      w.len <- 0
+    | _ -> ()
 
   let grow w n =
     let b = Bytes.create (Int.max (w.len + n) (2 * Bytes.length w.buf)) in
     Bytes.blit w.buf 0 b 0 w.len;
     w.buf <- b
 
-  (* room for [n] more bytes; a growing writer at least doubles *)
-  let[@inline] reserve w n = if w.len + n > Bytes.length w.buf then grow w n
+  (* Room for [n] more bytes: a sinking writer sends what it holds and
+     reuses its store, any other writer at least doubles. A sinking
+     writer's store never grows: no write but [add_sub]'s asks for more
+     than 23 bytes, and [add_sub] fills it one store at a time. *)
+  let[@inline] reserve w n =
+    if w.len + n > Bytes.length w.buf then
+      if Option.is_none w.sink then grow w n else flush w
 
   let add_char w c =
     reserve w 1;
     Bytes.set w.buf w.len c;
     w.len <- w.len + 1
 
-  let add_sub w s ofs n =
-    reserve w n;
-    Bytes.blit_string s ofs w.buf w.len n;
-    w.len <- w.len + n
+  let rec add_sub w s ofs n =
+    let room = Bytes.length w.buf - w.len in
+    if n <= room || Option.is_none w.sink then begin
+      reserve w n;
+      Bytes.blit_string s ofs w.buf w.len n;
+      w.len <- w.len + n
+    end
+    else begin
+      (* a run longer than a sinking writer's store goes out in pieces *)
+      Bytes.blit_string s ofs w.buf w.len room;
+      w.len <- w.len + room;
+      flush w;
+      add_sub w s (ofs + room) (n - room)
+    end
 
   let add_string w s = add_sub w s 0 (String.length s)
 

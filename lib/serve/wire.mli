@@ -23,7 +23,7 @@ type json = Core.Report.json =
 
 val print : json -> string
 (** Compact, single-line, float-exact rendering: the value written into
-    a fresh {!Writer}, then copied out once.
+    a fresh sink-less {!Writer}, then copied out once.
 
     A finite float prints as exactly the bytes of
     [Printf.sprintf "%.17g"], plus [".0"] when those hold neither ['.']
@@ -46,35 +46,40 @@ val print : json -> string
     [[-4, 16]] and a rounding carry to [10^17]. A [Floats] row prints as
     a JSON array, non-finite entries as [null]. *)
 
-(** A growable byte buffer that JSON values are written into.
-    {!print} uses a fresh one per call; a server connection keeps one
-    and {!Writer.reset}s it for each response, so a response is written
-    once and sent straight from the writer's bytes. *)
+(** A byte buffer that JSON values are written into.
+
+    Without a sink it grows as needed and holds the whole output:
+    {!print} and the in-process [Serve.handle] use one of those. A writer
+    with a sink holds at most 64 KiB: when the next write would overflow
+    that store, it hands the bytes it holds to the sink and reuses the
+    store. A server connection and a client both write through one, so a
+    0.6 MB response leaves in 64 KiB pieces while later rows are still
+    being encoded. The bytes the sink receives, in order, then the
+    {!Writer.flush}ed tail, are exactly the bytes {!print} gives. *)
 module Writer : sig
   type t
 
-  val create : unit -> t
-  (** An empty writer with a small initial capacity; it doubles as
-      needed. *)
+  val create : ?sink:(Bytes.t -> int -> int -> unit) -> unit -> t
+  (** An empty writer. [sink b ofs len] must take bytes [[ofs, ofs +
+      len)] of [b] before it returns; the writer reuses [b] afterwards.
+      An exception the sink raises (a socket write's [Timeout], say)
+      propagates out of the write that triggered it, and the writer's
+      output is then undefined until {!reset}. *)
 
   val reset : t -> unit
-  (** Empty the writer. It keeps its capacity up to 4 MiB; a larger
-      store is released for a fresh small one. *)
+  (** Empty the writer, keeping its store. *)
 
   val json : t -> json -> unit
   (** Append the bytes {!print} gives for the value. *)
 
   val add_char : t -> char -> unit
 
-  val length : t -> int
-  (** Bytes written since the last {!reset}. *)
-
-  val bytes : t -> Bytes.t
-  (** The backing store: its first {!length} bytes are the output. It
-      is replaced when the writer grows, so read it after writing. *)
+  val flush : t -> unit
+  (** Hand the bytes held to the sink, and empty the writer. A writer
+      without a sink keeps them. *)
 
   val contents : t -> string
-  (** A copy of the output. *)
+  (** A copy of the bytes held. *)
 end
 
 val parse : string -> (json, string) result

@@ -161,11 +161,32 @@ let iter_float_corpus f =
       done
   done
 
+(* [json] through a writer with a sink: the pieces it hands the sink,
+   then its flushed tail, concatenated. Every piece before the tail
+   must be a full store: more than 64 KiB less the largest single
+   write (23 bytes), and at most 64 KiB. *)
+let streamed json =
+  let out = Buffer.create 4096 in
+  let bad_piece = ref None in
+  let sink b ofs len =
+    if (len <= 65536 - 23 || len > 65536) && Option.is_none !bad_piece then
+      bad_piece := Some len;
+    Buffer.add_subbytes out b ofs len
+  in
+  let w = Serve.Wire.Writer.create ~sink () in
+  Serve.Wire.Writer.json w json;
+  (match !bad_piece with
+   | Some len -> Alcotest.failf "a sinking writer sent a piece of %d bytes" len
+   | None -> ());
+  Serve.Wire.Writer.flush w;
+  Buffer.contents out
+
 (* every value prints as %.17g does; every 4th (strtod dominates the
    cost) also re-parses to the same bits. The corpus is also printed in
-   rows of 4096: as a Floats row through [print], and through one
-   reused writer whose previous output, a string of '0's, was longer
-   than the row, so a stale byte left inside the row would show. *)
+   rows of 4096: as a Floats row through [print], through one reused
+   writer whose previous output, a string of '0's, was longer than the
+   row, so a stale byte left inside the row would show, and in pieces
+   through a writer with a sink (a row is longer than its store). *)
 let test_wire_float_bits () =
   let module W = Serve.Wire in
   let count = ref 0 in
@@ -191,6 +212,10 @@ let test_wire_float_bits () =
     if reused <> expected then
       Alcotest.failf "a reused writer prints a corpus row differently from byte %d"
         (first_diff reused);
+    let sent = streamed (W.Floats a) in
+    if sent <> expected then
+      Alcotest.failf "a sinking writer streams a corpus row differently from byte %d"
+        (first_diff sent);
     filled := 0
   in
   iter_float_corpus (fun x ->
@@ -888,6 +913,60 @@ let test_framer_edges () =
   | Some (Framer.Line "ok") -> ()
   | _ -> Alcotest.fail "line after the overflow was lost"
 
+(* random JSON, behind a pad that moves it across the first 64 KiB
+   boundary of a sinking writer's store, streams exactly the bytes
+   [print] gives: nested lists and objects, Floats rows, strings with
+   escapes, and runs long enough to span several stores *)
+let prop_streamed_equals_print =
+  let open QCheck.Gen in
+  let open Serve.Wire in
+  let str =
+    frequency
+      [
+        ( 6,
+          string_size
+            ~gen:(oneofl [ 'a'; 'z'; '"'; '\\'; '\n'; '\t'; '\001'; '\127' ])
+            (int_bound 40) );
+        (1, map2 String.make (int_bound 150_000) (oneofl [ 'x'; '"'; '\\' ]));
+      ]
+  in
+  let num =
+    frequency
+      [
+        (4, float_range (-1e4) 1e4);
+        (2, float);
+        (1, oneofl [ 0.0; -0.0; Float.nan; Float.infinity; 1e300; 5e-324; 1e-5 ]);
+      ]
+  in
+  let leaf =
+    frequency
+      [
+        (1, return Null);
+        (1, map (fun b -> Bool b) bool);
+        (2, map (fun i -> Int i) int);
+        (2, map (fun f -> Float f) num);
+        (2, map (fun s -> String s) str);
+        (2, map (fun a -> Floats a) (array_size (int_bound 3000) num));
+      ]
+  in
+  let json =
+    fix
+      (fun self depth ->
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (2, leaf);
+              (2, map (fun l -> List l) (list_size (int_bound 5) (self (depth - 1))));
+              (2, map (fun l -> Obj l) (list_size (int_bound 5) (pair str (self (depth - 1)))));
+            ])
+      3
+  in
+  let gen = map2 (fun pad j -> List [ String (String.make pad 'p'); j ]) (int_bound 65536) json in
+  QCheck.Test.make ~count:150 ~name:"wire: a sinking writer streams the bytes print gives"
+    (QCheck.make ~print:(fun j -> Printf.sprintf "%d bytes" (String.length (print j))) gen)
+    (fun j -> String.equal (streamed j) (print j))
+
 (* Framing by runs against the one-byte-at-a-time rule: random lines
    (CRLF, bare '\r', empty, over the cap, an unterminated tail) fed in
    random chunks must give the same items and the same partial and
@@ -1010,6 +1089,91 @@ let test_deadline_exceeded () =
       let c = Serve.Client.connect addr in
       Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
       Alcotest.(check bool) "timeouts counter" true (stat_int c "timeouts" >= 1))
+
+(* A response leaves in pieces while it is encoded, and its pieces
+   share one deadline, armed by the first. A reader that takes one
+   chunk of a multi-megabyte response and stalls, and one that drips a
+   chunk every fifth of the deadline (under a budget per piece it would
+   never time out), are each timed out once, within one deadline plus
+   slack. Each stream stops mid-line and its connection closes; the
+   request counts once, with its latency running to the failed write,
+   and the server goes on answering a second connection. *)
+let test_stalled_reader () =
+  let deadline = 0.5 in
+  let config = { Serve.default_config with Serve.deadline; workers = 3; max_batch = 8000 } in
+  with_server ~config (fun store clean addr ->
+      let rows, _ = Linalg.Mat.dims clean in
+      let line =
+        Serve.Wire.print
+          (Serve.Wire.Obj
+             [
+               ("op", Serve.Wire.String "predict");
+               ( "dies",
+                 Serve.Wire.mat_to_json
+                   (Linalg.Mat.select_rows clean (Array.init 8000 (fun i -> i mod rows))) );
+             ])
+      in
+      let full = String.length (Serve.handle (Serve.create ~config store) line) + 1 in
+      if full < 2 lsl 20 then Alcotest.failf "a response of %d bytes is too small" full;
+      let c = Serve.Client.connect addr in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+      let polls = ref 0 in
+      let timeouts () =
+        incr polls;
+        stat_int c "timeouts"
+      in
+      let chunk = Bytes.create 65536 in
+      (* the bytes one stalled or dripping reader takes before EOF, and
+         the seconds from its request to the server's timeout *)
+      let reader ~drip =
+        let fd = raw_connect (sock_path addr) in
+        Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+        let before = timeouts () in
+        let t0 = Unix.gettimeofday () in
+        raw_send fd (line ^ "\n");
+        let got = ref (Unix.read fd chunk 0 65536) in
+        let rec wait () =
+          if timeouts () > before then Unix.gettimeofday () -. t0
+          else if Unix.gettimeofday () -. t0 > 10.0 *. deadline then
+            Alcotest.failf "no timeout %.0f s after the request" (10.0 *. deadline)
+          else begin
+            Thread.delay (deadline /. 5.0);
+            if drip then got := !got + Unix.read fd chunk 0 65536;
+            wait ()
+          end
+        in
+        let dt = wait () in
+        let rec drain () =
+          match Unix.read fd chunk 0 65536 with
+          | 0 -> ()
+          | n ->
+            got := !got + n;
+            drain ()
+        in
+        drain ();
+        (!got, dt)
+      in
+      List.iter
+        (fun drip ->
+          let label = if drip then "dripping reader" else "stalled reader" in
+          let got, dt = reader ~drip in
+          Alcotest.(check bool) (label ^ ": the stream stops mid-line") true (got < full);
+          if dt > deadline +. 1.5 then
+            Alcotest.failf "%s: timed out %.2f s after its request" label dt)
+        [ false; true ];
+      let stats =
+        match Serve.Client.stats c with Ok j -> j | Error m -> Alcotest.failf "stats: %s" m
+      in
+      let int key =
+        match Serve.Wire.member key stats with Some (Serve.Wire.Int n) -> n | _ -> -1
+      in
+      Alcotest.(check int) "one timeout per reader" 2 (int "timeouts");
+      Alcotest.(check int) "each request counted once" (2 + !polls) (int "requests");
+      match
+        Option.bind (Serve.Wire.member "latency_ms" stats) (Serve.Wire.member "max")
+      with
+      | Some (Serve.Wire.Float ms) when ms >= deadline *. 1000.0 -> ()
+      | _ -> Alcotest.fail "the latency of a timed-out response ends before its deadline")
 
 let test_idle_reaped () =
   let config = { Serve.default_config with Serve.idle_timeout = 0.3 } in
@@ -1623,6 +1787,7 @@ let suites =
           test_wire_parse_matches_reference;
         Alcotest.test_case "wire unboxed rows print like the boxed tree" `Quick
           test_wire_unboxed_rows;
+        QCheck_alcotest.to_alcotest prop_streamed_equals_print;
         Alcotest.test_case "clean batch bit-identical over socket" `Quick
           test_clean_batch_bit_identical;
         Alcotest.test_case "faulty batch matches Robust" `Quick
@@ -1641,6 +1806,8 @@ let suites =
         Alcotest.test_case "overload shedding" `Quick test_shed_overloaded;
         Alcotest.test_case "deadline expiry answers and closes" `Quick
           test_deadline_exceeded;
+        Alcotest.test_case "a stalled reader is timed out once per response" `Quick
+          test_stalled_reader;
         Alcotest.test_case "idle connections reaped" `Quick test_idle_reaped;
         Alcotest.test_case "SIGHUP hot reload" `Quick test_sighup_reload;
         Alcotest.test_case "retry policy semantics" `Quick test_retry_semantics;

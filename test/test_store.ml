@@ -318,6 +318,40 @@ let prop_any_byte_flip_rejected =
           | Error e -> Core.Errors.exit_code e = 65)
         (Lazy.force inputs))
 
+(* Mutated PSA1 payloads re-sealed under a valid header and CRC, so
+   every one reaches the decoder: each loads (and then re-encodes to
+   the same bytes) or is a typed error, and none raises. *)
+let test_payload_fuzz () =
+  let canonical t = Test_monitor.payload_of (Store.to_bytes t) in
+  Test_monitor.fuzz_decoder ~name:"Store.of_bytes"
+    ~decode:(fun p -> Store.of_bytes (framed p))
+    ~encode:canonical
+    (List.map canonical [ Lazy.force fixture; Option.get (make_artifact 12) ]);
+  (* values a random byte rarely makes, written over every entry of the
+     representatives' rows of A (a singular or non-finite Gram block),
+     or over one entry of mu *)
+  let t = Lazy.force fixture in
+  let idx = t.Store.selection.Core.Select.indices in
+  let per_path_eps = t.Store.selection.Core.Select.per_path_eps in
+  List.iter
+    (fun v ->
+      let a = Linalg.Mat.copy t.Store.a_mat in
+      let _, m = Linalg.Mat.dims a in
+      Array.iter (fun i -> Linalg.Mat.set_row a i (Array.make m v)) idx;
+      let mu = Array.copy t.Store.mu in
+      mu.(idx.(0)) <- v;
+      List.iter
+        (fun (what, p) ->
+          match Store.of_bytes (framed p) with
+          | Ok _ | Error _ -> ()
+          | exception e ->
+            Alcotest.failf "%s set to %h: raised %s" what v (Printexc.to_string e))
+        [
+          ("representative rows of A", payload ~per_path_eps { t with Store.a_mat = a });
+          ("one entry of mu", payload ~per_path_eps { t with Store.mu });
+        ])
+    [ 0.0; Float.nan; Float.infinity; Float.neg_infinity; Float.max_float; 4.9e-324 ]
+
 (* ------------------------------------------------------------------ *)
 (* CRC-32: the table-driven [Codec.crc32] against the definition, one
    bit at a time (reflected, polynomial 0xEDB88320) *)
@@ -391,6 +425,8 @@ let suites =
           `Quick test_inconsistent_payloads;
         Alcotest.test_case "loading does not depend on the pool size" `Quick
           test_load_any_pool_size;
+        Alcotest.test_case "mutated payloads under a valid CRC never raise" `Quick
+          test_payload_fuzz;
         Alcotest.test_case "crc32 equals the bitwise definition" `Quick test_crc32_pinned;
         Alcotest.test_case "an artifact framed with the bitwise CRC loads" `Quick
           test_bitwise_framed_artifact_loads;
