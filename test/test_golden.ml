@@ -167,6 +167,35 @@ let test_sketch_pinned () =
   Alcotest.(check int64) "square B: s and u bits" 2059369699749120818L
     (fold_bits (fold_bits 0L f.Linalg.Rsvd.s) f.Linalg.Rsvd.u.Linalg.Mat.data)
 
+(* bit pins on demo90's path extraction: every path's gates, mu and
+   sigma bits in discovery order, the truncation flag and the DFS visit
+   count, for the whole pool and for a cap that truncates it. The
+   dedup table and the pruning bound feed these numbers, so a rewrite
+   of either that moves one path, bit or visit shows here. *)
+let test_extraction_pinned () =
+  with_data (fun dir ->
+      let dm = Timing.Delay_model.build (demo90 dir) (Timing.Variation.make_model ~levels:3 ()) in
+      let t_cons = Timing.Delay_model.nominal_critical_delay dm in
+      let pin name ?max_paths ~count ~fold ~truncated ~visited () =
+        let r = Timing.Path_extract.extract ?max_paths dm ~t_cons ~yield_threshold:0.99 in
+        let h =
+          List.fold_left
+            (fun h (p : Timing.Path_extract.path) ->
+              let h =
+                Array.fold_left (fun h g -> Int64.add (Int64.mul h 31L) (Int64.of_int g)) h
+                  p.gates
+              in
+              fold_bits h [| p.mu; p.sigma |])
+            0L r.Timing.Path_extract.paths
+        in
+        Alcotest.(check int) (name ^ " paths") count (List.length r.Timing.Path_extract.paths);
+        Alcotest.(check int64) (name ^ " gates, mu and sigma bits") fold h;
+        Alcotest.(check bool) (name ^ " truncated") truncated r.Timing.Path_extract.truncated;
+        Alcotest.(check int) (name ^ " visited nodes") visited r.Timing.Path_extract.visited_nodes
+      in
+      pin "whole pool" ~count:74 ~fold:1405918849994905476L ~truncated:false ~visited:920 ();
+      pin "capped at 40" ~max_paths:40 ~count:40 ~fold:3605401723117068353L ~truncated:true ~visited:288 ())
+
 let unit_tests =
   [
     ("golden: .bench parses", test_bench_golden);
@@ -177,6 +206,7 @@ let unit_tests =
     ("golden: zero level weight extracts", test_zero_level_weight);
     ("golden: rng stream", test_rng_stream_pinned);
     ("golden: streamed sketch", test_sketch_pinned);
+    ("golden: demo90 extraction", test_extraction_pinned);
   ]
 
 let suites =
