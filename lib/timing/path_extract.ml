@@ -48,6 +48,18 @@ let path_yield p ~t_cons =
 
 exception Source_limit
 
+(* The dedup table, keyed by a path's whole gate sequence. The
+   polymorphic hash reads only an array's first 10 elements, so every
+   path through the same 10-gate prefix would share one bucket and each
+   lookup would compare whole arrays down that bucket. *)
+module Path_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal a b = Array.length a = Array.length b && Array.for_all2 Int.equal a b
+
+  let hash = Array.fold_left (fun h g -> (h * 31) + g) 0
+end)
+
 let extract ?(max_paths = 20_000) dm ~t_cons ~yield_threshold =
   if not (yield_threshold > 0.0 && yield_threshold < 1.0) then
     invalid_arg "Path_extract.extract: yield_threshold outside (0,1)";
@@ -62,7 +74,7 @@ let extract ?(max_paths = 20_000) dm ~t_cons ~yield_threshold =
   let found = ref [] in
   let n_found = ref 0 in
   let visited = ref 0 in
-  let seen = Hashtbl.create 1024 in
+  let seen = Path_tbl.create 1024 in
   let truncated = ref false in
   (* extraction test on a complete path *)
   (* Fair truncation: when the cap binds, no single PI may contribute
@@ -76,8 +88,8 @@ let extract ?(max_paths = 20_000) dm ~t_cons ~yield_threshold =
   let capped = ref true in
   let record () =
     let gates = Array.of_list (List.rev !stack) in
-    if not (Hashtbl.mem seen gates) then begin
-      Hashtbl.add seen gates ();
+    if not (Path_tbl.mem seen gates) then begin
+      Path_tbl.add seen gates ();
       let mu = Array.fold_left (fun m g -> m +. Delay_model.nominal dm g) 0.0 gates in
       let sigma = Acc.sigma acc in
       if mu +. (z *. sigma) > t_cons then begin
