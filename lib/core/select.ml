@@ -52,10 +52,10 @@ let factor_with_fallback ?(seed = default_seed) a =
             }))
 
 (* Lemma 1 as an algorithm (see the .mli). G is 0/1, so G·Rᵀ is row
-   sums of Rᵀ's rows: one CSR product. *)
+   sums of Rᵀ's rows: one CSR product, formed as its transpose R·Gᵀ. *)
 let segment_svd ~g ~sigma =
   let r = Linalg.Qr.r (Linalg.Qr.factor (Linalg.Mat.transpose sigma)) in
-  let m = Linalg.Sparse.mul_mat (Linalg.Sparse.of_dense g) (Linalg.Mat.transpose r) in
+  let m = Linalg.Mat.transpose (Linalg.Sparse.mul_dense_nt r (Linalg.Sparse.of_dense g)) in
   let f = Linalg.Svd.factor ~vectors:Left m in
   { f with Linalg.Svd.v = Linalg.Mat.create (snd (Linalg.Mat.dims sigma)) 0 }
 

@@ -10,17 +10,28 @@ type op = {
 
 let sum_squares = Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0
 
+(* Through A's CSR form: the kernels then skip A's zeros, as the dense
+   row-major products did, and sum every element in the order
+   [Mat.mul_nt xt a] and [Mat.mul yt a] would. *)
 let op_of_mat a =
   let rows, cols = Mat.dims a in
-  { rows; cols; frob2 = sum_squares a.Mat.data; mul = Mat.mul a; tmul = Mat.mul_tn a }
+  let s = Sparse.of_dense a in
+  {
+    rows;
+    cols;
+    frob2 = sum_squares a.Mat.data;
+    mul = (fun xt -> Sparse.mul_dense_nt xt s);
+    tmul = (fun yt -> Sparse.dense_mul yt s);
+  }
 
 (* Storage. Every tall block the range finder builds (the basis Q,
-   B^T = A^T Q, each iterate) is held column-major, as the row-major
-   [Mat.t] of its transpose: an [n x k] block is a [k x n] matrix whose
-   row j is column j. The Gram products, triangular solves and
-   projections below then run down contiguous columns, and only the
-   operator boundary ([op.mul] and [op.tmul] take and return row-major
-   blocks) and the returned [u] transpose.
+   each iterate) and every block the operator takes or returns is held
+   column-major, as the row-major [Mat.t] of its transpose: an [n x k]
+   block is a [k x n] matrix whose row j is column j. The Gram
+   products, triangular solves and projections below then run down
+   contiguous columns, the operator's outputs are used as they come,
+   and only the returned [u] is transposed. B = Q^T A is (A^T Q)^T, so
+   [op.tmul] returns its rows directly.
 
    Bits. Each kernel forms every element from the same products, summed
    in the same order, as the row-major products it replaced, so the
@@ -231,13 +242,12 @@ let project qt yt = if width qt = 0 then yt else sub_span qt (Mat.mul_nt qt yt) 
    column-major. *)
 let range_block (op : op) ~qt ~b ~seed cols =
   let mul_out xt =
-    let yt = Mat.transpose (op.mul (Mat.transpose xt)) in
+    let yt = op.mul xt in
     if width qt = 0 then yt else sub_span qt (Mat.mul_nt b xt) yt
   in
-  let tmul xt = Mat.transpose (op.tmul (Mat.transpose xt)) in
   let y = ref (mul_out (gaussian_block ~seed op.cols cols)) in
   for _ = 1 to power_iters do
-    y := mul_out (orthonormalize_fast (tmul (orthonormalize_fast !y)))
+    y := mul_out (orthonormalize_fast (op.tmul (orthonormalize_fast !y)))
   done;
   if width qt = 0 then orthonormalize_fast !y
   else orthonormalize_fast (project qt (orthonormalize_fast (project qt !y)))
@@ -257,6 +267,21 @@ let small_svd b =
     let f = Svd.factor (Mat.transpose b) in
     (f.Svd.s, f.Svd.v)
 
+(* ||B_i||_F summed down B_i's columns, the order in which the
+   row-major B_i^T held them, so the tail-energy stop reads the same
+   residual to the bit. *)
+let frobenius_by_cols m =
+  let rows, cols = Mat.dims m in
+  let d = m.Mat.data in
+  let acc = ref 0.0 in
+  for j = 0 to cols - 1 do
+    for i = 0 to rows - 1 do
+      let v = d.((i * cols) + j) in
+      acc := !acc +. (v *. v)
+    done
+  done;
+  sqrt !acc
+
 let factor_op ~stop ~seed (op : op) =
   if op.rows <= 0 || op.cols <= 0 then invalid_arg "Rsvd.factor_op: empty operator";
   let dim = min op.rows op.cols in
@@ -271,17 +296,17 @@ let factor_op ~stop ~seed (op : op) =
       if not (e > 0.0) then invalid_arg "Rsvd.factor_op: tail_energy must be positive";
       (dim, min dim block, e *. op.frob2)
   in
-  (* Q (rows x width) and B^T = A^T Q (cols x width: tall only in the
-     parameter count, never the pool size) grow one block at a time,
-     both column-major; [resid] is the exact energy ||A||_F^2 -
-     ||B||_F^2 outside span Q, so the stop needs no estimate. An empty
-     block means the range is exhausted. *)
+  (* Q (rows x width, column-major) and B = Q^T A (width x cols: wide
+     only in the parameter count, never the pool size) grow one block
+     at a time; [resid] is the exact energy ||A||_F^2 - ||B||_F^2
+     outside span Q, so the stop needs no estimate. An empty block
+     means the range is exhausted. *)
   let rec grow i qt b resid =
     let cols = if i = 0 then first else min block (dim - width qt) in
     let qit = range_block op ~qt ~b ~seed:(seed + i) cols in
-    let bti = op.tmul (Mat.transpose qit) in
-    let e = Mat.frobenius bti in
-    let qt = Mat.vcat qt qit and b = Mat.vcat b (Mat.transpose bti) in
+    let bi = op.tmul qit in
+    let e = frobenius_by_cols bi in
+    let qt = Mat.vcat qt qit and b = Mat.vcat b bi in
     let resid = resid -. (e *. e) in
     if resid > target && width qit > 0 && width qt < dim then grow (i + 1) qt b resid
     else (qt, b)

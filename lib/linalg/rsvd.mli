@@ -33,14 +33,27 @@ type op = {
   frob2 : float;
   (** [||A||_F^2], derived from A by whoever builds the operator; the
       tail-energy stop measures against it *)
-  mul : Mat.t -> Mat.t;   (** [mul x] is [A * x], [x] is [cols x k] *)
-  tmul : Mat.t -> Mat.t;  (** [tmul y] is [A^T * y], [y] is [rows x k] *)
+  mul : Mat.t -> Mat.t;
+  (** [mul xt] is [(A X)^T] ([k x rows]) for the [cols x k] block [X]
+      given column-major, as its [k x cols] transpose [xt] *)
+  tmul : Mat.t -> Mat.t;
+  (** [tmul yt] is [(A^T Y)^T] ([k x cols]) for the [rows x k] block
+      [Y] given column-major, as its [k x rows] transpose [yt] *)
 }
 (** A linear operator in matrix-free form: the factorization only ever
-    multiplies by [A] and [A^T], so callers choose the storage (dense,
-    CSR, or an implicit product such as [G * Sigma]). *)
+    multiplies blocks by [A] and [A^T], so callers choose the storage
+    (dense, CSR, or an implicit product such as [G * Sigma]). Blocks go
+    in and come out column-major, the range finder's own layout, so no
+    call transposes: [k] is the block's width, far below [rows]. For a
+    CSR [A] the products are {!Sparse.mul_dense_nt} and
+    {!Sparse.dense_mul}; for a dense one, [Mat.mul_nt xt a] and
+    [Mat.mul yt a] sum every element in the same order, so the two give
+    the same factorization bit for bit. *)
 
 val op_of_mat : Mat.t -> op
+(** A dense matrix as an operator, through its CSR form: the products
+    skip [A]'s zeros and keep the bits of [Mat.mul_nt xt a] and
+    [Mat.mul yt a]. *)
 
 type stop =
   | Rank of int
@@ -54,7 +67,8 @@ type stop =
 val factor_op : stop:stop -> seed:int -> op -> t * float
 (** The range finder. Each pass draws a Gaussian block, power-iterates
     it twice with the span of the basis [Q] built so far projected out,
-    orthonormalizes it and appends it to [Q] and [A^T Q] to [B^T]. The
+    orthonormalizes it and appends it to [Q] and its rows [Q_i^T A] to
+    [B]. The
     orthonormalization is CholQR2 (two Cholesky-QR passes — two tall
     Gram products instead of column-at-a-time Gram-Schmidt) with a
     rank-revealing Gram-Schmidt fallback on numerically rank-deficient
@@ -62,16 +76,16 @@ val factor_op : stop:stop -> seed:int -> op -> t * float
     never pool-sized), forming only Z of [B^T = W S Z^T], closes the
     loop: [u = Q Z].
 
-    [Q], [B^T] and every iterate are held column-major across the loop,
-    so the Gram products, triangular solves and projections run down
-    contiguous columns; blocks are transposed only at the operator
-    boundary ([mul] and [tmul] take and return row-major blocks) and
-    for the returned [u]. Each kernel sums every element from the same
-    products in the same ascending order, from +0.0, as the row-major
-    products it replaced; products commute, a sum from +0.0 never holds
-    -0.0, and a dropped zero-skip matters only for non-finite factors,
-    which finite operator outputs never give. So the factorization is
-    bit-identical to the row-major one.
+    [Q] and every iterate are held column-major across the loop, as
+    {!op} takes and returns them, so the Gram products, triangular
+    solves and projections run down contiguous columns, the operator's
+    outputs are used as they come ([tmul] of [Q_i] is [B]'s next rows),
+    and only the returned [u] is transposed. Each kernel sums every
+    element from the same products in the same ascending order, from
+    +0.0, as the row-major products it replaced; products commute, a
+    sum from +0.0 never holds -0.0, and a dropped zero-skip matters only
+    for non-finite factors, which finite operator outputs never give.
+    So the factorization is bit-identical to the row-major one.
 
     The tail-energy stop is exact, not estimated: because [Q] is
     orthonormal, [||A - Q Q^T A||_F^2 = ||A||_F^2 - ||B||_F^2], and each

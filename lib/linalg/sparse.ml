@@ -148,65 +148,6 @@ let get a i j =
   done;
   !result
 
-let mul_mat a x =
-  let xr, xc = Mat.dims x in
-  if xr <> a.cols then invalid_arg "Sparse.mul_mat: dimension mismatch";
-  let out = Mat.create a.rows xc in
-  let band lo hi =
-    for i = lo to hi - 1 do
-      let obase = i * xc in
-      for k = a.row_ptr.(i) to a.row_ptr.(i + 1) - 1 do
-        let v = a.values.(k) in
-        let xbase = a.col_idx.(k) * xc in
-        for c = 0 to xc - 1 do
-          out.Mat.data.(obase + c) <-
-            out.Mat.data.(obase + c) +. (v *. x.Mat.data.(xbase + c))
-        done
-      done
-    done
-  in
-  (* rows per chunk so one chunk is ~[Mat.par_threshold_value] flops;
-     when the whole product fits in one grain, [parallel_chunks]
-     degenerates to the serial loop. Each output row is produced by
-     exactly one chunk in CSR entry order, so the result is
-     bit-identical at any pool size. *)
-  let row_flops = 2 * xc * (nnz a / max 1 a.rows) in
-  let grain = max 1 (Mat.par_threshold_value () / max 1 row_flops) in
-  Par.Pool.parallel_chunks ~grain 0 a.rows band;
-  out
-
-let tmul_mat a x =
-  let xr, xc = Mat.dims x in
-  if xr <> a.rows then invalid_arg "Sparse.tmul_mat: dimension mismatch";
-  let out = Mat.create a.cols xc in
-  (* The natural CSR traversal scatters into output rows, which races
-     under row-band parallelism. Instead parallelize over bands of
-     *dense columns*: every chunk scans the whole CSR once but writes a
-     disjoint column slice of [out], keeping the accumulation order per
-     output element fixed at any pool size. The extra CSR scans are
-     bounded by the chunk count, so the grain keeps bands wide. *)
-  let flops_per_col = 2 * nnz a in
-  let grain =
-    max
-      (Mat.par_threshold_value () / max 1 flops_per_col)
-      ((xc + 7) / 8)
-  in
-  let band clo chi =
-    for i = 0 to a.rows - 1 do
-      let xbase = i * xc in
-      for k = a.row_ptr.(i) to a.row_ptr.(i + 1) - 1 do
-        let v = a.values.(k) in
-        let obase = a.col_idx.(k) * xc in
-        for c = clo to chi - 1 do
-          out.Mat.data.(obase + c) <-
-            out.Mat.data.(obase + c) +. (v *. x.Mat.data.(xbase + c))
-        done
-      done
-    done
-  in
-  Par.Pool.parallel_chunks ~grain:(max 1 grain) 0 xc band;
-  out
-
 (* the Mat products' PATHSEL_CHECKS contract: flag NaNs the inputs
    did not contain *)
 let check_product what x a out =

@@ -2,9 +2,14 @@
 
     The path sensitivity matrices of this library are naturally sparse
     (a handful of non-zeros per gate), so the Monte Carlo and selection
-    front-ends hold [A] and [Sigma] in CSR for their products
-    ({!mul_dense_nt}, {!dense_mul}) and only densify for the
-    factorizations that need it. *)
+    front-ends hold [A] and [Sigma] in CSR for their products and only
+    densify for the factorizations that need it. Two dense-by-CSR
+    kernels serve every caller: {!mul_dense_nt} ([X A^T]) and
+    {!dense_mul} ([W A]). The randomized range finder's operators take
+    and return column-major blocks (see {!Rsvd.op}), so a streamed pool
+    runs its forward product as two [mul_dense_nt] and its adjoint as
+    two [dense_mul]; the Monte Carlo draws, the Theorem-2 predictor and
+    the Lemma-1 matrix [G R^T] use the same two. *)
 
 type t = private {
   rows : int;
@@ -43,24 +48,12 @@ val nnz : t -> int
 val get : t -> int -> int -> float
 (** O(log nnz-in-row). *)
 
-val mul_mat : t -> Mat.t -> Mat.t
-(** [mul_mat a x] is the CSR x dense product [a * x] ([a] is [m x n],
-    [x] is [n x k], result [m x k]). Row-band parallel over CSR rows;
-    bit-identical at any pool size. This is the randomized range
-    finder's forward kernel, and it forms the Lemma-1 matrix
-    [G * transpose R] of [Core.Select]. *)
-
-val tmul_mat : t -> Mat.t -> Mat.t
-(** [tmul_mat a y] is [transpose a * y] ([y] is [m x k], result
-    [n x k]) without materializing the transpose. Parallel over bands
-    of dense columns (disjoint output slices), so the scatter stays
-    deterministic at any pool size. The range finder's adjoint
-    kernel. *)
-
 val mul_dense_nt : Mat.t -> t -> Mat.t
 (** [mul_dense_nt x a] is [x * transpose a] with [x] dense [n x m] and
     [a] sparse [k x m]; the result is dense [n x k]. This is the Monte
-    Carlo kernel [X A^T]. Row-band parallel over the rows of [x] and
+    Carlo kernel [X A^T] and the range finder's forward kernel, where
+    [x] is a block held column-major, [k x cols] with [k] far below the
+    pool size. Row-band parallel over the rows of [x] and
     bit-identical at any pool size. Each output element sums its
     stored terms in ascending column order from [+0.0], so for finite
     [x] the result is bit-identical to [Mat.mul_nt x (to_dense a)]:
@@ -73,8 +66,10 @@ val dense_mul : Mat.t -> t -> Mat.t
     [n x k], [a] is [k x m], result [n x m]), in ikj order: row [k] of
     [a] scatters into row [i] of the result, so each output element
     sums its terms in ascending [k]. For finite [w] it is bit-identical
-    to [Mat.mul w (to_dense a)]. Row-band parallel, bit-identical at any
-    pool size, and NaN-checked like {!mul_dense_nt}. *)
+    to [Mat.mul w (to_dense a)]. The range finder's adjoint kernel
+    ([w] a column-major block) and the Theorem-2 predictor's. Row-band
+    parallel, bit-identical at any pool size, and NaN-checked like
+    {!mul_dense_nt}. *)
 
 (* lint: allow-next unused-export: test helper: checks CSR builders against dense *)
 val equal_dense : ?tol:float -> t -> Mat.t -> bool

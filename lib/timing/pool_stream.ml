@@ -46,8 +46,8 @@ let op t =
     Linalg.Rsvd.rows;
     cols;
     frob2 = frob2 t;
-    mul = (fun x -> Linalg.Sparse.mul_mat t.g (Linalg.Sparse.mul_mat t.sigma x));
-    tmul = (fun y -> Linalg.Sparse.tmul_mat t.sigma (Linalg.Sparse.tmul_mat t.g y));
+    mul = (fun xt -> Linalg.Sparse.mul_dense_nt (Linalg.Sparse.mul_dense_nt xt t.sigma) t.g);
+    tmul = (fun yt -> Linalg.Sparse.dense_mul (Linalg.Sparse.dense_mul yt t.g) t.sigma);
   }
 
 let synthetic ?(seed = 1) ?(decay = 24.0) ~paths ~segments ~vars ~segs_per_path

@@ -37,10 +37,12 @@ val synthetic :
     pool is a few hundred MB of CSR, not a dense matrix. *)
 
 val op : t -> Linalg.Rsvd.op
-(** The pool as a linear operator: [mul x = G (Sigma x)] and
-    [tmul y = Sigma^T (G^T y)], both CSR kernels — [A] itself is never
-    formed. [frob2] is summed one row of [G] at a time through a single
-    length-[vars] accumulator. *)
+(** The pool as a linear operator on column-major blocks: [mul xt]
+    is [(xt Sigma^T) G^T = (G (Sigma X))^T] and [tmul yt] is
+    [(yt G) Sigma = (Sigma^T (G^T Y))^T], two dense-by-CSR products
+    each ({!Linalg.Sparse.mul_dense_nt}, {!Linalg.Sparse.dense_mul}) —
+    [A] itself is never formed. [frob2] is summed one row of [G] at a
+    time through a single length-[vars] accumulator. *)
 
 val nnz : t -> int
 (** Stored entries across both CSR factors. *)

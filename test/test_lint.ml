@@ -79,7 +79,7 @@ let dense_pool_bad = "let f sp = Linalg.Sparse.to_dense sp"
 let dense_pool_mat_bad = "let f rows = Linalg.Mat.of_rows rows"
 
 let dense_pool_good =
-  "let f t x = Linalg.Sparse.mul_mat t.g (Linalg.Sparse.mul_mat t.sigma x)"
+  "let f t xt = Linalg.Sparse.mul_dense_nt (Linalg.Sparse.mul_dense_nt xt t.sigma) t.g"
 
 let monitor_atomic_good =
   "let q = Atomic.make []\n\

@@ -75,20 +75,6 @@ let test_init_rows_out_of_range () =
     (fun () ->
       ignore (Linalg.Sparse.init_rows ~rows:1 ~cols:4 (fun _ -> [ (4, 1.0) ])))
 
-let test_mul_mat_matches_dense () =
-  let d = random_sparse_dense ~seed:456300985 8 11 0.35 in
-  let s = Linalg.Sparse.of_dense d in
-  let x = Linalg.Mat.init 11 5 (fun i j -> float_of_int ((i * 5) + j) /. 7.0) in
-  Alcotest.(check bool) "mul_mat = dense mul" true
-    (Linalg.Mat.equal ~tol:1e-12 (Linalg.Mat.mul d x) (Linalg.Sparse.mul_mat s x))
-
-let test_tmul_mat_matches_dense () =
-  let d = random_sparse_dense ~seed:203146273 8 11 0.35 in
-  let s = Linalg.Sparse.of_dense d in
-  let y = Linalg.Mat.init 8 4 (fun i j -> float_of_int ((i * 4) + j) /. 9.0) in
-  Alcotest.(check bool) "tmul_mat = dense mul_tn" true
-    (Linalg.Mat.equal ~tol:1e-12 (Linalg.Mat.mul_tn d y) (Linalg.Sparse.tmul_mat s y))
-
 (* PR-3 discipline: the banded kernels must be bit-identical at any
    pool size, including with the grain threshold forced low enough that
    the parallel path actually runs. *)
@@ -162,15 +148,18 @@ let test_csr_products_bit_equal_dense () =
          QCheck.Test.check_exn ~rand:(Random.State.make [| 20 |])
            prop_csr_products_bit_equal_dense))
 
+(* the range finder's shapes: a tall CSR operand and column-major
+   blocks of k = 6 dense rows, so the kernels split work over those few
+   rows, with a remainder after mul_dense_nt's 4-row block *)
 let test_kernels_pool_size_invariant () =
-  let d = random_sparse_dense ~seed:94709129 17 23 0.3 in
+  let d = random_sparse_dense ~seed:94709129 301 23 0.3 in
   let s = Linalg.Sparse.of_dense d in
-  let x = Linalg.Mat.init 23 6 (fun i j -> sin (float_of_int ((i * 6) + j))) in
-  let y = Linalg.Mat.init 17 6 (fun i j -> cos (float_of_int ((i * 6) + j))) in
-  check_pool_size_invariant "mul_mat bit-identical" (Linalg.Mat.equal ~tol:0.0) (fun () ->
-      Linalg.Sparse.mul_mat s x);
-  check_pool_size_invariant "tmul_mat bit-identical" (Linalg.Mat.equal ~tol:0.0) (fun () ->
-      Linalg.Sparse.tmul_mat s y)
+  let xt = Linalg.Mat.init 6 23 (fun i j -> sin (float_of_int ((j * 6) + i))) in
+  let yt = Linalg.Mat.init 6 301 (fun i j -> cos (float_of_int ((j * 6) + i))) in
+  check_pool_size_invariant "mul_dense_nt bit-identical" Linalg.Mat.bits_equal (fun () ->
+      Linalg.Sparse.mul_dense_nt xt s);
+  check_pool_size_invariant "dense_mul bit-identical" Linalg.Mat.bits_equal (fun () ->
+      Linalg.Sparse.dense_mul yt s)
 
 (* random CSR row structure with empty rows and duplicate columns; the
    dense reference accumulates duplicates in the same sorted-column
@@ -210,17 +199,16 @@ let dense_of_row_lists rows cols data =
 
 let prop_sparse_kernels_match_dense =
   QCheck.Test.make ~count:100
-    ~name:"CSR mul_mat/tmul_mat match dense refs (dups, empty rows)"
+    ~name:"CSR mul_dense_nt/dense_mul match dense refs (dups, empty rows)"
     qcheck_rows
     (fun (rows, cols, data) ->
       let s = Linalg.Sparse.init_rows ~rows ~cols (fun i -> data.(i)) in
       let d = dense_of_row_lists rows cols data in
-      let x = Linalg.Mat.init cols 3 (fun i j -> sin (float_of_int ((i * 3) + j))) in
-      let y = Linalg.Mat.init rows 3 (fun i j -> cos (float_of_int ((i * 3) + j))) in
+      let xt = Linalg.Mat.init 3 cols (fun i j -> sin (float_of_int ((j * 3) + i))) in
+      let yt = Linalg.Mat.init 3 rows (fun i j -> cos (float_of_int ((j * 3) + i))) in
       Linalg.Sparse.equal_dense ~tol:1e-12 s d
-      && Linalg.Mat.equal ~tol:1e-9 (Linalg.Sparse.mul_mat s x) (Linalg.Mat.mul d x)
-      && Linalg.Mat.equal ~tol:1e-9 (Linalg.Sparse.tmul_mat s y)
-           (Linalg.Mat.mul_tn d y))
+      && Linalg.Mat.bits_equal (Linalg.Sparse.mul_dense_nt xt s) (Linalg.Mat.mul_nt xt d)
+      && Linalg.Mat.bits_equal (Linalg.Sparse.dense_mul yt s) (Linalg.Mat.mul yt d))
 
 (* ------------------------------------------------------------------ *)
 (* Randomized SVD *)
@@ -347,37 +335,37 @@ let prop_rsvd_values_below_exact =
 (* Operator-form factorization and the streaming pool *)
 
 let test_factor_op_matches_dense () =
-  (* the sparse operator route and the dense route agree on the leading
-     spectrum of a fast-decaying full-rank matrix (per-column distinct
-     frequencies keep the columns independent) *)
+  (* [op_of_mat] runs the CSR kernels; an operator over the dense
+     products sums every element in the same order, so their
+     factorizations of a fast-decaying full-rank matrix agree bit for
+     bit (per-column distinct frequencies keep the columns
+     independent) *)
   let d =
     Linalg.Mat.init 60 20 (fun i j ->
         exp (-0.4 *. float_of_int j)
         *. sin (float_of_int i *. (0.31 +. (0.17 *. float_of_int j))))
   in
-  let s = Linalg.Sparse.of_dense d in
-  let dense = Linalg.Rsvd.factor ~rank:6 ~seed:21 d in
-  let viaop, _ =
+  let dense, dense_tail =
     Linalg.Rsvd.factor_op ~stop:(Rank 6) ~seed:21
       {
         Linalg.Rsvd.rows = 60;
         cols = 20;
-        frob2 = Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 s.Linalg.Sparse.values;
-        mul = Linalg.Sparse.mul_mat s;
-        tmul = Linalg.Sparse.tmul_mat s;
+        frob2 = Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 d.Linalg.Mat.data;
+        mul = (fun xt -> Linalg.Mat.mul_nt xt d);
+        tmul = (fun yt -> Linalg.Mat.mul yt d);
       }
   in
-  Alcotest.(check int) "same rank kept" (Array.length dense.Linalg.Rsvd.s)
-    (Array.length viaop.Linalg.Rsvd.s);
-  (* the two routes sum in different orders (blocked dense vs CSR), so
-     agreement is tight but not bitwise *)
-  Array.iteri
-    (fun i sd ->
-      let rel = Float.abs (sd -. viaop.Linalg.Rsvd.s.(i)) /. Float.max 1e-12 sd in
-      if rel > 1e-6 then
-        Alcotest.failf "route mismatch at s%d: %.3g vs %.3g" i sd
-          viaop.Linalg.Rsvd.s.(i))
-    dense.Linalg.Rsvd.s;
+  let viaop, viaop_tail =
+    Linalg.Rsvd.factor_op ~stop:(Rank 6) ~seed:21 (Linalg.Rsvd.op_of_mat d)
+  in
+  Alcotest.(check bool) "s bit-equal" true
+    (Linalg.Mat.bits_equal
+       (Linalg.Mat.of_arrays [| dense.Linalg.Rsvd.s |])
+       (Linalg.Mat.of_arrays [| viaop.Linalg.Rsvd.s |]));
+  Alcotest.(check bool) "u bit-equal" true
+    (Linalg.Mat.bits_equal dense.Linalg.Rsvd.u viaop.Linalg.Rsvd.u);
+  Alcotest.(check int64) "tail bit-equal" (Int64.bits_of_float dense_tail)
+    (Int64.bits_of_float viaop_tail);
   let exact = Linalg.Svd.factor d in
   for i = 0 to min 3 (Array.length viaop.Linalg.Rsvd.s - 1) do
     let rel =
@@ -461,12 +449,13 @@ let test_pool_stream_op_matches_dense () =
   let pool, a = small_stream () in
   let ops = Timing.Pool_stream.op pool in
   Alcotest.(check (pair int int)) "dims" (Linalg.Mat.dims a) (ops.Linalg.Rsvd.rows, ops.cols);
-  let x = Linalg.Mat.init 16 5 (fun i j -> sin (float_of_int ((7 * i) + j + 1))) in
-  let y = Linalg.Mat.init 60 5 (fun i j -> cos (float_of_int ((3 * i) + j))) in
-  Alcotest.(check bool) "mul x = A x" true
-    (Linalg.Mat.equal ~tol:1e-12 (ops.mul x) (Linalg.Mat.mul a x));
-  Alcotest.(check bool) "tmul y = A^T y" true
-    (Linalg.Mat.equal ~tol:1e-12 (ops.tmul y) (Linalg.Mat.mul_tn a y));
+  (* blocks of 5 columns, held column-major as 5 x n *)
+  let xt = Linalg.Mat.init 5 16 (fun i j -> sin (float_of_int ((7 * j) + i + 1))) in
+  let yt = Linalg.Mat.init 5 60 (fun i j -> cos (float_of_int ((3 * j) + i))) in
+  Alcotest.(check bool) "mul xt = (A X)^T" true
+    (Linalg.Mat.equal ~tol:1e-12 (ops.mul xt) (Linalg.Mat.mul_nt xt a));
+  Alcotest.(check bool) "tmul yt = (A^T Y)^T" true
+    (Linalg.Mat.equal ~tol:1e-12 (ops.tmul yt) (Linalg.Mat.mul yt a));
   let a_frob = Linalg.Mat.frobenius a in
   check_close ~tol:(1e-12 *. a_frob *. a_frob) "frob2 = ||A||_F^2" (a_frob *. a_frob)
     ops.frob2
@@ -591,8 +580,6 @@ let unit_tests =
     ("sparse: of_dense keeps NaN", test_sparse_of_dense_keeps_nan);
     ("sparse: init_rows matches of_rows", test_init_rows_matches_of_rows);
     ("sparse: init_rows rejects bad column", test_init_rows_out_of_range);
-    ("sparse: mul_mat vs dense", test_mul_mat_matches_dense);
-    ("sparse: tmul_mat vs dense", test_tmul_mat_matches_dense);
     ("sparse: kernels pool-size invariant", test_kernels_pool_size_invariant);
     ("rsvd: exact on low rank", test_rsvd_low_rank_exact);
     ("rsvd: leading values close", test_rsvd_leading_values_close);
