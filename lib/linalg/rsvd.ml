@@ -10,9 +10,8 @@ type op = {
 
 let sum_squares = Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0
 
-(* Through A's CSR form: the kernels then skip A's zeros, as the dense
-   row-major products did, and sum every element in the order
-   [Mat.mul_nt xt a] and [Mat.mul yt a] would. *)
+(* Through A's CSR form, so the products skip A's zeros; they sum every
+   element in the order [Mat.mul_nt xt a] and [Mat.mul yt a] would. *)
 let op_of_mat a =
   let rows, cols = Mat.dims a in
   let s = Sparse.of_dense a in
@@ -267,9 +266,8 @@ let small_svd b =
     let f = Svd.factor (Mat.transpose b) in
     (f.Svd.s, f.Svd.v)
 
-(* ||B_i||_F summed down B_i's columns, the order in which the
-   row-major B_i^T held them, so the tail-energy stop reads the same
-   residual to the bit. *)
+(* ||B_i||_F summed down B_i's columns: the residual's bits, and so
+   where the tail-energy stop falls, depend on this order. *)
 let frobenius_by_cols m =
   let rows, cols = Mat.dims m in
   let d = m.Mat.data in

@@ -44,11 +44,7 @@ type op = {
     multiplies blocks by [A] and [A^T], so callers choose the storage
     (dense, CSR, or an implicit product such as [G * Sigma]). Blocks go
     in and come out column-major, the range finder's own layout, so no
-    call transposes: [k] is the block's width, far below [rows]. For a
-    CSR [A] the products are {!Sparse.mul_dense_nt} and
-    {!Sparse.dense_mul}; for a dense one, [Mat.mul_nt xt a] and
-    [Mat.mul yt a] sum every element in the same order, so the two give
-    the same factorization bit for bit. *)
+    call transposes; [k], the block's width, is far below [rows]. *)
 
 val op_of_mat : Mat.t -> op
 (** A dense matrix as an operator, through its CSR form: the products

@@ -2,14 +2,10 @@
 
     The path sensitivity matrices of this library are naturally sparse
     (a handful of non-zeros per gate), so the Monte Carlo and selection
-    front-ends hold [A] and [Sigma] in CSR for their products and only
-    densify for the factorizations that need it. Two dense-by-CSR
-    kernels serve every caller: {!mul_dense_nt} ([X A^T]) and
-    {!dense_mul} ([W A]). The randomized range finder's operators take
-    and return column-major blocks (see {!Rsvd.op}), so a streamed pool
-    runs its forward product as two [mul_dense_nt] and its adjoint as
-    two [dense_mul]; the Monte Carlo draws, the Theorem-2 predictor and
-    the Lemma-1 matrix [G R^T] use the same two. *)
+    front-ends hold [A] and [Sigma] in CSR for their products
+    ({!mul_dense_nt}, {!dense_mul}) and only densify for the
+    factorizations that need it. The same two kernels run the range
+    finder's operators on column-major blocks (see {!Rsvd.op}). *)
 
 type t = private {
   rows : int;
