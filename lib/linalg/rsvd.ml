@@ -10,8 +10,6 @@ type op = {
 
 let sum_squares = Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0
 
-(* Through A's CSR form, so the products skip A's zeros; they sum every
-   element in the order [Mat.mul_nt xt a] and [Mat.mul yt a] would. *)
 let op_of_mat a =
   let rows, cols = Mat.dims a in
   let s = Sparse.of_dense a in
