@@ -1600,7 +1600,10 @@ module Client = struct
       match Wire.member "predictions" resp with
       | Some (Wire.List rows as preds) ->
         let cols =
-          match rows with Wire.List cells :: _ -> List.length cells | _ -> 0
+          match rows with
+          | Wire.Floats cells :: _ -> Array.length cells
+          | Wire.List cells :: _ -> List.length cells
+          | _ -> 0
         in
         (match Wire.mat_of_json ~cols preds with
          | Ok m -> Ok (m, resp)

@@ -270,10 +270,11 @@ let is_num_char = function
 
 (* ---- exact numbers
 
-   [decimal neg d e] is [Float] of the double nearest (-1)^neg * d * 10^e,
-   ties to even (the value strtod, and so [float_of_string], gives), for
-   0 <= d < 10^18, or [Null] where that is not proven here and the
-   caller must fall back:
+   [decimal r neg d e] stores in [r.(0)] the double nearest
+   (-1)^neg * d * 10^e, ties to even (the value strtod, and so
+   [float_of_string], gives), for 0 <= d < 10^18, and says whether it
+   did; it declines where that is not proven here and the caller must
+   fall back. The slot keeps the result unboxed:
    - d < 2^53 and |e| <= 22: both operands of one IEEE operation are
      exact, so its rounding is the answer (Clinger's fast path);
    - d >= 2^53 and -22 <= e < 0 (17 printed digits in fixed notation):
@@ -288,11 +289,11 @@ let is_num_char = function
 
 let two53 = 1 lsl 53
 
-let verified_quotient neg d p =
+let verified_quotient (r : float array) neg d p =
   let dh = float_of_int (d land lnot 0x7FF) and dl = float_of_int (d land 0x7FF) in
   let q = dh /. p in
-  let r = Float.fma (-.q) p dh in
-  let y = q +. ((r +. dl) /. p) in
+  let rem = Float.fma (-.q) p dh in
+  let y = q +. ((rem +. dl) /. p) in
   let hi = y *. p in
   let resid = (hi -. dh -. dl) +. Float.fma y p (-.hi) in
   (* y > 0 is normal, so its neighbours are one bit pattern away *)
@@ -302,16 +303,23 @@ let verified_quotient neg d p =
       (Int64.float_of_bits (Int64.succ bits) -. y)
       (y -. Int64.float_of_bits (Int64.pred bits))
   in
-  if Float.abs resid < 0.4999 *. p *. gap then Float (if neg then -.y else y) else Null
+  Float.abs resid < 0.4999 *. p *. gap
+  && begin
+    r.(0) <- (if neg then -.y else y);
+    true
+  end
 
-let decimal neg d e =
-  if d = 0 then if neg then Float (-0.0) else Float 0.0
+let decimal (r : float array) neg d e =
+  if d = 0 then begin
+    r.(0) <- (if neg then -0.0 else 0.0);
+    true
+  end
   else if d < two53 && e >= -22 && e <= 22 then begin
     let x = if e >= 0 then float_of_int d *. pow10.(e) else float_of_int d /. pow10.(-e) in
-    Float (if neg then -.x else x)
+    r.(0) <- (if neg then -.x else x);
+    true
   end
-  else if d >= two53 && e < 0 && e >= -22 then verified_quotient neg d pow10.(-e)
-  else Null
+  else d >= two53 && e < 0 && e >= -22 && verified_quotient r neg d pow10.(-e)
 
 let parse s =
   let n = String.length s in
@@ -385,30 +393,38 @@ let parse s =
     go ();
     Buffer.contents buf
   in
+  (* a number's value: [number ()] says whether it is a float, in
+     [num.(0)], or an int, in [!inum]; the float slot keeps it unboxed *)
+  let num = [| 0.0 |] and inum = ref 0 in
   (* the general reader: the whole run of number characters through
      [int_of_string]/[float_of_string]; it defines every result and
-     error message, and [parse_number] below only takes the tokens it
-     reads identically *)
-  let parse_number_general () =
+     error message, and [number] below only takes the tokens it reads
+     identically *)
+  let number_general () =
     let start = !pos in
     while !pos < n && is_num_char s.[!pos] do
       advance ()
     done;
     let tok = String.sub s start (!pos - start) in
     let is_float = String.exists (fun c -> c = '.' || c = 'e' || c = 'E') tok in
-    if is_float then
+    if is_float then begin
       match float_of_string_opt tok with
-      | Some f -> Float f
+      | Some f ->
+        num.(0) <- f;
+        true
       | None -> fail "invalid number"
+    end
     else
       match int_of_string_opt tok with
-      | Some i -> Int i
+      | Some i ->
+        inum := i;
+        false
       | None -> fail "invalid number"
   in
   (* -?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)? in one pass, when it spans
      the whole run of number characters: an int of at most 18 digits,
      or a float of at most 18 significant digits that [decimal] reads *)
-  let parse_number () =
+  let number () =
     let start = !pos in
     let neg = s.[start] = '-' in
     let i = ref (if neg then start + 1 else start) in
@@ -448,20 +464,36 @@ let parse s =
       if exp_neg then e := - !e
     end;
     let tok_end = !i in
-    if (not !ok) || (tok_end < n && is_num_char s.[tok_end]) then parse_number_general ()
+    if (not !ok) || (tok_end < n && is_num_char s.[tok_end]) then number_general ()
     else if !dot < 0 && not has_exp then
-      if tok_end - int_start > 18 then parse_number_general ()
+      if tok_end - int_start > 18 then number_general ()
       else begin
         pos := tok_end;
-        Int (if neg then - !d else !d)
+        inum := if neg then - !d else !d;
+        false
       end
-    else if !sig_digits > 18 then parse_number_general ()
-    else
-      match decimal neg !d (!e - frac_digits) with
-      | Null -> parse_number_general ()
-      | v ->
-        pos := tok_end;
-        v
+    else if !sig_digits <= 18 && decimal num neg !d (!e - frac_digits) then begin
+      pos := tok_end;
+      true
+    end
+    else number_general ()
+  in
+  (* the cells of a float row so far, reused by every row: a row is
+     filled only while each of its cells is a number, so no other array
+     is read before it is copied out or handed to [List] *)
+  let row = ref [||] in
+  let push k x =
+    if k = Array.length !row then begin
+      let bigger = Array.make (Int.max 64 (2 * k)) 0.0 in
+      Array.blit !row 0 bigger 0 k;
+      row := bigger
+    end;
+    !row.(k) <- x
+  in
+  (* cells [0, k) of the row as [Float]s, last first *)
+  let boxed k =
+    let rec go j acc = if j = k then acc else go (j + 1) (Float !row.(j) :: acc) in
+    go 0 []
   in
   let open_nested depth =
     if depth >= max_depth then
@@ -472,7 +504,7 @@ let parse s =
     skip_ws ();
     if !pos >= n then fail "unexpected end of input";
     match s.[!pos] with
-    | '-' | '0' .. '9' -> parse_number ()
+    | '-' | '0' .. '9' -> if number () then Float num.(0) else Int !inum
     | '"' -> String (parse_string ())
     | 't' -> literal "true" (Bool true)
     | 'f' -> literal "false" (Bool false)
@@ -484,17 +516,7 @@ let parse s =
         advance ();
         List []
       end
-      else begin
-        let items = ref [ parse_value (depth + 1) ] in
-        skip_ws ();
-        while at ',' do
-          advance ();
-          items := parse_value (depth + 1) :: !items;
-          skip_ws ()
-        done;
-        expect ']';
-        List (List.rev !items)
-      end
+      else float_row depth 0
     | '{' ->
       open_nested depth;
       skip_ws ();
@@ -522,6 +544,41 @@ let parse s =
         Obj (List.rev !fields)
       end
     | c -> fail (Printf.sprintf "unexpected character '%c'" c)
+  (* An array is read as a [Floats] row while every cell is a number
+     token the general reader returns as [Float]. The first other cell
+     turns the cells so far into [Float]s and the rest of the array is
+     read as a [List], from that cell on, by the same steps as every
+     array, so results and error offsets do not depend on the path. *)
+  and float_row depth k =
+    skip_ws ();
+    if !pos < n && (match s.[!pos] with '-' | '0' .. '9' -> true | _ -> false) then
+      if number () then begin
+        push k num.(0);
+        skip_ws ();
+        if at ',' then begin
+          advance ();
+          float_row depth (k + 1)
+        end
+        else begin
+          expect ']';
+          Floats (Array.sub !row 0 (k + 1))
+        end
+      end
+      else list_rest depth (Int !inum :: boxed k)
+    else
+      let cells = boxed k in
+      list_rest depth (parse_value (depth + 1) :: cells)
+  (* the rest of an array after its cells [items], last first *)
+  and list_rest depth items =
+    skip_ws ();
+    if at ',' then begin
+      advance ();
+      list_rest depth (parse_value (depth + 1) :: items)
+    end
+    else begin
+      expect ']';
+      List (List.rev items)
+    end
   in
   match
     let v = parse_value 0 in
@@ -542,32 +599,67 @@ module Framer = struct
 
   type t = {
     max_line : int;
-    pending : Buffer.t;   (* the unterminated tail of the input *)
+    mutable store : Bytes.t;  (* [0, len): the unterminated tail of the input *)
+    mutable len : int;
     out : item Queue.t;
     mutable dropped : int;  (* bytes discarded past the cap; 0 = not overflowing *)
   }
 
+  (* a store grown past this is given back once its line is out *)
+  let keep = 4 * 1024 * 1024
+
   let create ?(max_line = default_max_line) () =
     if max_line < 1 then invalid_arg "Wire.Framer.create: max_line < 1";
-    { max_line; pending = Buffer.create 1024; out = Queue.create (); dropped = 0 }
+    { max_line; store = Bytes.empty; len = 0; out = Queue.create (); dropped = 0 }
 
-  (* a trailing '\r' belongs to a CRLF terminator, not the payload *)
-  let finish_line t =
-    let n = Buffer.length t.pending in
-    let n = if n > 0 && Buffer.nth t.pending (n - 1) = '\r' then n - 1 else n in
-    let line = Buffer.sub t.pending 0 n in
-    Buffer.clear t.pending;
-    line
+  let release t =
+    t.store <- Bytes.empty;
+    t.len <- 0
 
-  (* the first '\n' in [bytes] at or after [i], or [stop] if none is
-     before it: the caller's buffer may hold stale bytes past [stop] *)
-  let rec newline bytes i stop =
-    if i >= stop || Bytes.get bytes i = '\n' then i else newline bytes (i + 1) stop
+  (* room for [n] more bytes; the store never outgrows the cap *)
+  let append t bytes ofs n =
+    if t.len + n > Bytes.length t.store then begin
+      let size = Int.max (t.len + n) (Int.max 1024 (2 * Bytes.length t.store)) in
+      let b = Bytes.create (Int.min t.max_line size) in
+      Bytes.blit t.store 0 b 0 t.len;
+      t.store <- b
+    end;
+    Bytes.blit bytes ofs t.store t.len n;
+    t.len <- t.len + n
 
-  (* Whole runs between newlines are appended at once. The cap keeps
-     the byte-at-a-time rule: a line fills [pending] up to [max_line]
-     bytes, the byte that finds it full frees it and starts the
-     discard count, and every later byte up to the newline adds one. *)
+  (* bytes [ofs, ofs + n) as a line: a trailing '\r' belongs to a CRLF
+     terminator, not the payload *)
+  let line b ofs n =
+    let n = if n > 0 && Bytes.get b (ofs + n - 1) = '\r' then n - 1 else n in
+    Line (Bytes.sub_string b ofs n)
+
+  (* The first '\n' in [bytes] at or after [i], or [stop] if none is
+     before it: the caller's buffer may hold stale bytes past [stop].
+     Eight bytes at a time: x = w xor "\n\n\n\n\n\n\n\n" has a zero byte
+     where w has a newline, and (x - 0x01..01) land (lnot x) land
+     0x80..80 is nonzero exactly when x has a zero byte (a borrow only
+     sets bits above one). *)
+  let newline bytes i stop =
+    let i = ref i in
+    let word = ref true in
+    while !word && !i + 8 <= stop do
+      let x = Int64.logxor (Bytes.get_int64_le bytes !i) 0x0A0A0A0A0A0A0A0AL in
+      let zero = Int64.logand (Int64.sub x 0x0101010101010101L) (Int64.lognot x) in
+      if Int64.logand zero 0x8080808080808080L = 0L then i := !i + 8
+      else word := false
+    done;
+    while !i < stop && Bytes.get bytes !i <> '\n' do
+      incr i
+    done;
+    !i
+
+  (* A line that ends in the chunk it started in is copied out once,
+     straight from the chunk; a line split across chunks is gathered in
+     the store and copied out once when its newline comes. The cap
+     keeps the byte-at-a-time rule: a line fills the store up to
+     [max_line] bytes, the byte that finds it full frees it and starts
+     the discard count, and every later byte up to the newline adds
+     one. *)
   let feed t bytes ofs len =
     if ofs < 0 || len < 0 || ofs + len > Bytes.length bytes then
       invalid_arg "Wire.Framer.feed: bad range";
@@ -576,29 +668,32 @@ module Framer = struct
     while !i < stop do
       let nl = newline bytes !i stop in
       let run = nl - !i in
-      (if t.dropped > 0 then t.dropped <- t.dropped + run
-       else
-         let room = t.max_line - Buffer.length t.pending in
-         if run <= room then Buffer.add_subbytes t.pending bytes !i run
-         else begin
-           (* cap tripped: free the buffered prefix immediately — holding
-              it is exactly the OOM a newline-less flood aims for *)
-           Buffer.clear t.pending;
-           t.dropped <- run - room
-         end);
-      if nl < stop then
+      if t.dropped > 0 then t.dropped <- t.dropped + run
+      else if run > t.max_line - t.len then begin
+        (* cap tripped: give the buffered prefix back now — holding it
+           is exactly the OOM a newline-less flood aims for *)
+        t.dropped <- run - (t.max_line - t.len);
+        release t
+      end
+      else if nl = stop || t.len > 0 then append t bytes !i run;
+      if nl < stop then begin
         if t.dropped > 0 then begin
           (* the oversized line finally ended; report its total size *)
           Queue.add (Too_long (t.max_line + t.dropped)) t.out;
           t.dropped <- 0
         end
-        else Queue.add (Line (finish_line t)) t.out;
+        else if t.len = 0 then Queue.add (line bytes !i run) t.out
+        else begin
+          Queue.add (line t.store 0 t.len) t.out;
+          if Bytes.length t.store > keep then release t else t.len <- 0
+        end
+      end;
       i := nl + 1
     done
 
   let pop t = Queue.take_opt t.out
 
-  let partial t = Buffer.length t.pending > 0 || t.dropped > 0
+  let partial t = t.len > 0 || t.dropped > 0
 
   let overflowing t = t.dropped > 0
 end
@@ -629,13 +724,19 @@ let mat_of_json ~cols j =
   | List rows ->
     let nrows = List.length rows in
     let m = Linalg.Mat.create nrows cols in
+    let wrong_width i k =
+      Error (Printf.sprintf "die %d has %d measurements, expected %d" i k cols)
+    in
     let rec fill i = function
       | [] -> Ok m
+      | Floats cells :: rest ->
+        if Array.length cells <> cols then wrong_width i (Array.length cells)
+        else begin
+          Array.blit cells 0 m.Linalg.Mat.data (i * cols) cols;
+          fill (i + 1) rest
+        end
       | List cells :: rest ->
-        if List.length cells <> cols then
-          Error
-            (Printf.sprintf "die %d has %d measurements, expected %d" i
-               (List.length cells) cols)
+        if List.length cells <> cols then wrong_width i (List.length cells)
         else begin
           let bad = ref None in
           List.iteri

@@ -89,6 +89,17 @@ val parse : string -> (json, string) result
     Arrays and objects nested more than 64 deep are an error, reported
     as soon as the 65th unclosed bracket is read.
 
+    An array whose cells are all numbers that parse as [Float] comes
+    back as one unboxed [Floats] row; every other array, [[]] included,
+    is a [List]. A row is read cell by cell into a float array, and at
+    its first other cell (an int, [null], a string, a nested value) the
+    cells so far become [Float]s and the rest of the array is read as a
+    list from that cell on, so each cell and each error message and
+    offset is the one the general reader gives. {!print} writes a
+    [Floats] row exactly as the list of its [Float]s, so [print] of a
+    parsed tree gives back the input's bytes whenever [print] wrote
+    them.
+
     Numbers are read in place and exactly: every [Int] is the value of
     [int_of_string] and every [Float] has the bits of [float_of_string]
     on the same token. A token of the canonical grammar
@@ -107,7 +118,17 @@ val parse : string -> (json, string) result
     incremental splitting, tolerates CRLF terminators, and enforces a
     per-line byte cap so a newline-less flood cannot grow a buffer
     without bound — past the cap the line's bytes are discarded as they
-    arrive and the line surfaces as {!Framer.Too_long}. *)
+    arrive and the line surfaces as {!Framer.Too_long}.
+
+    {!Framer.feed} looks for ['\n'] eight bytes at a time (one 64-bit
+    load and a zero-byte test per word; the tail of a chunk byte by
+    byte). A line that ends in the chunk it started in is copied out of
+    that chunk once; a line split across chunks is gathered in the
+    framer's store and copied out once when its newline arrives. The
+    store holds at most the cap. It is given back when the cap trips
+    and after a line longer than 4 MiB is handed out, so a framer that
+    once held a long line does not keep that storage for the life of
+    its connection. *)
 
 val default_max_line : int
 (** 16 MiB — comfortably above any sane measurement batch. *)
@@ -154,5 +175,5 @@ val mat_to_json : Linalg.Mat.t -> json
 
 val mat_of_json : cols:int -> json -> (Linalg.Mat.t, string) result
 (** Inverse of {!mat_to_json} on the parsed wire form: a non-empty list
-    of equal-length numeric rows, each of width [cols]; [Null] entries
-    become [nan]. *)
+    of rows of width [cols], each a [Floats] row (copied in whole) or a
+    list of numbers and [Null]s; [Null] entries become [nan]. *)

@@ -80,6 +80,17 @@ let stat_int c key =
 
 (* ------------------------------------------------------------------ *)
 
+(* the tree [parse] gives for [j]: a non-empty list whose cells are all
+   [Float] comes back as one [Floats] row, every other list as a list *)
+let rec as_parsed j =
+  let open Serve.Wire in
+  match j with
+  | List (_ :: _ as l) when List.for_all (function Float _ -> true | _ -> false) l ->
+    Floats (Array.of_list (List.map (function Float f -> f | _ -> assert false) l))
+  | List l -> List (List.map as_parsed l)
+  | Obj kv -> Obj (List.map (fun (k, v) -> (k, as_parsed v)) kv)
+  | Null | Bool _ | Int _ | Float _ | Floats _ | String _ -> j
+
 let test_wire_roundtrip () =
   let open Serve.Wire in
   let samples =
@@ -97,7 +108,7 @@ let test_wire_roundtrip () =
   List.iter
     (fun j ->
       match parse (print j) with
-      | Ok j' -> Alcotest.(check bool) "parse (print j) = j" true (j = j')
+      | Ok j' -> Alcotest.(check bool) "parse (print j) = j" true (as_parsed j = j')
       | Error m -> Alcotest.failf "re-parse failed: %s on %s" m (print j))
     samples;
   (match parse "{\"a\":1} trailing" with
@@ -320,8 +331,10 @@ let test_wire_depth_cap () =
 (* ------------------------------------------------------------------ *)
 (* [parse] against the parser as it stood before numbers were scanned
    in place, when every number went through [int_of_string] or
-   [float_of_string]: the two must agree on every input, tree for tree
-   (floats by their bits) and error message for error message. *)
+   [float_of_string] and every array was a list: the two must agree on
+   every input, tree for tree (floats by their bits, the reference's
+   all-[Float] lists read as [Floats] rows) and error message for error
+   message. *)
 
 exception Reference_bad of string
 
@@ -509,21 +522,26 @@ let rec show_json j =
   let open Serve.Wire in
   match j with
   | Float x -> Printf.sprintf "%h" x
+  | Floats a ->
+    "floats[" ^ String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") a)) ^ "]"
   | List l -> "[" ^ String.concat "," (List.map show_json l) ^ "]"
   | Obj kv -> "{" ^ String.concat "," (List.map (fun (k, v) -> k ^ ":" ^ show_json v) kv) ^ "}"
   | _ -> print j
 
+(* how [parse] and the reference differ on [line], if they do *)
+let parse_disagreement line =
+  match Serve.Wire.parse line with
+  | exception e -> Some (Printf.sprintf "parse raised %s on %S" (Printexc.to_string e) line)
+  | got ->
+    let show = function Ok j -> show_json j | Error m -> "error: " ^ m in
+    (match (got, Result.map as_parsed (reference_parse line)) with
+     | Ok a, Ok b when json_bits_equal a b -> None
+     | Error a, Error b when String.equal a b -> None
+     | _, want ->
+       Some (Printf.sprintf "%S parsed as %s, the reference gives %s" line (show got) (show want)))
+
 let check_parse_agrees label line =
-  let got =
-    try Serve.Wire.parse line
-    with e -> Alcotest.failf "%s: parse raised %s on %S" label (Printexc.to_string e) line
-  in
-  let show = function Ok j -> show_json j | Error m -> "error: " ^ m in
-  match (got, reference_parse line) with
-  | Ok a, Ok b when json_bits_equal a b -> ()
-  | Error a, Error b when String.equal a b -> ()
-  | _, want -> Alcotest.failf "%s: %S parsed as %s, the reference gives %s" label line
-                 (show got) (show want)
+  Option.iter (Alcotest.failf "%s: %s" label) (parse_disagreement line)
 
 (* number tokens inside and outside the canonical grammar: 0-25 digit
    mantissas (leading zeros too), exponents -400..400, doubled signs,
@@ -700,6 +718,54 @@ let test_wire_parse_matches_reference () =
   for _ = 1 to 20_000 do
     check_parse_agrees "mutated request" (mutate rng lines lines.(Rng.int rng 64))
   done
+
+(* Float rows against the general reader, cell for cell: rows of
+   printed and short decimals, some cells replaced by tokens at the edges
+   of the scanner (19+ digits, "1.", ".5", "1e", "01.5", "1e999999",
+   "-0.0", null, an int, a string, a nested row, nothing), with spaces
+   and newlines around cells, rows of rows, and truncated lines. Every
+   cell keeps the bits the reference gives, or the line fails with the
+   same message at the same offset; a row holding any cell that is not
+   a [Float] stays a [List] of the reference's cells. *)
+let prop_float_rows_match_reference =
+  let open QCheck.Gen in
+  let printed = map (fun x -> Serve.Wire.print (Serve.Wire.Float x)) (float_range (-1e4) 1e4) in
+  let short = map2 (Printf.sprintf "%d.%d") (int_range (-999) 999) (int_bound 99) in
+  let odd =
+    oneofl
+      [ "1234567890123456789.5"; "12345678901234567890"; "0.12345678901234567891"; "1.";
+        ".5"; "1e"; "01.5"; "1e999999"; "-0.0"; "null"; "42"; "-7"; "1e5"; "\"x\""; "[1.5]";
+        "" ]
+  in
+  let ws = oneofl [ ""; ""; ""; " "; "\n\t" ] in
+  let row =
+    map3
+      (fun cells swaps pad ->
+        let cells = Array.of_list cells in
+        List.iter (fun (i, tok) -> cells.(i mod Array.length cells) <- tok) swaps;
+        "[" ^ String.concat "," (Array.to_list (Array.map (fun c -> pad ^ c ^ pad) cells)) ^ "]")
+      (list_size (int_range 1 12) (frequency [ (3, printed); (1, short) ]))
+      (list_size (int_bound 2) (pair nat odd))
+      ws
+  in
+  let line =
+    frequency
+      [
+        (3, row);
+        (1, map (fun rows -> "[" ^ String.concat "," rows ^ "]") (list_size (int_range 1 4) row));
+      ]
+  in
+  let gen =
+    map2
+      (fun l cut ->
+        match cut with Some k -> String.sub l 0 (k mod (String.length l + 1)) | None -> l)
+      line
+      (frequency [ (5, return None); (1, map Option.some nat) ])
+  in
+  QCheck.Test.make ~count:3000 ~name:"wire: float rows parse like the general reader, cell for cell"
+    (QCheck.make ~print:Fun.id gen)
+    (fun line ->
+      match parse_disagreement line with None -> true | Some m -> QCheck.Test.fail_report m)
 
 let test_clean_batch_bit_identical () =
   with_server (fun store clean addr ->
@@ -1014,6 +1080,124 @@ let prop_framer_chunking =
       go 0 0;
       state bytewise = state chunked)
 
+(* The documented framing rule, one byte at a time: a line fills up to
+   [max_line] bytes, the byte that finds it full drops them and starts
+   the discard count, every later byte up to the newline adds one, and
+   the newline reports [Too_long (max_line + discarded)]; a line that
+   fits comes out without its trailing '\r'. Returns the items, then
+   [partial] and [overflowing] at the end of the input. *)
+let framer_model max_line s =
+  let open Serve.Wire.Framer in
+  let items = ref [] and cur = Buffer.create 16 and dropped = ref 0 in
+  String.iter
+    (fun c ->
+      if c = '\n' then begin
+        (if !dropped > 0 then items := Too_long (max_line + !dropped) :: !items
+         else
+           let l = Buffer.contents cur in
+           let n = String.length l in
+           let l = if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l in
+           items := Line l :: !items);
+        Buffer.clear cur;
+        dropped := 0
+      end
+      else if !dropped > 0 then incr dropped
+      else if Buffer.length cur < max_line then Buffer.add_char cur c
+      else begin
+        Buffer.clear cur;
+        dropped := 1
+      end)
+    s;
+  (List.rev !items, Buffer.length cur > 0 || !dropped > 0, !dropped > 0)
+
+(* The framer against [framer_model]: lines of 0-40 bytes with CR, LF
+   and CRLF, caps from 1 to 48 bytes, fed in chunks of 1-40 bytes whose
+   edges fall next to a '\r' or '\n' half the time. Each chunk sits in a
+   buffer of stale newlines, so a scan past the fed range would show. *)
+let prop_framer_model =
+  let open QCheck.Gen in
+  let line = string_size ~gen:(frequency [ (8, oneofl [ 'a'; 'b' ]); (1, return '\r') ]) (int_bound 40) in
+  let input =
+    map2
+      (fun lines tail ->
+        String.concat ""
+          (List.map (fun (l, t) -> l ^ match t with 0 -> "\n" | 1 -> "\r\n" | _ -> "\r") lines)
+        ^ tail)
+      (list_size (int_bound 10) (pair line (int_bound 2)))
+      line
+  in
+  let print (max_line, s, seed) = Printf.sprintf "max_line %d, input %S, seed %d" max_line s seed in
+  QCheck.Test.make ~count:1000 ~name:"framer: any chunking frames like the byte-at-a-time model"
+    (QCheck.make ~print (triple (int_range 1 48) input nat))
+    (fun (max_line, s, seed) ->
+      let open Serve.Wire in
+      let rng = Random.State.make [| seed |] in
+      let n = String.length s in
+      let f = Framer.create ~max_line () in
+      let buf = Bytes.make (n + 16) '\n' in
+      (* the next chunk edge after [pos]: beside a terminator byte, or
+         1-40 bytes on *)
+      let edge pos =
+        let rec near k =
+          if k >= n || k > pos + 40 then None
+          else if (s.[k] = '\r' || s.[k] = '\n') && Random.State.bool rng then
+            Some (if Random.State.bool rng || k = pos then k + 1 else k)
+          else near (k + 1)
+        in
+        match near pos with Some k -> k | None -> min n (pos + 1 + Random.State.int rng 40)
+      in
+      let rec go pos =
+        if pos < n then begin
+          let stop = edge pos in
+          Bytes.blit_string s pos buf 8 (stop - pos);
+          Framer.feed f buf 8 (stop - pos);
+          Bytes.fill buf 0 (Bytes.length buf) '\n';
+          go stop
+        end
+      in
+      go 0;
+      let rec drain acc = match Framer.pop f with Some x -> drain (x :: acc) | None -> List.rev acc in
+      let items = drain [] in
+      (items, Framer.partial f, Framer.overflowing f) = framer_model max_line s)
+
+(* a framer that lives on gives back what a long line made it hold:
+   after a newline-less flood past the cap, and after a line longer
+   than 4 MiB, the words reachable from it are back near where they
+   started. (The process's heap words would also count whatever other
+   suites of this runner still hold.) *)
+let test_framer_gives_back_storage () =
+  let open Serve.Wire in
+  let max_line = 8 * 1024 * 1024 in
+  let f = Framer.create ~max_line () in
+  let chunk = Bytes.make 65536 'x' in
+  let held () = Obj.reachable_words (Obj.repr f) in
+  let base = held () in
+  let feed_bytes k =
+    for _ = 1 to k / 65536 do
+      Framer.feed f chunk 0 65536
+    done
+  in
+  let near_base what =
+    let grown = held () - base in
+    if grown > 1024 then Alcotest.failf "%s: the framer holds %d more words" what grown
+  in
+  feed_bytes (4 * 1024 * 1024);
+  Alcotest.(check bool) "a 4 MiB prefix is held" true (held () - base >= 512 * 1024);
+  feed_bytes (max_line - (4 * 1024 * 1024) + 65536);
+  Alcotest.(check bool) "flood overflows" true (Framer.overflowing f);
+  near_base "mid-flood, past the cap";
+  Framer.feed f (Bytes.of_string "\n") 0 1;
+  (match Framer.pop f with
+   | Some (Framer.Too_long n) -> Alcotest.(check int) "flood size" (max_line + 65536) n
+   | _ -> Alcotest.fail "expected Too_long");
+  feed_bytes (6 * 1024 * 1024);
+  Framer.feed f (Bytes.of_string "\n") 0 1;
+  (match Framer.pop f with
+   | Some (Framer.Line l) -> Alcotest.(check int) "long line" (6 * 1024 * 1024) (String.length l)
+   | _ -> Alcotest.fail "expected the long line");
+  near_base "after a 6 MiB line";
+  Alcotest.(check bool) "framer idle" false (Framer.partial f)
+
 let test_framing_over_socket () =
   let config = { Serve.default_config with Serve.max_line = 256 } in
   with_server ~config (fun _store _clean addr ->
@@ -1025,6 +1209,12 @@ let test_framing_over_socket () =
       raw_send fd "\n";
       let r = raw_read_line fd in
       check_infra_code "oversized line" r "line_too_long";
+      (match Serve.Wire.parse r with
+       | Ok j ->
+         Alcotest.(check (option string)) "the whole line is counted"
+           (Some "request line of 4096 bytes exceeds the 256-byte cap")
+           (match Serve.Wire.member "error" j with Some (Serve.Wire.String m) -> Some m | _ -> None)
+       | Error e -> Alcotest.failf "oversized line response: %s" e);
       (* trailing garbage after valid JSON poisons only that line *)
       let r = raw_roundtrip fd "{\"op\":\"ping\"} trailing" in
       check_infra_code "trailing garbage" r "bad_frame";
@@ -1787,6 +1977,7 @@ let suites =
           test_wire_parse_matches_reference;
         Alcotest.test_case "wire unboxed rows print like the boxed tree" `Quick
           test_wire_unboxed_rows;
+        QCheck_alcotest.to_alcotest prop_float_rows_match_reference;
         QCheck_alcotest.to_alcotest prop_streamed_equals_print;
         Alcotest.test_case "clean batch bit-identical over socket" `Quick
           test_clean_batch_bit_identical;
@@ -1801,6 +1992,9 @@ let suites =
           test_stats_latency_includes_encoding;
         Alcotest.test_case "framer edge cases" `Quick test_framer_edges;
         QCheck_alcotest.to_alcotest prop_framer_chunking;
+        QCheck_alcotest.to_alcotest prop_framer_model;
+        Alcotest.test_case "framer gives back a long line's storage" `Quick
+          test_framer_gives_back_storage;
         Alcotest.test_case "framing edge cases over the socket" `Quick
           test_framing_over_socket;
         Alcotest.test_case "overload shedding" `Quick test_shed_overloaded;
