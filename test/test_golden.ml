@@ -196,6 +196,47 @@ let test_extraction_pinned () =
       pin "whole pool" ~count:74 ~fold:1405918849994905476L ~truncated:false ~visited:920 ();
       pin "capped at 40" ~max_paths:40 ~count:40 ~fold:3605401723117068353L ~truncated:true ~visited:288 ())
 
+(* bit pins on demo90's pool build: the bits of G, Sigma, A, mu_paths
+   and mu_segments and the column order of the variables, for the whole
+   pool and for a cap that truncates it. The variable index, the
+   segment split and the G Sigma product feed these numbers, so a
+   rewrite of any of them that moves one bit or column shows here. *)
+let test_pool_build_pinned () =
+  with_data (fun dir ->
+      let dm = Timing.Delay_model.build (demo90 dir) (Timing.Variation.make_model ~levels:3 ()) in
+      let t_cons = Timing.Delay_model.nominal_critical_delay dm in
+      let fold_int h i = Int64.add (Int64.mul h 31L) (Int64.of_int i) in
+      let pin name ?max_paths ~vars ~keys ~fold () =
+        let r = Timing.Path_extract.extract ?max_paths dm ~t_cons ~yield_threshold:0.99 in
+        let pool = Timing.Paths.build dm r.Timing.Path_extract.paths in
+        let key_bits =
+          Array.fold_left
+            (fun h k ->
+              match k with
+              | Timing.Variation.Region { param; level; cell } ->
+                let p = match param with Timing.Variation.Leff -> 0 | Timing.Variation.Vt -> 1 in
+                fold_int (fold_int (fold_int h p) level) cell
+              | Timing.Variation.Gate_random g -> fold_int (fold_int h 2) g)
+            0L (Timing.Paths.var_keys pool)
+        in
+        let h =
+          List.fold_left fold_bits 0L
+            [
+              (Timing.Paths.g_mat pool).Linalg.Mat.data;
+              (Timing.Paths.sigma_mat pool).Linalg.Mat.data;
+              (Timing.Paths.a_mat pool).Linalg.Mat.data;
+              Timing.Paths.mu_paths pool;
+              Timing.Paths.mu_segments pool;
+            ]
+        in
+        Alcotest.(check int) (name ^ " vars") vars (Timing.Paths.num_vars pool);
+        Alcotest.(check int64) (name ^ " var_keys order") keys key_bits;
+        Alcotest.(check int64) (name ^ " G, Sigma, A and mu bits") fold h
+      in
+      pin "whole pool" ~vars:62 ~keys:(-6783490700683015097L) ~fold:(-1882726657829392019L) ();
+      pin "capped at 40" ~max_paths:40 ~vars:52 ~keys:(-3092997237829983904L)
+        ~fold:(-563366011879749655L) ())
+
 let unit_tests =
   [
     ("golden: .bench parses", test_bench_golden);
@@ -207,6 +248,7 @@ let unit_tests =
     ("golden: rng stream", test_rng_stream_pinned);
     ("golden: streamed sketch", test_sketch_pinned);
     ("golden: demo90 extraction", test_extraction_pinned);
+    ("golden: demo90 pool build", test_pool_build_pinned);
   ]
 
 let suites =
