@@ -46,7 +46,6 @@ let trace_critical nl delays ~arrival ~best_pred ~on_path =
 let compute dm ~rng ~samples =
   if samples <= 0 then invalid_arg "Criticality.compute: samples must be positive";
   let nl = Delay_model.netlist dm in
-  let model = Delay_model.model dm in
   let n = Circuit.Netlist.num_gates nl in
   let num_inputs = Circuit.Netlist.num_inputs nl in
   let counts = Array.make n 0 in
@@ -55,24 +54,16 @@ let compute dm ~rng ~samples =
   let on_path = Array.make n false in
   let delays = Array.make n 0.0 in
   let total_len = ref 0 in
-  let levels = model.Variation.levels in
+  let { Delay_model.ptr; slots; coefs } = Delay_model.terms dm in
   for _ = 1 to samples do
-    let region_draw =
-      Array.init 2 (fun _ ->
-          Array.init levels (fun level ->
-              Rng.gaussian_vector rng (Variation.regions_at_level level)))
-    in
-    let rand_draw = Rng.gaussian_vector rng n in
+    (* one draw per slot: the Leff regions, then the Vt regions (level
+       by level, cell by cell), then one per gate *)
+    let draws = Rng.gaussian_vector rng (Delay_model.num_slots dm) in
     for g = 0 to n - 1 do
       let d = ref (Delay_model.nominal dm g) in
-      List.iter
-        (fun (k, c) ->
-          match k with
-          | Variation.Region { param; level; cell } ->
-            let p = match param with Variation.Leff -> 0 | Variation.Vt -> 1 in
-            d := !d +. (c *. region_draw.(p).(level).(cell))
-          | Variation.Gate_random gid -> d := !d +. (c *. rand_draw.(gid)))
-        (Delay_model.sensitivities dm g);
+      for e = ptr.(g) to ptr.(g + 1) - 1 do
+        d := !d +. (coefs.(e) *. draws.(slots.(e)))
+      done;
       delays.(g) <- !d
     done;
     Array.fill on_path 0 n false;

@@ -1,8 +1,10 @@
+type terms = { ptr : int array; slots : int array; coefs : float array }
+
 type t = {
   netlist : Circuit.Netlist.t;
   model : Variation.model;
   nominal : float array;
-  sens : (Variation.var_key * float) list array;
+  terms : terms;
   sigmas : float array;
 }
 
@@ -29,20 +31,29 @@ let gate_sensitivities model (g : Circuit.Netlist.gate) d0 =
   in
   leff @ vt @ rand
 
+(* Each gate's sensitivity list, compiled once to slots in list order:
+   every consumer sums a gate's terms in that order. *)
 let build_generic netlist model ~nominal_of =
-  let n = Circuit.Netlist.num_gates netlist in
-  let nominal = Array.make n 0.0 in
-  let sens = Array.make n [] in
-  let sigmas = Array.make n 0.0 in
-  Array.iter
-    (fun (g : Circuit.Netlist.gate) ->
-      let d0 = nominal_of g in
-      nominal.(g.id) <- d0;
-      let s = gate_sensitivities model g d0 in
-      sens.(g.id) <- s;
-      sigmas.(g.id) <- sqrt (List.fold_left (fun acc (_, c) -> acc +. (c *. c)) 0.0 s))
-    (Circuit.Netlist.gates netlist);
-  { netlist; model; nominal; sens; sigmas }
+  let gates = Circuit.Netlist.gates netlist in
+  let n = Array.length gates in
+  let nominal = Array.map nominal_of gates in
+  let sens = Array.map2 (gate_sensitivities model) gates nominal in
+  let ptr = Array.make (n + 1) 0 in
+  Array.iteri (fun g l -> ptr.(g + 1) <- ptr.(g) + List.length l) sens;
+  let slots = Array.make ptr.(n) 0 in
+  let coefs = Array.make ptr.(n) 0.0 in
+  Array.iteri
+    (fun g l ->
+      List.iteri
+        (fun e (key, c) ->
+          slots.(ptr.(g) + e) <- Variation.slot model key;
+          coefs.(ptr.(g) + e) <- c)
+        l)
+    sens;
+  let sigmas =
+    Array.map (fun l -> sqrt (List.fold_left (fun acc (_, c) -> acc +. (c *. c)) 0.0 l)) sens
+  in
+  { netlist; model; nominal; terms = { ptr; slots; coefs }; sigmas }
 
 let build netlist model =
   let nominal_of (g : Circuit.Netlist.gate) =
@@ -68,7 +79,9 @@ let model t = t.model
 
 let nominal t g = t.nominal.(g)
 
-let sensitivities t g = t.sens.(g)
+let num_slots t = Variation.num_slots t.model ~gates:(Array.length t.nominal)
+
+let terms t = t.terms
 
 let sigma t g = t.sigmas.(g)
 

@@ -25,8 +25,24 @@ val model : t -> Variation.model
 val nominal : t -> int -> float
 (** Nominal delay of gate [g] (includes its fanout load). *)
 
-val sensitivities : t -> int -> (Variation.var_key * float) list
-(** Sensitivity coefficients of gate [g]; keys are distinct. *)
+(** Every gate's sensitivity coefficients, compiled once at build time
+    in CSR form over the model's {!Variation.slot} numbering: gate
+    [g]'s terms are entries [ptr.(g)] to [ptr.(g + 1) - 1] of [slots]
+    and [coefs], in ascending slot order (the [Leff] levels, the [Vt]
+    levels, then the gate's random variable when it has one). Every
+    consumer sums a gate's terms in that order. The arrays are shared:
+    read them, never write. *)
+type terms = private {
+  ptr : int array;      (** length [num_gates + 1] *)
+  slots : int array;    (** each below {!num_slots} *)
+  coefs : float array;
+}
+
+val terms : t -> terms
+
+val num_slots : t -> int
+(** [Variation.num_slots (model t) ~gates:(num_gates)]: the length of a
+    dense array indexed by slot. *)
 
 val sigma : t -> int -> float
 (** Total delay standard deviation of gate [g]:

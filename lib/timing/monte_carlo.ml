@@ -45,49 +45,17 @@ let[@inline] fmax x y = if y > x then y else if x > y then x else Float.max x y
 let circuit_yield dm ~t_cons ~rng ~samples =
   if samples <= 0 then invalid_arg "Monte_carlo.circuit_yield: samples must be positive";
   let nl = Delay_model.netlist dm in
-  let levels = (Delay_model.model dm).Variation.levels in
   let gates = Circuit.Netlist.gates nl in
   let n_gates = Circuit.Netlist.num_gates nl in
   let num_inputs = Circuit.Netlist.num_inputs nl in
   let n_signals = num_inputs + n_gates in
-  (* One sample's draws form a flat vector, in the order the estimate
-     has always consumed the stream: Leff regions, then Vt regions (each
-     level by level, cell by cell), then one random variable per gate. *)
-  let level_base = Array.make (levels + 1) 0 in
-  for l = 0 to levels - 1 do
-    level_base.(l + 1) <- level_base.(l) + Variation.regions_at_level l
-  done;
-  let per_param = level_base.(levels) in
-  let nd = (2 * per_param) + n_gates in
-  let slot = function
-    | Variation.Region { param; level; cell } ->
-      if level < 0 || level >= levels || cell < 0 || cell >= Variation.regions_at_level level
-      then invalid_arg "Monte_carlo.circuit_yield: region outside the model";
-      let p = match param with Variation.Leff -> 0 | Variation.Vt -> 1 in
-      (p * per_param) + level_base.(level) + cell
-    | Variation.Gate_random gid ->
-      if gid < 0 || gid >= n_gates then
-        invalid_arg "Monte_carlo.circuit_yield: gate outside the netlist";
-      (2 * per_param) + gid
-  in
-  (* The sweep, compiled once: gate [k]'s sensitivity terms are entries
-     [ptr.(k), ptr.(k + 1)) of [slots]/[coefs], in list order, so each
-     sample's delays accumulate in the sensitivity list's order. *)
-  let sens =
-    Array.map (fun (g : Circuit.Netlist.gate) -> Delay_model.sensitivities dm g.id) gates
-  in
-  let ptr = Array.make (Array.length gates + 1) 0 in
-  Array.iteri (fun k l -> ptr.(k + 1) <- ptr.(k) + List.length l) sens;
-  let slots = Array.make ptr.(Array.length gates) 0 in
-  let coefs = Array.make ptr.(Array.length gates) 0.0 in
-  Array.iteri
-    (fun k l ->
-      List.iteri
-        (fun e (key, c) ->
-          slots.(ptr.(k) + e) <- slot key;
-          coefs.(ptr.(k) + e) <- c)
-        l)
-    sens;
+  (* One sample's draws form a flat vector indexed by Variation.slot,
+     which is the order the estimate has always consumed the stream:
+     Leff regions, then Vt regions (each level by level, cell by cell),
+     then one random variable per gate. Gate [k]'s delay sums its
+     compiled terms in the delay model's order. *)
+  let nd = Delay_model.num_slots dm in
+  let { Delay_model.ptr; slots; coefs } = Delay_model.terms dm in
   let nominal =
     Array.map (fun (g : Circuit.Netlist.gate) -> Delay_model.nominal dm g.id) gates
   in

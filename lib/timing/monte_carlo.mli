@@ -30,9 +30,9 @@ val circuit_yield :
     count dies meeting [t_cons]. Independent of any extracted path
     pool.
 
-    Each call compiles the sweep once: every gate's sensitivities
-    become flat (draw slot, coefficient) arrays in their list order, so
-    a sample is plain array loops. The per-sample sweeps run on the
+    A sample draws one value per {!Variation.slot} and reads the delay
+    model's compiled terms ({!Delay_model.terms}), so it is plain
+    array loops. The per-sample sweeps run on the
     {!Par.Pool} domain pool; randomness is still consumed from [rng] in
     strict sample order, so the estimate is bit-identical at every
     pool size. *)

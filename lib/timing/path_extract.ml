@@ -5,41 +5,41 @@ type result = { paths : path list; truncated : bool; visited_nodes : int }
 exception Limit_reached
 
 (* Incremental accumulator for the variance of the partial path: keeps
-   the coefficient of every variable touched so far and the running sum
-   of squared coefficients, with exact push/pop symmetry. *)
+   the coefficient of every variable, indexed by slot, and the running
+   sum of squared coefficients, with exact push/pop symmetry. *)
 module Acc = struct
-  type t = {
-    coeffs : (Variation.var_key, float) Hashtbl.t;
-    mutable ss : float;
-  }
+  type t = { terms : Delay_model.terms; coeffs : float array; mutable ss : float }
 
-  let create () = { coeffs = Hashtbl.create 256; ss = 0.0 }
+  let create dm =
+    let coeffs = Array.make (Delay_model.num_slots dm) 0.0 in
+    { terms = Delay_model.terms dm; coeffs; ss = 0.0 }
 
-  let push t sens =
-    List.iter
-      (fun (k, c) ->
-        let old = Option.value ~default:0.0 (Hashtbl.find_opt t.coeffs k) in
-        let cur = old +. c in
-        t.ss <- t.ss +. ((cur *. cur) -. (old *. old));
-        Hashtbl.replace t.coeffs k cur)
-      sens
+  let push t g =
+    let { Delay_model.ptr; slots; coefs } = t.terms in
+    for e = ptr.(g) to ptr.(g + 1) - 1 do
+      let s = slots.(e) in
+      let old = t.coeffs.(s) in
+      let cur = old +. coefs.(e) in
+      t.ss <- t.ss +. ((cur *. cur) -. (old *. old));
+      t.coeffs.(s) <- cur
+    done
 
-  (* a key is dropped when its sum returns to exactly 0.0, so a missing
-     key reads as 0.0 here too: a zero coefficient lower on the stack
-     pops a key a later frame already emptied *)
-  let pop t sens =
-    List.iter
-      (fun (k, c) ->
-        let cur = match Hashtbl.find t.coeffs k with v -> v | exception Not_found -> 0.0 in
-        let old = cur -. c in
-        t.ss <- t.ss +. ((old *. old) -. (cur *. cur));
-        if Float.equal old 0.0 then Hashtbl.remove t.coeffs k else Hashtbl.replace t.coeffs k old)
-      sens
+  (* a coefficient that returns to exactly 0.0 is stored as +0.0, so a
+     slot reads the same whether or not an earlier frame emptied it *)
+  let pop t g =
+    let { Delay_model.ptr; slots; coefs } = t.terms in
+    for e = ptr.(g) to ptr.(g + 1) - 1 do
+      let s = slots.(e) in
+      let cur = t.coeffs.(s) in
+      let old = cur -. coefs.(e) in
+      t.ss <- t.ss +. ((old *. old) -. (cur *. cur));
+      t.coeffs.(s) <- (if Float.equal old 0.0 then 0.0 else old)
+    done
 
   let sigma t = sqrt (Float.max 0.0 t.ss)
 
   let clear t =
-    Hashtbl.reset t.coeffs;
+    Array.fill t.coeffs 0 (Array.length t.coeffs) 0.0;
     t.ss <- 0.0
 end
 
@@ -69,7 +69,7 @@ let extract ?(max_paths = 20_000) dm ~t_cons ~yield_threshold =
   let z = Stats.Normal.quantile yield_threshold in
   let rest_mu = Tgraph.rest_bounds tg ~gate_value:(Delay_model.nominal dm) in
   let rest_sig = Tgraph.rest_bounds tg ~gate_value:(Delay_model.sigma dm) in
-  let acc = Acc.create () in
+  let acc = Acc.create dm in
   let stack = ref [] in
   let found = ref [] in
   let n_found = ref 0 in
@@ -86,11 +86,12 @@ let extract ?(max_paths = 20_000) dm ~t_cons ~yield_threshold =
   let source_cap = max 16 ((max_paths + n_pi - 1) / n_pi) in
   let source_found = ref 0 in
   let capped = ref true in
-  let record () =
+  (* [mu] is the walk's running sum, added gate by gate from 0.0 in
+     source-to-sink order *)
+  let record mu =
     let gates = Array.of_list (List.rev !stack) in
     if not (Path_tbl.mem seen gates) then begin
       Path_tbl.add seen gates ();
-      let mu = Array.fold_left (fun m g -> m +. Delay_model.nominal dm g) 0.0 gates in
       let sigma = Acc.sigma acc in
       if mu +. (z *. sigma) > t_cons then begin
         found := { gates; mu; sigma } :: !found;
@@ -106,7 +107,7 @@ let extract ?(max_paths = 20_000) dm ~t_cons ~yield_threshold =
   in
   let rec dfs v mu_acc sigsum_acc =
     incr visited;
-    if Tgraph.is_po tg v && v >= Circuit.Netlist.num_inputs nl then record ();
+    if Tgraph.is_po tg v && v >= Circuit.Netlist.num_inputs nl then record mu_acc;
     List.iter
       (fun (a : Tgraph.arc) ->
         let g = a.gate in
@@ -115,12 +116,11 @@ let extract ?(max_paths = 20_000) dm ~t_cons ~yield_threshold =
         if rest_mu.(a.dst) > neg_infinity then begin
           let sig_bound = if z > 0.0 then z *. (sigsum' +. rest_sig.(a.dst)) else 0.0 in
           if mu' +. rest_mu.(a.dst) +. sig_bound > t_cons then begin
-            let sens = Delay_model.sensitivities dm g in
-            Acc.push acc sens;
+            Acc.push acc g;
             stack := g :: !stack;
             dfs a.dst mu' sigsum';
             stack := List.tl !stack;
-            Acc.pop acc sens
+            Acc.pop acc g
           end
         end)
       (Tgraph.arcs_from tg v)

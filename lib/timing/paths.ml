@@ -4,6 +4,7 @@ type t = {
   segments : int array array;
   seg_of_path : int array array;
   vars : Variation.var_key array;
+  col : int array; (* column of each used slot, -1 elsewhere *)
   g_mat : Linalg.Mat.t;
   sigma_mat : Linalg.Mat.t;
   a_mat : Linalg.Mat.t;
@@ -88,19 +89,24 @@ let build dm path_list =
   let segments, seg_of_path = extract_segments paths in
   let n = Array.length paths in
   let n_s = Array.length segments in
-  (* variable space over covered gates *)
-  let covered = Hashtbl.create 1024 in
-  Array.iter (fun s -> Array.iter (fun g -> Hashtbl.replace covered g ()) s) segments;
-  let var_set = Hashtbl.create 1024 in
-  Hashtbl.iter
-    (fun g () ->
-      List.iter (fun (k, _) -> Hashtbl.replace var_set k ()) (Delay_model.sensitivities dm g))
-    covered;
-  let vars = Array.of_seq (Hashtbl.to_seq_keys var_set) in
-  Array.sort Variation.compare_var vars;
+  let { Delay_model.ptr; slots; coefs } = Delay_model.terms dm in
+  (* variable space over covered gates: the used slots, numbered in
+     ascending slot order *)
+  let covered = Array.make (Circuit.Netlist.num_gates (Delay_model.netlist dm)) false in
+  let used = Array.make (Delay_model.num_slots dm) false in
+  Array.iter
+    (Array.iter (fun g ->
+         covered.(g) <- true;
+         for e = ptr.(g) to ptr.(g + 1) - 1 do
+           used.(slots.(e)) <- true
+         done))
+    segments;
+  let order = Array.of_seq (Seq.filter (Array.get used) (Seq.init (Array.length used) Fun.id)) in
+  let col = Array.make (Array.length used) (-1) in
+  Array.iteri (fun j s -> col.(s) <- j) order;
+  let model = Delay_model.model dm in
+  let vars = Array.map (Variation.key_of_slot model) order in
   let m = Array.length vars in
-  let var_index = Hashtbl.create m in
-  Array.iteri (fun i k -> Hashtbl.replace var_index k i) vars;
   (* segment sensitivities and nominal delays *)
   let sigma_mat = Linalg.Mat.create n_s m in
   let mu_segments = Array.make n_s 0.0 in
@@ -109,18 +115,19 @@ let build dm path_list =
       Array.iter
         (fun g ->
           mu_segments.(s) <- mu_segments.(s) +. Delay_model.nominal dm g;
-          List.iter
-            (fun (k, c) ->
-              let j = Hashtbl.find var_index k in
-              Linalg.Mat.set sigma_mat s j (Linalg.Mat.get sigma_mat s j +. c))
-            (Delay_model.sensitivities dm g))
+          for e = ptr.(g) to ptr.(g + 1) - 1 do
+            let j = col.(slots.(e)) in
+            Linalg.Mat.set sigma_mat s j (Linalg.Mat.get sigma_mat s j +. coefs.(e))
+          done)
         gates)
     segments;
   let g_mat = Linalg.Mat.create n n_s in
   Array.iteri
     (fun i segs -> Array.iter (fun s -> Linalg.Mat.set g_mat i s 1.0) segs)
     seg_of_path;
-  let a_mat = Linalg.Mat.mul g_mat sigma_mat in
+  (* Sigma is mostly exact zeros, so G Sigma runs through CSR; on finite
+     sensitivities it is bit-identical to the dense Mat.mul (see Sparse) *)
+  let a_mat = Linalg.Sparse.dense_mul g_mat (Linalg.Sparse.of_dense sigma_mat) in
   let mu_paths = Linalg.Mat.apply g_mat mu_segments in
   let covered_regions =
     let cells = Hashtbl.create 64 in
@@ -133,9 +140,9 @@ let build dm path_list =
     Hashtbl.length cells
   in
   {
-    dm; paths; segments; seg_of_path; vars; g_mat; sigma_mat; a_mat;
+    dm; paths; segments; seg_of_path; vars; col; g_mat; sigma_mat; a_mat;
     mu_paths; mu_segments;
-    covered_gates = Hashtbl.length covered;
+    covered_gates = Array.fold_left (fun k c -> if c then k + 1 else k) 0 covered;
     covered_regions;
   }
 
@@ -170,16 +177,13 @@ let delay_model t = t.dm
 let var_keys t = Array.copy t.vars
 
 let path_row t i =
-  let m = Array.length t.vars in
-  let var_index = Hashtbl.create m in
-  Array.iteri (fun j k -> Hashtbl.replace var_index k j) t.vars;
-  let row = Array.make m 0.0 in
+  let { Delay_model.ptr; slots; coefs } = Delay_model.terms t.dm in
+  let row = Array.make (Array.length t.vars) 0.0 in
   Array.iter
     (fun g ->
-      List.iter
-        (fun (k, c) ->
-          let j = Hashtbl.find var_index k in
-          row.(j) <- row.(j) +. c)
-        (Delay_model.sensitivities t.dm g))
+      for e = ptr.(g) to ptr.(g + 1) - 1 do
+        let j = t.col.(slots.(e)) in
+        row.(j) <- row.(j) +. coefs.(e)
+      done)
     t.paths.(i).gates;
   row

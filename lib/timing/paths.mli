@@ -59,4 +59,5 @@ val path_row : t -> int -> Linalg.Vec.t
 val delay_model : t -> Delay_model.t
 
 val var_keys : t -> Variation.var_key array
-(** Column order of the variable space. *)
+(** Column order of the variable space: the covered variables in
+    ascending {!Variation.slot} order. *)

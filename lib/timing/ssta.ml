@@ -57,31 +57,20 @@ type t = {
 let analyze dm =
   let nl = Delay_model.netlist dm in
   let model = Delay_model.model dm in
-  (* correlated basis: every region variable of the model, both params *)
-  let basis =
-    List.concat_map
-      (fun param ->
-        List.concat
-          (List.init model.Variation.levels (fun level ->
-               List.init (Variation.regions_at_level level) (fun cell ->
-                   Variation.Region { param; level; cell }))))
-      Variation.params
-    |> Array.of_list
-  in
-  let index = Hashtbl.create (Array.length basis) in
-  Array.iteri (fun i k -> Hashtbl.replace index k i) basis;
-  let nb = Array.length basis in
+  (* correlated basis: every region variable of the model, both params;
+     their slots are the first ones, so a slot is its basis index *)
+  let nb = 2 * Variation.region_count model in
+  let basis = Array.init nb (Variation.key_of_slot model) in
+  let { Delay_model.ptr; slots; coefs } = Delay_model.terms dm in
   let zero = { mean = 0.0; coeffs = Array.make nb 0.0; residual = 0.0 } in
   let gate_canonical g =
     let coeffs = Array.make nb 0.0 in
     let residual = ref 0.0 in
-    List.iter
-      (fun (k, c) ->
-        match k with
-        | Variation.Region _ -> coeffs.(Hashtbl.find index k) <- c
-        | Variation.Gate_random _ ->
-          residual := sqrt ((!residual *. !residual) +. (c *. c)))
-      (Delay_model.sensitivities dm g);
+    for e = ptr.(g) to ptr.(g + 1) - 1 do
+      let s = slots.(e) and c = coefs.(e) in
+      if s < nb then coeffs.(s) <- c
+      else residual := sqrt ((!residual *. !residual) +. (c *. c))
+    done;
     (Delay_model.nominal dm g, coeffs, !residual)
   in
   let num_inputs = Circuit.Netlist.num_inputs nl in

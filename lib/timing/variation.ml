@@ -1,7 +1,5 @@
 type param = Leff | Vt
 
-let params = [ Leff; Vt ]
-
 let param_name = function Leff -> "Leff" | Vt -> "Vt"
 
 type var_key =
@@ -43,9 +41,36 @@ let make_model ?level_weights ?(random_share = 0.06) ?(random_boost = 1.0) ~leve
 
 let regions_at_level level = 1 lsl (2 * level)
 
-let region_count m =
-  let rec go k acc = if k >= m.levels then acc else go (k + 1) (acc + regions_at_level k) in
-  go 0 0
+(* regions on the levels above [level]: sum of 4^k for k < level *)
+let level_base level = (regions_at_level level - 1) / 3
+
+let region_count m = level_base m.levels
+
+let num_slots m ~gates = (2 * region_count m) + gates
+
+let slot m = function
+  | Region { param; level; cell } ->
+    if level < 0 || level >= m.levels || cell < 0 || cell >= regions_at_level level then
+      invalid_arg "Variation.slot: region outside the model";
+    let p = match param with Leff -> 0 | Vt -> 1 in
+    (p * region_count m) + level_base level + cell
+  | Gate_random g ->
+    if g < 0 then invalid_arg "Variation.slot: negative gate id";
+    (2 * region_count m) + g
+
+let key_of_slot m s =
+  let per_param = region_count m in
+  if s < 0 then invalid_arg "Variation.key_of_slot: negative slot";
+  if s >= 2 * per_param then Gate_random (s - (2 * per_param))
+  else begin
+    let param = if s < per_param then Leff else Vt in
+    let r = s mod per_param in
+    let level = ref 0 in
+    while level_base (!level + 1) <= r do
+      incr level
+    done;
+    Region { param; level = !level; cell = r - level_base !level }
+  end
 
 let cell_of_position ~level x y =
   let side = 1 lsl level in
@@ -54,16 +79,6 @@ let cell_of_position ~level x y =
     max 0 (min (side - 1) i)
   in
   (clamp_idx y * side) + clamp_idx x
-
-let compare_var a b =
-  match a, b with
-  | Region r1, Region r2 ->
-    compare
-      ( (match r1.param with Leff -> 0 | Vt -> 1), r1.level, r1.cell )
-      ( (match r2.param with Leff -> 0 | Vt -> 1), r2.level, r2.cell )
-  | Region _, Gate_random _ -> -1
-  | Gate_random _, Region _ -> 1
-  | Gate_random g1, Gate_random g2 -> compare g1 g2
 
 let var_name = function
   | Region { param; level; cell } ->

@@ -18,8 +18,6 @@
 
 type param = Leff | Vt
 
-val params : param list
-
 (** An abstract independent N(0,1) variable of the model. *)
 type var_key =
   | Region of { param : param; level : int; cell : int }
@@ -46,17 +44,40 @@ val make_model :
     the finer levels. Defaults: [random_share = 0.06],
     [random_boost = 1.0]. *)
 
-(* lint: allow-next unused-export: test_timing checks the quadtree with it *)
 val region_count : model -> int
 (** Total regions |R| across all levels: sum of [4^k]. *)
-
-val regions_at_level : int -> int
-(** [4^level]. *)
 
 val cell_of_position : level:int -> float -> float -> int
 (** Index of the level-[level] quadtree cell containing the die
     position [(x, y)], both in [0, 1]. *)
 
-val compare_var : var_key -> var_key -> int
+(** {2 Slot numbering}
+
+    Every variable of a model over a netlist of [gates] gates has one
+    integer {e slot} in [\[0, num_slots m ~gates)]:
+    - [Leff] regions first, level by level and cell by cell: region
+      [(level, cell)] sits at [(4^level - 1) / 3 + cell], after the
+      cells of every coarser level;
+    - then the [Vt] regions in the same layout, offset by
+      [region_count m];
+    - then one slot per gate: [Gate_random g] is
+      [2 * region_count m + g].
+
+    So ascending slots sort the regions by parameter ([Leff] first),
+    level and cell, and put the gate variables after them by gate id.
+    {!Delay_model} compiles every gate's sensitivities to slots once,
+    so path extraction, the pool build, Monte Carlo, SSTA and
+    criticality index plain arrays instead of hashing keys. *)
+
+val num_slots : model -> gates:int -> int
+(** [2 * region_count m + gates]. *)
+
+val slot : model -> var_key -> int
+(** The key's slot. Raises [Invalid_argument] on a region outside the
+    model's quadtree or a negative gate id. *)
+
+val key_of_slot : model -> int -> var_key
+(** The inverse of {!slot}. Raises [Invalid_argument] on a negative
+    slot. *)
 
 val var_name : var_key -> string

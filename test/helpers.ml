@@ -4,6 +4,14 @@ let check_close ?(tol = 1e-9) msg expected actual =
   if Float.abs (expected -. actual) > tol then
     Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
 
+(* Gate [g]'s sensitivity terms as (variable, coefficient) pairs, read
+   back from the delay model's compiled slots. *)
+let sensitivities dm g =
+  let { Timing.Delay_model.ptr; slots; coefs } = Timing.Delay_model.terms dm in
+  let model = Timing.Delay_model.model dm in
+  List.init (ptr.(g + 1) - ptr.(g)) (fun e ->
+      (Timing.Variation.key_of_slot model slots.(ptr.(g) + e), coefs.(ptr.(g) + e)))
+
 (* The small end-to-end fixture several suites share: a 150-gate
    synthetic circuit through [Pipeline.prepare], built once per run. *)
 let pipeline =

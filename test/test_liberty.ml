@@ -151,7 +151,7 @@ let test_delay_model_from_nldm () =
         | Timing.Variation.Gate_random _ -> acc +. (c *. c)
         | Timing.Variation.Region _ -> acc)
       0.0
-      (Timing.Delay_model.sensitivities dm 0)
+      (sensitivities dm 0)
   in
   check_close ~tol:1e-9 "random share preserved" 0.06 (rand_var /. total)
 

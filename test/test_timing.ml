@@ -136,7 +136,7 @@ let test_delay_model_random_share () =
           | Timing.Variation.Gate_random _ -> acc +. (c *. c)
           | Timing.Variation.Region _ -> acc)
         0.0
-        (Timing.Delay_model.sensitivities dm g)
+        (sensitivities dm g)
     in
     check_close ~tol:1e-9 (Printf.sprintf "gate %d random share" g) share (rand_var /. total)
   done
@@ -154,7 +154,7 @@ let test_delay_model_boost_scales_random () =
         | Timing.Variation.Gate_random _ -> acc +. c
         | Timing.Variation.Region _ -> acc)
       0.0
-      (Timing.Delay_model.sensitivities dm g)
+      (sensitivities dm g)
   in
   check_close ~tol:1e-9 "boost multiplies random coeff" (3.0 *. rand_coeff d1 0)
     (rand_coeff d3 0)
@@ -300,7 +300,11 @@ let test_a_equals_g_sigma () =
   let _, _, pool = small_pool () in
   let a = Timing.Paths.a_mat pool in
   let gs = Linalg.Mat.mul (Timing.Paths.g_mat pool) (Timing.Paths.sigma_mat pool) in
-  Alcotest.(check bool) "A = G Sigma" true (Linalg.Mat.equal ~tol:1e-9 a gs)
+  Alcotest.(check (pair int int)) "dims" (Linalg.Mat.dims gs) (Linalg.Mat.dims a);
+  Alcotest.(check bool) "A = G Sigma bit for bit" true
+    (Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       gs.Linalg.Mat.data a.Linalg.Mat.data)
 
 let test_a_matches_direct_rows () =
   let _, _, pool = small_pool () in
@@ -399,6 +403,52 @@ let prop_extraction_threshold_monotone =
       in
       n_at 0.9 <= n_at 0.99)
 
+(* The variable order the pool's columns have always had: regions by
+   (parameter, level, cell), Leff first, then the gate variables by id. *)
+let compare_var a b =
+  let rank = function
+    | Timing.Variation.Region { param; level; cell } ->
+      ((match param with Timing.Variation.Leff -> 0 | Timing.Variation.Vt -> 1), level, cell)
+    | Timing.Variation.Gate_random g -> (2, 0, g)
+  in
+  compare (rank a) (rank b)
+
+(* The slot numbering over random models: quadtree levels 0-4, a zero
+   level weight, and random_share 0 (no gate variables). Slots and keys
+   round-trip, ascending slots are in compare_var order, and every term
+   the delay model compiles lies below the slot count, ascending within
+   its gate, and on a gate slot only when the model has gate variables. *)
+let prop_slot_numbering =
+  let gen =
+    QCheck.Gen.(
+      quad (int_range 1 5) (int_range 0 4) (oneofl [ 0.0; 0.06; 0.3 ]) (int_range 1 1000))
+  in
+  QCheck.Test.make ~count:12 ~name:"slot order is compare_var order" (QCheck.make gen)
+    (fun (levels, zero, random_share, seed) ->
+      let level_weights =
+        Array.init levels (fun k -> if levels > 1 && k = zero mod levels then 0.0 else 1.0)
+      in
+      let model = Timing.Variation.make_model ~level_weights ~random_share ~levels () in
+      let nl =
+        Circuit.Generator.generate { Circuit.Generator.default with num_gates = 60; seed }
+      in
+      let dm = Timing.Delay_model.build nl model in
+      let n_gates = Circuit.Netlist.num_gates nl in
+      let n_slots = Timing.Delay_model.num_slots dm in
+      let regions = 2 * Timing.Variation.region_count model in
+      let key = Timing.Variation.key_of_slot model in
+      let { Timing.Delay_model.ptr; slots; _ } = Timing.Delay_model.terms dm in
+      let all n f = List.for_all f (List.init n Fun.id) in
+      n_slots = regions + n_gates
+      && all n_slots (fun s -> Timing.Variation.slot model (key s) = s)
+      && all (n_slots - 1) (fun s -> compare_var (key s) (key (s + 1)) < 0)
+      && all (Array.length slots) (fun e ->
+             slots.(e) >= 0 && slots.(e) < n_slots
+             && (random_share > 0.0 || slots.(e) < regions))
+      && all n_gates (fun g ->
+             all (ptr.(g + 1) - ptr.(g) - 1) (fun k ->
+                 slots.(ptr.(g) + k) < slots.(ptr.(g) + k + 1))))
+
 let unit_tests =
   [
     ("variation: region counts 21/341", test_variation_region_counts);
@@ -432,6 +482,7 @@ let unit_tests =
 
 let property_tests =
   List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_extraction_threshold_monotone ]
+  @ [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 35 |]) prop_slot_numbering ]
 
 let suites =
   [
