@@ -4,7 +4,6 @@ type t = {
   segments : int array array;
   seg_of_path : int array array;
   vars : Variation.var_key array;
-  col : int array; (* column of each used slot, -1 elsewhere *)
   g_mat : Linalg.Mat.t;
   sigma_mat : Linalg.Mat.t;
   a_mat : Linalg.Mat.t;
@@ -140,7 +139,7 @@ let build dm path_list =
     Hashtbl.length cells
   in
   {
-    dm; paths; segments; seg_of_path; vars; col; g_mat; sigma_mat; a_mat;
+    dm; paths; segments; seg_of_path; vars; g_mat; sigma_mat; a_mat;
     mu_paths; mu_segments;
     covered_gates = Array.fold_left (fun k c -> if c then k + 1 else k) 0 covered;
     covered_regions;
@@ -178,11 +177,14 @@ let var_keys t = Array.copy t.vars
 
 let path_row t i =
   let { Delay_model.ptr; slots; coefs } = Delay_model.terms t.dm in
+  let model = Delay_model.model t.dm in
+  let col = Array.make (Delay_model.num_slots t.dm) (-1) in
+  Array.iteri (fun j k -> col.(Variation.slot model k) <- j) t.vars;
   let row = Array.make (Array.length t.vars) 0.0 in
   Array.iter
     (fun g ->
       for e = ptr.(g) to ptr.(g + 1) - 1 do
-        let j = t.col.(slots.(e)) in
+        let j = col.(slots.(e)) in
         row.(j) <- row.(j) +. coefs.(e)
       done)
     t.paths.(i).gates;
