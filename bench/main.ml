@@ -23,7 +23,8 @@ let banner title =
 
 (* name, banner title, runner, and the short CI gate that
    [<name> --smoke] runs instead: no JSON file, exit 0 or 1 on the
-   gate's verdict. Everything else derives from this list. *)
+   verdict the experiment's [run] returns. Everything else derives
+   from this list. *)
 let experiments :
     (string
     * string
@@ -62,43 +63,43 @@ let experiments :
       None );
     ( "e14",
       "E14 -- serving throughput: cold pipeline vs warm batched server",
-      (fun p -> ignore (Experiments.Serve_exp.run ~out:"BENCH_e14.json" p)),
+      (fun p -> Experiments.Serve_exp.run ~out:"BENCH_e14.json" p),
       None );
     (* gate: every parallel kernel bit-identical to serial; on >= 2-core
        hosts also the 4-domain matmul speedup floor *)
     ( "e15",
       "E15 -- domain-pool scaling: kernels and end-to-end pipeline",
       (fun p -> ignore (Experiments.Scaling.run ~out:"BENCH_e15.json" p)),
-      Some (fun p -> (Experiments.Scaling.run ~smoke:true p).Experiments.Scaling.ok) );
+      Some (fun p -> Experiments.Scaling.run ~smoke:true p) );
     (* gate: the serving invariants under wire-level faults *)
     ( "e16",
       "E16 -- chaos soak: serving invariants under wire-level faults",
       (fun p -> ignore (Experiments.Chaos_exp.run ~out:"BENCH_e16.json" p)),
-      Some (fun p -> (Experiments.Chaos_exp.run p).Experiments.Chaos_exp.ok) );
+      Some (fun p -> Experiments.Chaos_exp.run p) );
     (* gate: drift detected, re-selection recovers accuracy, no wrong
        answer *)
     ( "e17",
       "E17 -- self-healing soak: drift detection and auto re-selection",
       (fun p -> ignore (Experiments.Drift_exp.run ~out:"BENCH_e17.json" p)),
-      Some (fun p -> (Experiments.Drift_exp.run p).Experiments.Drift_exp.ok) );
+      Some (fun p -> Experiments.Drift_exp.run p) );
     (* gate: IS agrees with brute-force MC at >= 50x fewer samples, and
        every served answer is bit-exact *)
     ( "e18",
       "E18 -- decision workloads: importance-sampled yield + per-die tuning",
       (fun p -> ignore (Experiments.Decision_exp.run ~out:"BENCH_e18.json" p)),
-      Some (fun p -> (Experiments.Decision_exp.run p).Experiments.Decision_exp.ok) );
+      Some (fun p -> Experiments.Decision_exp.run p) );
     (* gate: a 50k-path sketched selection inside the wall budget, and
        worst-case error within 1.25x of the exact engine *)
     ( "e19",
       "E19 -- sketched million-path selection: quality vs exact, wall-clock scaling",
       (fun p -> ignore (Experiments.Sketch_exp.run ~out:"BENCH_e19.json" p)),
-      Some (fun p -> (Experiments.Sketch_exp.run ~smoke:true p).Experiments.Sketch_exp.ok) );
+      Some (fun p -> Experiments.Sketch_exp.run ~smoke:true p) );
     (* gate: random SIGKILLs under live traffic, zero acked-but-lost
        observations, recovered state equal to an uninterrupted run *)
     ( "e20",
       "E20 -- kill/recovery soak: WAL + checkpoint durability under SIGKILL",
       (fun p -> ignore (Experiments.Recover_exp.run ~out:"BENCH_e20.json" p)),
-      Some (fun p -> (Experiments.Recover_exp.run p).Experiments.Recover_exp.ok) );
+      Some (fun p -> Experiments.Recover_exp.run p) );
   ]
 
 let usage () =

@@ -31,19 +31,4 @@ val run_schedule : ?oc:out_channel -> Profile.t -> schedule_row list
 val run_eta : ?oc:out_channel -> Profile.t -> eta_row list
 (** E6, on s1423: eta in {1, 2, 5, 10}%. *)
 
-type cluster_row = {
-  k : int;
-  selected : int;
-  cluster_eps_r_pct : float;
-  cluster_seconds : float;
-}
-
-type nested_row = {
-  nested_bench : string;
-  repivot_r : int;
-  repivot_seconds : float;
-  nested_r : int;
-  nested_seconds : float;
-}
-
 val run : ?oc:out_channel -> Profile.t -> unit

@@ -6,30 +6,6 @@ type lane = {
   mutable lat_ms : float list;
 }
 
-type result = {
-  bench : string;
-  faults : string;
-  requests_faulted : int;
-  ok_faulted : int;
-  gave_up : int;
-  wrong_answers : int;
-  clean_requests : int;
-  clean_failures : int;
-  p99_clean_ms : float;
-  p99_soak_ms : float;
-  throughput_dies_per_s : float;
-  reloads : int;
-  reload_fingerprint_ok : bool;
-  final_batch_ok : bool;
-  server_exit_ok : bool;
-  shed : int;
-  timeouts : int;
-  proxy_connections : int;
-  proxy_corrupted : int;
-  proxy_stalled : int;
-  ok : bool;
-}
-
 let eps = 0.05
 
 (* the fault mix the soak runs under: every injector fires *)
@@ -44,8 +20,6 @@ let soak_spec =
     stall = 0.08;
     eintr_burst = 2;
   }
-
-let rows_of m i0 k = Linalg.Mat.select_rows m (Array.init k (( + ) i0))
 
 let p99 = function
   | [] -> 0.0
@@ -76,7 +50,7 @@ let run ?(oc = stdout) ?out profile =
     { Serve.default_config with
       Serve.workers = 3; queue = 16; deadline = 2.0; idle_timeout = 30.0 }
   in
-  let expected i0 k = Core.Predictor.predict_all p ~measured:(rows_of clean i0 k) in
+  let expected i0 k = Core.Predictor.predict_all p ~measured:(Soak.rows_of clean i0 k) in
   Soak.with_session artifact @@ fun soak ->
   let server_addr = Soak.addr soak in
   let store_path = Soak.artifact_path soak in
@@ -95,7 +69,7 @@ let run ?(oc = stdout) ?out profile =
     let base = { sent = 0; ok = 0; gave_up = 0; wrong = 0; lat_ms = [] } in
     let reps = if quick then 20 else 60 in
     let want = expected 0 batch in
-    let sub = rows_of clean 0 batch in
+    let sub = Soak.rows_of clean 0 batch in
     let (), dt =
       Soak.time (fun () ->
           for _ = 1 to reps do
@@ -126,7 +100,7 @@ let run ?(oc = stdout) ?out profile =
       let rng = Rng.create (4242 + idx) in
       let i0 = idx * batch in
       let want = expected i0 batch in
-      let sub = rows_of clean i0 batch in
+      let sub = Soak.rows_of clean i0 batch in
       let body () =
         for _ = 1 to lane_iters do
           lane.sent <- lane.sent + 1;
@@ -144,7 +118,7 @@ let run ?(oc = stdout) ?out profile =
       let lane = { sent = 0; ok = 0; gave_up = 0; wrong = 0; lat_ms = [] } in
       let i0 = fault_lanes * batch in
       let want = expected i0 batch in
-      let sub = rows_of clean i0 batch in
+      let sub = Soak.rows_of clean i0 batch in
       let body () =
         let c = Serve.Client.connect server_addr in
         for _ = 1 to clean_iters do
@@ -248,54 +222,33 @@ let run ?(oc = stdout) ?out profile =
     shed timeouts server_exit_ok final_batch_ok;
   Printf.fprintf oc "E16 %s\n" (if ok then "ok" else "FAILED");
   flush oc;
-  let result =
-    {
-      bench = bench_name;
-      faults = Chaos.to_string soak_spec;
-      requests_faulted;
-      ok_faulted;
-      gave_up;
-      wrong_answers;
-      clean_requests = cl.sent;
-      clean_failures = cl.gave_up;
-      p99_clean_ms;
-      p99_soak_ms;
-      throughput_dies_per_s = throughput;
-      reloads;
-      reload_fingerprint_ok;
-      final_batch_ok;
-      server_exit_ok;
-      shed;
-      timeouts;
-      proxy_connections = pst.Chaos.connections;
-      proxy_corrupted = pst.Chaos.corrupted;
-      proxy_stalled = pst.Chaos.stalled;
-      ok;
-    }
-  in
   Soak.write ~oc ?out "E16"
     (let open Core.Report in
      [
-       ("bench", String result.bench);
-       ("faults", String result.faults);
-       ("requests_faulted", Int result.requests_faulted);
-       ("ok_faulted", Int result.ok_faulted);
-       ("gave_up", Int result.gave_up);
-       ("wrong_answers", Int result.wrong_answers);
-       ("clean_requests", Int result.clean_requests);
-       ("clean_failures", Int result.clean_failures);
-       ("p99_clean_ms", Float result.p99_clean_ms);
-       ("p99_soak_ms", Float result.p99_soak_ms);
-       ("throughput_dies_per_s", Float result.throughput_dies_per_s);
-       ("reloads", Int result.reloads);
-       ("reload_fingerprint_ok", Bool result.reload_fingerprint_ok);
-       ("final_batch_ok", Bool result.final_batch_ok);
-       ("server_exit_ok", Bool result.server_exit_ok);
-       ("shed", Int result.shed);
-       ("timeouts", Int result.timeouts);
-       ("proxy_connections", Int result.proxy_connections);
-       ("proxy_corrupted", Int result.proxy_corrupted);
-       ("proxy_stalled", Int result.proxy_stalled);
-       ("ok", Bool result.ok);
+       ("bench", String bench_name);
+       ("faults", String (Chaos.to_string soak_spec));
+       (* sent through the proxy *)
+       ("requests_faulted", Int requests_faulted);
+       ("ok_faulted", Int ok_faulted);
+       ("gave_up", Int gave_up);
+       ("wrong_answers", Int wrong_answers);
+       (* the direct lane during the soak *)
+       ("clean_requests", Int cl.sent);
+       ("clean_failures", Int cl.gave_up);
+       (* before the soak *)
+       ("p99_clean_ms", Float p99_clean_ms);
+       (* the direct lane while faults rage *)
+       ("p99_soak_ms", Float p99_soak_ms);
+       ("throughput_dies_per_s", Float throughput);
+       ("reloads", Int reloads);
+       ("reload_fingerprint_ok", Bool reload_fingerprint_ok);
+       ("final_batch_ok", Bool final_batch_ok);
+       ("server_exit_ok", Bool server_exit_ok);
+       ("shed", Int shed);
+       ("timeouts", Int timeouts);
+       ("proxy_connections", Int pst.Chaos.connections);
+       ("proxy_corrupted", Int pst.Chaos.corrupted);
+       ("proxy_stalled", Int pst.Chaos.stalled);
+       ("ok", Bool ok);
      ]);
-  result
+  ok

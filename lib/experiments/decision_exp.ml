@@ -1,37 +1,3 @@
-type result = {
-  gates : int;
-  n_paths : int;
-  n_vars : int;
-  t_cons : float;
-  is_samples : int;
-  is_p_fail : float;
-  is_std_err : float;
-  is_sn_p_fail : float;
-  is_ess : float;
-  is_hits : int;
-  shift_norm : float;
-  mc_samples : int;
-  mc_p_fail : float;
-  mc_std_err : float;
-  mc_hits : int;
-  agreement_z : float;
-  sample_reduction : float;
-  t_clk : float;
-  tune_dies : int;
-  tune_feasible : int;
-  tune_infeasible : int;
-  tune_mean_cost : float;
-  tune_max_cost : float;
-  tune_all_exact : bool;
-  yield_requests : int;
-  tune_requests : int;
-  wrong_answers : int;
-  request_failures : int;
-  infeasible_code_ok : bool;
-  server_exit_ok : bool;
-  ok : bool;
-}
-
 let eps = 0.05
 let pfail_target = 1e-4
 let reduction_gate = 50.0
@@ -357,89 +323,60 @@ let run ?(oc = stdout) ?out profile =
   in
   Printf.fprintf oc "E18 %s\n" (if ok then "ok" else "FAILED");
   flush oc;
-  let result =
-    {
-      gates = params.Circuit.Generator.num_gates;
-      n_paths;
-      n_vars;
-      t_cons;
-      is_samples;
-      is_p_fail = is_est.Yield.p_fail;
-      is_std_err = is_est.Yield.std_err;
-      is_sn_p_fail = is_est.Yield.sn_p_fail;
-      is_ess = is_est.Yield.ess;
-      is_hits = is_est.Yield.hits;
-      shift_norm = is_est.Yield.shift_norm;
-      mc_samples;
-      mc_p_fail = mc_est.Yield.p_fail;
-      mc_std_err = mc_est.Yield.std_err;
-      mc_hits = mc_est.Yield.hits;
-      agreement_z = agreement;
-      sample_reduction = reduction;
-      t_clk;
-      tune_dies;
-      tune_feasible = n_feasible;
-      tune_infeasible = !infeasible;
-      tune_mean_cost = mean_cost;
-      tune_max_cost = max_cost;
-      tune_all_exact = !all_exact;
-      yield_requests = yield_reqs;
-      tune_requests = tune_reqs;
-      wrong_answers = !wrong;
-      request_failures = !failures;
-      infeasible_code_ok = !infeasible_code_ok;
-      server_exit_ok;
-      ok;
-    }
-  in
   Soak.write ~oc ?out "E18"
     (let open Core.Report in
      [
-       ("gates", Int result.gates);
-       ("n_paths", Int result.n_paths);
-       ("n_vars", Int result.n_vars);
+       ("gates", Int params.Circuit.Generator.num_gates);
+       ("n_paths", Int n_paths);
+       ("n_vars", Int n_vars);
        ("pfail_target", Float pfail_target);
-       ("t_cons", Float result.t_cons);
+       (* calibrated: the union-bound P(fail) is [pfail_target] *)
+       ("t_cons", Float t_cons);
        ( "yield",
          Obj
            [
-             ("is_samples", Int result.is_samples);
-             ("is_p_fail", Float result.is_p_fail);
-             ("is_std_err", Float result.is_std_err);
-             ("is_sn_p_fail", Float result.is_sn_p_fail);
-             ("is_ess", Float result.is_ess);
-             ("is_hits", Int result.is_hits);
-             ("shift_norm", Float result.shift_norm);
-             ("mc_samples", Int result.mc_samples);
-             ("mc_p_fail", Float result.mc_p_fail);
-             ("mc_std_err", Float result.mc_std_err);
-             ("mc_hits", Int result.mc_hits);
-             ("agreement_z", Float result.agreement_z);
+             ("is_samples", Int is_samples);
+             (* the unbiased likelihood-ratio estimate *)
+             ("is_p_fail", Float is_est.Yield.p_fail);
+             ("is_std_err", Float is_est.Yield.std_err);
+             (* the self-normalized diagnostic *)
+             ("is_sn_p_fail", Float is_est.Yield.sn_p_fail);
+             ("is_ess", Float is_est.Yield.ess);
+             ("is_hits", Int is_est.Yield.hits);
+             ("shift_norm", Float is_est.Yield.shift_norm);
+             ("mc_samples", Int mc_samples);
+             ("mc_p_fail", Float mc_est.Yield.p_fail);
+             ("mc_std_err", Float mc_est.Yield.std_err);
+             ("mc_hits", Int mc_est.Yield.hits);
+             ("agreement_z", Float agreement);
              ("agreement_gate", Float agreement_gate);
-             ("sample_reduction", Float result.sample_reduction);
+             ("sample_reduction", Float reduction);
              ("reduction_gate", Float reduction_gate);
            ] );
        ( "tune",
          Obj
            [
-             ("t_clk", Float result.t_clk);
-             ("dies", Int result.tune_dies);
-             ("feasible", Int result.tune_feasible);
-             ("infeasible", Int result.tune_infeasible);
-             ("mean_cost", Float result.tune_mean_cost);
-             ("max_cost", Float result.tune_max_cost);
-             ("all_exact", Bool result.tune_all_exact);
+             ("t_clk", Float t_clk);
+             ("dies", Int tune_dies);
+             ("feasible", Int n_feasible);
+             ("infeasible", Int !infeasible);
+             (* over the feasible dies *)
+             ("mean_cost", Float mean_cost);
+             ("max_cost", Float max_cost);
+             ("all_exact", Bool !all_exact);
            ] );
        ( "serving",
          Obj
            [
-             ("yield_requests", Int result.yield_requests);
-             ("tune_requests", Int result.tune_requests);
-             ("wrong_answers", Int result.wrong_answers);
-             ("request_failures", Int result.request_failures);
-             ("infeasible_code_ok", Bool result.infeasible_code_ok);
-             ("server_exit_ok", Bool result.server_exit_ok);
+             (* served through the chaos proxy *)
+             ("yield_requests", Int yield_reqs);
+             ("tune_requests", Int tune_reqs);
+             ("wrong_answers", Int !wrong);
+             ("request_failures", Int !failures);
+             (* the infeasible die answered semantic code 65 *)
+             ("infeasible_code_ok", Bool !infeasible_code_ok);
+             ("server_exit_ok", Bool server_exit_ok);
            ] );
-       ("ok", Bool result.ok);
+       ("ok", Bool ok);
      ]);
-  result
+  ok

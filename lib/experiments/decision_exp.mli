@@ -28,44 +28,10 @@
 
     Writes the machine-readable summary to [BENCH_e18.json] when
     [~out] is given; [make yield-smoke] runs the quick profile and
-    fails CI when [ok] is false. *)
+    fails CI when the verdict is [false]. *)
 
-type result = {
-  gates : int;
-  n_paths : int;
-  n_vars : int;
-  t_cons : float;          (** calibrated: union-bound P(fail) = 1e-4 *)
-  is_samples : int;
-  is_p_fail : float;       (** unbiased likelihood-ratio estimate *)
-  is_std_err : float;
-  is_sn_p_fail : float;    (** self-normalized diagnostic *)
-  is_ess : float;
-  is_hits : int;
-  shift_norm : float;
-  mc_samples : int;
-  mc_p_fail : float;
-  mc_std_err : float;
-  mc_hits : int;
-  agreement_z : float;     (** gate: <= 3 *)
-  sample_reduction : float;(** gate: >= 50 *)
-  t_clk : float;
-  tune_dies : int;
-  tune_feasible : int;
-  tune_infeasible : int;
-  tune_mean_cost : float;  (** over feasible dies *)
-  tune_max_cost : float;
-  tune_all_exact : bool;
-  yield_requests : int;    (** served through the chaos proxy *)
-  tune_requests : int;
-  wrong_answers : int;     (** must be 0 *)
-  request_failures : int;  (** must be 0 *)
-  infeasible_code_ok : bool;
-      (** the infeasible die answered semantic code 65 *)
-  server_exit_ok : bool;
-  ok : bool;               (** all gates hold *)
-}
-
-val run : ?oc:out_channel -> ?out:string -> Profile.t -> result
-(** Prints progress to [oc] (default [stdout]); writes
-    [BENCH_e18.json]-style JSON to [out] when given. The [quick]
-    profile uses 4e5 MC reference samples; [full] uses 2e6. *)
+val run : ?oc:out_channel -> ?out:string -> Profile.t -> bool
+(** Prints progress to [oc] (default [stdout]), writes
+    [BENCH_e18.json]-style JSON to [out] when given, and returns
+    [true] when every gate above holds. The [quick] profile uses 4e5
+    MC reference samples; [full] uses 2e6. *)

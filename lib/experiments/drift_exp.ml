@@ -1,31 +1,8 @@
-type result = {
-  bench : string;
-  n_paths : int;
-  shift : string;
-  pre_drift_dies : int;
-  baseline_err_ps : float;
-  detection_dies : int;
-  detection_bound : int;
-  recovered : bool;
-  recovery_err_ps : float;
-  recovery_ratio : float;
-  reselects : int;
-  reselect_failures : int;
-  reselect_ms : float;
-  generation : int;
-  wrong_answers : int;
-  request_failures : int;
-  server_exit_ok : bool;
-  ok : bool;
-}
-
 let eps = 0.05
 
 (* the recovered predictor must land within this factor of the healthy
    baseline error *)
 let recovery_gate = 1.2
-
-let rows_of m i0 k = Linalg.Mat.select_rows m (Array.init k (( + ) i0))
 
 let mean_abs_err pred truth =
   let n, m = Linalg.Mat.dims pred in
@@ -172,7 +149,7 @@ let run ?(oc = stdout) ?out profile =
     (* ---- phase A: healthy stream calibrates the detector, then the
        pre-drift baseline error is taken on a holdout batch *)
     for k = 0 to pre_batches - 1 do
-      observe_rows (rows_of d_pre (k * batch) batch);
+      observe_rows (Soak.rows_of d_pre (k * batch) batch);
       Thread.delay 0.02
     done;
     Thread.delay 0.5;
@@ -200,7 +177,7 @@ let run ?(oc = stdout) ?out profile =
        leave healthy and the background re-selection swap artifacts *)
     let detection = ref (-1) in
     for k = 0 to post_batches - 1 do
-      observe_rows (rows_of d_post (k * batch) batch);
+      observe_rows (Soak.rows_of d_post (k * batch) batch);
       Thread.delay 0.15;
       match server_stats () with
       | Some resp ->
@@ -296,28 +273,6 @@ let run ?(oc = stdout) ?out profile =
     !failures server_exit_ok;
   Printf.fprintf oc "E17 %s\n" (if ok then "ok" else "FAILED");
   flush oc;
-  let result =
-    {
-      bench = bench_name;
-      n_paths;
-      shift = shift_desc;
-      pre_drift_dies;
-      baseline_err_ps;
-      detection_dies;
-      detection_bound;
-      recovered;
-      recovery_err_ps;
-      recovery_ratio;
-      reselects;
-      reselect_failures;
-      reselect_ms;
-      generation;
-      wrong_answers = !wrong;
-      request_failures = !failures;
-      server_exit_ok;
-      ok;
-    }
-  in
   let timing_note =
     if Host.cores () = 1 then
       "1-core host (cf. BENCH_e15): reselect_ms is a serial upper bound; \
@@ -327,25 +282,32 @@ let run ?(oc = stdout) ?out profile =
   Soak.write ~oc ?out "E17"
     (let open Core.Report in
      [
-       ("bench", String result.bench);
+       ("bench", String bench_name);
        ("timing_note", String timing_note);
-       ("n_paths", Int result.n_paths);
-       ("shift", String result.shift);
-       ("pre_drift_dies", Int result.pre_drift_dies);
-       ("baseline_err_ps", Float result.baseline_err_ps);
-       ("detection_dies", Int result.detection_dies);
-       ("detection_bound", Int result.detection_bound);
-       ("recovered", Bool result.recovered);
-       ("recovery_err_ps", Float result.recovery_err_ps);
-       ("recovery_ratio", Float result.recovery_ratio);
+       ("n_paths", Int n_paths);
+       ("shift", String shift_desc);
+       (* healthy dies streamed before the shift *)
+       ("pre_drift_dies", Int pre_drift_dies);
+       (* the generation-1 artifact on the pre-shift holdout *)
+       ("baseline_err_ps", Float baseline_err_ps);
+       (* post-shift dies until the state left healthy *)
+       ("detection_dies", Int detection_dies);
+       ("detection_bound", Int detection_bound);
+       (* a reselect ran and the generation advanced *)
+       ("recovered", Bool recovered);
+       (* the swapped artifact on the post-shift holdout *)
+       ("recovery_err_ps", Float recovery_err_ps);
+       ("recovery_ratio", Float recovery_ratio);
        ("recovery_gate", Float recovery_gate);
-       ("reselects", Int result.reselects);
-       ("reselect_failures", Int result.reselect_failures);
-       ("reselect_ms", Float result.reselect_ms);
-       ("generation", Int result.generation);
-       ("wrong_answers", Int result.wrong_answers);
-       ("request_failures", Int result.request_failures);
-       ("server_exit_ok", Bool result.server_exit_ok);
-       ("ok", Bool result.ok);
+       ("reselects", Int reselects);
+       ("reselect_failures", Int reselect_failures);
+       (* server-reported re-selection wall time *)
+       ("reselect_ms", Float reselect_ms);
+       (* the final artifact generation; gate: >= 2 *)
+       ("generation", Int generation);
+       ("wrong_answers", Int !wrong);
+       ("request_failures", Int !failures);
+       ("server_exit_ok", Bool server_exit_ok);
+       ("ok", Bool ok);
      ]);
-  result
+  ok

@@ -25,28 +25,8 @@
     Writes the machine-readable summary to [BENCH_e17.json] when
     [~out] is given. *)
 
-type result = {
-  bench : string;
-  n_paths : int;
-  shift : string;           (** the injected process-shift model *)
-  pre_drift_dies : int;     (** healthy dies streamed before the shift *)
-  baseline_err_ps : float;  (** gen-1 artifact on pre-shift holdout *)
-  detection_dies : int;     (** post-shift dies until state left healthy *)
-  detection_bound : int;    (** gate for [detection_dies] *)
-  recovered : bool;         (** reselect ran and the generation advanced *)
-  recovery_err_ps : float;  (** swapped artifact on post-shift holdout *)
-  recovery_ratio : float;   (** recovery over baseline error; gate <= 1.2 *)
-  reselects : int;
-  reselect_failures : int;
-  reselect_ms : float;      (** server-reported re-selection wall time *)
-  generation : int;         (** final artifact generation (must be >= 2) *)
-  wrong_answers : int;      (** must be 0 *)
-  request_failures : int;   (** must be 0 *)
-  server_exit_ok : bool;
-  ok : bool;                (** all gates hold *)
-}
-
-val run : ?oc:out_channel -> ?out:string -> Profile.t -> result
-(** Prints progress to [oc] (default [stdout]); writes
-    [BENCH_e17.json]-style JSON to [out] when given. The [quick]
-    profile is the smoke-sized soak; [full] streams more dies. *)
+val run : ?oc:out_channel -> ?out:string -> Profile.t -> bool
+(** Prints progress to [oc] (default [stdout]), writes
+    [BENCH_e17.json]-style JSON to [out] when given, and returns
+    [true] when every gate above holds. The [quick] profile is the
+    smoke-sized soak; [full] streams more dies. *)

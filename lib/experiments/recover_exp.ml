@@ -1,24 +1,3 @@
-type result = {
-  bench : string;
-  n_paths : int;
-  cycles : int;
-  kills : int;
-  batches_sent : int;
-  acked_dies : int;
-  journaled : int;
-  observed_final : int;
-  lost_acked : int;
-  wrong_answers : int;
-  clean_failures : int;
-  max_recovery_s : float;
-  recovery_bound_s : float;
-  state_match : bool;
-  generations : int list;
-  gen_monotonic : bool;
-  server_clean_exit : bool;
-  ok : bool;
-}
-
 let eps = 0.05
 
 (* restart-to-first-answer budget: artifact load + checkpoint load + WAL
@@ -355,28 +334,6 @@ let run ?(oc = stdout) ?out profile =
     server_clean_exit;
   Printf.fprintf oc "E20 %s\n" (if ok then "ok" else "FAILED");
   flush oc;
-  let result =
-    {
-      bench = bench_name;
-      n_paths;
-      cycles;
-      kills = !kills;
-      batches_sent = !batches_sent;
-      acked_dies = !acked_dies;
-      journaled;
-      observed_final;
-      lost_acked;
-      wrong_answers = !wrong;
-      clean_failures = !clean_failures;
-      max_recovery_s = !max_recovery;
-      recovery_bound_s;
-      state_match;
-      generations;
-      gen_monotonic;
-      server_clean_exit;
-      ok;
-    }
-  in
   let timing_note =
     if Host.cores () = 1 then
       "1-core host: recovery_s includes serial replay; the durability \
@@ -387,24 +344,34 @@ let run ?(oc = stdout) ?out profile =
   Soak.write ~oc ?out "E20"
     (let open Core.Report in
      [
-       ("bench", String result.bench);
+       ("bench", String bench_name);
        ("timing_note", String timing_note);
-       ("n_paths", Int result.n_paths);
-       ("cycles", Int result.cycles);
-       ("kills", Int result.kills);
-       ("batches_sent", Int result.batches_sent);
-       ("acked_dies", Int result.acked_dies);
-       ("journaled", Int result.journaled);
-       ("observed_final", Int result.observed_final);
-       ("lost_acked", Int result.lost_acked);
-       ("wrong_answers", Int result.wrong_answers);
-       ("clean_failures", Int result.clean_failures);
-       ("max_recovery_s", Float result.max_recovery_s);
-       ("recovery_bound_s", Float result.recovery_bound_s);
-       ("state_match", Bool result.state_match);
-       ("generations", List (List.map (fun g -> Int g) result.generations));
-       ("gen_monotonic", Bool result.gen_monotonic);
-       ("server_clean_exit", Bool result.server_clean_exit);
-       ("ok", Bool result.ok);
+       ("n_paths", Int n_paths);
+       (* kill cycles; the final clean cycle is extra *)
+       ("cycles", Int cycles);
+       (* SIGKILLs that actually landed *)
+       ("kills", Int !kills);
+       ("batches_sent", Int !batches_sent);
+       (* dies the server acked as queued *)
+       ("acked_dies", Int !acked_dies);
+       (* the WAL high-water mark at the end *)
+       ("journaled", Int journaled);
+       ("observed_final", Int observed_final);
+       (* acked dies missing from the recovered state *)
+       ("lost_acked", Int lost_acked);
+       ("wrong_answers", Int !wrong);
+       (* protocol failures outside kill windows *)
+       ("clean_failures", Int !clean_failures);
+       (* the slowest restart-to-first-answer *)
+       ("max_recovery_s", Float !max_recovery);
+       ("recovery_bound_s", Float recovery_bound_s);
+       (* recovered = the uninterrupted reference *)
+       ("state_match", Bool state_match);
+       (* the serving generation seen after each boot *)
+       ("generations", List (List.map (fun g -> Int g) generations));
+       ("gen_monotonic", Bool gen_monotonic);
+       (* the final cycle's shutdown handshake *)
+       ("server_clean_exit", Bool server_clean_exit);
+       ("ok", Bool ok);
      ]);
-  result
+  ok

@@ -19,35 +19,15 @@
     {!Serve.Monitor}, and requires the same state (counters exact,
     cusum/var_ratio within 1e-12) as the much-killed server reports.
 
-    Gates ([ok]): every armed kill lands; zero acked-but-lost
-    observations; zero wrong answers (predictions bit-equal to the
-    offline predictor, acks consistent); zero failures outside kill
-    windows; recovered state matches the reference; generation counter
-    strictly increases across restarts; each restart answers within
-    [recovery_bound_s]; the final unkilled cycle exits cleanly. *)
+    Gates (the verdict [run] returns): every armed kill lands; zero
+    acked-but-lost observations; zero wrong answers (predictions
+    bit-equal to the offline predictor, acks consistent); zero failures
+    outside kill windows; recovered state matches the reference;
+    generation counter strictly increases across restarts; each restart
+    answers within [recovery_bound_s]; the final unkilled cycle exits
+    cleanly. *)
 
-type result = {
-  bench : string;
-  n_paths : int;
-  cycles : int;  (** kill cycles (the final clean cycle is extra) *)
-  kills : int;  (** SIGKILLs that actually landed *)
-  batches_sent : int;
-  acked_dies : int;  (** dies the server acked as queued *)
-  journaled : int;  (** WAL high-water mark at the end *)
-  observed_final : int;
-  lost_acked : int;  (** acked dies missing from the recovered state *)
-  wrong_answers : int;
-  clean_failures : int;  (** protocol failures outside kill windows *)
-  max_recovery_s : float;  (** slowest restart-to-first-answer *)
-  recovery_bound_s : float;
-  state_match : bool;  (** recovered == uninterrupted reference *)
-  generations : int list;  (** serving generation seen after each boot *)
-  gen_monotonic : bool;
-  server_clean_exit : bool;  (** final cycle's shutdown handshake *)
-  ok : bool;
-}
-
-val run : ?oc:out_channel -> ?out:string -> Profile.t -> result
-(** Run the soak (quick: 6 kill cycles; full: 20) and print a summary
-    to [oc]; with [out], also write the JSON report there
-    ([BENCH_e20.json]). *)
+val run : ?oc:out_channel -> ?out:string -> Profile.t -> bool
+(** Run the soak (quick: 6 kill cycles; full: 20), print a summary to
+    [oc], and return [true] when every gate above holds; with [out],
+    also write the JSON report there ([BENCH_e20.json]). *)

@@ -8,23 +8,6 @@
     (quantization + jitter, {!Timing.Measurement}): MC errors and
     guard-banded failure detection with the measurement-aware band. *)
 
-type rsvd_row = {
-  method_name : string;
-  selected : int;
-  eps_r_pct : float;
-  seconds : float;
-}
-
-type noise_row = {
-  label : string;
-  quantization_ps : float;
-  jitter_ps : float;
-  e1_pct : float;
-  e2_pct : float;
-  detection_rate : float;
-  false_alarm_rate : float;
-}
-
 type ssta_row = {
   t_over_nominal : float;
   ssta_yield : float;

@@ -5,21 +5,6 @@ type kernel_row = {
   identical : bool;
 }
 
-type result = {
-  cores : int;
-  counts : int list;
-  kernels : kernel_row list;
-  mc_yield_identical : bool;
-  mc_delays_identical : bool;
-  pipeline_times_s : (int * float) list;
-  pipeline_identical : bool;
-  matmul_speedup : float;
-  pipeline_speedup : float;
-  equivalence_ok : bool;
-  speedup_gate_active : bool;
-  ok : bool;
-}
-
 let eps = 0.05
 
 (* one warmup, then best of [reps]: the minimum is the least noisy
@@ -198,16 +183,14 @@ let run ?(oc = stdout) ?out ?(smoke = false) profile =
       pipe_runs
   in
   let pipeline_times_s = List.map (fun (d, _, dt) -> (d, dt)) pipe_runs in
+  let pipeline_speedup = speedup_at pipeline_times_s 4 in
   Printf.fprintf oc "pipeline (%d gates):%s  speedup@4 %.2fx  identical %s\n"
     pipe_gates
     (String.concat ""
        (List.map (fun (_, dt) -> Printf.sprintf " %7.2fs" dt) pipeline_times_s))
-    (speedup_at pipeline_times_s 4)
+    pipeline_speedup
     (if pipeline_identical then "yes" else "NO");
-  let matmul_speedup =
-    speedup_at (List.map (fun (d, ms) -> (d, ms)) (List.hd kernels).times_ms) 4
-  in
-  let pipeline_speedup = speedup_at pipeline_times_s 4 in
+  let matmul_speedup = speedup_at (List.hd kernels).times_ms 4 in
   let equivalence_ok =
     List.for_all (fun k -> k.identical) kernels
     && mc_yield_identical && mc_delays_identical && pipeline_identical
@@ -223,23 +206,14 @@ let run ?(oc = stdout) ?out ?(smoke = false) profile =
      else if ok then Printf.sprintf "pass (matmul %.2fx >= 2x at 4 domains)" matmul_speedup
      else Printf.sprintf "FAIL (matmul %.2fx < 2x at 4 domains)" matmul_speedup);
   flush oc;
-  let result =
-    {
-      cores; counts; kernels; mc_yield_identical; mc_delays_identical;
-      pipeline_times_s; pipeline_identical; matmul_speedup; pipeline_speedup;
-      equivalence_ok; speedup_gate_active; ok;
-    }
-  in
   let open Core.Report in
-  let times_json times scale =
-    List (List.map (fun (d, t) ->
-        Obj [ ("domains", Int d); ("time", Float (t *. scale)) ]) times)
+  let times_json times =
+    List (List.map (fun (d, t) -> Obj [ ("domains", Int d); ("time", Float t) ]) times)
   in
   Soak.write ~oc ?out "E15"
     [
       ("profile", String profile.Profile.name);
-      ("cores_available", Int result.cores);
-      ("domain_counts", List (List.map (fun d -> Int d) result.counts));
+      ("domain_counts", List (List.map (fun d -> Int d) counts));
       ( "kernels",
         List
           (List.map
@@ -248,28 +222,30 @@ let run ?(oc = stdout) ?out ?(smoke = false) profile =
                  [
                    ("kernel", String k.kname);
                    ("dims", String k.dims);
-                   ("times_ms", times_json k.times_ms 1.0);
+                   (* best of [reps] per domain count *)
+                   ("times_ms", times_json k.times_ms);
                    ("speedup_at_4_domains", Float (speedup_at k.times_ms 4));
+                   (* bit-identical to the 1-domain run *)
                    ("bit_identical", Bool k.identical);
                  ])
-             result.kernels) );
+             kernels) );
       ( "monte_carlo",
         Obj
           [
-            ("yield_identical_across_domains", Bool result.mc_yield_identical);
-            ("die_delays_bit_identical", Bool result.mc_delays_identical);
+            ("yield_identical_across_domains", Bool mc_yield_identical);
+            ("die_delays_bit_identical", Bool mc_delays_identical);
           ] );
       ( "pipeline",
         Obj
           [
             ("gates", Int pipe_gates);
-            ("times_s", times_json result.pipeline_times_s 1.0);
-            ("speedup_at_4_domains", Float result.pipeline_speedup);
-            ("outputs_identical", Bool result.pipeline_identical);
+            ("times_s", times_json pipeline_times_s);
+            ("speedup_at_4_domains", Float pipeline_speedup);
+            ("outputs_identical", Bool pipeline_identical);
           ] );
-      ("matmul_speedup_at_4_domains", Float result.matmul_speedup);
-      ("equivalence_ok", Bool result.equivalence_ok);
-      ("speedup_gate_active", Bool result.speedup_gate_active);
-      ("ok", Bool result.ok);
+      ("matmul_speedup_at_4_domains", Float matmul_speedup);
+      ("equivalence_ok", Bool equivalence_ok);
+      ("speedup_gate_active", Bool speedup_gate_active);
+      ("ok", Bool ok);
     ];
-  result
+  ok

@@ -5,25 +5,11 @@ type batch_row = {
   socket_round_trip_ms : float;
 }
 
-type result = {
-  bench : string;
-  n_paths : int;
-  n_rep : int;
-  cold_per_die_s : float;
-  cold_256_s : float;
-  warm_256_socket_s : float;
-  speedup_256 : float;
-  bit_identical : bool;
-  rows : batch_row list;
-}
-
 let eps = 0.05
 
 let batches = [ 1; 16; 64; 256 ]
 
 let n_dies = 256
-
-let top_rows m k = Linalg.Mat.select_rows m (Array.init k Fun.id)
 
 let run ?(oc = stdout) ?out profile =
   let bench_name = "s1423" in
@@ -52,7 +38,7 @@ let run ?(oc = stdout) ?out profile =
     let (_, sel'), dt1 = Soak.time build in
     let p' = sel'.Core.Select.predictor in
     let rep' = Core.Predictor.rep_indices p' in
-    let one = Linalg.Mat.select_cols (top_rows d 1) rep' in
+    let one = Linalg.Mat.select_cols (Soak.rows_of d 0 1) rep' in
     let _, dt2 = Soak.time (fun () -> ignore (Core.Predictor.predict_all p' ~measured:one)) in
     dt1 +. dt2
   in
@@ -72,7 +58,7 @@ let run ?(oc = stdout) ?out profile =
         (Serve.Wire.Obj
            [
              ("op", Serve.Wire.String "predict");
-             ("dies", Serve.Wire.mat_to_json (top_rows clean b));
+             ("dies", Serve.Wire.mat_to_json (Soak.rows_of clean 0 b));
            ])
     in
     let reps = max 1 (n_dies / b) in
@@ -91,7 +77,7 @@ let run ?(oc = stdout) ?out profile =
         let pid = Soak.spawn soak in
         let conn = Soak.connect soak in
         let socket_row b =
-          let sub = top_rows clean b in
+          let sub = Soak.rows_of clean 0 b in
           let reps = max 1 (n_dies / b) in
           let _, dt =
             Soak.time (fun () ->
@@ -145,30 +131,19 @@ let run ?(oc = stdout) ?out profile =
   Printf.fprintf oc "served predictions bit-identical to in-process: %s\n"
     (if bit_identical then "yes" else "NO (wire bug)");
   flush oc;
-  let result =
-    {
-      bench = bench_name;
-      n_paths;
-      n_rep;
-      cold_per_die_s;
-      cold_256_s;
-      warm_256_socket_s;
-      speedup_256;
-      bit_identical;
-      rows;
-    }
-  in
   Soak.write ~oc ?out "E14"
     (let open Core.Report in
      [
-       ("bench", String result.bench);
-       ("n_paths", Int result.n_paths);
-       ("n_rep", Int result.n_rep);
-       ("cold_per_die_s", Float result.cold_per_die_s);
-       ("cold_256_s", Float result.cold_256_s);
-       ("warm_256_socket_s", Float result.warm_256_socket_s);
-       ("speedup_256", Float result.speedup_256);
-       ("bit_identical", Bool result.bit_identical);
+       ("bench", String bench_name);
+       ("n_paths", Int n_paths);
+       ("n_rep", Int n_rep);
+       (* the mean of [n_cold] full pipeline runs *)
+       ("cold_per_die_s", Float cold_per_die_s);
+       ("cold_256_s", Float cold_256_s);
+       ("warm_256_socket_s", Float warm_256_socket_s);
+       ("speedup_256", Float speedup_256);
+       (* served = in-process, bit for bit *)
+       ("bit_identical", Bool bit_identical);
        ( "rows",
          List
            (List.map
@@ -178,8 +153,8 @@ let run ?(oc = stdout) ?out profile =
                     ("batch", Int b.batch);
                     ("inproc_dies_per_s", Float b.inproc_dies_per_s);
                     ("socket_dies_per_s", Float b.socket_dies_per_s);
+                    (* the mean per-request round trip *)
                     ("socket_round_trip_ms", Float b.socket_round_trip_ms);
                   ])
-              result.rows) );
-     ]);
-  result
+              rows) );
+     ])

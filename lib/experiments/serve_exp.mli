@@ -17,27 +17,9 @@
     predictor, and writes the machine-readable summary to
     [BENCH_e14.json] when [~out] is given. *)
 
-type batch_row = {
-  batch : int;  (** dies per request *)
-  inproc_dies_per_s : float;
-  socket_dies_per_s : float;
-  socket_round_trip_ms : float;  (** mean per-request round trip *)
-}
-
-type result = {
-  bench : string;
-  n_paths : int;
-  n_rep : int;
-  cold_per_die_s : float;      (** mean of repeated full pipeline runs *)
-  cold_256_s : float;          (** 256 x cold_per_die_s *)
-  warm_256_socket_s : float;   (** one 256-die batch, socket round trip *)
-  speedup_256 : float;         (** cold_256_s / warm_256_socket_s *)
-  bit_identical : bool;        (** served = in-process, bit for bit *)
-  rows : batch_row list;
-}
-
-val run : ?oc:out_channel -> ?out:string -> Profile.t -> result
+val run : ?oc:out_channel -> ?out:string -> Profile.t -> unit
 (** Prints the table to [oc] (default [stdout]); writes
-    [BENCH_e14.json]-style JSON to [out] when given. Raises
+    [BENCH_e14.json]-style JSON to [out] when given. E14 has no gate:
+    a wire bug shows as [bit_identical: false] in the report. Raises
     [Core.Errors.Error] when the served run fails, including a server
     child that does not exit cleanly. *)

@@ -30,15 +30,6 @@ type scale_row = {
   s_selected : int;
 }
 
-type result = {
-  quality : quality_row list;
-  scaling : scale_row list;
-  worst_ratio_max : float;
-  budget_s : float;
-  within_budget : bool;
-  ok : bool;
-}
-
 let eps = 0.05
 
 let ratio_gate = 1.25
@@ -218,7 +209,6 @@ let run ?(oc = stdout) ?out ?(smoke = false) profile =
      else Printf.sprintf "FAIL (worst ratio %.2fx > %.2fx)" worst_ratio_max ratio_gate)
     budget_s (verdict within_budget) tail_target (verdict tails_ok);
   flush oc;
-  let result = { quality; scaling; worst_ratio_max; budget_s; within_budget; ok } in
   Soak.write ~oc ?out "E19"
     (let open Core.Report in
      [
@@ -234,20 +224,25 @@ let run ?(oc = stdout) ?out ?(smoke = false) profile =
                     ("pool", String q.qname);
                     ("paths", Int q.q_paths);
                     ("vars", Int q.q_vars);
+                    (* rank(A) from the exact SVD *)
                     ("rank_exact", Int q.rank_exact);
                     ("sketch_rank", Int q.q_sketch_rank);
+                    (* the selection size both engines use *)
                     ("r_matched", Int q.r_matched);
+                    (* Eqn (7)'s worst-case error *)
                     ("worst_case_eps_exact", Float q.eps_exact);
                     ("worst_case_eps_sketched", Float q.eps_sketch);
                     ("worst_case_ratio", Float q.worst_ratio);
+                    (* Monte Carlo e2 *)
                     ("rms_exact", Float q.rms_exact);
                     ("rms_sketched", Float q.rms_sketch);
                     ("rms_ratio", Float q.rms_ratio);
+                    (* the fraction of exact picks also picked *)
                     ("selected_set_overlap", Float q.overlap);
                     ("exact_svd_s", Float q.t_exact_s);
                     ("sketched_s", Float q.t_sketch_s);
                   ])
-              result.quality) );
+              quality) );
        ( "scaling",
          List
            (List.map
@@ -257,19 +252,22 @@ let run ?(oc = stdout) ?out ?(smoke = false) profile =
                     ("paths", Int s.s_paths);
                     ("segments", Int s.s_segments);
                     ("vars", Int s.s_vars);
+                    (* nonzeros across G and Sigma *)
                     ("nnz", Int s.s_nnz);
                     ("stream_build_s", Float s.build_s);
+                    (* the range finder to the tail-energy stop *)
                     ("sketch_s", Float s.sketch_s);
                     ("pivoted_qr_s", Float s.qr_s);
                     ("total_s", Float s.total_s);
                     ("sketch_rank", Int s.s_sketch_rank);
+                    (* the exact achieved fraction *)
                     ("tail_energy_fraction", Float s.s_tail);
                     ("selected", Int s.s_selected);
                   ])
-              result.scaling) );
-       ("worst_case_ratio_max", Float result.worst_ratio_max);
-       ("budget_s", Float result.budget_s);
-       ("within_budget", Bool result.within_budget);
-       ("ok", Bool result.ok);
+              scaling) );
+       ("worst_case_ratio_max", Float worst_ratio_max);
+       ("budget_s", Float budget_s);
+       ("within_budget", Bool within_budget);
+       ("ok", Bool ok);
      ]);
-  result
+  ok

@@ -121,13 +121,21 @@ let stats t =
   | exception (Unix.Unix_error _ | Serve.Io.Timeout) -> Error "server unreachable"
 
 let write ?(oc = stdout) ?out experiment fields =
+  let fields = (("experiment", Core.Report.String experiment) :: Host.fields ()) @ fields in
+  let seen = Hashtbl.create 32 in
+  List.iter
+    (fun (key, _) ->
+      if Hashtbl.mem seen key then
+        invalid_arg (Printf.sprintf "Soak.write %s: duplicate field %S" experiment key);
+      Hashtbl.add seen key ())
+    fields;
   match out with
   | None -> ()
   | Some path ->
-    Core.Report.write_file path
-      (Core.Report.Obj
-         ((("experiment", Core.Report.String experiment) :: Host.fields ()) @ fields));
+    Core.Report.write_file path (Core.Report.Obj fields);
     Printf.fprintf oc "wrote %s\n%!" path
+
+let rows_of m i0 k = Linalg.Mat.select_rows m (Array.init k (( + ) i0))
 
 let time f =
   let t0 = Unix.gettimeofday () in

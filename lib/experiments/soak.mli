@@ -75,11 +75,16 @@ val write :
   ?oc:out_channel -> ?out:string -> string -> (string * Core.Report.json) list -> unit
 (** [write ?out experiment fields] writes the BENCH object — the
     [experiment] key, {!Host.fields}, then [fields] — to [out] and
-    prints [wrote <out>] to [oc] (default [stdout]). No-op without
-    [out]. *)
+    prints [wrote <out>] to [oc] (default [stdout]). Without [out] it
+    writes nothing. Raises [Invalid_argument] naming the key, before
+    writing anything and with or without [out], when a key of that
+    object appears twice. *)
 
 val time : (unit -> 'a) -> 'a * float
 (** The result and its wall-clock seconds. *)
+
+val rows_of : Linalg.Mat.t -> int -> int -> Linalg.Mat.t
+(** [rows_of m i0 k]: the [k] contiguous rows of [m] from row [i0]. *)
 
 (** Fields of a wire response, with a fallback when absent or
     mistyped. *)

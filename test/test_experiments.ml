@@ -212,6 +212,24 @@ let test_child_exit_status () =
   Alcotest.(check bool) "raises: exit 1" true
     (status (fun () -> raise Exit) = Unix.WEXITED 1)
 
+(* a repeated BENCH key, its own or one Soak.write adds, is refused
+   before any file is written *)
+let test_write_refuses_duplicate_keys () =
+  let path = Filename.temp_file "pathsel-bench" ".json" in
+  Sys.remove path;
+  let refused name key fields =
+    (match Soak.write ~out:path "T" fields with
+     | () -> Alcotest.failf "%s: no Invalid_argument" name
+     | exception Invalid_argument msg ->
+       Alcotest.(check string) name
+         (Printf.sprintf "Soak.write T: duplicate field %S" key)
+         msg);
+    Alcotest.(check bool) (name ^ ": no file") false (Sys.file_exists path)
+  in
+  refused "repeated key" "n_paths"
+    Core.Report.[ ("n_paths", Int 1); ("ok", Bool true); ("n_paths", Int 2) ];
+  refused "a Host key" "cores_available" Core.Report.[ ("cores_available", Int 1) ]
+
 let soak_tests =
   [
     ("body raising kills and reaps the server", test_soak_raise_kills_child);
@@ -220,6 +238,7 @@ let soak_tests =
     ("failing Serve.run classifies as failed", test_soak_failed_server);
     ("spawn works after pool domains exist", test_soak_after_domains);
     ("child exits 0 on return, 1 on raise", test_child_exit_status);
+    ("write refuses a repeated key before writing", test_write_refuses_duplicate_keys);
   ]
 
 let unit_tests =
